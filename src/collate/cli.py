@@ -126,10 +126,12 @@ class RunConfig:
             seed=self.seed,
         )
 
-    def llm_backend(self) -> LlmBackendConfig:
+    def llm_backend(self, base_dir: Path) -> LlmBackendConfig:
+        """The backend ``llm_mode`` names; a relative mock fixture path is
+        taken relative to ``base_dir``, the dataset's directory."""
         mode, _, rest = self.llm_mode.partition(":")
         if mode == "mock":
-            return LlmBackendConfig(mode="mock", fixture_path=rest)
+            return LlmBackendConfig(mode="mock", fixture_path=str(base_dir / rest))
         return LlmBackendConfig(mode="live", endpoint=rest)
 
 
@@ -227,13 +229,15 @@ def cmd_score_llm(cfg: RunConfig, data_path: Path, out_dir: Path, runs: int,
 
     ``runs``/``pick`` control repeat-and-select for the live backend (the
     published protocol reran the model and kept one run); the mock backend is
-    deterministic so one run suffices.
+    deterministic so one run suffices. A relative mock fixture path in
+    ``llm_mode`` names a file next to the dataset, where ``gen-data`` writes
+    it, whatever the working directory.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     series = _load_labeled(data_path)
     parts = data_mod.split_windows(series, cfg.window_len)
     windows = parts["train"] + parts["val"] + parts["test"]
-    backend = cfg.llm_backend()
+    backend = cfg.llm_backend(data_path.parent)
     inputs = [data_path]
     if backend.mode == "mock":
         _require(Path(backend.fixture_path), "mock fixture")

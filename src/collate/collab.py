@@ -8,6 +8,7 @@ plus a pairwise loss chosen by the ablation variant.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from enum import Enum
@@ -92,7 +93,11 @@ class ConditionalNetParams:
         return np.concatenate([llm[:, None], aligned[:, None], rep], axis=1)
 
     def forward(self, llm: np.ndarray, aligned: np.ndarray, rep: np.ndarray):
-        raw = self._stack(llm, aligned, rep)
+        return self.forward_stacked(self._stack(llm, aligned, rep))
+
+    def forward_stacked(self, raw: np.ndarray):
+        """Forward pass on an already stacked (n, 2 + h) input, as built by
+        ``_stack``: columns llm, aligned, then the representation."""
         z = (raw - self.in_mean) / self.in_std
         pre = z @ self.w1 + self.b1
         h = np.where(pre > 0, pre, _LEAKY_SLOPE * pre)
@@ -114,12 +119,6 @@ class ConditionalNetParams:
         draw = (dpre @ self.w1.T) / self.in_std
         grads = {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
         return grads, draw[:, 0], draw[:, 1], draw[:, 2:]
-
-    def step(self, grads: dict, lr: float):
-        self.w1 -= lr * grads["w1"]
-        self.b1 -= lr * grads["b1"]
-        self.w2 -= lr * grads["w2"]
-        self.b2 -= lr * grads["b2"]
 
     def to_dict(self) -> dict:
         return {
@@ -188,24 +187,40 @@ def _pairwise_weighted_excess(
     return 0.5 * (lam * (n * ref - ref_sum) + (ref * lam_sum - lamref_sum))
 
 
+class CollaborativeTerm:
+    """The collaborative loss with the two scorers' scores and weights fixed.
+
+    The loss is linear in the collated scores, so its gradient
+    -(2/n^2) * (excess(lam1, s) + excess(lam2, llm)) does not depend on them:
+    it is computed once here, and each call only takes its dot product with
+    the collated scores. Phase-2 training builds one term per block.
+    """
+
+    def __init__(self, s: np.ndarray, llm: np.ndarray, weights: PatchWeights):
+        s = np.asarray(s, dtype=np.float64).reshape(-1)
+        llm = np.asarray(llm, dtype=np.float64).reshape(-1)
+        n = _check_lengths(s, llm, weights.lambda1, weights.lambda2)
+        if n < 2:
+            raise ValueError("need at least two slots")
+        # sum_ij lam(i,j)(a_i - a_j)(b_i - b_j) = 2 * sum_t b_t * excess_t(a)
+        self.excess = _pairwise_weighted_excess(
+            weights.lambda1, s, n
+        ) + _pairwise_weighted_excess(weights.lambda2, llm, n)
+        self.scale = -(2.0 / n**2)
+        self.grad = self.scale * self.excess
+
+    def __call__(self, s_hat: np.ndarray) -> tuple[float, np.ndarray]:
+        """Loss at the collated scores and its (constant) gradient."""
+        s_hat = np.asarray(s_hat, dtype=np.float64).reshape(-1)
+        _check_lengths(s_hat, self.excess)
+        return self.scale * float(s_hat @ self.excess), self.grad
+
+
 def collaborative_loss_grad(
     s_hat: np.ndarray, s: np.ndarray, llm: np.ndarray, weights: PatchWeights
 ) -> tuple[float, np.ndarray]:
     """Collaborative loss and its gradient wrt the collated scores."""
-    s_hat = np.asarray(s_hat, dtype=np.float64).reshape(-1)
-    s = np.asarray(s, dtype=np.float64).reshape(-1)
-    llm = np.asarray(llm, dtype=np.float64).reshape(-1)
-    lam1 = weights.lambda1
-    lam2 = weights.lambda2
-    n = _check_lengths(s_hat, s, llm, lam1, lam2)
-    if n < 2:
-        raise ValueError("need at least two slots")
-    # sum_ij lam(i,j)(a_i - a_j)(b_i - b_j) = 2 * sum_t b_t * excess_t(a)
-    exc1 = _pairwise_weighted_excess(lam1, s, n)
-    exc2 = _pairwise_weighted_excess(lam2, llm, n)
-    loss = -(2.0 / n**2) * float(s_hat @ (exc1 + exc2))
-    grad = -(2.0 / n**2) * (exc1 + exc2)
-    return loss, grad
+    return CollaborativeTerm(s, llm, weights)(s_hat)
 
 
 def collaborative_loss_naive(
@@ -356,39 +371,53 @@ class FusionPipeline:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
 
-def _slot_streams(
-    windows: list[TimeSeriesWindow],
-    scorer,
-    llm_scores: dict[str, ScoreSeries],
-    divisor: float,
-    patch_size: int,
-):
-    """Per-window (scaled, llm, rep, weights) streams for phase-2 training."""
-    streams = []
-    for w in windows:
-        key = w.window_id()
-        if key not in llm_scores:
-            raise MissingLlmScores(f"no LLM scores for window {key}")
-        series = llm_scores[key]
-        if len(series) != w.length:
-            raise LengthMismatch(
-                f"window {key} has {w.length} slots but {len(series)} LLM scores"
-            )
-        raw, rep = scorer.score(w)
-        scaled = raw.scores / divisor
-        pw = patch_weights(w, patch_size)
-        streams.append((scaled, series.scores, rep, pw))
-    return streams
+_COND_PARAMS = ("w1", "b1", "w2", "b2")
+_MAPPING_PARAMS = ("a1", "b1", "a2", "b2")
 
 
-def _pairwise_grad_for_variant(variant, s_hat, scaled, llm, pw):
+class _FlatParams:
+    """Every trainable array of some owners, held in one float64 vector.
+
+    ``owners`` pairs each object with its parameter attribute names. Each
+    attribute is rebound to its view of ``theta`` (a 0-d view for a scalar
+    bias), so one optimizer step on ``theta`` updates them all in place; Adam
+    is elementwise, so that gives bit for bit the values that stepping each
+    array separately would. ``grad`` has the same layout.
+    """
+
+    def __init__(self, owners: list[tuple[object, tuple[str, ...]]]):
+        arrays = [
+            (i, name, np.asarray(getattr(obj, name), dtype=np.float64))
+            for i, (obj, names) in enumerate(owners)
+            for name in names
+        ]
+        self.theta = np.concatenate([a.reshape(-1) for _, _, a in arrays])
+        self.grad = np.empty_like(self.theta)
+        self._grad_views = []
+        start = 0
+        for i, name, a in arrays:
+            stop = start + a.size
+            setattr(owners[i][0], name, self.theta[start:stop].reshape(a.shape))
+            self._grad_views.append((i, name, self.grad[start:stop].reshape(a.shape)))
+            start = stop
+
+    def gather(self, grads: list[dict]) -> np.ndarray:
+        """The flat gradient from one gradient dict per owner, keyed by
+        attribute name as the backward passes return them."""
+        for i, name, view in self._grad_views:
+            view[...] = grads[i][name]
+        return self.grad
+
+
+def _pairwise_term(variant: LossVariant, scaled, llm, weights: PatchWeights):
+    """The variant's pairwise loss on one block, as a function of the
+    collated scores returning (loss, gradient)."""
     if variant in (LossVariant.COLLABORATIVE, LossVariant.NO_ALIGNMENT):
-        return collaborative_loss_grad(s_hat, scaled, llm, pw)
+        return CollaborativeTerm(scaled, llm, weights)
     if variant is LossVariant.FIXED_WEIGHTS:
-        ones = PatchWeights.fixed(len(s_hat), 1.0, 1.0)
-        return collaborative_loss_grad(s_hat, scaled, llm, ones)
+        return CollaborativeTerm(scaled, llm, PatchWeights.fixed(len(scaled), 1.0, 1.0))
     if variant is LossVariant.MSE_VARIANT:
-        return mse_variant_loss_grad(s_hat, scaled, llm, pw)
+        return functools.partial(mse_variant_loss_grad, s=scaled, llm=llm, weights=weights)
     raise ValueError(f"unknown variant {variant}")
 
 
@@ -407,30 +436,67 @@ def train_collab(
     block order is reshuffled each epoch under the run seed. The NO_ALIGNMENT
     variant feeds scaled scores straight into the network and skips both the
     mapping and the alignment term.
+
+    Everything a block's step needs that does not depend on the parameters
+    (its scaled and LLM scores, representation, patch weights and, for the
+    pairwise variants, the loss gradient) is built once before the first
+    epoch; each window is scored once.
     """
     if not windows:
         raise ValueError("no training windows")
-    raws = [scorer.score(w)[0].scores for w in windows]
-    divisor = score_range_divisor(np.concatenate(raws), NormalizationConfig(cfg.d))
-    streams = _slot_streams(windows, scorer, llm_scores, divisor, cfg.patch_size)
+    scored = []
+    for w in windows:
+        key = w.window_id()
+        if key not in llm_scores:
+            raise MissingLlmScores(f"no LLM scores for window {key}")
+        series = llm_scores[key]
+        if len(series) != w.length:
+            raise LengthMismatch(
+                f"window {key} has {w.length} slots but {len(series)} LLM scores"
+            )
+        raw, rep = scorer.score(w)
+        scored.append((w, raw.scores, series.scores, rep))
+    divisor = score_range_divisor(
+        np.concatenate([raw for _, raw, _, _ in scored]), NormalizationConfig(cfg.d)
+    )
 
-    all_llm = np.concatenate([st[1] for st in streams])
+    all_llm = np.concatenate([llm for _, _, llm, _ in scored])
     fit = align_mod.fit_half_gaussian(all_llm)
     acfg = cfg.alignment_config()
 
     use_mapping = variant is not LossVariant.NO_ALIGNMENT
     mapping = MonotoneMapping(cfg.mapping_hidden, seed=cfg.seed) if use_mapping else None
-    rep_dim = streams[0][2].shape[1]
+    rep_dim = scored[0][3].shape[1]
     cond = ConditionalNetParams(rep_dim, hidden=cfg.cond_hidden, seed=cfg.seed + 1)
 
+    # per block: (scaled scores, fusion input, pairwise term). The fusion
+    # input is a view of its window's stacked (llm, aligned, rep) rows whose
+    # aligned column each step overwrites with the block's mapped scores.
     blocks = []
-    for wi, (scaled, _, _, _) in enumerate(streams):
+    scaled_parts = []
+    stacked_parts = []
+    for w, raw, llm, rep in scored:
+        scaled = raw / divisor
+        stacked = cond._stack(llm, scaled, rep)
+        pw = patch_weights(w, cfg.patch_size)
         for start in range(0, len(scaled), cfg.batch_size):
             stop = min(start + cfg.batch_size, len(scaled))
-            if stop - start >= 2:
-                blocks.append((wi, start, stop))
+            if stop - start < 2:
+                continue
+            pwb = PatchWeights(
+                d_intra=pw.d_intra[start:stop],
+                d_inter=pw.d_inter[start:stop],
+                lambda1=pw.lambda1[start:stop],
+                lambda2=pw.lambda2[start:stop],
+            )
+            sb = scaled[start:stop]
+            term = _pairwise_term(variant, sb, llm[start:stop], pwb)
+            blocks.append((sb, stacked[start:stop], term))
+        scaled_parts.append(scaled)
+        stacked_parts.append(stacked)
 
-    all_scaled = np.concatenate([st[0] for st in streams])
+    all_scaled = np.concatenate(scaled_parts)
+    all_stacked = np.concatenate(stacked_parts)
     curves = TrainingCurves()
     curves.kl_raw = align_mod.kl_histogram(all_scaled, fit, bins=50)
 
@@ -438,73 +504,39 @@ def train_collab(
     # 1/n^2 scale is orders of magnitude below the alignment term's per-slot
     # log-density gradients, so raw SGD would starve the fusion net.
     opt = Adam(cfg.colr)
-    cond_params = {"w1": cond.w1, "b1": cond.b1, "w2": cond.w2}
-    b2_box = np.array([cond.b2])
-
-    all_llm_flat = np.concatenate([st[1] for st in streams])
-    all_rep = np.concatenate([st[2] for st in streams])
-
-    def refresh_input_stats():
-        mapped_all = mapping(all_scaled) if use_mapping else all_scaled
-        stacked = np.concatenate(
-            [all_llm_flat[:, None], mapped_all[:, None], all_rep], axis=1
-        )
-        cond.set_input_stats(stacked.mean(axis=0), stacked.std(axis=0))
+    owners = [(cond, _COND_PARAMS)]
+    if use_mapping:
+        owners.append((mapping, _MAPPING_PARAMS))
+    flat = _FlatParams(owners)
+    params = {"theta": flat.theta}
 
     rng = np.random.default_rng(cfg.seed)
     for _epoch in range(cfg.epochs):
         # the mapping reshapes its output distribution as it trains, so the
         # standardization constants track it once per epoch
-        refresh_input_stats()
+        all_stacked[:, 1] = mapping(all_scaled) if use_mapping else all_scaled
+        cond.set_input_stats(all_stacked.mean(axis=0), all_stacked.std(axis=0))
         order = rng.permutation(len(blocks))
         ep_align = 0.0
         ep_pair = 0.0
         for bi in order:
-            wi, start, stop = blocks[bi]
-            scaled, llm, rep, pw = streams[wi]
-            sb = scaled[start:stop]
-            lb = llm[start:stop]
-            rb = rep[start:stop]
-            pwb = PatchWeights(
-                d_intra=pw.d_intra[start:stop],
-                d_inter=pw.d_inter[start:stop],
-                lambda1=pw.lambda1[start:stop],
-                lambda2=pw.lambda2[start:stop],
-            )
+            sb, stacked, pairwise = blocks[bi]
             if use_mapping:
                 mapped, mcache = mapping.forward(sb)
             else:
                 mapped = sb
-            s_hat, ccache = cond.forward(lb, mapped, rb)
-            pair_loss, ds_hat = _pairwise_grad_for_variant(variant, s_hat, sb, lb, pwb)
+            stacked[:, 1] = mapped
+            s_hat, ccache = cond.forward_stacked(stacked)
+            pair_loss, ds_hat = pairwise(s_hat)
             cgrads, _dllm, dmapped, _drep = cond.backward(ds_hat, ccache)
-            params = dict(cond_params)
-            b2_box[0] = cond.b2
-            params["b2"] = b2_box
-            cgrads["b2"] = np.array([cgrads["b2"]])
-            grads = cgrads
+            grads = [cgrads]
             if use_mapping:
                 a_loss, da_mapped = align_mod.alignment_loss_grad(mapped, fit, acfg)
                 mgrads, _ = mapping.backward(dmapped + da_mapped, mcache)
-                params.update(
-                    {"m_a1": mapping.a1, "m_b1": mapping.b1, "m_a2": mapping.a2}
-                )
-                mb2_box = np.array([mapping.b2])
-                params["m_b2"] = mb2_box
-                grads.update(
-                    {
-                        "m_a1": mgrads["a1"],
-                        "m_b1": mgrads["b1"],
-                        "m_a2": mgrads["a2"],
-                        "m_b2": np.array([mgrads["b2"]]),
-                    }
-                )
+                grads.append(mgrads)
             else:
                 a_loss = 0.0
-            opt.step(params, grads)
-            cond.b2 = float(b2_box[0])
-            if use_mapping:
-                mapping.b2 = float(mb2_box[0])
+            opt.step(params, {"theta": flat.gather(grads)})
             if not (np.isfinite(pair_loss) and np.isfinite(a_loss)):
                 raise NonConvergence("phase-2 loss became non-finite")
             ep_align += a_loss

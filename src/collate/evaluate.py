@@ -92,24 +92,66 @@ def prf1(scores, labels, threshold: float, adjust: bool = False) -> DetectionMet
 
 
 def best_f1_threshold(scores, labels, adjust: bool = False) -> tuple[float, DetectionMetrics]:
-    """Exhaustive scan over midpoints of sorted unique scores plus a
-    predict-everything threshold below the minimum; F1 ties break toward the
-    lower threshold (higher recall)."""
+    """Best slot-wise F1 over the midpoints of the sorted unique scores plus
+    a predict-everything threshold below the minimum; F1 ties break toward
+    the lower threshold (higher recall).
+
+    One pass: each slot's rank among the unique scores, positives and
+    negatives counted per rank (bincount), and counts above every candidate
+    from a reverse cumulative sum. P, R and F1 follow from the integer counts
+    exactly as ``prf1`` computes them. With ``adjust`` every positive slot
+    takes the highest rank in its labelled segment: a segment is predicted
+    whole exactly when its maximum score clears the threshold, which is what
+    ``point_adjust`` does to ``prf1``'s predictions.
+    """
     s = _as_scores(scores)
     y = np.asarray(labels, dtype=np.int64).reshape(-1)
     if s.size != y.size:
         raise LengthMismatch(f"{s.size} scores vs {y.size} labels")
-    if not (y == 1).any():
+    pos = y == 1
+    if not pos.any():
         raise NoPositives("threshold selection needs at least one positive label")
-    uniq = np.unique(s)
-    candidates = [float(uniq[0]) - 1.0]
-    candidates.extend(((uniq[:-1] + uniq[1:]) / 2.0).tolist())
-    best: DetectionMetrics | None = None
-    for t in candidates:
-        m = prf1(s, y, t, adjust=adjust)
-        if best is None or m.f1 > best.f1 or (m.f1 == best.f1 and t < best.threshold):
-            best = m
+    uniq, rank = np.unique(s, return_inverse=True)
+    if adjust:
+        rank = _segment_max(rank, pos)
+    candidates = np.concatenate([[uniq[0] - 1.0], (uniq[:-1] + uniq[1:]) / 2.0])
+    # slots scored above a candidate are those of rank >= first, for
+    # first = number of unique scores <= candidate (exact even when a
+    # midpoint rounds onto one of its two scores)
+    first = np.searchsorted(uniq, candidates, side="right")
+    tp = _count_from_rank(rank[pos], uniq.size)[first]
+    fp = _count_from_rank(rank[y == 0], uniq.size)[first]
+    fn = int(pos.sum()) - tp
+    predicted = tp + fp
+    precision = np.divide(tp, predicted, out=np.zeros(tp.size), where=predicted > 0)
+    recall = tp / (tp + fn)
+    pr = precision + recall
+    f1 = np.divide(2 * precision * recall, pr, out=np.zeros(tp.size), where=pr > 0)
+    # candidates ascend, so the first maximum is the lowest tied threshold
+    k = int(np.argmax(f1))
+    best = DetectionMetrics(
+        float(precision[k]), float(recall[k]), float(f1[k]), float(candidates[k]),
+        int(tp[k]), int(fp[k]), int(fn[k]),
+    )
     return best.threshold, best
+
+
+def _count_from_rank(rank: np.ndarray, u: int) -> np.ndarray:
+    """For r = 0..u, how many of ``rank`` are >= r (a reverse cumulative sum
+    of the per-rank counts; the entry for u is 0)."""
+    return np.concatenate([np.cumsum(np.bincount(rank, minlength=u)[::-1])[::-1], [0]])
+
+
+def _segment_max(rank: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """``rank`` with every run of consecutive positive slots set to the run's
+    maximum."""
+    edges = np.diff(np.concatenate([[0], pos.astype(np.int8), [0]]))
+    starts = np.flatnonzero(edges == 1)
+    lengths = np.flatnonzero(edges == -1) - starts
+    offsets = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+    out = rank.copy()
+    out[pos] = np.repeat(np.maximum.reduceat(rank[pos], offsets), lengths)
+    return out
 
 
 def labels_from_spans(spans: list[AnomalySpan], length: int, kind=None) -> np.ndarray:

@@ -282,6 +282,29 @@ def _default_transport(cfg: LlmBackendConfig, prompt: str) -> str:
     return body["text"]
 
 
+def _mock_table(cfg: LlmBackendConfig) -> dict[str, np.ndarray]:
+    if cfg.fixture_path is None:
+        raise MissingFixture("mock mode requires a fixture path")
+    return load_fixture(cfg.fixture_path)
+
+
+def _fixture_scores(
+    table: dict[str, np.ndarray], window_id: str, expected_slots: int
+) -> ScoreSeries:
+    """One window's validated scores from a loaded fixture."""
+    if window_id not in table:
+        raise MissingFixture(f"fixture has no entry for window {window_id!r}")
+    vals = table[window_id]
+    if vals.size != expected_slots:
+        raise MalformedResponse(
+            f"fixture entry {window_id!r} has {vals.size} scores, "
+            f"expected {expected_slots}"
+        )
+    if (vals < 0.0).any() or (vals > 1.0).any():
+        raise ScoreOutOfRange(f"fixture scores for {window_id!r} outside [0, 1]")
+    return ScoreSeries(vals, ScoreKind.LLM)
+
+
 def request_scores(
     cfg: LlmBackendConfig,
     prompt: str,
@@ -299,22 +322,9 @@ def request_scores(
     answered, the answer is invalid).
     """
     if cfg.mode == "mock":
-        if cfg.fixture_path is None:
-            raise MissingFixture("mock mode requires a fixture path")
         if window_id is None:
             raise MissingFixture("mock mode requires the window identity")
-        table = load_fixture(cfg.fixture_path)
-        if window_id not in table:
-            raise MissingFixture(f"fixture has no entry for window {window_id!r}")
-        vals = table[window_id]
-        if vals.size != expected_slots:
-            raise MalformedResponse(
-                f"fixture entry {window_id!r} has {vals.size} scores, "
-                f"expected {expected_slots}"
-            )
-        if (vals < 0.0).any() or (vals > 1.0).any():
-            raise ScoreOutOfRange(f"fixture scores for {window_id!r} outside [0, 1]")
-        return ScoreSeries(vals, ScoreKind.LLM)
+        return _fixture_scores(_mock_table(cfg), window_id, expected_slots)
 
     transport = transport or _default_transport
     attempts: list[str] = []
@@ -342,15 +352,15 @@ def score_windows(
     """Score many windows, keyed by window id.
 
     Live requests run concurrently bounded by ``max_in_flight``; mock lookups
-    run sequentially since they are pure. No cross-window ordering guarantee.
+    run sequentially since they are pure, against the fixture read once per
+    call. No cross-window ordering guarantee.
     """
     prompts = {w.window_id(): build_prompt(w, store, template).text for w in windows}
     out: dict[str, ScoreSeries] = {}
     if cfg.mode == "mock":
+        table = _mock_table(cfg)
         for w in windows:
-            out[w.window_id()] = request_scores(
-                cfg, prompts[w.window_id()], w.length, window_id=w.window_id()
-            )
+            out[w.window_id()] = _fixture_scores(table, w.window_id(), w.length)
         return out
     with ThreadPoolExecutor(max_workers=cfg.max_in_flight) as pool:
         futures = {

@@ -1,0 +1,91 @@
+"""The CLI end to end at 2,000 slots, run in-process through ``cli.main``."""
+import json
+
+import pytest
+
+from collate import cli
+
+
+@pytest.fixture(scope="module")
+def run_dir(tmp_path_factory):
+    """gen-data, then every pipeline command, each expected to exit 0."""
+    root = tmp_path_factory.mktemp("cli")
+    cfg = root / "cfg.json"
+    cfg.write_text(json.dumps({"epochs_tsadm": 2, "epochs_collab": 3, "window_len": 200}))
+    data = root / "D"
+    csv = str(data / "data.csv")
+    steps = [
+        ("D", "gen-data", "--length", "2000", "--contextual", "4", "--point", "4"),
+        ("tsadm", "train-tsadm", "--data", csv),
+        ("llm", "score-llm", "--data", csv),
+        ("collab", "train-collab", "--data", csv, "--tsadm", str(root / "tsadm" / "tsadm.json"),
+         "--llm-scores", str(root / "llm" / "llm_scores.jsonl")),
+        ("detect", "detect", "--data", csv, "--pipeline", str(root / "collab" / "pipeline.json"),
+         "--llm-scores", str(root / "llm" / "llm_scores.jsonl")),
+        ("eval", "eval", "--data", csv, "--collated", str(root / "detect" / "collated.csv"),
+         "--metadata", str(data / "metadata.json")),
+    ]
+    for out, *args in steps:
+        assert cli.main(["--config", str(cfg), "--out", str(root / out), *args]) == 0, args[0]
+    return root
+
+
+class TestPipeline:
+    def test_every_stage_writes_its_artifacts(self, run_dir):
+        for rel in ("D/data.csv", "D/llm_fixture.jsonl", "tsadm/tsadm.json",
+                    "llm/llm_scores.jsonl", "collab/pipeline.json", "collab/loss_curves.csv",
+                    "detect/collated.csv", "eval/metrics.json", "eval/manifest.json"):
+            assert (run_dir / rel).is_file(), rel
+        metrics = json.loads((run_dir / "eval" / "metrics.json").read_text())
+        assert 0.0 <= metrics["f1"] <= 1.0
+        assert len(json.loads((run_dir / "collab" / "metrics.json").read_text())[
+            "config_echo"]) > 0
+
+    def test_score_llm_finds_the_fixture_from_any_directory(
+        self, run_dir, tmp_path, monkeypatch
+    ):
+        # the run_dir fixture scored from the test's working directory; score
+        # again from inside the dataset's directory and compare
+        monkeypatch.chdir(run_dir / "D")
+        out = tmp_path / "inside"
+        assert cli.main(["--out", str(out), "--config", str(run_dir / "cfg.json"),
+                         "score-llm", "--data", "data.csv"]) == 0
+        inside = (out / "llm_scores.jsonl").read_bytes()
+        assert inside == (run_dir / "llm" / "llm_scores.jsonl").read_bytes()
+
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert cli.main(["--out", "out", "--config", str(run_dir / "cfg.json"),
+                         "score-llm", "--data", str(run_dir / "D" / "data.csv")]) == 0
+        assert (elsewhere / "out" / "llm_scores.jsonl").read_bytes() == inside
+
+
+class TestExitCodes:
+    def test_missing_detector_checkpoint_exits_2(self, run_dir, tmp_path, capsys):
+        code = cli.main([
+            "--config", str(run_dir / "cfg.json"), "--out", str(tmp_path / "c"),
+            "train-collab", "--data", str(run_dir / "D" / "data.csv"),
+            "--tsadm", str(tmp_path / "missing.json"),
+            "--llm-scores", str(run_dir / "llm" / "llm_scores.jsonl"),
+        ])
+        assert code == 2
+        assert "detector checkpoint not found" in capsys.readouterr().err
+
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"epochs_collab": 3, "no_such_key": 1}))
+        code = cli.main(["--config", str(cfg), "--out", str(tmp_path / "v"), "verify"])
+        assert code == 2
+        assert "no_such_key" in capsys.readouterr().err
+
+    def test_fixture_without_a_window_exits_1(self, run_dir, tmp_path, capsys):
+        fixture = tmp_path / "partial.jsonl"
+        first = (run_dir / "D" / "llm_fixture.jsonl").read_text().splitlines()[0]
+        fixture.write_text(first + "\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"window_len": 200, "llm_mode": f"mock:{fixture}"}))
+        code = cli.main(["--config", str(cfg), "--out", str(tmp_path / "l"),
+                         "score-llm", "--data", str(run_dir / "D" / "data.csv")])
+        assert code == 1
+        assert "fixture has no entry" in capsys.readouterr().err

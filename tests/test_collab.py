@@ -1,13 +1,22 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from collate import alignment as align_mod
+from collate.alignment import MonotoneMapping
 from collate.benchmark import BenchmarkConfig, build_benchmark
 from collate.collab import (
+    _check_lengths,
+    _pairwise_weighted_excess,
     CollabConfig,
+    CollaborativeTerm,
     ConditionalNetParams,
     FusionPipeline,
     LossVariant,
+    TrainingCurves,
     collaborative_loss,
     collaborative_loss_grad,
     collaborative_loss_naive,
@@ -17,8 +26,17 @@ from collate.collab import (
     mse_variant_loss_grad,
     train_collab,
 )
-from collate.core import PatchWeights, ScoreKind, ScoreSeries, TimeSeriesWindow
-from collate.errors import LengthMismatch, MissingLlmScores
+from collate.core import (
+    NormalizationConfig,
+    PatchWeights,
+    ScoreKind,
+    ScoreSeries,
+    TimeSeriesWindow,
+    patch_weights,
+    score_range_divisor,
+)
+from collate.errors import LengthMismatch, MissingLlmScores, NonConvergence
+from collate.optim import Adam
 
 
 def weights(lam1):
@@ -269,3 +287,267 @@ class TestTrainCollab:
         w = small_bench.test_windows[0]
         with pytest.raises(LengthMismatch):
             detect(pipeline, w, ScoreSeries(np.array([0.5]), ScoreKind.LLM))
+
+
+class TestCollaborativeTerm:
+    @pytest.mark.parametrize("fixed", [False, True])
+    def test_precomputed_gradient_equals_per_call(self, small_bench, fixed):
+        w = small_bench.train_windows[0]
+        n = 100
+        s = small_bench.scorer.score(w)[0].scores[:n] / 3.0
+        llm = small_bench.llm_scores_for([w])[w.window_id()].scores[:n]
+        pw = PatchWeights.fixed(n, 1.0, 1.0) if fixed else weights(
+            patch_weights(w, 2).lambda1[:n]
+        )
+        term = CollaborativeTerm(s, llm, pw)
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            s_hat = rng.uniform(0, 1, n)
+            loss, grad = term(s_hat)
+            for ref in (collaborative_loss_grad, _reference_collaborative_loss_grad):
+                ref_loss, ref_grad = ref(s_hat, s, llm, pw)
+                assert loss == ref_loss
+                np.testing.assert_array_equal(grad, ref_grad)
+            assert loss == pytest.approx(
+                collaborative_loss_naive(s_hat, s, llm, pw), abs=1e-12
+            )
+
+    def test_length_mismatch(self):
+        term = CollaborativeTerm(np.ones(4), np.ones(4), weights(np.full(4, 0.5)))
+        with pytest.raises(LengthMismatch):
+            term(np.ones(3))
+
+
+class TestTrainCollabMatchesReference:
+    """The flat-parameter loop gives bit-identical checkpoints and curves."""
+
+    @pytest.mark.parametrize("variant", list(LossVariant))
+    def test_bit_identical(self, small_bench, variant):
+        llm = small_bench.llm_scores_for(small_bench.train_windows)
+        cfg = CollabConfig(colr=0.01, batch_size=100, epochs=5, seed=2,
+                           patch_size=2, d=1.0)
+        echo = {"variant": variant.value}
+        new, new_curves = train_collab(
+            small_bench.train_windows, small_bench.scorer, llm, variant, cfg, echo
+        )
+        ref, ref_curves = _reference_train_collab(
+            small_bench.train_windows, small_bench.scorer, llm, variant, cfg, echo
+        )
+        assert json.dumps(new.to_dict(), sort_keys=True) == json.dumps(
+            ref.to_dict(), sort_keys=True
+        )
+        for f in dataclasses.fields(TrainingCurves):
+            a, b = getattr(new_curves, f.name), getattr(ref_curves, f.name)
+            assert a == b, f.name
+        assert len(new_curves.alignment_loss) == 5
+
+    def test_parameters_are_views_of_one_vector(self, small_bench):
+        llm = small_bench.llm_scores_for(small_bench.train_windows)
+        pipeline, _ = train_collab(
+            small_bench.train_windows, small_bench.scorer, llm,
+            LossVariant.COLLABORATIVE, small_cfg(variant_epochs=1),
+        )
+        arrays = [pipeline.cond.w1, pipeline.cond.b1, pipeline.cond.w2,
+                  pipeline.cond.b2, pipeline.mapping.a1, pipeline.mapping.b1,
+                  pipeline.mapping.a2, pipeline.mapping.b2]
+        base = arrays[0].base
+        assert base is not None and base.ndim == 1
+        assert all(a.base is base for a in arrays)
+        assert base.size == sum(a.size for a in arrays)
+
+
+# --- Oracle: the phase-2 loop as it was before the flat-parameter rewrite ---
+# One Adam entry per named array, a PatchWeights built per step, the pairwise
+# gradient recomputed per step by the per-call formula, and every window
+# scored twice. Training must match it bit for bit.
+
+
+def _reference_slot_streams(
+    windows: list[TimeSeriesWindow],
+    scorer,
+    llm_scores: dict[str, ScoreSeries],
+    divisor: float,
+    patch_size: int,
+):
+    """Per-window (scaled, llm, rep, weights) streams for phase-2 training."""
+    streams = []
+    for w in windows:
+        key = w.window_id()
+        if key not in llm_scores:
+            raise MissingLlmScores(f"no LLM scores for window {key}")
+        series = llm_scores[key]
+        if len(series) != w.length:
+            raise LengthMismatch(
+                f"window {key} has {w.length} slots but {len(series)} LLM scores"
+            )
+        raw, rep = scorer.score(w)
+        scaled = raw.scores / divisor
+        pw = patch_weights(w, patch_size)
+        streams.append((scaled, series.scores, rep, pw))
+    return streams
+
+
+def _reference_collaborative_loss_grad(s_hat, s, llm, weights):
+    s_hat = np.asarray(s_hat, dtype=np.float64).reshape(-1)
+    s = np.asarray(s, dtype=np.float64).reshape(-1)
+    llm = np.asarray(llm, dtype=np.float64).reshape(-1)
+    lam1 = weights.lambda1
+    lam2 = weights.lambda2
+    n = _check_lengths(s_hat, s, llm, lam1, lam2)
+    if n < 2:
+        raise ValueError("need at least two slots")
+    # sum_ij lam(i,j)(a_i - a_j)(b_i - b_j) = 2 * sum_t b_t * excess_t(a)
+    exc1 = _pairwise_weighted_excess(lam1, s, n)
+    exc2 = _pairwise_weighted_excess(lam2, llm, n)
+    loss = -(2.0 / n**2) * float(s_hat @ (exc1 + exc2))
+    grad = -(2.0 / n**2) * (exc1 + exc2)
+    return loss, grad
+
+
+def _reference_pairwise_grad(variant, s_hat, scaled, llm, pw):
+    if variant in (LossVariant.COLLABORATIVE, LossVariant.NO_ALIGNMENT):
+        return _reference_collaborative_loss_grad(s_hat, scaled, llm, pw)
+    if variant is LossVariant.FIXED_WEIGHTS:
+        ones = PatchWeights.fixed(len(s_hat), 1.0, 1.0)
+        return _reference_collaborative_loss_grad(s_hat, scaled, llm, ones)
+    if variant is LossVariant.MSE_VARIANT:
+        return mse_variant_loss_grad(s_hat, scaled, llm, pw)
+    raise ValueError(f"unknown variant {variant}")
+
+
+def _reference_train_collab(
+    windows: list[TimeSeriesWindow],
+    scorer,
+    llm_scores: dict[str, ScoreSeries],
+    variant: LossVariant,
+    cfg: CollabConfig,
+    config_echo: dict | None = None,
+) -> tuple[FusionPipeline, TrainingCurves]:
+    """Joint minibatch SGD over the monotone mapping and the fusion network.
+
+    The scorer stays frozen. Batches are contiguous blocks of ``batch_size``
+    slots inside one window, so the pairwise terms see both near and far slots;
+    block order is reshuffled each epoch under the run seed. The NO_ALIGNMENT
+    variant feeds scaled scores straight into the network and skips both the
+    mapping and the alignment term.
+    """
+    if not windows:
+        raise ValueError("no training windows")
+    raws = [scorer.score(w)[0].scores for w in windows]
+    divisor = score_range_divisor(np.concatenate(raws), NormalizationConfig(cfg.d))
+    streams = _reference_slot_streams(windows, scorer, llm_scores, divisor, cfg.patch_size)
+
+    all_llm = np.concatenate([st[1] for st in streams])
+    fit = align_mod.fit_half_gaussian(all_llm)
+    acfg = cfg.alignment_config()
+
+    use_mapping = variant is not LossVariant.NO_ALIGNMENT
+    mapping = MonotoneMapping(cfg.mapping_hidden, seed=cfg.seed) if use_mapping else None
+    rep_dim = streams[0][2].shape[1]
+    cond = ConditionalNetParams(rep_dim, hidden=cfg.cond_hidden, seed=cfg.seed + 1)
+
+    blocks = []
+    for wi, (scaled, _, _, _) in enumerate(streams):
+        for start in range(0, len(scaled), cfg.batch_size):
+            stop = min(start + cfg.batch_size, len(scaled))
+            if stop - start >= 2:
+                blocks.append((wi, start, stop))
+
+    all_scaled = np.concatenate([st[0] for st in streams])
+    curves = TrainingCurves()
+    curves.kl_raw = align_mod.kl_histogram(all_scaled, fit, bins=50)
+
+    # Adam keeps the two loss terms trainable together: the pairwise term's
+    # 1/n^2 scale is orders of magnitude below the alignment term's per-slot
+    # log-density gradients, so raw SGD would starve the fusion net.
+    opt = Adam(cfg.colr)
+    cond_params = {"w1": cond.w1, "b1": cond.b1, "w2": cond.w2}
+    b2_box = np.array([cond.b2])
+
+    all_llm_flat = np.concatenate([st[1] for st in streams])
+    all_rep = np.concatenate([st[2] for st in streams])
+
+    def refresh_input_stats():
+        mapped_all = mapping(all_scaled) if use_mapping else all_scaled
+        stacked = np.concatenate(
+            [all_llm_flat[:, None], mapped_all[:, None], all_rep], axis=1
+        )
+        cond.set_input_stats(stacked.mean(axis=0), stacked.std(axis=0))
+
+    rng = np.random.default_rng(cfg.seed)
+    for _epoch in range(cfg.epochs):
+        # the mapping reshapes its output distribution as it trains, so the
+        # standardization constants track it once per epoch
+        refresh_input_stats()
+        order = rng.permutation(len(blocks))
+        ep_align = 0.0
+        ep_pair = 0.0
+        for bi in order:
+            wi, start, stop = blocks[bi]
+            scaled, llm, rep, pw = streams[wi]
+            sb = scaled[start:stop]
+            lb = llm[start:stop]
+            rb = rep[start:stop]
+            pwb = PatchWeights(
+                d_intra=pw.d_intra[start:stop],
+                d_inter=pw.d_inter[start:stop],
+                lambda1=pw.lambda1[start:stop],
+                lambda2=pw.lambda2[start:stop],
+            )
+            if use_mapping:
+                mapped, mcache = mapping.forward(sb)
+            else:
+                mapped = sb
+            s_hat, ccache = cond.forward(lb, mapped, rb)
+            pair_loss, ds_hat = _reference_pairwise_grad(variant, s_hat, sb, lb, pwb)
+            cgrads, _dllm, dmapped, _drep = cond.backward(ds_hat, ccache)
+            params = dict(cond_params)
+            b2_box[0] = cond.b2
+            params["b2"] = b2_box
+            cgrads["b2"] = np.array([cgrads["b2"]])
+            grads = cgrads
+            if use_mapping:
+                a_loss, da_mapped = align_mod.alignment_loss_grad(mapped, fit, acfg)
+                mgrads, _ = mapping.backward(dmapped + da_mapped, mcache)
+                params.update(
+                    {"m_a1": mapping.a1, "m_b1": mapping.b1, "m_a2": mapping.a2}
+                )
+                mb2_box = np.array([mapping.b2])
+                params["m_b2"] = mb2_box
+                grads.update(
+                    {
+                        "m_a1": mgrads["a1"],
+                        "m_b1": mgrads["b1"],
+                        "m_a2": mgrads["a2"],
+                        "m_b2": np.array([mgrads["b2"]]),
+                    }
+                )
+            else:
+                a_loss = 0.0
+            opt.step(params, grads)
+            cond.b2 = float(b2_box[0])
+            if use_mapping:
+                mapping.b2 = float(mb2_box[0])
+            if not (np.isfinite(pair_loss) and np.isfinite(a_loss)):
+                raise NonConvergence("phase-2 loss became non-finite")
+            ep_align += a_loss
+            ep_pair += pair_loss
+        curves.alignment_loss.append(ep_align / len(blocks))
+        curves.pairwise_loss.append(ep_pair / len(blocks))
+        if use_mapping:
+            curves.kl_aligned.append(
+                align_mod.kl_histogram(mapping(all_scaled), fit, bins=50)
+            )
+
+    pipeline = FusionPipeline(
+        scorer=scorer,
+        mapping=mapping,
+        cond=cond,
+        normalization=NormalizationConfig(cfg.d),
+        score_divisor=divisor,
+        patch_size=cfg.patch_size,
+        variant=variant,
+        fit=fit,
+        config_echo=config_echo,
+    )
+    return pipeline, curves

@@ -1,0 +1,88 @@
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from collate.errors import LengthMismatch, NoPositives
+from collate.evaluate import DetectionMetrics, best_f1_threshold, point_adjust, prf1
+
+
+def brute_force_best_f1(scores, labels, adjust=False):
+    """The scan as it was before the one-pass rewrite: one ``prf1`` per
+    candidate threshold."""
+    s = np.asarray(scores, dtype=np.float64).reshape(-1)
+    y = np.asarray(labels, dtype=np.int64).reshape(-1)
+    uniq = np.unique(s)
+    candidates = [float(uniq[0]) - 1.0]
+    candidates.extend(((uniq[:-1] + uniq[1:]) / 2.0).tolist())
+    best: DetectionMetrics | None = None
+    for t in candidates:
+        m = prf1(s, y, t, adjust=adjust)
+        if best is None or m.f1 > best.f1 or (m.f1 == best.f1 and t < best.threshold):
+            best = m
+    return best.threshold, best
+
+
+def assert_same(fast, slow):
+    (t_fast, m_fast), (t_slow, m_slow) = fast, slow
+    assert t_fast == t_slow
+    assert m_fast == m_slow
+    assert type(m_fast.tp) is int and type(m_fast.precision) is float
+
+
+# few distinct values, so most inputs carry many tied scores
+tied = st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.5000000000000001, 0.75, 0.9, 1.0])
+anyscore = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@st.composite
+def scored_labels(draw):
+    n = draw(st.integers(1, 60))
+    scores = draw(st.lists(st.one_of(tied, anyscore) if draw(st.booleans()) else tied,
+                           min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    if not any(labels):
+        labels[draw(st.integers(0, n - 1))] = 1
+    return np.array(scores), np.array(labels)
+
+
+class TestBestF1:
+    @given(scored_labels(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_brute_force(self, data, adjust):
+        scores, labels = data
+        assert_same(best_f1_threshold(scores, labels, adjust=adjust),
+                    brute_force_best_f1(scores, labels, adjust=adjust))
+
+    def test_adjacent_floats_whose_midpoint_rounds_onto_a_score(self):
+        a = 0.3
+        b = np.nextafter(a, 1.0)
+        c = np.nextafter(b, 1.0)
+        scores = np.array([a, b, c, b, a, c])
+        for labels in ([0, 1, 1, 0, 0, 1], [1, 0, 0, 0, 0, 1], [0, 0, 1, 1, 0, 0]):
+            for adjust in (False, True):
+                assert_same(best_f1_threshold(scores, labels, adjust=adjust),
+                            brute_force_best_f1(scores, labels, adjust=adjust))
+
+    def test_adjust_scores_segment_by_its_maximum(self):
+        scores = np.array([0.1, 0.9, 0.2, 0.1, 0.3, 0.1])
+        labels = np.array([0, 1, 1, 0, 1, 1])
+        thr, m = best_f1_threshold(scores, labels, adjust=True)
+        assert (m.tp, m.fp, m.fn) == (4, 0, 0)
+        assert thr == pytest.approx(0.15)
+        pred = point_adjust(scores > thr, labels)
+        np.testing.assert_array_equal(pred, labels == 1)
+
+    def test_ties_break_toward_lower_threshold(self):
+        # predicting everything (P 1/2, R 1) and only the top slot (P 1, R 1/2)
+        # both give F1 = 2/3
+        scores, labels = np.array([0.1, 0.2, 0.3, 0.4]), np.array([1, 0, 0, 1])
+        assert prf1(scores, labels, 0.35).f1 == prf1(scores, labels, -0.9).f1
+        thr, m = best_f1_threshold(scores, labels)
+        assert thr == 0.1 - 1.0
+        assert (m.tp, m.fp, m.fn) == (2, 2, 0)
+
+    def test_errors(self):
+        with pytest.raises(LengthMismatch):
+            best_f1_threshold(np.ones(3), np.ones(2))
+        with pytest.raises(NoPositives):
+            best_f1_threshold(np.ones(3), np.zeros(3))

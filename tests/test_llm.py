@@ -1,0 +1,89 @@
+import numpy as np
+import pytest
+
+from collate import llm
+from collate.core import ScoreKind, TimeSeriesWindow
+from collate.errors import MalformedResponse, MissingFixture, ScoreOutOfRange
+from collate.llm import (
+    ExampleStore,
+    LlmBackendConfig,
+    mgab_template,
+    request_scores,
+    score_windows,
+    write_fixture,
+)
+
+
+def windows(count=10, length=20):
+    rng = np.random.default_rng(0)
+    return [TimeSeriesWindow(rng.normal(size=(length, 1)), start_index=i * length)
+            for i in range(count)]
+
+
+def fixture_for(ws, path):
+    rng = np.random.default_rng(1)
+    table = {w.window_id(): rng.uniform(0, 1, w.length) for w in ws}
+    write_fixture(path, table)
+    return table
+
+
+def score(path, ws):
+    cfg = LlmBackendConfig(mode="mock", fixture_path=str(path))
+    return score_windows(cfg, ws, ExampleStore(capacity=4), mgab_template())
+
+
+class TestMockScoring:
+    def test_fixture_read_once_per_call(self, tmp_path, monkeypatch):
+        ws = windows(10)
+        table = fixture_for(ws, tmp_path / "f.jsonl")
+        calls = []
+        real = llm.load_fixture
+
+        def counting(path):
+            calls.append(path)
+            return real(path)
+
+        monkeypatch.setattr(llm, "load_fixture", counting)
+        out = score(tmp_path / "f.jsonl", ws)
+        assert len(calls) == 1
+        assert sorted(out) == sorted(table)
+        for wid, series in out.items():
+            assert series.kind is ScoreKind.LLM
+            np.testing.assert_array_equal(series.scores, table[wid])
+
+    def test_same_scores_as_single_window_requests(self, tmp_path):
+        ws = windows(4)
+        fixture_for(ws, tmp_path / "f.jsonl")
+        cfg = LlmBackendConfig(mode="mock", fixture_path=str(tmp_path / "f.jsonl"))
+        out = score(tmp_path / "f.jsonl", ws)
+        for w in ws:
+            one = request_scores(cfg, "", w.length, window_id=w.window_id())
+            np.testing.assert_array_equal(one.scores, out[w.window_id()].scores)
+
+    def test_missing_window(self, tmp_path):
+        ws = windows(3)
+        fixture_for(ws[:2], tmp_path / "f.jsonl")
+        with pytest.raises(MissingFixture):
+            score(tmp_path / "f.jsonl", ws)
+
+    def test_wrong_length(self, tmp_path):
+        ws = windows(2)
+        write_fixture(tmp_path / "f.jsonl", {w.window_id(): np.full(5, 0.5) for w in ws})
+        with pytest.raises(MalformedResponse):
+            score(tmp_path / "f.jsonl", ws)
+
+    def test_malformed_line(self, tmp_path):
+        (tmp_path / "f.jsonl").write_text('{"window_id": "w0", "scores": [0.1\n')
+        with pytest.raises(MalformedResponse):
+            score(tmp_path / "f.jsonl", windows(1))
+
+    def test_score_out_of_range(self, tmp_path):
+        ws = windows(1)
+        write_fixture(tmp_path / "f.jsonl", {ws[0].window_id(): np.full(20, 1.5)})
+        with pytest.raises(ScoreOutOfRange):
+            score(tmp_path / "f.jsonl", ws)
+
+    def test_no_fixture_path(self):
+        cfg = LlmBackendConfig(mode="mock")
+        with pytest.raises(MissingFixture):
+            score_windows(cfg, windows(1), ExampleStore(capacity=4), mgab_template())
