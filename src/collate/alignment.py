@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ScoreKind, ScoreSeries, sigmoid
+from .core import ScoreSeries, sigmoid
 from .errors import DegenerateScores, NonConvergence, NonFiniteDensity
 
 _SQRT2 = math.sqrt(2.0)

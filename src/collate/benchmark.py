@@ -18,7 +18,7 @@ from . import data as data_mod
 from .collab import CollabConfig, FusionPipeline, LossVariant, TrainingCurves, detect, train_collab
 from .core import ScoreKind, ScoreSeries, TimeSeriesWindow
 from .data import AnomalyKind, LabeledSeries, MackeyGlassConfig
-from .evaluate import DetectionMetrics, best_f1_threshold, per_kind_metrics
+from .evaluate import DetectionMetrics, per_kind_metrics
 from .llm import write_fixture
 from .tsadm import PrecomputedScorer
 

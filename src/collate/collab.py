@@ -20,7 +20,6 @@ from . import alignment as align_mod
 from .alignment import AlignmentConfig, HalfGaussianFit, MonotoneMapping
 from .core import (
     NormalizationConfig,
-    PatchWeights,
     ScoreKind,
     ScoreSeries,
     TimeSeriesWindow,
@@ -164,16 +163,18 @@ def _check_lengths(*vecs):
 
 
 def collaborative_loss(
-    s_hat: np.ndarray, s: np.ndarray, llm: np.ndarray, weights: PatchWeights
+    s_hat: np.ndarray, s: np.ndarray, llm: np.ndarray, lam1: np.ndarray, lam2: np.ndarray
 ) -> float:
     """Pairwise difference-correlation loss.
 
     -(1/n^2) * sum_ij [ lam1(i,j)(s_i - s_j)(S^_i - S^_j)
                       + lam2(i,j)(S_i - S_j)(S^_i - S^_j) ]
     with pair weights symmetrized as lam(i,j) = (lam(i) + lam(j)) / 2. Depends
-    on the collated scores only through their differences.
+    on the collated scores only through their differences. lam1 and lam2 are
+    per-slot weight arrays: patch weights, or constants for the ablation and
+    the theory checks.
     """
-    loss, _ = collaborative_loss_grad(s_hat, s, llm, weights)
+    loss, _ = collaborative_loss_grad(s_hat, s, llm, lam1, lam2)
     return loss
 
 
@@ -196,16 +197,16 @@ class CollaborativeTerm:
     the collated scores. Phase-2 training builds one term per block.
     """
 
-    def __init__(self, s: np.ndarray, llm: np.ndarray, weights: PatchWeights):
+    def __init__(self, s: np.ndarray, llm: np.ndarray, lam1: np.ndarray, lam2: np.ndarray):
         s = np.asarray(s, dtype=np.float64).reshape(-1)
         llm = np.asarray(llm, dtype=np.float64).reshape(-1)
-        n = _check_lengths(s, llm, weights.lambda1, weights.lambda2)
+        n = _check_lengths(s, llm, lam1, lam2)
         if n < 2:
             raise ValueError("need at least two slots")
         # sum_ij lam(i,j)(a_i - a_j)(b_i - b_j) = 2 * sum_t b_t * excess_t(a)
-        self.excess = _pairwise_weighted_excess(
-            weights.lambda1, s, n
-        ) + _pairwise_weighted_excess(weights.lambda2, llm, n)
+        self.excess = (
+            _pairwise_weighted_excess(lam1, s, n) + _pairwise_weighted_excess(lam2, llm, n)
+        )
         self.scale = -(2.0 / n**2)
         self.grad = self.scale * self.excess
 
@@ -217,14 +218,14 @@ class CollaborativeTerm:
 
 
 def collaborative_loss_grad(
-    s_hat: np.ndarray, s: np.ndarray, llm: np.ndarray, weights: PatchWeights
+    s_hat: np.ndarray, s: np.ndarray, llm: np.ndarray, lam1: np.ndarray, lam2: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Collaborative loss and its gradient wrt the collated scores."""
-    return CollaborativeTerm(s, llm, weights)(s_hat)
+    return CollaborativeTerm(s, llm, lam1, lam2)(s_hat)
 
 
 def collaborative_loss_naive(
-    s_hat: np.ndarray, s: np.ndarray, llm: np.ndarray, weights: PatchWeights
+    s_hat: np.ndarray, s: np.ndarray, llm: np.ndarray, lam1: np.ndarray, lam2: np.ndarray
 ) -> float:
     """Literal double sum; the O(n) form is checked against this in tests."""
     s_hat = np.asarray(s_hat, float).reshape(-1)
@@ -234,29 +235,27 @@ def collaborative_loss_naive(
     total = 0.0
     for i in range(n):
         for j in range(n):
-            lam1 = 0.5 * (weights.lambda1[i] + weights.lambda1[j])
-            lam2 = 0.5 * (weights.lambda2[i] + weights.lambda2[j])
+            pair1 = 0.5 * (lam1[i] + lam1[j])
+            pair2 = 0.5 * (lam2[i] + lam2[j])
             d_hat = s_hat[i] - s_hat[j]
-            total += lam1 * (s[i] - s[j]) * d_hat + lam2 * (llm[i] - llm[j]) * d_hat
+            total += pair1 * (s[i] - s[j]) * d_hat + pair2 * (llm[i] - llm[j]) * d_hat
     return -total / n**2
 
 
 def mse_variant_loss(
-    s_hat: np.ndarray, s: np.ndarray, llm: np.ndarray, weights: PatchWeights
+    s_hat: np.ndarray, s: np.ndarray, llm: np.ndarray, lam1: np.ndarray, lam2: np.ndarray
 ) -> float:
     """Per-slot weighted squared error against both scorers (ablation)."""
-    loss, _ = mse_variant_loss_grad(s_hat, s, llm, weights)
+    loss, _ = mse_variant_loss_grad(s_hat, s, llm, lam1, lam2)
     return loss
 
 
 def mse_variant_loss_grad(
-    s_hat: np.ndarray, s: np.ndarray, llm: np.ndarray, weights: PatchWeights
+    s_hat: np.ndarray, s: np.ndarray, llm: np.ndarray, lam1: np.ndarray, lam2: np.ndarray
 ) -> tuple[float, np.ndarray]:
     s_hat = np.asarray(s_hat, dtype=np.float64).reshape(-1)
     s = np.asarray(s, dtype=np.float64).reshape(-1)
     llm = np.asarray(llm, dtype=np.float64).reshape(-1)
-    lam1 = weights.lambda1
-    lam2 = weights.lambda2
     n = _check_lengths(s_hat, s, llm, lam1, lam2)
     loss = float(np.mean(lam1 * (s - s_hat) ** 2 + lam2 * (llm - s_hat) ** 2))
     grad = (2.0 / n) * (lam1 * (s_hat - s) + lam2 * (s_hat - llm))
@@ -409,15 +408,18 @@ class _FlatParams:
         return self.grad
 
 
-def _pairwise_term(variant: LossVariant, scaled, llm, weights: PatchWeights):
+def _pairwise_term(variant: LossVariant, scaled, llm, lam1, lam2):
     """The variant's pairwise loss on one block, as a function of the
     collated scores returning (loss, gradient)."""
     if variant in (LossVariant.COLLABORATIVE, LossVariant.NO_ALIGNMENT):
-        return CollaborativeTerm(scaled, llm, weights)
+        return CollaborativeTerm(scaled, llm, lam1, lam2)
     if variant is LossVariant.FIXED_WEIGHTS:
-        return CollaborativeTerm(scaled, llm, PatchWeights.fixed(len(scaled), 1.0, 1.0))
+        ones = np.ones(len(scaled))
+        return CollaborativeTerm(scaled, llm, ones, ones)
     if variant is LossVariant.MSE_VARIANT:
-        return functools.partial(mse_variant_loss_grad, s=scaled, llm=llm, weights=weights)
+        return functools.partial(
+            mse_variant_loss_grad, s=scaled, llm=llm, lam1=lam1, lam2=lam2
+        )
     raise ValueError(f"unknown variant {variant}")
 
 
@@ -483,14 +485,9 @@ def train_collab(
             stop = min(start + cfg.batch_size, len(scaled))
             if stop - start < 2:
                 continue
-            pwb = PatchWeights(
-                d_intra=pw.d_intra[start:stop],
-                d_inter=pw.d_inter[start:stop],
-                lambda1=pw.lambda1[start:stop],
-                lambda2=pw.lambda2[start:stop],
-            )
             sb = scaled[start:stop]
-            term = _pairwise_term(variant, sb, llm[start:stop], pwb)
+            term = _pairwise_term(variant, sb, llm[start:stop],
+                                  pw.lambda1[start:stop], pw.lambda2[start:stop])
             blocks.append((sb, stacked[start:stop], term))
         scaled_parts.append(scaled)
         stacked_parts.append(stacked)

@@ -15,15 +15,11 @@ from .errors import DegenerateRange, NonFiniteInput, ShapeMismatch, WindowTooSho
 
 class ScoreKind(Enum):
     RAW_TSADM = "raw_tsadm"
-    SCALED_TSADM = "scaled_tsadm"
-    ALIGNED_TSADM = "aligned_tsadm"
     LLM = "llm"
     COLLATED = "collated"
 
 
-_UNIT_INTERVAL_KINDS = frozenset(
-    {ScoreKind.ALIGNED_TSADM, ScoreKind.LLM, ScoreKind.COLLATED}
-)
+_UNIT_INTERVAL_KINDS = frozenset({ScoreKind.LLM, ScoreKind.COLLATED})
 
 _SIGMOID_LO = np.nextafter(0.0, 1.0)
 _SIGMOID_HI = np.nextafter(1.0, 0.0)
@@ -148,49 +144,17 @@ class PatchWeights:
     def __len__(self) -> int:
         return self.d_intra.size
 
-    @staticmethod
-    def fixed(n: int, lambda1: float = 1.0, lambda2: float = 1.0) -> "FixedWeights":
-        """Constant weights, bypassing the sum-to-one invariant (ablation use)."""
-        return FixedWeights(
-            d_intra=np.zeros(n),
-            d_inter=np.zeros(n),
-            lambda1=np.full(n, float(lambda1)),
-            lambda2=np.full(n, float(lambda2)),
-        )
 
+def score_range_divisor(raw: np.ndarray, cfg: NormalizationConfig) -> float:
+    """range**(1/d) of the raw detector scores; frozen into pipelines.
 
-@dataclass(frozen=True)
-class FixedWeights(PatchWeights):
-    """PatchWeights with the sum-to-one check relaxed (both weights may be 1)."""
-
-    def __post_init__(self):
-        for name in ("d_intra", "d_inter", "lambda1", "lambda2"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64).reshape(-1)
-            object.__setattr__(self, name, arr)
-
-
-def normalize_scores(raw: ScoreSeries, cfg: NormalizationConfig) -> ScoreSeries:
-    """Scale raw detector scores by range**(1/d).
-
-    The output is deliberately not clamped to [0, 1]; the learned monotone
-    mapping downstream re-bounds scores, and clamping here would distort the
-    distribution that mapping must reshape.
+    Scaled scores raw / divisor are deliberately not clamped to [0, 1]; the
+    learned monotone mapping downstream re-bounds them, and clamping would
+    distort the distribution that mapping must reshape.
 
     Raises DegenerateRange when all raw scores are equal (a constant scorer
     cannot be aligned and the caller must not proceed).
     """
-    if raw.kind is not ScoreKind.RAW_TSADM:
-        raise ValueError(f"expected raw detector scores, got {raw.kind.value}")
-    lo = float(raw.scores.min())
-    hi = float(raw.scores.max())
-    if hi == lo:
-        raise DegenerateRange(f"score range is zero (all values {lo})")
-    divisor = (hi - lo) ** (1.0 / cfg.d)
-    return ScoreSeries(raw.scores / divisor, ScoreKind.SCALED_TSADM)
-
-
-def score_range_divisor(raw: np.ndarray, cfg: NormalizationConfig) -> float:
-    """The divisor normalize_scores would apply; frozen into pipelines."""
     lo, hi = float(np.min(raw)), float(np.max(raw))
     if hi == lo:
         raise DegenerateRange(f"score range is zero (all values {lo})")

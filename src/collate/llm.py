@@ -27,12 +27,6 @@ TRUNCATION_MARKER = "...[data truncated to context budget]"
 
 MGAB_RULE = "dx/dt = 0.25 * x(t-18)/(1+x(t-18)^10) - 0.1*x(t)"
 
-_MUSTANG_BINS = (
-    "[0,5), [5,10), [10,20), [20,30), [30,40), [40,70), [70,110), [110,150), "
-    "[150,190), [190,230), [230,280), [280,330), [330,380), [380,430), "
-    "[430,900), [900,1200), [1200,1900)"
-)
-
 
 @dataclass(frozen=True)
 class PromptTemplate:
@@ -66,24 +60,6 @@ def mgab_template() -> PromptTemplate:
         "Task description: For each time slot i of the input data, output a "
         "float number ranging from 0 to 1, the probability that slot i is "
         "anomalous. Output one number per line, nothing else."
-    )
-    return PromptTemplate(expertise_supplement=expertise, task_description=task)
-
-
-def mustang_template() -> PromptTemplate:
-    """Prompt for task-duration histogram monitoring."""
-    expertise = (
-        "Expertise supplement: The input data is a matrix with size T * 17; "
-        "row t is the task-duration histogram of time slot t in a cloud "
-        "cluster. The 17 columns are the fraction of tasks whose duration in "
-        f"seconds falls in {_MUSTANG_BINS}. A slowdown shifts mass toward the "
-        "long-duration bins. [Professional document can be inserted into this part]"
-    )
-    task = (
-        "Task description: For each time slot of the given window, judge "
-        "whether many tasks slowed down compared with the other slots and "
-        "output a float number ranging from 0 to 1 for the probability of a "
-        "slowdown at that slot. Output one number per line, nothing else."
     )
     return PromptTemplate(expertise_supplement=expertise, task_description=task)
 
@@ -124,37 +100,6 @@ class ExampleStore:
         if not candidates:
             return None
         return min(candidates, key=lambda e: (abs(e.slot_index - slot_index), -e.timestamp))
-
-
-def refresh_examples(
-    store: ExampleStore, labeled: list[tuple[str, int, int, float]]
-) -> ExampleStore:
-    """Append freshly labeled excerpts and evict the oldest beyond capacity.
-
-    Duplicate timestamps are ignored, so replaying a refresh is a no-op.
-    """
-    entries = list(store.entries)
-    seen = {e.timestamp for e in entries}
-    for excerpt, label, slot, ts in labeled:
-        if label not in (0, 1):
-            raise ValueError("labels must be binary")
-        if ts in seen:
-            continue
-        entries.append(StoreEntry(excerpt, label, slot, float(ts)))
-        seen.add(ts)
-    entries.sort(key=lambda e: e.timestamp)
-    while len(entries) > store.capacity:
-        counts = {0: 0, 1: 0}
-        for e in entries:
-            counts[e.label] += 1
-        victim = next(
-            (e for e in entries if counts[e.label] > 1),
-            None,
-        )
-        if victim is None:
-            break  # only last-of-class entries remain; keep them all
-        entries.remove(victim)
-    return ExampleStore(capacity=store.capacity, entries=entries)
 
 
 @dataclass(frozen=True)
@@ -282,12 +227,6 @@ def _default_transport(cfg: LlmBackendConfig, prompt: str) -> str:
     return body["text"]
 
 
-def _mock_table(cfg: LlmBackendConfig) -> dict[str, np.ndarray]:
-    if cfg.fixture_path is None:
-        raise MissingFixture("mock mode requires a fixture path")
-    return load_fixture(cfg.fixture_path)
-
-
 def _fixture_scores(
     table: dict[str, np.ndarray], window_id: str, expected_slots: int
 ) -> ScoreSeries:
@@ -309,23 +248,16 @@ def request_scores(
     cfg: LlmBackendConfig,
     prompt: str,
     expected_slots: int,
-    window_id: str | None = None,
     transport=None,
     sleep=time.sleep,
 ) -> ScoreSeries:
-    """Fetch exactly ``expected_slots`` scores in [0, 1].
+    """Fetch exactly ``expected_slots`` scores in [0, 1] from the live endpoint.
 
-    Mock mode is a pure fixture lookup keyed by window identity and ignores
-    the prompt. Live mode posts {"prompt": ...} and parses newline-separated
-    floats from the response's 'text' field, retrying transport failures with
-    exponential backoff; range violations are never retried (the model
-    answered, the answer is invalid).
+    Posts {"prompt": ...} and parses newline-separated floats from the
+    response's 'text' field, retrying transport failures with exponential
+    backoff; range violations are never retried (the model answered, the
+    answer is invalid).
     """
-    if cfg.mode == "mock":
-        if window_id is None:
-            raise MissingFixture("mock mode requires the window identity")
-        return _fixture_scores(_mock_table(cfg), window_id, expected_slots)
-
     transport = transport or _default_transport
     attempts: list[str] = []
     for attempt in range(cfg.retries + 1):
@@ -351,22 +283,23 @@ def score_windows(
 ) -> dict[str, ScoreSeries]:
     """Score many windows, keyed by window id.
 
-    Live requests run concurrently bounded by ``max_in_flight``; mock lookups
-    run sequentially since they are pure, against the fixture read once per
-    call. No cross-window ordering guarantee.
+    Live requests run concurrently bounded by ``max_in_flight``; mock mode
+    is a pure lookup keyed by window identity, against the fixture read once
+    per call, and builds no prompts. No cross-window ordering guarantee.
     """
-    prompts = {w.window_id(): build_prompt(w, store, template).text for w in windows}
     out: dict[str, ScoreSeries] = {}
     if cfg.mode == "mock":
-        table = _mock_table(cfg)
+        if cfg.fixture_path is None:
+            raise MissingFixture("mock mode requires a fixture path")
+        table = load_fixture(cfg.fixture_path)
         for w in windows:
             out[w.window_id()] = _fixture_scores(table, w.window_id(), w.length)
         return out
     with ThreadPoolExecutor(max_workers=cfg.max_in_flight) as pool:
         futures = {
             w.window_id(): pool.submit(
-                request_scores, cfg, prompts[w.window_id()], w.length,
-                w.window_id(), transport,
+                request_scores, cfg, build_prompt(w, store, template).text,
+                w.length, transport,
             )
             for w in windows
         }

@@ -14,7 +14,7 @@ import numpy as np
 from . import alignment as align_mod
 from .alignment import AlignmentConfig, HalfGaussianFit
 from .collab import ConditionalNetParams, collaborative_loss_grad
-from .core import PatchWeights, sigmoid
+from .core import sigmoid
 from .errors import LengthMismatch
 
 
@@ -253,7 +253,7 @@ def _pairwise_sgd(
     rng_batch = np.random.default_rng(seed)
     rng_noise = np.random.default_rng(seed + 1)
     theta = np.zeros(n)
-    lam = PatchWeights.fixed(batch, 0.5, 0.5)
+    lam = np.full(batch, 0.5)
     grads = np.empty((steps, n))
     thetas = np.empty((steps, n))
     for t in range(steps):
@@ -265,7 +265,7 @@ def _pairwise_sgd(
             s_obs = y[idx] + noise.sample_s(rng_noise, batch)
             llm_obs = y[idx] + noise.sample_llm(rng_noise, batch)
         s_hat = sigmoid(theta[idx])
-        _, dhat = collaborative_loss_grad(s_hat, s_obs, llm_obs, lam)
+        _, dhat = collaborative_loss_grad(s_hat, s_obs, llm_obs, lam, lam)
         g = np.zeros(n)
         g[idx] = dhat * s_hat * (1.0 - s_hat)
         grads[t] = g
@@ -321,16 +321,16 @@ def check_lemma1(
     theta0 = noisy_thetas[steps // 2]
     rng = np.random.default_rng(seed + 7)
     n = y.size
-    lam = PatchWeights.fixed(batch, 0.5, 0.5)
+    lam = np.full(batch, 0.5)
     diffs = np.empty((resamples, n))
     idx = rng.choice(n, size=batch, replace=False)
     s_hat = sigmoid(theta0[idx])
     chain = s_hat * (1.0 - s_hat)
-    _, clean_dhat = collaborative_loss_grad(s_hat, y[idx], y[idx], lam)
+    _, clean_dhat = collaborative_loss_grad(s_hat, y[idx], y[idx], lam, lam)
     for r in range(resamples):
         s_obs = y[idx] + noise.sample_s(rng, batch)
         llm_obs = y[idx] + noise.sample_llm(rng, batch)
-        _, dhat = collaborative_loss_grad(s_hat, s_obs, llm_obs, lam)
+        _, dhat = collaborative_loss_grad(s_hat, s_obs, llm_obs, lam, lam)
         row = np.zeros(n)
         row[idx] = (dhat - clean_dhat) * chain
         diffs[r] = row

@@ -6,6 +6,12 @@ sigma^2) that suppresses self- and near-neighbour links, row-softmaxes, and
 mixes values; layers are stacked with plain residual connections. The raw
 anomaly score of a slot is its reconstruction error summed over channels.
 
+The attention math has one implementation: ``_attention_forward`` and
+``_attention_backward`` work on (B, D, T, e) arrays and give the output, a
+cache, and (dq, dk, dv, dsigma). ``TsadmModel.forward`` and
+``loss_and_grads`` call them once per layer, so the kernel the tests check
+by finite differences is the one training runs.
+
 Anything implementing the Scorer protocol can stand in for the attention
 model; PrecomputedScorer replays externally produced scores.
 """
@@ -14,12 +20,12 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Protocol, runtime_checkable
+from typing import NamedTuple, Protocol, runtime_checkable
 
 import numpy as np
 
 from .core import ScoreKind, ScoreSeries, TimeSeriesWindow
-from .errors import NonConvergence, NonFiniteInput, ShapeMismatch
+from .errors import NonConvergence, ShapeMismatch
 from .optim import Adam
 
 
@@ -30,58 +36,59 @@ class Scorer(Protocol):
         ...
 
 
-def gaussian_mask(length: int, sigma: float) -> np.ndarray:
-    """Distance mask: zero on the diagonal, approaching one far away."""
-    idx = np.arange(length, dtype=np.float64)
-    d2 = (idx[:, None] - idx[None, :]) ** 2
-    return 1.0 - np.exp(-d2 / sigma**2)
-
-
 def _softmax_rows(m: np.ndarray) -> np.ndarray:
     shifted = m - m.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def anomaly_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, sigma: float) -> np.ndarray:
-    """Masked attention: softmax((q k^T) * G) applied to v."""
-    out, _ = anomaly_attention_vjp(q, k, v, sigma)
-    return out
-
-
-def anomaly_attention_vjp(q: np.ndarray, k: np.ndarray, v: np.ndarray, sigma: float):
-    """Forward output plus a closure mapping d(out) to (dq, dk, dv, dsigma)."""
-    q = np.asarray(q, dtype=np.float64)
-    k = np.asarray(k, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if q.shape != k.shape or q.shape[0] != v.shape[0]:
-        raise ShapeMismatch("q, k must share a shape and v the same row count")
-    if not (np.isfinite(q).all() and np.isfinite(k).all() and np.isfinite(v).all()):
-        raise NonFiniteInput("attention inputs must be finite")
-    if not (np.isfinite(sigma) and sigma > 0):
-        raise ValueError("sigma must be positive")
-    length = q.shape[0]
+def _sq_distances(length: int) -> np.ndarray:
+    """(i - j)^2 for every pair of slots in a window of ``length``."""
     idx = np.arange(length, dtype=np.float64)
-    d2 = (idx[:, None] - idx[None, :]) ** 2
+    return (idx[:, None] - idx[None, :]) ** 2
+
+
+class _AttentionCache(NamedTuple):
+    q: np.ndarray
+    k: np.ndarray
+    v: np.ndarray
+    a: np.ndarray  # logits q k^T
+    p: np.ndarray  # attention rows
+    g: np.ndarray  # distance mask 1 - expo
+    expo: np.ndarray
+    d2: np.ndarray
+    sigma: float
+
+
+def _attention_forward(
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, sigma: float
+) -> tuple[np.ndarray, _AttentionCache]:
+    """Masked attention softmax((q k^T) * G) v on (B, D, T, e) arrays.
+
+    G = 1 - exp(-(i-j)^2 / sigma^2) is one (T, T) mask shared by every batch
+    row and channel; it is zero on the diagonal, so no slot attends to itself.
+    """
+    d2 = _sq_distances(q.shape[-2])
     expo = np.exp(-d2 / sigma**2)
     g = 1.0 - expo
-    a = q @ k.T
+    a = np.einsum("bdtf,bdsf->bdts", q, k)
     p = _softmax_rows(a * g)
-    out = p @ v
+    out = np.einsum("bdts,bdse->bdte", p, v)
+    return out, _AttentionCache(q, k, v, a, p, g, expo, d2, sigma)
 
-    def backward(dout: np.ndarray):
-        dout = np.asarray(dout, dtype=np.float64)
-        dp = dout @ v.T
-        dv = p.T @ dout
-        dm = (dp - (dp * p).sum(axis=-1, keepdims=True)) * p
-        da = dm * g
-        dg = dm * a
-        dsigma = float(-(dg * expo * 2.0 * d2 / sigma**3).sum())
-        dq = da @ k
-        dk = da.T @ q
-        return dq, dk, dv, dsigma
 
-    return out, backward
+def _attention_backward(dout: np.ndarray, cache: _AttentionCache):
+    """(dq, dk, dv, dsigma) for an upstream gradient dout of the output."""
+    q, k, v, a, p, g, expo, d2, sigma = cache
+    dp = np.einsum("bdte,bdse->bdts", dout, v)
+    dv = np.einsum("bdts,bdte->bdse", p, dout)
+    dm = (dp - (dp * p).sum(axis=-1, keepdims=True)) * p
+    da = dm * g
+    dg = (dm * a).sum(axis=(0, 1))
+    dsigma = float(-(dg * expo * 2.0 * d2 / sigma**3).sum())
+    dq = np.einsum("bdts,bdsf->bdtf", da, k)
+    dk = np.einsum("bdts,bdtf->bdsf", da, q)
+    return dq, dk, dv, dsigma
 
 
 @dataclass
@@ -159,28 +166,21 @@ class TsadmModel:
             raise ShapeMismatch(f"expected (B, T, {self.dims}) input")
         t = xb.shape[1]
         x, xwin = self._embed(xb)
-        idx = np.arange(t, dtype=np.float64)
-        d2 = (idx[:, None] - idx[None, :]) ** 2
         layer_caches = []
         for layer in self.layers:
-            sigma = layer.sigma
-            expo = np.exp(-d2 / sigma**2)
-            g = 1.0 - expo
             q = np.einsum("bdte,def->bdtf", x, layer.wq)
             k = np.einsum("bdte,def->bdtf", x, layer.wk)
             v = np.einsum("bdte,def->bdtf", x, layer.wv)
-            a = np.einsum("bdtf,bdsf->bdts", q, k)
-            p = _softmax_rows(a * g)
-            o = np.einsum("bdts,bdse->bdte", p, v)
-            layer_caches.append((x, q, k, v, a, p, g, expo, sigma))
+            o, cache = _attention_forward(q, k, v, layer.sigma)
+            layer_caches.append((x, cache))
             x = x + o
         rep = x.transpose(0, 2, 1, 3).reshape(xb.shape[0], t, self.rep_dim)
         recon = rep @ self.out_w + self.out_b
-        return recon, rep, (xb, xwin, d2, layer_caches)
+        return recon, rep, (xb, xwin, layer_caches)
 
     def loss_and_grads(self, xb: np.ndarray):
         """Mean squared reconstruction error and gradients for every parameter."""
-        recon, rep, (xb, xwin, d2, layer_caches) = self.forward(xb)
+        recon, rep, (xb, xwin, layer_caches) = self.forward(xb)
         resid = recon - xb
         loss = float(np.mean(resid**2))
         drecon = 2.0 * resid / resid.size
@@ -194,17 +194,10 @@ class TsadmModel:
         dlog_sigma = np.zeros(len(self.layers))
         for i in reversed(range(len(self.layers))):
             layer = self.layers[i]
-            x, q, k, v, a, p, g, expo, sigma = layer_caches[i]
-            do = dx  # residual: dx flows to both the branch and the skip
-            dp = np.einsum("bdte,bdse->bdts", do, v)
-            dv = np.einsum("bdts,bdte->bdse", p, do)
-            dm = (dp - (dp * p).sum(axis=-1, keepdims=True)) * p
-            da = dm * g
-            dg = (dm * a).sum(axis=(0, 1))
-            dsigma = float(-(dg * expo * 2.0 * d2 / sigma**3).sum())
-            dlog_sigma[i] = dsigma * sigma
-            dq = np.einsum("bdts,bdsf->bdtf", da, k)
-            dk = np.einsum("bdts,bdtf->bdsf", da, q)
+            x, cache = layer_caches[i]
+            # residual: dx flows to both the branch and the skip
+            dq, dk, dv, dsigma = _attention_backward(dx, cache)
+            dlog_sigma[i] = dsigma * cache.sigma
             grads[f"wq{i}"] = np.einsum("bdte,bdtf->def", x, dq)
             grads[f"wk{i}"] = np.einsum("bdte,bdtf->def", x, dk)
             grads[f"wv{i}"] = np.einsum("bdte,bdtf->def", x, dv)

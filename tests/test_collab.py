@@ -28,7 +28,6 @@ from collate.collab import (
 )
 from collate.core import (
     NormalizationConfig,
-    PatchWeights,
     ScoreKind,
     ScoreSeries,
     TimeSeriesWindow,
@@ -40,13 +39,9 @@ from collate.optim import Adam
 
 
 def weights(lam1):
+    """(lam1, lam2) with lam2 the complement, as patch weights give them."""
     lam1 = np.asarray(lam1, float)
-    return PatchWeights(
-        d_intra=np.zeros_like(lam1),
-        d_inter=np.zeros_like(lam1),
-        lambda1=lam1,
-        lambda2=1.0 - lam1,
-    )
+    return lam1, 1.0 - lam1
 
 
 score_vec = st.lists(st.floats(0, 1), min_size=2, max_size=12)
@@ -112,14 +107,14 @@ class TestConditionalNet:
 class TestCollaborativeLoss:
     def test_two_slot_example(self):
         s = np.array([0.0, 1.0])
-        loss = collaborative_loss(s, s, s, weights(np.array([0.5, 0.5])))
+        loss = collaborative_loss(s, s, s, *weights(np.array([0.5, 0.5])))
         assert loss == pytest.approx(-0.5)
 
     def test_constant_output_zero_loss(self):
         rng = np.random.default_rng(0)
         s, llm = rng.uniform(0, 1, 9), rng.uniform(0, 1, 9)
         lam = rng.uniform(0, 1, 9)
-        loss = collaborative_loss(np.full(9, 0.4), s, llm, weights(lam))
+        loss = collaborative_loss(np.full(9, 0.4), s, llm, *weights(lam))
         assert loss == pytest.approx(0.0, abs=1e-15)
 
     def test_reversal_flips_sign(self):
@@ -127,19 +122,19 @@ class TestCollaborativeLoss:
         s, llm = rng.uniform(0, 1, 8), rng.uniform(0, 1, 8)
         s_hat = rng.uniform(0, 1, 8)
         lam = weights(rng.uniform(0, 1, 8))
-        assert collaborative_loss(1.0 - s_hat, s, llm, lam) == pytest.approx(
-            -collaborative_loss(s_hat, s, llm, lam)
+        assert collaborative_loss(1.0 - s_hat, s, llm, *lam) == pytest.approx(
+            -collaborative_loss(s_hat, s, llm, *lam)
         )
 
     def test_self_alignment_is_negative_spread(self):
         rng = np.random.default_rng(2)
         s = rng.uniform(0, 1, 7)
         lam = weights(np.ones(7))
-        loss = collaborative_loss(s, s, np.zeros(7), lam)
+        loss = collaborative_loss(s, s, np.zeros(7), *lam)
         expected = -np.sum((s[:, None] - s[None, :]) ** 2) / 49.0
         assert loss == pytest.approx(expected)
         assert loss <= 0.0
-        const = collaborative_loss(np.full(7, 0.3), np.full(7, 0.3), np.zeros(7), lam)
+        const = collaborative_loss(np.full(7, 0.3), np.full(7, 0.3), np.zeros(7), *lam)
         assert const == pytest.approx(0.0, abs=1e-15)
 
     @given(score_vec, score_vec, score_vec, score_vec)
@@ -150,9 +145,9 @@ class TestCollaborativeLoss:
             return
         pw = weights(np.asarray(lam[:n]))
         fast = collaborative_loss(np.asarray(s_hat[:n]), np.asarray(s[:n]),
-                                  np.asarray(llm[:n]), pw)
+                                  np.asarray(llm[:n]), *pw)
         slow = collaborative_loss_naive(np.asarray(s_hat[:n]), np.asarray(s[:n]),
-                                        np.asarray(llm[:n]), pw)
+                                        np.asarray(llm[:n]), *pw)
         assert fast == pytest.approx(slow, abs=1e-12)
 
     @given(score_vec, st.floats(-0.5, 0.5))
@@ -164,8 +159,8 @@ class TestCollaborativeLoss:
         n = len(s_hat)
         s, llm = rng.uniform(0, 1, n), rng.uniform(0, 1, n)
         pw = weights(rng.uniform(0, 1, n))
-        a = collaborative_loss(np.asarray(s_hat), s, llm, pw)
-        b = collaborative_loss(np.asarray(s_hat) + c, s, llm, pw)
+        a = collaborative_loss(np.asarray(s_hat), s, llm, *pw)
+        b = collaborative_loss(np.asarray(s_hat) + c, s, llm, *pw)
         assert a == pytest.approx(b, abs=1e-10)
 
     def test_gradient_matches_finite_differences(self):
@@ -173,29 +168,29 @@ class TestCollaborativeLoss:
         n = 9
         s, llm, s_hat = rng.uniform(0, 1, (3, n))
         pw = weights(rng.uniform(0, 1, n))
-        _, grad = collaborative_loss_grad(s_hat, s, llm, pw)
+        _, grad = collaborative_loss_grad(s_hat, s, llm, *pw)
         h = 1e-6
         for i in (0, 4, 8):
             e = np.zeros(n)
             e[i] = h
-            fd = (collaborative_loss(s_hat + e, s, llm, pw)
-                  - collaborative_loss(s_hat - e, s, llm, pw)) / (2 * h)
+            fd = (collaborative_loss(s_hat + e, s, llm, *pw)
+                  - collaborative_loss(s_hat - e, s, llm, *pw)) / (2 * h)
             assert abs(fd - grad[i]) / max(abs(fd), 1e-9) < 1e-6
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            collaborative_loss(np.ones(3), np.ones(4), np.ones(3), weights(np.ones(3)))
+            collaborative_loss(np.ones(3), np.ones(4), np.ones(3), *weights(np.ones(3)))
 
 
 class TestMseVariant:
     def test_direct_example(self):
         loss = mse_variant_loss(np.array([0.5]), np.array([1.0]), np.array([0.0]),
-                                weights(np.array([0.5])))
+                                *weights(np.array([0.5])))
         assert loss == pytest.approx(0.25)
 
     def test_zero_at_agreement(self):
         v = np.array([0.3, 0.6, 0.9])
-        assert mse_variant_loss(v, v, v, weights(np.full(3, 0.4))) == pytest.approx(0.0)
+        assert mse_variant_loss(v, v, v, *weights(np.full(3, 0.4))) == pytest.approx(0.0)
 
     def test_weighted_mean_is_stationary(self):
         rng = np.random.default_rng(4)
@@ -204,7 +199,7 @@ class TestMseVariant:
         lam = rng.uniform(0, 1, n)
         pw = weights(lam)
         s_hat = lam * s + (1 - lam) * llm
-        _, grad = mse_variant_loss_grad(s_hat, s, llm, pw)
+        _, grad = mse_variant_loss_grad(s_hat, s, llm, *pw)
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
 
 
@@ -296,24 +291,24 @@ class TestCollaborativeTerm:
         n = 100
         s = small_bench.scorer.score(w)[0].scores[:n] / 3.0
         llm = small_bench.llm_scores_for([w])[w.window_id()].scores[:n]
-        pw = PatchWeights.fixed(n, 1.0, 1.0) if fixed else weights(
+        pw = (np.ones(n), np.ones(n)) if fixed else weights(
             patch_weights(w, 2).lambda1[:n]
         )
-        term = CollaborativeTerm(s, llm, pw)
+        term = CollaborativeTerm(s, llm, *pw)
         rng = np.random.default_rng(11)
         for _ in range(3):
             s_hat = rng.uniform(0, 1, n)
             loss, grad = term(s_hat)
             for ref in (collaborative_loss_grad, _reference_collaborative_loss_grad):
-                ref_loss, ref_grad = ref(s_hat, s, llm, pw)
+                ref_loss, ref_grad = ref(s_hat, s, llm, *pw)
                 assert loss == ref_loss
                 np.testing.assert_array_equal(grad, ref_grad)
             assert loss == pytest.approx(
-                collaborative_loss_naive(s_hat, s, llm, pw), abs=1e-12
+                collaborative_loss_naive(s_hat, s, llm, *pw), abs=1e-12
             )
 
     def test_length_mismatch(self):
-        term = CollaborativeTerm(np.ones(4), np.ones(4), weights(np.full(4, 0.5)))
+        term = CollaborativeTerm(np.ones(4), np.ones(4), *weights(np.full(4, 0.5)))
         with pytest.raises(LengthMismatch):
             term(np.ones(3))
 
@@ -357,7 +352,7 @@ class TestTrainCollabMatchesReference:
 
 
 # --- Oracle: the phase-2 loop as it was before the flat-parameter rewrite ---
-# One Adam entry per named array, a PatchWeights built per step, the pairwise
+# One Adam entry per named array, patch weights sliced per step, the pairwise
 # gradient recomputed per step by the per-call formula, and every window
 # scored twice. Training must match it bit for bit.
 
@@ -387,12 +382,10 @@ def _reference_slot_streams(
     return streams
 
 
-def _reference_collaborative_loss_grad(s_hat, s, llm, weights):
+def _reference_collaborative_loss_grad(s_hat, s, llm, lam1, lam2):
     s_hat = np.asarray(s_hat, dtype=np.float64).reshape(-1)
     s = np.asarray(s, dtype=np.float64).reshape(-1)
     llm = np.asarray(llm, dtype=np.float64).reshape(-1)
-    lam1 = weights.lambda1
-    lam2 = weights.lambda2
     n = _check_lengths(s_hat, s, llm, lam1, lam2)
     if n < 2:
         raise ValueError("need at least two slots")
@@ -404,14 +397,14 @@ def _reference_collaborative_loss_grad(s_hat, s, llm, weights):
     return loss, grad
 
 
-def _reference_pairwise_grad(variant, s_hat, scaled, llm, pw):
+def _reference_pairwise_grad(variant, s_hat, scaled, llm, lam1, lam2):
     if variant in (LossVariant.COLLABORATIVE, LossVariant.NO_ALIGNMENT):
-        return _reference_collaborative_loss_grad(s_hat, scaled, llm, pw)
+        return _reference_collaborative_loss_grad(s_hat, scaled, llm, lam1, lam2)
     if variant is LossVariant.FIXED_WEIGHTS:
-        ones = PatchWeights.fixed(len(s_hat), 1.0, 1.0)
-        return _reference_collaborative_loss_grad(s_hat, scaled, llm, ones)
+        ones = np.full(len(s_hat), 1.0)
+        return _reference_collaborative_loss_grad(s_hat, scaled, llm, ones, ones)
     if variant is LossVariant.MSE_VARIANT:
-        return mse_variant_loss_grad(s_hat, scaled, llm, pw)
+        return mse_variant_loss_grad(s_hat, scaled, llm, lam1, lam2)
     raise ValueError(f"unknown variant {variant}")
 
 
@@ -488,18 +481,14 @@ def _reference_train_collab(
             sb = scaled[start:stop]
             lb = llm[start:stop]
             rb = rep[start:stop]
-            pwb = PatchWeights(
-                d_intra=pw.d_intra[start:stop],
-                d_inter=pw.d_inter[start:stop],
-                lambda1=pw.lambda1[start:stop],
-                lambda2=pw.lambda2[start:stop],
-            )
             if use_mapping:
                 mapped, mcache = mapping.forward(sb)
             else:
                 mapped = sb
             s_hat, ccache = cond.forward(lb, mapped, rb)
-            pair_loss, ds_hat = _reference_pairwise_grad(variant, s_hat, sb, lb, pwb)
+            pair_loss, ds_hat = _reference_pairwise_grad(
+                variant, s_hat, sb, lb, pw.lambda1[start:stop], pw.lambda2[start:stop]
+            )
             cgrads, _dllm, dmapped, _drep = cond.backward(ds_hat, ccache)
             params = dict(cond_params)
             b2_box[0] = cond.b2

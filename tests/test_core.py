@@ -6,19 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from collate.core import (
     NormalizationConfig,
-    PatchWeights,
     ScoreKind,
     ScoreSeries,
     TimeSeriesWindow,
-    normalize_scores,
     patch_weights,
+    score_range_divisor,
     sigmoid,
 )
 from collate.errors import DegenerateRange, NonFiniteInput, WindowTooShort
-
-
-def raw(values):
-    return ScoreSeries(np.asarray(values, float), ScoreKind.RAW_TSADM)
 
 
 class TestSigmoid:
@@ -42,18 +37,22 @@ class TestSigmoid:
 
 
 class TestNormalizeScores:
+    """Range scaling as the pipeline applies it: raw / score_range_divisor."""
+
     def test_unit_root_divides_by_range(self):
-        out = normalize_scores(raw([0.0, 2.0, 4.0]), NormalizationConfig(1.0))
-        np.testing.assert_allclose(out.scores, [0.0, 0.5, 1.0])
-        assert out.kind is ScoreKind.SCALED_TSADM
+        values = np.array([0.0, 2.0, 4.0])
+        divisor = score_range_divisor(values, NormalizationConfig(1.0))
+        assert divisor == 4.0
+        np.testing.assert_allclose(values / divisor, [0.0, 0.5, 1.0])
 
     def test_square_root_can_exceed_one(self):
-        out = normalize_scores(raw([0.0, 2.0, 4.0]), NormalizationConfig(2.0))
-        np.testing.assert_allclose(out.scores, [0.0, 1.0, 2.0])
+        values = np.array([0.0, 2.0, 4.0])
+        divisor = score_range_divisor(values, NormalizationConfig(2.0))
+        np.testing.assert_allclose(values / divisor, [0.0, 1.0, 2.0])
 
     def test_constant_scores_rejected(self):
         with pytest.raises(DegenerateRange):
-            normalize_scores(raw([3.0, 3.0, 3.0]), NormalizationConfig(1.0))
+            score_range_divisor(np.array([3.0, 3.0, 3.0]), NormalizationConfig(1.0))
 
     @given(
         st.lists(st.floats(0, 100), min_size=2, max_size=30).filter(
@@ -64,9 +63,11 @@ class TestNormalizeScores:
     @settings(max_examples=50, deadline=None)
     def test_scale_invariant_at_unit_root(self, values, c):
         cfg = NormalizationConfig(1.0)
-        a = normalize_scores(raw(values), cfg).scores
-        b = normalize_scores(raw([c * v for v in values]), cfg).scores
-        np.testing.assert_allclose(a, b, atol=1e-9)
+        a = np.asarray(values)
+        b = c * a
+        np.testing.assert_allclose(
+            a / score_range_divisor(a, cfg), b / score_range_divisor(b, cfg), atol=1e-9
+        )
 
 
 class TestPatchWeights:
@@ -128,10 +129,6 @@ class TestTypes:
         with pytest.raises(ValueError):
             ScoreSeries(np.array([-0.1, 0.5]), ScoreKind.RAW_TSADM)
 
-    def test_scaled_scores_may_exceed_one(self):
-        s = ScoreSeries(np.array([0.0, 1.7]), ScoreKind.SCALED_TSADM)
-        assert s.scores.max() == pytest.approx(1.7)
-
     def test_window_rejects_nan(self):
         with pytest.raises(NonFiniteInput):
             TimeSeriesWindow(np.array([[np.nan]]))
@@ -139,7 +136,3 @@ class TestTypes:
     def test_window_label_length_checked(self):
         with pytest.raises(Exception):
             TimeSeriesWindow(np.zeros((3, 1)), labels=np.array([1, 0]))
-
-    def test_fixed_weights_bypass_sum_invariant(self):
-        fw = PatchWeights.fixed(4, 1.0, 1.0)
-        np.testing.assert_allclose(fw.lambda1 + fw.lambda2, 2.0)

@@ -8,7 +8,6 @@ from collate.llm import (
     ExampleStore,
     LlmBackendConfig,
     mgab_template,
-    request_scores,
     score_windows,
     write_fixture,
 )
@@ -51,14 +50,15 @@ class TestMockScoring:
             assert series.kind is ScoreKind.LLM
             np.testing.assert_array_equal(series.scores, table[wid])
 
-    def test_same_scores_as_single_window_requests(self, tmp_path):
-        ws = windows(4)
+    def test_builds_no_prompts(self, tmp_path, monkeypatch):
+        ws = windows(3)
         fixture_for(ws, tmp_path / "f.jsonl")
-        cfg = LlmBackendConfig(mode="mock", fixture_path=str(tmp_path / "f.jsonl"))
-        out = score(tmp_path / "f.jsonl", ws)
-        for w in ws:
-            one = request_scores(cfg, "", w.length, window_id=w.window_id())
-            np.testing.assert_array_equal(one.scores, out[w.window_id()].scores)
+
+        def no_prompt(*args):
+            raise AssertionError("mock scoring built a prompt")
+
+        monkeypatch.setattr(llm, "build_prompt", no_prompt)
+        assert sorted(score(tmp_path / "f.jsonl", ws)) == sorted(w.window_id() for w in ws)
 
     def test_missing_window(self, tmp_path):
         ws = windows(3)
@@ -87,3 +87,21 @@ class TestMockScoring:
         cfg = LlmBackendConfig(mode="mock")
         with pytest.raises(MissingFixture):
             score_windows(cfg, windows(1), ExampleStore(capacity=4), mgab_template())
+
+
+class TestLiveScoring:
+    def test_one_prompt_per_window_through_the_transport(self):
+        ws = windows(3)
+        prompts = []
+
+        def transport(cfg, prompt):
+            prompts.append(prompt)
+            return "\n".join(["0.25"] * 20)
+
+        cfg = LlmBackendConfig(mode="live", max_in_flight=1)
+        out = score_windows(cfg, ws, ExampleStore(capacity=4), mgab_template(), transport)
+        assert len(prompts) == 3
+        assert all(f"{w.start_index}: " in p for w, p in zip(ws, prompts))
+        for w in ws:
+            assert out[w.window_id()].kind is ScoreKind.LLM
+            np.testing.assert_array_equal(out[w.window_id()].scores, 0.25)

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from collate.theory import (
     NoiseModel,
-    TheoryReport,
     brute_force_optimal,
     check_alignment_equivalence,
     check_lemma1,

@@ -2,83 +2,81 @@ import numpy as np
 import pytest
 
 from collate.core import ScoreKind, TimeSeriesWindow
-from collate.errors import NonFiniteInput, ShapeMismatch
+from collate.errors import NonConvergence, ShapeMismatch
 from collate.tsadm import (
     PrecomputedScorer,
     TsadmConfig,
     TsadmModel,
-    anomaly_attention,
-    anomaly_attention_vjp,
-    gaussian_mask,
+    _attention_backward,
+    _attention_forward,
     scorer_from_dict,
     scorer_to_dict,
     train_tsadm,
 )
 
 
+def qkv(rng, b, d, t, e):
+    """Random (B, D, T, e) query, key and value arrays."""
+    return rng.normal(size=(3, b, d, t, e))
+
+
 class TestMask:
     def test_diagonal_fully_masked(self):
-        g = gaussian_mask(6, 1.7)
-        np.testing.assert_allclose(np.diag(g), 0.0)
+        _, cache = _attention_forward(*qkv(np.random.default_rng(0), 2, 3, 6, 2), 1.7)
+        np.testing.assert_allclose(np.diag(cache.g), 0.0)
 
     def test_symmetric_and_bounded(self):
-        g = gaussian_mask(8, 2.5)
+        _, cache = _attention_forward(*qkv(np.random.default_rng(0), 1, 2, 8, 3), 2.5)
+        g = cache.g
         np.testing.assert_allclose(g, g.T)
         assert g.min() >= 0.0
         # strictly below one wherever the exponential is representable
         assert g.max() < 1.0
 
     def test_adjacent_value_at_unit_scale(self):
-        g = gaussian_mask(2, 1.0)
-        assert g[0, 1] == pytest.approx(1.0 - np.exp(-1.0), abs=1e-9)
-        assert g[0, 1] == pytest.approx(0.63212, abs=1e-5)
+        _, cache = _attention_forward(*qkv(np.random.default_rng(0), 1, 1, 2, 2), 1.0)
+        assert cache.g[0, 1] == pytest.approx(1.0 - np.exp(-1.0), abs=1e-9)
+        assert cache.g[0, 1] == pytest.approx(0.63212, abs=1e-5)
 
     def test_infinite_scale_limit_gives_uniform_rows(self):
         rng = np.random.default_rng(0)
-        q, k, v = rng.normal(size=(3, 5, 4))
-        out = anomaly_attention(q, k, v, sigma=1e9)
-        np.testing.assert_allclose(out, np.tile(v.mean(axis=0), (5, 1)), atol=1e-6)
+        q, k, v = qkv(rng, 2, 3, 5, 4)
+        out, _ = _attention_forward(q, k, v, sigma=1e9)
+        np.testing.assert_allclose(
+            out, np.broadcast_to(v.mean(axis=2, keepdims=True), v.shape), atol=1e-6
+        )
 
 
 class TestAttention:
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(1)
-        q, k, v = rng.normal(size=(3, 6, 3))
-        out, back = anomaly_attention_vjp(q, k, v, 1.2)
-        # reconstruct the attention row sums through a probe
-        ones = anomaly_attention(q, k, np.ones((6, 1)), 1.2)
+        q, k, _ = qkv(rng, 2, 3, 6, 3)
+        # probe the attention row sums through all-ones values
+        ones, cache = _attention_forward(q, k, np.ones((2, 3, 6, 1)), 1.2)
         np.testing.assert_allclose(ones, 1.0, atol=1e-9)
-
-    def test_rejects_nan(self):
-        q = np.full((3, 2), np.nan)
-        with pytest.raises(NonFiniteInput):
-            anomaly_attention(q, q, q, 1.0)
-
-    def test_rejects_nonpositive_sigma(self):
-        z = np.zeros((3, 2))
-        with pytest.raises(ValueError):
-            anomaly_attention(z, z, z, 0.0)
+        np.testing.assert_allclose(cache.p.sum(axis=-1), 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_vjp_matches_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
-        t, d = rng.integers(2, 7), rng.integers(1, 5)
-        q, k, v = rng.normal(size=(3, t, d))
+        b, d = rng.integers(1, 4, size=2)
+        t, e = rng.integers(2, 7), rng.integers(1, 5)
+        q, k, v = qkv(rng, b, d, t, e)
         sigma = float(rng.uniform(0.5, 2.0))
-        probe = rng.normal(size=(t, d))
-        _, back = anomaly_attention_vjp(q, k, v, sigma)
-        dq, dk, dv, dsig = back(probe)
+        probe = rng.normal(size=(b, d, t, e))
+        _, cache = _attention_forward(q, k, v, sigma)
+        dq, dk, dv, dsig = _attention_backward(probe, cache)
 
         def val(q_, k_, v_, s_):
-            return float((anomaly_attention(q_, k_, v_, s_) * probe).sum())
+            return float((_attention_forward(q_, k_, v_, s_)[0] * probe).sum())
 
         h = 1e-6
         for arr, grad in ((q, dq), (k, dk), (v, dv)):
             idx = tuple(rng.integers(0, s) for s in arr.shape)
-            e = np.zeros_like(arr)
-            e[idx] = h
-            args_p = [a + e if a is arr else a for a in (q, k, v)]
-            args_m = [a - e if a is arr else a for a in (q, k, v)]
+            step = np.zeros_like(arr)
+            step[idx] = h
+            args_p = [a + step if a is arr else a for a in (q, k, v)]
+            args_m = [a - step if a is arr else a for a in (q, k, v)]
             fd = (val(*args_p, sigma) - val(*args_m, sigma)) / (2 * h)
             assert abs(fd - grad[idx]) / max(abs(fd), 1e-8) < 1e-4
         fd = (val(q, k, v, sigma + h) - val(q, k, v, sigma - h)) / (2 * h)
@@ -104,6 +102,33 @@ class TestModel:
             arr[idx] = orig
             fd = (lp - lm) / (2 * h)
             assert abs(fd - grads[name][idx]) / max(abs(fd), 1e-9) < 1e-4
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_log_sigma_gradient_matches_finite_differences(self, seed):
+        rng = np.random.default_rng(seed)
+        cfg = TsadmConfig(winLen=6, moduleNum=2, kLen=2, embed=3, seed=seed)
+        model = TsadmModel(2, cfg)
+        for layer in model.layers:
+            layer.log_sigma = float(rng.uniform(-0.5, 1.0))
+        xb = rng.normal(size=(3, 6, 2))
+        _, grads = model.loss_and_grads(xb)
+        h = 1e-6
+        for i, layer in enumerate(model.layers):
+            orig = layer.log_sigma
+            layer.log_sigma = orig + h
+            lp = model.loss_and_grads(xb)[0]
+            layer.log_sigma = orig - h
+            lm = model.loss_and_grads(xb)[0]
+            layer.log_sigma = orig
+            fd = (lp - lm) / (2 * h)
+            assert abs(fd - grads["log_sigma"][i]) / max(abs(fd), 1e-9) < 1e-4
+
+    def test_nan_in_series_raises_nonconvergence(self):
+        cfg = TsadmConfig(winLen=8, moduleNum=1, kLen=2, embed=2, epochs=1, seed=0)
+        values = np.ones((64, 1))
+        values[37, 0] = np.nan
+        with pytest.raises(NonConvergence):
+            train_tsadm(values, cfg)
 
     def test_constant_series_reconstructed(self):
         cfg = TsadmConfig(winLen=8, moduleNum=2, kLen=2, embed=3, trlr=0.02,
