@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ScoreSeries, sigmoid
-from .errors import DegenerateScores, NonConvergence, NonFiniteDensity
+from .errors import DegenerateScores, NonFiniteDensity
 
 _SQRT2 = math.sqrt(2.0)
 _TWO_OVER_PI = 2.0 / math.pi
@@ -46,10 +46,6 @@ class HalfGaussianFit:
 class AlignmentConfig:
     lambda_hat_1: float = 1.0
     lambda_hat_2: float = 1.0
-    learning_rate: float = 0.05
-    epochs: int = 400
-    seed: int = 0
-    hidden: int = 8
 
     def __post_init__(self):
         if self.lambda_hat_1 < 0 or self.lambda_hat_2 < 0:
@@ -74,32 +70,23 @@ def fit_half_gaussian(scores) -> HalfGaussianFit:
     return HalfGaussianFit(sigma=math.sqrt(second_moment))
 
 
-def half_gaussian_density(fit: HalfGaussianFit, x, printed_exponent: bool = False):
-    """Density of the half-Gaussian target; zero below the origin.
-
-    ``printed_exponent`` switches the exponent denominator from 2*sigma^2 to
-    2*sigma, kept only so equivalence experiments can compare the two
-    conventions; the variance form is the one used everywhere else.
-    """
+def half_gaussian_density(fit: HalfGaussianFit, x):
+    """Density of the half-Gaussian target; zero below the origin."""
     x = np.asarray(x, dtype=np.float64)
-    denom = 2.0 * fit.sigma if printed_exponent else 2.0 * fit.sigma**2
-    dens = (2.0 / (fit.sigma * math.sqrt(2.0 * math.pi))) * np.exp(-(x**2) / denom)
+    dens = (2.0 / (fit.sigma * math.sqrt(2.0 * math.pi))) * np.exp(-(x**2) / (2.0 * fit.sigma**2))
     out = np.where(x < 0.0, 0.0, dens)
     return float(out) if out.ndim == 0 else out
-
-
-def alignment_loss(mapped: np.ndarray, fit: HalfGaussianFit, cfg: AlignmentConfig) -> float:
-    """Negative mean log-density of the mapped scores under the target, plus
-    squared penalties steering the batch mean and (n-1)-variance onto the
-    target moments."""
-    loss, _ = alignment_loss_grad(mapped, fit, cfg)
-    return loss
 
 
 def alignment_loss_grad(
     mapped: np.ndarray, fit: HalfGaussianFit, cfg: AlignmentConfig
 ) -> tuple[float, np.ndarray]:
-    """Alignment loss and its gradient with respect to the mapped scores."""
+    """Alignment loss and its gradient with respect to the mapped scores.
+
+    The loss is the negative mean log-density of the mapped scores under the
+    target, plus squared penalties steering the batch mean and (n-1)-variance
+    onto the target moments.
+    """
     m = np.asarray(mapped, dtype=np.float64).reshape(-1)
     n = m.size
     if n < 2:
@@ -179,14 +166,10 @@ class MonotoneMapping:
         self.b1 = rng.normal(0.0, 1.0, hidden)
         self.a2 = rng.normal(-1.0, 0.5, hidden)
         self.b2 = 0.0
-        self.loss_curve: list[float] = []
 
     @property
     def hidden(self) -> int:
         return self.a1.size
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {"a1": self.a1, "b1": self.b1, "a2": self.a2, "b2": self.b2}
 
     def __call__(self, s) -> np.ndarray:
         return self.forward(np.asarray(s, dtype=np.float64))[0]
@@ -236,35 +219,7 @@ class MonotoneMapping:
         obj.b1 = np.asarray(d["b1"], dtype=np.float64)
         obj.a2 = np.asarray(d["a2"], dtype=np.float64)
         obj.b2 = float(d["b2"])
-        obj.loss_curve = []
         return obj
-
-
-def train_mapping(
-    scaled: ScoreSeries | np.ndarray, fit: HalfGaussianFit, cfg: AlignmentConfig
-) -> MonotoneMapping:
-    """Full-batch gradient descent of the alignment loss over the mapping.
-
-    Deterministic under cfg.seed; the per-epoch loss curve is recorded on the
-    returned mapping.
-    """
-    s = scaled.scores if isinstance(scaled, ScoreSeries) else np.asarray(scaled, float)
-    s = s.reshape(-1)
-    if s.size < 2:
-        raise ValueError("need at least two scores to train the mapping")
-    mapping = MonotoneMapping(hidden=cfg.hidden, seed=cfg.seed)
-    for _ in range(cfg.epochs):
-        mapped, cache = mapping.forward(s)
-        loss, dmapped = alignment_loss_grad(mapped, fit, cfg)
-        if not np.isfinite(loss):
-            raise NonConvergence("alignment loss became non-finite")
-        mapping.loss_curve.append(loss)
-        grads, _ = mapping.backward(dmapped, cache)
-        mapping.a1 -= cfg.learning_rate * grads["a1"]
-        mapping.b1 -= cfg.learning_rate * grads["b1"]
-        mapping.a2 -= cfg.learning_rate * grads["a2"]
-        mapping.b2 -= cfg.learning_rate * grads["b2"]
-    return mapping
 
 
 def kl_histogram(a: np.ndarray, reference, bins: int, eps: float = 1e-9) -> float:

@@ -15,11 +15,11 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import data as data_mod
-from .collab import CollabConfig, FusionPipeline, LossVariant, TrainingCurves, detect, train_collab
-from .core import ScoreKind, ScoreSeries, TimeSeriesWindow
+from .collab import CollabConfig, LossVariant, detect, train_collab
+from .core import ScoreSeries, TimeSeriesWindow
 from .data import AnomalyKind, LabeledSeries, MackeyGlassConfig
 from .evaluate import DetectionMetrics, per_kind_metrics
-from .llm import write_fixture
+from .llm import fixture_scores, write_fixture
 from .tsadm import PrecomputedScorer
 
 
@@ -68,25 +68,17 @@ class Benchmark:
     test_windows: list[TimeSeriesWindow] = field(default_factory=list)
 
     def llm_scores_for(self, windows: list[TimeSeriesWindow]) -> dict[str, ScoreSeries]:
-        return {
-            w.window_id(): ScoreSeries(
-                self.llm_by_slot[w.start_index : w.start_index + w.length],
-                ScoreKind.LLM,
-            )
-            for w in windows
-        }
-
-    def fixture_payload(self) -> dict[str, np.ndarray]:
-        rows = {}
-        val_windows = data_mod.to_windows(self.val, self.cfg.window_len)
-        for w in self.train_windows + val_windows + self.test_windows:
-            rows[w.window_id()] = self.llm_by_slot[
-                w.start_index : w.start_index + w.length
-            ]
-        return rows
+        """The mock LLM's scores for ``windows``, checked as a score file's are."""
+        return fixture_scores(
+            {w.window_id(): self.llm_by_slot[w.start_index : w.start_index + w.length]
+             for w in windows},
+            windows,
+        )
 
     def write_llm_fixture(self, path) -> None:
-        write_fixture(path, self.fixture_payload())
+        val_windows = data_mod.to_windows(self.val, self.cfg.window_len)
+        scored = self.llm_scores_for(self.train_windows + val_windows + self.test_windows)
+        write_fixture(path, {wid: s.scores for wid, s in scored.items()})
 
 
 def _kind_mask(series: LabeledSeries, kind: AnomalyKind) -> np.ndarray:
@@ -189,41 +181,24 @@ def _allocate(count: int) -> tuple[int, int, int]:
     return train, val, test
 
 
-@dataclass
-class VariantResult:
-    variant: str
-    metrics: DetectionMetrics
-    pipeline: FusionPipeline | None = None
-    curves: TrainingCurves | None = None
-    collated: np.ndarray | None = None
-
-
-def baseline_metrics(bench: Benchmark) -> dict[str, VariantResult]:
+def baseline_metrics(bench: Benchmark) -> dict[str, DetectionMetrics]:
     """Detector-only and LLM-only test metrics (the fusion must beat the best
     of these; the detector-only row is the no-LLM ablation)."""
     test = bench.test
     raw_test = bench.scorer.score(test.window())[0].scores
     llm_test = bench.llm_by_slot[test.start_index : test.start_index + test.length]
     return {
-        "tsadm_only": VariantResult(
-            "tsadm_only", _with_kinds(raw_test, test), collated=raw_test
-        ),
-        "llm_only": VariantResult(
-            "llm_only", _with_kinds(llm_test, test), collated=llm_test
-        ),
+        "tsadm_only": per_kind_metrics(raw_test, test.spans),
+        "llm_only": per_kind_metrics(llm_test, test.spans),
     }
-
-
-def _with_kinds(scores: np.ndarray, split: LabeledSeries) -> DetectionMetrics:
-    return per_kind_metrics(scores, split.spans)
 
 
 def run_variant(
     bench: Benchmark, variant: LossVariant, collab_cfg: CollabConfig
-) -> VariantResult:
+) -> DetectionMetrics:
     """Train the variant on the train split and evaluate on the test split."""
     llm_train = bench.llm_scores_for(bench.train_windows)
-    pipeline, curves = train_collab(
+    pipeline, _ = train_collab(
         bench.train_windows, bench.scorer, llm_train, variant, collab_cfg,
         config_echo={"benchmark": asdict(bench.cfg), "variant": variant.value},
     )
@@ -231,13 +206,12 @@ def run_variant(
     collated = np.concatenate(
         [detect(pipeline, w, llm_test[w.window_id()]).scores for w in bench.test_windows]
     )
-    metrics = per_kind_metrics(collated, bench.test.spans)
-    return VariantResult(variant.value, metrics, pipeline, curves, collated)
+    return per_kind_metrics(collated, bench.test.spans)
 
 
 def run_ablation(
     bench: Benchmark, collab_cfg: CollabConfig
-) -> dict[str, VariantResult]:
+) -> dict[str, DetectionMetrics]:
     """Full variant table: every loss variant plus the two single-model rows."""
     results = baseline_metrics(bench)
     for variant in LossVariant:

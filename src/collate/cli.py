@@ -4,8 +4,15 @@ evaluation, theory verification, and ablations.
 Every command validates its JSON config (unknown keys rejected), is
 re-runnable with identical outputs for identical inputs, and writes a
 manifest (inputs with hashes, seed, version) next to its artifacts so a run
-can be replayed exactly. Exit codes: 0 success, 1 verification failure,
-2 usage error or missing artifact.
+can be replayed exactly. Exit codes: 0 success, 1 verification failure or
+bad input, 2 usage error or missing artifact.
+
+LLM score files (the ``score-llm`` mock fixture, and ``--llm-scores`` of
+``train-collab`` and ``detect``) go through one loader, ``llm.load_fixture``,
+so all three commands treat a bad file alike: a window missing from it, a
+window with the wrong number of scores, a score outside [0, 1], or a line
+that is not a {"window_id": ..., "scores": [numbers]} object exits 1 with one
+``error:`` line. A score file that does not exist exits 2.
 """
 from __future__ import annotations
 
@@ -22,7 +29,7 @@ import numpy as np
 from . import __version__, data as data_mod
 from .benchmark import BenchmarkConfig, build_benchmark, default_collab_config, run_ablation
 from .collab import CollabConfig, FusionPipeline, LossVariant, detect, train_collab
-from .core import ScoreKind, ScoreSeries
+from .core import ScoreSeries
 from .errors import CollateError, ConfigError, MissingArtifact
 from .evaluate import (
     best_f1_threshold,
@@ -266,12 +273,7 @@ def cmd_train_collab(cfg: RunConfig, data_path: Path, tsadm_path: Path,
     series = _load_labeled(data_path)
     windows = data_mod.split_windows(series, cfg.window_len)["train"]
     model = TsadmModel.load(_require(tsadm_path, "detector checkpoint"))
-    table = load_fixture(_require(scores_path, "LLM scores"))
-    llm_scores = {
-        w.window_id(): ScoreSeries(table[w.window_id()], ScoreKind.LLM)
-        for w in windows
-        if w.window_id() in table
-    }
+    llm_scores = load_fixture(_require(scores_path, "LLM scores"), windows)
     pipeline, curves = train_collab(
         windows, model, llm_scores, LossVariant(cfg.loss_variant),
         cfg.collab_config(), config_echo=dataclasses.asdict(cfg),
@@ -306,13 +308,10 @@ def cmd_detect(cfg: RunConfig, data_path: Path, pipeline_path: Path,
     series = _load_labeled(data_path)
     parts = data_mod.split_windows(series, cfg.window_len)
     windows = parts["train"] + parts["val"] + parts["test"]
-    table = load_fixture(_require(scores_path, "LLM scores"))
+    llm_scores = load_fixture(_require(scores_path, "LLM scores"), windows)
     rows = []
     for w in windows:
-        wid = w.window_id()
-        if wid not in table:
-            raise MissingArtifact(f"LLM scores missing for window {wid}")
-        out = detect(pipeline, w, ScoreSeries(table[wid], ScoreKind.LLM))
+        out = detect(pipeline, w, llm_scores[w.window_id()])
         for i, v in enumerate(out.scores):
             rows.append([w.start_index + i, float(v)])
     out_path = out_dir / "collated.csv"
@@ -389,21 +388,18 @@ def cmd_ablate(cfg: RunConfig, out_dir: Path, grid: str | None) -> int:
     ccfg = default_collab_config(seed=cfg.seed)
     results = run_ablation(bench, ccfg)
     header = ["variant", "precision", "recall", "f1"]
-    rows = [
-        [name, r.metrics.precision, r.metrics.recall, r.metrics.f1]
-        for name, r in results.items()
-    ]
+    rows = [[name, m.precision, m.recall, m.f1] for name, m in results.items()]
     outputs = emit_report(
         out_dir,
         {
-            "variants": {n: r.metrics.to_dict() for n, r in results.items()},
+            "variants": {n: m.to_dict() for n, m in results.items()},
             "config_echo": dataclasses.asdict(cfg),
             "seed": cfg.seed,
         },
         curves={"ablation": (header, rows)},
     )
-    for name, r in results.items():
-        print(f"{name:15s} F1={r.metrics.f1:.4f}")
+    for name, m in results.items():
+        print(f"{name:15s} F1={m.f1:.4f}")
     if grid:
         try:
             grid_spec = json.loads(grid)
@@ -413,9 +409,9 @@ def cmd_ablate(cfg: RunConfig, out_dir: Path, grid: str | None) -> int:
         for dval in grid_spec.get("d", [ccfg.d]):
             for ps in grid_spec.get("patchSize", [ccfg.patch_size]):
                 gcfg = dataclasses.replace(ccfg, d=float(dval), patch_size=int(ps))
-                res = run_ablation(bench, gcfg)["collaborative"]
-                grid_rows.append([dval, ps, res.metrics.f1])
-                print(f"grid d={dval} patchSize={ps}: F1={res.metrics.f1:.4f}")
+                f1 = run_ablation(bench, gcfg)["collaborative"].f1
+                grid_rows.append([dval, ps, f1])
+                print(f"grid d={dval} patchSize={ps}: F1={f1:.4f}")
         outputs += emit_report(
             out_dir,
             {"grid": grid_rows, "config_echo": dataclasses.asdict(cfg), "seed": cfg.seed},

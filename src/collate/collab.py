@@ -19,7 +19,6 @@ import numpy as np
 from . import alignment as align_mod
 from .alignment import AlignmentConfig, HalfGaussianFit, MonotoneMapping
 from .core import (
-    NormalizationConfig,
     ScoreKind,
     ScoreSeries,
     TimeSeriesWindow,
@@ -68,10 +67,6 @@ class ConditionalNetParams:
     @property
     def rep_dim(self) -> int:
         return self.w1.shape[0] - 2
-
-    @property
-    def hidden(self) -> int:
-        return self.w1.shape[1]
 
     def set_input_stats(self, mean: np.ndarray, std: np.ndarray) -> None:
         self.in_mean = np.asarray(mean, dtype=np.float64).reshape(-1)
@@ -141,41 +136,11 @@ class ConditionalNetParams:
         return obj
 
 
-def conditional_forward(
-    params: ConditionalNetParams, aligned: float, llm: float, rep: np.ndarray
-) -> float:
-    """Collated score for one slot; strictly inside (0, 1).
-
-    float64 cannot tell logits above about 36.7 apart, so every such slot
-    gets the same value, nextafter(1, 0).
-    """
-    out, _ = params.forward(
-        np.array([llm]), np.array([aligned]), np.asarray(rep, float).reshape(1, -1)
-    )
-    return float(out[0])
-
-
 def _check_lengths(*vecs):
     n = vecs[0].size
     if any(v.size != n for v in vecs[1:]):
         raise LengthMismatch("score vectors must share one length")
     return n
-
-
-def collaborative_loss(
-    s_hat: np.ndarray, s: np.ndarray, llm: np.ndarray, lam1: np.ndarray, lam2: np.ndarray
-) -> float:
-    """Pairwise difference-correlation loss.
-
-    -(1/n^2) * sum_ij [ lam1(i,j)(s_i - s_j)(S^_i - S^_j)
-                      + lam2(i,j)(S_i - S_j)(S^_i - S^_j) ]
-    with pair weights symmetrized as lam(i,j) = (lam(i) + lam(j)) / 2. Depends
-    on the collated scores only through their differences. lam1 and lam2 are
-    per-slot weight arrays: patch weights, or constants for the ablation and
-    the theory checks.
-    """
-    loss, _ = collaborative_loss_grad(s_hat, s, llm, lam1, lam2)
-    return loss
 
 
 def _pairwise_weighted_excess(
@@ -220,39 +185,24 @@ class CollaborativeTerm:
 def collaborative_loss_grad(
     s_hat: np.ndarray, s: np.ndarray, llm: np.ndarray, lam1: np.ndarray, lam2: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Collaborative loss and its gradient wrt the collated scores."""
+    """Pairwise difference-correlation loss and its gradient wrt the
+    collated scores.
+
+    -(1/n^2) * sum_ij [ lam1(i,j)(s_i - s_j)(S^_i - S^_j)
+                      + lam2(i,j)(S_i - S_j)(S^_i - S^_j) ]
+    with pair weights symmetrized as lam(i,j) = (lam(i) + lam(j)) / 2. Depends
+    on the collated scores only through their differences. lam1 and lam2 are
+    per-slot weight arrays: patch weights, or constants for the ablation and
+    the theory checks.
+    """
     return CollaborativeTerm(s, llm, lam1, lam2)(s_hat)
-
-
-def collaborative_loss_naive(
-    s_hat: np.ndarray, s: np.ndarray, llm: np.ndarray, lam1: np.ndarray, lam2: np.ndarray
-) -> float:
-    """Literal double sum; the O(n) form is checked against this in tests."""
-    s_hat = np.asarray(s_hat, float).reshape(-1)
-    s = np.asarray(s, float).reshape(-1)
-    llm = np.asarray(llm, float).reshape(-1)
-    n = _check_lengths(s_hat, s, llm)
-    total = 0.0
-    for i in range(n):
-        for j in range(n):
-            pair1 = 0.5 * (lam1[i] + lam1[j])
-            pair2 = 0.5 * (lam2[i] + lam2[j])
-            d_hat = s_hat[i] - s_hat[j]
-            total += pair1 * (s[i] - s[j]) * d_hat + pair2 * (llm[i] - llm[j]) * d_hat
-    return -total / n**2
-
-
-def mse_variant_loss(
-    s_hat: np.ndarray, s: np.ndarray, llm: np.ndarray, lam1: np.ndarray, lam2: np.ndarray
-) -> float:
-    """Per-slot weighted squared error against both scorers (ablation)."""
-    loss, _ = mse_variant_loss_grad(s_hat, s, llm, lam1, lam2)
-    return loss
 
 
 def mse_variant_loss_grad(
     s_hat: np.ndarray, s: np.ndarray, llm: np.ndarray, lam1: np.ndarray, lam2: np.ndarray
 ) -> tuple[float, np.ndarray]:
+    """Per-slot weighted squared error against both scorers (ablation), and
+    its gradient wrt the collated scores."""
     s_hat = np.asarray(s_hat, dtype=np.float64).reshape(-1)
     s = np.asarray(s, dtype=np.float64).reshape(-1)
     llm = np.asarray(llm, dtype=np.float64).reshape(-1)
@@ -277,14 +227,6 @@ class CollabConfig:
     mapping_hidden: int = 8
     cond_hidden: int = 16
 
-    def alignment_config(self) -> AlignmentConfig:
-        return AlignmentConfig(
-            lambda_hat_1=self.lambda_hat_1,
-            lambda_hat_2=self.lambda_hat_2,
-            seed=self.seed,
-            hidden=self.mapping_hidden,
-        )
-
 
 @dataclass
 class TrainingCurves:
@@ -306,7 +248,7 @@ class FusionPipeline:
         scorer,
         mapping: MonotoneMapping | None,
         cond: ConditionalNetParams,
-        normalization: NormalizationConfig,
+        d: float,
         score_divisor: float,
         patch_size: int,
         variant: LossVariant,
@@ -316,7 +258,7 @@ class FusionPipeline:
         self.scorer = scorer
         self.mapping = mapping
         self.cond = cond
-        self.normalization = normalization
+        self.d = d
         self.score_divisor = float(score_divisor)
         self.patch_size = int(patch_size)
         self.variant = variant
@@ -336,7 +278,7 @@ class FusionPipeline:
             "scorer": scorer_to_dict(self.scorer),
             "mapping": None if self.mapping is None else self.mapping.to_dict(),
             "cond": self.cond.to_dict(),
-            "d": self.normalization.d,
+            "d": self.d,
             "score_divisor": self.score_divisor,
             "patch_size": self.patch_size,
             "variant": self.variant.value,
@@ -357,7 +299,7 @@ class FusionPipeline:
             scorer=scorer_from_dict(d["scorer"]),
             mapping=None if d["mapping"] is None else MonotoneMapping.from_dict(d["mapping"]),
             cond=ConditionalNetParams.from_dict(d["cond"]),
-            normalization=NormalizationConfig(d["d"]),
+            d=d["d"],
             score_divisor=d["score_divisor"],
             patch_size=d["patch_size"],
             variant=LossVariant(d["variant"]),
@@ -459,12 +401,12 @@ def train_collab(
         raw, rep = scorer.score(w)
         scored.append((w, raw.scores, series.scores, rep))
     divisor = score_range_divisor(
-        np.concatenate([raw for _, raw, _, _ in scored]), NormalizationConfig(cfg.d)
+        np.concatenate([raw for _, raw, _, _ in scored]), cfg.d
     )
 
     all_llm = np.concatenate([llm for _, _, llm, _ in scored])
     fit = align_mod.fit_half_gaussian(all_llm)
-    acfg = cfg.alignment_config()
+    acfg = AlignmentConfig(cfg.lambda_hat_1, cfg.lambda_hat_2)
 
     use_mapping = variant is not LossVariant.NO_ALIGNMENT
     mapping = MonotoneMapping(cfg.mapping_hidden, seed=cfg.seed) if use_mapping else None
@@ -549,7 +491,7 @@ def train_collab(
         scorer=scorer,
         mapping=mapping,
         cond=cond,
-        normalization=NormalizationConfig(cfg.d),
+        d=cfg.d,
         score_divisor=divisor,
         patch_size=cfg.patch_size,
         variant=variant,

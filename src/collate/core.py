@@ -106,47 +106,29 @@ class ScoreSeries:
 
 
 @dataclass(frozen=True)
-class NormalizationConfig:
-    """Root exponent for range scaling: scores are divided by range**(1/d)."""
-
-    d: float = 1.0
-
-    def __post_init__(self):
-        if not np.isfinite(self.d) or self.d <= 0.0:
-            raise ValueError("d must be finite and positive")
-
-
-@dataclass(frozen=True)
 class PatchWeights:
-    """Per-slot intra/inter patch distances and the adaptive weights they induce.
+    """Per-slot adaptive weights induced by intra/inter patch distances.
 
     Invariant: lambda1 + lambda2 == 1 exactly for every slot (lambda2 is
     computed as the complement, never independently).
     """
 
-    d_intra: np.ndarray
-    d_inter: np.ndarray
     lambda1: np.ndarray
     lambda2: np.ndarray
 
     def __post_init__(self):
-        for name in ("d_intra", "d_inter", "lambda1", "lambda2"):
+        for name in ("lambda1", "lambda2"):
             arr = np.asarray(getattr(self, name), dtype=np.float64).reshape(-1)
             object.__setattr__(self, name, arr)
-        n = self.d_intra.size
-        if any(getattr(self, f).size != n for f in ("d_inter", "lambda1", "lambda2")):
+        if self.lambda1.size != self.lambda2.size:
             raise ShapeMismatch("patch weight fields must share one length")
-        if (self.d_intra < 0).any() or (self.d_inter < 0).any():
-            raise ValueError("distances must be nonnegative")
         if np.abs(self.lambda1 + self.lambda2 - 1.0).max() > 1e-12:
             raise ValueError("lambda1 + lambda2 must equal 1")
 
-    def __len__(self) -> int:
-        return self.d_intra.size
 
-
-def score_range_divisor(raw: np.ndarray, cfg: NormalizationConfig) -> float:
-    """range**(1/d) of the raw detector scores; frozen into pipelines.
+def score_range_divisor(raw: np.ndarray, d: float) -> float:
+    """range**(1/d) of the raw detector scores, for a finite root exponent
+    d > 0; frozen into pipelines.
 
     Scaled scores raw / divisor are deliberately not clamped to [0, 1]; the
     learned monotone mapping downstream re-bounds them, and clamping would
@@ -155,10 +137,12 @@ def score_range_divisor(raw: np.ndarray, cfg: NormalizationConfig) -> float:
     Raises DegenerateRange when all raw scores are equal (a constant scorer
     cannot be aligned and the caller must not proceed).
     """
+    if not np.isfinite(d) or d <= 0.0:
+        raise ValueError("d must be finite and positive")
     lo, hi = float(np.min(raw)), float(np.max(raw))
     if hi == lo:
         raise DegenerateRange(f"score range is zero (all values {lo})")
-    return (hi - lo) ** (1.0 / cfg.d)
+    return (hi - lo) ** (1.0 / d)
 
 
 def _patch_slices(n_slots: int, patch_size: int) -> list[slice]:
@@ -214,4 +198,4 @@ def patch_weights(window: TimeSeriesWindow, patch_size: int) -> PatchWeights:
     denom = d_intra + d_inter
     lambda1 = np.where(denom > 0, np.divide(d_intra, np.where(denom > 0, denom, 1.0)), 0.5)
     lambda2 = 1.0 - lambda1
-    return PatchWeights(d_intra=d_intra, d_inter=d_inter, lambda1=lambda1, lambda2=lambda2)
+    return PatchWeights(lambda1=lambda1, lambda2=lambda2)

@@ -291,7 +291,8 @@ def load_csv(path: str | Path) -> LabeledSeries:
     """Read the CSV schema written by save_csv.
 
     A missing label column yields ``labels=None`` (absent, not all-normal).
-    Raises ParseError with the 1-based line number on any malformed row.
+    Raises ParseError with the 1-based line number on any malformed row,
+    including a non-finite value such as ``nan`` or ``inf``.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -328,8 +329,13 @@ def load_csv(path: str | Path) -> LabeledSeries:
             labels.append(lab)
         if not values:
             raise ParseError("no data rows", line=2)
+    values = np.asarray(values)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        # data row i was read from line i + 2, after the header
+        raise ParseError("value is not finite", line=int(np.argmin(finite)) + 2)
     return LabeledSeries(
-        values=np.asarray(values),
+        values=values,
         labels=np.asarray(labels) if has_labels else None,
         spans=[],
         start_index=start or 0,

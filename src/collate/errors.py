@@ -34,7 +34,7 @@ class ScoreOutOfRange(CollateError):
 
 
 class MissingFixture(CollateError):
-    """Mock backend has no entry for the requested window."""
+    """An LLM score file has no entry for a requested window, or mock mode has no file."""
 
 
 class DegenerateScores(CollateError):

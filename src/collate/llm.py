@@ -36,7 +36,6 @@ class PromptTemplate:
     expertise_supplement: str
     task_description: str
     example_intro: str = "Examples:"
-    data_placeholder: str = "{data}"
     max_data_chars: int = 20_000
 
     def validate(self) -> None:
@@ -88,12 +87,6 @@ class ExampleStore:
         if self.capacity < 1:
             raise ValueError("capacity must be positive")
         self.entries.sort(key=lambda e: e.timestamp)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def labels_present(self) -> set[int]:
-        return {e.label for e in self.entries}
 
     def nearest(self, slot_index: int, label: int) -> StoreEntry | None:
         candidates = [e for e in self.entries if e.label == label]
@@ -171,18 +164,44 @@ class LlmBackendConfig:
             raise ValueError("need at least one in-flight request")
 
 
-def load_fixture(path: str | Path) -> dict[str, np.ndarray]:
-    """JSONL fixture: one {"window_id": ..., "scores": [...]} object per line."""
+def load_fixture(path: str | Path, windows: list[TimeSeriesWindow]) -> dict[str, ScoreSeries]:
+    """Validated LLM scores for ``windows`` from a JSONL file of
+    {"window_id": ..., "scores": [numbers]} lines; any other line raises
+    MalformedResponse."""
     table: dict[str, np.ndarray] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
-            table[obj["window_id"]] = np.asarray(obj["scores"], dtype=np.float64)
-        except (json.JSONDecodeError, KeyError) as exc:
+            scores = np.asarray(obj["scores"])
+            if scores.ndim != 1 or scores.dtype.kind not in "iuf":
+                raise MalformedResponse(f"fixture line {lineno}: scores are not numbers")
+            table[obj["window_id"]] = scores.astype(np.float64)
+        except (ValueError, KeyError, TypeError) as exc:
             raise MalformedResponse(f"fixture line {lineno}: {exc}") from None
-    return table
+    return fixture_scores(table, windows)
+
+
+def fixture_scores(
+    table: dict[str, np.ndarray], windows: list[TimeSeriesWindow]
+) -> dict[str, ScoreSeries]:
+    """Each window's scores from a window id -> scores table, checked for
+    presence, then length, then range."""
+    out: dict[str, ScoreSeries] = {}
+    for w in windows:
+        wid = w.window_id()
+        if wid not in table:
+            raise MissingFixture(f"fixture has no entry for window {wid!r}")
+        vals = table[wid]
+        if vals.size != w.length:
+            raise MalformedResponse(
+                f"fixture entry {wid!r} has {vals.size} scores, expected {w.length}"
+            )
+        if (vals < 0.0).any() or (vals > 1.0).any():
+            raise ScoreOutOfRange(f"fixture scores for {wid!r} outside [0, 1]")
+        out[wid] = ScoreSeries(vals, ScoreKind.LLM)
+    return out
 
 
 def write_fixture(path: str | Path, scores_by_window: dict[str, np.ndarray]) -> None:
@@ -225,23 +244,6 @@ def _default_transport(cfg: LlmBackendConfig, prompt: str) -> str:
     if "text" not in body:
         raise MalformedResponse("response JSON lacks a 'text' field")
     return body["text"]
-
-
-def _fixture_scores(
-    table: dict[str, np.ndarray], window_id: str, expected_slots: int
-) -> ScoreSeries:
-    """One window's validated scores from a loaded fixture."""
-    if window_id not in table:
-        raise MissingFixture(f"fixture has no entry for window {window_id!r}")
-    vals = table[window_id]
-    if vals.size != expected_slots:
-        raise MalformedResponse(
-            f"fixture entry {window_id!r} has {vals.size} scores, "
-            f"expected {expected_slots}"
-        )
-    if (vals < 0.0).any() or (vals > 1.0).any():
-        raise ScoreOutOfRange(f"fixture scores for {window_id!r} outside [0, 1]")
-    return ScoreSeries(vals, ScoreKind.LLM)
 
 
 def request_scores(
@@ -287,14 +289,11 @@ def score_windows(
     is a pure lookup keyed by window identity, against the fixture read once
     per call, and builds no prompts. No cross-window ordering guarantee.
     """
-    out: dict[str, ScoreSeries] = {}
     if cfg.mode == "mock":
         if cfg.fixture_path is None:
             raise MissingFixture("mock mode requires a fixture path")
-        table = load_fixture(cfg.fixture_path)
-        for w in windows:
-            out[w.window_id()] = _fixture_scores(table, w.window_id(), w.length)
-        return out
+        return load_fixture(cfg.fixture_path, windows)
+    out: dict[str, ScoreSeries] = {}
     with ThreadPoolExecutor(max_workers=cfg.max_in_flight) as pool:
         futures = {
             w.window_id(): pool.submit(

@@ -27,7 +27,6 @@ class NoiseModel:
     sigma_s: float = 0.05
     mu_S: float = 0.2
     sigma_S: float = 0.05
-    family: str = "normal"
 
     def sample_s(self, rng: np.random.Generator, size) -> np.ndarray:
         return rng.normal(self.mu_s, self.sigma_s, size)
@@ -78,17 +77,10 @@ def oracle_loss(s_hat: np.ndarray, y: np.ndarray) -> float:
     return float(-(dy * ds).sum())
 
 
-def oracle_loss_grad(s_hat: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """d/dS^_t of the oracle objective: -2(n y_t - sum(y)); constant in S^."""
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    return -2.0 * (y.size * y - y.sum()) * np.ones_like(y)
-
-
 @dataclass
 class BruteForceResult:
     best: np.ndarray
     loss: float
-    all_optima: np.ndarray
     all_losses: np.ndarray
     degenerate: bool
 
@@ -105,8 +97,8 @@ def brute_force_optimal(
 
     The objective is linear in the scores, so every coordinate with a nonzero
     gradient marches monotonically to a box face; descent stops at the
-    projection fixed point. All starts' optima are returned so callers can
-    inspect degeneracy (coordinates whose gradient vanishes never move).
+    projection fixed point. ``degenerate`` flags starts that ended at
+    different points (coordinates whose gradient vanishes never move).
     """
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     n = y.size
@@ -130,30 +122,9 @@ def brute_force_optimal(
     return BruteForceResult(
         best=optima[best],
         loss=float(losses[best]),
-        all_optima=optima,
         all_losses=losses,
         degenerate=degenerate,
     )
-
-
-def perturbation_gain(
-    y: np.ndarray, s_hat: np.ndarray, r: int, r_prime: int, delta: float
-) -> tuple[float, float]:
-    """Loss decrease from raising S^_r by delta and lowering S^_r' by delta.
-
-    Returns (observed decrease, analytic value 2 n delta (y_r - y_r')); the
-    two agree identically, which is the local exchange argument behind the
-    ordering properties of the oracle optimum.
-    """
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    s_hat = np.asarray(s_hat, dtype=np.float64).reshape(-1)
-    before = oracle_loss(s_hat, y)
-    moved = s_hat.copy()
-    moved[r] += delta
-    moved[r_prime] -= delta
-    after = oracle_loss(moved, y)
-    analytic = 2.0 * y.size * delta * (y[r] - y[r_prime])
-    return before - after, analytic
 
 
 def check_theorem2(
@@ -434,7 +405,7 @@ def check_alignment_equivalence(
     fit = HalfGaussianFit(sigma=0.45)
     assert align_mod.half_gaussian_density(fit, mapped).min() > 0.01
     cfg = AlignmentConfig(lambda_hat_1=0.0, lambda_hat_2=0.0)
-    continuous = align_mod.alignment_loss(mapped, fit, cfg)
+    continuous = align_mod.alignment_loss_grad(mapped, fit, cfg)[0]
     gaps = [
         abs(align_mod.discrete_alignment_objective(mapped, fit, nb, cfg) - continuous)
         for nb in bin_counts

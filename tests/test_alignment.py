@@ -9,15 +9,33 @@ from collate.alignment import (
     AlignmentConfig,
     HalfGaussianFit,
     MonotoneMapping,
-    alignment_loss,
     alignment_loss_grad,
     discrete_alignment_objective,
     fit_half_gaussian,
     half_gaussian_density,
     kl_histogram,
-    train_mapping,
 )
-from collate.errors import DegenerateScores
+from collate.errors import DegenerateScores, NonConvergence
+
+
+def train_mapping(scaled, fit, cfg, epochs, learning_rate=0.05, seed=0):
+    """Reference: full-batch gradient descent of the alignment loss over a
+    mapping on its own. Training runs the mapping jointly with the fusion
+    net (``collab.train_collab``); this checks what the alignment loss alone
+    can reach. Deterministic under ``seed``."""
+    s = np.asarray(scaled, float).reshape(-1)
+    mapping = MonotoneMapping(seed=seed)
+    for _ in range(epochs):
+        mapped, cache = mapping.forward(s)
+        loss, dmapped = alignment_loss_grad(mapped, fit, cfg)
+        if not np.isfinite(loss):
+            raise NonConvergence("alignment loss became non-finite")
+        grads, _ = mapping.backward(dmapped, cache)
+        mapping.a1 -= learning_rate * grads["a1"]
+        mapping.b1 -= learning_rate * grads["b1"]
+        mapping.a2 -= learning_rate * grads["a2"]
+        mapping.b2 -= learning_rate * grads["b2"]
+    return mapping
 
 
 class TestFit:
@@ -57,9 +75,13 @@ class TestDensity:
         assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_printed_exponent_variant_differs(self):
+        # the exponent's denominator is 2 sigma^2, not the printed 2 sigma
         fit = HalfGaussianFit(0.5)
-        assert half_gaussian_density(fit, 0.4, printed_exponent=True) != pytest.approx(
-            half_gaussian_density(fit, 0.4)
+        peak = 2.0 / (0.5 * math.sqrt(2 * math.pi))
+        printed = peak * math.exp(-(0.4**2) / (2 * 0.5))
+        assert half_gaussian_density(fit, 0.4) != pytest.approx(printed)
+        assert half_gaussian_density(fit, 0.4) == pytest.approx(
+            peak * math.exp(-(0.4**2) / (2 * 0.5**2)), rel=1e-15
         )
 
 
@@ -69,14 +91,14 @@ class TestAlignmentLoss:
         cfg = AlignmentConfig(lambda_hat_1=0.0, lambda_hat_2=0.0)
         mapped = np.array([0.2, 0.4, 0.6])
         expected = -np.mean(np.log(half_gaussian_density(fit, mapped)))
-        assert alignment_loss(mapped, fit, cfg) == pytest.approx(expected)
+        assert alignment_loss_grad(mapped, fit, cfg)[0] == pytest.approx(expected)
 
     def test_constant_batch_variance_term(self):
         fit = HalfGaussianFit(1.0)
         cfg = AlignmentConfig(lambda_hat_1=0.0, lambda_hat_2=3.0)
         mapped = np.full(6, 0.5)
-        base = alignment_loss(mapped, fit, AlignmentConfig(0.0, 0.0))
-        full = alignment_loss(mapped, fit, cfg)
+        base = alignment_loss_grad(mapped, fit, AlignmentConfig(0.0, 0.0))[0]
+        full = alignment_loss_grad(mapped, fit, cfg)[0]
         assert full - base == pytest.approx(3.0 * fit.sigma_hat_sq**2)
 
     def test_worked_example(self):
@@ -85,7 +107,7 @@ class TestAlignmentLoss:
         cfg = AlignmentConfig(lambda_hat_1=1.0, lambda_hat_2=0.0)
         dens = 2.0 / math.sqrt(2 * math.pi) * math.exp(-0.125)
         expected = -math.log(dens) + (0.5 - fit.mu_hat) ** 2
-        got = alignment_loss(np.array([0.5, 0.5]), fit, cfg)
+        got = alignment_loss_grad(np.array([0.5, 0.5]), fit, cfg)[0]
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(0.4395, abs=1e-3)
 
@@ -100,8 +122,8 @@ class TestAlignmentLoss:
             e = np.zeros_like(mapped)
             e[i] = h
             fd = (
-                alignment_loss(mapped + e, fit, cfg)
-                - alignment_loss(mapped - e, fit, cfg)
+                alignment_loss_grad(mapped + e, fit, cfg)[0]
+                - alignment_loss_grad(mapped - e, fit, cfg)[0]
             ) / (2 * h)
             assert abs(fd - grad[i]) / abs(fd) < 1e-6
 
@@ -169,8 +191,8 @@ class TestTrainMapping:
         rng = np.random.default_rng(11)
         scaled = rng.uniform(0.0, 1.0, 400)
         fit = HalfGaussianFit(0.3)
-        cfg = AlignmentConfig(1000.0, 1000.0, learning_rate=0.02, epochs=3000, seed=0)
-        mapping = train_mapping(scaled, fit, cfg)
+        cfg = AlignmentConfig(1000.0, 1000.0)
+        mapping = train_mapping(scaled, fit, cfg, learning_rate=0.02, epochs=3000, seed=0)
         mapped = mapping(scaled)
         assert abs(mapped.mean() - fit.mu_hat) / fit.mu_hat < 0.10
         assert abs(mapped.std(ddof=1) - math.sqrt(fit.sigma_hat_sq)) / math.sqrt(
@@ -183,8 +205,8 @@ class TestTrainMapping:
         rng = np.random.default_rng(11)
         scaled = rng.uniform(0.0, 1.0, 400)
         fit = HalfGaussianFit(0.3)
-        cfg = AlignmentConfig(1.0, 1.0, learning_rate=0.05, epochs=1500, seed=0)
-        mapped = train_mapping(scaled, fit, cfg)(scaled)
+        cfg = AlignmentConfig(1.0, 1.0)
+        mapped = train_mapping(scaled, fit, cfg, learning_rate=0.05, epochs=1500, seed=0)(scaled)
         equilibrium = fit.mu_hat * (2 * fit.sigma**2) / (1 + 2 * fit.sigma**2)
         assert mapped.mean() == pytest.approx(equilibrium, rel=0.15)
 
@@ -192,18 +214,17 @@ class TestTrainMapping:
         rng = np.random.default_rng(12)
         scaled = rng.uniform(0.0, 1.0, 50)
         fit = HalfGaussianFit(0.4)
-        cfg = AlignmentConfig(1.0, 1.0, epochs=50, seed=9)
-        m1 = train_mapping(scaled, fit, cfg)
-        m2 = train_mapping(scaled, fit, cfg)
-        for k, v in m1.params().items():
-            np.testing.assert_array_equal(v, m2.params()[k])
+        cfg = AlignmentConfig(1.0, 1.0)
+        m1 = train_mapping(scaled, fit, cfg, epochs=50, seed=9)
+        m2 = train_mapping(scaled, fit, cfg, epochs=50, seed=9)
+        assert m1.to_dict() == m2.to_dict()
 
     def test_kl_drops_against_target(self):
         rng = np.random.default_rng(13)
         scaled = rng.uniform(0.2, 0.9, 600)
         fit = HalfGaussianFit(0.25)
-        cfg = AlignmentConfig(1.0, 1.0, learning_rate=0.05, epochs=600, seed=0)
-        mapping = train_mapping(scaled, fit, cfg)
+        cfg = AlignmentConfig(1.0, 1.0)
+        mapping = train_mapping(scaled, fit, cfg, learning_rate=0.05, epochs=600, seed=0)
         assert kl_histogram(mapping(scaled), fit, 40) < kl_histogram(scaled, fit, 40)
 
 

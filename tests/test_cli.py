@@ -89,3 +89,70 @@ class TestExitCodes:
                          "score-llm", "--data", str(run_dir / "D" / "data.csv")])
         assert code == 1
         assert "fixture has no entry" in capsys.readouterr().err
+
+
+def _bad_score_file(run_dir, path, case):
+    """The gen-data fixture with its first window (a training window) broken."""
+    lines = (run_dir / "D" / "llm_fixture.jsonl").read_text().splitlines()
+    first = json.loads(lines[0])
+    if case == "missing window":
+        lines = lines[1:]
+    elif case == "one score short":
+        first["scores"] = first["scores"][:-1]
+    elif case == "score 1.5":
+        first["scores"][0] = 1.5
+    elif case == "scores not numbers":
+        first["scores"] = "abc"
+    if case != "missing window":
+        lines[0] = json.dumps(first)
+    path.write_text("\n".join(lines) + "\n")
+
+
+BAD_SCORE_MESSAGES = {
+    "missing window": "fixture has no entry",
+    "one score short": "scores, expected 200",
+    "score 1.5": "outside [0, 1]",
+    "scores not numbers": "fixture line 1: scores are not numbers",
+}
+
+
+class TestBadScoreFiles:
+    """Every command that reads LLM scores exits 1 with one error line."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_SCORE_MESSAGES))
+    @pytest.mark.parametrize("command", ["score-llm", "train-collab", "detect"])
+    def test_exits_1_with_an_error_line(self, run_dir, tmp_path, capsys, command, case):
+        bad = tmp_path / "bad.jsonl"
+        _bad_score_file(run_dir, bad, case)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epochs_collab": 1, "window_len": 200,
+                                   "llm_mode": f"mock:{bad}"}))
+        args = {
+            "score-llm": [],
+            "train-collab": ["--tsadm", str(run_dir / "tsadm" / "tsadm.json"),
+                             "--llm-scores", str(bad)],
+            "detect": ["--pipeline", str(run_dir / "collab" / "pipeline.json"),
+                       "--llm-scores", str(bad)],
+        }[command]
+        code = cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), command,
+                         "--data", str(run_dir / "D" / "data.csv"), *args])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert BAD_SCORE_MESSAGES[case] in err
+        assert "Traceback" not in err
+
+
+class TestBadCsv:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_its_line(self, run_dir, tmp_path, capsys, value):
+        lines = (run_dir / "D" / "data.csv").read_text().splitlines()
+        t, _, label = lines[50].split(",")
+        lines[50] = f"{t},{value},{label}"
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join(lines) + "\n")
+        code = cli.main(["--config", str(run_dir / "cfg.json"), "--out", str(tmp_path / "t"),
+                         "train-tsadm", "--data", str(data)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: line 51: value is not finite\n"

@@ -17,17 +17,12 @@ from collate.collab import (
     FusionPipeline,
     LossVariant,
     TrainingCurves,
-    collaborative_loss,
     collaborative_loss_grad,
-    collaborative_loss_naive,
-    conditional_forward,
     detect,
-    mse_variant_loss,
     mse_variant_loss_grad,
     train_collab,
 )
 from collate.core import (
-    NormalizationConfig,
     ScoreKind,
     ScoreSeries,
     TimeSeriesWindow,
@@ -44,6 +39,22 @@ def weights(lam1):
     return lam1, 1.0 - lam1
 
 
+def collaborative_loss_naive(s_hat, s, llm, lam1, lam2):
+    """Reference: the collaborative loss as the literal double sum."""
+    s_hat = np.asarray(s_hat, float).reshape(-1)
+    s = np.asarray(s, float).reshape(-1)
+    llm = np.asarray(llm, float).reshape(-1)
+    n = _check_lengths(s_hat, s, llm)
+    total = 0.0
+    for i in range(n):
+        for j in range(n):
+            pair1 = 0.5 * (lam1[i] + lam1[j])
+            pair2 = 0.5 * (lam2[i] + lam2[j])
+            d_hat = s_hat[i] - s_hat[j]
+            total += pair1 * (s[i] - s[j]) * d_hat + pair2 * (llm[i] - llm[j]) * d_hat
+    return -total / n**2
+
+
 score_vec = st.lists(st.floats(0, 1), min_size=2, max_size=12)
 
 
@@ -54,7 +65,8 @@ class TestConditionalNet:
         net.w2[:] = 0.0
         net.b1[:] = 0.0
         net.b2 = 0.0
-        assert conditional_forward(net, 0.7, 0.2, np.ones(3)) == pytest.approx(0.5)
+        out, _ = net.forward(np.array([0.2]), np.array([0.7]), np.ones((1, 3)))
+        assert out[0] == pytest.approx(0.5)
 
     def test_output_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(1)
@@ -107,14 +119,14 @@ class TestConditionalNet:
 class TestCollaborativeLoss:
     def test_two_slot_example(self):
         s = np.array([0.0, 1.0])
-        loss = collaborative_loss(s, s, s, *weights(np.array([0.5, 0.5])))
+        loss = collaborative_loss_grad(s, s, s, *weights(np.array([0.5, 0.5])))[0]
         assert loss == pytest.approx(-0.5)
 
     def test_constant_output_zero_loss(self):
         rng = np.random.default_rng(0)
         s, llm = rng.uniform(0, 1, 9), rng.uniform(0, 1, 9)
         lam = rng.uniform(0, 1, 9)
-        loss = collaborative_loss(np.full(9, 0.4), s, llm, *weights(lam))
+        loss = collaborative_loss_grad(np.full(9, 0.4), s, llm, *weights(lam))[0]
         assert loss == pytest.approx(0.0, abs=1e-15)
 
     def test_reversal_flips_sign(self):
@@ -122,19 +134,19 @@ class TestCollaborativeLoss:
         s, llm = rng.uniform(0, 1, 8), rng.uniform(0, 1, 8)
         s_hat = rng.uniform(0, 1, 8)
         lam = weights(rng.uniform(0, 1, 8))
-        assert collaborative_loss(1.0 - s_hat, s, llm, *lam) == pytest.approx(
-            -collaborative_loss(s_hat, s, llm, *lam)
+        assert collaborative_loss_grad(1.0 - s_hat, s, llm, *lam)[0] == pytest.approx(
+            -collaborative_loss_grad(s_hat, s, llm, *lam)[0]
         )
 
     def test_self_alignment_is_negative_spread(self):
         rng = np.random.default_rng(2)
         s = rng.uniform(0, 1, 7)
         lam = weights(np.ones(7))
-        loss = collaborative_loss(s, s, np.zeros(7), *lam)
+        loss = collaborative_loss_grad(s, s, np.zeros(7), *lam)[0]
         expected = -np.sum((s[:, None] - s[None, :]) ** 2) / 49.0
         assert loss == pytest.approx(expected)
         assert loss <= 0.0
-        const = collaborative_loss(np.full(7, 0.3), np.full(7, 0.3), np.zeros(7), *lam)
+        const = collaborative_loss_grad(np.full(7, 0.3), np.full(7, 0.3), np.zeros(7), *lam)[0]
         assert const == pytest.approx(0.0, abs=1e-15)
 
     @given(score_vec, score_vec, score_vec, score_vec)
@@ -144,8 +156,8 @@ class TestCollaborativeLoss:
         if n < 2:
             return
         pw = weights(np.asarray(lam[:n]))
-        fast = collaborative_loss(np.asarray(s_hat[:n]), np.asarray(s[:n]),
-                                  np.asarray(llm[:n]), *pw)
+        fast = collaborative_loss_grad(np.asarray(s_hat[:n]), np.asarray(s[:n]),
+                                       np.asarray(llm[:n]), *pw)[0]
         slow = collaborative_loss_naive(np.asarray(s_hat[:n]), np.asarray(s[:n]),
                                         np.asarray(llm[:n]), *pw)
         assert fast == pytest.approx(slow, abs=1e-12)
@@ -159,8 +171,8 @@ class TestCollaborativeLoss:
         n = len(s_hat)
         s, llm = rng.uniform(0, 1, n), rng.uniform(0, 1, n)
         pw = weights(rng.uniform(0, 1, n))
-        a = collaborative_loss(np.asarray(s_hat), s, llm, *pw)
-        b = collaborative_loss(np.asarray(s_hat) + c, s, llm, *pw)
+        a = collaborative_loss_grad(np.asarray(s_hat), s, llm, *pw)[0]
+        b = collaborative_loss_grad(np.asarray(s_hat) + c, s, llm, *pw)[0]
         assert a == pytest.approx(b, abs=1e-10)
 
     def test_gradient_matches_finite_differences(self):
@@ -173,24 +185,24 @@ class TestCollaborativeLoss:
         for i in (0, 4, 8):
             e = np.zeros(n)
             e[i] = h
-            fd = (collaborative_loss(s_hat + e, s, llm, *pw)
-                  - collaborative_loss(s_hat - e, s, llm, *pw)) / (2 * h)
+            fd = (collaborative_loss_grad(s_hat + e, s, llm, *pw)[0]
+                  - collaborative_loss_grad(s_hat - e, s, llm, *pw)[0]) / (2 * h)
             assert abs(fd - grad[i]) / max(abs(fd), 1e-9) < 1e-6
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            collaborative_loss(np.ones(3), np.ones(4), np.ones(3), *weights(np.ones(3)))
+            collaborative_loss_grad(np.ones(3), np.ones(4), np.ones(3), *weights(np.ones(3)))
 
 
 class TestMseVariant:
     def test_direct_example(self):
-        loss = mse_variant_loss(np.array([0.5]), np.array([1.0]), np.array([0.0]),
-                                *weights(np.array([0.5])))
+        loss = mse_variant_loss_grad(np.array([0.5]), np.array([1.0]), np.array([0.0]),
+                                     *weights(np.array([0.5])))[0]
         assert loss == pytest.approx(0.25)
 
     def test_zero_at_agreement(self):
         v = np.array([0.3, 0.6, 0.9])
-        assert mse_variant_loss(v, v, v, *weights(np.full(3, 0.4))) == pytest.approx(0.0)
+        assert mse_variant_loss_grad(v, v, v, *weights(np.full(3, 0.4)))[0] == pytest.approx(0.0)
 
     def test_weighted_mean_is_stationary(self):
         rng = np.random.default_rng(4)
@@ -427,12 +439,12 @@ def _reference_train_collab(
     if not windows:
         raise ValueError("no training windows")
     raws = [scorer.score(w)[0].scores for w in windows]
-    divisor = score_range_divisor(np.concatenate(raws), NormalizationConfig(cfg.d))
+    divisor = score_range_divisor(np.concatenate(raws), cfg.d)
     streams = _reference_slot_streams(windows, scorer, llm_scores, divisor, cfg.patch_size)
 
     all_llm = np.concatenate([st[1] for st in streams])
     fit = align_mod.fit_half_gaussian(all_llm)
-    acfg = cfg.alignment_config()
+    acfg = align_mod.AlignmentConfig(cfg.lambda_hat_1, cfg.lambda_hat_2)
 
     use_mapping = variant is not LossVariant.NO_ALIGNMENT
     mapping = MonotoneMapping(cfg.mapping_hidden, seed=cfg.seed) if use_mapping else None
@@ -532,7 +544,7 @@ def _reference_train_collab(
         scorer=scorer,
         mapping=mapping,
         cond=cond,
-        normalization=NormalizationConfig(cfg.d),
+        d=cfg.d,
         score_divisor=divisor,
         patch_size=cfg.patch_size,
         variant=variant,

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from collate.core import (
-    NormalizationConfig,
     ScoreKind,
     ScoreSeries,
     TimeSeriesWindow,
@@ -41,18 +40,18 @@ class TestNormalizeScores:
 
     def test_unit_root_divides_by_range(self):
         values = np.array([0.0, 2.0, 4.0])
-        divisor = score_range_divisor(values, NormalizationConfig(1.0))
+        divisor = score_range_divisor(values, 1.0)
         assert divisor == 4.0
         np.testing.assert_allclose(values / divisor, [0.0, 0.5, 1.0])
 
     def test_square_root_can_exceed_one(self):
         values = np.array([0.0, 2.0, 4.0])
-        divisor = score_range_divisor(values, NormalizationConfig(2.0))
+        divisor = score_range_divisor(values, 2.0)
         np.testing.assert_allclose(values / divisor, [0.0, 1.0, 2.0])
 
     def test_constant_scores_rejected(self):
         with pytest.raises(DegenerateRange):
-            score_range_divisor(np.array([3.0, 3.0, 3.0]), NormalizationConfig(1.0))
+            score_range_divisor(np.array([3.0, 3.0, 3.0]), 1.0)
 
     @given(
         st.lists(st.floats(0, 100), min_size=2, max_size=30).filter(
@@ -62,21 +61,26 @@ class TestNormalizeScores:
     )
     @settings(max_examples=50, deadline=None)
     def test_scale_invariant_at_unit_root(self, values, c):
-        cfg = NormalizationConfig(1.0)
         a = np.asarray(values)
         b = c * a
         np.testing.assert_allclose(
-            a / score_range_divisor(a, cfg), b / score_range_divisor(b, cfg), atol=1e-9
+            a / score_range_divisor(a, 1.0), b / score_range_divisor(b, 1.0), atol=1e-9
         )
+
+    @pytest.mark.parametrize("d", [0.0, -1.0, float("nan"), float("inf")])
+    def test_root_exponent_must_be_finite_and_positive(self, d):
+        with pytest.raises(ValueError, match="d must be finite and positive"):
+            score_range_divisor(np.array([0.0, 1.0]), d)
 
 
 class TestPatchWeights:
     def test_hand_computed_example(self):
         w = TimeSeriesWindow(np.array([[0.0], [0.0], [10.0], [0.0]]))
         pw = patch_weights(w, 2)
-        assert pw.d_intra[2] == pytest.approx(10.0)
-        assert pw.d_inter[2] == pytest.approx(5.0)
-        assert pw.lambda1[2] == pytest.approx(2.0 / 3.0)
+        # slot 2: intra-patch distance 10 to slot 3; centroids 0 and 5 are 5 apart
+        assert pw.lambda1[2] == 10.0 / (10.0 + 5.0)
+        # slot 0: intra-patch distance 0 to slot 1, same inter-patch distance
+        assert pw.lambda1[0] == 0.0 / (0.0 + 5.0)
         assert pw.lambda2[2] == pytest.approx(1.0 / 3.0)
 
     def test_constant_window_falls_back_to_equal_weights(self):
@@ -101,8 +105,9 @@ class TestPatchWeights:
     def test_ragged_tail_merged_backward(self):
         vals = np.arange(5, dtype=float).reshape(-1, 1)
         pw = patch_weights(TimeSeriesWindow(vals), 2)
-        # final patch {4} is a single slot, so it merges into {2, 3}
-        assert pw.d_intra[4] == pytest.approx((2.0 + 1.0) / 2.0)
+        # final patch {4} is a single slot, so it merges into {2, 3}: slot 4's
+        # intra-patch distance is (2 + 1) / 2, and centroids 0.5 and 3 are 2.5 apart
+        assert pw.lambda1[4] == 1.5 / (1.5 + 2.5)
 
     def test_window_shorter_than_patch(self):
         with pytest.raises(WindowTooShort):

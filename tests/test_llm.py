@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -38,9 +40,9 @@ class TestMockScoring:
         calls = []
         real = llm.load_fixture
 
-        def counting(path):
+        def counting(path, ws):
             calls.append(path)
-            return real(path)
+            return real(path, ws)
 
         monkeypatch.setattr(llm, "load_fixture", counting)
         out = score(tmp_path / "f.jsonl", ws)
@@ -82,6 +84,41 @@ class TestMockScoring:
         write_fixture(tmp_path / "f.jsonl", {ws[0].window_id(): np.full(20, 1.5)})
         with pytest.raises(ScoreOutOfRange):
             score(tmp_path / "f.jsonl", ws)
+
+    @pytest.mark.parametrize("line", [
+        '[0.1, 0.2]',
+        '"w0"',
+        '{"window_id": "w0"}',
+        '{"window_id": "w0", "scores": "abc"}',
+        '{"window_id": "w0", "scores": ["0.5"]}',
+        '{"window_id": "w0", "scores": [true]}',
+        '{"window_id": "w0", "scores": null}',
+        '{"window_id": "w0", "scores": [[0.1], [0.2]]}',
+        '{"window_id": "w0", "scores": [[0.1], [0.2, 0.3]]}',
+    ])
+    def test_line_that_is_not_an_object_of_numbers(self, tmp_path, line):
+        (tmp_path / "f.jsonl").write_text(line + "\n")
+        with pytest.raises(MalformedResponse, match="fixture line 1"):
+            llm.load_fixture(tmp_path / "f.jsonl", windows(1))
+
+    def test_integer_scores_accepted(self, tmp_path):
+        ws = windows(1)
+        (tmp_path / "f.jsonl").write_text(json.dumps({"window_id": "w0", "scores": [0, 1] * 10}))
+        np.testing.assert_array_equal(llm.load_fixture(tmp_path / "f.jsonl", ws)["w0"].scores,
+                                      [0.0, 1.0] * 10)
+
+    def test_windows_checked_in_order_for_presence_then_length_then_range(self, tmp_path):
+        ws = windows(2)
+        path = tmp_path / "f.jsonl"
+        # ws[0] has 19 scores, all out of range; ws[1] is missing
+        write_fixture(path, {ws[0].window_id(): np.full(19, 1.5)})
+        with pytest.raises(MalformedResponse, match="has 19 scores, expected 20"):
+            llm.load_fixture(path, ws)
+        with pytest.raises(MissingFixture, match="fixture has no entry"):
+            llm.load_fixture(path, ws[::-1])
+        write_fixture(path, {ws[0].window_id(): np.full(20, 1.5)})
+        with pytest.raises(ScoreOutOfRange):
+            llm.load_fixture(path, ws[:1])
 
     def test_no_fixture_path(self):
         cfg = LlmBackendConfig(mode="mock")
