@@ -27,7 +27,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, data as data_mod
-from .benchmark import BenchmarkConfig, build_benchmark, default_collab_config, run_ablation
+from .benchmark import (
+    BenchmarkConfig,
+    build_benchmark,
+    default_collab_config,
+    run_ablation,
+    run_variant,
+)
 from .collab import CollabConfig, FusionPipeline, LossVariant, detect, train_collab
 from .core import ScoreSeries
 from .errors import CollateError, ConfigError, MissingArtifact
@@ -409,7 +415,7 @@ def cmd_ablate(cfg: RunConfig, out_dir: Path, grid: str | None) -> int:
         for dval in grid_spec.get("d", [ccfg.d]):
             for ps in grid_spec.get("patchSize", [ccfg.patch_size]):
                 gcfg = dataclasses.replace(ccfg, d=float(dval), patch_size=int(ps))
-                f1 = run_ablation(bench, gcfg)["collaborative"].f1
+                f1 = run_variant(bench, LossVariant.COLLABORATIVE, gcfg).f1
                 grid_rows.append([dval, ps, f1])
                 print(f"grid d={dval} patchSize={ps}: F1={f1:.4f}")
         outputs += emit_report(

@@ -166,18 +166,25 @@ class LlmBackendConfig:
 
 def load_fixture(path: str | Path, windows: list[TimeSeriesWindow]) -> dict[str, ScoreSeries]:
     """Validated LLM scores for ``windows`` from a JSONL file of
-    {"window_id": ..., "scores": [numbers]} lines; any other line raises
-    MalformedResponse."""
+    {"window_id": ..., "scores": [numbers]} lines; any other line, or a
+    window id on two lines, raises MalformedResponse."""
     table: dict[str, np.ndarray] = {}
+    line_of: dict[str, int] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
+            wid = obj["window_id"]
             scores = np.asarray(obj["scores"])
             if scores.ndim != 1 or scores.dtype.kind not in "iuf":
                 raise MalformedResponse(f"fixture line {lineno}: scores are not numbers")
-            table[obj["window_id"]] = scores.astype(np.float64)
+            if wid in line_of:
+                raise MalformedResponse(
+                    f"fixture lines {line_of[wid]} and {lineno} both hold window {wid!r}"
+                )
+            line_of[wid] = lineno
+            table[wid] = scores.astype(np.float64)
         except (ValueError, KeyError, TypeError) as exc:
             raise MalformedResponse(f"fixture line {lineno}: {exc}") from None
     return fixture_scores(table, windows)

@@ -6,6 +6,7 @@ independent and derive their own seeds, so they can run concurrently.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -16,6 +17,22 @@ from .alignment import AlignmentConfig, HalfGaussianFit
 from .collab import ConditionalNetParams, collaborative_loss_grad
 from .core import sigmoid
 from .errors import LengthMismatch
+
+# Scores (theorem2's ordering checks) or vertex losses (its optimum) this
+# close count as tied.
+TIE_TOL = 1e-6
+# lemma1's SGD: slots per batch and step size on the per-slot logits.
+LEMMA1_BATCH = 32
+LEMMA1_LR = 0.5
+# The Lipschitz probe's fusion net: representation width, hidden width, and
+# the sd of its drawn output bias; the published probe value it must stay under.
+LIPSCHITZ_REP_DIM = 4
+LIPSCHITZ_HIDDEN = 8
+LIPSCHITZ_B2_SCALE = 1.0
+LIPSCHITZ_PROBE_BOUND = 280.0
+# The alignment-equivalence sweep: bin counts, and the size of its fixed set.
+EQUIVALENCE_BIN_COUNTS = (10, 100, 1000, 10_000)
+EQUIVALENCE_N_SCORES = 64
 
 
 @dataclass(frozen=True)
@@ -85,56 +102,36 @@ class BruteForceResult:
     degenerate: bool
 
 
-def brute_force_optimal(
-    y: np.ndarray,
-    seed: int = 0,
-    n_starts: int = 32,
-    lr: float = 0.05,
-    max_iters: int = 5000,
-) -> BruteForceResult:
-    """Minimize the oracle objective over the unit box by projected gradient
-    descent from random starts, keeping the best.
+def brute_force_optimal(y: np.ndarray, seed: int = 0) -> BruteForceResult:
+    """Minimize the oracle objective over the unit box by evaluating it at
+    each of the 2^n box vertices (n <= 8).
 
-    The objective is linear in the scores, so every coordinate with a nonzero
-    gradient marches monotonically to a box face; descent stops at the
-    projection fixed point. ``degenerate`` flags starts that ended at
-    different points (coordinates whose gradient vanishes never move).
+    The objective is linear in the scores, so a vertex reaches its minimum.
+    Vertex losses within TIE_TOL of the minimum count as reaching it;
+    ``best`` is their mean, so a coordinate whose gradient vanishes sits at
+    0.5, and ``degenerate`` flags more than one such vertex. ``seed`` has no
+    effect; the enumeration draws nothing at random.
     """
     y = np.asarray(y, dtype=np.float64).reshape(-1)
-    n = y.size
-    if n > 8:
+    if y.size > 8:
         raise ValueError("brute force is for small instances (n <= 8)")
-    rng = np.random.default_rng(seed)
-    grad = -2.0 * (n * y - y.sum())
-    optima = np.empty((n_starts, n))
-    losses = np.empty(n_starts)
-    for s in range(n_starts):
-        point = rng.uniform(0.0, 1.0, n)
-        for _ in range(max_iters):
-            nxt = np.clip(point - lr * grad, 0.0, 1.0)
-            if np.array_equal(nxt, point):
-                break
-            point = nxt
-        optima[s] = point
-        losses[s] = oracle_loss(point, y)
-    best = int(np.argmin(losses))
-    degenerate = bool(np.ptp(optima, axis=0).max() > 1e-9)
+    vertices = np.array(list(itertools.product((0.0, 1.0), repeat=y.size)))
+    losses = np.array([oracle_loss(v, y) for v in vertices])
+    minimal = losses <= losses.min() + TIE_TOL
     return BruteForceResult(
-        best=optima[best],
-        loss=float(losses[best]),
+        best=vertices[minimal].mean(axis=0),
+        loss=float(losses.min()),
         all_losses=losses,
-        degenerate=degenerate,
+        degenerate=bool(minimal.sum() > 1),
     )
 
 
-def check_theorem2(
-    trials: int, n: int = 5, seed: int = 0, tie_tol: float = 1e-6
-) -> TheoryReport:
+def check_theorem2(trials: int, n: int = 5, seed: int = 0) -> TheoryReport:
     """Ordering properties of the oracle optimum on random instances.
 
     Per trial: draw y with distinct entries, brute-force the optimum, then
-    require (P1) y_r > y_k implies S*_r > S*_k - tol for every pair, and (P2)
-    y_r - y_k > y_r' - y_k' implies (S*_r - S*_k) > (S*_r' - S*_k') - tol on
+    require (P1) y_r > y_k implies S*_r > S*_k - TIE_TOL for every pair, and
+    (P2) y_r - y_k > y_r' - y_k' implies (S*_r - S*_k) > (S*_r' - S*_k') - TIE_TOL on
     100 random quadruples. The statistic is the fraction of trials where both
     hold; the target is every trial passing.
     """
@@ -142,22 +139,21 @@ def check_theorem2(
     passed_trials = 0
     p1_failures = 0
     p2_failures = 0
-    for trial in range(trials):
+    for _ in range(trials):
         y = rng.uniform(0.0, 1.0, n)
         while np.unique(y).size < n:
             y = rng.uniform(0.0, 1.0, n)
-        result = brute_force_optimal(y, seed=seed + 1000 + trial)
-        s_star = result.best
+        s_star = brute_force_optimal(y).best
         ok = True
         for r in range(n):
             for k in range(n):
-                if y[r] > y[k] and not (s_star[r] > s_star[k] - tie_tol):
+                if y[r] > y[k] and not (s_star[r] > s_star[k] - TIE_TOL):
                     ok = False
                     p1_failures += 1
         for _ in range(100):
             r, k, rp, kp = rng.integers(0, n, 4)
             if y[r] - y[k] > y[rp] - y[kp]:
-                if not ((s_star[r] - s_star[k]) > (s_star[rp] - s_star[kp]) - tie_tol):
+                if not ((s_star[r] - s_star[k]) > (s_star[rp] - s_star[kp]) - TIE_TOL):
                     ok = False
                     p2_failures += 1
         if ok:
@@ -250,8 +246,6 @@ def check_lemma1(
     y: np.ndarray,
     steps: int = 10_000,
     seed: int = 0,
-    batch: int = 32,
-    lr: float = 0.5,
     window: int = 500,
     resamples: int = 10_000,
 ) -> TheoryReport:
@@ -266,8 +260,8 @@ def check_lemma1(
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if steps < 1000:
         raise ValueError("need at least 1e3 steps")
-    noisy_grads, noisy_thetas = _pairwise_sgd(y, noise, steps, batch, lr, seed)
-    clean_grads, clean_thetas = _pairwise_sgd(y, None, steps, batch, lr, seed)
+    noisy_grads, noisy_thetas = _pairwise_sgd(y, noise, steps, LEMMA1_BATCH, LEMMA1_LR, seed)
+    clean_grads, clean_thetas = _pairwise_sgd(y, None, steps, LEMMA1_BATCH, LEMMA1_LR, seed)
 
     kernel = np.ones(window) / window
     gap = np.linalg.norm(
@@ -292,15 +286,15 @@ def check_lemma1(
     theta0 = noisy_thetas[steps // 2]
     rng = np.random.default_rng(seed + 7)
     n = y.size
-    lam = np.full(batch, 0.5)
+    lam = np.full(LEMMA1_BATCH, 0.5)
     diffs = np.empty((resamples, n))
-    idx = rng.choice(n, size=batch, replace=False)
+    idx = rng.choice(n, size=LEMMA1_BATCH, replace=False)
     s_hat = sigmoid(theta0[idx])
     chain = s_hat * (1.0 - s_hat)
     _, clean_dhat = collaborative_loss_grad(s_hat, y[idx], y[idx], lam, lam)
     for r in range(resamples):
-        s_obs = y[idx] + noise.sample_s(rng, batch)
-        llm_obs = y[idx] + noise.sample_llm(rng, batch)
+        s_obs = y[idx] + noise.sample_s(rng, LEMMA1_BATCH)
+        llm_obs = y[idx] + noise.sample_llm(rng, LEMMA1_BATCH)
         _, dhat = collaborative_loss_grad(s_hat, s_obs, llm_obs, lam, lam)
         row = np.zeros(n)
         row[idx] = (dhat - clean_dhat) * chain
@@ -327,16 +321,11 @@ def check_lemma1(
     )
 
 
-def estimate_lipschitz(
-    y: np.ndarray,
-    param_pairs: int = 200,
-    seed: int = 0,
-    rep_dim: int = 4,
-    hidden: int = 8,
-    scale: float = 1.0,
-) -> float:
+def lipschitz_report(y: np.ndarray, param_pairs: int = 200, seed: int = 0) -> TheoryReport:
     """Largest observed |L*(theta1) - L*(theta2)| / ||theta1 - theta2|| over
-    random parameter pairs of the fusion network on fixed inputs."""
+    random parameter pairs of the fusion network on fixed inputs, against
+    the published probe value; the artifact claims only that its own
+    estimate stays below that probe."""
     if param_pairs < 100:
         raise ValueError("need at least 100 parameter pairs")
     y = np.asarray(y, dtype=np.float64).reshape(-1)
@@ -344,7 +333,7 @@ def estimate_lipschitz(
     rng = np.random.default_rng(seed)
     llm = np.clip(y + rng.normal(0, 0.05, n), 0, 1)
     aligned = np.clip(y + rng.normal(0, 0.05, n), 0, 1)
-    rep = rng.normal(0, 1.0, (n, rep_dim))
+    rep = rng.normal(0, 1.0, (n, LIPSCHITZ_REP_DIM))
 
     def loss_of(net: ConditionalNetParams) -> float:
         out, _ = net.forward(llm, aligned, rep)
@@ -355,42 +344,28 @@ def estimate_lipschitz(
             [net.w1.ravel(), net.b1, net.w2, np.array([net.b2])]
         )
 
-    best = 0.0
+    estimate = 0.0
     for pair in range(param_pairs):
-        n1 = ConditionalNetParams(rep_dim, hidden, seed=seed + 2 * pair)
-        n2 = ConditionalNetParams(rep_dim, hidden, seed=seed + 2 * pair + 1)
-        n1.b2 = float(rng.normal(0, scale))
-        n2.b2 = float(rng.normal(0, scale))
+        n1 = ConditionalNetParams(LIPSCHITZ_REP_DIM, LIPSCHITZ_HIDDEN, seed=seed + 2 * pair)
+        n2 = ConditionalNetParams(LIPSCHITZ_REP_DIM, LIPSCHITZ_HIDDEN, seed=seed + 2 * pair + 1)
+        n1.b2 = float(rng.normal(0, LIPSCHITZ_B2_SCALE))
+        n2.b2 = float(rng.normal(0, LIPSCHITZ_B2_SCALE))
         dist = float(np.linalg.norm(flat(n1) - flat(n2)))
         if dist == 0.0:
             continue
-        ratio = abs(loss_of(n1) - loss_of(n2)) / dist
-        best = max(best, ratio)
-    return best
-
-
-def lipschitz_report(
-    y: np.ndarray, param_pairs: int = 200, seed: int = 0, probe_bound: float = 280.0
-) -> TheoryReport:
-    """Wrap the Lipschitz estimate against the published probe value; the
-    artifact claims only that its own estimate stays below that probe."""
-    estimate = estimate_lipschitz(y, param_pairs, seed)
+        estimate = max(estimate, abs(loss_of(n1) - loss_of(n2)) / dist)
     return TheoryReport(
         theorem="lipschitz_probe",
         trials=param_pairs,
         statistic=estimate,
-        bound=probe_bound,
-        passed=bool(np.isfinite(estimate) and 0.0 < estimate <= probe_bound),
+        bound=LIPSCHITZ_PROBE_BOUND,
+        passed=bool(np.isfinite(estimate) and 0.0 < estimate <= LIPSCHITZ_PROBE_BOUND),
         seed=seed,
         lipschitz=estimate,
     )
 
 
-def check_alignment_equivalence(
-    seed: int = 1,
-    bin_counts: tuple[int, ...] = (10, 100, 1000, 10_000),
-    n_scores: int = 64,
-) -> TheoryReport:
+def check_alignment_equivalence(seed: int = 1) -> TheoryReport:
     """Binned objective converges to the differentiable alignment loss.
 
     On a fixed mapped set with densities bounded away from zero, the absolute
@@ -401,20 +376,20 @@ def check_alignment_equivalence(
     mask the generic O(1/N) decay this check certifies.
     """
     rng = np.random.default_rng(seed)
-    mapped = rng.uniform(0.05, 0.9, n_scores)
+    mapped = rng.uniform(0.05, 0.9, EQUIVALENCE_N_SCORES)
     fit = HalfGaussianFit(sigma=0.45)
     assert align_mod.half_gaussian_density(fit, mapped).min() > 0.01
     cfg = AlignmentConfig(lambda_hat_1=0.0, lambda_hat_2=0.0)
     continuous = align_mod.alignment_loss_grad(mapped, fit, cfg)[0]
     gaps = [
         abs(align_mod.discrete_alignment_objective(mapped, fit, nb, cfg) - continuous)
-        for nb in bin_counts
+        for nb in EQUIVALENCE_BIN_COUNTS
     ]
     decreasing = all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
     rel = gaps[-1] / abs(continuous)
     return TheoryReport(
         theorem="alignment_equivalence",
-        trials=len(bin_counts),
+        trials=len(EQUIVALENCE_BIN_COUNTS),
         statistic=rel,
         bound=0.01,
         passed=bool(decreasing and rel < 0.01),

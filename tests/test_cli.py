@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from collate import cli
+from collate import benchmark, cli
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +103,8 @@ def _bad_score_file(run_dir, path, case):
         first["scores"][0] = 1.5
     elif case == "scores not numbers":
         first["scores"] = "abc"
+    elif case == "duplicate window":
+        lines.append(json.dumps({**first, "scores": [0.0] * len(first["scores"])}))
     if case != "missing window":
         lines[0] = json.dumps(first)
     path.write_text("\n".join(lines) + "\n")
@@ -113,6 +115,7 @@ BAD_SCORE_MESSAGES = {
     "one score short": "scores, expected 200",
     "score 1.5": "outside [0, 1]",
     "scores not numbers": "fixture line 1: scores are not numbers",
+    "duplicate window": "both hold window",
 }
 
 
@@ -156,3 +159,42 @@ class TestBadCsv:
         err = capsys.readouterr().err
         assert code == 1
         assert err == "error: line 51: value is not finite\n"
+
+
+class TestAblateGrid:
+    def test_grid_point_trains_only_the_collaborative_variant(self, tmp_path, monkeypatch):
+        trained = []
+        real = benchmark.train_collab
+
+        def counting(windows, scorer, llm_scores, variant, *args, **kwargs):
+            trained.append(variant.value)
+            return real(windows, scorer, llm_scores, variant, *args, **kwargs)
+
+        monkeypatch.setattr(benchmark, "train_collab", counting)
+        # the grid point repeats the table's own d and patchSize
+        grid = json.dumps({"d": [1.0], "patchSize": [2]})
+        assert cli.main(["--out", str(tmp_path), "ablate", "--grid", grid]) == 0
+        # four table variants, then one run for the grid point
+        assert len(trained) == 5
+        assert trained[-1] == "collaborative"
+        rows = [ln.split(",") for ln in (tmp_path / "ablation.csv").read_text().splitlines()]
+        collaborative = next(r for r in rows if r[0] == "collaborative")
+        grid_rows = (tmp_path / "grid.csv").read_text().splitlines()
+        assert grid_rows == ["d,patchSize,f1", f"1.0,2,{collaborative[3]}"]
+
+
+class TestVerify:
+    def test_seed_0_fails_theorem2_only(self, tmp_path, capsys):
+        assert cli.main(["--seed", "0", "--out", str(tmp_path), "verify"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [ln for ln in lines if ln.startswith("[FAIL]")] == [
+            "[FAIL] theorem2: statistic=0.67 bound=1"
+        ]
+        assert sum(ln.startswith("[PASS]") for ln in lines) == 4
+        reports = json.loads((tmp_path / "theory_reports.json").read_text())
+        assert [r["theorem"] for r in reports] == [
+            "theorem1", "theorem2", "lemma1", "lipschitz_probe", "alignment_equivalence"
+        ]
+        theorem2 = reports[1]
+        assert theorem2["statistic"] == 0.67 and not theorem2["pass"]
+        assert theorem2["details"] == {"p1_failures": 0, "p2_failures": 60}

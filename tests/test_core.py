@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from collate.core import (
     ScoreKind,
@@ -59,10 +59,16 @@ class TestNormalizeScores:
         ),
         st.floats(0.1, 50),
     )
+    # c * values underflows to a zero range
+    @example([0.0, 5e-324], 0.5)
     @settings(max_examples=50, deadline=None)
     def test_scale_invariant_at_unit_root(self, values, c):
         a = np.asarray(values)
         b = c * a
+        if np.ptp(b) == 0.0:
+            with pytest.raises(DegenerateRange):
+                score_range_divisor(b, 1.0)
+            return
         np.testing.assert_allclose(
             a / score_range_divisor(a, 1.0), b / score_range_divisor(b, 1.0), atol=1e-9
         )

@@ -101,6 +101,15 @@ class TestMockScoring:
         with pytest.raises(MalformedResponse, match="fixture line 1"):
             llm.load_fixture(tmp_path / "f.jsonl", windows(1))
 
+    def test_repeated_window_names_both_lines(self, tmp_path):
+        ws = windows(1)
+        wid = ws[0].window_id()
+        lines = [json.dumps({"window_id": wid, "scores": [v] * 20}) for v in (0.9, 0.1)]
+        (tmp_path / "f.jsonl").write_text(lines[0] + "\n\n" + lines[1] + "\n")
+        with pytest.raises(MalformedResponse,
+                           match=f"fixture lines 1 and 3 both hold window '{wid}'"):
+            llm.load_fixture(tmp_path / "f.jsonl", ws)
+
     def test_integer_scores_accepted(self, tmp_path):
         ws = windows(1)
         (tmp_path / "f.jsonl").write_text(json.dumps({"window_id": "w0", "scores": [0, 1] * 10}))

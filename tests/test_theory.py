@@ -9,7 +9,6 @@ from collate.theory import (
     check_lemma1,
     check_theorem1,
     check_theorem2,
-    estimate_lipschitz,
     lipschitz_report,
     oracle_loss,
 )
@@ -85,8 +84,11 @@ class TestBruteForce:
         np.testing.assert_allclose(res.all_losses, 0.0, atol=1e-12)
 
     def test_order_matches_truth_order(self):
+        # n y_2 = 1.5 = sum(y): S*_2 = 0 and 1 reach the same minimum, so the
+        # tied coordinate sits at 0.5
         res = brute_force_optimal(np.array([0.2, 0.8, 0.5]), seed=1)
-        assert res.best[0] < res.best[2] < res.best[1]
+        np.testing.assert_array_equal(res.best, [0.0, 1.0, 0.5])
+        assert res.degenerate
 
     def test_agrees_with_exhaustive_grid_n2(self):
         y = np.array([0.3, 0.7])
@@ -101,6 +103,18 @@ class TestBruteForce:
     def test_size_cap(self):
         with pytest.raises(ValueError):
             brute_force_optimal(np.zeros(9))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_optimum_is_the_sign_rule(self, n):
+        # the gradient is -2(n y_i - sum(y)), so S*_i = 1 exactly where
+        # n y_i exceeds sum(y)
+        for seed in range(5):
+            y = np.random.default_rng(100 * n + seed).uniform(0, 1, n)
+            res = brute_force_optimal(y)
+            np.testing.assert_array_equal(res.best, (n * y > y.sum()).astype(float))
+            assert not res.degenerate
+            assert res.all_losses.shape == (2**n,)
+            assert res.loss == res.all_losses.min()
 
 
 class TestPerturbation:
@@ -181,7 +195,7 @@ class TestLemma1:
 class TestLipschitz:
     def test_estimate_finite_positive(self):
         rng = np.random.default_rng(2)
-        est = estimate_lipschitz(rng.uniform(0, 1, 30), param_pairs=120, seed=0)
+        est = lipschitz_report(rng.uniform(0, 1, 30), param_pairs=120, seed=0).statistic
         assert np.isfinite(est) and est > 0.0
 
     def test_probe_report(self):
@@ -192,7 +206,7 @@ class TestLipschitz:
 
     def test_requires_enough_pairs(self):
         with pytest.raises(ValueError):
-            estimate_lipschitz(np.linspace(0, 1, 8), param_pairs=10)
+            lipschitz_report(np.linspace(0, 1, 8), param_pairs=10)
 
 
 class TestEquivalence:
