@@ -35,7 +35,6 @@ from .benchmark import (
     run_variant,
 )
 from .collab import CollabConfig, FusionPipeline, LossVariant, detect, train_collab
-from .core import ScoreSeries
 from .errors import CollateError, ConfigError, MissingArtifact
 from .evaluate import (
     best_f1_threshold,
@@ -43,14 +42,7 @@ from .evaluate import (
     per_kind_metrics,
     score_overlay_svg,
 )
-from .llm import (
-    ExampleStore,
-    LlmBackendConfig,
-    load_fixture,
-    mgab_template,
-    score_windows,
-    write_fixture,
-)
+from .llm import LlmBackendConfig, load_fixture, mgab_template, score_windows, write_fixture
 from .theory import run_all_checks
 from .tsadm import TsadmConfig, TsadmModel, train_tsadm
 
@@ -236,15 +228,13 @@ def cmd_train_tsadm(cfg: RunConfig, data_path: Path, out_dir: Path) -> int:
     return 0
 
 
-def cmd_score_llm(cfg: RunConfig, data_path: Path, out_dir: Path, runs: int,
-                  pick: str) -> int:
-    """Request LLM scores for every window of the dataset.
+def cmd_score_llm(cfg: RunConfig, data_path: Path, out_dir: Path) -> int:
+    """Request LLM scores for every window of the dataset, one zero-shot
+    prompt per window in live mode.
 
-    ``runs``/``pick`` control repeat-and-select for the live backend (the
-    published protocol reran the model and kept one run); the mock backend is
-    deterministic so one run suffices. A relative mock fixture path in
-    ``llm_mode`` names a file next to the dataset, where ``gen-data`` writes
-    it, whatever the working directory.
+    A relative mock fixture path in ``llm_mode`` names a file next to the
+    dataset, where ``gen-data`` writes it, whatever the working directory.
+    A window too long for one prompt is a config error (exit 2).
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     series = _load_labeled(data_path)
@@ -255,22 +245,12 @@ def cmd_score_llm(cfg: RunConfig, data_path: Path, out_dir: Path, runs: int,
     if backend.mode == "mock":
         _require(Path(backend.fixture_path), "mock fixture")
         inputs.append(Path(backend.fixture_path))
-        runs = 1
-    store = ExampleStore(capacity=16)
-    best: dict[str, ScoreSeries] | None = None
-    for r in range(runs):
-        scored = score_windows(backend, windows, store, mgab_template())
-        if best is None or (pick == "best" and _mean_score(scored) > _mean_score(best)):
-            best = scored
+    scored = score_windows(backend, windows, mgab_template())
     out_path = out_dir / "llm_scores.jsonl"
-    write_fixture(out_path, {wid: s.scores for wid, s in best.items()})
+    write_fixture(out_path, {wid: s.scores for wid, s in scored.items()})
     write_manifest(out_dir, "score-llm", cfg, inputs, [out_path])
     print(f"wrote {out_path}")
     return 0
-
-
-def _mean_score(scored: dict[str, ScoreSeries]) -> float:
-    return float(np.mean([s.scores.mean() for s in scored.values()]))
 
 
 def cmd_train_collab(cfg: RunConfig, data_path: Path, tsadm_path: Path,
@@ -386,43 +366,60 @@ def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
     return 0 if all_pass else 1
 
 
+def _grid_points(grid: str, cfg: RunConfig, default: CollabConfig) -> list[tuple]:
+    """The (d, patchSize) points of an ``ablate --grid`` JSON object whose
+    keys are among d and patchSize, each a nonempty list; a key left out
+    takes the ablation's own value. Every point must pass the config file's
+    checks."""
+    try:
+        spec = json.loads(grid)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"--grid must be JSON: {exc}") from None
+    if not isinstance(spec, dict):
+        raise ConfigError("--grid must be a JSON object")
+    unknown = set(spec) - {"d", "patchSize"}
+    if unknown:
+        raise ConfigError(f"--grid keys must be among ['d', 'patchSize'], got {sorted(unknown)}")
+    for key, values in spec.items():
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"--grid {key} must be a nonempty list, got {values!r}")
+    points = [(d, ps) for d in spec.get("d", [default.d])
+              for ps in spec.get("patchSize", [default.patch_size])]
+    for d, ps in points:
+        try:
+            dataclasses.replace(cfg, d=d, patchSize=ps).validate()
+        except ConfigError as exc:
+            raise ConfigError(f"--grid: {exc}") from None
+    return points
+
+
 def cmd_ablate(cfg: RunConfig, out_dir: Path, grid: str | None) -> int:
     """Run the complementary-scorer benchmark over every fusion variant (plus
     single-model rows); optionally sweep a JSON grid of hyperparameters."""
+    ccfg = default_collab_config(seed=cfg.seed)
+    points = _grid_points(grid, cfg, ccfg) if grid else []
     out_dir.mkdir(parents=True, exist_ok=True)
     bench = build_benchmark(BenchmarkConfig(seed=cfg.seed))
-    ccfg = default_collab_config(seed=cfg.seed)
     results = run_ablation(bench, ccfg)
-    header = ["variant", "precision", "recall", "f1"]
-    rows = [[name, m.precision, m.recall, m.f1] for name, m in results.items()]
-    outputs = emit_report(
-        out_dir,
-        {
-            "variants": {n: m.to_dict() for n, m in results.items()},
-            "config_echo": dataclasses.asdict(cfg),
-            "seed": cfg.seed,
-        },
-        curves={"ablation": (header, rows)},
-    )
     for name, m in results.items():
         print(f"{name:15s} F1={m.f1:.4f}")
-    if grid:
-        try:
-            grid_spec = json.loads(grid)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"--grid must be JSON: {exc}") from None
+    payload = {
+        "variants": {n: m.to_dict() for n, m in results.items()},
+        "config_echo": dataclasses.asdict(cfg),
+        "seed": cfg.seed,
+    }
+    rows = [[n, m.precision, m.recall, m.f1] for n, m in results.items()]
+    curves = {"ablation": (["variant", "precision", "recall", "f1"], rows)}
+    if points:
         grid_rows = []
-        for dval in grid_spec.get("d", [ccfg.d]):
-            for ps in grid_spec.get("patchSize", [ccfg.patch_size]):
-                gcfg = dataclasses.replace(ccfg, d=float(dval), patch_size=int(ps))
-                f1 = run_variant(bench, LossVariant.COLLABORATIVE, gcfg).f1
-                grid_rows.append([dval, ps, f1])
-                print(f"grid d={dval} patchSize={ps}: F1={f1:.4f}")
-        outputs += emit_report(
-            out_dir,
-            {"grid": grid_rows, "config_echo": dataclasses.asdict(cfg), "seed": cfg.seed},
-            curves={"grid": (["d", "patchSize", "f1"], grid_rows)},
-        )
+        for dval, ps in points:
+            gcfg = dataclasses.replace(ccfg, d=float(dval), patch_size=ps)
+            f1 = run_variant(bench, LossVariant.COLLABORATIVE, gcfg).f1
+            grid_rows.append([dval, ps, f1])
+            print(f"grid d={dval} patchSize={ps}: F1={f1:.4f}")
+        payload["grid"] = grid_rows
+        curves["grid"] = (["d", "patchSize", "f1"], grid_rows)
+    outputs = emit_report(out_dir, payload, curves=curves)
     write_manifest(out_dir, "ablate", cfg, [], outputs)
     return 0
 
@@ -448,8 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("score-llm", help="fetch LLM scores per window")
     p.add_argument("--data", type=Path, required=True)
-    p.add_argument("--runs", type=int, default=1)
-    p.add_argument("--pick", choices=("first", "best"), default="first")
 
     p = sub.add_parser("train-collab", help="train mapping + fusion network")
     p.add_argument("--data", type=Path, required=True)
@@ -490,7 +485,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "train-tsadm":
             return cmd_train_tsadm(cfg, args.data, out)
         if args.command == "score-llm":
-            return cmd_score_llm(cfg, args.data, out, args.runs, args.pick)
+            return cmd_score_llm(cfg, args.data, out)
         if args.command == "train-collab":
             return cmd_train_collab(cfg, args.data, args.tsadm, args.llm_scores, out)
         if args.command == "detect":

@@ -26,12 +26,7 @@ from .core import (
     score_range_divisor,
     sigmoid,
 )
-from .errors import (
-    LengthMismatch,
-    MissingLlmScores,
-    NonConvergence,
-    ShapeMismatch,
-)
+from .errors import LengthMismatch, NonConvergence, ShapeMismatch
 from .optim import Adam
 
 _LEAKY_SLOPE = 0.01
@@ -375,11 +370,13 @@ def train_collab(
 ) -> tuple[FusionPipeline, TrainingCurves]:
     """Joint minibatch SGD over the monotone mapping and the fusion network.
 
-    The scorer stays frozen. Batches are contiguous blocks of ``batch_size``
-    slots inside one window, so the pairwise terms see both near and far slots;
-    block order is reshuffled each epoch under the run seed. The NO_ALIGNMENT
-    variant feeds scaled scores straight into the network and skips both the
-    mapping and the alignment term.
+    ``llm_scores`` holds every window's scores at the window's length, as
+    ``llm.load_fixture`` returns them. The scorer stays frozen. Batches are
+    contiguous blocks of ``batch_size`` slots inside one window, so the
+    pairwise terms see both near and far slots; block order is reshuffled
+    each epoch under the run seed. The NO_ALIGNMENT variant feeds scaled
+    scores straight into the network and skips both the mapping and the
+    alignment term.
 
     Everything a block's step needs that does not depend on the parameters
     (its scaled and LLM scores, representation, patch weights and, for the
@@ -390,16 +387,8 @@ def train_collab(
         raise ValueError("no training windows")
     scored = []
     for w in windows:
-        key = w.window_id()
-        if key not in llm_scores:
-            raise MissingLlmScores(f"no LLM scores for window {key}")
-        series = llm_scores[key]
-        if len(series) != w.length:
-            raise LengthMismatch(
-                f"window {key} has {w.length} slots but {len(series)} LLM scores"
-            )
         raw, rep = scorer.score(w)
-        scored.append((w, raw.scores, series.scores, rep))
+        scored.append((w, raw.scores, llm_scores[w.window_id()].scores, rep))
     divisor = score_range_divisor(
         np.concatenate([raw for _, raw, _, _ in scored]), cfg.d
     )

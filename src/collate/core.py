@@ -52,7 +52,6 @@ class TimeSeriesWindow:
 
     values: np.ndarray
     start_index: int = 0
-    labels: np.ndarray | None = None
 
     def __post_init__(self):
         values = np.atleast_2d(np.asarray(self.values, dtype=np.float64))
@@ -61,13 +60,6 @@ class TimeSeriesWindow:
         if not np.isfinite(values).all():
             raise NonFiniteInput("window values must be finite")
         object.__setattr__(self, "values", values)
-        if self.labels is not None:
-            labels = np.asarray(self.labels, dtype=np.int64)
-            if labels.shape != (values.shape[0],):
-                raise ShapeMismatch("labels length must equal window length")
-            if not np.isin(labels, (0, 1)).all():
-                raise ValueError("labels must be binary")
-            object.__setattr__(self, "labels", labels)
 
     @property
     def length(self) -> int:

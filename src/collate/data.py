@@ -95,7 +95,7 @@ class LabeledSeries:
         return self.labels is not None
 
     def window(self) -> TimeSeriesWindow:
-        return TimeSeriesWindow(self.values, start_index=self.start_index, labels=self.labels)
+        return TimeSeriesWindow(self.values, start_index=self.start_index)
 
 
 def gen_mackey_glass(cfg: MackeyGlassConfig) -> LabeledSeries:
@@ -260,11 +260,7 @@ def to_windows(series: LabeledSeries, window_len: int) -> list[TimeSeriesWindow]
     for start in range(0, series.length, window_len):
         stop = min(start + window_len, series.length)
         out.append(
-            TimeSeriesWindow(
-                series.values[start:stop],
-                start_index=series.start_index + start,
-                labels=None if series.labels is None else series.labels[start:stop],
-            )
+            TimeSeriesWindow(series.values[start:stop], start_index=series.start_index + start)
         )
     return out
 

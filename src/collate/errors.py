@@ -49,10 +49,6 @@ class LengthMismatch(CollateError):
     """Score vectors have different lengths."""
 
 
-class MissingLlmScores(CollateError):
-    """No LLM scores available for a training or detection window."""
-
-
 class InsufficientRoom(CollateError):
     """Requested anomalies do not fit into the series without overlap."""
 

@@ -1,10 +1,11 @@
-"""LLM scoring backend: prompt construction, score retrieval, example store.
+"""LLM scoring backend: prompt construction and score retrieval.
 
 Prompts follow a four-part layout (expertise supplement, serialized input
-data, task description, examples) and demand one probability per slot. Scores
-come either from a live HTTP endpoint or from a deterministic JSONL fixture
-keyed by window identity; every acceptance path runs against the fixture, the
-live client is best-effort.
+data, task description, examples) and demand one probability per slot. No
+labeled examples are kept, so every prompt is zero-shot. Scores come either
+from a live HTTP endpoint or from a deterministic JSONL fixture keyed by
+window identity; every acceptance path runs against the fixture, the live
+client is best-effort.
 """
 from __future__ import annotations
 
@@ -14,16 +15,17 @@ import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .core import ScoreKind, ScoreSeries, TimeSeriesWindow
-from .errors import MalformedResponse, MissingFixture, ScoreOutOfRange
+from .errors import ConfigError, MalformedResponse, MissingFixture, ScoreOutOfRange
 
 DEFAULT_API_KEY_VAR = "COLLATE_LLM_API_KEY"
-TRUNCATION_MARKER = "...[data truncated to context budget]"
+# Characters of serialized input data one prompt may carry.
+MAX_DATA_CHARS = 20_000
 
 MGAB_RULE = "dx/dt = 0.25 * x(t-18)/(1+x(t-18)^10) - 0.1*x(t)"
 
@@ -35,8 +37,6 @@ class PromptTemplate:
 
     expertise_supplement: str
     task_description: str
-    example_intro: str = "Examples:"
-    max_data_chars: int = 20_000
 
     def validate(self) -> None:
         if not self.expertise_supplement.strip():
@@ -63,83 +63,32 @@ def mgab_template() -> PromptTemplate:
     return PromptTemplate(expertise_supplement=expertise, task_description=task)
 
 
-@dataclass(frozen=True)
-class StoreEntry:
-    excerpt: str
-    label: int
-    slot_index: int
-    timestamp: float
-
-
-@dataclass
-class ExampleStore:
-    """Bounded, time-ordered store of labeled excerpts.
-
-    Eviction is oldest-first but never removes the last remaining entry of a
-    class once that class has been inserted, so prompts can always carry one
-    positive and one negative; the size bound yields to that guarantee.
-    """
-
-    capacity: int
-    entries: list[StoreEntry] = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.capacity < 1:
-            raise ValueError("capacity must be positive")
-        self.entries.sort(key=lambda e: e.timestamp)
-
-    def nearest(self, slot_index: int, label: int) -> StoreEntry | None:
-        candidates = [e for e in self.entries if e.label == label]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda e: (abs(e.slot_index - slot_index), -e.timestamp))
-
-
-@dataclass(frozen=True)
-class BuiltPrompt:
-    text: str
-    zero_shot: bool
-    truncated: bool
-
-
-def serialize_window(window: TimeSeriesWindow, budget: int) -> tuple[str, bool]:
+def serialize_window(window: TimeSeriesWindow) -> str:
+    """One ``slot: v1,v2,...`` line per slot; a window whose text exceeds
+    MAX_DATA_CHARS raises ConfigError, since a cut prompt would still ask
+    for a score per slot."""
     lines = []
     for i in range(window.length):
         vals = ",".join(f"{v:.6g}" for v in window.values[i])
         lines.append(f"{window.start_index + i}: {vals}")
     text = "\n".join(lines)
-    if len(text) > budget:
-        return text[: budget - len(TRUNCATION_MARKER)] + TRUNCATION_MARKER, True
-    return text, False
+    if len(text) > MAX_DATA_CHARS:
+        raise ConfigError(
+            f"window {window.window_id()!r} needs {len(text)} characters of input data, "
+            f"over the prompt budget of {MAX_DATA_CHARS}"
+        )
+    return text
 
 
-def build_prompt(
-    window: TimeSeriesWindow, store: ExampleStore, template: PromptTemplate
-) -> BuiltPrompt:
-    """Render the four-section prompt for one window.
-
-    Examples are the positive and negative store entries nearest in slot
-    distance to the window start (detection quality decays with the temporal
-    distance of the examples). An empty store degrades to a zero-shot prompt
-    with the flag set.
-    """
+def build_prompt(window: TimeSeriesWindow, template: PromptTemplate) -> str:
+    """The four-section zero-shot prompt for one window."""
     template.validate()
-    data_text, truncated = serialize_window(window, template.max_data_chars)
-    sections = [template.expertise_supplement, f"Input data:\n{data_text}",
-                template.task_description]
-    pos = store.nearest(window.start_index, 1)
-    neg = store.nearest(window.start_index, 0)
-    zero_shot = pos is None and neg is None
-    if zero_shot:
-        sections.append(f"{template.example_intro}\n(no labeled examples available)")
-    else:
-        lines = [template.example_intro]
-        for i, entry in enumerate((e for e in (pos, neg) if e is not None), start=1):
-            lines.append(
-                f"Example {i}: {entry.excerpt}\nOutput: {entry.label}."
-            )
-        sections.append("\n".join(lines))
-    return BuiltPrompt(text="\n\n".join(sections), zero_shot=zero_shot, truncated=truncated)
+    return "\n\n".join([
+        template.expertise_supplement,
+        f"Input data:\n{serialize_window(window)}",
+        template.task_description,
+        "Examples:\n(no labeled examples available)",
+    ])
 
 
 @dataclass(frozen=True)
@@ -247,9 +196,13 @@ def _default_transport(cfg: LlmBackendConfig, prompt: str) -> str:
         headers={"Content-Type": "application/json", "Authorization": f"Bearer {key}"},
     )
     with urllib.request.urlopen(req, timeout=cfg.timeout) as resp:
-        body = json.loads(resp.read().decode())
-    if "text" not in body:
-        raise MalformedResponse("response JSON lacks a 'text' field")
+        raw = resp.read()
+    try:
+        body = json.loads(raw)
+    except ValueError as exc:
+        raise MalformedResponse(f"response body is not JSON: {exc}") from None
+    if not isinstance(body, dict) or not isinstance(body.get("text"), str):
+        raise MalformedResponse("response JSON is not an object with a string 'text' field")
     return body["text"]
 
 
@@ -286,29 +239,25 @@ def request_scores(
 def score_windows(
     cfg: LlmBackendConfig,
     windows: list[TimeSeriesWindow],
-    store: ExampleStore,
     template: PromptTemplate,
     transport=None,
 ) -> dict[str, ScoreSeries]:
     """Score many windows, keyed by window id.
 
-    Live requests run concurrently bounded by ``max_in_flight``; mock mode
-    is a pure lookup keyed by window identity, against the fixture read once
-    per call, and builds no prompts. No cross-window ordering guarantee.
+    Live mode builds every prompt before sending any request, so a window
+    over the prompt budget fails with nothing sent; requests then run
+    concurrently bounded by ``max_in_flight``. Mock mode is a pure lookup
+    keyed by window identity, against the fixture read once per call, and
+    builds no prompts. No cross-window ordering guarantee.
     """
     if cfg.mode == "mock":
         if cfg.fixture_path is None:
             raise MissingFixture("mock mode requires a fixture path")
         return load_fixture(cfg.fixture_path, windows)
-    out: dict[str, ScoreSeries] = {}
+    prompts = [(w, build_prompt(w, template)) for w in windows]
     with ThreadPoolExecutor(max_workers=cfg.max_in_flight) as pool:
         futures = {
-            w.window_id(): pool.submit(
-                request_scores, cfg, build_prompt(w, store, template).text,
-                w.length, transport,
-            )
-            for w in windows
+            w.window_id(): pool.submit(request_scores, cfg, prompt, w.length, transport)
+            for w, prompt in prompts
         }
-        for wid, fut in futures.items():
-            out[wid] = fut.result()
-    return out
+        return {wid: fut.result() for wid, fut in futures.items()}

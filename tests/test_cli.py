@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from collate import benchmark, cli
+from collate import benchmark, cli, llm
 
 
 @pytest.fixture(scope="module")
@@ -181,6 +181,52 @@ class TestAblateGrid:
         collaborative = next(r for r in rows if r[0] == "collaborative")
         grid_rows = (tmp_path / "grid.csv").read_text().splitlines()
         assert grid_rows == ["d,patchSize,f1", f"1.0,2,{collaborative[3]}"]
+        metrics = json.loads((tmp_path / "metrics.json").read_text())
+        assert sorted(metrics) == ["config_echo", "grid", "seed", "variants"]
+        assert metrics["grid"] == [[1.0, 2, float(collaborative[3])]]
+        assert metrics["variants"]["collaborative"]["f1"] == float(collaborative[3])
+        outputs = json.loads((tmp_path / "manifest.json").read_text())["outputs"]
+        assert outputs == [str(tmp_path / name)
+                           for name in ("ablation.csv", "grid.csv", "metrics.json")]
+
+    @pytest.mark.parametrize("grid, message", [
+        ("[1]", "--grid must be a JSON object"),
+        ('{"D": [0.5]}', "--grid keys must be among ['d', 'patchSize'], got ['D']"),
+        ('{"d": []}', "--grid d must be a nonempty list"),
+        ('{"patchSize": 2}', "--grid patchSize must be a nonempty list"),
+        ('{"d": [1.0, -0.5]}', "--grid: d must be a positive real, got -0.5"),
+        ('{"patchSize": [2.5]}', "--grid: patchSize must be an integer in [2, 10000]"),
+        ("{d: 1}", "--grid must be JSON"),
+    ])
+    def test_bad_grid_exits_2_before_the_ablation(self, tmp_path, monkeypatch, capsys,
+                                                 grid, message):
+        def no_ablation(*args):
+            raise AssertionError("the ablation ran")
+
+        monkeypatch.setattr(cli, "run_ablation", no_ablation)
+        assert cli.main(["--out", str(tmp_path), "ablate", "--grid", grid]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+
+
+class TestLiveScoring:
+    def test_window_over_prompt_budget_exits_2_before_any_request(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def no_request(cfg, prompt):
+            raise AssertionError("a request was sent")
+
+        monkeypatch.setattr(llm, "_default_transport", no_request)
+        assert cli.main(["--out", str(tmp_path / "D"), "gen-data"]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"llm_mode": "live:http://127.0.0.1:9/", "window_len": 2000}))
+        capsys.readouterr()
+        code = cli.main(["--config", str(cfg), "--out", str(tmp_path / "llm"),
+                         "score-llm", "--data", str(tmp_path / "D" / "data.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: window 'w0' needs ") and err.count("\n") == 1, err
+        assert f"over the prompt budget of {llm.MAX_DATA_CHARS}" in err
 
 
 class TestVerify:

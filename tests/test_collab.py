@@ -29,7 +29,7 @@ from collate.core import (
     patch_weights,
     score_range_divisor,
 )
-from collate.errors import LengthMismatch, MissingLlmScores, NonConvergence
+from collate.errors import LengthMismatch, NonConvergence
 from collate.optim import Adam
 
 
@@ -241,13 +241,6 @@ class TestTrainCollab:
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_missing_llm_scores_raise(self, small_bench):
-        llm = small_bench.llm_scores_for(small_bench.train_windows)
-        llm.pop(small_bench.train_windows[0].window_id())
-        with pytest.raises(MissingLlmScores):
-            train_collab(small_bench.train_windows, small_bench.scorer, llm,
-                         LossVariant.COLLABORATIVE, small_cfg())
-
     def test_no_alignment_variant_skips_mapping(self, small_bench):
         llm = small_bench.llm_scores_for(small_bench.train_windows)
         pipeline, curves = train_collab(
@@ -379,18 +372,10 @@ def _reference_slot_streams(
     """Per-window (scaled, llm, rep, weights) streams for phase-2 training."""
     streams = []
     for w in windows:
-        key = w.window_id()
-        if key not in llm_scores:
-            raise MissingLlmScores(f"no LLM scores for window {key}")
-        series = llm_scores[key]
-        if len(series) != w.length:
-            raise LengthMismatch(
-                f"window {key} has {w.length} slots but {len(series)} LLM scores"
-            )
         raw, rep = scorer.score(w)
         scaled = raw.scores / divisor
         pw = patch_weights(w, patch_size)
-        streams.append((scaled, series.scores, rep, pw))
+        streams.append((scaled, llm_scores[w.window_id()].scores, rep, pw))
     return streams
 
 

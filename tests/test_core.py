@@ -143,7 +143,3 @@ class TestTypes:
     def test_window_rejects_nan(self):
         with pytest.raises(NonFiniteInput):
             TimeSeriesWindow(np.array([[np.nan]]))
-
-    def test_window_label_length_checked(self):
-        with pytest.raises(Exception):
-            TimeSeriesWindow(np.zeros((3, 1)), labels=np.array([1, 0]))

@@ -1,18 +1,13 @@
 import json
+import urllib.request
 
 import numpy as np
 import pytest
 
 from collate import llm
 from collate.core import ScoreKind, TimeSeriesWindow
-from collate.errors import MalformedResponse, MissingFixture, ScoreOutOfRange
-from collate.llm import (
-    ExampleStore,
-    LlmBackendConfig,
-    mgab_template,
-    score_windows,
-    write_fixture,
-)
+from collate.errors import ConfigError, MalformedResponse, MissingFixture, ScoreOutOfRange
+from collate.llm import LlmBackendConfig, mgab_template, score_windows, write_fixture
 
 
 def windows(count=10, length=20):
@@ -30,7 +25,7 @@ def fixture_for(ws, path):
 
 def score(path, ws):
     cfg = LlmBackendConfig(mode="mock", fixture_path=str(path))
-    return score_windows(cfg, ws, ExampleStore(capacity=4), mgab_template())
+    return score_windows(cfg, ws, mgab_template())
 
 
 class TestMockScoring:
@@ -132,7 +127,7 @@ class TestMockScoring:
     def test_no_fixture_path(self):
         cfg = LlmBackendConfig(mode="mock")
         with pytest.raises(MissingFixture):
-            score_windows(cfg, windows(1), ExampleStore(capacity=4), mgab_template())
+            score_windows(cfg, windows(1), mgab_template())
 
 
 class TestLiveScoring:
@@ -145,9 +140,98 @@ class TestLiveScoring:
             return "\n".join(["0.25"] * 20)
 
         cfg = LlmBackendConfig(mode="live", max_in_flight=1)
-        out = score_windows(cfg, ws, ExampleStore(capacity=4), mgab_template(), transport)
+        out = score_windows(cfg, ws, mgab_template(), transport)
         assert len(prompts) == 3
         assert all(f"{w.start_index}: " in p for w, p in zip(ws, prompts))
         for w in ws:
             assert out[w.window_id()].kind is ScoreKind.LLM
             np.testing.assert_array_equal(out[w.window_id()].scores, 0.25)
+
+    def test_window_over_budget_fails_before_any_request(self):
+        long = TimeSeriesWindow(np.full((2_000, 1), 0.123456), start_index=20)
+        chars = len("\n".join(f"{20 + i}: 0.123456" for i in range(2_000)))
+        assert chars > llm.MAX_DATA_CHARS
+        calls = []
+
+        def transport(cfg, prompt):
+            calls.append(prompt)
+            return "\n".join(["0.25"] * 20)
+
+        cfg = LlmBackendConfig(mode="live", max_in_flight=1)
+        with pytest.raises(ConfigError, match=(
+            f"window 'w20' needs {chars} characters "
+            f"of input data, over the prompt budget of {llm.MAX_DATA_CHARS}"
+        )):
+            score_windows(cfg, [windows(1)[0], long], mgab_template(), transport)
+        assert calls == []
+
+
+class FakeResponse:
+    def __init__(self, body: bytes):
+        self.body = body
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def read(self) -> bytes:
+        return self.body
+
+
+class TestDefaultTransport:
+    def post(self, monkeypatch, body):
+        """request_scores through the default transport, urlopen answering
+        ``body`` to every request; returns (result or exception, requests)."""
+        requests = []
+
+        def urlopen(req, timeout):
+            requests.append(json.loads(req.data))
+            return FakeResponse(body)
+
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        monkeypatch.setenv(llm.DEFAULT_API_KEY_VAR, "key")
+        cfg = LlmBackendConfig(mode="live", endpoint="http://127.0.0.1:9/")
+        try:
+            return llm.request_scores(cfg, "prompt", 3, sleep=lambda s: None), requests
+        except MalformedResponse as exc:
+            return exc, requests
+
+    @pytest.mark.parametrize("body", [
+        b"not json", b"\xff", b"[1]", b'"0.5"', b'{"txt": "0.5"}', b'{"text": 0.5}',
+    ])
+    def test_bad_body_is_retried_then_malformed(self, monkeypatch, body):
+        result, requests = self.post(monkeypatch, body)
+        assert isinstance(result, MalformedResponse)
+        assert requests == [{"prompt": "prompt"}] * 3
+
+    def test_text_field_is_parsed(self, monkeypatch):
+        result, requests = self.post(monkeypatch, b'{"text": "0.1\\n0.2\\n0.3"}')
+        np.testing.assert_array_equal(result.scores, [0.1, 0.2, 0.3])
+        assert len(requests) == 1
+
+
+class TestPrompt:
+    def test_four_sections_in_order_with_one_line_per_slot(self):
+        w = TimeSeriesWindow(np.arange(10.0).reshape(5, 2) / 7, start_index=100)
+        template = mgab_template()
+        sections = llm.build_prompt(w, template).split("\n\n")
+        assert len(sections) == 4
+        assert sections[0] == template.expertise_supplement
+        assert sections[2] == template.task_description
+        assert sections[3] == "Examples:\n(no labeled examples available)"
+        header, *rows = sections[1].splitlines()
+        assert header == "Input data:"
+        assert [r.split(": ")[0] for r in rows] == ["100", "101", "102", "103", "104"]
+        values = [[float(v) for v in r.split(": ")[1].split(",")] for r in rows]
+        np.testing.assert_allclose(values, w.values, rtol=1e-5)
+
+    def test_budget_is_inclusive(self, monkeypatch):
+        w = windows(1)[0]
+        text = llm.serialize_window(w)
+        monkeypatch.setattr(llm, "MAX_DATA_CHARS", len(text))
+        assert llm.serialize_window(w) == text
+        monkeypatch.setattr(llm, "MAX_DATA_CHARS", len(text) - 1)
+        with pytest.raises(ConfigError, match="window 'w0'"):
+            llm.serialize_window(w)
