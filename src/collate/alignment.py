@@ -17,6 +17,8 @@ from .errors import DegenerateScores, NonFiniteDensity
 
 _SQRT2 = math.sqrt(2.0)
 _TWO_OVER_PI = 2.0 / math.pi
+# additive smoothing of both histograms in kl_histogram
+KL_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -222,31 +224,22 @@ class MonotoneMapping:
         return obj
 
 
-def kl_histogram(a: np.ndarray, reference, bins: int, eps: float = 1e-9) -> float:
-    """KL divergence from the bin histogram of ``a`` to a reference.
+def kl_histogram(a: np.ndarray, fit: HalfGaussianFit, bins: int) -> float:
+    """KL divergence from the bin histogram of ``a`` to a half-Gaussian fit.
 
-    The reference is either a HalfGaussianFit (bin masses from its CDF) or a
-    second sample vector (binned over the same edges). Both sides receive
-    additive smoothing ``eps`` and are renormalized, so the result is finite
-    and nonnegative even with empty bins.
+    ``bins`` equal bins span [min(0, min a), max(1, max a)]; the fit's bin
+    masses come from its CDF. Both sides receive additive smoothing KL_EPS
+    and are renormalized, so the result is finite and nonnegative even with
+    empty bins.
     """
     a = np.asarray(a, dtype=np.float64).reshape(-1)
     if bins < 2:
         raise ValueError("need at least two bins")
     if a.size == 0:
         raise ValueError("empty sample")
-    hi = max(1.0, float(a.max()))
-    lo = min(0.0, float(a.min()))
-    if isinstance(reference, HalfGaussianFit):
-        edges = np.linspace(lo, hi, bins + 1)
-        q = np.diff(reference.cdf(edges))
-    else:
-        b = np.asarray(reference, dtype=np.float64).reshape(-1)
-        hi = max(hi, float(b.max()))
-        lo = min(lo, float(b.min()))
-        edges = np.linspace(lo, hi, bins + 1)
-        q = np.histogram(b, bins=edges)[0] / b.size
+    edges = np.linspace(min(0.0, float(a.min())), max(1.0, float(a.max())), bins + 1)
+    q = np.diff(fit.cdf(edges))
     p = np.histogram(a, bins=edges)[0] / a.size
-    p = (p + eps) / (p + eps).sum()
-    q = (q + eps) / (q + eps).sum()
+    p = (p + KL_EPS) / (p + KL_EPS).sum()
+    q = (q + KL_EPS) / (q + KL_EPS).sum()
     return float(np.sum(p * np.log(p / q)))

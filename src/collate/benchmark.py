@@ -10,17 +10,30 @@ rule-breaking single slots).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import data as data_mod
 from .collab import CollabConfig, LossVariant, detect, train_collab
 from .core import ScoreSeries, TimeSeriesWindow
-from .data import AnomalyKind, LabeledSeries, MackeyGlassConfig
-from .evaluate import DetectionMetrics, per_kind_metrics
+from .data import AnomalyKind, LabeledSeries
+from .evaluate import DetectionMetrics, labels_from_spans, per_kind_metrics
 from .llm import fixture_scores, write_fixture
 from .tsadm import PrecomputedScorer
+
+# simulated detector (contextual expert)
+DET_FLOOR = 0.5
+DET_NOISE = 0.05
+DET_GAIN = 2.0
+DET_HIT_RATE = 1.0
+# mock LLM (point expert; partial, noisy contextual skill)
+LLM_NOISE = 0.005
+LLM_POINT_LEVEL = 0.9
+LLM_POINT_JITTER = 0.04
+LLM_CTX_HIT = 0.4
+LLM_CTX_LEVEL = 0.35
+LLM_CTX_JITTER = 0.08
 
 
 @dataclass(frozen=True)
@@ -29,21 +42,7 @@ class BenchmarkConfig:
     seed: int = 7
     n_contextual: int = 10
     n_point: int = 10
-    span_range: tuple[int, int] = (20, 40)
-    point_magnitude: float = 5.0
     window_len: int = 500
-    # simulated detector (contextual expert)
-    det_floor: float = 0.5
-    det_noise: float = 0.05
-    det_gain: float = 2.0
-    det_hit_rate: float = 1.0
-    # mock LLM (point expert; partial, noisy contextual skill)
-    llm_noise: float = 0.005
-    llm_point_level: float = 0.9
-    llm_point_jitter: float = 0.04
-    llm_ctx_hit: float = 0.4
-    llm_ctx_level: float = 0.35
-    llm_ctx_jitter: float = 0.08
 
 
 def default_collab_config(seed: int = 0) -> CollabConfig:
@@ -59,13 +58,11 @@ def default_collab_config(seed: int = 0) -> CollabConfig:
 class Benchmark:
     cfg: BenchmarkConfig
     series: LabeledSeries
-    train: LabeledSeries
-    val: LabeledSeries
     test: LabeledSeries
     scorer: PrecomputedScorer
     llm_by_slot: np.ndarray
-    train_windows: list[TimeSeriesWindow] = field(default_factory=list)
-    test_windows: list[TimeSeriesWindow] = field(default_factory=list)
+    # the CLI's windows of each split part, keyed 'train'/'val'/'test'
+    windows: dict[str, list[TimeSeriesWindow]]
 
     def llm_scores_for(self, windows: list[TimeSeriesWindow]) -> dict[str, ScoreSeries]:
         """The mock LLM's scores for ``windows``, checked as a score file's are."""
@@ -76,17 +73,9 @@ class Benchmark:
         )
 
     def write_llm_fixture(self, path) -> None:
-        val_windows = data_mod.to_windows(self.val, self.cfg.window_len)
-        scored = self.llm_scores_for(self.train_windows + val_windows + self.test_windows)
+        w = self.windows
+        scored = self.llm_scores_for(w["train"] + w["val"] + w["test"])
         write_fixture(path, {wid: s.scores for wid, s in scored.items()})
-
-
-def _kind_mask(series: LabeledSeries, kind: AnomalyKind) -> np.ndarray:
-    mask = np.zeros(series.length, dtype=bool)
-    for s in series.spans:
-        if s.kind == kind:
-            mask[s.start : s.end] = True
-    return mask
 
 
 def _rolling_mean(x: np.ndarray, half: int) -> np.ndarray:
@@ -114,62 +103,50 @@ def build_benchmark(cfg: BenchmarkConfig) -> Benchmark:
     """
     if cfg.n_contextual < 3 or cfg.n_point < 3:
         raise ValueError("need at least three anomalies of each kind to cover splits")
-    base = data_mod.gen_mackey_glass(
-        MackeyGlassConfig(length=cfg.length, seed=cfg.seed)
-    )
+    base = data_mod.gen_mackey_glass(cfg.length, cfg.seed)
     t = cfg.length
     regions = [(0, int(0.4 * t)), (int(0.4 * t), int(0.5 * t)), (int(0.5 * t), t)]
     c_alloc = _allocate(cfg.n_contextual)
     p_alloc = _allocate(cfg.n_point)
     series = base
-    margin = cfg.span_range[1] + 2
+    margin = data_mod.SPAN_RANGE[1] + 2
     for i, (region, c_count, p_count) in enumerate(zip(regions, c_alloc, p_alloc)):
         lo, hi = region
         inner = (lo + margin, hi - margin)
         if c_count:
             series = data_mod.insert_contextual_anomalies(
-                series, c_count, cfg.span_range, seed=cfg.seed + 11 + i, region=inner
+                series, c_count, seed=cfg.seed + 11 + i, region=inner
             )
         if p_count:
             series = data_mod.insert_point_anomalies(
-                series, p_count, cfg.point_magnitude, seed=cfg.seed + 17 + i, region=inner
+                series, p_count, seed=cfg.seed + 17 + i, region=inner
             )
 
-    train, val, test = data_mod.split([series])
-    train, val, test = train[0], val[0], test[0]
-
     rng = np.random.default_rng(cfg.seed + 23)
-    contextual = _kind_mask(series, AnomalyKind.CONTEXTUAL)
-    point = _kind_mask(series, AnomalyKind.POINT)
+    contextual = labels_from_spans(series.spans, t, AnomalyKind.CONTEXTUAL) == 1
+    point = labels_from_spans(series.spans, t, AnomalyKind.POINT) == 1
 
-    raw = cfg.det_floor + np.abs(rng.normal(0.0, cfg.det_noise, t))
-    hit = contextual & (rng.uniform(0.0, 1.0, t) < cfg.det_hit_rate)
-    raw = raw + hit * np.abs(cfg.det_gain * (1.0 + rng.normal(0.0, 0.1, t)))
+    raw = DET_FLOOR + np.abs(rng.normal(0.0, DET_NOISE, t))
+    hit = contextual & (rng.uniform(0.0, 1.0, t) < DET_HIT_RATE)
+    raw = raw + hit * np.abs(DET_GAIN * (1.0 + rng.normal(0.0, 0.1, t)))
     rep = _representation(series.values)
     scorer = PrecomputedScorer(raw, rep, base_index=0)
 
-    llm = np.abs(rng.normal(0.0, cfg.llm_noise, t))
-    llm = np.where(
-        point, cfg.llm_point_level + rng.normal(0.0, cfg.llm_point_jitter, t), llm
-    )
-    ctx_hit = contextual & (rng.uniform(0.0, 1.0, t) < cfg.llm_ctx_hit)
-    llm = np.where(
-        ctx_hit, cfg.llm_ctx_level + rng.normal(0.0, cfg.llm_ctx_jitter, t), llm
-    )
+    llm = np.abs(rng.normal(0.0, LLM_NOISE, t))
+    llm = np.where(point, LLM_POINT_LEVEL + rng.normal(0.0, LLM_POINT_JITTER, t), llm)
+    ctx_hit = contextual & (rng.uniform(0.0, 1.0, t) < LLM_CTX_HIT)
+    llm = np.where(ctx_hit, LLM_CTX_LEVEL + rng.normal(0.0, LLM_CTX_JITTER, t), llm)
     llm = np.clip(llm, 0.0, 1.0)
 
-    bench = Benchmark(
+    _, _, (test,) = data_mod.split([series])
+    return Benchmark(
         cfg=cfg,
         series=series,
-        train=train,
-        val=val,
         test=test,
         scorer=scorer,
         llm_by_slot=llm,
-        train_windows=data_mod.to_windows(train, cfg.window_len),
-        test_windows=data_mod.to_windows(test, cfg.window_len),
+        windows=data_mod.split_windows(series, cfg.window_len),
     )
-    return bench
 
 
 def _allocate(count: int) -> tuple[int, int, int]:
@@ -197,14 +174,14 @@ def run_variant(
     bench: Benchmark, variant: LossVariant, collab_cfg: CollabConfig
 ) -> DetectionMetrics:
     """Train the variant on the train split and evaluate on the test split."""
-    llm_train = bench.llm_scores_for(bench.train_windows)
+    llm_train = bench.llm_scores_for(bench.windows["train"])
     pipeline, _ = train_collab(
-        bench.train_windows, bench.scorer, llm_train, variant, collab_cfg,
+        bench.windows["train"], bench.scorer, llm_train, variant, collab_cfg,
         config_echo={"benchmark": asdict(bench.cfg), "variant": variant.value},
     )
-    llm_test = bench.llm_scores_for(bench.test_windows)
+    llm_test = bench.llm_scores_for(bench.windows["test"])
     collated = np.concatenate(
-        [detect(pipeline, w, llm_test[w.window_id()]).scores for w in bench.test_windows]
+        [detect(pipeline, w, llm_test[w.window_id()]).scores for w in bench.windows["test"]]
     )
     return per_kind_metrics(collated, bench.test.spans)
 

@@ -199,17 +199,15 @@ def cmd_gen_data(cfg: RunConfig, out_dir: Path, length: int, n_contextual: int,
     """Generate the synthetic benchmark series, labels, metadata sidecar, and
     a mock LLM fixture covering its windows."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    bcfg = BenchmarkConfig(
+    bench = build_benchmark(BenchmarkConfig(
         length=length, seed=cfg.seed, n_contextual=n_contextual, n_point=n_point,
         window_len=cfg.window_len,
-    )
-    bench = build_benchmark(bcfg)
+    ))
     data_path = out_dir / "data.csv"
     meta_path = out_dir / "metadata.json"
     fixture_path = out_dir / "llm_fixture.jsonl"
     data_mod.save_csv(bench.series, data_path)
-    generator_echo = data_mod.MackeyGlassConfig(length=bcfg.length, seed=bcfg.seed)
-    data_mod.write_metadata(meta_path, generator_echo, bench.series.spans, cfg.seed)
+    data_mod.write_metadata(meta_path, length, bench.series.spans, cfg.seed)
     bench.write_llm_fixture(fixture_path)
     write_manifest(out_dir, "gen-data", cfg, [], [data_path, meta_path, fixture_path])
     print(f"wrote {data_path}, {meta_path}, {fixture_path}")
@@ -405,7 +403,9 @@ def cmd_ablate(cfg: RunConfig, out_dir: Path, grid: str | None) -> int:
         print(f"{name:15s} F1={m.f1:.4f}")
     payload = {
         "variants": {n: m.to_dict() for n, m in results.items()},
-        "config_echo": dataclasses.asdict(cfg),
+        # what the ablation ran with; the run config's training keys do not reach it
+        "config_echo": {"benchmark": dataclasses.asdict(bench.cfg),
+                        "collab": dataclasses.asdict(ccfg)},
         "seed": cfg.seed,
     }
     rows = [[n, m.precision, m.recall, m.f1] for n, m in results.items()]

@@ -1,17 +1,18 @@
 """Synthetic benchmark generation, dataset loading, and splits.
 
 The generator integrates the delayed feedback equation
-dx/dt = a x(t - tau) / (1 + x(t - tau)^p) - b x(t) with unit Euler steps and
-bounded uniform noise, then plants two anomaly kinds: contextual anomalies
-copy a future segment over the present, point anomalies shift single slots by
-a multiple of the series deviation. All randomness comes from explicit
-per-call seeds.
+dx/dt = A x(t - TAU) / (1 + x(t - TAU)^EXPONENT) - B x(t) with Euler steps of
+STEP and uniform noise within +/- NOISE_AMPLITUDE, then plants contextual
+anomalies (a future segment copied over the present) and point anomalies
+(single slots shifted by a multiple of the series deviation). The constants
+below are the equation's one home; the metadata sidecar and the LLM prompt
+(``llm.mgab_template``) quote them. All randomness comes from explicit seeds.
 """
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -19,6 +20,19 @@ import numpy as np
 
 from .core import TimeSeriesWindow
 from .errors import InsufficientRoom, MissingColumn, ParseError, TooShort
+
+# the delayed feedback equation
+TAU = 18
+A = 0.25
+B = 0.1
+EXPONENT = 10.0
+NOISE_AMPLITUDE = 0.01
+HISTORY_INIT = 1.2
+STEP = 1.0
+# planted anomalies: contextual span lengths (inclusive) and the point shift
+# in series standard deviations
+SPAN_RANGE = (20, 40)
+POINT_MAGNITUDE = 5.0
 
 
 class AnomalyKind(Enum):
@@ -34,25 +48,6 @@ class AnomalySpan:
 
     def to_dict(self) -> dict:
         return {"start": self.start, "end": self.end, "kind": self.kind.value}
-
-
-@dataclass(frozen=True)
-class MackeyGlassConfig:
-    length: int = 10_000
-    tau: int = 18
-    a: float = 0.25
-    b: float = 0.1
-    exponent: float = 10.0
-    noise_amplitude: float = 0.01
-    history_init: float = 1.2
-    seed: int = 0
-    step: float = 1.0
-
-    def __post_init__(self):
-        if self.length <= self.tau:
-            raise ValueError("length must exceed the delay")
-        if self.noise_amplitude < 0:
-            raise ValueError("noise amplitude must be nonnegative")
 
 
 @dataclass
@@ -98,21 +93,23 @@ class LabeledSeries:
         return TimeSeriesWindow(self.values, start_index=self.start_index)
 
 
-def gen_mackey_glass(cfg: MackeyGlassConfig) -> LabeledSeries:
+def gen_mackey_glass(length: int, seed: int) -> LabeledSeries:
     """Generate one noisy delayed-feedback series; labels start all zero."""
-    rng = np.random.default_rng(cfg.seed)
-    x = np.empty(cfg.length)
-    x[0] = cfg.history_init
-    noise = rng.uniform(-cfg.noise_amplitude, cfg.noise_amplitude, cfg.length)
+    if length <= TAU:
+        raise ValueError("length must exceed the delay")
+    rng = np.random.default_rng(seed)
+    x = np.empty(length)
+    x[0] = HISTORY_INIT
+    noise = rng.uniform(-NOISE_AMPLITUDE, NOISE_AMPLITUDE, length)
 
     def delayed(t: int) -> float:
-        return x[t - cfg.tau] if t - cfg.tau >= 0 else cfg.history_init
+        return x[t - TAU] if t - TAU >= 0 else HISTORY_INIT
 
-    for t in range(cfg.length - 1):
+    for t in range(length - 1):
         xd = delayed(t)
-        drift = cfg.a * xd / (1.0 + xd**cfg.exponent) - cfg.b * x[t]
-        x[t + 1] = x[t] + cfg.step * drift + noise[t + 1]
-    return LabeledSeries(values=x[:, None], labels=np.zeros(cfg.length, dtype=np.int64))
+        drift = A * xd / (1.0 + xd**EXPONENT) - B * x[t]
+        x[t + 1] = x[t] + STEP * drift + noise[t + 1]
+    return LabeledSeries(values=x[:, None], labels=np.zeros(length, dtype=np.int64))
 
 
 def _occupied(spans: list[AnomalySpan]) -> np.ndarray:
@@ -124,11 +121,11 @@ def _occupied(spans: list[AnomalySpan]) -> np.ndarray:
 def insert_contextual_anomalies(
     series: LabeledSeries,
     count: int,
-    span_range: tuple[int, int] = (20, 40),
     seed: int = 0,
     region: tuple[int, int] | None = None,
 ) -> LabeledSeries:
-    """Copy future segments onto the present at ``count`` non-overlapping spans.
+    """Copy future segments onto the present at ``count`` non-overlapping
+    spans, each SPAN_RANGE slots long.
 
     The source segment starts at least one span length ahead of the
     destination, so the overwritten values are an exact copy of genuinely
@@ -145,7 +142,7 @@ def insert_contextual_anomalies(
     for _ in range(count):
         placed = False
         for _attempt in range(10_000):
-            span_len = int(rng.integers(span_range[0], span_range[1] + 1))
+            span_len = int(rng.integers(SPAN_RANGE[0], SPAN_RANGE[1] + 1))
             start = int(rng.integers(lo, max(lo + 1, hi - span_len)))
             end = start + span_len
             if end + span_len >= t_total:
@@ -168,15 +165,12 @@ def insert_contextual_anomalies(
 def insert_point_anomalies(
     series: LabeledSeries,
     count: int,
-    magnitude: float = 5.0,
     seed: int = 0,
     region: tuple[int, int] | None = None,
 ) -> LabeledSeries:
-    """Shift ``count`` isolated slots by +/- magnitude * series std."""
+    """Shift ``count`` isolated slots by +/- POINT_MAGNITUDE * series std."""
     if count < 1:
         raise ValueError("count must be positive")
-    if magnitude <= 0:
-        raise ValueError("magnitude must be positive")
     rng = np.random.default_rng(seed)
     values = series.values.copy()
     labels = series.labels.copy()
@@ -191,7 +185,7 @@ def insert_point_anomalies(
             if occupied.size and (np.abs(occupied - slot) <= 1).any():
                 continue
             sign = 1.0 if rng.uniform() < 0.5 else -1.0
-            values[slot] += sign * magnitude * std
+            values[slot] += sign * POINT_MAGNITUDE * std
             labels[slot] = 1
             spans.append(AnomalySpan(slot, slot + 1, AnomalyKind.POINT))
             placed = True
@@ -339,11 +333,13 @@ def load_csv(path: str | Path) -> LabeledSeries:
 
 
 def write_metadata(
-    path: str | Path, cfg: MackeyGlassConfig, spans: list[AnomalySpan], seed: int
+    path: str | Path, length: int, spans: list[AnomalySpan], seed: int
 ) -> None:
-    """Sidecar JSON with the generator config, seed, and span list."""
+    """Sidecar JSON with the generator's settings, seed, and span list."""
     payload = {
-        "generator": asdict(cfg),
+        "generator": {"length": length, "tau": TAU, "a": A, "b": B, "exponent": EXPONENT,
+                      "noise_amplitude": NOISE_AMPLITUDE, "history_init": HISTORY_INIT,
+                      "seed": seed, "step": STEP},
         "seed": seed,
         "spans": [s.to_dict() for s in spans],
     }

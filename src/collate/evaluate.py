@@ -17,6 +17,8 @@ from .core import ScoreSeries
 from .data import AnomalyKind, AnomalySpan
 from .errors import LengthMismatch, NoPositives
 
+SVG_WIDTH, SVG_HEIGHT = 900, 260  # pixel size of score_overlay_svg's drawing
+
 
 @dataclass(frozen=True)
 class DetectionMetrics:
@@ -201,11 +203,10 @@ def score_overlay_svg(
     scores: np.ndarray,
     labels: np.ndarray | None = None,
     threshold: float | None = None,
-    width: int = 900,
-    height: int = 260,
     title: str = "",
 ) -> str:
-    """Hand-rolled SVG: series polyline, score polyline, label shading.
+    """Hand-rolled SVG of SVG_WIDTH x SVG_HEIGHT pixels: series polyline,
+    score polyline, label shading.
 
     Deterministic output (no timestamps, no font dependencies), so report
     artifacts are byte-stable across identical runs.
@@ -215,6 +216,7 @@ def score_overlay_svg(
         values = values[:, 0]
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
     n = values.size
+    width, height = SVG_WIDTH, SVG_HEIGHT
 
     def scale(v: np.ndarray, lo_px: float, hi_px: float) -> np.ndarray:
         vmin, vmax = float(v.min()), float(v.max())

@@ -5,12 +5,15 @@ data, task description, examples) and demand one probability per slot. No
 labeled examples are kept, so every prompt is zero-shot. Scores come either
 from a live HTTP endpoint or from a deterministic JSONL fixture keyed by
 window identity; every acceptance path runs against the fixture, the live
-client is best-effort.
+client is best-effort. The prompt's account of the generator is formatted
+from the constants in ``data``, where the equation lives, so it cannot drift
+from the data it describes.
 """
 from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -20,14 +23,20 @@ from pathlib import Path
 
 import numpy as np
 
+from . import data as data_mod
 from .core import ScoreKind, ScoreSeries, TimeSeriesWindow
 from .errors import ConfigError, MalformedResponse, MissingFixture, ScoreOutOfRange
 
-DEFAULT_API_KEY_VAR = "COLLATE_LLM_API_KEY"
+API_KEY_VAR = "COLLATE_LLM_API_KEY"  # the environment variable holding the key
+MAX_IN_FLIGHT = 4  # live requests at once
+RETRIES = 2  # after the first attempt
+BACKOFF_BASE = 0.5  # seconds before the first retry, doubled for each later one
+TIMEOUT = 30.0  # seconds per request
 # Characters of serialized input data one prompt may carry.
 MAX_DATA_CHARS = 20_000
 
-MGAB_RULE = "dx/dt = 0.25 * x(t-18)/(1+x(t-18)^10) - 0.1*x(t)"
+MGAB_RULE = (f"dx/dt = {data_mod.A:g} * x(t-{data_mod.TAU})/(1+x(t-{data_mod.TAU})^"
+             f"{data_mod.EXPONENT:g}) - {data_mod.B:g}*x(t)")
 
 
 @dataclass(frozen=True)
@@ -50,7 +59,8 @@ def mgab_template() -> PromptTemplate:
     expertise = (
         "Expertise supplement: The input is a univariate time series sampled "
         f"once per slot. Between anomalies it follows {MGAB_RULE} plus uniform "
-        "noise within [-0.01, 0.01], where x(t) is the value at slot t. "
+        f"noise within [-{data_mod.NOISE_AMPLITUDE:g}, {data_mod.NOISE_AMPLITUDE:g}], "
+        "where x(t) is the value at slot t. "
         "Inserted anomalies break this rule: some repeat a future segment of "
         "the series at the present position, others shift a single slot far "
         "from its neighbours. [Professional document can be inserted into this part]"
@@ -93,24 +103,15 @@ def build_prompt(window: TimeSeriesWindow, template: PromptTemplate) -> str:
 
 @dataclass(frozen=True)
 class LlmBackendConfig:
-    """Transport settings; ``mode`` is 'live' or 'mock'."""
+    """Where scores come from; ``mode`` is 'live' or 'mock'."""
 
     mode: str = "mock"
     fixture_path: str | None = None
     endpoint: str = ""
-    api_key_var: str = DEFAULT_API_KEY_VAR
-    max_in_flight: int = 4
-    retries: int = 2
-    backoff_base: float = 0.5
-    timeout: float = 30.0
 
     def __post_init__(self):
         if self.mode not in ("live", "mock"):
             raise ValueError("mode must be 'live' or 'mock'")
-        if self.retries < 0:
-            raise ValueError("retry count must be nonnegative")
-        if self.max_in_flight < 1:
-            raise ValueError("need at least one in-flight request")
 
 
 def load_fixture(path: str | Path, windows: list[TimeSeriesWindow]) -> dict[str, ScoreSeries]:
@@ -185,17 +186,23 @@ def _parse_scores(text: str, expected_slots: int) -> np.ndarray:
     return vals
 
 
-def _default_transport(cfg: LlmBackendConfig, prompt: str) -> str:
-    key = os.environ.get(cfg.api_key_var)
+def _api_key() -> str:
+    """The live endpoint's API key; no retry can mend a missing one."""
+    key = os.environ.get(API_KEY_VAR)
     if not key:
-        raise MalformedResponse(f"environment variable {cfg.api_key_var} not set")
+        raise ConfigError(f"environment variable {API_KEY_VAR} not set")
+    return key
+
+
+def _default_transport(cfg: LlmBackendConfig, prompt: str) -> str:
+    key = _api_key()
     payload = json.dumps({"prompt": prompt}).encode()
     req = urllib.request.Request(
         cfg.endpoint,
         data=payload,
         headers={"Content-Type": "application/json", "Authorization": f"Bearer {key}"},
     )
-    with urllib.request.urlopen(req, timeout=cfg.timeout) as resp:
+    with urllib.request.urlopen(req, timeout=TIMEOUT) as resp:
         raw = resp.read()
     try:
         body = json.loads(raw)
@@ -222,18 +229,32 @@ def request_scores(
     """
     transport = transport or _default_transport
     attempts: list[str] = []
-    for attempt in range(cfg.retries + 1):
+    for attempt in range(RETRIES + 1):
         try:
             text = transport(cfg, prompt)
         except (urllib.error.URLError, OSError, MalformedResponse) as exc:
             attempts.append(f"attempt {attempt + 1}: {exc}")
-            if attempt < cfg.retries:
-                sleep(cfg.backoff_base * (2**attempt))
+            if attempt < RETRIES:
+                sleep(BACKOFF_BASE * (2**attempt))
             continue
         return ScoreSeries(_parse_scores(text, expected_slots), ScoreKind.LLM)
     raise MalformedResponse(
         "all attempts failed: " + "; ".join(attempts)
     )
+
+
+def _fetch(
+    stop: threading.Event, cfg: LlmBackendConfig, prompt: str, expected_slots: int, transport
+) -> ScoreSeries | None:
+    """``request_scores``, unless ``stop`` is set: then nothing is sent and
+    the result is None. A failure sets ``stop`` before it propagates."""
+    if stop.is_set():
+        return None
+    try:
+        return request_scores(cfg, prompt, expected_slots, transport)
+    except Exception:
+        stop.set()
+        raise
 
 
 def score_windows(
@@ -244,20 +265,25 @@ def score_windows(
 ) -> dict[str, ScoreSeries]:
     """Score many windows, keyed by window id.
 
-    Live mode builds every prompt before sending any request, so a window
-    over the prompt budget fails with nothing sent; requests then run
-    concurrently bounded by ``max_in_flight``. Mock mode is a pure lookup
-    keyed by window identity, against the fixture read once per call, and
-    builds no prompts. No cross-window ordering guarantee.
+    Live mode builds every prompt, and checks the default transport's API
+    key, before sending any request. Requests run MAX_IN_FLIGHT at once; the
+    first failure stops the run, sending no queued request, and is raised
+    once the requests in flight return. Mock mode is a pure lookup keyed by
+    window identity, against the fixture read once per call, and builds no
+    prompts. No cross-window ordering guarantee.
     """
     if cfg.mode == "mock":
         if cfg.fixture_path is None:
             raise MissingFixture("mock mode requires a fixture path")
         return load_fixture(cfg.fixture_path, windows)
     prompts = [(w, build_prompt(w, template)) for w in windows]
-    with ThreadPoolExecutor(max_workers=cfg.max_in_flight) as pool:
+    if transport is None:
+        _api_key()
+    stop = threading.Event()
+    with ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT) as pool:
         futures = {
-            w.window_id(): pool.submit(request_scores, cfg, prompt, w.length, transport)
+            w.window_id(): pool.submit(_fetch, stop, cfg, prompt, w.length, transport)
             for w, prompt in prompts
         }
+        # windows skipped after a failure hold None, but the failure raises here
         return {wid: fut.result() for wid, fut in futures.items()}

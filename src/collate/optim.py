@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class Adam:
     """Standard Adam; state is keyed by parameter name.
@@ -11,8 +13,8 @@ class Adam:
     parameters must be passed as 0-d or length-1 arrays by the caller.
     """
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, lr: float):
+        self.lr = lr
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.t = 0
@@ -24,8 +26,8 @@ class Adam:
             if name not in self.m:
                 self.m[name] = np.zeros_like(g)
                 self.v[name] = np.zeros_like(g)
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g**2
-            mhat = self.m[name] / (1 - self.beta1**self.t)
-            vhat = self.v[name] / (1 - self.beta2**self.t)
-            params[name] -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            self.m[name] = BETA1 * self.m[name] + (1 - BETA1) * g
+            self.v[name] = BETA2 * self.v[name] + (1 - BETA2) * g**2
+            mhat = self.m[name] / (1 - BETA1**self.t)
+            vhat = self.v[name] / (1 - BETA2**self.t)
+            params[name] -= self.lr * mhat / (np.sqrt(vhat) + EPS)

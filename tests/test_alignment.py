@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.stats import halfnorm
 
 from collate.alignment import (
     AlignmentConfig,
@@ -229,20 +230,24 @@ class TestTrainMapping:
 
 
 class TestKlHistogram:
-    def test_identical_distributions_near_zero(self):
-        rng = np.random.default_rng(8)
-        a = rng.uniform(0, 1, 500)
-        assert kl_histogram(a, a.copy(), 20) == pytest.approx(0.0, abs=1e-9)
+    def test_sample_at_the_fits_quantiles_near_zero(self):
+        # a stratified sample of the fit: each bin's share is within 1/n of
+        # its mass, so the divergence is O(bins / n^2 / smallest mass)
+        n = 100_000
+        a = halfnorm.ppf((np.arange(n) + 0.5) / n, scale=0.3)
+        assert kl_histogram(a, HalfGaussianFit(0.3), 20) < 1e-6
 
     def test_two_bin_closed_form(self):
-        a = np.full(100, 0.25)
-        b = np.concatenate([np.full(50, 0.25), np.full(50, 0.75)])
-        assert kl_histogram(a, b, 2) == pytest.approx(math.log(2.0), abs=1e-6)
+        # every sample in [0, 0.5): KL = -log of the fit's mass share there
+        fit = HalfGaussianFit(0.5)
+        low, high = fit.cdf(0.5), fit.cdf(1.0) - fit.cdf(0.5)
+        assert kl_histogram(np.full(100, 0.25), fit, 2) == pytest.approx(
+            -math.log(low / (low + high)), abs=1e-6
+        )
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
     def test_nonnegative(self, seed):
         rng = np.random.default_rng(seed)
-        a = rng.uniform(0, 1, 100)
-        b = rng.uniform(0, 1, 100)
-        assert kl_histogram(a, b, 10) >= 0.0
+        a = rng.uniform(0, 1.5, 100)
+        assert kl_histogram(a, HalfGaussianFit(rng.uniform(0.05, 1.0)), 10) >= 0.0

@@ -1,4 +1,5 @@
 """The CLI end to end at 2,000 slots, run in-process through ``cli.main``."""
+import dataclasses
 import json
 
 import pytest
@@ -183,6 +184,11 @@ class TestAblateGrid:
         assert grid_rows == ["d,patchSize,f1", f"1.0,2,{collaborative[3]}"]
         metrics = json.loads((tmp_path / "metrics.json").read_text())
         assert sorted(metrics) == ["config_echo", "grid", "seed", "variants"]
+        # the settings the table was trained with, not the run config's
+        assert metrics["config_echo"] == {
+            "benchmark": dataclasses.asdict(benchmark.BenchmarkConfig(seed=0)),
+            "collab": dataclasses.asdict(benchmark.default_collab_config(seed=0)),
+        }
         assert metrics["grid"] == [[1.0, 2, float(collaborative[3])]]
         assert metrics["variants"]["collaborative"]["f1"] == float(collaborative[3])
         outputs = json.loads((tmp_path / "manifest.json").read_text())["outputs"]
@@ -227,6 +233,23 @@ class TestLiveScoring:
         assert code == 2
         assert err.startswith("error: window 'w0' needs ") and err.count("\n") == 1, err
         assert f"over the prompt budget of {llm.MAX_DATA_CHARS}" in err
+
+    def test_missing_api_key_exits_2_before_any_request(self, run_dir, tmp_path, monkeypatch,
+                                                         capsys):
+        def no_request(req, timeout):
+            raise AssertionError("a request was sent")
+
+        monkeypatch.setattr(llm.urllib.request, "urlopen", no_request)
+        monkeypatch.delenv(llm.API_KEY_VAR, raising=False)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"llm_mode": "live:http://127.0.0.1:9/", "window_len": 200}))
+        capsys.readouterr()
+        code = cli.main(["--config", str(cfg), "--out", str(tmp_path / "llm"),
+                         "score-llm", "--data", str(run_dir / "D" / "data.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: environment variable {llm.API_KEY_VAR} not set\n"
+        )
 
 
 class TestVerify:

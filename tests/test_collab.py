@@ -218,8 +218,7 @@ class TestMseVariant:
 @pytest.fixture(scope="module")
 def small_bench():
     return build_benchmark(BenchmarkConfig(length=2000, seed=3, n_contextual=4,
-                                           n_point=4, span_range=(10, 20),
-                                           window_len=200))
+                                           n_point=4, window_len=200))
 
 
 def small_cfg(seed=0, variant_epochs=25):
@@ -229,11 +228,11 @@ def small_cfg(seed=0, variant_epochs=25):
 
 class TestTrainCollab:
     def test_deterministic_checkpoints(self, small_bench, tmp_path):
-        llm = small_bench.llm_scores_for(small_bench.train_windows)
+        llm = small_bench.llm_scores_for(small_bench.windows["train"])
         outs = []
         for run in range(2):
             pipeline, _ = train_collab(
-                small_bench.train_windows, small_bench.scorer, llm,
+                small_bench.windows["train"], small_bench.scorer, llm,
                 LossVariant.COLLABORATIVE, small_cfg(seed=5),
             )
             path = tmp_path / f"p{run}.json"
@@ -242,21 +241,21 @@ class TestTrainCollab:
         assert outs[0] == outs[1]
 
     def test_no_alignment_variant_skips_mapping(self, small_bench):
-        llm = small_bench.llm_scores_for(small_bench.train_windows)
+        llm = small_bench.llm_scores_for(small_bench.windows["train"])
         pipeline, curves = train_collab(
-            small_bench.train_windows, small_bench.scorer, llm,
+            small_bench.windows["train"], small_bench.scorer, llm,
             LossVariant.NO_ALIGNMENT, small_cfg(),
         )
         assert pipeline.mapping is None
         assert curves.kl_aligned == []
-        w = small_bench.test_windows[0]
+        w = small_bench.windows["test"][0]
         out = detect(pipeline, w, small_bench.llm_scores_for([w])[w.window_id()])
         assert len(out) == w.length
 
     def test_pipeline_roundtrip_bit_exact(self, small_bench, tmp_path):
-        llm = small_bench.llm_scores_for(small_bench.train_windows)
+        llm = small_bench.llm_scores_for(small_bench.windows["train"])
         pipeline, _ = train_collab(
-            small_bench.train_windows, small_bench.scorer, llm,
+            small_bench.windows["train"], small_bench.scorer, llm,
             LossVariant.COLLABORATIVE, small_cfg(),
         )
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -265,12 +264,12 @@ class TestTrainCollab:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_detect_pure_and_bounded(self, small_bench):
-        llm = small_bench.llm_scores_for(small_bench.train_windows)
+        llm = small_bench.llm_scores_for(small_bench.windows["train"])
         pipeline, _ = train_collab(
-            small_bench.train_windows, small_bench.scorer, llm,
+            small_bench.windows["train"], small_bench.scorer, llm,
             LossVariant.COLLABORATIVE, small_cfg(),
         )
-        w = small_bench.test_windows[0]
+        w = small_bench.windows["test"][0]
         scores = small_bench.llm_scores_for([w])[w.window_id()]
         out1 = detect(pipeline, w, scores)
         out2 = detect(pipeline, w, scores)
@@ -279,12 +278,12 @@ class TestTrainCollab:
         assert out1.scores.min() > 0.0 and out1.scores.max() < 1.0
 
     def test_detect_requires_llm_kind_and_length(self, small_bench):
-        llm = small_bench.llm_scores_for(small_bench.train_windows)
+        llm = small_bench.llm_scores_for(small_bench.windows["train"])
         pipeline, _ = train_collab(
-            small_bench.train_windows, small_bench.scorer, llm,
+            small_bench.windows["train"], small_bench.scorer, llm,
             LossVariant.COLLABORATIVE, small_cfg(),
         )
-        w = small_bench.test_windows[0]
+        w = small_bench.windows["test"][0]
         with pytest.raises(LengthMismatch):
             detect(pipeline, w, ScoreSeries(np.array([0.5]), ScoreKind.LLM))
 
@@ -292,7 +291,7 @@ class TestTrainCollab:
 class TestCollaborativeTerm:
     @pytest.mark.parametrize("fixed", [False, True])
     def test_precomputed_gradient_equals_per_call(self, small_bench, fixed):
-        w = small_bench.train_windows[0]
+        w = small_bench.windows["train"][0]
         n = 100
         s = small_bench.scorer.score(w)[0].scores[:n] / 3.0
         llm = small_bench.llm_scores_for([w])[w.window_id()].scores[:n]
@@ -323,15 +322,15 @@ class TestTrainCollabMatchesReference:
 
     @pytest.mark.parametrize("variant", list(LossVariant))
     def test_bit_identical(self, small_bench, variant):
-        llm = small_bench.llm_scores_for(small_bench.train_windows)
+        llm = small_bench.llm_scores_for(small_bench.windows["train"])
         cfg = CollabConfig(colr=0.01, batch_size=100, epochs=5, seed=2,
                            patch_size=2, d=1.0)
         echo = {"variant": variant.value}
         new, new_curves = train_collab(
-            small_bench.train_windows, small_bench.scorer, llm, variant, cfg, echo
+            small_bench.windows["train"], small_bench.scorer, llm, variant, cfg, echo
         )
         ref, ref_curves = _reference_train_collab(
-            small_bench.train_windows, small_bench.scorer, llm, variant, cfg, echo
+            small_bench.windows["train"], small_bench.scorer, llm, variant, cfg, echo
         )
         assert json.dumps(new.to_dict(), sort_keys=True) == json.dumps(
             ref.to_dict(), sort_keys=True
@@ -342,9 +341,9 @@ class TestTrainCollabMatchesReference:
         assert len(new_curves.alignment_loss) == 5
 
     def test_parameters_are_views_of_one_vector(self, small_bench):
-        llm = small_bench.llm_scores_for(small_bench.train_windows)
+        llm = small_bench.llm_scores_for(small_bench.windows["train"])
         pipeline, _ = train_collab(
-            small_bench.train_windows, small_bench.scorer, llm,
+            small_bench.windows["train"], small_bench.scorer, llm,
             LossVariant.COLLABORATIVE, small_cfg(variant_epochs=1),
         )
         arrays = [pipeline.cond.w1, pipeline.cond.b1, pipeline.cond.w2,

@@ -1,5 +1,6 @@
-"""No module in the package or the tests imports a name it never uses, and
-every public top-level function and class in the package has a reference."""
+"""No module in the package or the tests imports a name it never uses,
+every public top-level function and class in the package has a reference,
+and every field and method of a public class in the package is read."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "collate").glob("*.py"))
 MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
+READERS = sorted([*MODULES, *(ROOT / "perfbench").glob("*.py")])
 # `cli.main` is the console entry point named in pyproject.toml
 ENTRY_POINTS = {"cli.main"}
 MAX_LINE = 99
@@ -97,6 +99,59 @@ def test_scan_flags_an_unreferenced_definition():
 def test_every_public_definition_has_a_reference():
     sources = {path.stem: path.read_text() for path in PACKAGE}
     assert unreferenced_definitions(sources) == []
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    """Decorated ``@dataclass`` or ``@dataclass(...)``."""
+    targets = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return any(isinstance(t, ast.Name) and t.id == "dataclass" for t in targets)
+
+
+def unread_members(definitions: dict[str, str], readers: list[str]) -> list[str]:
+    """``module.Class.member`` of each dataclass field and each method of a
+    public top-level class in ``definitions`` (module name -> source) whose
+    name no attribute read (``x.member``) in ``readers`` uses. Dunder methods
+    run implicitly and are exempt. The scan goes by name, not by type: a
+    member counts as read when any object's attribute of that name is."""
+    reads = {
+        node.attr
+        for source in readers
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = []
+    for module, source in definitions.items():
+        for cls in ast.parse(source).body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            members = [
+                node.name for node in cls.body
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")
+            ]
+            if _is_dataclass(cls):
+                members += [
+                    node.target.id for node in cls.body
+                    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                ]
+            unread += [f"{module}.{cls.name}.{m}" for m in members if m not in reads]
+    return sorted(unread)
+
+
+def test_scan_flags_an_unread_member():
+    source = (
+        "@dataclass(frozen=True)\nclass Config:\n    read: int = 1\n    unread: int = 2\n\n"
+        "    def __post_init__(self):\n        pass\n\n    def used(self):\n"
+        "        return self.read\n\n    def unused(self):\n        pass\n\n\n"
+        "class Plain:\n    count: int\n\n    def __init__(self):\n        self.stored = 0\n\n\n"
+        "@dataclass\nclass _Private:\n    hidden: int = 0\n"
+    )
+    unread = unread_members({"m": source}, [source, "Config().used()\n"])
+    assert unread == ["m.Config.unread", "m.Config.unused"]
+
+
+def test_every_member_of_a_public_class_is_read():
+    definitions = {path.stem: path.read_text() for path in PACKAGE}
+    assert unread_members(definitions, [path.read_text() for path in READERS]) == []
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)

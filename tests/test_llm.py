@@ -1,4 +1,5 @@
 import json
+import threading
 import urllib.request
 
 import numpy as np
@@ -131,7 +132,7 @@ class TestMockScoring:
 
 
 class TestLiveScoring:
-    def test_one_prompt_per_window_through_the_transport(self):
+    def test_one_prompt_per_window_through_the_transport(self, monkeypatch):
         ws = windows(3)
         prompts = []
 
@@ -139,7 +140,8 @@ class TestLiveScoring:
             prompts.append(prompt)
             return "\n".join(["0.25"] * 20)
 
-        cfg = LlmBackendConfig(mode="live", max_in_flight=1)
+        monkeypatch.setattr(llm, "MAX_IN_FLIGHT", 1)
+        cfg = LlmBackendConfig(mode="live")
         out = score_windows(cfg, ws, mgab_template(), transport)
         assert len(prompts) == 3
         assert all(f"{w.start_index}: " in p for w, p in zip(ws, prompts))
@@ -147,7 +149,7 @@ class TestLiveScoring:
             assert out[w.window_id()].kind is ScoreKind.LLM
             np.testing.assert_array_equal(out[w.window_id()].scores, 0.25)
 
-    def test_window_over_budget_fails_before_any_request(self):
+    def test_window_over_budget_fails_before_any_request(self, monkeypatch):
         long = TimeSeriesWindow(np.full((2_000, 1), 0.123456), start_index=20)
         chars = len("\n".join(f"{20 + i}: 0.123456" for i in range(2_000)))
         assert chars > llm.MAX_DATA_CHARS
@@ -157,13 +159,46 @@ class TestLiveScoring:
             calls.append(prompt)
             return "\n".join(["0.25"] * 20)
 
-        cfg = LlmBackendConfig(mode="live", max_in_flight=1)
+        monkeypatch.setattr(llm, "MAX_IN_FLIGHT", 1)
+        cfg = LlmBackendConfig(mode="live")
         with pytest.raises(ConfigError, match=(
             f"window 'w20' needs {chars} characters "
             f"of input data, over the prompt budget of {llm.MAX_DATA_CHARS}"
         )):
             score_windows(cfg, [windows(1)[0], long], mgab_template(), transport)
         assert calls == []
+
+    def test_first_failed_window_stops_the_run(self, monkeypatch):
+        """Two requests in flight: w0's reply is not a number, and w1's
+        request is held until w0 has failed. None of the other 38 queued
+        windows may then be sent."""
+        monkeypatch.setattr(llm, "MAX_IN_FLIGHT", 2)
+        w1_sent, w0_failed = threading.Event(), threading.Event()
+        real_fetch = llm._fetch
+
+        def fetch(*args):
+            try:
+                return real_fetch(*args)
+            except MalformedResponse:
+                w0_failed.set()
+                raise
+
+        monkeypatch.setattr(llm, "_fetch", fetch)
+        calls = []
+
+        def transport(cfg, prompt):
+            calls.append(prompt)
+            if "Input data:\n0: " in prompt:
+                assert w1_sent.wait(timeout=10)
+                return "not a number"
+            w1_sent.set()
+            assert w0_failed.wait(timeout=10)
+            return "\n".join(["0.25"] * 20)
+
+        cfg = LlmBackendConfig(mode="live")
+        with pytest.raises(MalformedResponse, match="non-numeric score line"):
+            score_windows(cfg, windows(40), mgab_template(), transport)
+        assert len(calls) == 2
 
 
 class FakeResponse:
@@ -191,7 +226,7 @@ class TestDefaultTransport:
             return FakeResponse(body)
 
         monkeypatch.setattr(urllib.request, "urlopen", urlopen)
-        monkeypatch.setenv(llm.DEFAULT_API_KEY_VAR, "key")
+        monkeypatch.setenv(llm.API_KEY_VAR, "key")
         cfg = LlmBackendConfig(mode="live", endpoint="http://127.0.0.1:9/")
         try:
             return llm.request_scores(cfg, "prompt", 3, sleep=lambda s: None), requests
@@ -211,8 +246,30 @@ class TestDefaultTransport:
         np.testing.assert_array_equal(result.scores, [0.1, 0.2, 0.3])
         assert len(requests) == 1
 
+    def test_missing_key_is_fatal_and_sends_nothing(self, monkeypatch):
+        requests, sleeps = [], []
+        monkeypatch.setattr(urllib.request, "urlopen", lambda req, timeout: requests.append(req))
+        monkeypatch.delenv(llm.API_KEY_VAR, raising=False)
+        cfg = LlmBackendConfig(mode="live", endpoint="http://127.0.0.1:9/")
+        message = f"environment variable {llm.API_KEY_VAR} not set"
+        with pytest.raises(ConfigError, match=message):
+            llm.request_scores(cfg, "prompt", 3, sleep=sleeps.append)
+        with pytest.raises(ConfigError, match=message):
+            score_windows(cfg, windows(3), mgab_template())
+        assert requests == [] and sleeps == []
+
 
 class TestPrompt:
+    def test_expertise_quotes_the_generator(self):
+        assert mgab_template().expertise_supplement == (
+            "Expertise supplement: The input is a univariate time series sampled once per "
+            "slot. Between anomalies it follows dx/dt = 0.25 * x(t-18)/(1+x(t-18)^10) - "
+            "0.1*x(t) plus uniform noise within [-0.01, 0.01], where x(t) is the value at "
+            "slot t. Inserted anomalies break this rule: some repeat a future segment of the "
+            "series at the present position, others shift a single slot far from its "
+            "neighbours. [Professional document can be inserted into this part]"
+        )
+
     def test_four_sections_in_order_with_one_line_per_slot(self):
         w = TimeSeriesWindow(np.arange(10.0).reshape(5, 2) / 7, start_index=100)
         template = mgab_template()
