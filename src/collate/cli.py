@@ -164,13 +164,14 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def write_manifest(out_dir: Path, command: str, cfg: RunConfig,
-                   inputs: list[Path], outputs: list[Path]) -> None:
+def write_manifest(out_dir: Path, command: str, cfg: RunConfig, inputs: list[Path],
+                   outputs: list[Path], config: dict | None = None) -> None:
+    """``config`` is what the command ran with; None means the whole run config."""
     manifest = {
         "command": command,
         "version": __version__,
         "seed": cfg.seed,
-        "config": dataclasses.asdict(cfg),
+        "config": dataclasses.asdict(cfg) if config is None else config,
         "inputs": {str(p): _sha256(p) for p in sorted(inputs)},
         "outputs": sorted(str(p) for p in outputs),
     }
@@ -360,7 +361,7 @@ def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
         status = "PASS" if r.passed else "FAIL"
         print(f"[{status}] {r.theorem}: statistic={r.statistic:.6g} bound={r.bound:.6g}")
         all_pass &= r.passed
-    write_manifest(out_dir, "verify", cfg, [], [out_path])
+    write_manifest(out_dir, "verify", cfg, [], [out_path], config={"seed": cfg.seed})
     return 0 if all_pass else 1
 
 
@@ -401,11 +402,11 @@ def cmd_ablate(cfg: RunConfig, out_dir: Path, grid: str | None) -> int:
     results = run_ablation(bench, ccfg)
     for name, m in results.items():
         print(f"{name:15s} F1={m.f1:.4f}")
+    # what the ablation ran with; the run config's training keys do not reach it
+    echo = {"benchmark": dataclasses.asdict(bench.cfg), "collab": dataclasses.asdict(ccfg)}
     payload = {
         "variants": {n: m.to_dict() for n, m in results.items()},
-        # what the ablation ran with; the run config's training keys do not reach it
-        "config_echo": {"benchmark": dataclasses.asdict(bench.cfg),
-                        "collab": dataclasses.asdict(ccfg)},
+        "config_echo": echo,
         "seed": cfg.seed,
     }
     rows = [[n, m.precision, m.recall, m.f1] for n, m in results.items()]
@@ -420,7 +421,7 @@ def cmd_ablate(cfg: RunConfig, out_dir: Path, grid: str | None) -> int:
         payload["grid"] = grid_rows
         curves["grid"] = (["d", "patchSize", "f1"], grid_rows)
     outputs = emit_report(out_dir, payload, curves=curves)
-    write_manifest(out_dir, "ablate", cfg, [], outputs)
+    write_manifest(out_dir, "ablate", cfg, [], outputs, config=echo)
     return 0
 
 

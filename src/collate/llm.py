@@ -224,8 +224,9 @@ def request_scores(
 
     Posts {"prompt": ...} and parses newline-separated floats from the
     response's 'text' field, retrying transport failures with exponential
-    backoff; range violations are never retried (the model answered, the
-    answer is invalid).
+    backoff. An HTTP 4xx other than 408 and 429 is a ConfigError at once
+    (the request itself is wrong), and range violations are never retried
+    (the model answered, the answer is invalid).
     """
     transport = transport or _default_transport
     attempts: list[str] = []
@@ -233,6 +234,10 @@ def request_scores(
         try:
             text = transport(cfg, prompt)
         except (urllib.error.URLError, OSError, MalformedResponse) as exc:
+            if isinstance(exc, urllib.error.HTTPError) and (
+                400 <= exc.code < 500 and exc.code not in (408, 429)
+            ):
+                raise ConfigError(f"{cfg.endpoint} answered HTTP {exc.code}") from None
             attempts.append(f"attempt {attempt + 1}: {exc}")
             if attempt < RETRIES:
                 sleep(BACKOFF_BASE * (2**attempt))

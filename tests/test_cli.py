@@ -62,6 +62,27 @@ class TestPipeline:
         assert (elsewhere / "out" / "llm_scores.jsonl").read_bytes() == inside
 
 
+    def test_rerun_is_byte_identical(self, run_dir, tmp_path):
+        """train-tsadm, train-collab and detect twice on the same inputs give
+        the same bytes; BLAS threads are left as the host sets them."""
+        csv = str(run_dir / "D" / "data.csv")
+        scores = str(run_dir / "llm" / "llm_scores.jsonl")
+        for run in ("a", "b"):
+            root = tmp_path / run
+            steps = [
+                ("tsadm", "train-tsadm", "--data", csv),
+                ("collab", "train-collab", "--data", csv,
+                 "--tsadm", str(root / "tsadm" / "tsadm.json"), "--llm-scores", scores),
+                ("detect", "detect", "--data", csv,
+                 "--pipeline", str(root / "collab" / "pipeline.json"), "--llm-scores", scores),
+            ]
+            for out, *args in steps:
+                assert cli.main(["--config", str(run_dir / "cfg.json"),
+                                 "--out", str(root / out), *args]) == 0, args[0]
+        for rel in ("tsadm/tsadm.json", "collab/pipeline.json", "detect/collated.csv"):
+            assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes(), rel
+
+
 class TestExitCodes:
     def test_missing_detector_checkpoint_exits_2(self, run_dir, tmp_path, capsys):
         code = cli.main([
@@ -191,9 +212,10 @@ class TestAblateGrid:
         }
         assert metrics["grid"] == [[1.0, 2, float(collaborative[3])]]
         assert metrics["variants"]["collaborative"]["f1"] == float(collaborative[3])
-        outputs = json.loads((tmp_path / "manifest.json").read_text())["outputs"]
-        assert outputs == [str(tmp_path / name)
-                           for name in ("ablation.csv", "grid.csv", "metrics.json")]
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["config"] == metrics["config_echo"]
+        assert manifest["outputs"] == [str(tmp_path / name)
+                                       for name in ("ablation.csv", "grid.csv", "metrics.json")]
 
     @pytest.mark.parametrize("grid, message", [
         ("[1]", "--grid must be a JSON object"),
@@ -252,6 +274,27 @@ class TestLiveScoring:
         )
 
 
+    def test_http_401_exits_2_after_one_request(self, run_dir, tmp_path, monkeypatch,
+                                                 capsys):
+        requests = []
+
+        def unauthorized(req, timeout):
+            requests.append(req)
+            raise llm.urllib.error.HTTPError(req.full_url, 401, "Unauthorized", {}, None)
+
+        monkeypatch.setattr(llm.urllib.request, "urlopen", unauthorized)
+        monkeypatch.setattr(llm, "MAX_IN_FLIGHT", 1)
+        monkeypatch.setenv(llm.API_KEY_VAR, "key")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"llm_mode": "live:http://127.0.0.1:9/", "window_len": 200}))
+        capsys.readouterr()
+        code = cli.main(["--config", str(cfg), "--out", str(tmp_path / "llm"),
+                         "score-llm", "--data", str(run_dir / "D" / "data.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: http://127.0.0.1:9/ answered HTTP 401\n"
+        assert len(requests) == 1
+
+
 class TestVerify:
     def test_seed_0_fails_theorem2_only(self, tmp_path, capsys):
         assert cli.main(["--seed", "0", "--out", str(tmp_path), "verify"]) == 1
@@ -267,3 +310,5 @@ class TestVerify:
         theorem2 = reports[1]
         assert theorem2["statistic"] == 0.67 and not theorem2["pass"]
         assert theorem2["details"] == {"p1_failures": 0, "p2_failures": 60}
+        # the theory checks read the seed and no other setting
+        assert json.loads((tmp_path / "manifest.json").read_text())["config"] == {"seed": 0}

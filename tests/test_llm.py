@@ -1,5 +1,6 @@
 import json
 import threading
+import urllib.error
 import urllib.request
 
 import numpy as np
@@ -257,6 +258,36 @@ class TestDefaultTransport:
         with pytest.raises(ConfigError, match=message):
             score_windows(cfg, windows(3), mgab_template())
         assert requests == [] and sleeps == []
+
+
+class TestHttpStatus:
+    def post(self, code):
+        """request_scores against a transport that answers every request with
+        HTTP ``code``; returns (exception raised, transport calls, sleeps)."""
+        calls, sleeps = [], []
+
+        def transport(cfg, prompt):
+            calls.append(prompt)
+            raise urllib.error.HTTPError(cfg.endpoint, code, "status", {}, None)
+
+        cfg = LlmBackendConfig(mode="live", endpoint="http://127.0.0.1:9/")
+        with pytest.raises((ConfigError, MalformedResponse)) as info:
+            llm.request_scores(cfg, "prompt", 3, transport, sleep=sleeps.append)
+        return info.value, calls, sleeps
+
+    @pytest.mark.parametrize("code", [400, 401, 403, 404])
+    def test_client_error_is_fatal_at_once(self, code):
+        exc, calls, sleeps = self.post(code)
+        assert isinstance(exc, ConfigError)
+        assert str(exc) == f"http://127.0.0.1:9/ answered HTTP {code}"
+        assert len(calls) == 1 and sleeps == []
+
+    @pytest.mark.parametrize("code", [408, 429, 500, 503])
+    def test_timeout_rate_limit_and_server_errors_are_retried(self, code):
+        exc, calls, sleeps = self.post(code)
+        assert isinstance(exc, MalformedResponse)
+        assert f"HTTP Error {code}" in str(exc)
+        assert len(calls) == 3 and sleeps == [0.5, 1.0]
 
 
 class TestPrompt:

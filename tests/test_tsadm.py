@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,11 @@ from collate.tsadm import (
     PrecomputedScorer,
     TsadmConfig,
     TsadmModel,
+    _AttentionCache,
     _attention_backward,
     _attention_forward,
+    _softmax_rows,
+    _sq_distances,
     scorer_from_dict,
     scorer_to_dict,
     train_tsadm,
@@ -81,6 +86,54 @@ class TestAttention:
             assert abs(fd - grad[idx]) / max(abs(fd), 1e-8) < 1e-4
         fd = (val(q, k, v, sigma + h) - val(q, k, v, sigma - h)) / (2 * h)
         assert abs(fd - dsig) / max(abs(fd), 1e-8) < 1e-4
+
+
+# D, T and e of the shapes the matmul kernel is checked on against the oracle
+ORACLE_SHAPES = list(itertools.product((1, 3), (2, 7), (1, 4)))
+
+
+def assert_close_to_reference(got, ref, name=""):
+    """rtol 1e-12 per element, with an absolute floor of 1e-14 of the array's
+    largest entry: BLAS sums in another order than einsum, and an entry whose
+    terms cancel to near zero carries an error relative to the terms, not to
+    itself."""
+    ref = np.asarray(ref)
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-14 * np.abs(ref).max(),
+                               err_msg=name)
+
+
+class TestMatchesEinsumReference:
+    """The matmul kernel equals the einsum forms it replaced, to rounding."""
+
+    @pytest.mark.parametrize("d, t, e", ORACLE_SHAPES)
+    def test_attention_kernel(self, d, t, e):
+        rng = np.random.default_rng(100 * d + 10 * t + e)
+        q, k, v = qkv(rng, 3, d, t, e)
+        sigma = float(rng.uniform(0.5, 2.0))
+        probe = rng.normal(size=(3, d, t, e))
+        out, cache = _attention_forward(q, k, v, sigma)
+        ref_out, ref_cache = _reference_attention_forward(q, k, v, sigma)
+        assert_close_to_reference(out, ref_out)
+        assert_close_to_reference(cache.a, ref_cache.a)
+        assert_close_to_reference(cache.p, ref_cache.p)
+        for got, ref, name in zip(_attention_backward(probe, cache),
+                                  _reference_attention_backward(probe, ref_cache),
+                                  ("dq", "dk", "dv", "dsigma")):
+            assert_close_to_reference(got, ref, name)
+
+    @pytest.mark.parametrize("d, t, e", ORACLE_SHAPES)
+    def test_loss_and_grads(self, d, t, e):
+        rng = np.random.default_rng(100 * d + 10 * t + e)
+        model = TsadmModel(d, TsadmConfig(winLen=t, moduleNum=2, kLen=2, embed=e, seed=3))
+        for layer in model.layers:
+            layer.log_sigma = float(rng.uniform(-0.5, 1.0))
+        xb = rng.normal(size=(4, t, d))
+        loss, grads = model.loss_and_grads(xb)
+        ref_loss, ref_grads = _reference_loss_and_grads(model, xb)
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        assert grads.keys() == ref_grads.keys()
+        for name, ref in ref_grads.items():
+            assert_close_to_reference(grads[name], ref, name)
 
 
 class TestModel:
@@ -182,6 +235,24 @@ class TestModel:
         raw, rep = model.score(TimeSeriesWindow(values[:21]))
         assert len(raw) == 21 and rep.shape[0] == 21
 
+    @pytest.mark.parametrize("length", [24, 29])
+    def test_score_equals_each_tile_scored_alone(self, length):
+        cfg = TsadmConfig(winLen=8, moduleNum=2, kLen=2, embed=3, seed=0)
+        model = TsadmModel(2, cfg)
+        values = np.random.default_rng(8).normal(size=(length, 2))
+        raw, rep = model.score(TimeSeriesWindow(values))
+        w = cfg.winLen
+        expected_raw = np.empty(length)
+        expected_rep = np.empty((length, model.rep_dim))
+        # the end-aligned tile first, so the full tiles overwrite the slots it shares
+        for start in [length - w, *range(0, length - w + 1, w)]:
+            tile = values[None, start : start + w]
+            recon, r, _ = model.forward(tile)
+            expected_raw[start : start + w] = ((recon[0] - tile[0]) ** 2).sum(axis=1)
+            expected_rep[start : start + w] = r[0]
+        np.testing.assert_array_equal(raw.scores, expected_raw)
+        np.testing.assert_array_equal(rep, expected_rep)
+
     def test_window_shorter_than_winlen_rejected(self):
         cfg = TsadmConfig(winLen=8, moduleNum=1, kLen=2, embed=2, epochs=2, seed=0)
         model = train_tsadm(np.zeros((64, 1)) + 1.0, cfg)
@@ -229,3 +300,73 @@ class TestPrecomputedScorer:
         clone = scorer_from_dict(scorer_to_dict(scorer))
         assert isinstance(clone, PrecomputedScorer)
         assert clone.base_index == 9
+
+
+# --- Oracle: the detector's contractions as np.einsum, before the matmul rewrite ---
+
+
+def _reference_attention_forward(q, k, v, sigma):
+    d2 = _sq_distances(q.shape[-2])
+    expo = np.exp(-d2 / sigma**2)
+    g = 1.0 - expo
+    a = np.einsum("bdtf,bdsf->bdts", q, k)
+    p = _softmax_rows(a * g)
+    out = np.einsum("bdts,bdse->bdte", p, v)
+    return out, _AttentionCache(q, k, v, a, p, g, expo, d2, sigma)
+
+
+def _reference_attention_backward(dout, cache):
+    q, k, v, a, p, g, expo, d2, sigma = cache
+    dp = np.einsum("bdte,bdse->bdts", dout, v)
+    dv = np.einsum("bdts,bdte->bdse", p, dout)
+    dm = (dp - (dp * p).sum(axis=-1, keepdims=True)) * p
+    da = dm * g
+    dg = (dm * a).sum(axis=(0, 1))
+    dsigma = float(-(dg * expo * 2.0 * d2 / sigma**3).sum())
+    dq = np.einsum("bdts,bdsf->bdtf", da, k)
+    dk = np.einsum("bdts,bdtf->bdsf", da, q)
+    return dq, dk, dv, dsigma
+
+
+def _reference_loss_and_grads(model, xb):
+    """Forward pass and full backprop of ``TsadmModel.loss_and_grads``."""
+    b, t, _ = xb.shape
+    x, xwin = model._embed(xb)
+    layer_caches = []
+    for layer in model.layers:
+        q = np.einsum("bdte,def->bdtf", x, layer.wq)
+        k = np.einsum("bdte,def->bdtf", x, layer.wk)
+        v = np.einsum("bdte,def->bdtf", x, layer.wv)
+        o, cache = _reference_attention_forward(q, k, v, layer.sigma)
+        layer_caches.append((x, cache))
+        x = x + o
+    rep = x.transpose(0, 2, 1, 3).reshape(b, t, model.rep_dim)
+    recon = rep @ model.out_w + model.out_b
+    resid = recon - xb
+    loss = float(np.mean(resid**2))
+    drecon = 2.0 * resid / resid.size
+    grads = {
+        "out_w": np.einsum("bth,btd->hd", rep, drecon),
+        "out_b": drecon.sum(axis=(0, 1)),
+    }
+    drep = drecon @ model.out_w.T
+    dx = drep.reshape(b, t, model.dims, model.cfg.embed).transpose(0, 2, 1, 3)
+    dlog_sigma = np.zeros(len(model.layers))
+    for i in reversed(range(len(model.layers))):
+        layer = model.layers[i]
+        x, cache = layer_caches[i]
+        dq, dk, dv, dsigma = _reference_attention_backward(dx, cache)
+        dlog_sigma[i] = dsigma * cache.sigma
+        grads[f"wq{i}"] = np.einsum("bdte,bdtf->def", x, dq)
+        grads[f"wk{i}"] = np.einsum("bdte,bdtf->def", x, dk)
+        grads[f"wv{i}"] = np.einsum("bdte,bdtf->def", x, dv)
+        dx = dx + (
+            np.einsum("bdtf,def->bdte", dq, layer.wq)
+            + np.einsum("bdtf,def->bdte", dk, layer.wk)
+            + np.einsum("bdtf,def->bdte", dv, layer.wv)
+        )
+    du = dx.transpose(0, 2, 1, 3)
+    grads["embed_w"] = np.einsum("btdj,btde->je", xwin, du)
+    grads["embed_b"] = du.sum(axis=(0, 1, 2))
+    grads["log_sigma"] = dlog_sigma
+    return loss, grads
