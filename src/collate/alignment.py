@@ -96,10 +96,12 @@ def alignment_loss_grad(
     dens = half_gaussian_density(fit, m)
     if (dens <= 0.0).any():
         raise NonFiniteDensity("mapped score fell where the target density is zero")
-    mean = float(m.mean())
-    var = float(m.var(ddof=1))
+    # the reductions m.mean() and m.var(ddof=1) make, without their wrappers
+    mean = float(np.add.reduce(m) / n)
+    centred = m - mean
+    var = float(np.add.reduce(centred * centred) / (n - 1))
     loss = (
-        -float(np.mean(np.log(dens)))
+        -float(np.add.reduce(np.log(dens)) / n)
         + cfg.lambda_hat_1 * (mean - fit.mu_hat) ** 2
         + cfg.lambda_hat_2 * (var - fit.sigma_hat_sq) ** 2
     )
@@ -107,7 +109,9 @@ def alignment_loss_grad(
     # mean-dependence cancels because sum(m - mean) = 0.
     grad = m / (fit.sigma**2 * n)
     grad += cfg.lambda_hat_1 * 2.0 * (mean - fit.mu_hat) / n
-    grad += cfg.lambda_hat_2 * 2.0 * (var - fit.sigma_hat_sq) * 2.0 * (m - mean) / (n - 1)
+    centred *= cfg.lambda_hat_2 * 2.0 * (var - fit.sigma_hat_sq) * 2.0
+    centred /= n - 1
+    grad += centred
     return float(loss), grad
 
 
@@ -180,30 +184,34 @@ class MonotoneMapping:
         s = np.asarray(s, dtype=np.float64)
         w1 = _softplus(self.a1)
         w2 = _softplus(self.a2)
-        pre = np.multiply.outer(s, w1) + self.b1
-        h = np.tanh(pre)
-        z = h @ w2 + self.b2
+        pre = np.multiply.outer(s, w1)
+        pre += self.b1
+        h = np.tanh(pre, out=pre)
+        z = h @ w2
+        z += self.b2
         m = sigmoid(z)
-        cache = (s, w1, w2, pre, h, z, m)
-        return m, cache
+        return m, (s, w2, h, m)
 
-    def backward(self, dm: np.ndarray, cache) -> tuple[dict, np.ndarray]:
-        """Gradients of a scalar objective wrt parameters and the input."""
-        s, w1, w2, pre, h, z, m = cache
-        dz = dm * m * (1.0 - m)
-        dh = np.multiply.outer(dz, w2)
-        dw2 = dz @ h if h.ndim > 1 else dz * h
-        dpre = dh * (1.0 - h**2)
-        dw1 = (dpre * np.asarray(s)[..., None]).sum(axis=tuple(range(dpre.ndim - 1)))
-        db1 = dpre.sum(axis=tuple(range(dpre.ndim - 1)))
-        ds = dpre @ w1
-        grads = {
-            "a1": dw1 * sigmoid(self.a1),
-            "b1": db1,
-            "a2": dw2 * sigmoid(self.a2),
-            "b2": float(np.sum(dz)),
+    def backward(self, dm: np.ndarray, cache) -> dict:
+        """Gradients of a scalar objective wrt the parameters, given its
+        gradient ``dm`` wrt the mapped scores."""
+        s, w2, h, m = cache
+        dz = dm * m
+        dz *= 1.0 - m
+        # rows of (slot, hidden unit), whatever the shape of s
+        h = h.reshape(-1, w2.size)
+        dpre = np.multiply.outer(dz.reshape(-1), w2)
+        dw2 = dz.reshape(-1) @ h
+        dpre *= 1.0 - h * h
+        dw1 = np.add.reduce(dpre * s.reshape(-1, 1), axis=0)
+        # softplus' derivative, for a1 and a2 in one call
+        dsoftplus = sigmoid(np.concatenate((self.a1, self.a2)))
+        return {
+            "a1": dw1 * dsoftplus[: w2.size],
+            "b1": np.add.reduce(dpre, axis=0),
+            "a2": dw2 * dsoftplus[w2.size :],
+            "b2": float(np.add.reduce(dz, axis=None)),
         }
-        return grads, ds
 
     def to_dict(self) -> dict:
         return {

@@ -87,25 +87,31 @@ class ConditionalNetParams:
     def forward_stacked(self, raw: np.ndarray):
         """Forward pass on an already stacked (n, 2 + h) input, as built by
         ``_stack``: columns llm, aligned, then the representation."""
-        z = (raw - self.in_mean) / self.in_std
-        pre = z @ self.w1 + self.b1
-        h = np.where(pre > 0, pre, _LEAKY_SLOPE * pre)
-        logits = h @ self.w2 + self.b2
+        z = raw - self.in_mean
+        z /= self.in_std
+        pre = z @ self.w1
+        pre += self.b1
+        # leaky ReLU; equal to where(pre > 0, pre, slope * pre), signed zeros too
+        h = np.maximum(pre, _LEAKY_SLOPE * pre)
+        logits = h @ self.w2
+        logits += self.b2
         out = sigmoid(logits)
-        cache = (z, pre, h, logits, out)
-        return out, cache
+        return out, (z, pre, h, out)
 
     def backward(self, dout: np.ndarray, cache):
-        """Gradients wrt parameters and the (llm, aligned, rep) inputs."""
-        z, pre, h, logits, out = cache
-        dlogits = dout * out * (1.0 - out)
+        """Gradients wrt parameters and the (llm, aligned, rep) inputs.
+        ``dout`` is only read: training passes a block's shared constant."""
+        z, pre, h, out = cache
+        dlogits = dout * out
+        dlogits *= 1.0 - out
         dw2 = h.T @ dlogits
-        db2 = float(dlogits.sum())
-        dh = np.outer(dlogits, self.w2)
-        dpre = dh * np.where(pre > 0, 1.0, _LEAKY_SLOPE)
+        db2 = float(np.add.reduce(dlogits))
+        dpre = np.multiply.outer(dlogits, self.w2)
+        dpre *= np.where(pre > 0, 1.0, _LEAKY_SLOPE)
         dw1 = z.T @ dpre
-        db1 = dpre.sum(axis=0)
-        draw = (dpre @ self.w1.T) / self.in_std
+        db1 = np.add.reduce(dpre, axis=0)
+        draw = dpre @ self.w1.T
+        draw /= self.in_std
         grads = {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
         return grads, draw[:, 0], draw[:, 1], draw[:, 2:]
 
@@ -381,7 +387,10 @@ def train_collab(
     Everything a block's step needs that does not depend on the parameters
     (its scaled and LLM scores, representation, patch weights and, for the
     pairwise variants, the loss gradient) is built once before the first
-    epoch; each window is scored once.
+    epoch; each window is scored once. One mapping pass over all slots per
+    epoch boundary gives both that epoch's ``kl_aligned`` and the next
+    epoch's input statistics. A step writes in place only the parameters and
+    the aligned column of its block's fusion input.
     """
     if not windows:
         raise ValueError("no training windows")
@@ -439,10 +448,11 @@ def train_collab(
     params = {"theta": flat.theta}
 
     rng = np.random.default_rng(cfg.seed)
+    all_aligned = mapping(all_scaled) if use_mapping else all_scaled
     for _epoch in range(cfg.epochs):
         # the mapping reshapes its output distribution as it trains, so the
         # standardization constants track it once per epoch
-        all_stacked[:, 1] = mapping(all_scaled) if use_mapping else all_scaled
+        all_stacked[:, 1] = all_aligned
         cond.set_input_stats(all_stacked.mean(axis=0), all_stacked.std(axis=0))
         order = rng.permutation(len(blocks))
         ep_align = 0.0
@@ -460,8 +470,7 @@ def train_collab(
             grads = [cgrads]
             if use_mapping:
                 a_loss, da_mapped = align_mod.alignment_loss_grad(mapped, fit, acfg)
-                mgrads, _ = mapping.backward(dmapped + da_mapped, mcache)
-                grads.append(mgrads)
+                grads.append(mapping.backward(dmapped + da_mapped, mcache))
             else:
                 a_loss = 0.0
             opt.step(params, {"theta": flat.gather(grads)})
@@ -472,9 +481,8 @@ def train_collab(
         curves.alignment_loss.append(ep_align / len(blocks))
         curves.pairwise_loss.append(ep_pair / len(blocks))
         if use_mapping:
-            curves.kl_aligned.append(
-                align_mod.kl_histogram(mapping(all_scaled), fit, bins=50)
-            )
+            all_aligned = mapping(all_scaled)
+            curves.kl_aligned.append(align_mod.kl_histogram(all_aligned, fit, bins=50))
 
     pipeline = FusionPipeline(
         scorer=scorer,

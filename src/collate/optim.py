@@ -26,8 +26,14 @@ class Adam:
             if name not in self.m:
                 self.m[name] = np.zeros_like(g)
                 self.v[name] = np.zeros_like(g)
-            self.m[name] = BETA1 * self.m[name] + (1 - BETA1) * g
-            self.v[name] = BETA2 * self.v[name] + (1 - BETA2) * g**2
-            mhat = self.m[name] / (1 - BETA1**self.t)
-            vhat = self.v[name] / (1 - BETA2**self.t)
-            params[name] -= self.lr * mhat / (np.sqrt(vhat) + EPS)
+            # in place, in the operation order of m = BETA1 * m + (1 - BETA1) * g
+            # and params -= lr * mhat / (sqrt(vhat) + EPS); g is only read
+            m, v = self.m[name], self.v[name]
+            m *= BETA1
+            m += (1 - BETA1) * g
+            v *= BETA2
+            v += (1 - BETA2) * g**2
+            step = m / (1 - BETA1**self.t)
+            step *= self.lr
+            step /= np.sqrt(v / (1 - BETA2**self.t)) + EPS
+            params[name] -= step

@@ -16,6 +16,7 @@ from collate.alignment import (
     half_gaussian_density,
     kl_histogram,
 )
+from collate.core import sigmoid
 from collate.errors import DegenerateScores, NonConvergence
 
 
@@ -31,7 +32,7 @@ def train_mapping(scaled, fit, cfg, epochs, learning_rate=0.05, seed=0):
         loss, dmapped = alignment_loss_grad(mapped, fit, cfg)
         if not np.isfinite(loss):
             raise NonConvergence("alignment loss became non-finite")
-        grads, _ = mapping.backward(dmapped, cache)
+        grads = mapping.backward(dmapped, cache)
         mapping.a1 -= learning_rate * grads["a1"]
         mapping.b1 -= learning_rate * grads["b1"]
         mapping.a2 -= learning_rate * grads["a2"]
@@ -251,3 +252,99 @@ class TestKlHistogram:
         rng = np.random.default_rng(seed)
         a = rng.uniform(0, 1.5, 100)
         assert kl_histogram(a, HalfGaussianFit(rng.uniform(0.05, 1.0)), 10) >= 0.0
+
+
+class TestMatchesReference:
+    """The in-place, wrapper-free alignment math equals its earlier
+    out-of-place form bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_alignment_loss_grad(self, seed):
+        rng = np.random.default_rng(seed)
+        fit = HalfGaussianFit(rng.uniform(0.02, 1.5))
+        cfg = AlignmentConfig(rng.uniform(0, 2), rng.uniform(0, 2))
+        for n in (2, 3, 100, 1001):
+            mapped = np.abs(rng.normal(0.0, rng.uniform(0.001, 0.5), n))
+            loss, grad = alignment_loss_grad(mapped, fit, cfg)
+            ref_loss, ref_grad = _reference_alignment_loss_grad(mapped, fit, cfg)
+            assert loss == ref_loss
+            np.testing.assert_array_equal(grad, ref_grad)
+
+    @pytest.mark.parametrize("shape", [(), (1,), (2,), (100,), (7, 9)], ids=str)
+    def test_mapping_forward_and_backward(self, shape):
+        rng = np.random.default_rng(len(shape) * 10 + sum(shape))
+        for hidden in (1, 8):
+            mapping = MonotoneMapping(hidden, seed=hidden)
+            mapping.b2 = np.array(rng.normal())
+            s = rng.normal(0.0, 2.0, shape)
+            dm = rng.normal(size=shape)
+            m, cache = mapping.forward(s)
+            ref_m, ref_cache = _reference_mapping_forward(mapping, s)
+            assert np.shape(m) == shape
+            np.testing.assert_array_equal(m, ref_m)
+            grads = mapping.backward(dm, cache)
+            ref = _reference_mapping_backward(mapping, dm, ref_cache)
+            assert set(grads) == set(ref)
+            for name in ("a1", "b1", "b2"):
+                np.testing.assert_array_equal(grads[name], ref[name])
+            assert np.shape(grads["a2"]) == (hidden,)
+            if len(shape) < 2:
+                np.testing.assert_array_equal(grads["a2"], ref["a2"])
+            else:
+                # the earlier ``dz @ h`` contracted the wrong axes of an
+                # N-d cache; the sum over every slot is the gradient
+                h = ref_cache[4]
+                dz = dm * ref_m * (1.0 - ref_m)
+                np.testing.assert_allclose(
+                    grads["a2"],
+                    np.einsum("ij,ijk->k", dz, h) / (1.0 + np.exp(-mapping.a2)),
+                    rtol=1e-12,
+                )
+
+
+# --- Oracles: the alignment math as it was before the in-place rewrite ---
+
+
+def _reference_alignment_loss_grad(mapped, fit, cfg):
+    m = np.asarray(mapped, dtype=np.float64).reshape(-1)
+    n = m.size
+    dens = half_gaussian_density(fit, m)
+    mean = float(m.mean())
+    var = float(m.var(ddof=1))
+    loss = (
+        -float(np.mean(np.log(dens)))
+        + cfg.lambda_hat_1 * (mean - fit.mu_hat) ** 2
+        + cfg.lambda_hat_2 * (var - fit.sigma_hat_sq) ** 2
+    )
+    grad = m / (fit.sigma**2 * n)
+    grad += cfg.lambda_hat_1 * 2.0 * (mean - fit.mu_hat) / n
+    grad += cfg.lambda_hat_2 * 2.0 * (var - fit.sigma_hat_sq) * 2.0 * (m - mean) / (n - 1)
+    return float(loss), grad
+
+
+def _reference_mapping_forward(mapping, s):
+    s = np.asarray(s, dtype=np.float64)
+    w1 = np.logaddexp(0.0, mapping.a1)
+    w2 = np.logaddexp(0.0, mapping.a2)
+    pre = np.multiply.outer(s, w1) + mapping.b1
+    h = np.tanh(pre)
+    z = h @ w2 + mapping.b2
+    m = sigmoid(z)
+    return m, (s, w1, w2, pre, h, z, m)
+
+
+def _reference_mapping_backward(mapping, dm, cache):
+    """Two ``sigmoid`` calls, ``.sum`` over a tuple of axes, out of place."""
+    s, w1, w2, pre, h, z, m = cache
+    dz = dm * m * (1.0 - m)
+    dh = np.multiply.outer(dz, w2)
+    dw2 = dz @ h if h.ndim > 1 else dz * h
+    dpre = dh * (1.0 - h**2)
+    dw1 = (dpre * np.asarray(s)[..., None]).sum(axis=tuple(range(dpre.ndim - 1)))
+    db1 = dpre.sum(axis=tuple(range(dpre.ndim - 1)))
+    return {
+        "a1": dw1 * sigmoid(mapping.a1),
+        "b1": db1,
+        "a2": dw2 * sigmoid(mapping.a2),
+        "b2": float(np.sum(dz)),
+    }

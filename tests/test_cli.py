@@ -64,7 +64,8 @@ class TestPipeline:
 
     def test_rerun_is_byte_identical(self, run_dir, tmp_path):
         """train-tsadm, train-collab and detect twice on the same inputs give
-        the same bytes; BLAS threads are left as the host sets them."""
+        the same bytes, training curves included; BLAS threads are left as the
+        host sets them."""
         csv = str(run_dir / "D" / "data.csv")
         scores = str(run_dir / "llm" / "llm_scores.jsonl")
         for run in ("a", "b"):
@@ -79,7 +80,8 @@ class TestPipeline:
             for out, *args in steps:
                 assert cli.main(["--config", str(run_dir / "cfg.json"),
                                  "--out", str(root / out), *args]) == 0, args[0]
-        for rel in ("tsadm/tsadm.json", "collab/pipeline.json", "detect/collated.csv"):
+        for rel in ("tsadm/tsadm.json", "collab/pipeline.json", "collab/loss_curves.csv",
+                    "collab/kl_curve.csv", "detect/collated.csv"):
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes(), rel
 
 

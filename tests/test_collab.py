@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from collate import alignment as align_mod
+from collate import collab as collab_mod
 from collate.alignment import MonotoneMapping
 from collate.benchmark import BenchmarkConfig, build_benchmark
 from collate.collab import (
@@ -28,6 +29,7 @@ from collate.core import (
     TimeSeriesWindow,
     patch_weights,
     score_range_divisor,
+    sigmoid,
 )
 from collate.errors import LengthMismatch, NonConvergence
 from collate.optim import Adam
@@ -355,6 +357,102 @@ class TestTrainCollabMatchesReference:
         assert base.size == sum(a.size for a in arrays)
 
 
+class TestConditionalNetMatchesReference:
+    """The in-place fusion net, with its leaky ReLU as ``np.maximum``, equals
+    the earlier out-of-place ``np.where`` form bit for bit, signed zeros too."""
+
+    @staticmethod
+    def assert_matches(net, raw, dout):
+        out, cache = net.forward_stacked(raw)
+        ref_out, ref_cache = _reference_forward_stacked(net, raw)
+        np.testing.assert_array_equal(out, ref_out)
+        np.testing.assert_array_equal(cache[2], ref_cache[2])
+        np.testing.assert_array_equal(np.signbit(cache[2]), np.signbit(ref_cache[2]))
+        dout_before = dout.copy()
+        grads, *draw = net.backward(dout, cache)
+        ref_grads, *ref_draw = _reference_backward(net, dout, ref_cache)
+        np.testing.assert_array_equal(dout, dout_before)
+        assert set(grads) == set(ref_grads)
+        for name, value in grads.items():
+            np.testing.assert_array_equal(value, ref_grads[name])
+        for got, want in zip(draw, ref_draw, strict=True):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("n,rep_dim,hidden", [(1, 1, 1), (2, 3, 5), (100, 4, 16)])
+    def test_random_inputs(self, n, rep_dim, hidden):
+        rng = np.random.default_rng(n + rep_dim + hidden)
+        net = ConditionalNetParams(rep_dim, hidden, seed=n)
+        net.b1[:] = rng.normal(size=hidden)
+        net.b2 = np.array(rng.normal())
+        net.set_input_stats(rng.normal(size=2 + rep_dim), rng.uniform(0.1, 2.0, 2 + rep_dim))
+        self.assert_matches(net, rng.normal(size=(n, 2 + rep_dim)), rng.normal(size=n))
+
+    def test_pre_activations_at_zero_and_below(self):
+        # with an identity first layer, pre is the stacked input exactly; a
+        # negative subnormal leaks to -0.0
+        net = ConditionalNetParams(rep_dim=4, hidden=6, seed=0)
+        net.w1 = np.eye(6)
+        row = [0.0, -0.0, -1.5, 2.0, -5e-324, 5e-324]
+        raw = np.array([row, row[::-1], [-x for x in row]])
+        out, cache = net.forward_stacked(raw)
+        np.testing.assert_array_equal(cache[1], raw)
+        assert np.signbit(cache[2]).any()
+        self.assert_matches(net, raw, np.array([0.3, -2.0, 1e-3]))
+
+    def test_backward_at_signed_zero(self):
+        # a matmul never yields -0.0, so hand the backward one directly
+        rng = np.random.default_rng(4)
+        net = ConditionalNetParams(rep_dim=4, hidden=6, seed=1)
+        pre = np.array([[0.0, -0.0, -1.5, 2.0, -5e-324, 5e-324]] * 3)
+        h = np.where(pre > 0, pre, 0.01 * pre)
+        z, out = rng.normal(size=(3, 6)), rng.uniform(0.01, 0.99, 3)
+        dout = rng.normal(size=3)
+        grads, *draw = net.backward(dout, (z, pre, h, out))
+        ref_grads, *ref_draw = _reference_backward(net, dout, (z, pre, h, None, out))
+        for name, value in grads.items():
+            np.testing.assert_array_equal(value, ref_grads[name])
+        for got, want in zip(draw, ref_draw, strict=True):
+            np.testing.assert_array_equal(got, want)
+
+
+class TestTrainCollabWritesNoSharedInput:
+    """A phase-2 step writes in place only into arrays it owns."""
+
+    def test_one_epoch(self, small_bench, monkeypatch):
+        terms, stacks, steps = [], [], []
+
+        class RecordingTerm(CollaborativeTerm):
+            def __init__(self, *args):
+                super().__init__(*args)
+                terms.append((self, self.grad.copy(), self.excess.copy()))
+
+        def recording_stack(self, *args):
+            out = stack(self, *args)
+            stacks.append((out, out.copy()))
+            return out
+
+        def recording_step(self, params, grads):
+            before = {name: np.array(g, copy=True) for name, g in grads.items()}
+            step(self, params, grads)
+            steps.append(all(np.array_equal(grads[k], before[k]) for k in grads))
+
+        stack, step = ConditionalNetParams._stack, Adam.step
+        monkeypatch.setattr(collab_mod, "CollaborativeTerm", RecordingTerm)
+        monkeypatch.setattr(ConditionalNetParams, "_stack", recording_stack)
+        monkeypatch.setattr(Adam, "step", recording_step)
+        llm = small_bench.llm_scores_for(small_bench.windows["train"])
+        train_collab(small_bench.windows["train"], small_bench.scorer, llm,
+                     LossVariant.COLLABORATIVE, small_cfg(variant_epochs=1))
+        assert terms and stacks and steps
+        for term, grad, excess in terms:
+            np.testing.assert_array_equal(term.grad, grad)
+            np.testing.assert_array_equal(term.excess, excess)
+        for live, copy in stacks:
+            np.testing.assert_array_equal(live[:, 0], copy[:, 0])
+            np.testing.assert_array_equal(live[:, 2:], copy[:, 2:])
+        assert all(steps)
+
+
 # --- Oracle: the phase-2 loop as it was before the flat-parameter rewrite ---
 # One Adam entry per named array, patch weights sliced per step, the pairwise
 # gradient recomputed per step by the per-call formula, and every window
@@ -493,7 +591,7 @@ def _reference_train_collab(
             grads = cgrads
             if use_mapping:
                 a_loss, da_mapped = align_mod.alignment_loss_grad(mapped, fit, acfg)
-                mgrads, _ = mapping.backward(dmapped + da_mapped, mcache)
+                mgrads = mapping.backward(dmapped + da_mapped, mcache)
                 params.update(
                     {"m_a1": mapping.a1, "m_b1": mapping.b1, "m_a2": mapping.a2}
                 )
@@ -536,3 +634,29 @@ def _reference_train_collab(
         config_echo=config_echo,
     )
     return pipeline, curves
+
+
+# --- Oracle: the fusion net's passes before the in-place rewrite ---
+
+
+def _reference_forward_stacked(net, raw):
+    z = (raw - net.in_mean) / net.in_std
+    pre = z @ net.w1 + net.b1
+    h = np.where(pre > 0, pre, 0.01 * pre)
+    logits = h @ net.w2 + net.b2
+    out = sigmoid(logits)
+    return out, (z, pre, h, logits, out)
+
+
+def _reference_backward(net, dout, cache):
+    z, pre, h, logits, out = cache
+    dlogits = dout * out * (1.0 - out)
+    dw2 = h.T @ dlogits
+    db2 = float(dlogits.sum())
+    dh = np.outer(dlogits, net.w2)
+    dpre = dh * np.where(pre > 0, 1.0, 0.01)
+    dw1 = z.T @ dpre
+    db1 = dpre.sum(axis=0)
+    draw = (dpre @ net.w1.T) / net.in_std
+    grads = {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
+    return grads, draw[:, 0], draw[:, 1], draw[:, 2:]
