@@ -138,8 +138,10 @@ class ConditionalNetParams:
 
 
 def _check_lengths(*vecs):
-    n = vecs[0].size
-    if any(v.size != n for v in vecs[1:]):
+    """The common slot count: the last axis of every vector, or of every
+    stack of rows."""
+    n = vecs[0].shape[-1]
+    if any(v.shape[-1] != n for v in vecs[1:]):
         raise LengthMismatch("score vectors must share one length")
     return n
 
@@ -147,10 +149,14 @@ def _check_lengths(*vecs):
 def _pairwise_weighted_excess(
     lam: np.ndarray, ref: np.ndarray, n: int
 ) -> np.ndarray:
-    """For each t: sum_j (lam_t + lam_j)/2 * (ref_t - ref_j), in O(n)."""
-    lam_sum = lam.sum()
-    ref_sum = ref.sum()
-    lamref_sum = (lam * ref).sum()
+    """For each t: sum_j (lam_t + lam_j)/2 * (ref_t - ref_j), in O(n).
+
+    The sums run over the last axis, so a stack of rows gives each row's
+    excess; a 1-D input gets the same bits as a plain sum.
+    """
+    lam_sum = np.add.reduce(lam, axis=-1, keepdims=True)
+    ref_sum = np.add.reduce(ref, axis=-1, keepdims=True)
+    lamref_sum = np.add.reduce(lam * ref, axis=-1, keepdims=True)
     return 0.5 * (lam * (n * ref - ref_sum) + (ref * lam_sum - lamref_sum))
 
 
@@ -161,11 +167,15 @@ class CollaborativeTerm:
     -(2/n^2) * (excess(lam1, s) + excess(lam2, llm)) does not depend on them:
     it is computed once here, and each call only takes its dot product with
     the collated scores. Phase-2 training builds one term per block.
+
+    ``s`` and ``llm`` may also be stacks of rows of shape (k, n): ``grad``
+    then holds each row's gradient, bit-equal to a term built on that row
+    alone, and only ``grad`` is defined for such a term.
     """
 
     def __init__(self, s: np.ndarray, llm: np.ndarray, lam1: np.ndarray, lam2: np.ndarray):
-        s = np.asarray(s, dtype=np.float64).reshape(-1)
-        llm = np.asarray(llm, dtype=np.float64).reshape(-1)
+        s = np.atleast_1d(np.asarray(s, dtype=np.float64))
+        llm = np.atleast_1d(np.asarray(llm, dtype=np.float64))
         n = _check_lengths(s, llm, lam1, lam2)
         if n < 2:
             raise ValueError("need at least two slots")

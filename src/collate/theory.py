@@ -14,7 +14,7 @@ import numpy as np
 
 from . import alignment as align_mod
 from .alignment import AlignmentConfig, HalfGaussianFit
-from .collab import ConditionalNetParams, collaborative_loss_grad
+from .collab import CollaborativeTerm, ConditionalNetParams, collaborative_loss_grad
 from .core import sigmoid
 from .errors import LengthMismatch
 
@@ -50,6 +50,14 @@ class NoiseModel:
 
     def sample_llm(self, rng: np.random.Generator, size) -> np.ndarray:
         return rng.normal(self.mu_S, self.sigma_S, size)
+
+    def sample_pair(self, rng: np.random.Generator, shape) -> np.ndarray:
+        """Both scorers' errors in one draw of ``shape`` (..., 2, batch):
+        index 0 of the second-last axis is the detector's, 1 the LLM's. The
+        values equal alternating sample_s and sample_llm calls of size batch."""
+        loc = np.array([[self.mu_s], [self.mu_S]])
+        scale = np.array([[self.sigma_s], [self.sigma_S]])
+        return rng.normal(loc, scale, shape)
 
 
 @dataclass
@@ -205,40 +213,81 @@ def check_theorem1(
     )
 
 
+@dataclass
+class _SgdTrace:
+    """What lemma1's statistics read from the two SGD runs.
+
+    ``tail`` holds the last ``tail_rows`` rows of the noisy minus the clean
+    gradient; ``grad_norms`` the noisy gradient's norm at every step;
+    ``theta_mid`` the noisy iterate at step ``steps // 2``; ``theta_last``
+    the (clean, noisy) iterates at the last step. Each iterate is taken
+    before that step's update.
+    """
+
+    tail: np.ndarray
+    grad_norms: np.ndarray
+    theta_mid: np.ndarray
+    theta_last: np.ndarray
+
+
+# lemma1 draws noise and takes gradient norms this many SGD steps at a time,
+# and vectorises its noise resamples in blocks of this many.
+_LEMMA1_CHUNK = 1000
+
+
 def _pairwise_sgd(
     y: np.ndarray,
-    noise: NoiseModel | None,
+    noise: NoiseModel,
     steps: int,
+    tail_rows: int,
     batch: int,
     lr: float,
     seed: int,
-):
-    """SGD on the pairwise loss over per-slot logits; noise=None gives the
-    clean oracle run. Batch selection uses its own stream so the clean and
-    noisy runs see identical batches under one seed."""
+) -> _SgdTrace:
+    """SGD on the pairwise loss over per-slot logits, run clean and noisy at
+    once as the two rows of one theta.
+
+    Both rows see the same batch, drawn from one stream; the noisy row's
+    noise comes from a second stream, drawn a chunk of steps at a time in
+    the order of one draw per scorer per step. Only what ``_SgdTrace``
+    names is kept, so memory does not grow with ``steps``. The gradient
+    norms are taken over full n-slot rows, a chunk of rows at a time: numpy
+    groups a row's pairwise sum by slot position, so a norm over the batch's
+    slots alone could differ in the last bit.
+    """
     n = y.size
     rng_batch = np.random.default_rng(seed)
     rng_noise = np.random.default_rng(seed + 1)
-    theta = np.zeros(n)
+    theta = np.zeros((2, n))
     lam = np.full(batch, 0.5)
-    grads = np.empty((steps, n))
-    thetas = np.empty((steps, n))
-    for t in range(steps):
-        idx = rng_batch.choice(n, size=batch, replace=False)
-        if noise is None:
-            s_obs = y[idx]
-            llm_obs = y[idx]
-        else:
-            s_obs = y[idx] + noise.sample_s(rng_noise, batch)
-            llm_obs = y[idx] + noise.sample_llm(rng_noise, batch)
-        s_hat = sigmoid(theta[idx])
-        _, dhat = collaborative_loss_grad(s_hat, s_obs, llm_obs, lam, lam)
-        g = np.zeros(n)
-        g[idx] = dhat * s_hat * (1.0 - s_hat)
-        grads[t] = g
-        thetas[t] = theta
-        theta = theta - lr * g
-    return grads, thetas
+    obs = np.empty((2, 2, batch))  # (scorer, run); run 0 is clean
+    tail = np.zeros((tail_rows, n))
+    tail_start = steps - tail_rows
+    grad_norms = np.empty(steps)
+    noisy_grads = np.empty((_LEMMA1_CHUNK, n))
+    theta_mid = theta_last = None
+    for c0 in range(0, steps, _LEMMA1_CHUNK):
+        c1 = min(c0 + _LEMMA1_CHUNK, steps)
+        eps = noise.sample_pair(rng_noise, (c1 - c0, 2, batch))
+        noisy_grads.fill(0.0)
+        for t in range(c0, c1):
+            if t == steps // 2:
+                theta_mid = theta[1].copy()
+            if t == steps - 1:
+                theta_last = theta.copy()
+            idx = rng_batch.choice(n, size=batch, replace=False)
+            y_b = y[idx]
+            obs[:, 0] = y_b
+            np.add(y_b, eps[t - c0], out=obs[:, 1])
+            s_hat = sigmoid(theta[:, idx])
+            dhat = CollaborativeTerm(obs[0], obs[1], lam, lam).grad
+            g = dhat * s_hat * (1.0 - s_hat)
+            theta[:, idx] -= lr * g
+            noisy_grads[t - c0, idx] = g[1]
+            if t >= tail_start:
+                tail[t - tail_start, idx] = g[1] - g[0]
+        grad_norms[c0:c1] = np.linalg.norm(noisy_grads[: c1 - c0], axis=1)
+    return _SgdTrace(tail, grad_norms, theta_mid, theta_last)
 
 
 def check_lemma1(
@@ -255,50 +304,59 @@ def check_lemma1(
     noisy and clean runs ends below 1e-2; (b) the log-log slope of the noisy
     run's gradient-norm trajectory is at most -0.15; (c) at a fixed parameter
     point, the mean of (noisy - clean) gradients over many noise resamples is
-    zero within three standard errors, coordinatewise.
+    zero within three standard errors, coordinatewise. The loss gap between
+    the two runs' last iterates is reported alongside.
+
+    (a) reads only the last moving average of the gradient differences, so
+    only their last window + 1 rows are kept (all of them if window equals
+    steps). The per-column moving averages then form a column-major array of
+    two rows, as over the whole run, and numpy sums each row's squares for
+    its norm in order; a lone row it would sum pairwise, which can move the
+    statistic by an ulp. (c) keeps only the batch's slots: the gradient is
+    zero elsewhere, and a zero column passes its test whatever its mean.
     """
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if steps < 1000:
         raise ValueError("need at least 1e3 steps")
-    noisy_grads, noisy_thetas = _pairwise_sgd(y, noise, steps, LEMMA1_BATCH, LEMMA1_LR, seed)
-    clean_grads, clean_thetas = _pairwise_sgd(y, None, steps, LEMMA1_BATCH, LEMMA1_LR, seed)
+    if not 1 <= window <= steps:
+        raise ValueError(f"window must lie in [1, steps={steps}], got {window}")
+    if resamples < 2:
+        raise ValueError(f"need at least 2 resamples for a standard error, got {resamples}")
+    if y.size < LEMMA1_BATCH:
+        raise ValueError(f"need at least {LEMMA1_BATCH} slots for one batch, got {y.size}")
+    trace = _pairwise_sgd(
+        y, noise, steps, min(window + 1, steps), LEMMA1_BATCH, LEMMA1_LR, seed
+    )
 
     kernel = np.ones(window) / window
     gap = np.linalg.norm(
-        np.apply_along_axis(lambda c: np.convolve(c, kernel, mode="valid"), 0,
-                            noisy_grads - clean_grads),
+        np.apply_along_axis(lambda c: np.convolve(c, kernel, mode="valid"), 0, trace.tail),
         axis=1,
     )
     final_gap = float(gap[-1])
 
-    norms = np.linalg.norm(noisy_grads, axis=1)
-    smooth = np.convolve(norms, kernel, mode="valid")
+    smooth = np.convolve(trace.grad_norms, kernel, mode="valid")
     ts = np.arange(smooth.size) + window / 2.0
     keep = smooth > 0
     slope = float(np.polyfit(np.log(ts[keep]), np.log(smooth[keep]), 1)[0])
 
-    loss_gap = abs(
-        oracle_loss(sigmoid(noisy_thetas[-1]), y)
-        - oracle_loss(sigmoid(clean_thetas[-1]), y)
-    )
+    clean_last, noisy_last = trace.theta_last
+    loss_gap = abs(oracle_loss(sigmoid(noisy_last), y) - oracle_loss(sigmoid(clean_last), y))
 
     # unbiasedness at a fixed mid-run parameter point
-    theta0 = noisy_thetas[steps // 2]
     rng = np.random.default_rng(seed + 7)
-    n = y.size
     lam = np.full(LEMMA1_BATCH, 0.5)
-    diffs = np.empty((resamples, n))
-    idx = rng.choice(n, size=LEMMA1_BATCH, replace=False)
-    s_hat = sigmoid(theta0[idx])
+    idx = rng.choice(y.size, size=LEMMA1_BATCH, replace=False)
+    y_b = y[idx]
+    s_hat = sigmoid(trace.theta_mid[idx])
     chain = s_hat * (1.0 - s_hat)
-    _, clean_dhat = collaborative_loss_grad(s_hat, y[idx], y[idx], lam, lam)
-    for r in range(resamples):
-        s_obs = y[idx] + noise.sample_s(rng, LEMMA1_BATCH)
-        llm_obs = y[idx] + noise.sample_llm(rng, LEMMA1_BATCH)
-        _, dhat = collaborative_loss_grad(s_hat, s_obs, llm_obs, lam, lam)
-        row = np.zeros(n)
-        row[idx] = (dhat - clean_dhat) * chain
-        diffs[r] = row
+    _, clean_dhat = collaborative_loss_grad(s_hat, y_b, y_b, lam, lam)
+    diffs = np.empty((resamples, LEMMA1_BATCH))
+    for r0 in range(0, resamples, _LEMMA1_CHUNK):
+        r1 = min(r0 + _LEMMA1_CHUNK, resamples)
+        eps = noise.sample_pair(rng, (r1 - r0, 2, LEMMA1_BATCH))
+        dhat = CollaborativeTerm(y_b + eps[:, 0], y_b + eps[:, 1], lam, lam).grad
+        diffs[r0:r1] = (dhat - clean_dhat) * chain
     mean_diff = diffs.mean(axis=0)
     se = diffs.std(axis=0, ddof=1) / np.sqrt(resamples)
     unbiased = bool((np.abs(mean_diff) <= 3.0 * np.maximum(se, 1e-15)).all())

@@ -312,5 +312,10 @@ class TestVerify:
         theorem2 = reports[1]
         assert theorem2["statistic"] == 0.67 and not theorem2["pass"]
         assert theorem2["details"] == {"p1_failures": 0, "p2_failures": 60}
+        lemma1 = reports[2]
+        assert lemma1["statistic"] == 5.5172153133856486e-05
+        assert lemma1["details"]["grad_norm_loglog_slope"] == -0.5634741024570724
+        assert lemma1["details"]["max_abs_mean_grad_diff"] == 8.66631103793089e-06
+        assert lemma1["details"]["loss_trajectory_gap"] == 0.4624278067699379
         # the theory checks read the seed and no other setting
         assert json.loads((tmp_path / "manifest.json").read_text())["config"] == {"seed": 0}

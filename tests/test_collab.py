@@ -313,6 +313,18 @@ class TestCollaborativeTerm:
                 collaborative_loss_naive(s_hat, s, llm, *pw), abs=1e-12
             )
 
+    @pytest.mark.parametrize("rows", [(2,), (5,), (3, 2)])
+    def test_stacked_rows_match_each_row_alone(self, rows):
+        n = 32
+        rng = np.random.default_rng(sum(rows))
+        s = rng.uniform(0, 1, (*rows, n))
+        llm = rng.uniform(0, 1, (*rows, n))
+        pw = weights(rng.uniform(0.1, 1.0, n))
+        stacked = CollaborativeTerm(s, llm, *pw).grad
+        assert stacked.shape == s.shape
+        for i in np.ndindex(*rows):
+            np.testing.assert_array_equal(stacked[i], CollaborativeTerm(s[i], llm[i], *pw).grad)
+
     def test_length_mismatch(self):
         term = CollaborativeTerm(np.ones(4), np.ones(4), *weights(np.full(4, 0.5)))
         with pytest.raises(LengthMismatch):

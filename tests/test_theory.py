@@ -1,9 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from collate.collab import collaborative_loss_grad
+from collate.core import sigmoid
 from collate.theory import (
+    LEMMA1_BATCH,
+    LEMMA1_LR,
     NoiseModel,
+    TheoryReport,
     brute_force_optimal,
     check_alignment_equivalence,
     check_lemma1,
@@ -170,15 +177,149 @@ class TestTheorem2:
         assert set(payload) >= {"theorem", "trials", "statistic", "bound", "pass", "seed"}
 
 
+def _reference_pairwise_sgd(y, noise, steps, batch, lr, seed):
+    """Reference: the clean (noise=None) or noisy SGD run alone, keeping
+    every step's gradient and iterate."""
+    n = y.size
+    rng_batch = np.random.default_rng(seed)
+    rng_noise = np.random.default_rng(seed + 1)
+    theta = np.zeros(n)
+    lam = np.full(batch, 0.5)
+    grads = np.empty((steps, n))
+    thetas = np.empty((steps, n))
+    for t in range(steps):
+        idx = rng_batch.choice(n, size=batch, replace=False)
+        if noise is None:
+            s_obs = y[idx]
+            llm_obs = y[idx]
+        else:
+            s_obs = y[idx] + noise.sample_s(rng_noise, batch)
+            llm_obs = y[idx] + noise.sample_llm(rng_noise, batch)
+        s_hat = sigmoid(theta[idx])
+        _, dhat = collaborative_loss_grad(s_hat, s_obs, llm_obs, lam, lam)
+        g = np.zeros(n)
+        g[idx] = dhat * s_hat * (1.0 - s_hat)
+        grads[t] = g
+        thetas[t] = theta
+        theta = theta - lr * g
+    return grads, thetas
+
+
+def _reference_check_lemma1(noise, y, steps=10_000, seed=0, window=500, resamples=10_000):
+    """Reference: lemma1 from two separate SGD runs held in full and one
+    noise resample per loop iteration."""
+    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    noisy_grads, noisy_thetas = _reference_pairwise_sgd(
+        y, noise, steps, LEMMA1_BATCH, LEMMA1_LR, seed)
+    clean_grads, clean_thetas = _reference_pairwise_sgd(
+        y, None, steps, LEMMA1_BATCH, LEMMA1_LR, seed)
+
+    kernel = np.ones(window) / window
+    gap = np.linalg.norm(
+        np.apply_along_axis(lambda c: np.convolve(c, kernel, mode="valid"), 0,
+                            noisy_grads - clean_grads),
+        axis=1,
+    )
+    final_gap = float(gap[-1])
+
+    norms = np.linalg.norm(noisy_grads, axis=1)
+    smooth = np.convolve(norms, kernel, mode="valid")
+    ts = np.arange(smooth.size) + window / 2.0
+    keep = smooth > 0
+    slope = float(np.polyfit(np.log(ts[keep]), np.log(smooth[keep]), 1)[0])
+
+    loss_gap = abs(
+        oracle_loss(sigmoid(noisy_thetas[-1]), y)
+        - oracle_loss(sigmoid(clean_thetas[-1]), y)
+    )
+
+    theta0 = noisy_thetas[steps // 2]
+    rng = np.random.default_rng(seed + 7)
+    n = y.size
+    lam = np.full(LEMMA1_BATCH, 0.5)
+    diffs = np.empty((resamples, n))
+    idx = rng.choice(n, size=LEMMA1_BATCH, replace=False)
+    s_hat = sigmoid(theta0[idx])
+    chain = s_hat * (1.0 - s_hat)
+    _, clean_dhat = collaborative_loss_grad(s_hat, y[idx], y[idx], lam, lam)
+    for r in range(resamples):
+        s_obs = y[idx] + noise.sample_s(rng, LEMMA1_BATCH)
+        llm_obs = y[idx] + noise.sample_llm(rng, LEMMA1_BATCH)
+        _, dhat = collaborative_loss_grad(s_hat, s_obs, llm_obs, lam, lam)
+        row = np.zeros(n)
+        row[idx] = (dhat - clean_dhat) * chain
+        diffs[r] = row
+    mean_diff = diffs.mean(axis=0)
+    se = diffs.std(axis=0, ddof=1) / np.sqrt(resamples)
+    unbiased = bool((np.abs(mean_diff) <= 3.0 * np.maximum(se, 1e-15)).all())
+
+    passed = final_gap < 1e-2 and slope <= -0.15 and unbiased
+    return TheoryReport(
+        theorem="lemma1",
+        trials=steps,
+        statistic=final_gap,
+        bound=1e-2,
+        passed=bool(passed),
+        seed=seed,
+        details={
+            "grad_norm_loglog_slope": slope,
+            "slope_bound": -0.15,
+            "loss_trajectory_gap": float(loss_gap),
+            "unbiased_within_3se": unbiased,
+            "max_abs_mean_grad_diff": float(np.abs(mean_diff).max()),
+        },
+    )
+
+
+class TestLemma1MatchesReference:
+    """The fused streaming run gives byte-identical reports."""
+
+    def test_default_sizes(self):
+        y = np.random.default_rng(0).uniform(0, 1, 128)
+        assert (check_lemma1(NoiseModel(), y).to_json()
+                == _reference_check_lemma1(NoiseModel(), y).to_json())
+
+    # (steps, window, resamples, slots): an odd step count that crosses a
+    # noise chunk, window == steps, the fewest resamples, one-step windows
+    # and several resample chunks
+    @pytest.mark.parametrize("steps,window,resamples,n", [
+        (1001, 37, 2, 96), (1001, 1001, 2, 32), (1200, 1, 1500, 128),
+    ])
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.filterwarnings("ignore::numpy.exceptions.RankWarning")
+    def test_small_sizes(self, seed, steps, window, resamples, n):
+        y = np.random.default_rng(seed).uniform(0, 1, n)
+        kw = dict(steps=steps, seed=seed, window=window, resamples=resamples)
+        assert (check_lemma1(NoiseModel(), y, **kw).to_json()
+                == _reference_check_lemma1(NoiseModel(), y, **kw).to_json())
+
+
 class TestLemma1:
     def test_zero_noise_trajectories_coincide(self):
         rng = np.random.default_rng(0)
         y = rng.uniform(0, 1, 64)
-        silent = NoiseModel(0.0, 0.0, 0.0, 0.0)
-        g1, t1 = _pairwise_sgd(y, silent, 300, 16, 0.5, 11)
-        g0, t0 = _pairwise_sgd(y, None, 300, 16, 0.5, 11)
-        np.testing.assert_array_equal(g1, g0)
-        np.testing.assert_array_equal(t1, t0)
+        trace = _pairwise_sgd(y, NoiseModel(0.0, 0.0, 0.0, 0.0), 300, 300, 16, 0.5, 11)
+        np.testing.assert_array_equal(trace.tail, np.zeros((300, 64)))
+        np.testing.assert_array_equal(trace.theta_last[0], trace.theta_last[1])
+        assert (trace.grad_norms > 0).all()
+
+    def test_noise_shows_at_every_streamed_step(self):
+        rng = np.random.default_rng(0)
+        y = rng.uniform(0, 1, 64)
+        trace = _pairwise_sgd(y, NoiseModel(), 300, 300, 16, 0.5, 11)
+        assert (np.abs(trace.tail).sum(axis=1) > 0).all()
+        assert not np.array_equal(trace.theta_last[0], trace.theta_last[1])
+
+    def test_memory_stays_flat_at_default_sizes(self):
+        # holding both runs' (steps, n) gradients and iterates peaked at 59 MB
+        y = np.random.default_rng(0).uniform(0, 1, 128)
+        tracemalloc.start()
+        try:
+            check_lemma1(NoiseModel(), y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
     def test_desk_scale_run_passes(self):
         rng = np.random.default_rng(1)
@@ -190,6 +331,16 @@ class TestLemma1:
     def test_requires_enough_steps(self):
         with pytest.raises(ValueError):
             check_lemma1(NoiseModel(), np.linspace(0, 1, 8), steps=10)
+
+    @pytest.mark.parametrize("kw,n,match", [
+        (dict(window=0), 64, "window must lie in"),
+        (dict(window=1500), 64, "window must lie in"),
+        (dict(resamples=1), 64, "at least 2 resamples"),
+        (dict(), 31, "at least 32 slots"),
+    ])
+    def test_invalid_arguments_are_named(self, kw, n, match):
+        with pytest.raises(ValueError, match=match):
+            check_lemma1(NoiseModel(), np.linspace(0, 1, n), steps=1000, **kw)
 
 
 class TestLipschitz:
