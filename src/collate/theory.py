@@ -308,25 +308,24 @@ def check_lemma1(
     the two runs' last iterates is reported alongside.
 
     (a) reads only the last moving average of the gradient differences, so
-    only their last window + 1 rows are kept (all of them if window equals
-    steps). The per-column moving averages then form a column-major array of
-    two rows, as over the whole run, and numpy sums each row's squares for
-    its norm in order; a lone row it would sum pairwise, which can move the
-    statistic by an ulp. (c) keeps only the batch's slots: the gradient is
-    zero elsewhere, and a zero column passes its test whatever its mean.
+    only their last window + 1 rows are kept. The per-column moving averages
+    then form a column-major array of two rows, as over the whole run, and
+    numpy sums each row's squares for its norm in order; a lone row it would
+    sum pairwise, which can move the statistic by an ulp. (c) keeps only the
+    batch's slots: the gradient is zero elsewhere, and a zero column passes
+    its test whatever its mean.
     """
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if steps < 1000:
         raise ValueError("need at least 1e3 steps")
-    if not 1 <= window <= steps:
-        raise ValueError(f"window must lie in [1, steps={steps}], got {window}")
+    # (b) fits a slope through steps - window + 1 moving averages: it needs two
+    if not 1 <= window < steps:
+        raise ValueError(f"window must lie in [1, {steps - 1}] for {steps} steps, got {window}")
     if resamples < 2:
         raise ValueError(f"need at least 2 resamples for a standard error, got {resamples}")
     if y.size < LEMMA1_BATCH:
         raise ValueError(f"need at least {LEMMA1_BATCH} slots for one batch, got {y.size}")
-    trace = _pairwise_sgd(
-        y, noise, steps, min(window + 1, steps), LEMMA1_BATCH, LEMMA1_LR, seed
-    )
+    trace = _pairwise_sgd(y, noise, steps, window + 1, LEMMA1_BATCH, LEMMA1_LR, seed)
 
     kernel = np.ones(window) / window
     gap = np.linalg.norm(

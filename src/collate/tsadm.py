@@ -15,12 +15,32 @@ layers is ``np.matmul`` over the leading (B, D) axes: on these tiny
 per-channel matrices ``np.einsum`` without ``optimize`` never reaches BLAS
 and took half the training time.
 
+The layers write every array whose size grows with the batch into a
+``_Workspace``, which keeps one buffer per name: each layer's q, k and v, its
+(B, D, T, T) logits and attention rows, the softmax and backward scratch
+(dp, dm, da), the layer output, and the backward pass's dq, dk, dv and dx.
+``train_tsadm`` passes one workspace to every step, so a run allocates these
+arrays once, not once per step. At the default batch of 100 windows each
+(B, D, T, T) array is 205 KB; allocating and freeing a dozen of them a step
+let glibc hand the memory back to the system, and the next step faulted it
+in again, about 800 minor page faults a step. A ragged last batch writes
+into the start of the full batches' buffers: arrays of its own landed on the
+heap where each full step then grew and trimmed the heap top again.
+
+A step overwrites what the previous step left, so a layer cache is valid
+only until the next call given the same workspace. ``forward``,
+``loss_and_grads`` and ``score`` called without a workspace make a fresh
+one, so scoring stays pure and re-entrant. The gradients, reconstructions,
+representations and scores they return are new arrays; only ``forward``'s
+layer caches point into the workspace it used.
+
 Anything implementing the Scorer protocol can stand in for the attention
 model; PrecomputedScorer replays externally produced scores.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NamedTuple, Protocol, runtime_checkable
@@ -39,10 +59,32 @@ class Scorer(Protocol):
         ...
 
 
-def _softmax_rows(m: np.ndarray) -> np.ndarray:
-    shifted = m - m.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+class _Workspace:
+    """Flat buffers the attention kernel writes into, one per name.
+
+    ``take(name, shape)`` returns a C-ordered view of the start of the
+    buffer, which is allocated again only when a larger shape is asked for.
+    So a ragged last batch writes into part of the full batches' memory,
+    and its contents are whatever the last user left.
+    """
+
+    def __init__(self):
+        self.buffers: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self.buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self.buffers[name] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+
+def _softmax_rows(m: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Row softmax of m, written into out; m is left holding its shifted rows."""
+    m -= m.max(axis=-1, keepdims=True)
+    np.exp(m, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 def _sq_distances(length: int) -> np.ndarray:
@@ -64,33 +106,42 @@ class _AttentionCache(NamedTuple):
 
 
 def _attention_forward(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, sigma: float
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, sigma: float, d2: np.ndarray,
+    ws: _Workspace, layer: int,
 ) -> tuple[np.ndarray, _AttentionCache]:
     """Masked attention softmax((q k^T) * G) v on (B, D, T, e) arrays.
 
     G = 1 - exp(-(i-j)^2 / sigma^2) is one (T, T) mask shared by every batch
-    row and channel; it is zero on the diagonal, so no slot attends to itself.
+    row and channel, built from d2 = ``_sq_distances(T)``; it is zero on the
+    diagonal, so no slot attends to itself. The cache's logits and attention
+    rows are ``ws``'s arrays for ``layer``; the output is ``ws``'s "out",
+    which the next layer overwrites.
     """
-    d2 = _sq_distances(q.shape[-2])
     expo = np.exp(-d2 / sigma**2)
     g = 1.0 - expo
-    a = q @ k.swapaxes(-1, -2)
-    p = _softmax_rows(a * g)
-    out = p @ v
+    shape = (*q.shape[:-1], q.shape[-2])
+    a = np.matmul(q, k.swapaxes(-1, -2), out=ws.take(f"a{layer}", shape))
+    p = _softmax_rows(np.multiply(a, g, out=ws.take("scratch", shape)),
+                      ws.take(f"p{layer}", shape))
+    out = np.matmul(p, v, out=ws.take("out", v.shape))
     return out, _AttentionCache(q, k, v, a, p, g, expo, d2, sigma)
 
 
-def _attention_backward(dout: np.ndarray, cache: _AttentionCache):
-    """(dq, dk, dv, dsigma) for an upstream gradient dout of the output."""
+def _attention_backward(dout: np.ndarray, cache: _AttentionCache, ws: _Workspace):
+    """(dq, dk, dv, dsigma) for an upstream gradient dout of the output;
+    dq, dk and dv are ``ws``'s arrays, which the next layer overwrites."""
     q, k, v, a, p, g, expo, d2, sigma = cache
-    dp = dout @ v.swapaxes(-1, -2)
-    dv = p.swapaxes(-1, -2) @ dout
-    dm = (dp - (dp * p).sum(axis=-1, keepdims=True)) * p
-    da = dm * g
-    dg = (dm * a).sum(axis=(0, 1))
+    scratch = ws.take("scratch", p.shape)
+    dm = np.matmul(dout, v.swapaxes(-1, -2), out=ws.take("dm", p.shape))  # dp
+    dv = np.matmul(p.swapaxes(-1, -2), dout, out=ws.take("dv", dout.shape))
+    # dm = (dp - rowsum(dp * p)) * p, in place
+    dm -= np.multiply(dm, p, out=scratch).sum(axis=-1, keepdims=True)
+    dm *= p
+    dg = np.multiply(dm, a, out=scratch).sum(axis=(0, 1))
+    da = np.multiply(dm, g, out=scratch)
     dsigma = float(-(dg * expo * 2.0 * d2 / sigma**3).sum())
-    dq = da @ k
-    dk = da.swapaxes(-1, -2) @ q
+    dq = np.matmul(da, k, out=ws.take("dq", dout.shape))
+    dk = np.matmul(da.swapaxes(-1, -2), q, out=ws.take("dk", dout.shape))
     return dq, dk, dv, dsigma
 
 
@@ -134,7 +185,13 @@ class AttentionLayerParams:
 
 
 class TsadmModel:
-    """Attention reconstruction model; immutable once trained, scoring is pure."""
+    """Attention reconstruction model; immutable once trained, scoring is pure.
+
+    The model holds no scratch memory. ``train_tsadm`` keeps one
+    ``_Workspace`` for its run and passes it to every ``loss_and_grads``
+    step; ``score`` and a ``forward`` or ``loss_and_grads`` called without
+    one allocate their own.
+    """
 
     CHECKPOINT_VERSION = 1
 
@@ -170,26 +227,39 @@ class TsadmModel:
         u = np.einsum("btdj,je->btde", xwin, self.embed_w) + self.embed_b
         return u.transpose(0, 2, 1, 3), xwin  # (B,D,T,e)
 
-    def forward(self, xb: np.ndarray):
-        """Reconstruction, representation, and caches for one batch (B, T, D)."""
+    def forward(self, xb: np.ndarray, workspace: _Workspace | None = None):
+        """Reconstruction, representation, and caches for one batch (B, T, D).
+
+        The caches' q, k, v, logits and attention rows live in
+        ``workspace``, a fresh one unless the caller passes one to reuse.
+        """
         xb = np.asarray(xb, dtype=np.float64)
         if xb.ndim != 3 or xb.shape[2] != self.dims:
             raise ShapeMismatch(f"expected (B, T, {self.dims}) input")
+        ws = _Workspace() if workspace is None else workspace
         t = xb.shape[1]
+        d2 = _sq_distances(t)
         x, xwin = self._embed(xb)
         layer_caches = []
-        for layer in self.layers:
-            o, cache = _attention_forward(x @ layer.wq, x @ layer.wk, x @ layer.wv,
-                                          layer.sigma)
+        for i, layer in enumerate(self.layers):
+            q = np.matmul(x, layer.wq, out=ws.take(f"q{i}", x.shape))
+            k = np.matmul(x, layer.wk, out=ws.take(f"k{i}", x.shape))
+            v = np.matmul(x, layer.wv, out=ws.take(f"v{i}", x.shape))
+            o, cache = _attention_forward(q, k, v, layer.sigma, d2, ws, i)
             layer_caches.append((x, cache))
             x = x + o
         rep = x.transpose(0, 2, 1, 3).reshape(xb.shape[0], t, self.rep_dim)
         recon = rep @ self.out_w + self.out_b
         return recon, rep, (xb, xwin, layer_caches)
 
-    def loss_and_grads(self, xb: np.ndarray):
-        """Mean squared reconstruction error and gradients for every parameter."""
-        recon, rep, (xb, xwin, layer_caches) = self.forward(xb)
+    def loss_and_grads(self, xb: np.ndarray, workspace: _Workspace | None = None):
+        """Mean squared reconstruction error and gradients for every parameter.
+
+        The attention arrays of both passes go to ``workspace`` (a fresh one
+        if none is given); the gradients are new arrays.
+        """
+        ws = _Workspace() if workspace is None else workspace
+        recon, rep, (xb, xwin, layer_caches) = self.forward(xb, ws)
         resid = recon - xb
         loss = float(np.mean(resid**2))
         drecon = 2.0 * resid / resid.size
@@ -205,16 +275,16 @@ class TsadmModel:
             layer = self.layers[i]
             x, cache = layer_caches[i]
             # residual: dx flows to both the branch and the skip
-            dq, dk, dv, dsigma = _attention_backward(dx, cache)
+            dq, dk, dv, dsigma = _attention_backward(dx, cache, ws)
             dlog_sigma[i] = dsigma * cache.sigma
             grads[f"wq{i}"] = _sum_over_bt(x, dq)
             grads[f"wk{i}"] = _sum_over_bt(x, dk)
             grads[f"wv{i}"] = _sum_over_bt(x, dv)
-            dx = dx + (
-                dq @ layer.wq.swapaxes(-1, -2)
-                + dk @ layer.wk.swapaxes(-1, -2)
-                + dv @ layer.wv.swapaxes(-1, -2)
-            )
+            # dx + (dq wq^T + dk wk^T + dv wv^T), summed in that order
+            branch = np.matmul(dq, layer.wq.swapaxes(-1, -2), out=ws.take("branch", dx.shape))
+            branch += np.matmul(dk, layer.wk.swapaxes(-1, -2), out=ws.take("term", dx.shape))
+            branch += np.matmul(dv, layer.wv.swapaxes(-1, -2), out=ws.take("term", dx.shape))
+            dx = np.add(dx, branch, out=ws.take("dx", dx.shape))
         du = dx.transpose(0, 2, 1, 3)  # (B,T,D,e)
         grads["embed_w"] = np.einsum("btdj,btde->je", xwin, du)
         grads["embed_b"] = du.sum(axis=(0, 1, 2))
@@ -302,18 +372,20 @@ def train_tsadm(values: np.ndarray, cfg: TsadmConfig) -> TsadmModel:
     """Minibatch Adam on mean squared reconstruction error.
 
     Deterministic under cfg.seed: init, batch shuffling, and updates all flow
-    from one generator.
+    from one generator. Every step writes its attention arrays into one
+    workspace, so they are allocated once per run, not once per step.
     """
     windows = sliding_windows(values, cfg.winLen)
     dims = windows.shape[2]
     model = TsadmModel(dims, cfg)
     rng = np.random.default_rng(cfg.seed + 1)
     opt = Adam(cfg.trlr)
+    workspace = _Workspace()
     for _epoch in range(cfg.epochs):
         order = rng.permutation(windows.shape[0])
         for start in range(0, order.size, cfg.batchSize):
             batch = windows[order[start : start + cfg.batchSize]]
-            loss, grads = model.loss_and_grads(batch)
+            loss, grads = model.loss_and_grads(batch, workspace)
             if not np.isfinite(loss):
                 raise NonConvergence(f"reconstruction loss became {loss}")
             params = model.parameters()

@@ -280,13 +280,12 @@ class TestLemma1MatchesReference:
                 == _reference_check_lemma1(NoiseModel(), y).to_json())
 
     # (steps, window, resamples, slots): an odd step count that crosses a
-    # noise chunk, window == steps, the fewest resamples, one-step windows
-    # and several resample chunks
+    # noise chunk, the widest window (two moving averages for the slope), the
+    # fewest resamples, one-step windows and several resample chunks
     @pytest.mark.parametrize("steps,window,resamples,n", [
-        (1001, 37, 2, 96), (1001, 1001, 2, 32), (1200, 1, 1500, 128),
+        (1001, 37, 2, 96), (1001, 1000, 2, 32), (1200, 1, 1500, 128),
     ])
     @pytest.mark.parametrize("seed", range(5))
-    @pytest.mark.filterwarnings("ignore::numpy.exceptions.RankWarning")
     def test_small_sizes(self, seed, steps, window, resamples, n):
         y = np.random.default_rng(seed).uniform(0, 1, n)
         kw = dict(steps=steps, seed=seed, window=window, resamples=resamples)
@@ -337,6 +336,8 @@ class TestLemma1:
         (dict(window=1500), 64, "window must lie in"),
         (dict(resamples=1), 64, "at least 2 resamples"),
         (dict(), 31, "at least 32 slots"),
+        # one moving average: the slope would be fitted through a single point
+        (dict(window=1000), 64, "window must lie in"),
     ])
     def test_invalid_arguments_are_named(self, kw, n, match):
         with pytest.raises(ValueError, match=match):

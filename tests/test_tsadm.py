@@ -1,10 +1,16 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import collate
 from collate.core import ScoreKind, TimeSeriesWindow
 from collate.errors import NonConvergence, ShapeMismatch
+from collate.optim import Adam
 from collate.tsadm import (
     PrecomputedScorer,
     TsadmConfig,
@@ -12,10 +18,12 @@ from collate.tsadm import (
     _AttentionCache,
     _attention_backward,
     _attention_forward,
-    _softmax_rows,
     _sq_distances,
+    _sum_over_bt,
+    _Workspace,
     scorer_from_dict,
     scorer_to_dict,
+    sliding_windows,
     train_tsadm,
 )
 
@@ -25,13 +33,18 @@ def qkv(rng, b, d, t, e):
     return rng.normal(size=(3, b, d, t, e))
 
 
+def attend(q, k, v, sigma):
+    """One layer's forward pass through the kernel, with a fresh workspace."""
+    return _attention_forward(q, k, v, sigma, _sq_distances(q.shape[-2]), _Workspace(), 0)
+
+
 class TestMask:
     def test_diagonal_fully_masked(self):
-        _, cache = _attention_forward(*qkv(np.random.default_rng(0), 2, 3, 6, 2), 1.7)
+        _, cache = attend(*qkv(np.random.default_rng(0), 2, 3, 6, 2), 1.7)
         np.testing.assert_allclose(np.diag(cache.g), 0.0)
 
     def test_symmetric_and_bounded(self):
-        _, cache = _attention_forward(*qkv(np.random.default_rng(0), 1, 2, 8, 3), 2.5)
+        _, cache = attend(*qkv(np.random.default_rng(0), 1, 2, 8, 3), 2.5)
         g = cache.g
         np.testing.assert_allclose(g, g.T)
         assert g.min() >= 0.0
@@ -39,14 +52,14 @@ class TestMask:
         assert g.max() < 1.0
 
     def test_adjacent_value_at_unit_scale(self):
-        _, cache = _attention_forward(*qkv(np.random.default_rng(0), 1, 1, 2, 2), 1.0)
+        _, cache = attend(*qkv(np.random.default_rng(0), 1, 1, 2, 2), 1.0)
         assert cache.g[0, 1] == pytest.approx(1.0 - np.exp(-1.0), abs=1e-9)
         assert cache.g[0, 1] == pytest.approx(0.63212, abs=1e-5)
 
     def test_infinite_scale_limit_gives_uniform_rows(self):
         rng = np.random.default_rng(0)
         q, k, v = qkv(rng, 2, 3, 5, 4)
-        out, _ = _attention_forward(q, k, v, sigma=1e9)
+        out, _ = attend(q, k, v, 1e9)
         np.testing.assert_allclose(
             out, np.broadcast_to(v.mean(axis=2, keepdims=True), v.shape), atol=1e-6
         )
@@ -57,7 +70,7 @@ class TestAttention:
         rng = np.random.default_rng(1)
         q, k, _ = qkv(rng, 2, 3, 6, 3)
         # probe the attention row sums through all-ones values
-        ones, cache = _attention_forward(q, k, np.ones((2, 3, 6, 1)), 1.2)
+        ones, cache = attend(q, k, np.ones((2, 3, 6, 1)), 1.2)
         np.testing.assert_allclose(ones, 1.0, atol=1e-9)
         np.testing.assert_allclose(cache.p.sum(axis=-1), 1.0, atol=1e-12)
 
@@ -69,11 +82,11 @@ class TestAttention:
         q, k, v = qkv(rng, b, d, t, e)
         sigma = float(rng.uniform(0.5, 2.0))
         probe = rng.normal(size=(b, d, t, e))
-        _, cache = _attention_forward(q, k, v, sigma)
-        dq, dk, dv, dsig = _attention_backward(probe, cache)
+        _, cache = attend(q, k, v, sigma)
+        dq, dk, dv, dsig = _attention_backward(probe, cache, _Workspace())
 
         def val(q_, k_, v_, s_):
-            return float((_attention_forward(q_, k_, v_, s_)[0] * probe).sum())
+            return float((attend(q_, k_, v_, s_)[0] * probe).sum())
 
         h = 1e-6
         for arr, grad in ((q, dq), (k, dk), (v, dv)):
@@ -111,13 +124,13 @@ class TestMatchesEinsumReference:
         q, k, v = qkv(rng, 3, d, t, e)
         sigma = float(rng.uniform(0.5, 2.0))
         probe = rng.normal(size=(3, d, t, e))
-        out, cache = _attention_forward(q, k, v, sigma)
-        ref_out, ref_cache = _reference_attention_forward(q, k, v, sigma)
+        out, cache = attend(q, k, v, sigma)
+        ref_out, ref_cache = _einsum_attention_forward(q, k, v, sigma)
         assert_close_to_reference(out, ref_out)
         assert_close_to_reference(cache.a, ref_cache.a)
         assert_close_to_reference(cache.p, ref_cache.p)
-        for got, ref, name in zip(_attention_backward(probe, cache),
-                                  _reference_attention_backward(probe, ref_cache),
+        for got, ref, name in zip(_attention_backward(probe, cache, _Workspace()),
+                                  _einsum_attention_backward(probe, ref_cache),
                                   ("dq", "dk", "dv", "dsigma")):
             assert_close_to_reference(got, ref, name)
 
@@ -129,11 +142,151 @@ class TestMatchesEinsumReference:
             layer.log_sigma = float(rng.uniform(-0.5, 1.0))
         xb = rng.normal(size=(4, t, d))
         loss, grads = model.loss_and_grads(xb)
-        ref_loss, ref_grads = _reference_loss_and_grads(model, xb)
+        ref_loss, ref_grads = _einsum_loss_and_grads(model, xb)
         assert loss == pytest.approx(ref_loss, rel=1e-12)
         assert grads.keys() == ref_grads.keys()
         for name, ref in ref_grads.items():
             assert_close_to_reference(grads[name], ref, name)
+
+
+# B, D and T of the shapes the workspace kernel is checked on bit for bit;
+# T = 58 covers the generator's delay (18) plus its longest anomaly (40)
+KERNEL_SHAPES = list(itertools.product((1, 50, 100), (1, 2), (2, 16, 58)))
+
+
+def arrays_of(*objs):
+    """Every ndarray in objs, looking into tuples, lists and dicts."""
+    for obj in objs:
+        if isinstance(obj, np.ndarray):
+            yield obj
+        elif isinstance(obj, (tuple, list)):
+            yield from arrays_of(*obj)
+        elif isinstance(obj, dict):
+            yield from arrays_of(*obj.values())
+
+
+class TestMatchesAllocatingReference:
+    """The workspace kernel gives the bits of the kernel that allocated every
+    array, on a workspace a larger batch has already written into."""
+
+    @pytest.mark.parametrize("b, d, t", KERNEL_SHAPES)
+    def test_attention_kernel(self, b, d, t):
+        rng = np.random.default_rng(1000 * b + 100 * d + t)
+        ws = _Workspace()
+        d2 = _sq_distances(t)
+        warm, warm_cache = _attention_forward(*qkv(rng, b + 1, d, t, 4), 1.3, d2, ws, 0)
+        _attention_backward(rng.normal(size=warm.shape), warm_cache, ws)
+        q, k, v = qkv(rng, b, d, t, 4)
+        sigma = float(rng.uniform(0.5, 2.0))
+        probe = rng.normal(size=(b, d, t, 4))
+        out, cache = _attention_forward(q, k, v, sigma, d2, ws, 0)
+        ref_out, ref_cache = _reference_attention_forward(q, k, v, sigma)
+        np.testing.assert_array_equal(out, ref_out)
+        np.testing.assert_array_equal(cache.a, ref_cache.a)
+        np.testing.assert_array_equal(cache.p, ref_cache.p)
+        for got, ref in zip(_attention_backward(probe, cache, ws),
+                            _reference_attention_backward(probe, ref_cache)):
+            np.testing.assert_array_equal(got, ref)
+
+    def test_training_run(self):
+        # 62 windows of 8 slots in batches of 16: the last batch holds 14
+        cfg = TsadmConfig(winLen=8, moduleNum=2, kLen=2, embed=3, epochs=6,
+                          batchSize=16, seed=4)
+        values = np.random.default_rng(9).normal(size=(62 * 8 + 5, 2))
+        assert train_tsadm(values, cfg).to_dict() == _reference_train_tsadm(values, cfg).to_dict()
+
+
+# 30 training steps at the CLI's batch of 100 windows of 16 slots, after three
+# to warm up; prints the minor page faults the 30 steps took
+CHURN_PROBE = """
+import resource
+import numpy as np
+from collate.tsadm import TsadmConfig, TsadmModel, _Workspace
+model = TsadmModel(1, TsadmConfig(winLen=16, moduleNum=3, kLen=2, embed=4, seed=0))
+xb = np.random.default_rng(7).normal(size=(100, 16, 1))
+ws = _Workspace()
+for _ in range(3):
+    model.loss_and_grads(xb, ws)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(30):
+    model.loss_and_grads(xb, ws)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestWorkspace:
+    def model_and_batch(self):
+        """The CLI's detector and a batch of 100 windows of 16 slots."""
+        model = TsadmModel(1, TsadmConfig(winLen=16, moduleNum=3, kLen=2, embed=4, seed=0))
+        return model, np.random.default_rng(7).normal(size=(100, 16, 1))
+
+    def test_steps_reuse_their_memory(self):
+        model, xb = self.model_and_batch()
+        ws = _Workspace()
+        model.loss_and_grads(xb, ws)
+        first = dict(ws.buffers)
+        square = {name for name, buf in first.items() if buf.size == 100 * 16 * 16}
+        assert square == {"a0", "a1", "a2", "p0", "p1", "p2", "dm", "scratch"}
+        model.loss_and_grads(xb, ws)
+        # and a ragged batch writes into the full batch's memory
+        model.loss_and_grads(xb[:37], ws)
+        assert ws.buffers.keys() == first.keys()
+        for name, buf in ws.buffers.items():
+            assert buf is first[name] and np.shares_memory(buf, first[name])
+
+    def test_one_training_run_uses_one_workspace(self, monkeypatch):
+        seen = []
+        step = TsadmModel.loss_and_grads
+
+        def recording_step(self, xb, workspace=None):
+            seen.append(workspace)
+            return step(self, xb, workspace)
+
+        monkeypatch.setattr(TsadmModel, "loss_and_grads", recording_step)
+        cfg = TsadmConfig(winLen=8, moduleNum=1, kLen=2, embed=2, epochs=3,
+                          batchSize=4, seed=0)
+        train_tsadm(np.random.default_rng(1).normal(size=(80, 1)), cfg)
+        assert len(seen) == 9 and isinstance(seen[0], _Workspace)
+        assert all(ws is seen[0] for ws in seen)
+
+    def test_nothing_returned_aliases_the_workspace(self):
+        model, xb = self.model_and_batch()
+        ws = _Workspace()
+        _, grads = model.loss_and_grads(xb, ws)
+        raw, rep = model.score(TimeSeriesWindow(xb.reshape(-1, 1)))
+        returned = [*arrays_of(grads, model.forward(xb)), raw.scores, rep]
+        assert len(returned) > 30
+        for arr in returned:
+            for buf in ws.buffers.values():
+                assert not np.shares_memory(arr, buf)
+
+    def test_scores_survive_a_training_step(self):
+        model, xb = self.model_and_batch()
+        window = TimeSeriesWindow(xb[:10].reshape(-1, 1))
+        ws = _Workspace()
+        model.loss_and_grads(xb, ws)
+        raw, rep = model.score(window)
+        kept = raw.scores.copy(), rep.copy()
+        model.loss_and_grads(xb[::-1], ws)
+        np.testing.assert_array_equal(raw.scores, kept[0])
+        np.testing.assert_array_equal(rep, kept[1])
+        again, rep_again = model.score(window)
+        np.testing.assert_array_equal(again.scores, kept[0])
+        np.testing.assert_array_equal(rep_again, kept[1])
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads Linux's count of minor page faults")
+    def test_training_steps_do_not_page_fault(self):
+        # Run in a fresh interpreter, as the CLI runs. In this one, earlier
+        # tests have moved glibc's mmap and trim thresholds, and steps that
+        # allocate every array fault no more than steps that reuse them. A
+        # fresh interpreter took ~800 faults a step when every step allocated
+        # its (100, 1, 16, 16) attention arrays.
+        env = dict(os.environ, PYTHONPATH=str(Path(collate.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS="1")
+        run = subprocess.run([sys.executable, "-c", CHURN_PROBE], env=env,
+                             capture_output=True, text=True, check=True)
+        assert int(run.stdout) < 50 * 30
 
 
 class TestModel:
@@ -302,42 +455,46 @@ class TestPrecomputedScorer:
         assert clone.base_index == 9
 
 
-# --- Oracle: the detector's contractions as np.einsum, before the matmul rewrite ---
+# --- Oracle: the matmul kernel as it was before it wrote into a workspace ---
+
+
+def _reference_softmax_rows(m):
+    shifted = m - m.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _reference_attention_forward(q, k, v, sigma):
     d2 = _sq_distances(q.shape[-2])
     expo = np.exp(-d2 / sigma**2)
     g = 1.0 - expo
-    a = np.einsum("bdtf,bdsf->bdts", q, k)
-    p = _softmax_rows(a * g)
-    out = np.einsum("bdts,bdse->bdte", p, v)
+    a = q @ k.swapaxes(-1, -2)
+    p = _reference_softmax_rows(a * g)
+    out = p @ v
     return out, _AttentionCache(q, k, v, a, p, g, expo, d2, sigma)
 
 
 def _reference_attention_backward(dout, cache):
     q, k, v, a, p, g, expo, d2, sigma = cache
-    dp = np.einsum("bdte,bdse->bdts", dout, v)
-    dv = np.einsum("bdts,bdte->bdse", p, dout)
+    dp = dout @ v.swapaxes(-1, -2)
+    dv = p.swapaxes(-1, -2) @ dout
     dm = (dp - (dp * p).sum(axis=-1, keepdims=True)) * p
     da = dm * g
     dg = (dm * a).sum(axis=(0, 1))
     dsigma = float(-(dg * expo * 2.0 * d2 / sigma**3).sum())
-    dq = np.einsum("bdts,bdsf->bdtf", da, k)
-    dk = np.einsum("bdts,bdtf->bdsf", da, q)
+    dq = da @ k
+    dk = da.swapaxes(-1, -2) @ q
     return dq, dk, dv, dsigma
 
 
 def _reference_loss_and_grads(model, xb):
-    """Forward pass and full backprop of ``TsadmModel.loss_and_grads``."""
+    """``TsadmModel.loss_and_grads`` on the allocating kernel."""
     b, t, _ = xb.shape
     x, xwin = model._embed(xb)
     layer_caches = []
     for layer in model.layers:
-        q = np.einsum("bdte,def->bdtf", x, layer.wq)
-        k = np.einsum("bdte,def->bdtf", x, layer.wk)
-        v = np.einsum("bdte,def->bdtf", x, layer.wv)
-        o, cache = _reference_attention_forward(q, k, v, layer.sigma)
+        o, cache = _reference_attention_forward(x @ layer.wq, x @ layer.wk, x @ layer.wv,
+                                                layer.sigma)
         layer_caches.append((x, cache))
         x = x + o
     rep = x.transpose(0, 2, 1, 3).reshape(b, t, model.rep_dim)
@@ -356,6 +513,96 @@ def _reference_loss_and_grads(model, xb):
         layer = model.layers[i]
         x, cache = layer_caches[i]
         dq, dk, dv, dsigma = _reference_attention_backward(dx, cache)
+        dlog_sigma[i] = dsigma * cache.sigma
+        grads[f"wq{i}"] = _sum_over_bt(x, dq)
+        grads[f"wk{i}"] = _sum_over_bt(x, dk)
+        grads[f"wv{i}"] = _sum_over_bt(x, dv)
+        dx = dx + (
+            dq @ layer.wq.swapaxes(-1, -2)
+            + dk @ layer.wk.swapaxes(-1, -2)
+            + dv @ layer.wv.swapaxes(-1, -2)
+        )
+    du = dx.transpose(0, 2, 1, 3)
+    grads["embed_w"] = np.einsum("btdj,btde->je", xwin, du)
+    grads["embed_b"] = du.sum(axis=(0, 1, 2))
+    grads["log_sigma"] = dlog_sigma
+    return loss, grads
+
+
+def _reference_train_tsadm(values, cfg):
+    """``train_tsadm`` with every step on ``_reference_loss_and_grads``."""
+    windows = sliding_windows(values, cfg.winLen)
+    model = TsadmModel(windows.shape[2], cfg)
+    rng = np.random.default_rng(cfg.seed + 1)
+    opt = Adam(cfg.trlr)
+    for _epoch in range(cfg.epochs):
+        order = rng.permutation(windows.shape[0])
+        for start in range(0, order.size, cfg.batchSize):
+            batch = windows[order[start : start + cfg.batchSize]]
+            _, grads = _reference_loss_and_grads(model, batch)
+            params = model.parameters()
+            log_sigmas = np.array([l.log_sigma for l in model.layers])
+            params["log_sigma"] = log_sigmas
+            opt.step(params, grads)
+            for i, layer in enumerate(model.layers):
+                layer.log_sigma = float(log_sigmas[i])
+    return model
+
+
+# --- Oracle: the detector's contractions as np.einsum, before the matmul rewrite ---
+
+
+def _einsum_attention_forward(q, k, v, sigma):
+    d2 = _sq_distances(q.shape[-2])
+    expo = np.exp(-d2 / sigma**2)
+    g = 1.0 - expo
+    a = np.einsum("bdtf,bdsf->bdts", q, k)
+    p = _reference_softmax_rows(a * g)
+    out = np.einsum("bdts,bdse->bdte", p, v)
+    return out, _AttentionCache(q, k, v, a, p, g, expo, d2, sigma)
+
+
+def _einsum_attention_backward(dout, cache):
+    q, k, v, a, p, g, expo, d2, sigma = cache
+    dp = np.einsum("bdte,bdse->bdts", dout, v)
+    dv = np.einsum("bdts,bdte->bdse", p, dout)
+    dm = (dp - (dp * p).sum(axis=-1, keepdims=True)) * p
+    da = dm * g
+    dg = (dm * a).sum(axis=(0, 1))
+    dsigma = float(-(dg * expo * 2.0 * d2 / sigma**3).sum())
+    dq = np.einsum("bdts,bdsf->bdtf", da, k)
+    dk = np.einsum("bdts,bdtf->bdsf", da, q)
+    return dq, dk, dv, dsigma
+
+
+def _einsum_loss_and_grads(model, xb):
+    """Forward pass and full backprop of ``TsadmModel.loss_and_grads``."""
+    b, t, _ = xb.shape
+    x, xwin = model._embed(xb)
+    layer_caches = []
+    for layer in model.layers:
+        q = np.einsum("bdte,def->bdtf", x, layer.wq)
+        k = np.einsum("bdte,def->bdtf", x, layer.wk)
+        v = np.einsum("bdte,def->bdtf", x, layer.wv)
+        o, cache = _einsum_attention_forward(q, k, v, layer.sigma)
+        layer_caches.append((x, cache))
+        x = x + o
+    rep = x.transpose(0, 2, 1, 3).reshape(b, t, model.rep_dim)
+    recon = rep @ model.out_w + model.out_b
+    resid = recon - xb
+    loss = float(np.mean(resid**2))
+    drecon = 2.0 * resid / resid.size
+    grads = {
+        "out_w": np.einsum("bth,btd->hd", rep, drecon),
+        "out_b": drecon.sum(axis=(0, 1)),
+    }
+    drep = drecon @ model.out_w.T
+    dx = drep.reshape(b, t, model.dims, model.cfg.embed).transpose(0, 2, 1, 3)
+    dlog_sigma = np.zeros(len(model.layers))
+    for i in reversed(range(len(model.layers))):
+        layer = model.layers[i]
+        x, cache = layer_caches[i]
+        dq, dk, dv, dsigma = _einsum_attention_backward(dx, cache)
         dlog_sigma[i] = dsigma * cache.sigma
         grads[f"wq{i}"] = np.einsum("bdte,bdtf->def", x, dq)
         grads[f"wk{i}"] = np.einsum("bdte,bdtf->def", x, dk)
