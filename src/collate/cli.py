@@ -13,6 +13,16 @@ so all three commands treat a bad file alike: a window missing from it, a
 window with the wrong number of scores, a score outside [0, 1], or a line
 that is not a {"window_id": ..., "scores": [numbers]} object exits 1 with one
 ``error:`` line. A score file that does not exist exits 2.
+
+Each command runs in a fresh interpreter, so a command imports only what it
+runs. Importing this module loads numpy and the pipeline's modules (``data``,
+``core``, ``errors``, ``tsadm``, ``llm``, ``collab`` with ``alignment`` and
+``optim``, and ``evaluate``), which covers all that ``train-tsadm``,
+``score-llm`` in mock mode, ``train-collab``, ``detect`` and ``eval`` use.
+The rest is imported by the command that needs it: ``benchmark`` by
+``gen-data`` and ``ablate``, ``theory`` by ``verify``, and the HTTP client
+and thread pool (``urllib.request``, ``concurrent.futures``) by live
+``score-llm``.
 """
 from __future__ import annotations
 
@@ -27,13 +37,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, data as data_mod
-from .benchmark import (
-    BenchmarkConfig,
-    build_benchmark,
-    default_collab_config,
-    run_ablation,
-    run_variant,
-)
 from .collab import CollabConfig, FusionPipeline, LossVariant, detect, train_collab
 from .errors import CollateError, ConfigError, MissingArtifact
 from .evaluate import (
@@ -43,7 +46,6 @@ from .evaluate import (
     score_overlay_svg,
 )
 from .llm import LlmBackendConfig, load_fixture, mgab_template, score_windows, write_fixture
-from .theory import run_all_checks
 from .tsadm import TsadmConfig, TsadmModel, train_tsadm
 
 
@@ -199,6 +201,8 @@ def cmd_gen_data(cfg: RunConfig, out_dir: Path, length: int, n_contextual: int,
                  n_point: int) -> int:
     """Generate the synthetic benchmark series, labels, metadata sidecar, and
     a mock LLM fixture covering its windows."""
+    from .benchmark import BenchmarkConfig, build_benchmark
+
     out_dir.mkdir(parents=True, exist_ok=True)
     bench = build_benchmark(BenchmarkConfig(
         length=length, seed=cfg.seed, n_contextual=n_contextual, n_point=n_point,
@@ -294,13 +298,12 @@ def cmd_detect(cfg: RunConfig, data_path: Path, pipeline_path: Path,
     parts = data_mod.split_windows(series, cfg.window_len)
     windows = parts["train"] + parts["val"] + parts["test"]
     llm_scores = load_fixture(_require(scores_path, "LLM scores"), windows)
-    rows = []
+    lines = ["t,score"]
     for w in windows:
-        out = detect(pipeline, w, llm_scores[w.window_id()])
-        for i, v in enumerate(out.scores):
-            rows.append([w.start_index + i, float(v)])
+        scores = detect(pipeline, w, llm_scores[w.window_id()]).scores
+        slots = range(w.start_index, w.start_index + scores.size)
+        lines += map("{},{!r}".format, slots, scores.tolist())
     out_path = out_dir / "collated.csv"
-    lines = ["t,score"] + [f"{t},{v!r}" for t, v in rows]
     out_path.write_text("\n".join(lines) + "\n")
     write_manifest(out_dir, "detect", cfg,
                    [data_path, pipeline_path, scores_path], [out_path])
@@ -309,13 +312,11 @@ def cmd_detect(cfg: RunConfig, data_path: Path, pipeline_path: Path,
 
 
 def _load_collated(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    lines = _require(path, "collated scores").read_text().splitlines()
-    ts, vs = [], []
-    for ln in lines[1:]:
-        t, v = ln.split(",")
-        ts.append(int(t))
-        vs.append(float(v))
-    return np.asarray(ts), np.asarray(vs)
+    """The slots and scores of ``detect``'s `t,score` file; a malformed row
+    raises ParseError with its line number."""
+    lines = data_mod.read_lines(_require(path, "collated scores"))
+    ts, scores, _ = data_mod.parse_rows(lines, 1, labelled=False)
+    return ts, scores[:, 0]
 
 
 def cmd_eval(cfg: RunConfig, data_path: Path, collated_path: Path,
@@ -350,6 +351,8 @@ def cmd_eval(cfg: RunConfig, data_path: Path, collated_path: Path,
 
 def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
     """Run the full theory suite; nonzero exit if any report fails."""
+    from .theory import run_all_checks
+
     out_dir.mkdir(parents=True, exist_ok=True)
     reports = run_all_checks(seed=cfg.seed)
     out_path = out_dir / "theory_reports.json"
@@ -395,6 +398,10 @@ def _grid_points(grid: str, cfg: RunConfig, default: CollabConfig) -> list[tuple
 def cmd_ablate(cfg: RunConfig, out_dir: Path, grid: str | None) -> int:
     """Run the complementary-scorer benchmark over every fusion variant (plus
     single-model rows); optionally sweep a JSON grid of hyperparameters."""
+    from .benchmark import (
+        BenchmarkConfig, build_benchmark, default_collab_config, run_ablation, run_variant,
+    )
+
     ccfg = default_collab_config(seed=cfg.seed)
     points = _grid_points(grid, cfg, ccfg) if grid else []
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -137,27 +137,28 @@ def score_range_divisor(raw: np.ndarray, d: float) -> float:
     return (hi - lo) ** (1.0 / d)
 
 
-def _patch_slices(n_slots: int, patch_size: int) -> list[slice]:
-    """Partition [0, n_slots) into patches; a ragged tail of fewer than two
-    slots is merged backward so every slot receives weights."""
-    starts = list(range(0, n_slots, patch_size))
-    slices = [slice(s, min(s + patch_size, n_slots)) for s in starts]
-    if len(slices) > 1 and (slices[-1].stop - slices[-1].start) < 2:
-        tail = slices.pop()
-        prev = slices.pop()
-        slices.append(slice(prev.start, tail.stop))
-    return slices
+def _mean_intra_distances(blocks: np.ndarray) -> np.ndarray:
+    """(K, m, D) patches -> (K, m): each slot's mean Euclidean distance to the
+    other m - 1 slots of its patch."""
+    diff = blocks[:, :, None, :] - blocks[:, None, :, :]
+    return np.sqrt((diff**2).sum(axis=-1)).sum(axis=2) / (blocks.shape[1] - 1)
 
 
 def patch_weights(window: TimeSeriesWindow, patch_size: int) -> PatchWeights:
     """Adaptive per-slot weights from intra-patch and inter-patch distances.
 
-    For slot t: d_intra is the mean Euclidean distance between slot t's vector
-    and every other slot in its patch; d_inter is the mean Euclidean distance
-    between the centroid of t's patch and the centroids of all other patches.
-    lambda1 = d_intra / (d_intra + d_inter) when the denominator is positive,
-    else 0.5 (constant windows carry no kind information, so both models are
-    weighted equally).
+    The window is cut into patches of ``patch_size`` slots; a ragged tail of
+    one slot is merged into the patch before it, so every patch has at least
+    two slots. For slot t: d_intra is the mean Euclidean distance between
+    slot t's vector and every other slot in its patch; d_inter is the mean
+    Euclidean distance between the centroid of t's patch and the centroids of
+    all other patches. lambda1 = d_intra / (d_intra + d_inter) when the
+    denominator is positive, else 0.5 (constant windows carry no kind
+    information, so both models are weighted equally).
+
+    The full patches are computed together as one (P, patch_size, D) array,
+    the tail on its own; each patch's sums run in the order a per-patch loop
+    would use, so the weights are the same to the bit.
     """
     if patch_size < 2:
         raise ValueError("patch_size must be at least 2")
@@ -165,12 +166,20 @@ def patch_weights(window: TimeSeriesWindow, patch_size: int) -> PatchWeights:
     if n < patch_size:
         raise WindowTooShort(f"window has {n} slots, need at least {patch_size}")
     x = window.values
-    slices = _patch_slices(n, patch_size)
-    centroids = np.stack([x[sl].mean(axis=0) for sl in slices])
+    n_full = n // patch_size
+    if n - n_full * patch_size == 1:
+        n_full -= 1
+    full = x[: n_full * patch_size].reshape(n_full, patch_size, window.dims)
+    tail = x[n_full * patch_size :][None]
+    centroids = full.mean(axis=1)
+    d_intra = _mean_intra_distances(full).reshape(-1)
+    sizes = [patch_size] * n_full
+    if tail.shape[1]:
+        centroids = np.concatenate([centroids, tail.mean(axis=1)])
+        d_intra = np.concatenate([d_intra, _mean_intra_distances(tail)[0]])
+        sizes.append(tail.shape[1])
 
-    d_intra = np.zeros(n)
-    d_inter = np.zeros(n)
-    n_patches = len(slices)
+    n_patches = len(sizes)
     if n_patches > 1:
         # pairwise centroid distances, mean over the other patches per patch
         diff = centroids[:, None, :] - centroids[None, :, :]
@@ -178,14 +187,7 @@ def patch_weights(window: TimeSeriesWindow, patch_size: int) -> PatchWeights:
         inter_per_patch = cdist.sum(axis=1) / (n_patches - 1)
     else:
         inter_per_patch = np.zeros(1)
-
-    for p, sl in enumerate(slices):
-        block = x[sl]
-        m = block.shape[0]
-        diff = block[:, None, :] - block[None, :, :]
-        dist = np.sqrt((diff**2).sum(axis=-1))
-        d_intra[sl] = dist.sum(axis=1) / (m - 1)
-        d_inter[sl] = inter_per_patch[p]
+    d_inter = np.repeat(inter_per_patch, sizes)
 
     denom = d_intra + d_inter
     lambda1 = np.where(denom > 0, np.divide(d_intra, np.where(denom > 0, denom, 1.0)), 0.5)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -260,76 +261,112 @@ def to_windows(series: LabeledSeries, window_len: int) -> list[TimeSeriesWindow]
 
 
 def save_csv(series: LabeledSeries, path: str | Path) -> None:
-    """Write `t,dim_0,...,dim_{D-1}[,label]`; floats use shortest round-trip
-    form, so a load after save is bit-exact. The label column is emitted only
-    when the series carries labels."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["t"] + [f"dim_{d}" for d in range(series.dims)]
-        if series.has_labels:
-            header.append("label")
-        writer.writerow(header)
-        for i in range(series.length):
-            row = [str(series.start_index + i)] + [repr(float(v)) for v in series.values[i]]
-            if series.has_labels:
-                row.append(str(int(series.labels[i])))
-            writer.writerow(row)
+    """Write `t,dim_0,...,dim_{D-1}[,label]` with CRLF line ends; floats use
+    shortest round-trip form, so a load after save is bit-exact. The label
+    column is emitted only when the series carries labels."""
+    header = ["t"] + [f"dim_{d}" for d in range(series.dims)]
+    columns = [range(series.start_index, series.start_index + series.length)]
+    columns += series.values.T.tolist()
+    row = ["{}"] + ["{!r}"] * series.dims
+    if series.has_labels:
+        header.append("label")
+        columns.append(series.labels.tolist())
+        row.append("{}")
+    lines = [",".join(header), *map(",".join(row).format, *columns)]
+    Path(path).write_text("\r\n".join(lines) + "\r\n", newline="")
+
+
+def read_lines(path: str | Path) -> list[str]:
+    """The lines of a text file, without their line ends; an empty file
+    raises ParseError."""
+    lines = Path(path).read_text().split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise ParseError("empty file", line=1)
+    return lines
+
+
+def parse_rows(
+    lines: list[str], n_values: int, labelled: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The rows after the header line, each `t,v_1,...,v_n[,label]`: integer
+    slots, an (N, n) matrix of finite floats, and the 0/1 labels (None when
+    not ``labelled``).
+
+    The rows are parsed in one ``np.loadtxt`` pass. Only when that fails, or
+    a label or value is out of bounds, are the rows scanned one by one to
+    name the first bad line in a ParseError: a wrong field count, a field
+    that ``int`` or ``float`` rejects, or a label other than 0 or 1, else
+    the first row with a non-finite value. No rows fails at line 2. A field
+    Python reads but numpy does not (``1_0``, or a slot beyond int64) raises
+    ParseError with numpy's message and no line.
+    """
+    body = lines[1:]
+    # the format has no blank lines, and loadtxt would skip one
+    if body and "" not in body:
+        dtype = [("t", np.int64), ("v", np.float64, (n_values,))]
+        if labelled:
+            dtype.append(("label", np.int64))
+        try:
+            rows = np.loadtxt(body, dtype=dtype, delimiter=",", comments=None,
+                              quotechar='"', ndmin=1)
+        except ValueError as exc:
+            raise _first_bad_row(lines, n_values, labelled) or ParseError(str(exc)) from None
+        values = np.ascontiguousarray(rows["v"])
+        labels = np.ascontiguousarray(rows["label"]) if labelled else None
+        if (labels is None or ((labels == 0) | (labels == 1)).all()) and (
+            np.isfinite(values).all()
+        ):
+            return np.ascontiguousarray(rows["t"]), values, labels
+    raise _first_bad_row(lines, n_values, labelled)
+
+
+def _first_bad_row(lines: list[str], n_values: int, labelled: bool) -> ParseError | None:
+    """The error a row-by-row read of ``parse_rows``'s format meets first,
+    or None if every row reads."""
+    width = 1 + n_values + labelled
+    non_finite = None
+    for lineno, row in enumerate(csv.reader(lines[1:]), start=2):
+        if len(row) != width:
+            return ParseError(f"expected {width} fields, got {len(row)}", line=lineno)
+        try:
+            int(row[0])
+            vals = [float(v) for v in row[1 : 1 + n_values]]
+            lab = int(row[-1]) if labelled else 0
+        except ValueError as exc:
+            return ParseError(str(exc), line=lineno)
+        if labelled and lab not in (0, 1):
+            return ParseError(f"label must be 0 or 1, got {lab}", line=lineno)
+        if non_finite is None and not all(map(math.isfinite, vals)):
+            non_finite = lineno
+    if len(lines) < 2:
+        return ParseError("no data rows", line=2)
+    if non_finite is not None:
+        return ParseError("value is not finite", line=non_finite)
+    return None
 
 
 def load_csv(path: str | Path) -> LabeledSeries:
     """Read the CSV schema written by save_csv.
 
     A missing label column yields ``labels=None`` (absent, not all-normal).
-    Raises ParseError with the 1-based line number on any malformed row,
-    including a non-finite value such as ``nan`` or ``inf``.
+    Raises MissingColumn on a bad header, and ParseError with the 1-based
+    line number on any malformed row, including a non-finite value such as
+    ``nan`` or ``inf``.
     """
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file", line=1) from None
-        if not header or header[0] != "t":
-            raise MissingColumn("first column must be 't'")
-        dim_cols = [h for h in header if h.startswith("dim_")]
-        if not dim_cols:
-            raise MissingColumn("no dim_* columns present")
-        expected = [f"dim_{d}" for d in range(len(dim_cols))]
-        if dim_cols != expected:
-            raise MissingColumn(f"dim columns must be contiguous from dim_0, got {dim_cols}")
-        has_labels = header[-1] == "label"
-        width = 1 + len(dim_cols) + (1 if has_labels else 0)
-        values, labels, start = [], [], None
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != width:
-                raise ParseError(f"expected {width} fields, got {len(row)}", line=lineno)
-            try:
-                t = int(row[0])
-                vals = [float(v) for v in row[1 : 1 + len(dim_cols)]]
-                lab = int(row[-1]) if has_labels else 0
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from None
-            if has_labels and lab not in (0, 1):
-                raise ParseError(f"label must be 0 or 1, got {lab}", line=lineno)
-            if start is None:
-                start = t
-            values.append(vals)
-            labels.append(lab)
-        if not values:
-            raise ParseError("no data rows", line=2)
-    values = np.asarray(values)
-    finite = np.isfinite(values).all(axis=1)
-    if not finite.all():
-        # data row i was read from line i + 2, after the header
-        raise ParseError("value is not finite", line=int(np.argmin(finite)) + 2)
-    return LabeledSeries(
-        values=values,
-        labels=np.asarray(labels) if has_labels else None,
-        spans=[],
-        start_index=start or 0,
-    )
+    lines = read_lines(path)
+    header = next(csv.reader(lines[:1]), [])
+    if not header or header[0] != "t":
+        raise MissingColumn("first column must be 't'")
+    dim_cols = [h for h in header if h.startswith("dim_")]
+    if not dim_cols:
+        raise MissingColumn("no dim_* columns present")
+    expected = [f"dim_{d}" for d in range(len(dim_cols))]
+    if dim_cols != expected:
+        raise MissingColumn(f"dim columns must be contiguous from dim_0, got {dim_cols}")
+    t, values, labels = parse_rows(lines, len(dim_cols), header[-1] == "label")
+    return LabeledSeries(values=values, labels=labels, spans=[], start_index=int(t[0]))
 
 
 def write_metadata(

@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -230,7 +229,9 @@ def score_overlay_svg(
     y_scores = scale(scores, half + 10, height - 10)
 
     def polyline(ys: np.ndarray, color: str) -> str:
-        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
+        # x, y pairs up to the shorter series, interleaved and printed in one pass
+        coords = np.column_stack([xs[: ys.size], ys[:n]]).ravel().tolist()
+        pts = " ".join(["%.2f,%.2f"] * (len(coords) // 2)) % tuple(coords)
         return f'<polyline fill="none" stroke="{color}" stroke-width="1" points="{pts}"/>'
 
     parts = [
@@ -238,21 +239,12 @@ def score_overlay_svg(
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
     if labels is not None:
-        labels = np.asarray(labels).reshape(-1)
-        i = 0
-        while i < n:
-            if labels[i] == 1:
-                j = i
-                while j < n and labels[j] == 1:
-                    j += 1
-                x0, x1 = xs[i], xs[min(j, n - 1)]
-                parts.append(
-                    f'<rect x="{x0:.2f}" y="0" width="{max(x1 - x0, 1.0):.2f}" '
-                    f'height="{height}" fill="#fdd" />'
-                )
-                i = j
-            else:
-                i += 1
+        # one rectangle per run of consecutive slots labelled 1
+        edges = np.diff(np.concatenate([[0], np.asarray(labels).reshape(-1)[:n] == 1, [0]]))
+        x0 = xs[np.flatnonzero(edges == 1)]
+        x1 = xs[np.minimum(np.flatnonzero(edges == -1), n - 1)]
+        rect = f'<rect x="{{:.2f}}" y="0" width="{{:.2f}}" height="{height}" fill="#fdd" />'
+        parts += map(rect.format, x0.tolist(), np.maximum(x1 - x0, 1.0).tolist())
     parts.append(polyline(y_vals, "#1f77b4"))
     parts.append(polyline(y_scores, "#d62728"))
     if threshold is not None and scores.max() > scores.min():
@@ -266,10 +258,15 @@ def score_overlay_svg(
     if title:
         parts.append(
             f'<text x="8" y="12" font-size="11" font-family="monospace">'
-            f"{escape(title)}</text>"
+            f"{_escape(title)}</text>"
         )
     parts.append("</svg>")
     return "\n".join(parts)
+
+
+def _escape(text: str) -> str:
+    """``text`` with &, > and < replaced by XML entities, ampersands first."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def write_csv_table(path: Path, header: list[str], rows: list[list]) -> None:

@@ -15,9 +15,6 @@ import json
 import os
 import threading
 import time
-import urllib.error
-import urllib.request
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -163,7 +160,7 @@ def fixture_scores(
 
 def write_fixture(path: str | Path, scores_by_window: dict[str, np.ndarray]) -> None:
     lines = [
-        json.dumps({"window_id": wid, "scores": [float(v) for v in scores]})
+        json.dumps({"window_id": wid, "scores": np.asarray(scores, dtype=np.float64).tolist()})
         for wid, scores in sorted(scores_by_window.items())
     ]
     Path(path).write_text("\n".join(lines) + "\n")
@@ -195,6 +192,8 @@ def _api_key() -> str:
 
 
 def _default_transport(cfg: LlmBackendConfig, prompt: str) -> str:
+    import urllib.request
+
     key = _api_key()
     payload = json.dumps({"prompt": prompt}).encode()
     req = urllib.request.Request(
@@ -233,7 +232,9 @@ def request_scores(
     for attempt in range(RETRIES + 1):
         try:
             text = transport(cfg, prompt)
-        except (urllib.error.URLError, OSError, MalformedResponse) as exc:
+        except (OSError, MalformedResponse) as exc:  # urllib's URLError is an OSError
+            import urllib.error
+
             if isinstance(exc, urllib.error.HTTPError) and (
                 400 <= exc.code < 500 and exc.code not in (408, 429)
             ):
@@ -281,6 +282,8 @@ def score_windows(
         if cfg.fixture_path is None:
             raise MissingFixture("mock mode requires a fixture path")
         return load_fixture(cfg.fixture_path, windows)
+    from concurrent.futures import ThreadPoolExecutor
+
     prompts = [(w, build_prompt(w, template)) for w in windows]
     if transport is None:
         _api_key()

@@ -1,6 +1,12 @@
 """The CLI end to end at 2,000 slots, run in-process through ``cli.main``."""
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+import urllib.error
+import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -185,6 +191,72 @@ class TestBadCsv:
         assert err == "error: line 51: value is not finite\n"
 
 
+BAD_COLLATED = {
+    "short row": (["t,score", "0,0.5", "1"], "error: line 3: expected 2 fields, got 1\n"),
+    "header only": (["t,score"], "error: line 2: no data rows\n"),
+    "empty file": ([], "error: line 1: empty file\n"),
+    "score not a number": (
+        ["t,score", "0,0.5", "1,high"],
+        "error: line 3: could not convert string to float: 'high'\n",
+    ),
+    "score nan": (["t,score", "0,nan", "1,0.5"], "error: line 2: value is not finite\n"),
+    "score inf": (["t,score", "0,0.5", "1,inf"], "error: line 3: value is not finite\n"),
+    "t not an integer": (
+        ["t,score", "0.5,0.5"],
+        "error: line 2: invalid literal for int() with base 10: '0.5'\n",
+    ),
+}
+
+
+class TestBadCollated:
+    """A malformed `collated.csv` makes eval exit 1 with one error line."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_COLLATED))
+    def test_exits_1_with_the_line(self, run_dir, tmp_path, capsys, case):
+        lines, message = BAD_COLLATED[case]
+        collated = tmp_path / "collated.csv"
+        collated.write_text("".join(f"{ln}\n" for ln in lines))
+        capsys.readouterr()
+        code = cli.main(["--config", str(run_dir / "cfg.json"), "--out", str(tmp_path / "e"),
+                         "eval", "--data", str(run_dir / "D" / "data.csv"),
+                         "--collated", str(collated)])
+        assert code == 1
+        assert capsys.readouterr().err == message
+
+
+def _modules_after(code: str) -> set[str]:
+    """The names in ``sys.modules`` after a fresh interpreter, with this
+    package on its path, runs ``code``."""
+    script = f"import sys\n{code}\nprint(' '.join(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, env=env)
+    return set(out.stdout.splitlines()[-1].split())
+
+
+class TestImports:
+    """Each command imports only the modules it runs."""
+
+    NEVER_AT_IMPORT = {"urllib.request", "http.client", "ssl", "xml.sax",
+                       "concurrent.futures", "collate.theory", "collate.benchmark"}
+
+    def test_importing_the_cli_loads_no_command_specific_module(self):
+        loaded = _modules_after("import collate.cli")
+        assert "collate.cli" in loaded
+        assert loaded & self.NEVER_AT_IMPORT == set()
+
+    def test_eval_loads_neither_the_theory_nor_http(self, run_dir, tmp_path):
+        argv = ["--config", str(run_dir / "cfg.json"), "--out", str(tmp_path),
+                "eval", "--data", str(run_dir / "D" / "data.csv"),
+                "--collated", str(run_dir / "detect" / "collated.csv"),
+                "--metadata", str(run_dir / "D" / "metadata.json")]
+        loaded = _modules_after(
+            f"from collate import cli\nassert cli.main({argv!r}) == 0"
+        )
+        assert (tmp_path / "metrics.json").is_file()
+        assert loaded & {"collate.theory", "urllib.request"} == set()
+
+
 class TestAblateGrid:
     def test_grid_point_trains_only_the_collaborative_variant(self, tmp_path, monkeypatch):
         trained = []
@@ -233,7 +305,7 @@ class TestAblateGrid:
         def no_ablation(*args):
             raise AssertionError("the ablation ran")
 
-        monkeypatch.setattr(cli, "run_ablation", no_ablation)
+        monkeypatch.setattr(benchmark, "run_ablation", no_ablation)
         assert cli.main(["--out", str(tmp_path), "ablate", "--grid", grid]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
@@ -263,7 +335,7 @@ class TestLiveScoring:
         def no_request(req, timeout):
             raise AssertionError("a request was sent")
 
-        monkeypatch.setattr(llm.urllib.request, "urlopen", no_request)
+        monkeypatch.setattr(urllib.request, "urlopen", no_request)
         monkeypatch.delenv(llm.API_KEY_VAR, raising=False)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"llm_mode": "live:http://127.0.0.1:9/", "window_len": 200}))
@@ -282,9 +354,9 @@ class TestLiveScoring:
 
         def unauthorized(req, timeout):
             requests.append(req)
-            raise llm.urllib.error.HTTPError(req.full_url, 401, "Unauthorized", {}, None)
+            raise urllib.error.HTTPError(req.full_url, 401, "Unauthorized", {}, None)
 
-        monkeypatch.setattr(llm.urllib.request, "urlopen", unauthorized)
+        monkeypatch.setattr(urllib.request, "urlopen", unauthorized)
         monkeypatch.setattr(llm, "MAX_IN_FLIGHT", 1)
         monkeypatch.setenv(llm.API_KEY_VAR, "key")
         cfg = tmp_path / "cfg.json"

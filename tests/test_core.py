@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from collate.core import (
+    PatchWeights,
     ScoreKind,
     ScoreSeries,
     TimeSeriesWindow,
@@ -79,7 +80,56 @@ class TestNormalizeScores:
             score_range_divisor(np.array([0.0, 1.0]), d)
 
 
+def _reference_patch_weights(window, patch_size):
+    """The per-patch loop ``patch_weights`` replaced: each patch's distances
+    on their own, a ragged tail of one slot merged into the patch before."""
+    x, n = window.values, window.length
+    slices = [slice(s, min(s + patch_size, n)) for s in range(0, n, patch_size)]
+    if len(slices) > 1 and (slices[-1].stop - slices[-1].start) < 2:
+        tail = slices.pop()
+        prev = slices.pop()
+        slices.append(slice(prev.start, tail.stop))
+    centroids = np.stack([x[sl].mean(axis=0) for sl in slices])
+    d_intra, d_inter = np.zeros(n), np.zeros(n)
+    if len(slices) > 1:
+        diff = centroids[:, None, :] - centroids[None, :, :]
+        inter_per_patch = np.sqrt((diff**2).sum(axis=-1)).sum(axis=1) / (len(slices) - 1)
+    else:
+        inter_per_patch = np.zeros(1)
+    for p, sl in enumerate(slices):
+        block = x[sl]
+        diff = block[:, None, :] - block[None, :, :]
+        d_intra[sl] = np.sqrt((diff**2).sum(axis=-1)).sum(axis=1) / (block.shape[0] - 1)
+        d_inter[sl] = inter_per_patch[p]
+    denom = d_intra + d_inter
+    lambda1 = np.where(denom > 0, np.divide(d_intra, np.where(denom > 0, denom, 1.0)), 0.5)
+    return PatchWeights(lambda1=lambda1, lambda2=1.0 - lambda1)
+
+
 class TestPatchWeights:
+    @pytest.mark.parametrize("dims", [1, 2, 3])
+    @pytest.mark.parametrize("patch", range(2, 8))
+    def test_matches_the_per_patch_loop(self, patch, dims):
+        rng = np.random.default_rng(100 * patch + dims)
+        # no tail, a one-slot tail (merged backward), a longer tail, one
+        # patch, one patch plus a merged slot, and a long window
+        lengths = {patch, patch + 1, 3 * patch, 3 * patch + 1, 3 * patch + patch - 1, 500}
+        for n in sorted(lengths):
+            w = TimeSeriesWindow(rng.normal(size=(n, dims)) * 10.0 ** rng.integers(-3, 4))
+            new, old = patch_weights(w, patch), _reference_patch_weights(w, patch)
+            np.testing.assert_array_equal(new.lambda1, old.lambda1, err_msg=f"n={n}")
+            np.testing.assert_array_equal(new.lambda2, old.lambda2, err_msg=f"n={n}")
+
+    @pytest.mark.parametrize("patch", [8, 16, 50, 500])
+    def test_matches_the_per_patch_loop_for_long_patches(self, patch):
+        rng = np.random.default_rng(patch)
+        for n in (patch, patch + 1, 501, 1000):
+            if n < patch:
+                continue
+            w = TimeSeriesWindow(rng.normal(size=(n, 2)))
+            new, old = patch_weights(w, patch), _reference_patch_weights(w, patch)
+            np.testing.assert_array_equal(new.lambda1, old.lambda1, err_msg=f"n={n}")
+
     def test_hand_computed_example(self):
         w = TimeSeriesWindow(np.array([[0.0], [0.0], [10.0], [0.0]]))
         pw = patch_weights(w, 2)

@@ -1,5 +1,6 @@
 """Direct tests of the generator, the anomaly planting, the CSV format and
 the 40/10/50 split."""
+import csv
 import hashlib
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from collate import cli, data
 from collate.data import AnomalyKind, AnomalySpan, LabeledSeries
-from collate.errors import InsufficientRoom, TooShort
+from collate.errors import InsufficientRoom, MissingColumn, ParseError, TooShort
 
 
 def labels_of(spans, length):
@@ -91,23 +92,180 @@ class TestPlanting:
             data.insert_point_anomalies(base, 2, seed=0, region=(100, 102))
 
 
+def _reference_save_csv(series, path):
+    """The row-by-row ``csv.writer`` saver that ``save_csv`` replaced."""
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        header = ["t"] + [f"dim_{d}" for d in range(series.dims)]
+        if series.has_labels:
+            header.append("label")
+        writer.writerow(header)
+        for i in range(series.length):
+            row = [str(series.start_index + i)] + [repr(float(v)) for v in series.values[i]]
+            if series.has_labels:
+                row.append(str(int(series.labels[i])))
+            writer.writerow(row)
+
+
+def _reference_load_csv(path):
+    """The row-by-row ``csv.reader`` loader that ``load_csv`` replaced."""
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError("empty file", line=1) from None
+        if not header or header[0] != "t":
+            raise MissingColumn("first column must be 't'")
+        dim_cols = [h for h in header if h.startswith("dim_")]
+        if not dim_cols:
+            raise MissingColumn("no dim_* columns present")
+        expected = [f"dim_{d}" for d in range(len(dim_cols))]
+        if dim_cols != expected:
+            raise MissingColumn(f"dim columns must be contiguous from dim_0, got {dim_cols}")
+        has_labels = header[-1] == "label"
+        width = 1 + len(dim_cols) + (1 if has_labels else 0)
+        values, labels, start = [], [], None
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != width:
+                raise ParseError(f"expected {width} fields, got {len(row)}", line=lineno)
+            try:
+                t = int(row[0])
+                vals = [float(v) for v in row[1 : 1 + len(dim_cols)]]
+                lab = int(row[-1]) if has_labels else 0
+            except ValueError as exc:
+                raise ParseError(str(exc), line=lineno) from None
+            if has_labels and lab not in (0, 1):
+                raise ParseError(f"label must be 0 or 1, got {lab}", line=lineno)
+            if start is None:
+                start = t
+            values.append(vals)
+            labels.append(lab)
+        if not values:
+            raise ParseError("no data rows", line=2)
+    values = np.asarray(values)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise ParseError("value is not finite", line=int(np.argmin(finite)) + 2)
+    return LabeledSeries(
+        values=values,
+        labels=np.asarray(labels) if has_labels else None,
+        spans=[],
+        start_index=start or 0,
+    )
+
+
+def _series(dims, labelled, length=40, seed=0):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(length, dims)) * 10.0 ** rng.integers(-300, 300, (length, dims))
+    values[0] = [-0.0, 5e-324, np.nextafter(1.0, 0.0)][:dims]
+    labels = rng.integers(0, 2, length) if labelled else None
+    return LabeledSeries(values=values, labels=labels, start_index=17)
+
+
+# (header, rows): each breaks the schema in one way; a row is a list of fields
+GOOD = ("t,dim_0,dim_1,label", ["5,1.5,-2.0,0", "6,0.25,3e-300,1", "7,2.0,4.0,0"])
+BAD_CSV = {
+    "bad float": (GOOD[0], ["5,1.5,-2.0,0", "6,0.2x5,3.0,1", "7,2.0,4.0,0"]),
+    "wrong width": (GOOD[0], ["5,1.5,-2.0,0", "6,0.25,1", "7,2.0,4.0,0"]),
+    "extra field": (GOOD[0], ["5,1.5,-2.0,0", "6,0.25,3.0,1,9"]),
+    "label 2": (GOOD[0], ["5,1.5,-2.0,0", "6,0.25,3.0,2"]),
+    "label not an integer": (GOOD[0], ["5,1.5,-2.0,0", "6,0.25,3.0,1.0"]),
+    "nan": (GOOD[0], ["5,1.5,-2.0,0", "6,0.25,nan,1", "7,2.0,4.0,0"]),
+    "inf": (GOOD[0], ["5,1.5,-2.0,0", "6,inf,3.0,1"]),
+    "-inf": ("t,dim_0", ["5,1.5", "6,-inf"]),
+    "overflow to inf": ("t,dim_0", ["5,1e400"]),
+    "nan before a bad float": (GOOD[0], ["5,nan,-2.0,0", "6,0.25,x,1"]),
+    "nan before label 2": (GOOD[0], ["5,nan,-2.0,0", "6,0.25,1.0,2"]),
+    "t = 1.5": (GOOD[0], ["5,1.5,-2.0,0", "1.5,0.25,3.0,1"]),
+    "t = 1e3": ("t,dim_0", ["1e3,0.25"]),
+    "blank line": (GOOD[0], ["5,1.5,-2.0,0", "", "7,2.0,4.0,0"]),
+    "blank last line": ("t,dim_0", ["5,1.5", ""]),
+    "spaces only": ("t,dim_0", ["5,1.5", "  "]),
+    "comment line": ("t,dim_0", ["5,1.5", "# 6,2.5"]),
+    "header only": (GOOD[0], []),
+    "first column not t": ("time,dim_0", ["5,1.5"]),
+    "empty header": ("", ["5,1.5"]),
+    "no dim columns": ("t,value,label", ["5,1.5,0"]),
+    "dims not contiguous": ("t,dim_0,dim_2", ["5,1.5,2.5"]),
+    "dims not from 0": ("t,dim_1", ["5,1.5"]),
+}
+
+
 class TestCsv:
     @pytest.mark.parametrize("labelled", [True, False])
     def test_round_trip_is_bit_exact(self, tmp_path, labelled):
-        rng = np.random.default_rng(0)
-        values = rng.normal(size=(40, 3)) * 10.0 ** rng.integers(-300, 300, (40, 3))
-        values[0] = [-0.0, 5e-324, np.nextafter(1.0, 0.0)]
-        labels = rng.integers(0, 2, 40) if labelled else None
-        series = LabeledSeries(values=values, labels=labels, start_index=17)
+        series = _series(3, labelled)
         data.save_csv(series, tmp_path / "s.csv")
         loaded = data.load_csv(tmp_path / "s.csv")
         assert loaded.values.tobytes() == series.values.tobytes()
         assert loaded.start_index == 17
         if labelled:
-            np.testing.assert_array_equal(loaded.labels, labels)
+            np.testing.assert_array_equal(loaded.labels, series.labels)
         else:
             assert loaded.labels is None
             assert "label" not in (tmp_path / "s.csv").read_text().splitlines()[0]
+
+    @pytest.mark.parametrize("labelled", [True, False])
+    @pytest.mark.parametrize("dims", [1, 3])
+    def test_save_matches_the_csv_writer_byte_for_byte(self, tmp_path, dims, labelled):
+        series = _series(dims, labelled)
+        data.save_csv(series, tmp_path / "new.csv")
+        _reference_save_csv(series, tmp_path / "old.csv")
+        written = (tmp_path / "new.csv").read_bytes()
+        assert written == (tmp_path / "old.csv").read_bytes()
+        assert written.count(b"\r\n") == series.length + 1
+
+    @pytest.mark.parametrize("labelled", [True, False])
+    @pytest.mark.parametrize("dims", [1, 3])
+    def test_load_matches_the_csv_reader_bit_for_bit(self, tmp_path, dims, labelled):
+        path = tmp_path / "s.csv"
+        _reference_save_csv(_series(dims, labelled, length=300, seed=dims), path)
+        old, new = _reference_load_csv(path), data.load_csv(path)
+        assert new.values.tobytes() == old.values.tobytes()
+        assert new.values.shape == old.values.shape and new.values.flags.c_contiguous
+        assert new.start_index == old.start_index == 17
+        if labelled:
+            assert new.labels.dtype == old.labels.dtype
+            np.testing.assert_array_equal(new.labels, old.labels)
+        else:
+            assert new.labels is None and old.labels is None
+
+    def test_one_row_and_negative_start(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("t,dim_0,label\n-3,2.5,1\n")
+        loaded = data.load_csv(path)
+        assert loaded.start_index == -3 and loaded.values.tolist() == [[2.5]]
+        assert loaded.labels.tolist() == [1]
+
+    @pytest.mark.parametrize("case", sorted(BAD_CSV))
+    def test_bad_file_raises_what_the_csv_reader_raised(self, tmp_path, case):
+        header, rows = BAD_CSV[case]
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join([header, *rows]) + "\n")
+        with pytest.raises((ParseError, MissingColumn)) as old:
+            _reference_load_csv(path)
+        with pytest.raises(type(old.value)) as new:
+            data.load_csv(path)
+        assert str(new.value) == str(old.value)
+        assert getattr(new.value, "line", None) == getattr(old.value, "line", None)
+
+    @pytest.mark.parametrize("row", ["5,1_0", "99999999999999999999,1.5"])
+    def test_field_only_python_reads_is_rejected_without_a_line(self, tmp_path, row):
+        path = tmp_path / "s.csv"
+        path.write_text(f"t,dim_0\n{row}\n")
+        with pytest.raises(ParseError, match="could not convert") as info:
+            data.load_csv(path)
+        assert info.value.line is None
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(ParseError) as old:
+            _reference_load_csv(path)
+        with pytest.raises(ParseError) as new:
+            data.load_csv(path)
+        assert str(new.value) == str(old.value) == "line 1: empty file"
 
 
 class TestSplit:
