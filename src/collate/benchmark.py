@@ -10,17 +10,21 @@ rule-breaking single slots).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import data as data_mod
-from .collab import CollabConfig, LossVariant, detect, train_collab
-from .core import ScoreSeries, TimeSeriesWindow
+from .collab import detect, train_collab
+from .core import LossVariant, ScoreSeries, TimeSeriesWindow
 from .data import AnomalyKind, LabeledSeries
 from .evaluate import DetectionMetrics, labels_from_spans, per_kind_metrics
 from .llm import fixture_scores, write_fixture
 from .tsadm import PrecomputedScorer
+
+if TYPE_CHECKING:
+    from .cli import RunConfig
 
 # simulated detector (contextual expert)
 DET_FLOOR = 0.5
@@ -34,6 +38,10 @@ LLM_POINT_JITTER = 0.04
 LLM_CTX_HIT = 0.4
 LLM_CTX_LEVEL = 0.35
 LLM_CTX_JITTER = 0.08
+# Phase-2 batch size tuned for this benchmark: one whole window per batch so
+# the pairwise terms compare anomalous spans against plenty of background,
+# not mostly against themselves.
+ABLATION_BATCH_SIZE = 500
 
 
 @dataclass(frozen=True)
@@ -43,15 +51,6 @@ class BenchmarkConfig:
     n_contextual: int = 10
     n_point: int = 10
     window_len: int = 500
-
-
-def default_collab_config(seed: int = 0) -> CollabConfig:
-    """Training settings tuned for this benchmark: one whole window per batch
-    so the pairwise terms compare anomalous spans against plenty of
-    background, not mostly against themselves."""
-    return CollabConfig(
-        colr=0.01, batch_size=500, epochs=150, seed=seed, patch_size=2, d=1.0
-    )
 
 
 @dataclass
@@ -105,7 +104,8 @@ def build_benchmark(cfg: BenchmarkConfig) -> Benchmark:
         raise ValueError("need at least three anomalies of each kind to cover splits")
     base = data_mod.gen_mackey_glass(cfg.length, cfg.seed)
     t = cfg.length
-    regions = [(0, int(0.4 * t)), (int(0.4 * t), int(0.5 * t)), (int(0.5 * t), t)]
+    a, b = data_mod.split_bounds(t)
+    regions = [(0, a), (a, b), (b, t)]
     c_alloc = _allocate(cfg.n_contextual)
     p_alloc = _allocate(cfg.n_point)
     series = base
@@ -170,15 +170,10 @@ def baseline_metrics(bench: Benchmark) -> dict[str, DetectionMetrics]:
     }
 
 
-def run_variant(
-    bench: Benchmark, variant: LossVariant, collab_cfg: CollabConfig
-) -> DetectionMetrics:
-    """Train the variant on the train split and evaluate on the test split."""
+def run_variant(bench: Benchmark, cfg: RunConfig) -> DetectionMetrics:
+    """Train ``cfg.loss_variant`` on the train split; metrics on the test split."""
     llm_train = bench.llm_scores_for(bench.windows["train"])
-    pipeline, _ = train_collab(
-        bench.windows["train"], bench.scorer, llm_train, variant, collab_cfg,
-        config_echo={"benchmark": asdict(bench.cfg), "variant": variant.value},
-    )
+    pipeline, _ = train_collab(bench.windows["train"], bench.scorer, llm_train, cfg)
     llm_test = bench.llm_scores_for(bench.windows["test"])
     collated = np.concatenate(
         [detect(pipeline, w, llm_test[w.window_id()]).scores for w in bench.windows["test"]]
@@ -186,11 +181,9 @@ def run_variant(
     return per_kind_metrics(collated, bench.test.spans)
 
 
-def run_ablation(
-    bench: Benchmark, collab_cfg: CollabConfig
-) -> dict[str, DetectionMetrics]:
+def run_ablation(bench: Benchmark, cfg: RunConfig) -> dict[str, DetectionMetrics]:
     """Full variant table: every loss variant plus the two single-model rows."""
     results = baseline_metrics(bench)
     for variant in LossVariant:
-        results[variant.value] = run_variant(bench, variant, collab_cfg)
+        results[variant.value] = run_variant(bench, replace(cfg, loss_variant=variant.value))
     return results

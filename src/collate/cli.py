@@ -15,14 +15,10 @@ that is not a {"window_id": ..., "scores": [numbers]} object exits 1 with one
 ``error:`` line. A score file that does not exist exits 2.
 
 Each command runs in a fresh interpreter, so a command imports only what it
-runs. Importing this module loads numpy and the pipeline's modules (``data``,
-``core``, ``errors``, ``tsadm``, ``llm``, ``collab`` with ``alignment`` and
-``optim``, and ``evaluate``), which covers all that ``train-tsadm``,
-``score-llm`` in mock mode, ``train-collab``, ``detect`` and ``eval`` use.
-The rest is imported by the command that needs it: ``benchmark`` by
-``gen-data`` and ``ablate``, ``theory`` by ``verify``, and the HTTP client
-and thread pool (``urllib.request``, ``concurrent.futures``) by live
-``score-llm``.
+runs. Importing this module loads numpy and what ``eval`` runs: ``data``,
+``core``, ``errors`` and ``evaluate``. Every other module (``tsadm``,
+``llm``, ``collab``, ``benchmark``, ``theory``, and live ``score-llm``'s
+HTTP client and thread pool) is imported inside the commands that run it.
 """
 from __future__ import annotations
 
@@ -33,20 +29,23 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__, data as data_mod
-from .collab import CollabConfig, FusionPipeline, LossVariant, detect, train_collab
-from .errors import CollateError, ConfigError, MissingArtifact
+from .core import LossVariant
+from .errors import CollateError, ConfigError, MissingArtifact, ParseError
 from .evaluate import (
     best_f1_threshold,
     emit_report,
     per_kind_metrics,
     score_overlay_svg,
 )
-from .llm import LlmBackendConfig, load_fixture, mgab_template, score_windows, write_fixture
-from .tsadm import TsadmConfig, TsadmModel, train_tsadm
+
+if TYPE_CHECKING:
+    from .llm import LlmBackendConfig
+    from .tsadm import TsadmConfig
 
 
 @dataclass
@@ -107,21 +106,9 @@ class RunConfig:
         if mode not in ("mock", "live"):
             raise ConfigError("llm_mode must look like 'mock:<fixture>' or 'live:<url>'")
 
-    def collab_config(self) -> CollabConfig:
-        return CollabConfig(
-            colr=self.colr,
-            batch_size=self.batchSize,
-            epochs=self.epochs_collab,
-            seed=self.seed,
-            patch_size=self.patchSize,
-            d=self.d,
-            lambda_hat_1=self.lambda_hat,
-            lambda_hat_2=self.lambda_hat,
-            mapping_hidden=self.mapping_hidden,
-            cond_hidden=self.cond_hidden,
-        )
-
     def tsadm_config(self) -> TsadmConfig:
+        from .tsadm import TsadmConfig
+
         return TsadmConfig(
             winLen=self.winLen,
             moduleNum=self.moduleNum,
@@ -136,6 +123,8 @@ class RunConfig:
     def llm_backend(self, base_dir: Path) -> LlmBackendConfig:
         """The backend ``llm_mode`` names; a relative mock fixture path is
         taken relative to ``base_dir``, the dataset's directory."""
+        from .llm import LlmBackendConfig
+
         mode, _, rest = self.llm_mode.partition(":")
         if mode == "mock":
             return LlmBackendConfig(mode="mock", fixture_path=str(base_dir / rest))
@@ -220,6 +209,8 @@ def cmd_gen_data(cfg: RunConfig, out_dir: Path, length: int, n_contextual: int,
 
 
 def cmd_train_tsadm(cfg: RunConfig, data_path: Path, out_dir: Path) -> int:
+    from .tsadm import train_tsadm
+
     out_dir.mkdir(parents=True, exist_ok=True)
     series = _load_labeled(data_path)
     train, _val, _test = data_mod.split([series])
@@ -239,6 +230,8 @@ def cmd_score_llm(cfg: RunConfig, data_path: Path, out_dir: Path) -> int:
     dataset, where ``gen-data`` writes it, whatever the working directory.
     A window too long for one prompt is a config error (exit 2).
     """
+    from .llm import mgab_template, score_windows, write_fixture
+
     out_dir.mkdir(parents=True, exist_ok=True)
     series = _load_labeled(data_path)
     parts = data_mod.split_windows(series, cfg.window_len)
@@ -258,15 +251,16 @@ def cmd_score_llm(cfg: RunConfig, data_path: Path, out_dir: Path) -> int:
 
 def cmd_train_collab(cfg: RunConfig, data_path: Path, tsadm_path: Path,
                      scores_path: Path, out_dir: Path) -> int:
+    from .collab import train_collab
+    from .llm import load_fixture
+    from .tsadm import TsadmModel
+
     out_dir.mkdir(parents=True, exist_ok=True)
     series = _load_labeled(data_path)
     windows = data_mod.split_windows(series, cfg.window_len)["train"]
     model = TsadmModel.load(_require(tsadm_path, "detector checkpoint"))
     llm_scores = load_fixture(_require(scores_path, "LLM scores"), windows)
-    pipeline, curves = train_collab(
-        windows, model, llm_scores, LossVariant(cfg.loss_variant),
-        cfg.collab_config(), config_echo=dataclasses.asdict(cfg),
-    )
+    pipeline, curves = train_collab(windows, model, llm_scores, cfg)
     ckpt = out_dir / "pipeline.json"
     pipeline.save(ckpt)
     curve_rows = [
@@ -292,6 +286,9 @@ def cmd_train_collab(cfg: RunConfig, data_path: Path, tsadm_path: Path,
 
 def cmd_detect(cfg: RunConfig, data_path: Path, pipeline_path: Path,
                scores_path: Path, out_dir: Path) -> int:
+    from .collab import FusionPipeline, detect
+    from .llm import load_fixture
+
     out_dir.mkdir(parents=True, exist_ok=True)
     pipeline = FusionPipeline.load(_require(pipeline_path, "pipeline checkpoint"))
     series = _load_labeled(data_path)
@@ -312,11 +309,17 @@ def cmd_detect(cfg: RunConfig, data_path: Path, pipeline_path: Path,
 
 
 def _load_collated(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    """The slots and scores of ``detect``'s `t,score` file; a malformed row
-    raises ParseError with its line number."""
+    """The slots and scores of ``detect``'s `t,score` file, sorted by slot;
+    a malformed row, or a slot listed again, raises ParseError with its line
+    number."""
     lines = data_mod.read_lines(_require(path, "collated scores"))
     ts, scores, _ = data_mod.parse_rows(lines, 1, labelled=False)
-    return ts, scores[:, 0]
+    order = np.argsort(ts, kind="stable")
+    ts = ts[order]
+    again = np.flatnonzero(ts[1:] == ts[:-1])
+    if again.size:
+        raise ParseError(f"slot {ts[again[0]]} is listed again", line=order[again[0] + 1] + 2)
+    return ts, scores[order, 0]
 
 
 def cmd_eval(cfg: RunConfig, data_path: Path, collated_path: Path,
@@ -326,8 +329,6 @@ def cmd_eval(cfg: RunConfig, data_path: Path, collated_path: Path,
     ts, scores = _load_collated(collated_path)
     if series.labels is None:
         raise MissingArtifact("evaluation needs a labeled dataset")
-    order = np.argsort(ts)
-    ts, scores = ts[order], scores[order]
     mask = (ts >= series.start_index) & (ts < series.start_index + series.length)
     ts, scores = ts[mask], scores[mask]
     labels = series.labels[ts - series.start_index]
@@ -368,10 +369,10 @@ def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
     return 0 if all_pass else 1
 
 
-def _grid_points(grid: str, cfg: RunConfig, default: CollabConfig) -> list[tuple]:
-    """The (d, patchSize) points of an ``ablate --grid`` JSON object whose
-    keys are among d and patchSize, each a nonempty list; a key left out
-    takes the ablation's own value. Every point must pass the config file's
+def _grid_points(grid: str, cfg: RunConfig) -> list[RunConfig]:
+    """``cfg`` at each (d, patchSize) point of an ``ablate --grid`` JSON
+    object whose keys are among d and patchSize, each a nonempty list; a key
+    left out keeps ``cfg``'s value. Every point must pass the config file's
     checks."""
     try:
         spec = json.loads(grid)
@@ -385,11 +386,11 @@ def _grid_points(grid: str, cfg: RunConfig, default: CollabConfig) -> list[tuple
     for key, values in spec.items():
         if not isinstance(values, list) or not values:
             raise ConfigError(f"--grid {key} must be a nonempty list, got {values!r}")
-    points = [(d, ps) for d in spec.get("d", [default.d])
-              for ps in spec.get("patchSize", [default.patch_size])]
-    for d, ps in points:
+    points = [dataclasses.replace(cfg, d=d, patchSize=ps) for d in spec.get("d", [cfg.d])
+              for ps in spec.get("patchSize", [cfg.patchSize])]
+    for point in points:
         try:
-            dataclasses.replace(cfg, d=d, patchSize=ps).validate()
+            point.validate()
         except ConfigError as exc:
             raise ConfigError(f"--grid: {exc}") from None
     return points
@@ -399,18 +400,18 @@ def cmd_ablate(cfg: RunConfig, out_dir: Path, grid: str | None) -> int:
     """Run the complementary-scorer benchmark over every fusion variant (plus
     single-model rows); optionally sweep a JSON grid of hyperparameters."""
     from .benchmark import (
-        BenchmarkConfig, build_benchmark, default_collab_config, run_ablation, run_variant,
+        ABLATION_BATCH_SIZE, BenchmarkConfig, build_benchmark, run_ablation, run_variant,
     )
 
-    ccfg = default_collab_config(seed=cfg.seed)
-    points = _grid_points(grid, cfg, ccfg) if grid else []
+    # what the ablation runs with; the run config's training keys do not reach it
+    run = RunConfig(seed=cfg.seed, batchSize=ABLATION_BATCH_SIZE)
+    points = _grid_points(grid, run) if grid else []
     out_dir.mkdir(parents=True, exist_ok=True)
     bench = build_benchmark(BenchmarkConfig(seed=cfg.seed))
-    results = run_ablation(bench, ccfg)
+    results = run_ablation(bench, run)
     for name, m in results.items():
         print(f"{name:15s} F1={m.f1:.4f}")
-    # what the ablation ran with; the run config's training keys do not reach it
-    echo = {"benchmark": dataclasses.asdict(bench.cfg), "collab": dataclasses.asdict(ccfg)}
+    echo = {"benchmark": dataclasses.asdict(bench.cfg), "run": dataclasses.asdict(run)}
     payload = {
         "variants": {n: m.to_dict() for n, m in results.items()},
         "config_echo": echo,
@@ -420,11 +421,10 @@ def cmd_ablate(cfg: RunConfig, out_dir: Path, grid: str | None) -> int:
     curves = {"ablation": (["variant", "precision", "recall", "f1"], rows)}
     if points:
         grid_rows = []
-        for dval, ps in points:
-            gcfg = dataclasses.replace(ccfg, d=float(dval), patch_size=ps)
-            f1 = run_variant(bench, LossVariant.COLLABORATIVE, gcfg).f1
-            grid_rows.append([dval, ps, f1])
-            print(f"grid d={dval} patchSize={ps}: F1={f1:.4f}")
+        for point in points:
+            f1 = run_variant(bench, point).f1
+            grid_rows.append([point.d, point.patchSize, f1])
+            print(f"grid d={point.d} patchSize={point.patchSize}: F1={f1:.4f}")
         payload["grid"] = grid_rows
         curves["grid"] = (["d", "patchSize", "f1"], grid_rows)
     outputs = emit_report(out_dir, payload, curves=curves)

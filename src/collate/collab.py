@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import alignment as align_mod
 from .alignment import AlignmentConfig, HalfGaussianFit, MonotoneMapping
 from .core import (
+    LossVariant,
     ScoreKind,
     ScoreSeries,
     TimeSeriesWindow,
@@ -29,14 +30,10 @@ from .core import (
 from .errors import LengthMismatch, NonConvergence, ShapeMismatch
 from .optim import Adam
 
+if TYPE_CHECKING:
+    from .cli import RunConfig
+
 _LEAKY_SLOPE = 0.01
-
-
-class LossVariant(Enum):
-    COLLABORATIVE = "collaborative"
-    MSE_VARIANT = "mse"
-    FIXED_WEIGHTS = "fixed_weights"
-    NO_ALIGNMENT = "no_alignment"
 
 
 class ConditionalNetParams:
@@ -224,22 +221,6 @@ def mse_variant_loss_grad(
 
 
 @dataclass
-class CollabConfig:
-    """Phase-2 training knobs (the detector is already frozen)."""
-
-    colr: float = 0.01
-    batch_size: int = 100
-    epochs: int = 60
-    seed: int = 0
-    patch_size: int = 2
-    d: float = 1.0
-    lambda_hat_1: float = 1.0
-    lambda_hat_2: float = 1.0
-    mapping_hidden: int = 8
-    cond_hidden: int = 16
-
-
-@dataclass
 class TrainingCurves:
     """Per-epoch diagnostics emitted as CSV by the reporting layer."""
 
@@ -380,15 +361,18 @@ def train_collab(
     windows: list[TimeSeriesWindow],
     scorer,
     llm_scores: dict[str, ScoreSeries],
-    variant: LossVariant,
-    cfg: CollabConfig,
-    config_echo: dict | None = None,
+    cfg: RunConfig,
 ) -> tuple[FusionPipeline, TrainingCurves]:
     """Joint minibatch SGD over the monotone mapping and the fusion network.
 
+    ``cfg`` is the run config; this reads its ``colr``, ``batchSize``,
+    ``epochs_collab``, ``patchSize``, ``d``, ``lambda_hat`` (for both
+    alignment penalties), ``mapping_hidden``, ``cond_hidden``, ``seed`` and
+    ``loss_variant``, and the pipeline echoes all of it.
+
     ``llm_scores`` holds every window's scores at the window's length, as
     ``llm.load_fixture`` returns them. The scorer stays frozen. Batches are
-    contiguous blocks of ``batch_size`` slots inside one window, so the
+    contiguous blocks of ``batchSize`` slots inside one window, so the
     pairwise terms see both near and far slots; block order is reshuffled
     each epoch under the run seed. The NO_ALIGNMENT variant feeds scaled
     scores straight into the network and skips both the mapping and the
@@ -414,8 +398,9 @@ def train_collab(
 
     all_llm = np.concatenate([llm for _, _, llm, _ in scored])
     fit = align_mod.fit_half_gaussian(all_llm)
-    acfg = AlignmentConfig(cfg.lambda_hat_1, cfg.lambda_hat_2)
+    acfg = AlignmentConfig(cfg.lambda_hat, cfg.lambda_hat)
 
+    variant = LossVariant(cfg.loss_variant)
     use_mapping = variant is not LossVariant.NO_ALIGNMENT
     mapping = MonotoneMapping(cfg.mapping_hidden, seed=cfg.seed) if use_mapping else None
     rep_dim = scored[0][3].shape[1]
@@ -430,9 +415,9 @@ def train_collab(
     for w, raw, llm, rep in scored:
         scaled = raw / divisor
         stacked = cond._stack(llm, scaled, rep)
-        pw = patch_weights(w, cfg.patch_size)
-        for start in range(0, len(scaled), cfg.batch_size):
-            stop = min(start + cfg.batch_size, len(scaled))
+        pw = patch_weights(w, cfg.patchSize)
+        for start in range(0, len(scaled), cfg.batchSize):
+            stop = min(start + cfg.batchSize, len(scaled))
             if stop - start < 2:
                 continue
             sb = scaled[start:stop]
@@ -459,7 +444,7 @@ def train_collab(
 
     rng = np.random.default_rng(cfg.seed)
     all_aligned = mapping(all_scaled) if use_mapping else all_scaled
-    for _epoch in range(cfg.epochs):
+    for _epoch in range(cfg.epochs_collab):
         # the mapping reshapes its output distribution as it trains, so the
         # standardization constants track it once per epoch
         all_stacked[:, 1] = all_aligned
@@ -500,10 +485,10 @@ def train_collab(
         cond=cond,
         d=cfg.d,
         score_divisor=divisor,
-        patch_size=cfg.patch_size,
+        patch_size=cfg.patchSize,
         variant=variant,
         fit=fit,
-        config_echo=config_echo,
+        config_echo=asdict(cfg),
     )
     return pipeline, curves
 

@@ -19,6 +19,13 @@ class ScoreKind(Enum):
     COLLATED = "collated"
 
 
+class LossVariant(Enum):
+    COLLABORATIVE = "collaborative"
+    MSE_VARIANT = "mse"
+    FIXED_WEIGHTS = "fixed_weights"
+    NO_ALIGNMENT = "no_alignment"
+
+
 _UNIT_INTERVAL_KINDS = frozenset({ScoreKind.LLM, ScoreKind.COLLATED})
 
 _SIGMOID_LO = np.nextafter(0.0, 1.0)

@@ -211,6 +211,11 @@ def _slice_series(series: LabeledSeries, lo: int, hi: int) -> LabeledSeries:
     )
 
 
+def split_bounds(t: int) -> tuple[int, int]:
+    """Where train and val end in a 40/10/50 split of ``t`` slots, floor-rounded."""
+    return int(t * 0.4), int(t * 0.5)
+
+
 def split(
     dataset: list[LabeledSeries],
 ) -> tuple[list[LabeledSeries], list[LabeledSeries], list[LabeledSeries]]:
@@ -224,8 +229,7 @@ def split(
         t = series.length
         if t < 10:
             raise TooShort(f"series of length {t} cannot be split 40/10/50")
-        a = int(t * 0.4)
-        b = int(t * 0.5)
+        a, b = split_bounds(t)
         train.append(_slice_series(series, 0, a))
         val.append(_slice_series(series, a, b))
         test.append(_slice_series(series, b, t))

@@ -341,17 +341,21 @@ class TsadmModel:
     def from_dict(cls, d: dict) -> "TsadmModel":
         if d.get("version") != cls.CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {d.get('version')}")
-        cfg = TsadmConfig(**d["config"])
-        model = cls(d["dims"], cfg)
+        model = cls.__new__(cls)
+        model.cfg = TsadmConfig(**d["config"])
+        model.dims = d["dims"]
         model.embed_w = np.asarray(d["embed_w"], dtype=np.float64)
         model.embed_b = np.asarray(d["embed_b"], dtype=np.float64)
         model.out_w = np.asarray(d["out_w"], dtype=np.float64)
         model.out_b = np.asarray(d["out_b"], dtype=np.float64)
-        for layer, ld in zip(model.layers, d["layers"]):
+        model.layers = []
+        for ld in d["layers"]:
+            layer = AttentionLayerParams.__new__(AttentionLayerParams)
             layer.wq = np.asarray(ld["wq"], dtype=np.float64)
             layer.wk = np.asarray(ld["wk"], dtype=np.float64)
             layer.wv = np.asarray(ld["wv"], dtype=np.float64)
             layer.log_sigma = float(ld["log_sigma"])
+            model.layers.append(layer)
         return model
 
     @classmethod

@@ -205,6 +205,10 @@ BAD_COLLATED = {
         ["t,score", "0.5,0.5"],
         "error: line 2: invalid literal for int() with base 10: '0.5'\n",
     ),
+    "slot listed twice": (
+        ["t,score", "1,0.5", "0,0.5", "2,0.5", "1,0.25", "0,0.75"],
+        "error: line 6: slot 0 is listed again\n",
+    ),
 }
 
 
@@ -255,6 +259,15 @@ class TestImports:
         )
         assert (tmp_path / "metrics.json").is_file()
         assert loaded & {"collate.theory", "urllib.request"} == set()
+        assert loaded & {"collate.collab", "collate.tsadm", "collate.llm"} == set()
+
+    def test_loading_a_trained_pipeline_draws_no_random_numbers(self, run_dir):
+        path = run_dir / "collab" / "pipeline.json"
+        loaded = _modules_after(
+            f"from collate.collab import FusionPipeline\nFusionPipeline.load({str(path)!r})"
+        )
+        assert "collate.tsadm" in loaded
+        assert "numpy.random" not in loaded
 
 
 class TestAblateGrid:
@@ -262,9 +275,9 @@ class TestAblateGrid:
         trained = []
         real = benchmark.train_collab
 
-        def counting(windows, scorer, llm_scores, variant, *args, **kwargs):
-            trained.append(variant.value)
-            return real(windows, scorer, llm_scores, variant, *args, **kwargs)
+        def counting(windows, scorer, llm_scores, cfg):
+            trained.append(cfg.loss_variant)
+            return real(windows, scorer, llm_scores, cfg)
 
         monkeypatch.setattr(benchmark, "train_collab", counting)
         # the grid point repeats the table's own d and patchSize
@@ -282,7 +295,7 @@ class TestAblateGrid:
         # the settings the table was trained with, not the run config's
         assert metrics["config_echo"] == {
             "benchmark": dataclasses.asdict(benchmark.BenchmarkConfig(seed=0)),
-            "collab": dataclasses.asdict(benchmark.default_collab_config(seed=0)),
+            "run": dataclasses.asdict(cli.RunConfig(batchSize=benchmark.ABLATION_BATCH_SIZE)),
         }
         assert metrics["grid"] == [[1.0, 2, float(collaborative[3])]]
         assert metrics["variants"]["collaborative"]["f1"] == float(collaborative[3])
@@ -290,6 +303,27 @@ class TestAblateGrid:
         assert manifest["config"] == metrics["config_echo"]
         assert manifest["outputs"] == [str(tmp_path / name)
                                        for name in ("ablation.csv", "grid.csv", "metrics.json")]
+
+    def test_config_echo_is_what_the_ablation_trains_with(self, run_dir, tmp_path,
+                                                         monkeypatch):
+        trained_with = []
+
+        def recording(bench, cfg):
+            trained_with.append(cfg)
+            return {}
+
+        monkeypatch.setattr(benchmark, "run_ablation", recording)
+        # the run config's seed reaches the ablation, its training keys do not
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 3, "colr": 0.5, "batchSize": 50}))
+        assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "a"), "ablate"]) == 0
+        run = json.loads((tmp_path / "a" / "metrics.json").read_text())["config_echo"]["run"]
+        assert trained_with == [cli.RunConfig(**run)]
+        pipeline = json.loads((run_dir / "collab" / "pipeline.json").read_text())
+        assert sorted(run) == sorted(pipeline["config_echo"])
+        default = dataclasses.asdict(cli.RunConfig(seed=3))
+        assert {key for key in run if run[key] != default[key]} == {"batchSize"}
+        assert run["batchSize"] == benchmark.ABLATION_BATCH_SIZE
 
     @pytest.mark.parametrize("grid, message", [
         ("[1]", "--grid must be a JSON object"),

@@ -9,10 +9,10 @@ from collate import alignment as align_mod
 from collate import collab as collab_mod
 from collate.alignment import MonotoneMapping
 from collate.benchmark import BenchmarkConfig, build_benchmark
+from collate.cli import RunConfig
 from collate.collab import (
     _check_lengths,
     _pairwise_weighted_excess,
-    CollabConfig,
     CollaborativeTerm,
     ConditionalNetParams,
     FusionPipeline,
@@ -223,9 +223,9 @@ def small_bench():
                                            n_point=4, window_len=200))
 
 
-def small_cfg(seed=0, variant_epochs=25):
-    return CollabConfig(colr=0.01, batch_size=200, epochs=variant_epochs, seed=seed,
-                        patch_size=2, d=1.0)
+def small_cfg(seed=0, variant_epochs=25, variant=LossVariant.COLLABORATIVE):
+    return RunConfig(colr=0.01, batchSize=200, epochs_collab=variant_epochs, seed=seed,
+                     patchSize=2, d=1.0, loss_variant=variant.value)
 
 
 class TestTrainCollab:
@@ -234,19 +234,27 @@ class TestTrainCollab:
         outs = []
         for run in range(2):
             pipeline, _ = train_collab(
-                small_bench.windows["train"], small_bench.scorer, llm,
-                LossVariant.COLLABORATIVE, small_cfg(seed=5),
+                small_bench.windows["train"], small_bench.scorer, llm, small_cfg(seed=5),
             )
             path = tmp_path / f"p{run}.json"
             pipeline.save(path)
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_pipeline_echoes_the_run_config(self, small_bench, tmp_path):
+        cfg = small_cfg(seed=4, variant_epochs=1)
+        llm = small_bench.llm_scores_for(small_bench.windows["train"])
+        pipeline, _ = train_collab(small_bench.windows["train"], small_bench.scorer, llm, cfg)
+        assert pipeline.config_echo == dataclasses.asdict(cfg)
+        path = tmp_path / "p.json"
+        pipeline.save(path)
+        assert FusionPipeline.load(path).config_echo == dataclasses.asdict(cfg)
+
     def test_no_alignment_variant_skips_mapping(self, small_bench):
         llm = small_bench.llm_scores_for(small_bench.windows["train"])
         pipeline, curves = train_collab(
             small_bench.windows["train"], small_bench.scorer, llm,
-            LossVariant.NO_ALIGNMENT, small_cfg(),
+            small_cfg(variant=LossVariant.NO_ALIGNMENT),
         )
         assert pipeline.mapping is None
         assert curves.kl_aligned == []
@@ -257,8 +265,7 @@ class TestTrainCollab:
     def test_pipeline_roundtrip_bit_exact(self, small_bench, tmp_path):
         llm = small_bench.llm_scores_for(small_bench.windows["train"])
         pipeline, _ = train_collab(
-            small_bench.windows["train"], small_bench.scorer, llm,
-            LossVariant.COLLABORATIVE, small_cfg(),
+            small_bench.windows["train"], small_bench.scorer, llm, small_cfg(),
         )
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         pipeline.save(p1)
@@ -268,8 +275,7 @@ class TestTrainCollab:
     def test_detect_pure_and_bounded(self, small_bench):
         llm = small_bench.llm_scores_for(small_bench.windows["train"])
         pipeline, _ = train_collab(
-            small_bench.windows["train"], small_bench.scorer, llm,
-            LossVariant.COLLABORATIVE, small_cfg(),
+            small_bench.windows["train"], small_bench.scorer, llm, small_cfg(),
         )
         w = small_bench.windows["test"][0]
         scores = small_bench.llm_scores_for([w])[w.window_id()]
@@ -282,8 +288,7 @@ class TestTrainCollab:
     def test_detect_requires_llm_kind_and_length(self, small_bench):
         llm = small_bench.llm_scores_for(small_bench.windows["train"])
         pipeline, _ = train_collab(
-            small_bench.windows["train"], small_bench.scorer, llm,
-            LossVariant.COLLABORATIVE, small_cfg(),
+            small_bench.windows["train"], small_bench.scorer, llm, small_cfg(),
         )
         w = small_bench.windows["test"][0]
         with pytest.raises(LengthMismatch):
@@ -337,14 +342,13 @@ class TestTrainCollabMatchesReference:
     @pytest.mark.parametrize("variant", list(LossVariant))
     def test_bit_identical(self, small_bench, variant):
         llm = small_bench.llm_scores_for(small_bench.windows["train"])
-        cfg = CollabConfig(colr=0.01, batch_size=100, epochs=5, seed=2,
-                           patch_size=2, d=1.0)
-        echo = {"variant": variant.value}
+        cfg = RunConfig(colr=0.01, batchSize=100, epochs_collab=5, seed=2,
+                        patchSize=2, d=1.0, loss_variant=variant.value)
         new, new_curves = train_collab(
-            small_bench.windows["train"], small_bench.scorer, llm, variant, cfg, echo
+            small_bench.windows["train"], small_bench.scorer, llm, cfg
         )
         ref, ref_curves = _reference_train_collab(
-            small_bench.windows["train"], small_bench.scorer, llm, variant, cfg, echo
+            small_bench.windows["train"], small_bench.scorer, llm, cfg
         )
         assert json.dumps(new.to_dict(), sort_keys=True) == json.dumps(
             ref.to_dict(), sort_keys=True
@@ -358,7 +362,7 @@ class TestTrainCollabMatchesReference:
         llm = small_bench.llm_scores_for(small_bench.windows["train"])
         pipeline, _ = train_collab(
             small_bench.windows["train"], small_bench.scorer, llm,
-            LossVariant.COLLABORATIVE, small_cfg(variant_epochs=1),
+            small_cfg(variant_epochs=1),
         )
         arrays = [pipeline.cond.w1, pipeline.cond.b1, pipeline.cond.w2,
                   pipeline.cond.b2, pipeline.mapping.a1, pipeline.mapping.b1,
@@ -454,7 +458,7 @@ class TestTrainCollabWritesNoSharedInput:
         monkeypatch.setattr(Adam, "step", recording_step)
         llm = small_bench.llm_scores_for(small_bench.windows["train"])
         train_collab(small_bench.windows["train"], small_bench.scorer, llm,
-                     LossVariant.COLLABORATIVE, small_cfg(variant_epochs=1))
+                     small_cfg(variant_epochs=1))
         assert terms and stacks and steps
         for term, grad, excess in terms:
             np.testing.assert_array_equal(term.grad, grad)
@@ -518,13 +522,11 @@ def _reference_train_collab(
     windows: list[TimeSeriesWindow],
     scorer,
     llm_scores: dict[str, ScoreSeries],
-    variant: LossVariant,
-    cfg: CollabConfig,
-    config_echo: dict | None = None,
+    cfg: RunConfig,
 ) -> tuple[FusionPipeline, TrainingCurves]:
     """Joint minibatch SGD over the monotone mapping and the fusion network.
 
-    The scorer stays frozen. Batches are contiguous blocks of ``batch_size``
+    The scorer stays frozen. Batches are contiguous blocks of ``batchSize``
     slots inside one window, so the pairwise terms see both near and far slots;
     block order is reshuffled each epoch under the run seed. The NO_ALIGNMENT
     variant feeds scaled scores straight into the network and skips both the
@@ -534,12 +536,13 @@ def _reference_train_collab(
         raise ValueError("no training windows")
     raws = [scorer.score(w)[0].scores for w in windows]
     divisor = score_range_divisor(np.concatenate(raws), cfg.d)
-    streams = _reference_slot_streams(windows, scorer, llm_scores, divisor, cfg.patch_size)
+    streams = _reference_slot_streams(windows, scorer, llm_scores, divisor, cfg.patchSize)
 
     all_llm = np.concatenate([st[1] for st in streams])
     fit = align_mod.fit_half_gaussian(all_llm)
-    acfg = align_mod.AlignmentConfig(cfg.lambda_hat_1, cfg.lambda_hat_2)
+    acfg = align_mod.AlignmentConfig(cfg.lambda_hat, cfg.lambda_hat)
 
+    variant = LossVariant(cfg.loss_variant)
     use_mapping = variant is not LossVariant.NO_ALIGNMENT
     mapping = MonotoneMapping(cfg.mapping_hidden, seed=cfg.seed) if use_mapping else None
     rep_dim = streams[0][2].shape[1]
@@ -547,8 +550,8 @@ def _reference_train_collab(
 
     blocks = []
     for wi, (scaled, _, _, _) in enumerate(streams):
-        for start in range(0, len(scaled), cfg.batch_size):
-            stop = min(start + cfg.batch_size, len(scaled))
+        for start in range(0, len(scaled), cfg.batchSize):
+            stop = min(start + cfg.batchSize, len(scaled))
             if stop - start >= 2:
                 blocks.append((wi, start, stop))
 
@@ -574,7 +577,7 @@ def _reference_train_collab(
         cond.set_input_stats(stacked.mean(axis=0), stacked.std(axis=0))
 
     rng = np.random.default_rng(cfg.seed)
-    for _epoch in range(cfg.epochs):
+    for _epoch in range(cfg.epochs_collab):
         # the mapping reshapes its output distribution as it trains, so the
         # standardization constants track it once per epoch
         refresh_input_stats()
@@ -640,10 +643,10 @@ def _reference_train_collab(
         cond=cond,
         d=cfg.d,
         score_divisor=divisor,
-        patch_size=cfg.patch_size,
+        patch_size=cfg.patchSize,
         variant=variant,
         fit=fit,
-        config_echo=config_echo,
+        config_echo=dataclasses.asdict(cfg),
     )
     return pipeline, curves
 
