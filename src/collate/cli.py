@@ -7,12 +7,14 @@ manifest (inputs with hashes, seed, version) next to its artifacts so a run
 can be replayed exactly. Exit codes: 0 success, 1 verification failure or
 bad input, 2 usage error or missing artifact.
 
-LLM score files (the ``score-llm`` mock fixture, and ``--llm-scores`` of
-``train-collab`` and ``detect``) go through one loader, ``llm.load_fixture``,
-so all three commands treat a bad file alike: a window missing from it, a
-window with the wrong number of scores, a score outside [0, 1], or a line
-that is not a {"window_id": ..., "scores": [numbers]} object exits 1 with one
-``error:`` line. A score file that does not exist exits 2.
+``score-llm`` alone reads ``llm_mode``: ``mock:<fixture>`` reads LLM scores
+from a file, ``live:<url>`` asks the endpoint through ``llm.score_windows``.
+LLM score files (the mock fixture, and ``--llm-scores`` of ``train-collab``
+and ``detect``) go through one loader, ``llm.load_fixture``, so all three
+commands treat a bad file alike: a window missing from it, a window with the
+wrong number of scores, a score outside [0, 1], or a line that is not a
+{"window_id": ..., "scores": [numbers]} object exits 1 with one ``error:``
+line. An input file that does not exist, or is a directory, exits 2.
 
 Each command runs in a fresh interpreter, so a command imports only what it
 runs. Importing this module loads numpy and what ``eval`` runs: ``data``,
@@ -44,7 +46,6 @@ from .evaluate import (
 )
 
 if TYPE_CHECKING:
-    from .llm import LlmBackendConfig
     from .tsadm import TsadmConfig
 
 
@@ -87,23 +88,23 @@ class RunConfig:
     }
 
     def validate(self) -> None:
+        """Raise ConfigError on a bad field. JSON's true and false are not
+        numbers here, though Python's bool is an int."""
         for name, (lo, hi) in self._RANGES.items():
             v = getattr(self, name)
-            if not isinstance(v, int) or not (lo <= v <= hi):
+            if isinstance(v, bool) or not isinstance(v, int) or not (lo <= v <= hi):
                 raise ConfigError(f"{name} must be an integer in [{lo}, {hi}], got {v!r}")
         for name in ("trlr", "colr", "d", "lambda_hat"):
             v = getattr(self, name)
-            if not isinstance(v, (int, float)) or not (0 < float(v) < 1e6):
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v < 1e6:
                 raise ConfigError(f"{name} must be a positive real, got {v!r}")
-        if not isinstance(self.seed, int):
-            raise ConfigError("seed must be an integer")
-        if self.loss_variant not in {v.value for v in LossVariant}:
-            raise ConfigError(
-                f"loss_variant must be one of "
-                f"{sorted(v.value for v in LossVariant)}, got {self.loss_variant!r}"
-            )
-        mode = self.llm_mode.split(":", 1)[0]
-        if mode not in ("mock", "live"):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        variants = sorted(v.value for v in LossVariant)
+        if not isinstance(self.loss_variant, str) or self.loss_variant not in variants:
+            raise ConfigError(f"loss_variant must be one of {variants}, got {self.loss_variant!r}")
+        if not (isinstance(self.llm_mode, str)
+                and self.llm_mode.partition(":")[0] in ("mock", "live")):
             raise ConfigError("llm_mode must look like 'mock:<fixture>' or 'live:<url>'")
 
     def tsadm_config(self) -> TsadmConfig:
@@ -120,23 +121,10 @@ class RunConfig:
             seed=self.seed,
         )
 
-    def llm_backend(self, base_dir: Path) -> LlmBackendConfig:
-        """The backend ``llm_mode`` names; a relative mock fixture path is
-        taken relative to ``base_dir``, the dataset's directory."""
-        from .llm import LlmBackendConfig
-
-        mode, _, rest = self.llm_mode.partition(":")
-        if mode == "mock":
-            return LlmBackendConfig(mode="mock", fixture_path=str(base_dir / rest))
-        return LlmBackendConfig(mode="live", endpoint=rest)
-
 
 def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
-    path = Path(path)
-    if not path.exists():
-        raise MissingArtifact(f"config file {path} does not exist")
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(_require(Path(path), "config file").read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
@@ -170,14 +158,15 @@ def write_manifest(out_dir: Path, command: str, cfg: RunConfig, inputs: list[Pat
 
 
 def _require(path: Path, what: str) -> Path:
-    if not path.exists():
+    """``path``, if it names a file; a directory counts as missing."""
+    if not path.is_file():
         raise MissingArtifact(f"{what} not found at {path}")
     return path
 
 
 def _load_labeled(path: Path, meta_path: Path | None = None) -> data_mod.LabeledSeries:
     series = data_mod.load_csv(_require(path, "dataset CSV"))
-    if meta_path is not None and meta_path.exists():
+    if meta_path is not None and meta_path.is_file():
         _, spans = data_mod.read_metadata(meta_path)
         series = data_mod.LabeledSeries(
             values=series.values, labels=series.labels, spans=spans,
@@ -226,22 +215,26 @@ def cmd_score_llm(cfg: RunConfig, data_path: Path, out_dir: Path) -> int:
     """Request LLM scores for every window of the dataset, one zero-shot
     prompt per window in live mode.
 
-    A relative mock fixture path in ``llm_mode`` names a file next to the
-    dataset, where ``gen-data`` writes it, whatever the working directory.
-    A window too long for one prompt is a config error (exit 2).
+    ``llm_mode`` is ``mock:<fixture>`` or ``live:<url>``. A relative mock
+    fixture path names a file next to the dataset, where ``gen-data`` writes
+    it, whatever the working directory; the fixture is read once and no
+    prompt is built. A window too long for one prompt is a config error
+    (exit 2).
     """
-    from .llm import mgab_template, score_windows, write_fixture
+    from .llm import load_fixture, score_windows, write_fixture
 
     out_dir.mkdir(parents=True, exist_ok=True)
     series = _load_labeled(data_path)
     parts = data_mod.split_windows(series, cfg.window_len)
     windows = parts["train"] + parts["val"] + parts["test"]
-    backend = cfg.llm_backend(data_path.parent)
+    mode, _, target = cfg.llm_mode.partition(":")
     inputs = [data_path]
-    if backend.mode == "mock":
-        _require(Path(backend.fixture_path), "mock fixture")
-        inputs.append(Path(backend.fixture_path))
-    scored = score_windows(backend, windows, mgab_template())
+    if mode == "mock":
+        fixture = _require(data_path.parent / target, "mock fixture")
+        inputs.append(fixture)
+        scored = load_fixture(fixture, windows)
+    else:
+        scored = score_windows(target, windows)
     out_path = out_dir / "llm_scores.jsonl"
     write_fixture(out_path, {wid: s.scores for wid, s in scored.items()})
     write_manifest(out_dir, "score-llm", cfg, inputs, [out_path])

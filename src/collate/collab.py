@@ -28,7 +28,7 @@ from .core import (
     sigmoid,
 )
 from .errors import LengthMismatch, NonConvergence, ShapeMismatch
-from .optim import Adam
+from .optim import Adam, FlatParams
 
 if TYPE_CHECKING:
     from .cli import RunConfig
@@ -308,40 +308,6 @@ _COND_PARAMS = ("w1", "b1", "w2", "b2")
 _MAPPING_PARAMS = ("a1", "b1", "a2", "b2")
 
 
-class _FlatParams:
-    """Every trainable array of some owners, held in one float64 vector.
-
-    ``owners`` pairs each object with its parameter attribute names. Each
-    attribute is rebound to its view of ``theta`` (a 0-d view for a scalar
-    bias), so one optimizer step on ``theta`` updates them all in place; Adam
-    is elementwise, so that gives bit for bit the values that stepping each
-    array separately would. ``grad`` has the same layout.
-    """
-
-    def __init__(self, owners: list[tuple[object, tuple[str, ...]]]):
-        arrays = [
-            (i, name, np.asarray(getattr(obj, name), dtype=np.float64))
-            for i, (obj, names) in enumerate(owners)
-            for name in names
-        ]
-        self.theta = np.concatenate([a.reshape(-1) for _, _, a in arrays])
-        self.grad = np.empty_like(self.theta)
-        self._grad_views = []
-        start = 0
-        for i, name, a in arrays:
-            stop = start + a.size
-            setattr(owners[i][0], name, self.theta[start:stop].reshape(a.shape))
-            self._grad_views.append((i, name, self.grad[start:stop].reshape(a.shape)))
-            start = stop
-
-    def gather(self, grads: list[dict]) -> np.ndarray:
-        """The flat gradient from one gradient dict per owner, keyed by
-        attribute name as the backward passes return them."""
-        for i, name, view in self._grad_views:
-            view[...] = grads[i][name]
-        return self.grad
-
-
 def _pairwise_term(variant: LossVariant, scaled, llm, lam1, lam2):
     """The variant's pairwise loss on one block, as a function of the
     collated scores returning (loss, gradient)."""
@@ -432,15 +398,14 @@ def train_collab(
     curves = TrainingCurves()
     curves.kl_raw = align_mod.kl_histogram(all_scaled, fit, bins=50)
 
-    # Adam keeps the two loss terms trainable together: the pairwise term's
-    # 1/n^2 scale is orders of magnitude below the alignment term's per-slot
-    # log-density gradients, so raw SGD would starve the fusion net.
-    opt = Adam(cfg.colr)
     owners = [(cond, _COND_PARAMS)]
     if use_mapping:
         owners.append((mapping, _MAPPING_PARAMS))
-    flat = _FlatParams(owners)
-    params = {"theta": flat.theta}
+    flat = FlatParams(owners)
+    # Adam keeps the two loss terms trainable together: the pairwise term's
+    # 1/n^2 scale is orders of magnitude below the alignment term's per-slot
+    # log-density gradients, so raw SGD would starve the fusion net.
+    opt = Adam(cfg.colr, flat.theta.size)
 
     rng = np.random.default_rng(cfg.seed)
     all_aligned = mapping(all_scaled) if use_mapping else all_scaled
@@ -468,7 +433,7 @@ def train_collab(
                 grads.append(mapping.backward(dmapped + da_mapped, mcache))
             else:
                 a_loss = 0.0
-            opt.step(params, {"theta": flat.gather(grads)})
+            opt.step(flat.theta, flat.gather(grads))
             if not (np.isfinite(pair_loss) and np.isfinite(a_loss)):
                 raise NonConvergence("phase-2 loss became non-finite")
             ep_align += a_loss

@@ -6,7 +6,7 @@ STEP and uniform noise within +/- NOISE_AMPLITUDE, then plants contextual
 anomalies (a future segment copied over the present) and point anomalies
 (single slots shifted by a multiple of the series deviation). The constants
 below are the equation's one home; the metadata sidecar and the LLM prompt
-(``llm.mgab_template``) quote them. All randomness comes from explicit seeds.
+(``llm.EXPERTISE_SUPPLEMENT``) quote them. All randomness comes from explicit seeds.
 """
 from __future__ import annotations
 

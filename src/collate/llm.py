@@ -1,13 +1,16 @@
-"""LLM scoring backend: prompt construction and score retrieval.
+"""LLM scores: the JSONL score file, and prompts sent to a live endpoint.
 
-Prompts follow a four-part layout (expertise supplement, serialized input
-data, task description, examples) and demand one probability per slot. No
-labeled examples are kept, so every prompt is zero-shot. Scores come either
-from a live HTTP endpoint or from a deterministic JSONL fixture keyed by
-window identity; every acceptance path runs against the fixture, the live
-client is best-effort. The prompt's account of the generator is formatted
-from the constants in ``data``, where the equation lives, so it cannot drift
-from the data it describes.
+Scores come either from a deterministic JSONL file keyed by window identity
+(``load_fixture``), or from a live HTTP endpoint (``score_windows``); which
+one is ``cli``'s choice, made from ``llm_mode``. Every acceptance path runs
+against the file, the live client is best-effort.
+
+Live prompts follow a four-part layout (expertise supplement, serialized
+input data, task description, examples) and demand one probability per
+slot. No labeled examples are kept, so every prompt is zero-shot. The
+prompt's account of the generator is formatted from the constants in
+``data``, where the equation lives, so it cannot drift from the data it
+describes.
 """
 from __future__ import annotations
 
@@ -15,7 +18,6 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,40 +36,20 @@ MAX_DATA_CHARS = 20_000
 
 MGAB_RULE = (f"dx/dt = {data_mod.A:g} * x(t-{data_mod.TAU})/(1+x(t-{data_mod.TAU})^"
              f"{data_mod.EXPONENT:g}) - {data_mod.B:g}*x(t)")
-
-
-@dataclass(frozen=True)
-class PromptTemplate:
-    """Four prompt sections rendered in fixed order:
-    expertise -> input data -> task -> examples."""
-
-    expertise_supplement: str
-    task_description: str
-
-    def validate(self) -> None:
-        if not self.expertise_supplement.strip():
-            raise ValueError("expertise supplement must be nonempty")
-        if "a float number ranging from 0 to 1" not in self.task_description:
-            raise ValueError("task description must demand per-slot floats in [0, 1]")
-
-
-def mgab_template() -> PromptTemplate:
-    """Prompt for delayed-feedback synthetic series."""
-    expertise = (
-        "Expertise supplement: The input is a univariate time series sampled "
-        f"once per slot. Between anomalies it follows {MGAB_RULE} plus uniform "
-        f"noise within [-{data_mod.NOISE_AMPLITUDE:g}, {data_mod.NOISE_AMPLITUDE:g}], "
-        "where x(t) is the value at slot t. "
-        "Inserted anomalies break this rule: some repeat a future segment of "
-        "the series at the present position, others shift a single slot far "
-        "from its neighbours. [Professional document can be inserted into this part]"
-    )
-    task = (
-        "Task description: For each time slot i of the input data, output a "
-        "float number ranging from 0 to 1, the probability that slot i is "
-        "anomalous. Output one number per line, nothing else."
-    )
-    return PromptTemplate(expertise_supplement=expertise, task_description=task)
+EXPERTISE_SUPPLEMENT = (
+    "Expertise supplement: The input is a univariate time series sampled "
+    f"once per slot. Between anomalies it follows {MGAB_RULE} plus uniform "
+    f"noise within [-{data_mod.NOISE_AMPLITUDE:g}, {data_mod.NOISE_AMPLITUDE:g}], "
+    "where x(t) is the value at slot t. "
+    "Inserted anomalies break this rule: some repeat a future segment of "
+    "the series at the present position, others shift a single slot far "
+    "from its neighbours. [Professional document can be inserted into this part]"
+)
+TASK_DESCRIPTION = (
+    "Task description: For each time slot i of the input data, output a "
+    "float number ranging from 0 to 1, the probability that slot i is "
+    "anomalous. Output one number per line, nothing else."
+)
 
 
 def serialize_window(window: TimeSeriesWindow) -> str:
@@ -87,28 +69,14 @@ def serialize_window(window: TimeSeriesWindow) -> str:
     return text
 
 
-def build_prompt(window: TimeSeriesWindow, template: PromptTemplate) -> str:
+def build_prompt(window: TimeSeriesWindow) -> str:
     """The four-section zero-shot prompt for one window."""
-    template.validate()
     return "\n\n".join([
-        template.expertise_supplement,
+        EXPERTISE_SUPPLEMENT,
         f"Input data:\n{serialize_window(window)}",
-        template.task_description,
+        TASK_DESCRIPTION,
         "Examples:\n(no labeled examples available)",
     ])
-
-
-@dataclass(frozen=True)
-class LlmBackendConfig:
-    """Where scores come from; ``mode`` is 'live' or 'mock'."""
-
-    mode: str = "mock"
-    fixture_path: str | None = None
-    endpoint: str = ""
-
-    def __post_init__(self):
-        if self.mode not in ("live", "mock"):
-            raise ValueError("mode must be 'live' or 'mock'")
 
 
 def load_fixture(path: str | Path, windows: list[TimeSeriesWindow]) -> dict[str, ScoreSeries]:
@@ -191,13 +159,13 @@ def _api_key() -> str:
     return key
 
 
-def _default_transport(cfg: LlmBackendConfig, prompt: str) -> str:
+def _default_transport(endpoint: str, prompt: str) -> str:
     import urllib.request
 
     key = _api_key()
     payload = json.dumps({"prompt": prompt}).encode()
     req = urllib.request.Request(
-        cfg.endpoint,
+        endpoint,
         data=payload,
         headers={"Content-Type": "application/json", "Authorization": f"Bearer {key}"},
     )
@@ -213,32 +181,33 @@ def _default_transport(cfg: LlmBackendConfig, prompt: str) -> str:
 
 
 def request_scores(
-    cfg: LlmBackendConfig,
+    endpoint: str,
     prompt: str,
     expected_slots: int,
     transport=None,
     sleep=time.sleep,
 ) -> ScoreSeries:
-    """Fetch exactly ``expected_slots`` scores in [0, 1] from the live endpoint.
+    """Fetch exactly ``expected_slots`` scores in [0, 1] from ``endpoint``.
 
     Posts {"prompt": ...} and parses newline-separated floats from the
-    response's 'text' field, retrying transport failures with exponential
-    backoff. An HTTP 4xx other than 408 and 429 is a ConfigError at once
-    (the request itself is wrong), and range violations are never retried
-    (the model answered, the answer is invalid).
+    response's 'text' field, which ``transport(endpoint, prompt)`` returns,
+    retrying transport failures with exponential backoff. An HTTP 4xx other
+    than 408 and 429 is a ConfigError at once (the request itself is wrong),
+    and range violations are never retried (the model answered, the answer
+    is invalid).
     """
     transport = transport or _default_transport
     attempts: list[str] = []
     for attempt in range(RETRIES + 1):
         try:
-            text = transport(cfg, prompt)
+            text = transport(endpoint, prompt)
         except (OSError, MalformedResponse) as exc:  # urllib's URLError is an OSError
             import urllib.error
 
             if isinstance(exc, urllib.error.HTTPError) and (
                 400 <= exc.code < 500 and exc.code not in (408, 429)
             ):
-                raise ConfigError(f"{cfg.endpoint} answered HTTP {exc.code}") from None
+                raise ConfigError(f"{endpoint} answered HTTP {exc.code}") from None
             attempts.append(f"attempt {attempt + 1}: {exc}")
             if attempt < RETRIES:
                 sleep(BACKOFF_BASE * (2**attempt))
@@ -250,47 +219,38 @@ def request_scores(
 
 
 def _fetch(
-    stop: threading.Event, cfg: LlmBackendConfig, prompt: str, expected_slots: int, transport
+    stop: threading.Event, endpoint: str, prompt: str, expected_slots: int, transport
 ) -> ScoreSeries | None:
     """``request_scores``, unless ``stop`` is set: then nothing is sent and
     the result is None. A failure sets ``stop`` before it propagates."""
     if stop.is_set():
         return None
     try:
-        return request_scores(cfg, prompt, expected_slots, transport)
+        return request_scores(endpoint, prompt, expected_slots, transport)
     except Exception:
         stop.set()
         raise
 
 
 def score_windows(
-    cfg: LlmBackendConfig,
-    windows: list[TimeSeriesWindow],
-    template: PromptTemplate,
-    transport=None,
+    endpoint: str, windows: list[TimeSeriesWindow], transport=None
 ) -> dict[str, ScoreSeries]:
-    """Score many windows, keyed by window id.
+    """Score many windows at the live ``endpoint``, keyed by window id.
 
-    Live mode builds every prompt, and checks the default transport's API
-    key, before sending any request. Requests run MAX_IN_FLIGHT at once; the
-    first failure stops the run, sending no queued request, and is raised
-    once the requests in flight return. Mock mode is a pure lookup keyed by
-    window identity, against the fixture read once per call, and builds no
-    prompts. No cross-window ordering guarantee.
+    Builds every prompt, and checks the default transport's API key, before
+    sending any request. Requests run MAX_IN_FLIGHT at once; the first
+    failure stops the run, sending no queued request, and is raised once the
+    requests in flight return. No cross-window ordering guarantee.
     """
-    if cfg.mode == "mock":
-        if cfg.fixture_path is None:
-            raise MissingFixture("mock mode requires a fixture path")
-        return load_fixture(cfg.fixture_path, windows)
     from concurrent.futures import ThreadPoolExecutor
 
-    prompts = [(w, build_prompt(w, template)) for w in windows]
+    prompts = [(w, build_prompt(w)) for w in windows]
     if transport is None:
         _api_key()
     stop = threading.Event()
     with ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT) as pool:
         futures = {
-            w.window_id(): pool.submit(_fetch, stop, cfg, prompt, w.length, transport)
+            w.window_id(): pool.submit(_fetch, stop, endpoint, prompt, w.length, transport)
             for w, prompt in prompts
         }
         # windows skipped after a failure hold None, but the failure raises here

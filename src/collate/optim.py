@@ -1,4 +1,10 @@
-"""Minimal optimizers over named parameter arrays (scalars allowed)."""
+"""Adam over one float64 vector, and the layout that puts every trainable
+array of a model into such a vector.
+
+Both trainers lay their parameters out with ``FlatParams`` and step the
+vector with ``Adam``. Adam is elementwise, so one step on the vector gives
+bit for bit the values that stepping each array separately would.
+"""
 from __future__ import annotations
 
 import numpy as np
@@ -6,34 +12,59 @@ import numpy as np
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
-class Adam:
-    """Standard Adam; state is keyed by parameter name.
+class FlatParams:
+    """Every trainable array of some owners, held in one float64 vector.
 
-    Works on dicts mapping names to ndarrays updated in place; scalar
-    parameters must be passed as 0-d or length-1 arrays by the caller.
+    ``owners`` pairs each object with its parameter attribute names. Each
+    attribute is rebound to its view of ``theta`` (a 0-d view for a scalar),
+    so one optimizer step on ``theta`` updates them all in place. ``grad``
+    has the same layout.
     """
 
-    def __init__(self, lr: float):
+    def __init__(self, owners: list[tuple[object, tuple[str, ...]]]):
+        arrays = [
+            (i, name, np.asarray(getattr(obj, name), dtype=np.float64))
+            for i, (obj, names) in enumerate(owners)
+            for name in names
+        ]
+        self.theta = np.concatenate([a.reshape(-1) for _, _, a in arrays])
+        self.grad = np.empty_like(self.theta)
+        self._grad_views = []
+        start = 0
+        for i, name, a in arrays:
+            stop = start + a.size
+            setattr(owners[i][0], name, self.theta[start:stop].reshape(a.shape))
+            self._grad_views.append((i, name, self.grad[start:stop].reshape(a.shape)))
+            start = stop
+
+    def gather(self, grads: list[dict]) -> np.ndarray:
+        """The flat gradient from one gradient dict per owner, keyed by
+        attribute name as the backward passes return them."""
+        for i, name, view in self._grad_views:
+            view[...] = grads[i][name]
+        return self.grad
+
+
+class Adam:
+    """Standard Adam on one float64 vector of ``size`` parameters."""
+
+    def __init__(self, lr: float, size: int):
         self.lr = lr
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
         self.t = 0
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
+        """One update of ``theta`` in place; ``grad`` is only read."""
         self.t += 1
-        for name, g in grads.items():
-            g = np.asarray(g, dtype=np.float64)
-            if name not in self.m:
-                self.m[name] = np.zeros_like(g)
-                self.v[name] = np.zeros_like(g)
-            # in place, in the operation order of m = BETA1 * m + (1 - BETA1) * g
-            # and params -= lr * mhat / (sqrt(vhat) + EPS); g is only read
-            m, v = self.m[name], self.v[name]
-            m *= BETA1
-            m += (1 - BETA1) * g
-            v *= BETA2
-            v += (1 - BETA2) * g**2
-            step = m / (1 - BETA1**self.t)
-            step *= self.lr
-            step /= np.sqrt(v / (1 - BETA2**self.t)) + EPS
-            params[name] -= step
+        # in place, in the operation order of m = BETA1 * m + (1 - BETA1) * g
+        # and theta -= lr * mhat / (sqrt(vhat) + EPS)
+        m, v = self.m, self.v
+        m *= BETA1
+        m += (1 - BETA1) * grad
+        v *= BETA2
+        v += (1 - BETA2) * grad**2
+        step = m / (1 - BETA1**self.t)
+        step *= self.lr
+        step /= np.sqrt(v / (1 - BETA2**self.t)) + EPS
+        theta -= step

@@ -49,7 +49,7 @@ import numpy as np
 
 from .core import ScoreKind, ScoreSeries, TimeSeriesWindow
 from .errors import NonConvergence, ShapeMismatch
-from .optim import Adam
+from .optim import Adam, FlatParams
 
 
 @runtime_checkable
@@ -187,6 +187,10 @@ class AttentionLayerParams:
 class TsadmModel:
     """Attention reconstruction model; immutable once trained, scoring is pure.
 
+    Its parameters are the attributes embed_w, embed_b, out_w and out_b, and
+    each layer's wq, wk, wv and log_sigma; ``loss_and_grads`` keys its
+    gradients by the same names, as the fusion net's backward passes do.
+
     The model holds no scratch memory. ``train_tsadm`` keeps one
     ``_Workspace`` for its run and passes it to every ``loss_and_grads``
     step; ``score`` and a ``forward`` or ``loss_and_grads`` called without
@@ -209,15 +213,6 @@ class TsadmModel:
     @property
     def rep_dim(self) -> int:
         return self.dims * self.cfg.embed
-
-    def parameters(self) -> dict[str, np.ndarray]:
-        params = {"embed_w": self.embed_w, "embed_b": self.embed_b,
-                  "out_w": self.out_w, "out_b": self.out_b}
-        for i, layer in enumerate(self.layers):
-            params[f"wq{i}"] = layer.wq
-            params[f"wk{i}"] = layer.wk
-            params[f"wv{i}"] = layer.wv
-        return params
 
     def _embed(self, xb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         b, t, d = xb.shape
@@ -255,8 +250,10 @@ class TsadmModel:
     def loss_and_grads(self, xb: np.ndarray, workspace: _Workspace | None = None):
         """Mean squared reconstruction error and gradients for every parameter.
 
-        The attention arrays of both passes go to ``workspace`` (a fresh one
-        if none is given); the gradients are new arrays.
+        The gradients are keyed by attribute name, and ``"layers"`` holds one
+        {wq, wk, wv, log_sigma} dict per layer. The attention arrays of both
+        passes go to ``workspace`` (a fresh one if none is given); the
+        gradients are new arrays.
         """
         ws = _Workspace() if workspace is None else workspace
         recon, rep, (xb, xwin, layer_caches) = self.forward(xb, ws)
@@ -270,16 +267,14 @@ class TsadmModel:
         drep = drecon @ self.out_w.T
         b, t = xb.shape[0], xb.shape[1]
         dx = drep.reshape(b, t, self.dims, self.cfg.embed).transpose(0, 2, 1, 3)
-        dlog_sigma = np.zeros(len(self.layers))
+        layer_grads = [{} for _ in self.layers]
         for i in reversed(range(len(self.layers))):
             layer = self.layers[i]
             x, cache = layer_caches[i]
             # residual: dx flows to both the branch and the skip
             dq, dk, dv, dsigma = _attention_backward(dx, cache, ws)
-            dlog_sigma[i] = dsigma * cache.sigma
-            grads[f"wq{i}"] = _sum_over_bt(x, dq)
-            grads[f"wk{i}"] = _sum_over_bt(x, dk)
-            grads[f"wv{i}"] = _sum_over_bt(x, dv)
+            layer_grads[i] = {"wq": _sum_over_bt(x, dq), "wk": _sum_over_bt(x, dk),
+                              "wv": _sum_over_bt(x, dv), "log_sigma": dsigma * cache.sigma}
             # dx + (dq wq^T + dk wk^T + dv wv^T), summed in that order
             branch = np.matmul(dq, layer.wq.swapaxes(-1, -2), out=ws.take("branch", dx.shape))
             branch += np.matmul(dk, layer.wk.swapaxes(-1, -2), out=ws.take("term", dx.shape))
@@ -288,7 +283,7 @@ class TsadmModel:
         du = dx.transpose(0, 2, 1, 3)  # (B,T,D,e)
         grads["embed_w"] = np.einsum("btdj,btde->je", xwin, du)
         grads["embed_b"] = du.sum(axis=(0, 1, 2))
-        grads["log_sigma"] = dlog_sigma
+        grads["layers"] = layer_grads
         return loss, grads
 
     def score(self, window: TimeSeriesWindow) -> tuple[ScoreSeries, np.ndarray]:
@@ -328,7 +323,7 @@ class TsadmModel:
                     "wq": l.wq.tolist(),
                     "wk": l.wk.tolist(),
                     "wv": l.wv.tolist(),
-                    "log_sigma": l.log_sigma,
+                    "log_sigma": float(l.log_sigma),
                 }
                 for l in self.layers
             ],
@@ -372,18 +367,27 @@ def sliding_windows(values: np.ndarray, win_len: int) -> np.ndarray:
     return values[: n_win * win_len].reshape(n_win, win_len, values.shape[1])
 
 
+_MODEL_PARAMS = ("embed_w", "embed_b", "out_w", "out_b")
+_LAYER_PARAMS = ("wq", "wk", "wv", "log_sigma")
+
+
 def train_tsadm(values: np.ndarray, cfg: TsadmConfig) -> TsadmModel:
     """Minibatch Adam on mean squared reconstruction error.
 
     Deterministic under cfg.seed: init, batch shuffling, and updates all flow
     from one generator. Every step writes its attention arrays into one
-    workspace, so they are allocated once per run, not once per step.
+    workspace, so they are allocated once per run, not once per step. The
+    model's and each layer's parameters are bound to one ``FlatParams``
+    vector, which each step updates in place; so while training, and in the
+    model returned, every ``log_sigma`` is a 0-d array.
     """
     windows = sliding_windows(values, cfg.winLen)
     dims = windows.shape[2]
     model = TsadmModel(dims, cfg)
     rng = np.random.default_rng(cfg.seed + 1)
-    opt = Adam(cfg.trlr)
+    flat = FlatParams([(model, _MODEL_PARAMS),
+                       *((layer, _LAYER_PARAMS) for layer in model.layers)])
+    opt = Adam(cfg.trlr, flat.theta.size)
     workspace = _Workspace()
     for _epoch in range(cfg.epochs):
         order = rng.permutation(windows.shape[0])
@@ -392,12 +396,7 @@ def train_tsadm(values: np.ndarray, cfg: TsadmConfig) -> TsadmModel:
             loss, grads = model.loss_and_grads(batch, workspace)
             if not np.isfinite(loss):
                 raise NonConvergence(f"reconstruction loss became {loss}")
-            params = model.parameters()
-            log_sigmas = np.array([l.log_sigma for l in model.layers])
-            params["log_sigma"] = log_sigmas
-            opt.step(params, grads)
-            for i, layer in enumerate(model.layers):
-                layer.log_sigma = float(log_sigmas[i])
+            opt.step(flat.theta, flat.gather([grads, *grads["layers"]]))
     return model
 
 

@@ -1,5 +1,6 @@
 """The CLI end to end at 2,000 slots, run in-process through ``cli.main``."""
 import dataclasses
+import importlib.util
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from collate import benchmark, cli, llm
+from collate.core import LossVariant
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +69,20 @@ class TestPipeline:
                          "score-llm", "--data", str(run_dir / "D" / "data.csv")]) == 0
         assert (elsewhere / "out" / "llm_scores.jsonl").read_bytes() == inside
 
+    def test_run_passes_the_benchmarks_output_checks(self, run_dir):
+        # perfbench/checks.py, imported by path and left as the benchmark runs it
+        path = Path(__file__).parents[1] / "perfbench" / "checks.py"
+        spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+        checks = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(checks)
+        data = run_dir / "D"
+        checks.check_gen_data(data, 4, 4)
+        checks.check_score_llm(data, run_dir / "llm")
+        checks.check_train_tsadm(data, run_dir / "tsadm")
+        checks.check_train_collab(run_dir / "collab")
+        checks.check_detect(run_dir / "detect", 2000)
+        checks.check_eval(data, run_dir / "detect", run_dir / "eval")
+        checks.check_brute_force(0)
 
     def test_rerun_is_byte_identical(self, run_dir, tmp_path):
         """train-tsadm, train-collab and detect twice on the same inputs give
@@ -119,6 +135,84 @@ class TestExitCodes:
                          "score-llm", "--data", str(run_dir / "D" / "data.csv")])
         assert code == 1
         assert "fixture has no entry" in capsys.readouterr().err
+
+
+class TestMockScoring:
+    """Mock ``score-llm`` reads its fixture once and builds no prompt."""
+
+    @staticmethod
+    def score(run_dir, out):
+        return cli.main(["--config", str(run_dir / "cfg.json"), "--out", str(out),
+                         "score-llm", "--data", str(run_dir / "D" / "data.csv")])
+
+    def test_fixture_read_once_per_call(self, run_dir, tmp_path, monkeypatch):
+        calls = []
+        real = llm.load_fixture
+
+        def counting(path, ws):
+            calls.append(path)
+            return real(path, ws)
+
+        monkeypatch.setattr(llm, "load_fixture", counting)
+        assert self.score(run_dir, tmp_path) == 0
+        fixture = run_dir / "D" / "llm_fixture.jsonl"
+        assert calls == [fixture]
+        # every window's scores are its fixture entry, and every entry is scored
+        assert (tmp_path / "llm_scores.jsonl").read_bytes() == fixture.read_bytes()
+
+    def test_builds_no_prompts(self, run_dir, tmp_path, monkeypatch):
+        def no_prompt(*args):
+            raise AssertionError("mock scoring built a prompt")
+
+        monkeypatch.setattr(llm, "build_prompt", no_prompt)
+        assert self.score(run_dir, tmp_path) == 0
+
+
+class TestBadConfig:
+    """A config value of the wrong type exits 2 with one error line."""
+
+    @pytest.mark.parametrize("config, message", [
+        ({"moduleNum": True}, "moduleNum must be an integer in [1, 64], got True"),
+        ({"d": True}, "d must be a positive real, got True"),
+        ({"seed": False}, "seed must be a non-negative integer, got False"),
+        ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+        ({"llm_mode": 5}, "llm_mode must look like 'mock:<fixture>' or 'live:<url>'"),
+        ({"loss_variant": []},
+         f"loss_variant must be one of {sorted(v.value for v in LossVariant)}, got []"),
+    ])
+    def test_exits_2_with_one_line(self, tmp_path, capsys, config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code = cli.main(["--config", str(cfg), "--out", str(tmp_path / "t"),
+                         "train-tsadm", "--data", str(tmp_path / "missing.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+class TestDirectoryForAFile:
+    """A directory where a command expects a file exits 2 with one error line."""
+
+    @pytest.mark.parametrize("case", ["config", "eval data", "llm scores", "mock fixture"])
+    def test_exits_2_with_one_line(self, run_dir, tmp_path, capsys, case):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        mock_cfg = tmp_path / "cfg.json"
+        mock_cfg.write_text(json.dumps({"window_len": 200, "llm_mode": "mock:"}))
+        cfg, csv = str(run_dir / "cfg.json"), str(run_dir / "D" / "data.csv")
+        argv, message = {
+            "config": (["--config", str(folder), "verify"], f"config file not found at {folder}"),
+            "eval data": (["--config", cfg, "eval", "--data", str(folder),
+                           "--collated", str(folder)], f"dataset CSV not found at {folder}"),
+            "llm scores": (["--config", cfg, "train-collab", "--data", csv,
+                            "--tsadm", str(run_dir / "tsadm" / "tsadm.json"),
+                            "--llm-scores", str(folder)], f"LLM scores not found at {folder}"),
+            # the fixture path resolves to the dataset's directory
+            "mock fixture": (["--config", str(mock_cfg), "score-llm", "--data", csv],
+                             f"mock fixture not found at {run_dir / 'D'}"),
+        }[case]
+        code = cli.main(["--out", str(tmp_path / "out"), *argv])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def _bad_score_file(run_dir, path, case):
@@ -332,6 +426,7 @@ class TestAblateGrid:
         ('{"patchSize": 2}', "--grid patchSize must be a nonempty list"),
         ('{"d": [1.0, -0.5]}', "--grid: d must be a positive real, got -0.5"),
         ('{"patchSize": [2.5]}', "--grid: patchSize must be an integer in [2, 10000]"),
+        ('{"d": [true]}', "--grid: d must be a positive real, got True"),
         ("{d: 1}", "--grid must be JSON"),
     ])
     def test_bad_grid_exits_2_before_the_ablation(self, tmp_path, monkeypatch, capsys,
@@ -349,7 +444,7 @@ class TestLiveScoring:
     def test_window_over_prompt_budget_exits_2_before_any_request(
         self, tmp_path, monkeypatch, capsys
     ):
-        def no_request(cfg, prompt):
+        def no_request(endpoint, prompt):
             raise AssertionError("a request was sent")
 
         monkeypatch.setattr(llm, "_default_transport", no_request)

@@ -33,6 +33,7 @@ from collate.core import (
 )
 from collate.errors import LengthMismatch, NonConvergence
 from collate.optim import Adam
+from test_optim import _reference_adam_step
 
 
 def weights(lam1):
@@ -447,10 +448,10 @@ class TestTrainCollabWritesNoSharedInput:
             stacks.append((out, out.copy()))
             return out
 
-        def recording_step(self, params, grads):
-            before = {name: np.array(g, copy=True) for name, g in grads.items()}
-            step(self, params, grads)
-            steps.append(all(np.array_equal(grads[k], before[k]) for k in grads))
+        def recording_step(self, theta, grad):
+            before = grad.copy()
+            step(self, theta, grad)
+            steps.append(np.array_equal(grad, before))
 
         stack, step = ConditionalNetParams._stack, Adam.step
         monkeypatch.setattr(collab_mod, "CollaborativeTerm", RecordingTerm)
@@ -562,7 +563,7 @@ def _reference_train_collab(
     # Adam keeps the two loss terms trainable together: the pairwise term's
     # 1/n^2 scale is orders of magnitude below the alignment term's per-slot
     # log-density gradients, so raw SGD would starve the fusion net.
-    opt = Adam(cfg.colr)
+    m, v, t = {}, {}, 0
     cond_params = {"w1": cond.w1, "b1": cond.b1, "w2": cond.w2}
     b2_box = np.array([cond.b2])
 
@@ -622,7 +623,8 @@ def _reference_train_collab(
                 )
             else:
                 a_loss = 0.0
-            opt.step(params, grads)
+            t += 1
+            _reference_adam_step(params, grads, m, v, t, cfg.colr)
             cond.b2 = float(b2_box[0])
             if use_mapping:
                 mapping.b2 = float(mb2_box[0])

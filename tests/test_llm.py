@@ -9,7 +9,9 @@ import pytest
 from collate import llm
 from collate.core import ScoreKind, TimeSeriesWindow
 from collate.errors import ConfigError, MalformedResponse, MissingFixture, ScoreOutOfRange
-from collate.llm import LlmBackendConfig, mgab_template, score_windows, write_fixture
+from collate.llm import score_windows, write_fixture
+
+ENDPOINT = "http://127.0.0.1:9/"
 
 
 def windows(count=10, length=20):
@@ -25,62 +27,29 @@ def fixture_for(ws, path):
     return table
 
 
-def score(path, ws):
-    cfg = LlmBackendConfig(mode="mock", fixture_path=str(path))
-    return score_windows(cfg, ws, mgab_template())
-
-
 class TestMockScoring:
-    def test_fixture_read_once_per_call(self, tmp_path, monkeypatch):
-        ws = windows(10)
-        table = fixture_for(ws, tmp_path / "f.jsonl")
-        calls = []
-        real = llm.load_fixture
-
-        def counting(path, ws):
-            calls.append(path)
-            return real(path, ws)
-
-        monkeypatch.setattr(llm, "load_fixture", counting)
-        out = score(tmp_path / "f.jsonl", ws)
-        assert len(calls) == 1
-        assert sorted(out) == sorted(table)
-        for wid, series in out.items():
-            assert series.kind is ScoreKind.LLM
-            np.testing.assert_array_equal(series.scores, table[wid])
-
-    def test_builds_no_prompts(self, tmp_path, monkeypatch):
-        ws = windows(3)
-        fixture_for(ws, tmp_path / "f.jsonl")
-
-        def no_prompt(*args):
-            raise AssertionError("mock scoring built a prompt")
-
-        monkeypatch.setattr(llm, "build_prompt", no_prompt)
-        assert sorted(score(tmp_path / "f.jsonl", ws)) == sorted(w.window_id() for w in ws)
-
     def test_missing_window(self, tmp_path):
         ws = windows(3)
         fixture_for(ws[:2], tmp_path / "f.jsonl")
         with pytest.raises(MissingFixture):
-            score(tmp_path / "f.jsonl", ws)
+            llm.load_fixture(tmp_path / "f.jsonl", ws)
 
     def test_wrong_length(self, tmp_path):
         ws = windows(2)
         write_fixture(tmp_path / "f.jsonl", {w.window_id(): np.full(5, 0.5) for w in ws})
         with pytest.raises(MalformedResponse):
-            score(tmp_path / "f.jsonl", ws)
+            llm.load_fixture(tmp_path / "f.jsonl", ws)
 
     def test_malformed_line(self, tmp_path):
         (tmp_path / "f.jsonl").write_text('{"window_id": "w0", "scores": [0.1\n')
         with pytest.raises(MalformedResponse):
-            score(tmp_path / "f.jsonl", windows(1))
+            llm.load_fixture(tmp_path / "f.jsonl", windows(1))
 
     def test_score_out_of_range(self, tmp_path):
         ws = windows(1)
         write_fixture(tmp_path / "f.jsonl", {ws[0].window_id(): np.full(20, 1.5)})
         with pytest.raises(ScoreOutOfRange):
-            score(tmp_path / "f.jsonl", ws)
+            llm.load_fixture(tmp_path / "f.jsonl", ws)
 
     @pytest.mark.parametrize("line", [
         '[0.1, 0.2]',
@@ -110,8 +79,9 @@ class TestMockScoring:
     def test_integer_scores_accepted(self, tmp_path):
         ws = windows(1)
         (tmp_path / "f.jsonl").write_text(json.dumps({"window_id": "w0", "scores": [0, 1] * 10}))
-        np.testing.assert_array_equal(llm.load_fixture(tmp_path / "f.jsonl", ws)["w0"].scores,
-                                      [0.0, 1.0] * 10)
+        series = llm.load_fixture(tmp_path / "f.jsonl", ws)["w0"]
+        assert series.kind is ScoreKind.LLM
+        np.testing.assert_array_equal(series.scores, [0.0, 1.0] * 10)
 
     def test_windows_checked_in_order_for_presence_then_length_then_range(self, tmp_path):
         ws = windows(2)
@@ -126,24 +96,19 @@ class TestMockScoring:
         with pytest.raises(ScoreOutOfRange):
             llm.load_fixture(path, ws[:1])
 
-    def test_no_fixture_path(self):
-        cfg = LlmBackendConfig(mode="mock")
-        with pytest.raises(MissingFixture):
-            score_windows(cfg, windows(1), mgab_template())
-
 
 class TestLiveScoring:
     def test_one_prompt_per_window_through_the_transport(self, monkeypatch):
         ws = windows(3)
         prompts = []
 
-        def transport(cfg, prompt):
+        def transport(endpoint, prompt):
+            assert endpoint == ENDPOINT
             prompts.append(prompt)
             return "\n".join(["0.25"] * 20)
 
         monkeypatch.setattr(llm, "MAX_IN_FLIGHT", 1)
-        cfg = LlmBackendConfig(mode="live")
-        out = score_windows(cfg, ws, mgab_template(), transport)
+        out = score_windows(ENDPOINT, ws, transport)
         assert len(prompts) == 3
         assert all(f"{w.start_index}: " in p for w, p in zip(ws, prompts))
         for w in ws:
@@ -156,17 +121,16 @@ class TestLiveScoring:
         assert chars > llm.MAX_DATA_CHARS
         calls = []
 
-        def transport(cfg, prompt):
+        def transport(endpoint, prompt):
             calls.append(prompt)
             return "\n".join(["0.25"] * 20)
 
         monkeypatch.setattr(llm, "MAX_IN_FLIGHT", 1)
-        cfg = LlmBackendConfig(mode="live")
         with pytest.raises(ConfigError, match=(
             f"window 'w20' needs {chars} characters "
             f"of input data, over the prompt budget of {llm.MAX_DATA_CHARS}"
         )):
-            score_windows(cfg, [windows(1)[0], long], mgab_template(), transport)
+            score_windows(ENDPOINT, [windows(1)[0], long], transport)
         assert calls == []
 
     def test_first_failed_window_stops_the_run(self, monkeypatch):
@@ -187,7 +151,7 @@ class TestLiveScoring:
         monkeypatch.setattr(llm, "_fetch", fetch)
         calls = []
 
-        def transport(cfg, prompt):
+        def transport(endpoint, prompt):
             calls.append(prompt)
             if "Input data:\n0: " in prompt:
                 assert w1_sent.wait(timeout=10)
@@ -196,9 +160,8 @@ class TestLiveScoring:
             assert w0_failed.wait(timeout=10)
             return "\n".join(["0.25"] * 20)
 
-        cfg = LlmBackendConfig(mode="live")
         with pytest.raises(MalformedResponse, match="non-numeric score line"):
-            score_windows(cfg, windows(40), mgab_template(), transport)
+            score_windows(ENDPOINT, windows(40), transport)
         assert len(calls) == 2
 
 
@@ -228,9 +191,8 @@ class TestDefaultTransport:
 
         monkeypatch.setattr(urllib.request, "urlopen", urlopen)
         monkeypatch.setenv(llm.API_KEY_VAR, "key")
-        cfg = LlmBackendConfig(mode="live", endpoint="http://127.0.0.1:9/")
         try:
-            return llm.request_scores(cfg, "prompt", 3, sleep=lambda s: None), requests
+            return llm.request_scores(ENDPOINT, "prompt", 3, sleep=lambda s: None), requests
         except MalformedResponse as exc:
             return exc, requests
 
@@ -251,12 +213,11 @@ class TestDefaultTransport:
         requests, sleeps = [], []
         monkeypatch.setattr(urllib.request, "urlopen", lambda req, timeout: requests.append(req))
         monkeypatch.delenv(llm.API_KEY_VAR, raising=False)
-        cfg = LlmBackendConfig(mode="live", endpoint="http://127.0.0.1:9/")
         message = f"environment variable {llm.API_KEY_VAR} not set"
         with pytest.raises(ConfigError, match=message):
-            llm.request_scores(cfg, "prompt", 3, sleep=sleeps.append)
+            llm.request_scores(ENDPOINT, "prompt", 3, sleep=sleeps.append)
         with pytest.raises(ConfigError, match=message):
-            score_windows(cfg, windows(3), mgab_template())
+            score_windows(ENDPOINT, windows(3))
         assert requests == [] and sleeps == []
 
 
@@ -266,20 +227,19 @@ class TestHttpStatus:
         HTTP ``code``; returns (exception raised, transport calls, sleeps)."""
         calls, sleeps = [], []
 
-        def transport(cfg, prompt):
+        def transport(endpoint, prompt):
             calls.append(prompt)
-            raise urllib.error.HTTPError(cfg.endpoint, code, "status", {}, None)
+            raise urllib.error.HTTPError(endpoint, code, "status", {}, None)
 
-        cfg = LlmBackendConfig(mode="live", endpoint="http://127.0.0.1:9/")
         with pytest.raises((ConfigError, MalformedResponse)) as info:
-            llm.request_scores(cfg, "prompt", 3, transport, sleep=sleeps.append)
+            llm.request_scores(ENDPOINT, "prompt", 3, transport, sleep=sleeps.append)
         return info.value, calls, sleeps
 
     @pytest.mark.parametrize("code", [400, 401, 403, 404])
     def test_client_error_is_fatal_at_once(self, code):
         exc, calls, sleeps = self.post(code)
         assert isinstance(exc, ConfigError)
-        assert str(exc) == f"http://127.0.0.1:9/ answered HTTP {code}"
+        assert str(exc) == f"{ENDPOINT} answered HTTP {code}"
         assert len(calls) == 1 and sleeps == []
 
     @pytest.mark.parametrize("code", [408, 429, 500, 503])
@@ -292,7 +252,7 @@ class TestHttpStatus:
 
 class TestPrompt:
     def test_expertise_quotes_the_generator(self):
-        assert mgab_template().expertise_supplement == (
+        assert llm.EXPERTISE_SUPPLEMENT == (
             "Expertise supplement: The input is a univariate time series sampled once per "
             "slot. Between anomalies it follows dx/dt = 0.25 * x(t-18)/(1+x(t-18)^10) - "
             "0.1*x(t) plus uniform noise within [-0.01, 0.01], where x(t) is the value at "
@@ -303,11 +263,11 @@ class TestPrompt:
 
     def test_four_sections_in_order_with_one_line_per_slot(self):
         w = TimeSeriesWindow(np.arange(10.0).reshape(5, 2) / 7, start_index=100)
-        template = mgab_template()
-        sections = llm.build_prompt(w, template).split("\n\n")
+        sections = llm.build_prompt(w).split("\n\n")
         assert len(sections) == 4
-        assert sections[0] == template.expertise_supplement
-        assert sections[2] == template.task_description
+        assert sections[0] == llm.EXPERTISE_SUPPLEMENT
+        assert sections[2] == llm.TASK_DESCRIPTION
+        assert "a float number ranging from 0 to 1" in sections[2]
         assert sections[3] == "Examples:\n(no labeled examples available)"
         header, *rows = sections[1].splitlines()
         assert header == "Input data:"

@@ -10,7 +10,6 @@ import pytest
 import collate
 from collate.core import ScoreKind, TimeSeriesWindow
 from collate.errors import NonConvergence, ShapeMismatch
-from collate.optim import Adam
 from collate.tsadm import (
     PrecomputedScorer,
     TsadmConfig,
@@ -18,6 +17,8 @@ from collate.tsadm import (
     _AttentionCache,
     _attention_backward,
     _attention_forward,
+    _LAYER_PARAMS,
+    _MODEL_PARAMS,
     _sq_distances,
     _sum_over_bt,
     _Workspace,
@@ -26,6 +27,7 @@ from collate.tsadm import (
     sliding_windows,
     train_tsadm,
 )
+from test_optim import _reference_adam_step
 
 
 def qkv(rng, b, d, t, e):
@@ -145,8 +147,15 @@ class TestMatchesEinsumReference:
         ref_loss, ref_grads = _einsum_loss_and_grads(model, xb)
         assert loss == pytest.approx(ref_loss, rel=1e-12)
         assert grads.keys() == ref_grads.keys()
-        for name, ref in ref_grads.items():
-            assert_close_to_reference(grads[name], ref, name)
+        assert len(grads["layers"]) == len(ref_grads["layers"])
+        pairs = [(grads, ref_grads, ""), *(
+            (layer, ref, f"layer {i} ")
+            for i, (layer, ref) in enumerate(zip(grads["layers"], ref_grads["layers"])))]
+        for got, want, where in pairs:
+            assert got.keys() == want.keys()
+            for name, ref in want.items():
+                if name != "layers":
+                    assert_close_to_reference(got[name], ref, where + name)
 
 
 # B, D and T of the shapes the workspace kernel is checked on bit for bit;
@@ -297,8 +306,13 @@ class TestModel:
         xb = rng.normal(size=(3, 6, 2))
         loss, grads = model.loss_and_grads(xb)
         h = 1e-6
-        for name in ("embed_w", "wq0", "wk1", "wv0", "out_w", "out_b"):
-            arr = model.parameters()[name]
+        layer0, layer1 = model.layers
+        for owner, owner_grads, name in [
+            (model, grads, "embed_w"), (layer0, grads["layers"][0], "wq"),
+            (layer1, grads["layers"][1], "wk"), (layer0, grads["layers"][0], "wv"),
+            (model, grads, "out_w"), (model, grads, "out_b"),
+        ]:
+            arr = getattr(owner, name)
             idx = tuple(rng.integers(0, s) for s in arr.shape)
             orig = arr[idx]
             arr[idx] = orig + h
@@ -307,7 +321,7 @@ class TestModel:
             lm = model.loss_and_grads(xb)[0]
             arr[idx] = orig
             fd = (lp - lm) / (2 * h)
-            assert abs(fd - grads[name][idx]) / max(abs(fd), 1e-9) < 1e-4
+            assert abs(fd - owner_grads[name][idx]) / max(abs(fd), 1e-9) < 1e-4
 
     @pytest.mark.parametrize("seed", range(4))
     def test_log_sigma_gradient_matches_finite_differences(self, seed):
@@ -327,7 +341,7 @@ class TestModel:
             lm = model.loss_and_grads(xb)[0]
             layer.log_sigma = orig
             fd = (lp - lm) / (2 * h)
-            assert abs(fd - grads["log_sigma"][i]) / max(abs(fd), 1e-9) < 1e-4
+            assert abs(fd - grads["layers"][i]["log_sigma"]) / max(abs(fd), 1e-9) < 1e-4
 
     def test_nan_in_series_raises_nonconvergence(self):
         cfg = TsadmConfig(winLen=8, moduleNum=1, kLen=2, embed=2, epochs=1, seed=0)
@@ -418,9 +432,11 @@ class TestModel:
         values = rng.normal(size=(240, 1))
         m1 = train_tsadm(values, cfg)
         m2 = train_tsadm(values, cfg)
-        for k, v in m1.parameters().items():
-            np.testing.assert_array_equal(v, m2.parameters()[k])
-        assert [l.log_sigma for l in m1.layers] == [l.log_sigma for l in m2.layers]
+        for name in _MODEL_PARAMS:
+            np.testing.assert_array_equal(getattr(m1, name), getattr(m2, name))
+        for l1, l2 in zip(m1.layers, m2.layers, strict=True):
+            for name in _LAYER_PARAMS:
+                np.testing.assert_array_equal(getattr(l1, name), getattr(l2, name))
 
     def test_checkpoint_roundtrip_bit_exact(self, tmp_path):
         cfg = TsadmConfig(winLen=8, moduleNum=2, kLen=3, embed=3, epochs=5, seed=2)
@@ -508,15 +524,17 @@ def _reference_loss_and_grads(model, xb):
     }
     drep = drecon @ model.out_w.T
     dx = drep.reshape(b, t, model.dims, model.cfg.embed).transpose(0, 2, 1, 3)
-    dlog_sigma = np.zeros(len(model.layers))
+    grads["layers"] = [{} for _ in model.layers]
     for i in reversed(range(len(model.layers))):
         layer = model.layers[i]
         x, cache = layer_caches[i]
         dq, dk, dv, dsigma = _reference_attention_backward(dx, cache)
-        dlog_sigma[i] = dsigma * cache.sigma
-        grads[f"wq{i}"] = _sum_over_bt(x, dq)
-        grads[f"wk{i}"] = _sum_over_bt(x, dk)
-        grads[f"wv{i}"] = _sum_over_bt(x, dv)
+        grads["layers"][i] = {
+            "wq": _sum_over_bt(x, dq),
+            "wk": _sum_over_bt(x, dk),
+            "wv": _sum_over_bt(x, dv),
+            "log_sigma": dsigma * cache.sigma,
+        }
         dx = dx + (
             dq @ layer.wq.swapaxes(-1, -2)
             + dk @ layer.wk.swapaxes(-1, -2)
@@ -525,27 +543,32 @@ def _reference_loss_and_grads(model, xb):
     du = dx.transpose(0, 2, 1, 3)
     grads["embed_w"] = np.einsum("btdj,btde->je", xwin, du)
     grads["embed_b"] = du.sum(axis=(0, 1, 2))
-    grads["log_sigma"] = dlog_sigma
     return loss, grads
 
 
 def _reference_train_tsadm(values, cfg):
-    """``train_tsadm`` with every step on ``_reference_loss_and_grads``."""
+    """``train_tsadm`` with every step on ``_reference_loss_and_grads``, and
+    Adam stepping each named array apart; each layer's log_sigma is stepped
+    in a 0-d array and stored back as a float."""
     windows = sliding_windows(values, cfg.winLen)
     model = TsadmModel(windows.shape[2], cfg)
     rng = np.random.default_rng(cfg.seed + 1)
-    opt = Adam(cfg.trlr)
+    m, v, t = {}, {}, 0
     for _epoch in range(cfg.epochs):
         order = rng.permutation(windows.shape[0])
         for start in range(0, order.size, cfg.batchSize):
             batch = windows[order[start : start + cfg.batchSize]]
             _, grads = _reference_loss_and_grads(model, batch)
-            params = model.parameters()
-            log_sigmas = np.array([l.log_sigma for l in model.layers])
-            params["log_sigma"] = log_sigmas
-            opt.step(params, grads)
+            params = {name: getattr(model, name) for name in _MODEL_PARAMS}
+            named = {name: grads[name] for name in _MODEL_PARAMS}
+            for i, (layer, layer_grads) in enumerate(zip(model.layers, grads["layers"])):
+                params.update({f"{name}{i}": getattr(layer, name) for name in ("wq", "wk", "wv")})
+                params[f"log_sigma{i}"] = np.array(layer.log_sigma)
+                named.update({f"{name}{i}": layer_grads[name] for name in _LAYER_PARAMS})
+            t += 1
+            _reference_adam_step(params, named, m, v, t, cfg.trlr)
             for i, layer in enumerate(model.layers):
-                layer.log_sigma = float(log_sigmas[i])
+                layer.log_sigma = float(params[f"log_sigma{i}"])
     return model
 
 
@@ -598,15 +621,17 @@ def _einsum_loss_and_grads(model, xb):
     }
     drep = drecon @ model.out_w.T
     dx = drep.reshape(b, t, model.dims, model.cfg.embed).transpose(0, 2, 1, 3)
-    dlog_sigma = np.zeros(len(model.layers))
+    grads["layers"] = [{} for _ in model.layers]
     for i in reversed(range(len(model.layers))):
         layer = model.layers[i]
         x, cache = layer_caches[i]
         dq, dk, dv, dsigma = _einsum_attention_backward(dx, cache)
-        dlog_sigma[i] = dsigma * cache.sigma
-        grads[f"wq{i}"] = np.einsum("bdte,bdtf->def", x, dq)
-        grads[f"wk{i}"] = np.einsum("bdte,bdtf->def", x, dk)
-        grads[f"wv{i}"] = np.einsum("bdte,bdtf->def", x, dv)
+        grads["layers"][i] = {
+            "wq": np.einsum("bdte,bdtf->def", x, dq),
+            "wk": np.einsum("bdte,bdtf->def", x, dk),
+            "wv": np.einsum("bdte,bdtf->def", x, dv),
+            "log_sigma": dsigma * cache.sigma,
+        }
         dx = dx + (
             np.einsum("bdtf,def->bdte", dq, layer.wq)
             + np.einsum("bdtf,def->bdte", dk, layer.wk)
@@ -615,5 +640,4 @@ def _einsum_loss_and_grads(model, xb):
     du = dx.transpose(0, 2, 1, 3)
     grads["embed_w"] = np.einsum("btdj,btde->je", xwin, du)
     grads["embed_b"] = du.sum(axis=(0, 1, 2))
-    grads["log_sigma"] = dlog_sigma
     return loss, grads
