@@ -166,8 +166,8 @@ def _require(path: Path, what: str) -> Path:
 
 def _load_labeled(path: Path, meta_path: Path | None = None) -> data_mod.LabeledSeries:
     series = data_mod.load_csv(_require(path, "dataset CSV"))
-    if meta_path is not None and meta_path.is_file():
-        _, spans = data_mod.read_metadata(meta_path)
+    if meta_path is not None:
+        _, spans = data_mod.read_metadata(_require(meta_path, "metadata"))
         series = data_mod.LabeledSeries(
             values=series.values, labels=series.labels, spans=spans,
             start_index=series.start_index,
@@ -337,7 +337,10 @@ def cmd_eval(cfg: RunConfig, data_path: Path, collated_path: Path,
         series.values, scores, labels, metrics.threshold, title="collated scores"
     )
     written = emit_report(out_dir, payload, plots={"overlay": svg})
-    write_manifest(out_dir, "eval", cfg, [data_path, collated_path], written)
+    inputs = [data_path, collated_path]
+    if meta_path is not None:
+        inputs.append(meta_path)
+    write_manifest(out_dir, "eval", cfg, inputs, written)
     print(f"wrote {written[0]}")
     print(json.dumps({k: payload[k] for k in ("precision", "recall", "f1")}))
     return 0

@@ -165,9 +165,9 @@ class CollaborativeTerm:
     it is computed once here, and each call only takes its dot product with
     the collated scores. Phase-2 training builds one term per block.
 
-    ``s`` and ``llm`` may also be stacks of rows of shape (k, n): ``grad``
-    then holds each row's gradient, bit-equal to a term built on that row
-    alone, and only ``grad`` is defined for such a term.
+    ``s`` and ``llm`` may also be stacks of rows of any leading shape
+    (..., n): ``grad`` then holds each row's gradient, bit-equal to a term
+    built on that row alone, and only ``grad`` is defined for such a term.
     """
 
     def __init__(self, s: np.ndarray, llm: np.ndarray, lam1: np.ndarray, lam2: np.ndarray):

@@ -230,8 +230,9 @@ class _SgdTrace:
     theta_last: np.ndarray
 
 
-# lemma1 draws noise and takes gradient norms this many SGD steps at a time,
-# and vectorises its noise resamples in blocks of this many.
+# lemma1 draws batches and noise, computes the collaborative gradients and
+# takes gradient norms this many SGD steps at a time, and vectorises its
+# noise resamples in blocks of this many.
 _LEMMA1_CHUNK = 1000
 
 
@@ -248,9 +249,14 @@ def _pairwise_sgd(
     once as the two rows of one theta.
 
     Both rows see the same batch, drawn from one stream; the noisy row's
-    noise comes from a second stream, drawn a chunk of steps at a time in
-    the order of one draw per scorer per step. Only what ``_SgdTrace``
-    names is kept, so memory does not grow with ``steps``. The gradient
+    noise comes from a second stream. Both are drawn a chunk of steps at a
+    time, in the order of one batch per step and of one noise draw per
+    scorer per step. The collaborative gradient does not read theta, so a
+    chunk's gradients come from one ``CollaborativeTerm`` on its stacked
+    (clean, noisy) observations, each row bit-equal to a term built on that
+    step alone; only the sigmoid's chain factor and the update run per
+    step. Only what ``_SgdTrace`` names is kept, and the chunk's buffers are
+    allocated once, so memory does not grow with ``steps``. The gradient
     norms are taken over full n-slot rows, a chunk of rows at a time: numpy
     groups a row's pairwise sum by slot position, so a norm over the batch's
     slots alone could differ in the last bit.
@@ -260,33 +266,42 @@ def _pairwise_sgd(
     rng_noise = np.random.default_rng(seed + 1)
     theta = np.zeros((2, n))
     lam = np.full(batch, 0.5)
-    obs = np.empty((2, 2, batch))  # (scorer, run); run 0 is clean
+    idx = np.empty((_LEMMA1_CHUNK, batch), dtype=np.intp)
+    obs = np.empty((_LEMMA1_CHUNK, 2, 2, batch))  # (step, scorer, run); run 0 is clean
+    g = np.empty((_LEMMA1_CHUNK, 2, batch))  # (step, run)
+    rows = np.arange(_LEMMA1_CHUNK)[:, None]
     tail = np.zeros((tail_rows, n))
     tail_start = steps - tail_rows
     grad_norms = np.empty(steps)
     noisy_grads = np.empty((_LEMMA1_CHUNK, n))
     theta_mid = theta_last = None
     for c0 in range(0, steps, _LEMMA1_CHUNK):
-        c1 = min(c0 + _LEMMA1_CHUNK, steps)
-        eps = noise.sample_pair(rng_noise, (c1 - c0, 2, batch))
-        noisy_grads.fill(0.0)
-        for t in range(c0, c1):
+        m = min(_LEMMA1_CHUNK, steps - c0)
+        for k in range(m):
+            idx[k] = rng_batch.choice(n, size=batch, replace=False)
+        y_b = y[idx[:m, None]]  # (step, 1, slot): both scorers see y in the clean run
+        obs[:m, :, 0] = y_b
+        np.add(y_b, noise.sample_pair(rng_noise, (m, 2, batch)), out=obs[:m, :, 1])
+        dhat = CollaborativeTerm(obs[:m, 0], obs[:m, 1], lam, lam).grad
+        for k in range(m):
+            t = c0 + k
             if t == steps // 2:
                 theta_mid = theta[1].copy()
             if t == steps - 1:
                 theta_last = theta.copy()
-            idx = rng_batch.choice(n, size=batch, replace=False)
-            y_b = y[idx]
-            obs[:, 0] = y_b
-            np.add(y_b, eps[t - c0], out=obs[:, 1])
-            s_hat = sigmoid(theta[:, idx])
-            dhat = CollaborativeTerm(obs[0], obs[1], lam, lam).grad
-            g = dhat * s_hat * (1.0 - s_hat)
-            theta[:, idx] -= lr * g
-            noisy_grads[t - c0, idx] = g[1]
-            if t >= tail_start:
-                tail[t - tail_start, idx] = g[1] - g[0]
-        grad_norms[c0:c1] = np.linalg.norm(noisy_grads[: c1 - c0], axis=1)
+            cols = idx[k]
+            theta_b = theta[:, cols]
+            s_hat = sigmoid(theta_b)
+            np.multiply(dhat[k] * s_hat, 1.0 - s_hat, out=g[k])
+            theta_b -= lr * g[k]
+            theta[:, cols] = theta_b
+        # each (step, slot) is written once: a batch holds no slot twice
+        noisy_grads[:m].fill(0.0)
+        noisy_grads[rows[:m], idx[:m]] = g[:m, 1]
+        grad_norms[c0 : c0 + m] = np.linalg.norm(noisy_grads[:m], axis=1)
+        k0 = max(tail_start - c0, 0)
+        if k0 < m:
+            tail[rows[k0:m] + (c0 - tail_start), idx[k0:m]] = g[k0:m, 1] - g[k0:m, 0]
     return _SgdTrace(tail, grad_norms, theta_mid, theta_last)
 
 

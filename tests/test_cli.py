@@ -1,5 +1,6 @@
 """The CLI end to end at 2,000 slots, run in-process through ``cli.main``."""
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import os
@@ -49,6 +50,20 @@ class TestPipeline:
         assert 0.0 <= metrics["f1"] <= 1.0
         assert len(json.loads((run_dir / "collab" / "metrics.json").read_text())[
             "config_echo"]) > 0
+
+    def test_eval_manifest_lists_every_file_it_read(self, run_dir, tmp_path):
+        data = run_dir / "D"
+        read = [data / "data.csv", run_dir / "detect" / "collated.csv"]
+        manifest = json.loads((run_dir / "eval" / "manifest.json").read_text())
+        assert manifest["inputs"] == {
+            str(p): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted([*read, data / "metadata.json"])
+        }
+        # without --metadata only the dataset and the collated scores are listed
+        assert cli.main(["--config", str(run_dir / "cfg.json"), "--out", str(tmp_path), "eval",
+                         "--data", str(read[0]), "--collated", str(read[1])]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert sorted(manifest["inputs"]) == sorted(str(p) for p in read)
 
     def test_score_llm_finds_the_fixture_from_any_directory(
         self, run_dir, tmp_path, monkeypatch
@@ -192,13 +207,16 @@ class TestBadConfig:
 class TestDirectoryForAFile:
     """A directory where a command expects a file exits 2 with one error line."""
 
-    @pytest.mark.parametrize("case", ["config", "eval data", "llm scores", "mock fixture"])
+    @pytest.mark.parametrize("case", ["config", "eval data", "llm scores", "mock fixture",
+                                      "missing metadata", "metadata dir"])
     def test_exits_2_with_one_line(self, run_dir, tmp_path, capsys, case):
         folder = tmp_path / "folder"
         folder.mkdir()
         mock_cfg = tmp_path / "cfg.json"
         mock_cfg.write_text(json.dumps({"window_len": 200, "llm_mode": "mock:"}))
         cfg, csv = str(run_dir / "cfg.json"), str(run_dir / "D" / "data.csv")
+        collated = str(run_dir / "detect" / "collated.csv")
+        nope = tmp_path / "nope.json"
         argv, message = {
             "config": (["--config", str(folder), "verify"], f"config file not found at {folder}"),
             "eval data": (["--config", cfg, "eval", "--data", str(folder),
@@ -209,6 +227,10 @@ class TestDirectoryForAFile:
             # the fixture path resolves to the dataset's directory
             "mock fixture": (["--config", str(mock_cfg), "score-llm", "--data", csv],
                              f"mock fixture not found at {run_dir / 'D'}"),
+            "missing metadata": (["--config", cfg, "eval", "--data", csv, "--collated", collated,
+                                  "--metadata", str(nope)], f"metadata not found at {nope}"),
+            "metadata dir": (["--config", cfg, "eval", "--data", csv, "--collated", collated,
+                              "--metadata", str(folder)], f"metadata not found at {folder}"),
         }[case]
         code = cli.main(["--out", str(tmp_path / "out"), *argv])
         assert code == 2

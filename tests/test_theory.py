@@ -1,9 +1,11 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from collate import theory
 from collate.collab import collaborative_loss_grad
 from collate.core import sigmoid
 from collate.theory import (
@@ -308,6 +310,21 @@ class TestLemma1:
         trace = _pairwise_sgd(y, NoiseModel(), 300, 300, 16, 0.5, 11)
         assert (np.abs(trace.tail).sum(axis=1) > 0).all()
         assert not np.array_equal(trace.theta_last[0], trace.theta_last[1])
+
+    # under one chunk, one step past a chunk, and two whole chunks
+    @pytest.mark.parametrize("steps", [300, 1001, 2000])
+    def test_one_collaborative_term_per_chunk(self, monkeypatch, steps):
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return real(*args)
+
+        real = theory.CollaborativeTerm
+        monkeypatch.setattr(theory, "CollaborativeTerm", counting)
+        y = np.random.default_rng(0).uniform(0, 1, 64)
+        _pairwise_sgd(y, NoiseModel(), steps, 10, 16, 0.5, 3)
+        assert len(built) == math.ceil(steps / theory._LEMMA1_CHUNK)
 
     def test_memory_stays_flat_at_default_sizes(self):
         # holding both runs' (steps, n) gradients and iterates peaked at 59 MB
