@@ -14,6 +14,7 @@ import numpy as np
 
 from .core import ScoreSeries, sigmoid
 from .errors import DegenerateScores, NonFiniteDensity
+from .optim import load_state, state_dict
 
 _SQRT2 = math.sqrt(2.0)
 _TWO_OVER_PI = 2.0 / math.pi
@@ -166,6 +167,8 @@ class MonotoneMapping:
     parameters, not just trained ones.
     """
 
+    PARAMS = ("a1", "b1", "a2", "b2")
+
     def __init__(self, hidden: int = 8, seed: int = 0):
         rng = np.random.default_rng(seed)
         self.a1 = rng.normal(0.0, 1.0, hidden)
@@ -214,22 +217,11 @@ class MonotoneMapping:
         }
 
     def to_dict(self) -> dict:
-        return {
-            "hidden": int(self.hidden),
-            "a1": self.a1.tolist(),
-            "b1": self.b1.tolist(),
-            "a2": self.a2.tolist(),
-            "b2": float(self.b2),
-        }
+        return {"hidden": int(self.hidden), **state_dict(self, self.PARAMS)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "MonotoneMapping":
-        obj = cls.__new__(cls)
-        obj.a1 = np.asarray(d["a1"], dtype=np.float64)
-        obj.b1 = np.asarray(d["b1"], dtype=np.float64)
-        obj.a2 = np.asarray(d["a2"], dtype=np.float64)
-        obj.b2 = float(d["b2"])
-        return obj
+        return load_state(cls.__new__(cls), d, cls.PARAMS)
 
 
 def kl_histogram(a: np.ndarray, fit: HalfGaussianFit, bins: int) -> float:

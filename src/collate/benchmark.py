@@ -19,6 +19,7 @@ from . import data as data_mod
 from .collab import detect, train_collab
 from .core import LossVariant, ScoreSeries, TimeSeriesWindow
 from .data import AnomalyKind, LabeledSeries
+from .errors import ConfigError
 from .evaluate import DetectionMetrics, labels_from_spans, per_kind_metrics
 from .llm import fixture_scores, write_fixture
 from .tsadm import PrecomputedScorer
@@ -98,10 +99,14 @@ def build_benchmark(cfg: BenchmarkConfig) -> Benchmark:
 
     Anomaly counts are allocated to the split regions (40/10/50) so every
     split contains both kinds: 4+4 train, 1+1 val, 5+5 test for the default
-    ten of each.
+    ten of each. Fewer than three of a kind, or a series no longer than the
+    generator's delay, raises ConfigError.
     """
     if cfg.n_contextual < 3 or cfg.n_point < 3:
-        raise ValueError("need at least three anomalies of each kind to cover splits")
+        raise ConfigError("need at least three anomalies of each kind to cover splits, got "
+                          f"{cfg.n_contextual} contextual and {cfg.n_point} point")
+    if cfg.length <= data_mod.TAU:
+        raise ConfigError(f"length must exceed the delay {data_mod.TAU}, got {cfg.length}")
     base = data_mod.gen_mackey_glass(cfg.length, cfg.seed)
     t = cfg.length
     a, b = data_mod.split_bounds(t)
@@ -138,7 +143,7 @@ def build_benchmark(cfg: BenchmarkConfig) -> Benchmark:
     llm = np.where(ctx_hit, LLM_CTX_LEVEL + rng.normal(0.0, LLM_CTX_JITTER, t), llm)
     llm = np.clip(llm, 0.0, 1.0)
 
-    _, _, (test,) = data_mod.split([series])
+    _, _, test = data_mod.split(series)
     return Benchmark(
         cfg=cfg,
         series=series,

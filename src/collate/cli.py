@@ -202,8 +202,8 @@ def cmd_train_tsadm(cfg: RunConfig, data_path: Path, out_dir: Path) -> int:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     series = _load_labeled(data_path)
-    train, _val, _test = data_mod.split([series])
-    model = train_tsadm(train[0].values, cfg.tsadm_config())
+    train, _val, _test = data_mod.split(series)
+    model = train_tsadm(train.values, cfg.tsadm_config())
     ckpt = out_dir / "tsadm.json"
     model.save(ckpt)
     write_manifest(out_dir, "train-tsadm", cfg, [data_path], [ckpt])

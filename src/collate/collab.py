@@ -27,8 +27,8 @@ from .core import (
     score_range_divisor,
     sigmoid,
 )
-from .errors import LengthMismatch, NonConvergence, ShapeMismatch
-from .optim import Adam, FlatParams
+from .errors import LengthMismatch, NonConvergence, ShapeMismatch, WindowTooShort
+from .optim import Adam, FlatParams, load_state, state_dict
 
 if TYPE_CHECKING:
     from .cli import RunConfig
@@ -45,6 +45,10 @@ class ConditionalNetParams:
     is an affine reparameterization of (w1, b1) that keeps the network
     trainable when the alignment stage compresses its input's scale.
     """
+
+    PARAMS = ("w1", "b1", "w2", "b2")
+    # a checkpoint also keeps the input statistics, which are not trained
+    STATE = PARAMS + ("in_mean", "in_std")
 
     def __init__(self, rep_dim: int, hidden: int = 16, seed: int = 0):
         rng = np.random.default_rng(seed)
@@ -68,8 +72,6 @@ class ConditionalNetParams:
         llm = np.asarray(llm, dtype=np.float64).reshape(-1)
         aligned = np.asarray(aligned, dtype=np.float64).reshape(-1)
         rep = np.asarray(rep, dtype=np.float64)
-        if rep.ndim == 1:
-            rep = rep.reshape(1, -1) if llm.size == 1 else rep.reshape(-1, 1)
         if not (llm.size == aligned.size == rep.shape[0]):
             raise ShapeMismatch("per-slot inputs must share one length")
         if rep.shape[1] != self.rep_dim:
@@ -113,25 +115,11 @@ class ConditionalNetParams:
         return grads, draw[:, 0], draw[:, 1], draw[:, 2:]
 
     def to_dict(self) -> dict:
-        return {
-            "w1": self.w1.tolist(),
-            "b1": self.b1.tolist(),
-            "w2": self.w2.tolist(),
-            "b2": float(self.b2),
-            "in_mean": self.in_mean.tolist(),
-            "in_std": self.in_std.tolist(),
-        }
+        return state_dict(self, self.STATE)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ConditionalNetParams":
-        obj = cls.__new__(cls)
-        obj.w1 = np.asarray(d["w1"], dtype=np.float64)
-        obj.b1 = np.asarray(d["b1"], dtype=np.float64)
-        obj.w2 = np.asarray(d["w2"], dtype=np.float64)
-        obj.b2 = float(d["b2"])
-        obj.in_mean = np.asarray(d["in_mean"], dtype=np.float64)
-        obj.in_std = np.asarray(d["in_std"], dtype=np.float64)
-        return obj
+        return load_state(cls.__new__(cls), d, cls.STATE)
 
 
 def _check_lengths(*vecs):
@@ -304,10 +292,6 @@ class FusionPipeline:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
 
-_COND_PARAMS = ("w1", "b1", "w2", "b2")
-_MAPPING_PARAMS = ("a1", "b1", "a2", "b2")
-
-
 def _pairwise_term(variant: LossVariant, scaled, llm, lam1, lam2):
     """The variant's pairwise loss on one block, as a function of the
     collated scores returning (loss, gradient)."""
@@ -342,7 +326,8 @@ def train_collab(
     pairwise terms see both near and far slots; block order is reshuffled
     each epoch under the run seed. The NO_ALIGNMENT variant feeds scaled
     scores straight into the network and skips both the mapping and the
-    alignment term.
+    alignment term. A window shorter than ``patchSize`` has no patch
+    weights, so it is left out.
 
     Everything a block's step needs that does not depend on the parameters
     (its scaled and LLM scores, representation, patch weights and, for the
@@ -352,8 +337,9 @@ def train_collab(
     epoch's input statistics. A step writes in place only the parameters and
     the aligned column of its block's fusion input.
     """
+    windows = [w for w in windows if w.length >= cfg.patchSize]
     if not windows:
-        raise ValueError("no training windows")
+        raise WindowTooShort(f"no training window has at least patchSize={cfg.patchSize} slots")
     scored = []
     for w in windows:
         raw, rep = scorer.score(w)
@@ -398,10 +384,7 @@ def train_collab(
     curves = TrainingCurves()
     curves.kl_raw = align_mod.kl_histogram(all_scaled, fit, bins=50)
 
-    owners = [(cond, _COND_PARAMS)]
-    if use_mapping:
-        owners.append((mapping, _MAPPING_PARAMS))
-    flat = FlatParams(owners)
+    flat = FlatParams([cond, mapping] if use_mapping else [cond])
     # Adam keeps the two loss terms trainable together: the pairwise term's
     # 1/n^2 scale is orders of magnitude below the alignment term's per-slot
     # log-density gradients, so raw SGD would starve the fusion net.

@@ -216,24 +216,17 @@ def split_bounds(t: int) -> tuple[int, int]:
     return int(t * 0.4), int(t * 0.5)
 
 
-def split(
-    dataset: list[LabeledSeries],
-) -> tuple[list[LabeledSeries], list[LabeledSeries], list[LabeledSeries]]:
-    """Contiguous 40/10/50 split of each series, in temporal order.
+def split(series: LabeledSeries) -> tuple[LabeledSeries, LabeledSeries, LabeledSeries]:
+    """Contiguous 40/10/50 split of the series, in temporal order.
 
     Boundaries are floor-rounded; every slot lands in exactly one part. The
     split is deterministic; no shuffling across time.
     """
-    train, val, test = [], [], []
-    for series in dataset:
-        t = series.length
-        if t < 10:
-            raise TooShort(f"series of length {t} cannot be split 40/10/50")
-        a, b = split_bounds(t)
-        train.append(_slice_series(series, 0, a))
-        val.append(_slice_series(series, a, b))
-        test.append(_slice_series(series, b, t))
-    return train, val, test
+    t = series.length
+    if t < 10:
+        raise TooShort(f"series of length {t} cannot be split 40/10/50")
+    a, b = split_bounds(t)
+    return _slice_series(series, 0, a), _slice_series(series, a, b), _slice_series(series, b, t)
 
 
 def split_windows(
@@ -244,11 +237,11 @@ def split_windows(
     Windowing after splitting keeps window identities stable across commands
     that consume different parts of the same series.
     """
-    train, val, test = split([series])
+    train, val, test = split(series)
     return {
-        "train": to_windows(train[0], window_len),
-        "val": to_windows(val[0], window_len),
-        "test": to_windows(test[0], window_len),
+        "train": to_windows(train, window_len),
+        "val": to_windows(val, window_len),
+        "test": to_windows(test, window_len),
     }
 
 

@@ -1,9 +1,14 @@
-"""Adam over one float64 vector, and the layout that puts every trainable
-array of a model into such a vector.
+"""Adam over one float64 vector, the layout that puts every trainable array
+of some models into such a vector, and the checkpoint helpers for the same
+arrays.
 
-Both trainers lay their parameters out with ``FlatParams`` and step the
-vector with ``Adam``. Adam is elementwise, so one step on the vector gives
-bit for bit the values that stepping each array separately would.
+Each model class names its trainable attributes once, in a ``PARAMS``
+tuple. Both trainers lay their parameters out with ``FlatParams``, which
+reads those tuples, and step the vector with ``Adam``. Adam is elementwise,
+so one step on the vector gives bit for bit the values that stepping each
+array separately would. ``state_dict`` and ``load_state`` write named
+attributes as JSON values and read them back; the checkpoints pass them
+``PARAMS`` and whatever else a model keeps.
 """
 from __future__ import annotations
 
@@ -12,20 +17,35 @@ import numpy as np
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
-class FlatParams:
-    """Every trainable array of some owners, held in one float64 vector.
+def state_dict(obj, names) -> dict:
+    """Each named attribute of ``obj`` as JSON: an array as nested lists of
+    floats, a float or a 0-d array as a float."""
+    return {name: np.asarray(getattr(obj, name)).tolist() for name in names}
 
-    ``owners`` pairs each object with its parameter attribute names. Each
-    attribute is rebound to its view of ``theta`` (a 0-d view for a scalar),
-    so one optimizer step on ``theta`` updates them all in place. ``grad``
-    has the same layout.
+
+def load_state(obj, d: dict, names):
+    """Set each named attribute of ``obj`` from ``state_dict``'s JSON, a
+    number as a float and a list as a float64 array; returns ``obj``."""
+    for name in names:
+        v = d[name]
+        setattr(obj, name, np.asarray(v, dtype=np.float64) if isinstance(v, list) else float(v))
+    return obj
+
+
+class FlatParams:
+    """Every trainable array of some models, held in one float64 vector.
+
+    The layout follows ``owners`` and, within each, its class's ``PARAMS``.
+    Each attribute is rebound to its view of ``theta`` (a 0-d view for a
+    scalar), so one optimizer step on ``theta`` updates them all in place.
+    ``grad`` has the same layout.
     """
 
-    def __init__(self, owners: list[tuple[object, tuple[str, ...]]]):
+    def __init__(self, owners: list):
         arrays = [
             (i, name, np.asarray(getattr(obj, name), dtype=np.float64))
-            for i, (obj, names) in enumerate(owners)
-            for name in names
+            for i, obj in enumerate(owners)
+            for name in type(obj).PARAMS
         ]
         self.theta = np.concatenate([a.reshape(-1) for _, _, a in arrays])
         self.grad = np.empty_like(self.theta)
@@ -33,7 +53,7 @@ class FlatParams:
         start = 0
         for i, name, a in arrays:
             stop = start + a.size
-            setattr(owners[i][0], name, self.theta[start:stop].reshape(a.shape))
+            setattr(owners[i], name, self.theta[start:stop].reshape(a.shape))
             self._grad_views.append((i, name, self.grad[start:stop].reshape(a.shape)))
             start = stop
 

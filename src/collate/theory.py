@@ -17,6 +17,7 @@ from .alignment import AlignmentConfig, HalfGaussianFit
 from .collab import CollaborativeTerm, ConditionalNetParams, collaborative_loss_grad
 from .core import sigmoid
 from .errors import LengthMismatch
+from .optim import FlatParams
 
 # Scores (theorem2's ordering checks) or vertex losses (its optimum) this
 # close count as tied.
@@ -45,16 +46,11 @@ class NoiseModel:
     mu_S: float = 0.2
     sigma_S: float = 0.05
 
-    def sample_s(self, rng: np.random.Generator, size) -> np.ndarray:
-        return rng.normal(self.mu_s, self.sigma_s, size)
-
-    def sample_llm(self, rng: np.random.Generator, size) -> np.ndarray:
-        return rng.normal(self.mu_S, self.sigma_S, size)
-
     def sample_pair(self, rng: np.random.Generator, shape) -> np.ndarray:
         """Both scorers' errors in one draw of ``shape`` (..., 2, batch):
         index 0 of the second-last axis is the detector's, 1 the LLM's. The
-        values equal alternating sample_s and sample_llm calls of size batch."""
+        values equal alternating ``rng.normal(mu_s, sigma_s, batch)`` and
+        ``rng.normal(mu_S, sigma_S, batch)`` calls."""
         loc = np.array([[self.mu_s], [self.mu_S]])
         scale = np.array([[self.sigma_s], [self.sigma_S]])
         return rng.normal(loc, scale, shape)
@@ -193,8 +189,7 @@ def check_theorem1(
         raise ValueError("need at least 1e3 trials for a stable estimate")
     lambda2 = 1.0 - lambda1
     rng = np.random.default_rng(seed)
-    eps_s = noise.sample_s(rng, trials)
-    eps_llm = noise.sample_llm(rng, trials)
+    eps_s, eps_llm = noise.sample_pair(rng, (2, trials))
     sq_err = (lambda1 * eps_s + lambda2 * eps_llm) ** 2
     estimate = float(sq_err.mean())
     bound = (lambda1 * noise.mu_s + lambda2 * noise.mu_S) ** 2
@@ -397,7 +392,8 @@ def lipschitz_report(y: np.ndarray, param_pairs: int = 200, seed: int = 0) -> Th
     """Largest observed |L*(theta1) - L*(theta2)| / ||theta1 - theta2|| over
     random parameter pairs of the fusion network on fixed inputs, against
     the published probe value; the artifact claims only that its own
-    estimate stays below that probe."""
+    estimate stays below that probe. theta is the net's ``FlatParams``
+    vector, the layout phase-2 training steps."""
     if param_pairs < 100:
         raise ValueError("need at least 100 parameter pairs")
     y = np.asarray(y, dtype=np.float64).reshape(-1)
@@ -411,18 +407,13 @@ def lipschitz_report(y: np.ndarray, param_pairs: int = 200, seed: int = 0) -> Th
         out, _ = net.forward(llm, aligned, rep)
         return oracle_loss(out, y)
 
-    def flat(net: ConditionalNetParams) -> np.ndarray:
-        return np.concatenate(
-            [net.w1.ravel(), net.b1, net.w2, np.array([net.b2])]
-        )
-
     estimate = 0.0
     for pair in range(param_pairs):
         n1 = ConditionalNetParams(LIPSCHITZ_REP_DIM, LIPSCHITZ_HIDDEN, seed=seed + 2 * pair)
         n2 = ConditionalNetParams(LIPSCHITZ_REP_DIM, LIPSCHITZ_HIDDEN, seed=seed + 2 * pair + 1)
         n1.b2 = float(rng.normal(0, LIPSCHITZ_B2_SCALE))
         n2.b2 = float(rng.normal(0, LIPSCHITZ_B2_SCALE))
-        dist = float(np.linalg.norm(flat(n1) - flat(n2)))
+        dist = float(np.linalg.norm(FlatParams([n1]).theta - FlatParams([n2]).theta))
         if dist == 0.0:
             continue
         estimate = max(estimate, abs(loss_of(n1) - loss_of(n2)) / dist)

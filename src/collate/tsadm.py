@@ -49,7 +49,7 @@ import numpy as np
 
 from .core import ScoreKind, ScoreSeries, TimeSeriesWindow
 from .errors import NonConvergence, ShapeMismatch
-from .optim import Adam, FlatParams
+from .optim import Adam, FlatParams, load_state, state_dict
 
 
 @runtime_checkable
@@ -172,6 +172,8 @@ class AttentionLayerParams:
     update.
     """
 
+    PARAMS = ("wq", "wk", "wv", "log_sigma")
+
     def __init__(self, dims: int, embed: int, rng: np.random.Generator):
         scale = 1.0 / np.sqrt(embed)
         self.wq = rng.normal(0.0, scale, (dims, embed, embed))
@@ -187,9 +189,10 @@ class AttentionLayerParams:
 class TsadmModel:
     """Attention reconstruction model; immutable once trained, scoring is pure.
 
-    Its parameters are the attributes embed_w, embed_b, out_w and out_b, and
-    each layer's wq, wk, wv and log_sigma; ``loss_and_grads`` keys its
-    gradients by the same names, as the fusion net's backward passes do.
+    Its parameters are the attributes named in ``PARAMS``, and each layer's
+    in ``AttentionLayerParams.PARAMS``; ``loss_and_grads`` keys its
+    gradients by the same names, as the fusion net's backward passes do, and
+    the checkpoint stores them under those names.
 
     The model holds no scratch memory. ``train_tsadm`` keeps one
     ``_Workspace`` for its run and passes it to every ``loss_and_grads``
@@ -198,6 +201,7 @@ class TsadmModel:
     """
 
     CHECKPOINT_VERSION = 1
+    PARAMS = ("embed_w", "embed_b", "out_w", "out_b")
 
     def __init__(self, dims: int, cfg: TsadmConfig):
         rng = np.random.default_rng(cfg.seed)
@@ -291,18 +295,21 @@ class TsadmModel:
 
         Windows longer than winLen are scored in non-overlapping tiles, with
         an end-aligned tile covering the remainder; all tiles go through one
-        ``forward`` call, and every slot is scored once.
+        ``forward`` call, and every slot is scored once. A window shorter
+        than winLen is front-padded to one tile with copies of its first row,
+        as ``_embed`` pads, and only its own slots are kept.
         """
         t = window.length
         w = self.cfg.winLen
         if window.dims != self.dims:
             raise ShapeMismatch(f"window has {window.dims} dims, model expects {self.dims}")
+        values = window.values
         if t < w:
-            raise ShapeMismatch(f"window length {t} shorter than winLen {w}")
+            values = np.concatenate([np.repeat(values[:1], w - t, axis=0), values])
         n_full, tail = divmod(t, w)
-        tiles = window.values[: n_full * w].reshape(n_full, w, self.dims)
+        tiles = values[: n_full * w].reshape(n_full, w, self.dims)
         if tail:
-            tiles = np.concatenate([tiles, window.values[None, t - w :]])
+            tiles = np.concatenate([tiles, values[None, -w:]])
         recon, rep, _ = self.forward(tiles)
         err = ((recon - tiles) ** 2).sum(axis=2).reshape(-1)
         # the end-aligned tile gives only the slots past the last full tile
@@ -314,19 +321,8 @@ class TsadmModel:
             "version": self.CHECKPOINT_VERSION,
             "config": asdict(self.cfg),
             "dims": self.dims,
-            "embed_w": self.embed_w.tolist(),
-            "embed_b": self.embed_b.tolist(),
-            "out_w": self.out_w.tolist(),
-            "out_b": self.out_b.tolist(),
-            "layers": [
-                {
-                    "wq": l.wq.tolist(),
-                    "wk": l.wk.tolist(),
-                    "wv": l.wv.tolist(),
-                    "log_sigma": float(l.log_sigma),
-                }
-                for l in self.layers
-            ],
+            **state_dict(self, self.PARAMS),
+            "layers": [state_dict(layer, layer.PARAMS) for layer in self.layers],
         }
 
     def save(self, path: str | Path) -> None:
@@ -336,21 +332,12 @@ class TsadmModel:
     def from_dict(cls, d: dict) -> "TsadmModel":
         if d.get("version") != cls.CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {d.get('version')}")
-        model = cls.__new__(cls)
+        model = load_state(cls.__new__(cls), d, cls.PARAMS)
         model.cfg = TsadmConfig(**d["config"])
         model.dims = d["dims"]
-        model.embed_w = np.asarray(d["embed_w"], dtype=np.float64)
-        model.embed_b = np.asarray(d["embed_b"], dtype=np.float64)
-        model.out_w = np.asarray(d["out_w"], dtype=np.float64)
-        model.out_b = np.asarray(d["out_b"], dtype=np.float64)
-        model.layers = []
-        for ld in d["layers"]:
-            layer = AttentionLayerParams.__new__(AttentionLayerParams)
-            layer.wq = np.asarray(ld["wq"], dtype=np.float64)
-            layer.wk = np.asarray(ld["wk"], dtype=np.float64)
-            layer.wv = np.asarray(ld["wv"], dtype=np.float64)
-            layer.log_sigma = float(ld["log_sigma"])
-            model.layers.append(layer)
+        layer_cls = AttentionLayerParams
+        model.layers = [load_state(layer_cls.__new__(layer_cls), ld, layer_cls.PARAMS)
+                        for ld in d["layers"]]
         return model
 
     @classmethod
@@ -367,10 +354,6 @@ def sliding_windows(values: np.ndarray, win_len: int) -> np.ndarray:
     return values[: n_win * win_len].reshape(n_win, win_len, values.shape[1])
 
 
-_MODEL_PARAMS = ("embed_w", "embed_b", "out_w", "out_b")
-_LAYER_PARAMS = ("wq", "wk", "wv", "log_sigma")
-
-
 def train_tsadm(values: np.ndarray, cfg: TsadmConfig) -> TsadmModel:
     """Minibatch Adam on mean squared reconstruction error.
 
@@ -385,8 +368,7 @@ def train_tsadm(values: np.ndarray, cfg: TsadmConfig) -> TsadmModel:
     dims = windows.shape[2]
     model = TsadmModel(dims, cfg)
     rng = np.random.default_rng(cfg.seed + 1)
-    flat = FlatParams([(model, _MODEL_PARAMS),
-                       *((layer, _LAYER_PARAMS) for layer in model.layers)])
+    flat = FlatParams([model, *model.layers])
     opt = Adam(cfg.trlr, flat.theta.size)
     workspace = _Workspace()
     for _epoch in range(cfg.epochs):

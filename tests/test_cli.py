@@ -122,6 +122,47 @@ class TestPipeline:
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes(), rel
 
 
+    @pytest.mark.parametrize("length", [10_010, 10_003])
+    def test_parts_ending_in_a_window_shorter_than_winlen(self, tmp_path, length):
+        """At 10,010 slots the train part's last window has 4 slots, at
+        10,003 one: fewer than winLen, and at 10,003 fewer than patchSize."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epochs_tsadm": 1, "epochs_collab": 1}))
+        csv = str(tmp_path / "D" / "data.csv")
+        scores = str(tmp_path / "llm" / "llm_scores.jsonl")
+        steps = [
+            ("D", "gen-data", "--length", str(length)),
+            ("tsadm", "train-tsadm", "--data", csv),
+            ("llm", "score-llm", "--data", csv),
+            ("collab", "train-collab", "--data", csv,
+             "--tsadm", str(tmp_path / "tsadm" / "tsadm.json"), "--llm-scores", scores),
+            ("detect", "detect", "--data", csv,
+             "--pipeline", str(tmp_path / "collab" / "pipeline.json"), "--llm-scores", scores),
+            ("eval", "eval", "--data", csv,
+             "--collated", str(tmp_path / "detect" / "collated.csv")),
+        ]
+        for out, *args in steps:
+            code = cli.main(["--config", str(cfg), "--out", str(tmp_path / out), *args])
+            assert code == 0, args[0]
+        rows = (tmp_path / "detect" / "collated.csv").read_text().splitlines()[1:]
+        assert [int(r.split(",")[0]) for r in rows] == list(range(length))
+
+
+class TestGenDataArguments:
+    @pytest.mark.parametrize("args, code, message", [
+        (["--contextual", "2"], 2, "need at least three anomalies of each kind to cover "
+                                   "splits, got 2 contextual and 10 point"),
+        (["--point", "0"], 2, "need at least three anomalies of each kind to cover "
+                              "splits, got 10 contextual and 0 point"),
+        (["--length", "-5"], 2, "length must exceed the delay 18, got -5"),
+        (["--length", "200"], 1, "could not place a contextual span without overlap"),
+    ], ids=["contextual 2", "point 0", "length -5", "length 200"])
+    def test_exits_with_one_line(self, tmp_path, capsys, args, code, message):
+        assert cli.main(["--out", str(tmp_path), "gen-data", *args]) == code
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "data.csv").exists()
+
+
 class TestExitCodes:
     def test_missing_detector_checkpoint_exits_2(self, run_dir, tmp_path, capsys):
         code = cli.main([

@@ -31,7 +31,7 @@ from collate.core import (
     score_range_divisor,
     sigmoid,
 )
-from collate.errors import LengthMismatch, NonConvergence
+from collate.errors import LengthMismatch, NonConvergence, WindowTooShort
 from collate.optim import Adam
 from test_optim import _reference_adam_step
 
@@ -250,6 +250,20 @@ class TestTrainCollab:
         path = tmp_path / "p.json"
         pipeline.save(path)
         assert FusionPipeline.load(path).config_echo == dataclasses.asdict(cfg)
+
+    def test_window_shorter_than_patch_is_left_out(self, small_bench):
+        train = small_bench.windows["train"]
+        # the val part's first slot, as a window of its own
+        start = train[-1].start_index + train[-1].length
+        short = TimeSeriesWindow(small_bench.series.values[start : start + 1], start_index=start)
+        llm = small_bench.llm_scores_for([*train, short])
+        cfg = small_cfg(variant_epochs=2)
+        without, without_curves = train_collab(train, small_bench.scorer, llm, cfg)
+        pipeline, curves = train_collab([*train, short], small_bench.scorer, llm, cfg)
+        assert pipeline.to_dict() == without.to_dict()
+        assert curves == without_curves
+        with pytest.raises(WindowTooShort, match="patchSize=2"):
+            train_collab([short], small_bench.scorer, llm, cfg)
 
     def test_no_alignment_variant_skips_mapping(self, small_bench):
         llm = small_bench.llm_scores_for(small_bench.windows["train"])

@@ -275,7 +275,7 @@ class TestSplit:
                  AnomalySpan(700, 701, AnomalyKind.POINT)]
         series = LabeledSeries(values=x, labels=labels_of(spans, 1009), spans=spans,
                                start_index=5)
-        (train,), (val,), (test,) = data.split([series])
+        train, val, test = data.split(series)
         # floor(0.4 * 1009) = 403, floor(0.5 * 1009) = 504
         assert [train.length, val.length, test.length] == [403, 101, 505]
         assert [train.start_index, val.start_index, test.start_index] == [5, 408, 509]
@@ -292,7 +292,7 @@ class TestSplit:
 
     def test_too_short_to_split(self):
         with pytest.raises(TooShort):
-            data.split([LabeledSeries(values=np.zeros(9))])
+            data.split(LabeledSeries(values=np.zeros(9)))
 
 
 def test_gen_data_output_is_pinned(tmp_path):

@@ -1,6 +1,12 @@
-import numpy as np
+import json
 
-from collate.optim import BETA1, BETA2, EPS, Adam
+import numpy as np
+import pytest
+
+from collate.alignment import MonotoneMapping
+from collate.collab import ConditionalNetParams
+from collate.optim import BETA1, BETA2, EPS, Adam, FlatParams
+from collate.tsadm import TsadmConfig, TsadmModel
 
 
 def flat(arrays):
@@ -46,3 +52,49 @@ def _reference_adam_step(params, grads, m, v, t, lr):
         mhat = m[name] / (1 - BETA1**t)
         vhat = v[name] / (1 - BETA2**t)
         params[name] -= lr * mhat / (np.sqrt(vhat) + EPS)
+
+
+def _instances(name):
+    """A fresh instance of the class ``name``, its serialised state, the keys
+    the checkpoint writes besides the instance's arrays and floats, and the
+    instance the checkpoint loads back."""
+    if name == "ConditionalNetParams":
+        net = ConditionalNetParams(3, hidden=5, seed=1)
+        return net, net.to_dict(), set(), ConditionalNetParams.from_dict(net.to_dict())
+    if name == "MonotoneMapping":
+        mapping = MonotoneMapping(hidden=4, seed=2)
+        return mapping, mapping.to_dict(), {"hidden"}, MonotoneMapping.from_dict(mapping.to_dict())
+    model = TsadmModel(2, TsadmConfig(moduleNum=2, kLen=3, embed=3, seed=3))
+    state = model.to_dict()
+    loaded = TsadmModel.from_dict(json.loads(json.dumps(state)))
+    if name == "TsadmModel":
+        return model, state, {"version", "config", "dims", "layers"}, loaded
+    return model.layers[1], state["layers"][1], set(), loaded.layers[1]
+
+
+@pytest.mark.parametrize(
+    "name", ["ConditionalNetParams", "MonotoneMapping", "TsadmModel", "AttentionLayerParams"]
+)
+class TestParamsNameEveryArray:
+    """Each model class names its trainable arrays once, in ``PARAMS``; the
+    checkpoint and the optimiser's layout both follow that list."""
+
+    def test_state_holds_every_array_and_float(self, name):
+        obj, state, extras, _ = _instances(name)
+        numeric = {k for k, v in vars(obj).items() if isinstance(v, (np.ndarray, float))}
+        assert set(type(obj).PARAMS) <= numeric
+        assert set(state) == numeric | extras
+        assert json.loads(json.dumps(state)) == state
+
+    def test_load_keeps_each_type(self, name):
+        obj, _, _, loaded = _instances(name)
+        for key, value in vars(obj).items():
+            if isinstance(value, (np.ndarray, float)):
+                assert type(getattr(loaded, key)) is type(value), key
+                assert np.asarray(getattr(loaded, key)).dtype == np.float64, key
+                np.testing.assert_array_equal(getattr(loaded, key), value)
+
+    def test_flat_layout_is_the_state_in_params_order(self, name):
+        obj, state, _, _ = _instances(name)
+        expected = np.concatenate([np.ravel(state[key]) for key in type(obj).PARAMS])
+        np.testing.assert_array_equal(FlatParams([obj]).theta, expected)

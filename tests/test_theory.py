@@ -195,8 +195,8 @@ def _reference_pairwise_sgd(y, noise, steps, batch, lr, seed):
             s_obs = y[idx]
             llm_obs = y[idx]
         else:
-            s_obs = y[idx] + noise.sample_s(rng_noise, batch)
-            llm_obs = y[idx] + noise.sample_llm(rng_noise, batch)
+            s_obs = y[idx] + rng_noise.normal(noise.mu_s, noise.sigma_s, batch)
+            llm_obs = y[idx] + rng_noise.normal(noise.mu_S, noise.sigma_S, batch)
         s_hat = sigmoid(theta[idx])
         _, dhat = collaborative_loss_grad(s_hat, s_obs, llm_obs, lam, lam)
         g = np.zeros(n)
@@ -245,8 +245,8 @@ def _reference_check_lemma1(noise, y, steps=10_000, seed=0, window=500, resample
     chain = s_hat * (1.0 - s_hat)
     _, clean_dhat = collaborative_loss_grad(s_hat, y[idx], y[idx], lam, lam)
     for r in range(resamples):
-        s_obs = y[idx] + noise.sample_s(rng, LEMMA1_BATCH)
-        llm_obs = y[idx] + noise.sample_llm(rng, LEMMA1_BATCH)
+        s_obs = y[idx] + rng.normal(noise.mu_s, noise.sigma_s, LEMMA1_BATCH)
+        llm_obs = y[idx] + rng.normal(noise.mu_S, noise.sigma_S, LEMMA1_BATCH)
         _, dhat = collaborative_loss_grad(s_hat, s_obs, llm_obs, lam, lam)
         row = np.zeros(n)
         row[idx] = (dhat - clean_dhat) * chain

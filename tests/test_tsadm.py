@@ -11,14 +11,13 @@ import collate
 from collate.core import ScoreKind, TimeSeriesWindow
 from collate.errors import NonConvergence, ShapeMismatch
 from collate.tsadm import (
+    AttentionLayerParams,
     PrecomputedScorer,
     TsadmConfig,
     TsadmModel,
     _AttentionCache,
     _attention_backward,
     _attention_forward,
-    _LAYER_PARAMS,
-    _MODEL_PARAMS,
     _sq_distances,
     _sum_over_bt,
     _Workspace,
@@ -420,11 +419,18 @@ class TestModel:
         np.testing.assert_array_equal(raw.scores, expected_raw)
         np.testing.assert_array_equal(rep, expected_rep)
 
-    def test_window_shorter_than_winlen_rejected(self):
+    @pytest.mark.parametrize("length", [1, 4, 7])
+    def test_window_shorter_than_winlen_scored_in_one_padded_tile(self, length):
         cfg = TsadmConfig(winLen=8, moduleNum=1, kLen=2, embed=2, epochs=2, seed=0)
-        model = train_tsadm(np.zeros((64, 1)) + 1.0, cfg)
-        with pytest.raises(ShapeMismatch):
-            model.score(TimeSeriesWindow(np.ones((4, 1))))
+        model = train_tsadm(np.random.default_rng(1).normal(size=(64, 2)), cfg)
+        values = np.random.default_rng(2).normal(size=(length, 2))
+        raw, rep = model.score(TimeSeriesWindow(values))
+        # the tile is the window behind copies of its first row
+        tile = np.concatenate([np.repeat(values[:1], 8 - length, axis=0), values])[None]
+        recon, r, _ = model.forward(tile)
+        expected = ((recon[0] - tile[0]) ** 2).sum(axis=1)
+        np.testing.assert_array_equal(raw.scores, expected[8 - length :])
+        np.testing.assert_array_equal(rep, r[0, 8 - length :])
 
     def test_training_deterministic(self):
         cfg = TsadmConfig(winLen=8, moduleNum=2, kLen=2, embed=3, epochs=10, seed=7)
@@ -432,10 +438,10 @@ class TestModel:
         values = rng.normal(size=(240, 1))
         m1 = train_tsadm(values, cfg)
         m2 = train_tsadm(values, cfg)
-        for name in _MODEL_PARAMS:
+        for name in TsadmModel.PARAMS:
             np.testing.assert_array_equal(getattr(m1, name), getattr(m2, name))
         for l1, l2 in zip(m1.layers, m2.layers, strict=True):
-            for name in _LAYER_PARAMS:
+            for name in AttentionLayerParams.PARAMS:
                 np.testing.assert_array_equal(getattr(l1, name), getattr(l2, name))
 
     def test_checkpoint_roundtrip_bit_exact(self, tmp_path):
@@ -559,12 +565,13 @@ def _reference_train_tsadm(values, cfg):
         for start in range(0, order.size, cfg.batchSize):
             batch = windows[order[start : start + cfg.batchSize]]
             _, grads = _reference_loss_and_grads(model, batch)
-            params = {name: getattr(model, name) for name in _MODEL_PARAMS}
-            named = {name: grads[name] for name in _MODEL_PARAMS}
+            params = {name: getattr(model, name) for name in TsadmModel.PARAMS}
+            named = {name: grads[name] for name in TsadmModel.PARAMS}
             for i, (layer, layer_grads) in enumerate(zip(model.layers, grads["layers"])):
                 params.update({f"{name}{i}": getattr(layer, name) for name in ("wq", "wk", "wv")})
                 params[f"log_sigma{i}"] = np.array(layer.log_sigma)
-                named.update({f"{name}{i}": layer_grads[name] for name in _LAYER_PARAMS})
+                named.update({f"{name}{i}": layer_grads[name]
+                              for name in AttentionLayerParams.PARAMS})
             t += 1
             _reference_adam_step(params, named, m, v, t, cfg.trlr)
             for i, layer in enumerate(model.layers):
