@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ScoreSeries, sigmoid
+from .core import sigmoid
 from .errors import DegenerateScores, NonFiniteDensity
 from .optim import load_state, state_dict
 
@@ -61,8 +61,7 @@ def fit_half_gaussian(scores) -> HalfGaussianFit:
     The scores are mirrored across zero and merged with the originals; the
     population standard deviation of that symmetric set is sqrt(mean(s^2)).
     """
-    s = scores.scores if isinstance(scores, ScoreSeries) else np.asarray(scores, float)
-    s = s.reshape(-1)
+    s = np.asarray(scores, float).reshape(-1)
     if s.size == 0:
         raise ValueError("scores must be nonempty")
     if (s < 0).any():

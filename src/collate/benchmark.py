@@ -3,10 +3,11 @@
 Builds a series with known contextual and point anomalies, a simulated
 detector that excels on contextual anomalies, and a mock LLM that excels on
 point anomalies, then trains and evaluates fusion variants. The simulated
-scorers plug in through the Scorer protocol; their skill profiles mirror the
-observed complementarity of reconstruction detectors (miss isolated spikes
-scored by context) and LLM scorers (miss sustained statistical drifts, catch
-rule-breaking single slots).
+detector replays its scores through PrecomputedScorer and the mock LLM's
+pass the score file's checks, so both are checked as real scores are. Their
+skill profiles mirror the observed complementarity of reconstruction
+detectors (miss isolated spikes scored by context) and LLM scorers (miss
+sustained statistical drifts, catch rule-breaking single slots).
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import data as data_mod
 from .collab import detect, train_collab
-from .core import LossVariant, ScoreSeries, TimeSeriesWindow
+from .core import LossVariant, TimeSeriesWindow
 from .data import AnomalyKind, LabeledSeries
 from .errors import ConfigError
 from .evaluate import DetectionMetrics, labels_from_spans, per_kind_metrics
@@ -64,7 +65,7 @@ class Benchmark:
     # the CLI's windows of each split part, keyed 'train'/'val'/'test'
     windows: dict[str, list[TimeSeriesWindow]]
 
-    def llm_scores_for(self, windows: list[TimeSeriesWindow]) -> dict[str, ScoreSeries]:
+    def llm_scores_for(self, windows: list[TimeSeriesWindow]) -> dict[str, np.ndarray]:
         """The mock LLM's scores for ``windows``, checked as a score file's are."""
         return fixture_scores(
             {w.window_id(): self.llm_by_slot[w.start_index : w.start_index + w.length]
@@ -74,8 +75,7 @@ class Benchmark:
 
     def write_llm_fixture(self, path) -> None:
         w = self.windows
-        scored = self.llm_scores_for(w["train"] + w["val"] + w["test"])
-        write_fixture(path, {wid: s.scores for wid, s in scored.items()})
+        write_fixture(path, self.llm_scores_for(w["train"] + w["val"] + w["test"]))
 
 
 def _rolling_mean(x: np.ndarray, half: int) -> np.ndarray:
@@ -167,7 +167,7 @@ def baseline_metrics(bench: Benchmark) -> dict[str, DetectionMetrics]:
     """Detector-only and LLM-only test metrics (the fusion must beat the best
     of these; the detector-only row is the no-LLM ablation)."""
     test = bench.test
-    raw_test = bench.scorer.score(test.window())[0].scores
+    raw_test = bench.scorer.score(test.window())[0]
     llm_test = bench.llm_by_slot[test.start_index : test.start_index + test.length]
     return {
         "tsadm_only": per_kind_metrics(raw_test, test.spans),
@@ -181,7 +181,7 @@ def run_variant(bench: Benchmark, cfg: RunConfig) -> DetectionMetrics:
     pipeline, _ = train_collab(bench.windows["train"], bench.scorer, llm_train, cfg)
     llm_test = bench.llm_scores_for(bench.windows["test"])
     collated = np.concatenate(
-        [detect(pipeline, w, llm_test[w.window_id()]).scores for w in bench.windows["test"]]
+        [detect(pipeline, w, llm_test[w.window_id()]) for w in bench.windows["test"]]
     )
     return per_kind_metrics(collated, bench.test.spans)
 

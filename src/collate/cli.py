@@ -12,9 +12,10 @@ from a file, ``live:<url>`` asks the endpoint through ``llm.score_windows``.
 LLM score files (the mock fixture, and ``--llm-scores`` of ``train-collab``
 and ``detect``) go through one loader, ``llm.load_fixture``, so all three
 commands treat a bad file alike: a window missing from it, a window with the
-wrong number of scores, a score outside [0, 1], or a line that is not a
-{"window_id": ..., "scores": [numbers]} object exits 1 with one ``error:``
-line. An input file that does not exist, or is a directory, exits 2.
+wrong number of scores, a score outside [0, 1], a score that is not finite,
+or a line that is not a {"window_id": ..., "scores": [numbers]} object exits
+1 with one ``error:`` line. An input file that does not exist, or is a
+directory, exits 2.
 
 Each command runs in a fresh interpreter, so a command imports only what it
 runs. Importing this module loads numpy and what ``eval`` runs: ``data``,
@@ -103,6 +104,9 @@ class RunConfig:
         variants = sorted(v.value for v in LossVariant)
         if not isinstance(self.loss_variant, str) or self.loss_variant not in variants:
             raise ConfigError(f"loss_variant must be one of {variants}, got {self.loss_variant!r}")
+        if self.patchSize > self.window_len:
+            raise ConfigError(f"patchSize must not exceed window_len {self.window_len}, "
+                              f"got {self.patchSize}")
         if not (isinstance(self.llm_mode, str)
                 and self.llm_mode.partition(":")[0] in ("mock", "live")):
             raise ConfigError("llm_mode must look like 'mock:<fixture>' or 'live:<url>'")
@@ -236,7 +240,7 @@ def cmd_score_llm(cfg: RunConfig, data_path: Path, out_dir: Path) -> int:
     else:
         scored = score_windows(target, windows)
     out_path = out_dir / "llm_scores.jsonl"
-    write_fixture(out_path, {wid: s.scores for wid, s in scored.items()})
+    write_fixture(out_path, scored)
     write_manifest(out_dir, "score-llm", cfg, inputs, [out_path])
     print(f"wrote {out_path}")
     return 0
@@ -290,7 +294,7 @@ def cmd_detect(cfg: RunConfig, data_path: Path, pipeline_path: Path,
     llm_scores = load_fixture(_require(scores_path, "LLM scores"), windows)
     lines = ["t,score"]
     for w in windows:
-        scores = detect(pipeline, w, llm_scores[w.window_id()]).scores
+        scores = detect(pipeline, w, llm_scores[w.window_id()])
         slots = range(w.start_index, w.start_index + scores.size)
         lines += map("{},{!r}".format, slots, scores.tolist())
     out_path = out_dir / "collated.csv"

@@ -20,14 +20,12 @@ from . import alignment as align_mod
 from .alignment import AlignmentConfig, HalfGaussianFit, MonotoneMapping
 from .core import (
     LossVariant,
-    ScoreKind,
-    ScoreSeries,
     TimeSeriesWindow,
     patch_weights,
     score_range_divisor,
     sigmoid,
 )
-from .errors import LengthMismatch, NonConvergence, ShapeMismatch, WindowTooShort
+from .errors import LengthMismatch, NonConvergence, NonFiniteInput, ShapeMismatch, WindowTooShort
 from .optim import Adam, FlatParams, load_state, state_dict
 
 if TYPE_CHECKING:
@@ -310,7 +308,7 @@ def _pairwise_term(variant: LossVariant, scaled, llm, lam1, lam2):
 def train_collab(
     windows: list[TimeSeriesWindow],
     scorer,
-    llm_scores: dict[str, ScoreSeries],
+    llm_scores: dict[str, np.ndarray],
     cfg: RunConfig,
 ) -> tuple[FusionPipeline, TrainingCurves]:
     """Joint minibatch SGD over the monotone mapping and the fusion network.
@@ -343,7 +341,7 @@ def train_collab(
     scored = []
     for w in windows:
         raw, rep = scorer.score(w)
-        scored.append((w, raw.scores, llm_scores[w.window_id()].scores, rep))
+        scored.append((w, raw, llm_scores[w.window_id()], rep))
     divisor = score_range_divisor(
         np.concatenate([raw for _, raw, _, _ in scored]), cfg.d
     )
@@ -442,22 +440,23 @@ def train_collab(
 
 
 def detect(
-    pipeline: FusionPipeline, window: TimeSeriesWindow, llm_scores: ScoreSeries
-) -> ScoreSeries:
+    pipeline: FusionPipeline, window: TimeSeriesWindow, llm_scores: np.ndarray
+) -> np.ndarray:
     """Collated scores for one window.
 
     Pure given (pipeline, window, scores): the detector scores the window, the
     frozen training divisor rescales, the mapping aligns, and the fusion net
     emits per-slot collated scores. Every score lies strictly inside (0, 1);
     slots whose fusion logit is above about 36.7 all get nextafter(1, 0),
-    since float64 cannot tell such logits apart.
+    since float64 cannot tell such logits apart. A score that is not finite
+    (from a NaN weight) raises NonFiniteInput.
     """
-    if llm_scores.kind is not ScoreKind.LLM:
-        raise ValueError("detect expects LLM-kind scores")
     if len(llm_scores) != window.length:
         raise LengthMismatch("LLM scores must cover every slot of the window")
     raw, rep = pipeline.scorer.score(window)
-    scaled = raw.scores / pipeline.score_divisor
+    scaled = raw / pipeline.score_divisor
     aligned = pipeline.aligned_scores(scaled)
-    out, _ = pipeline.cond.forward(llm_scores.scores, aligned, rep)
-    return ScoreSeries(out, ScoreKind.COLLATED)
+    out, _ = pipeline.cond.forward(llm_scores, aligned, rep)
+    if not np.isfinite(out).all():
+        raise NonFiniteInput(f"collated scores for window {window.window_id()!r} are not finite")
+    return out

@@ -1,5 +1,9 @@
 """Shared numeric types, score scaling, patching, and adaptive loss weights.
 
+Scores pass between modules as plain 1-D float64 arrays, each checked once
+where it enters: LLM scores in ``llm``, replayed detector scores by
+``tsadm.PrecomputedScorer``, collated scores by ``collab.detect``.
+
 All operations here are pure functions over immutable inputs; nothing holds
 shared mutable state, so concurrent use across windows is safe.
 """
@@ -13,20 +17,12 @@ import numpy as np
 from .errors import DegenerateRange, NonFiniteInput, ShapeMismatch, WindowTooShort
 
 
-class ScoreKind(Enum):
-    RAW_TSADM = "raw_tsadm"
-    LLM = "llm"
-    COLLATED = "collated"
-
-
 class LossVariant(Enum):
     COLLABORATIVE = "collaborative"
     MSE_VARIANT = "mse"
     FIXED_WEIGHTS = "fixed_weights"
     NO_ALIGNMENT = "no_alignment"
 
-
-_UNIT_INTERVAL_KINDS = frozenset({ScoreKind.LLM, ScoreKind.COLLATED})
 
 _SIGMOID_LO = np.nextafter(0.0, 1.0)
 _SIGMOID_HI = np.nextafter(1.0, 0.0)
@@ -78,30 +74,6 @@ class TimeSeriesWindow:
 
     def window_id(self) -> str:
         return f"w{self.start_index}"
-
-
-@dataclass(frozen=True)
-class ScoreSeries:
-    """Per-slot anomaly scores with a provenance kind."""
-
-    scores: np.ndarray
-    kind: ScoreKind
-
-    def __post_init__(self):
-        scores = np.asarray(self.scores, dtype=np.float64).reshape(-1)
-        if scores.size < 1:
-            raise ValueError("score series must be nonempty")
-        if not np.isfinite(scores).all():
-            raise NonFiniteInput("scores must be finite")
-        if self.kind in _UNIT_INTERVAL_KINDS:
-            if scores.min() < 0.0 or scores.max() > 1.0:
-                raise ValueError(f"{self.kind.value} scores must lie in [0, 1]")
-        elif self.kind is ScoreKind.RAW_TSADM and scores.min() < 0.0:
-            raise ValueError("raw detector scores must be nonnegative")
-        object.__setattr__(self, "scores", scores)
-
-    def __len__(self) -> int:
-        return self.scores.size
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ class MalformedResponse(CollateError):
 
 
 class ScoreOutOfRange(CollateError):
-    """A parsed LLM score lies outside [0, 1]."""
+    """An LLM score lies outside [0, 1], or a replayed detector score is negative."""
 
 
 class MissingFixture(CollateError):

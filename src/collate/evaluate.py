@@ -12,7 +12,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ScoreSeries
 from .data import AnomalyKind, AnomalySpan
 from .errors import LengthMismatch, NoPositives
 
@@ -46,8 +45,6 @@ class DetectionMetrics:
 
 
 def _as_scores(scores) -> np.ndarray:
-    if isinstance(scores, ScoreSeries):
-        return scores.scores
     return np.asarray(scores, dtype=np.float64).reshape(-1)
 
 

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data as data_mod
-from .core import ScoreKind, ScoreSeries, TimeSeriesWindow
+from .core import TimeSeriesWindow
 from .errors import ConfigError, MalformedResponse, MissingFixture, ScoreOutOfRange
 
 API_KEY_VAR = "COLLATE_LLM_API_KEY"  # the environment variable holding the key
@@ -79,7 +79,7 @@ def build_prompt(window: TimeSeriesWindow) -> str:
     ])
 
 
-def load_fixture(path: str | Path, windows: list[TimeSeriesWindow]) -> dict[str, ScoreSeries]:
+def load_fixture(path: str | Path, windows: list[TimeSeriesWindow]) -> dict[str, np.ndarray]:
     """Validated LLM scores for ``windows`` from a JSONL file of
     {"window_id": ..., "scores": [numbers]} lines; any other line, or a
     window id on two lines, raises MalformedResponse."""
@@ -107,10 +107,10 @@ def load_fixture(path: str | Path, windows: list[TimeSeriesWindow]) -> dict[str,
 
 def fixture_scores(
     table: dict[str, np.ndarray], windows: list[TimeSeriesWindow]
-) -> dict[str, ScoreSeries]:
+) -> dict[str, np.ndarray]:
     """Each window's scores from a window id -> scores table, checked for
-    presence, then length, then range."""
-    out: dict[str, ScoreSeries] = {}
+    presence, then length, then range; NaN is outside the range."""
+    out: dict[str, np.ndarray] = {}
     for w in windows:
         wid = w.window_id()
         if wid not in table:
@@ -120,9 +120,9 @@ def fixture_scores(
             raise MalformedResponse(
                 f"fixture entry {wid!r} has {vals.size} scores, expected {w.length}"
             )
-        if (vals < 0.0).any() or (vals > 1.0).any():
+        if not ((vals >= 0.0) & (vals <= 1.0)).all():
             raise ScoreOutOfRange(f"fixture scores for {wid!r} outside [0, 1]")
-        out[wid] = ScoreSeries(vals, ScoreKind.LLM)
+        out[wid] = vals
     return out
 
 
@@ -144,7 +144,7 @@ def _parse_scores(text: str, expected_slots: int) -> np.ndarray:
         raise MalformedResponse(
             f"expected {expected_slots} scores, response carried {vals.size}"
         )
-    if (vals < 0.0).any() or (vals > 1.0).any():
+    if not ((vals >= 0.0) & (vals <= 1.0)).all():  # a NaN fails it too
         raise ScoreOutOfRange(
             f"scores outside [0, 1]: min {vals.min()}, max {vals.max()}"
         )
@@ -186,7 +186,7 @@ def request_scores(
     expected_slots: int,
     transport=None,
     sleep=time.sleep,
-) -> ScoreSeries:
+) -> np.ndarray:
     """Fetch exactly ``expected_slots`` scores in [0, 1] from ``endpoint``.
 
     Posts {"prompt": ...} and parses newline-separated floats from the
@@ -212,21 +212,25 @@ def request_scores(
             if attempt < RETRIES:
                 sleep(BACKOFF_BASE * (2**attempt))
             continue
-        return ScoreSeries(_parse_scores(text, expected_slots), ScoreKind.LLM)
+        return _parse_scores(text, expected_slots)
     raise MalformedResponse(
         "all attempts failed: " + "; ".join(attempts)
     )
 
 
 def _fetch(
-    stop: threading.Event, endpoint: str, prompt: str, expected_slots: int, transport
-) -> ScoreSeries | None:
-    """``request_scores``, unless ``stop`` is set: then nothing is sent and
-    the result is None. A failure sets ``stop`` before it propagates."""
+    stop: threading.Event, endpoint: str, window: TimeSeriesWindow, prompt: str, transport
+) -> np.ndarray | None:
+    """``request_scores`` for ``window``, unless ``stop`` is set: then nothing
+    is sent and the result is None. A failure sets ``stop`` before it
+    propagates; a score outside [0, 1] names the window."""
     if stop.is_set():
         return None
     try:
-        return request_scores(endpoint, prompt, expected_slots, transport)
+        return request_scores(endpoint, prompt, window.length, transport)
+    except ScoreOutOfRange as exc:
+        stop.set()
+        raise ScoreOutOfRange(f"window {window.window_id()!r}: {exc}") from None
     except Exception:
         stop.set()
         raise
@@ -234,7 +238,7 @@ def _fetch(
 
 def score_windows(
     endpoint: str, windows: list[TimeSeriesWindow], transport=None
-) -> dict[str, ScoreSeries]:
+) -> dict[str, np.ndarray]:
     """Score many windows at the live ``endpoint``, keyed by window id.
 
     Builds every prompt, and checks the default transport's API key, before
@@ -250,7 +254,7 @@ def score_windows(
     stop = threading.Event()
     with ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT) as pool:
         futures = {
-            w.window_id(): pool.submit(_fetch, stop, endpoint, prompt, w.length, transport)
+            w.window_id(): pool.submit(_fetch, stop, endpoint, w, prompt, transport)
             for w, prompt in prompts
         }
         # windows skipped after a failure hold None, but the failure raises here

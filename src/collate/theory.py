@@ -102,7 +102,6 @@ def oracle_loss(s_hat: np.ndarray, y: np.ndarray) -> float:
 class BruteForceResult:
     best: np.ndarray
     loss: float
-    all_losses: np.ndarray
     degenerate: bool
 
 
@@ -125,7 +124,6 @@ def brute_force_optimal(y: np.ndarray, seed: int = 0) -> BruteForceResult:
     return BruteForceResult(
         best=vertices[minimal].mean(axis=0),
         loss=float(losses.min()),
-        all_losses=losses,
         degenerate=bool(minimal.sum() > 1),
     )
 

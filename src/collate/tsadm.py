@@ -35,7 +35,8 @@ representations and scores they return are new arrays; only ``forward``'s
 layer caches point into the workspace it used.
 
 Anything implementing the Scorer protocol can stand in for the attention
-model; PrecomputedScorer replays externally produced scores.
+model; its scores are plain float64 arrays. PrecomputedScorer replays
+externally produced scores, which it checks once, when it is built.
 """
 from __future__ import annotations
 
@@ -47,15 +48,15 @@ from typing import NamedTuple, Protocol, runtime_checkable
 
 import numpy as np
 
-from .core import ScoreKind, ScoreSeries, TimeSeriesWindow
-from .errors import NonConvergence, ShapeMismatch
+from .core import TimeSeriesWindow
+from .errors import NonConvergence, ScoreOutOfRange, ShapeMismatch
 from .optim import Adam, FlatParams, load_state, state_dict
 
 
 @runtime_checkable
 class Scorer(Protocol):
-    def score(self, window: TimeSeriesWindow) -> tuple[ScoreSeries, np.ndarray]:
-        """Raw per-slot scores and a T x h representation for the window."""
+    def score(self, window: TimeSeriesWindow) -> tuple[np.ndarray, np.ndarray]:
+        """Raw per-slot scores, a nonnegative float64 array, and a T x h representation."""
         ...
 
 
@@ -290,7 +291,7 @@ class TsadmModel:
         grads["layers"] = layer_grads
         return loss, grads
 
-    def score(self, window: TimeSeriesWindow) -> tuple[ScoreSeries, np.ndarray]:
+    def score(self, window: TimeSeriesWindow) -> tuple[np.ndarray, np.ndarray]:
         """Raw per-slot reconstruction errors and the final attention features.
 
         Windows longer than winLen are scored in non-overlapping tiles, with
@@ -314,7 +315,7 @@ class TsadmModel:
         err = ((recon - tiles) ** 2).sum(axis=2).reshape(-1)
         # the end-aligned tile gives only the slots past the last full tile
         keep = np.r_[: n_full * w, err.size - tail : err.size]
-        return ScoreSeries(err[keep], ScoreKind.RAW_TSADM), rep.reshape(-1, self.rep_dim)[keep]
+        return err[keep], rep.reshape(-1, self.rep_dim)[keep]
 
     def to_dict(self) -> dict:
         return {
@@ -386,7 +387,8 @@ class PrecomputedScorer:
     """Replays per-slot scores and representations computed elsewhere.
 
     Covers slots [base_index, base_index + T); score() slices by the window's
-    absolute start index.
+    absolute start index. Raw scores that are negative or not finite raise
+    ScoreOutOfRange when the scorer is built.
     """
 
     def __init__(self, raw: np.ndarray, rep: np.ndarray, base_index: int = 0):
@@ -394,13 +396,11 @@ class PrecomputedScorer:
         self.rep = np.atleast_2d(np.asarray(rep, dtype=np.float64))
         if self.rep.shape[0] != self.raw.size:
             raise ShapeMismatch("raw scores and representation must cover the same slots")
+        if not ((self.raw >= 0.0) & (self.raw < np.inf)).all():
+            raise ScoreOutOfRange("precomputed raw scores must be finite and nonnegative")
         self.base_index = int(base_index)
 
-    @property
-    def rep_dim(self) -> int:
-        return self.rep.shape[1]
-
-    def score(self, window: TimeSeriesWindow) -> tuple[ScoreSeries, np.ndarray]:
+    def score(self, window: TimeSeriesWindow) -> tuple[np.ndarray, np.ndarray]:
         lo = window.start_index - self.base_index
         hi = lo + window.length
         if lo < 0 or hi > self.raw.size:
@@ -408,7 +408,7 @@ class PrecomputedScorer:
                 f"window [{window.start_index}, {window.start_index + window.length}) "
                 "outside precomputed score coverage"
             )
-        return ScoreSeries(self.raw[lo:hi], ScoreKind.RAW_TSADM), self.rep[lo:hi]
+        return self.raw[lo:hi], self.rep[lo:hi]
 
     def to_dict(self) -> dict:
         return {

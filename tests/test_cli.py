@@ -235,6 +235,7 @@ class TestBadConfig:
         ({"llm_mode": 5}, "llm_mode must look like 'mock:<fixture>' or 'live:<url>'"),
         ({"loss_variant": []},
          f"loss_variant must be one of {sorted(v.value for v in LossVariant)}, got []"),
+        ({"window_len": 3, "patchSize": 4}, "patchSize must not exceed window_len 3, got 4"),
     ])
     def test_exits_2_with_one_line(self, tmp_path, capsys, config, message):
         cfg = tmp_path / "cfg.json"
@@ -288,6 +289,8 @@ def _bad_score_file(run_dir, path, case):
         first["scores"] = first["scores"][:-1]
     elif case == "score 1.5":
         first["scores"][0] = 1.5
+    elif case == "score NaN":
+        first["scores"][0] = float("nan")
     elif case == "scores not numbers":
         first["scores"] = "abc"
     elif case == "duplicate window":
@@ -301,6 +304,7 @@ BAD_SCORE_MESSAGES = {
     "missing window": "fixture has no entry",
     "one score short": "scores, expected 200",
     "score 1.5": "outside [0, 1]",
+    "score NaN": "fixture scores for 'w0' outside [0, 1]",
     "scores not numbers": "fixture line 1: scores are not numbers",
     "duplicate window": "both hold window",
 }
@@ -490,6 +494,7 @@ class TestAblateGrid:
         ('{"d": [1.0, -0.5]}', "--grid: d must be a positive real, got -0.5"),
         ('{"patchSize": [2.5]}', "--grid: patchSize must be an integer in [2, 10000]"),
         ('{"d": [true]}', "--grid: d must be a positive real, got True"),
+        ('{"patchSize": [600]}', "--grid: patchSize must not exceed window_len 500, got 600"),
         ("{d: 1}", "--grid must be JSON"),
     ])
     def test_bad_grid_exits_2_before_the_ablation(self, tmp_path, monkeypatch, capsys,
@@ -559,6 +564,54 @@ class TestLiveScoring:
         assert code == 2
         assert capsys.readouterr().err == "error: http://127.0.0.1:9/ answered HTTP 401\n"
         assert len(requests) == 1
+
+    def test_nan_score_exits_1_naming_its_window(self, run_dir, tmp_path, monkeypatch, capsys):
+        def transport(endpoint, prompt):
+            return "\n".join(["nan" if "Input data:\n0: " in prompt else "0.25"] * 200)
+
+        monkeypatch.setattr(llm, "_default_transport", transport)
+        monkeypatch.setenv(llm.API_KEY_VAR, "key")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"llm_mode": "live:http://127.0.0.1:9/", "window_len": 200}))
+        capsys.readouterr()
+        code = cli.main(["--config", str(cfg), "--out", str(tmp_path / "llm"),
+                         "score-llm", "--data", str(run_dir / "D" / "data.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: window 'w0': scores outside [0, 1]"), err
+        assert err.count("\n") == 1, err
+
+
+class TestNanWeight:
+    """A checkpoint holding a NaN weight exits 1 with one error line."""
+
+    def test_pipeline_weight_at_detect(self, run_dir, tmp_path, capsys):
+        pipeline = json.loads((run_dir / "collab" / "pipeline.json").read_text())
+        pipeline["cond"]["w1"][0][0] = float("nan")
+        bad = tmp_path / "pipeline.json"
+        bad.write_text(json.dumps(pipeline))
+        capsys.readouterr()
+        code = cli.main(["--config", str(run_dir / "cfg.json"), "--out", str(tmp_path / "out"),
+                         "detect", "--data", str(run_dir / "D" / "data.csv"),
+                         "--pipeline", str(bad),
+                         "--llm-scores", str(run_dir / "llm" / "llm_scores.jsonl")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: collated scores for window 'w0' are not finite\n"
+        )
+
+    def test_detector_weight_at_train_collab(self, run_dir, tmp_path, capsys):
+        model = json.loads((run_dir / "tsadm" / "tsadm.json").read_text())
+        model["embed_w"][0][0] = float("nan")
+        bad = tmp_path / "tsadm.json"
+        bad.write_text(json.dumps(model))
+        capsys.readouterr()
+        code = cli.main(["--config", str(run_dir / "cfg.json"), "--out", str(tmp_path / "out"),
+                         "train-collab", "--data", str(run_dir / "D" / "data.csv"),
+                         "--tsadm", str(bad),
+                         "--llm-scores", str(run_dir / "llm" / "llm_scores.jsonl")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: phase-2 loss became non-finite\n"
 
 
 class TestVerify:

@@ -24,8 +24,6 @@ from collate.collab import (
     train_collab,
 )
 from collate.core import (
-    ScoreKind,
-    ScoreSeries,
     TimeSeriesWindow,
     patch_weights,
     score_range_divisor,
@@ -296,18 +294,17 @@ class TestTrainCollab:
         scores = small_bench.llm_scores_for([w])[w.window_id()]
         out1 = detect(pipeline, w, scores)
         out2 = detect(pipeline, w, scores)
-        np.testing.assert_array_equal(out1.scores, out2.scores)
-        assert out1.kind is ScoreKind.COLLATED
-        assert out1.scores.min() > 0.0 and out1.scores.max() < 1.0
+        np.testing.assert_array_equal(out1, out2)
+        assert out1.min() > 0.0 and out1.max() < 1.0
 
-    def test_detect_requires_llm_kind_and_length(self, small_bench):
+    def test_detect_requires_llm_length(self, small_bench):
         llm = small_bench.llm_scores_for(small_bench.windows["train"])
         pipeline, _ = train_collab(
             small_bench.windows["train"], small_bench.scorer, llm, small_cfg(),
         )
         w = small_bench.windows["test"][0]
         with pytest.raises(LengthMismatch):
-            detect(pipeline, w, ScoreSeries(np.array([0.5]), ScoreKind.LLM))
+            detect(pipeline, w, np.array([0.5]))
 
 
 class TestCollaborativeTerm:
@@ -315,8 +312,8 @@ class TestCollaborativeTerm:
     def test_precomputed_gradient_equals_per_call(self, small_bench, fixed):
         w = small_bench.windows["train"][0]
         n = 100
-        s = small_bench.scorer.score(w)[0].scores[:n] / 3.0
-        llm = small_bench.llm_scores_for([w])[w.window_id()].scores[:n]
+        s = small_bench.scorer.score(w)[0][:n] / 3.0
+        llm = small_bench.llm_scores_for([w])[w.window_id()][:n]
         pw = (np.ones(n), np.ones(n)) if fixed else weights(
             patch_weights(w, 2).lambda1[:n]
         )
@@ -493,7 +490,7 @@ class TestTrainCollabWritesNoSharedInput:
 def _reference_slot_streams(
     windows: list[TimeSeriesWindow],
     scorer,
-    llm_scores: dict[str, ScoreSeries],
+    llm_scores: dict[str, np.ndarray],
     divisor: float,
     patch_size: int,
 ):
@@ -501,9 +498,9 @@ def _reference_slot_streams(
     streams = []
     for w in windows:
         raw, rep = scorer.score(w)
-        scaled = raw.scores / divisor
+        scaled = raw / divisor
         pw = patch_weights(w, patch_size)
-        streams.append((scaled, llm_scores[w.window_id()].scores, rep, pw))
+        streams.append((scaled, llm_scores[w.window_id()], rep, pw))
     return streams
 
 
@@ -536,7 +533,7 @@ def _reference_pairwise_grad(variant, s_hat, scaled, llm, lam1, lam2):
 def _reference_train_collab(
     windows: list[TimeSeriesWindow],
     scorer,
-    llm_scores: dict[str, ScoreSeries],
+    llm_scores: dict[str, np.ndarray],
     cfg: RunConfig,
 ) -> tuple[FusionPipeline, TrainingCurves]:
     """Joint minibatch SGD over the monotone mapping and the fusion network.
@@ -549,7 +546,7 @@ def _reference_train_collab(
     """
     if not windows:
         raise ValueError("no training windows")
-    raws = [scorer.score(w)[0].scores for w in windows]
+    raws = [scorer.score(w)[0] for w in windows]
     divisor = score_range_divisor(np.concatenate(raws), cfg.d)
     streams = _reference_slot_streams(windows, scorer, llm_scores, divisor, cfg.patchSize)
 

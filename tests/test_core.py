@@ -6,8 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from collate.core import (
     PatchWeights,
-    ScoreKind,
-    ScoreSeries,
     TimeSeriesWindow,
     patch_weights,
     score_range_divisor,
@@ -182,14 +180,6 @@ class TestPatchWeights:
 
 
 class TestTypes:
-    def test_unit_interval_kinds_validated(self):
-        with pytest.raises(ValueError):
-            ScoreSeries(np.array([0.2, 1.3]), ScoreKind.LLM)
-
-    def test_raw_scores_nonnegative(self):
-        with pytest.raises(ValueError):
-            ScoreSeries(np.array([-0.1, 0.5]), ScoreKind.RAW_TSADM)
-
     def test_window_rejects_nan(self):
         with pytest.raises(NonFiniteInput):
             TimeSeriesWindow(np.array([[np.nan]]))

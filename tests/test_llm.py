@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from collate import llm
-from collate.core import ScoreKind, TimeSeriesWindow
+from collate.core import TimeSeriesWindow
 from collate.errors import ConfigError, MalformedResponse, MissingFixture, ScoreOutOfRange
 from collate.llm import score_windows, write_fixture
 
@@ -51,6 +51,14 @@ class TestMockScoring:
         with pytest.raises(ScoreOutOfRange):
             llm.load_fixture(tmp_path / "f.jsonl", ws)
 
+    def test_nan_score_is_out_of_range_and_names_its_window(self, tmp_path):
+        ws = windows(2)
+        table = fixture_for(ws, tmp_path / "f.jsonl")
+        table["w20"][3] = np.nan
+        write_fixture(tmp_path / "f.jsonl", table)
+        with pytest.raises(ScoreOutOfRange, match=r"fixture scores for 'w20' outside \[0, 1\]"):
+            llm.load_fixture(tmp_path / "f.jsonl", ws)
+
     @pytest.mark.parametrize("line", [
         '[0.1, 0.2]',
         '"w0"',
@@ -79,9 +87,8 @@ class TestMockScoring:
     def test_integer_scores_accepted(self, tmp_path):
         ws = windows(1)
         (tmp_path / "f.jsonl").write_text(json.dumps({"window_id": "w0", "scores": [0, 1] * 10}))
-        series = llm.load_fixture(tmp_path / "f.jsonl", ws)["w0"]
-        assert series.kind is ScoreKind.LLM
-        np.testing.assert_array_equal(series.scores, [0.0, 1.0] * 10)
+        scores = llm.load_fixture(tmp_path / "f.jsonl", ws)["w0"]
+        np.testing.assert_array_equal(scores, [0.0, 1.0] * 10)
 
     def test_windows_checked_in_order_for_presence_then_length_then_range(self, tmp_path):
         ws = windows(2)
@@ -112,8 +119,28 @@ class TestLiveScoring:
         assert len(prompts) == 3
         assert all(f"{w.start_index}: " in p for w, p in zip(ws, prompts))
         for w in ws:
-            assert out[w.window_id()].kind is ScoreKind.LLM
-            np.testing.assert_array_equal(out[w.window_id()].scores, 0.25)
+            np.testing.assert_array_equal(out[w.window_id()], 0.25)
+
+    @pytest.mark.parametrize("bad", ["1.5", "nan"])
+    def test_score_outside_unit_interval_is_not_retried(self, bad):
+        calls, sleeps = [], []
+
+        def transport(endpoint, prompt):
+            calls.append(prompt)
+            return f"0.1\n{bad}\n0.3"
+
+        with pytest.raises(ScoreOutOfRange, match=r"scores outside \[0, 1\]"):
+            llm.request_scores(ENDPOINT, "prompt", 3, transport, sleep=sleeps.append)
+        assert len(calls) == 1 and sleeps == []
+
+    def test_score_outside_unit_interval_names_its_window(self):
+        ws = windows(3)
+
+        def transport(endpoint, prompt):
+            return "\n".join(["nan" if "Input data:\n20: " in prompt else "0.25"] * 20)
+
+        with pytest.raises(ScoreOutOfRange, match=r"^window 'w20': scores outside \[0, 1\]"):
+            score_windows(ENDPOINT, ws, transport)
 
     def test_window_over_budget_fails_before_any_request(self, monkeypatch):
         long = TimeSeriesWindow(np.full((2_000, 1), 0.123456), start_index=20)
@@ -206,7 +233,7 @@ class TestDefaultTransport:
 
     def test_text_field_is_parsed(self, monkeypatch):
         result, requests = self.post(monkeypatch, b'{"text": "0.1\\n0.2\\n0.3"}')
-        np.testing.assert_array_equal(result.scores, [0.1, 0.2, 0.3])
+        np.testing.assert_array_equal(result, [0.1, 0.2, 0.3])
         assert len(requests) == 1
 
     def test_missing_key_is_fatal_and_sends_nothing(self, monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -90,7 +91,9 @@ class TestBruteForce:
     def test_constant_truth_flagged_degenerate(self):
         res = brute_force_optimal(np.full(4, 0.5), seed=0)
         assert res.degenerate
-        np.testing.assert_allclose(res.all_losses, 0.0, atol=1e-12)
+        # every vertex reaches the minimum 0, so their mean is the centre
+        assert res.loss == pytest.approx(0.0, abs=1e-12)
+        np.testing.assert_allclose(res.best, 0.5, atol=1e-12)
 
     def test_order_matches_truth_order(self):
         # n y_2 = 1.5 = sum(y): S*_2 = 0 and 1 reach the same minimum, so the
@@ -122,8 +125,8 @@ class TestBruteForce:
             res = brute_force_optimal(y)
             np.testing.assert_array_equal(res.best, (n * y > y.sum()).astype(float))
             assert not res.degenerate
-            assert res.all_losses.shape == (2**n,)
-            assert res.loss == res.all_losses.min()
+            vertices = itertools.product((0.0, 1.0), repeat=n)
+            assert res.loss == min(oracle_loss(np.array(v), y) for v in vertices)
 
 
 class TestPerturbation:

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import collate
-from collate.core import ScoreKind, TimeSeriesWindow
-from collate.errors import NonConvergence, ShapeMismatch
+from collate.core import TimeSeriesWindow
+from collate.errors import NonConvergence, ScoreOutOfRange, ShapeMismatch
 from collate.tsadm import (
     AttentionLayerParams,
     PrecomputedScorer,
@@ -262,7 +262,7 @@ class TestWorkspace:
         ws = _Workspace()
         _, grads = model.loss_and_grads(xb, ws)
         raw, rep = model.score(TimeSeriesWindow(xb.reshape(-1, 1)))
-        returned = [*arrays_of(grads, model.forward(xb)), raw.scores, rep]
+        returned = [*arrays_of(grads, model.forward(xb)), raw, rep]
         assert len(returned) > 30
         for arr in returned:
             for buf in ws.buffers.values():
@@ -274,12 +274,12 @@ class TestWorkspace:
         ws = _Workspace()
         model.loss_and_grads(xb, ws)
         raw, rep = model.score(window)
-        kept = raw.scores.copy(), rep.copy()
+        kept = raw.copy(), rep.copy()
         model.loss_and_grads(xb[::-1], ws)
-        np.testing.assert_array_equal(raw.scores, kept[0])
+        np.testing.assert_array_equal(raw, kept[0])
         np.testing.assert_array_equal(rep, kept[1])
         again, rep_again = model.score(window)
-        np.testing.assert_array_equal(again.scores, kept[0])
+        np.testing.assert_array_equal(again, kept[0])
         np.testing.assert_array_equal(rep_again, kept[1])
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -357,7 +357,7 @@ class TestModel:
         loss, _ = model.loss_and_grads(values[:80].reshape(10, 8, 1))
         assert loss < 1e-4
         raw, _rep = model.score(TimeSeriesWindow(values[:80]))
-        assert raw.scores.max() < 1e-3
+        assert raw.max() < 1e-3
 
     def test_sine_reconstruction_regression(self):
         cfg = TsadmConfig(winLen=16, moduleNum=2, kLen=2, embed=4, trlr=0.01,
@@ -368,7 +368,7 @@ class TestModel:
         held = values[1600:]
         raw, _rep = model.score(TimeSeriesWindow(held))
         # per-slot scores are squared errors summed over the one dimension
-        assert raw.scores.mean() < 0.1 * held.var()
+        assert raw.mean() < 0.1 * held.var()
 
     def test_spike_is_argmax(self):
         cfg = TsadmConfig(winLen=16, moduleNum=2, kLen=2, embed=4, trlr=0.01,
@@ -380,7 +380,7 @@ class TestModel:
         spike_slot = 123
         test[spike_slot, 0] += 10.0 * values.std()
         raw, _ = model.score(TimeSeriesWindow(test))
-        assert int(np.argmax(raw.scores)) == spike_slot
+        assert int(np.argmax(raw)) == spike_slot
 
     def test_scores_nonnegative_and_rep_shape(self):
         cfg = TsadmConfig(winLen=8, moduleNum=2, kLen=2, embed=3, epochs=5, seed=1)
@@ -389,8 +389,7 @@ class TestModel:
         model = train_tsadm(values, cfg)
         window = TimeSeriesWindow(values[:50])
         raw, rep = model.score(window)
-        assert raw.kind is ScoreKind.RAW_TSADM
-        assert raw.scores.min() >= 0.0
+        assert raw.min() >= 0.0
         assert rep.shape == (50, model.rep_dim)
 
     def test_uneven_window_fully_scored(self):
@@ -416,7 +415,7 @@ class TestModel:
             recon, r, _ = model.forward(tile)
             expected_raw[start : start + w] = ((recon[0] - tile[0]) ** 2).sum(axis=1)
             expected_rep[start : start + w] = r[0]
-        np.testing.assert_array_equal(raw.scores, expected_raw)
+        np.testing.assert_array_equal(raw, expected_raw)
         np.testing.assert_array_equal(rep, expected_rep)
 
     @pytest.mark.parametrize("length", [1, 4, 7])
@@ -429,7 +428,7 @@ class TestModel:
         tile = np.concatenate([np.repeat(values[:1], 8 - length, axis=0), values])[None]
         recon, r, _ = model.forward(tile)
         expected = ((recon[0] - tile[0]) ** 2).sum(axis=1)
-        np.testing.assert_array_equal(raw.scores, expected[8 - length :])
+        np.testing.assert_array_equal(raw, expected[8 - length :])
         np.testing.assert_array_equal(rep, r[0, 8 - length :])
 
     def test_training_deterministic(self):
@@ -462,8 +461,18 @@ class TestPrecomputedScorer:
         scorer = PrecomputedScorer(raw, rep, base_index=100)
         w = TimeSeriesWindow(np.zeros((3, 1)), start_index=104)
         scores, r = scorer.score(w)
-        np.testing.assert_array_equal(scores.scores, [4.0, 5.0, 6.0])
+        np.testing.assert_array_equal(scores, [4.0, 5.0, 6.0])
         np.testing.assert_array_equal(r[:, 0], [4.0, 5.0, 6.0])
+
+    @pytest.mark.parametrize("bad", [-0.1, np.nan, np.inf])
+    def test_negative_or_non_finite_raw_rejected_when_built(self, bad):
+        raw = np.ones(5)
+        raw[2] = bad
+        state = {"raw": raw.tolist(), "rep": np.ones((5, 2)).tolist(), "base_index": 0}
+        for build in (lambda: PrecomputedScorer(raw, np.ones((5, 2))),
+                      lambda: scorer_from_dict({"kind": "precomputed", "state": state})):
+            with pytest.raises(ScoreOutOfRange, match="must be finite and nonnegative"):
+                build()
 
     def test_out_of_coverage_rejected(self):
         scorer = PrecomputedScorer(np.ones(5), np.ones((5, 2)))
