@@ -163,16 +163,10 @@ def _allocate(count: int) -> tuple[int, int, int]:
     return train, val, test
 
 
-def baseline_metrics(bench: Benchmark) -> dict[str, DetectionMetrics]:
-    """Detector-only and LLM-only test metrics (the fusion must beat the best
-    of these; the detector-only row is the no-LLM ablation)."""
-    test = bench.test
-    raw_test = bench.scorer.score(test.window())[0]
-    llm_test = bench.llm_by_slot[test.start_index : test.start_index + test.length]
-    return {
-        "tsadm_only": per_kind_metrics(raw_test, test.spans),
-        "llm_only": per_kind_metrics(llm_test, test.spans),
-    }
+def _test_metrics(bench: Benchmark, score_window) -> DetectionMetrics:
+    """``per_kind_metrics`` of ``score_window(w)`` over the test windows, in order."""
+    scores = np.concatenate([score_window(w) for w in bench.windows["test"]])
+    return per_kind_metrics(scores, bench.test.spans)
 
 
 def run_variant(bench: Benchmark, cfg: RunConfig) -> DetectionMetrics:
@@ -180,15 +174,18 @@ def run_variant(bench: Benchmark, cfg: RunConfig) -> DetectionMetrics:
     llm_train = bench.llm_scores_for(bench.windows["train"])
     pipeline, _ = train_collab(bench.windows["train"], bench.scorer, llm_train, cfg)
     llm_test = bench.llm_scores_for(bench.windows["test"])
-    collated = np.concatenate(
-        [detect(pipeline, w, llm_test[w.window_id()]) for w in bench.windows["test"]]
-    )
-    return per_kind_metrics(collated, bench.test.spans)
+    return _test_metrics(bench, lambda w: detect(pipeline, w, llm_test[w.window_id()]))
 
 
 def run_ablation(bench: Benchmark, cfg: RunConfig) -> dict[str, DetectionMetrics]:
-    """Full variant table: every loss variant plus the two single-model rows."""
-    results = baseline_metrics(bench)
+    """Full variant table: the detector-only and LLM-only test metrics (the
+    fusion must beat the best of these; detector-only is the no-LLM
+    ablation), then every loss variant."""
+    llm_test = bench.llm_scores_for(bench.windows["test"])
+    results = {
+        "tsadm_only": _test_metrics(bench, lambda w: bench.scorer.score(w)[0]),
+        "llm_only": _test_metrics(bench, lambda w: llm_test[w.window_id()]),
+    }
     for variant in LossVariant:
         results[variant.value] = run_variant(bench, replace(cfg, loss_variant=variant.value))
     return results

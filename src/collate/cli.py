@@ -9,6 +9,10 @@ bad input, 2 usage error or missing artifact.
 
 ``score-llm`` alone reads ``llm_mode``: ``mock:<fixture>`` reads LLM scores
 from a file, ``live:<url>`` asks the endpoint through ``llm.score_windows``.
+A live target that does not start with ``http://`` or ``https://`` exits 2
+before any request. ``eval --metadata`` exits 1 with one ``error:`` line when
+the file is not JSON, a span is malformed (a key missing, an unknown kind,
+not 0 <= start < end), or the spans overlap or differ from the label column.
 LLM score files (the mock fixture, and ``--llm-scores`` of ``train-collab``
 and ``detect``) go through one loader, ``llm.load_fixture``, so all three
 commands treat a bad file alike: a window missing from it, a window with the
@@ -107,8 +111,8 @@ class RunConfig:
         if self.patchSize > self.window_len:
             raise ConfigError(f"patchSize must not exceed window_len {self.window_len}, "
                               f"got {self.patchSize}")
-        if not (isinstance(self.llm_mode, str)
-                and self.llm_mode.partition(":")[0] in ("mock", "live")):
+        mode, _, target = (self.llm_mode if isinstance(self.llm_mode, str) else "").partition(":")
+        if not (mode == "mock" or mode == "live" and target.startswith(("http://", "https://"))):
             raise ConfigError("llm_mode must look like 'mock:<fixture>' or 'live:<url>'")
 
     def tsadm_config(self) -> TsadmConfig:
@@ -168,15 +172,17 @@ def _require(path: Path, what: str) -> Path:
     return path
 
 
-def _load_labeled(path: Path, meta_path: Path | None = None) -> data_mod.LabeledSeries:
-    series = data_mod.load_csv(_require(path, "dataset CSV"))
-    if meta_path is not None:
-        _, spans = data_mod.read_metadata(_require(meta_path, "metadata"))
-        series = data_mod.LabeledSeries(
-            values=series.values, labels=series.labels, spans=spans,
-            start_index=series.start_index,
-        )
-    return series
+def _read_spans(path: Path, series: data_mod.LabeledSeries) -> list[data_mod.AnomalySpan]:
+    """The metadata's spans, checked against ``series``'s label column: spans
+    that overlap, or whose union is not the labelled slots, raise ParseError
+    naming the first slot where the two disagree."""
+    _, spans = data_mod.read_metadata(_require(path, "metadata"))
+    cover = np.bincount(data_mod.occupied_slots(spans), minlength=series.length)
+    differ = np.flatnonzero(cover != np.pad(series.labels, (0, cover.size - series.length)))
+    if differ.size:
+        raise ParseError("metadata spans and the label column disagree at slot "
+                         f"{series.start_index + differ[0]}")
+    return spans
 
 
 def cmd_gen_data(cfg: RunConfig, out_dir: Path, length: int, n_contextual: int,
@@ -205,7 +211,7 @@ def cmd_train_tsadm(cfg: RunConfig, data_path: Path, out_dir: Path) -> int:
     from .tsadm import train_tsadm
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    series = _load_labeled(data_path)
+    series = data_mod.load_csv(_require(data_path, "dataset CSV"))
     train, _val, _test = data_mod.split(series)
     model = train_tsadm(train.values, cfg.tsadm_config())
     ckpt = out_dir / "tsadm.json"
@@ -228,7 +234,7 @@ def cmd_score_llm(cfg: RunConfig, data_path: Path, out_dir: Path) -> int:
     from .llm import load_fixture, score_windows, write_fixture
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    series = _load_labeled(data_path)
+    series = data_mod.load_csv(_require(data_path, "dataset CSV"))
     parts = data_mod.split_windows(series, cfg.window_len)
     windows = parts["train"] + parts["val"] + parts["test"]
     mode, _, target = cfg.llm_mode.partition(":")
@@ -253,7 +259,7 @@ def cmd_train_collab(cfg: RunConfig, data_path: Path, tsadm_path: Path,
     from .tsadm import TsadmModel
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    series = _load_labeled(data_path)
+    series = data_mod.load_csv(_require(data_path, "dataset CSV"))
     windows = data_mod.split_windows(series, cfg.window_len)["train"]
     model = TsadmModel.load(_require(tsadm_path, "detector checkpoint"))
     llm_scores = load_fixture(_require(scores_path, "LLM scores"), windows)
@@ -288,7 +294,7 @@ def cmd_detect(cfg: RunConfig, data_path: Path, pipeline_path: Path,
 
     out_dir.mkdir(parents=True, exist_ok=True)
     pipeline = FusionPipeline.load(_require(pipeline_path, "pipeline checkpoint"))
-    series = _load_labeled(data_path)
+    series = data_mod.load_csv(_require(data_path, "dataset CSV"))
     parts = data_mod.split_windows(series, cfg.window_len)
     windows = parts["train"] + parts["val"] + parts["test"]
     llm_scores = load_fixture(_require(scores_path, "LLM scores"), windows)
@@ -322,16 +328,16 @@ def _load_collated(path: Path) -> tuple[np.ndarray, np.ndarray]:
 def cmd_eval(cfg: RunConfig, data_path: Path, collated_path: Path,
              out_dir: Path, meta_path: Path | None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
-    series = _load_labeled(data_path, meta_path)
-    ts, scores = _load_collated(collated_path)
+    series = data_mod.load_csv(_require(data_path, "dataset CSV"))
     if series.labels is None:
         raise MissingArtifact("evaluation needs a labeled dataset")
+    spans = [] if meta_path is None else _read_spans(meta_path, series)
+    ts, scores = _load_collated(collated_path)
     mask = (ts >= series.start_index) & (ts < series.start_index + series.length)
     ts, scores = ts[mask], scores[mask]
     labels = series.labels[ts - series.start_index]
-    spans_cover_scores = series.spans and scores.size == series.length
-    if spans_cover_scores:
-        metrics = per_kind_metrics(scores, series.spans)
+    if spans and scores.size == series.length:
+        metrics = per_kind_metrics(scores, spans)
     else:
         _thr, metrics = best_f1_threshold(scores, labels)
     payload = metrics.to_dict()

@@ -90,9 +90,6 @@ class LabeledSeries:
     def has_labels(self) -> bool:
         return self.labels is not None
 
-    def window(self) -> TimeSeriesWindow:
-        return TimeSeriesWindow(self.values, start_index=self.start_index)
-
 
 def gen_mackey_glass(length: int, seed: int) -> LabeledSeries:
     """Generate one noisy delayed-feedback series; labels start all zero."""
@@ -113,7 +110,7 @@ def gen_mackey_glass(length: int, seed: int) -> LabeledSeries:
     return LabeledSeries(values=x[:, None], labels=np.zeros(length, dtype=np.int64))
 
 
-def _occupied(spans: list[AnomalySpan]) -> np.ndarray:
+def occupied_slots(spans: list[AnomalySpan]) -> np.ndarray:
     if not spans:
         return np.zeros(0, dtype=np.int64)
     return np.concatenate([np.arange(s.start, s.end) for s in spans])
@@ -148,7 +145,7 @@ def insert_contextual_anomalies(
             end = start + span_len
             if end + span_len >= t_total:
                 continue
-            occupied = _occupied(spans)
+            occupied = occupied_slots(spans)
             if occupied.size and ((occupied >= start) & (occupied < end)).any():
                 continue
             offset = int(rng.integers(span_len, t_total - end))
@@ -182,7 +179,7 @@ def insert_point_anomalies(
         placed = False
         for _attempt in range(10_000):
             slot = int(rng.integers(lo, hi))
-            occupied = _occupied(spans)
+            occupied = occupied_slots(spans)
             if occupied.size and (np.abs(occupied - slot) <= 1).any():
                 continue
             sign = 1.0 if rng.uniform() < 0.5 else -1.0
@@ -381,9 +378,14 @@ def write_metadata(
 
 
 def read_metadata(path: str | Path) -> tuple[dict, list[AnomalySpan]]:
-    payload = json.loads(Path(path).read_text())
-    spans = [
-        AnomalySpan(s["start"], s["end"], AnomalyKind(s["kind"]))
-        for s in payload["spans"]
-    ]
+    """The sidecar's payload and spans. Text that is not JSON, or a span
+    without integers 0 <= start < end and a known kind, raises ParseError."""
+    try:
+        payload = json.loads(Path(path).read_text())
+        spans = [AnomalySpan(s["start"], s["end"], AnomalyKind(s["kind"]))
+                 for s in payload["spans"]]
+        if not all(type(s.start) is type(s.end) is int and 0 <= s.start < s.end for s in spans):
+            raise ValueError("a span needs integers 0 <= start < end")
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ParseError(f"metadata: {type(exc).__name__}: {exc}") from None
     return payload, spans

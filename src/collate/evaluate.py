@@ -1,13 +1,13 @@
 """Detection metrics, threshold selection, per-kind breakdowns, reports.
 
-Slot-wise precision/recall/F1 with no point-adjustment by default: adjusted
-scoring inflates results, so the stricter metric is primary and adjustment is
-available behind a flag for comparison only.
+Precision, recall and F1 are counted slot by slot. There is no
+point-adjustment (marking a whole labelled segment detected when one of its
+slots is): it inflates results, so no path here offers it.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -48,26 +48,7 @@ def _as_scores(scores) -> np.ndarray:
     return np.asarray(scores, dtype=np.float64).reshape(-1)
 
 
-def point_adjust(pred: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Mark a whole ground-truth segment detected if any slot in it is; for
-    comparison with adjusted published numbers only."""
-    pred = pred.copy()
-    n = labels.size
-    i = 0
-    while i < n:
-        if labels[i] == 1:
-            j = i
-            while j < n and labels[j] == 1:
-                j += 1
-            if pred[i:j].any():
-                pred[i:j] = True
-            i = j
-        else:
-            i += 1
-    return pred
-
-
-def prf1(scores, labels, threshold: float, adjust: bool = False) -> DetectionMetrics:
+def prf1(scores, labels, threshold: float) -> DetectionMetrics:
     """Slot-wise thresholding: score > threshold predicts anomalous.
 
     Zero-division conventions: precision is 0 with no predicted positives,
@@ -78,8 +59,6 @@ def prf1(scores, labels, threshold: float, adjust: bool = False) -> DetectionMet
     if s.size != y.size:
         raise LengthMismatch(f"{s.size} scores vs {y.size} labels")
     pred = s > threshold
-    if adjust:
-        pred = point_adjust(pred, y)
     tp = int(np.sum(pred & (y == 1)))
     fp = int(np.sum(pred & (y == 0)))
     fn = int(np.sum(~pred & (y == 1)))
@@ -89,7 +68,7 @@ def prf1(scores, labels, threshold: float, adjust: bool = False) -> DetectionMet
     return DetectionMetrics(precision, recall, f1, float(threshold), tp, fp, fn)
 
 
-def best_f1_threshold(scores, labels, adjust: bool = False) -> tuple[float, DetectionMetrics]:
+def best_f1_threshold(scores, labels) -> tuple[float, DetectionMetrics]:
     """Best slot-wise F1 over the midpoints of the sorted unique scores plus
     a predict-everything threshold below the minimum; F1 ties break toward
     the lower threshold (higher recall).
@@ -97,10 +76,8 @@ def best_f1_threshold(scores, labels, adjust: bool = False) -> tuple[float, Dete
     One pass: each slot's rank among the unique scores, positives and
     negatives counted per rank (bincount), and counts above every candidate
     from a reverse cumulative sum. P, R and F1 follow from the integer counts
-    exactly as ``prf1`` computes them. With ``adjust`` every positive slot
-    takes the highest rank in its labelled segment: a segment is predicted
-    whole exactly when its maximum score clears the threshold, which is what
-    ``point_adjust`` does to ``prf1``'s predictions.
+    exactly as ``prf1`` computes them. A score count other than the label
+    count raises LengthMismatch, and labels with no positive NoPositives.
     """
     s = _as_scores(scores)
     y = np.asarray(labels, dtype=np.int64).reshape(-1)
@@ -110,8 +87,6 @@ def best_f1_threshold(scores, labels, adjust: bool = False) -> tuple[float, Dete
     if not pos.any():
         raise NoPositives("threshold selection needs at least one positive label")
     uniq, rank = np.unique(s, return_inverse=True)
-    if adjust:
-        rank = _segment_max(rank, pos)
     candidates = np.concatenate([[uniq[0] - 1.0], (uniq[:-1] + uniq[1:]) / 2.0])
     # slots scored above a candidate are those of rank >= first, for
     # first = number of unique scores <= candidate (exact even when a
@@ -140,18 +115,6 @@ def _count_from_rank(rank: np.ndarray, u: int) -> np.ndarray:
     return np.concatenate([np.cumsum(np.bincount(rank, minlength=u)[::-1])[::-1], [0]])
 
 
-def _segment_max(rank: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """``rank`` with every run of consecutive positive slots set to the run's
-    maximum."""
-    edges = np.diff(np.concatenate([[0], pos.astype(np.int8), [0]]))
-    starts = np.flatnonzero(edges == 1)
-    lengths = np.flatnonzero(edges == -1) - starts
-    offsets = np.concatenate([[0], np.cumsum(lengths)[:-1]])
-    out = rank.copy()
-    out[pos] = np.repeat(np.maximum.reduceat(rank[pos], offsets), lengths)
-    return out
-
-
 def labels_from_spans(spans: list[AnomalySpan], length: int, kind=None) -> np.ndarray:
     y = np.zeros(length, dtype=np.int64)
     for s in spans:
@@ -160,7 +123,7 @@ def labels_from_spans(spans: list[AnomalySpan], length: int, kind=None) -> np.nd
     return y
 
 
-def per_kind_metrics(scores, spans: list[AnomalySpan], adjust: bool = False) -> DetectionMetrics:
+def per_kind_metrics(scores, spans: list[AnomalySpan]) -> DetectionMetrics:
     """Overall best-F1 metrics plus contextual-only and point-only breakdowns.
 
     The breakdowns reuse the overall operating threshold; each considers only
@@ -172,7 +135,7 @@ def per_kind_metrics(scores, spans: list[AnomalySpan], adjust: bool = False) -> 
     y_all = labels_from_spans(spans, s.size)
     if not y_all.any():
         raise NoPositives("spans mark no slots")
-    threshold, overall = best_f1_threshold(s, y_all, adjust=adjust)
+    threshold, overall = best_f1_threshold(s, y_all)
     breakdown = {}
     for kind in AnomalyKind:
         y_kind = labels_from_spans(spans, s.size, kind)
@@ -180,18 +143,8 @@ def per_kind_metrics(scores, spans: list[AnomalySpan], adjust: bool = False) -> 
             breakdown[kind.value] = "no_positives"
             continue
         keep = (y_all == 0) | (y_kind == 1)
-        m = prf1(s[keep], y_kind[keep], threshold, adjust=adjust)
-        breakdown[kind.value] = m.to_dict()
-    return DetectionMetrics(
-        overall.precision,
-        overall.recall,
-        overall.f1,
-        threshold,
-        overall.tp,
-        overall.fp,
-        overall.fn,
-        per_kind=breakdown,
-    )
+        breakdown[kind.value] = prf1(s[keep], y_kind[keep], threshold).to_dict()
+    return replace(overall, per_kind=breakdown)
 
 
 def score_overlay_svg(

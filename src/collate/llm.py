@@ -24,7 +24,7 @@ import numpy as np
 
 from . import data as data_mod
 from .core import TimeSeriesWindow
-from .errors import ConfigError, MalformedResponse, MissingFixture, ScoreOutOfRange
+from .errors import CollateError, ConfigError, MalformedResponse, MissingFixture, ScoreOutOfRange
 
 API_KEY_VAR = "COLLATE_LLM_API_KEY"  # the environment variable holding the key
 MAX_IN_FLIGHT = 4  # live requests at once
@@ -223,14 +223,14 @@ def _fetch(
 ) -> np.ndarray | None:
     """``request_scores`` for ``window``, unless ``stop`` is set: then nothing
     is sent and the result is None. A failure sets ``stop`` before it
-    propagates; a score outside [0, 1] names the window."""
+    propagates; a CollateError keeps its type and names the window."""
     if stop.is_set():
         return None
     try:
         return request_scores(endpoint, prompt, window.length, transport)
-    except ScoreOutOfRange as exc:
+    except CollateError as exc:
         stop.set()
-        raise ScoreOutOfRange(f"window {window.window_id()!r}: {exc}") from None
+        raise type(exc)(f"window {window.window_id()!r}: {exc}") from None
     except Exception:
         stop.set()
         raise

@@ -10,9 +10,10 @@ import urllib.error
 import urllib.request
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from collate import benchmark, cli, llm
+from collate import benchmark, cli, data as data_mod, llm
 from collate.core import LossVariant
 
 
@@ -84,7 +85,7 @@ class TestPipeline:
                          "score-llm", "--data", str(run_dir / "D" / "data.csv")]) == 0
         assert (elsewhere / "out" / "llm_scores.jsonl").read_bytes() == inside
 
-    def test_run_passes_the_benchmarks_output_checks(self, run_dir):
+    def test_run_passes_the_benchmarks_output_checks(self, run_dir, tmp_path):
         # perfbench/checks.py, imported by path and left as the benchmark runs it
         path = Path(__file__).parents[1] / "perfbench" / "checks.py"
         spec = importlib.util.spec_from_file_location("perfbench_checks", path)
@@ -98,6 +99,12 @@ class TestPipeline:
         checks.check_detect(run_dir / "detect", 2000)
         checks.check_eval(data, run_dir / "detect", run_dir / "eval")
         checks.check_brute_force(0)
+        # ablate and verify build their inputs from the seed; verify exits 1
+        # while theorem2 fails, which the benchmark accepts too
+        assert cli.main(["--out", str(tmp_path / "ablate"), "ablate"]) == 0
+        checks.check_ablate(tmp_path / "ablate")
+        assert cli.main(["--out", str(tmp_path / "verify"), "verify"]) in (0, 1)
+        checks.check_verify(tmp_path / "verify")
 
     def test_rerun_is_byte_identical(self, run_dir, tmp_path):
         """train-tsadm, train-collab and detect twice on the same inputs give
@@ -236,6 +243,10 @@ class TestBadConfig:
         ({"loss_variant": []},
          f"loss_variant must be one of {sorted(v.value for v in LossVariant)}, got []"),
         ({"window_len": 3, "patchSize": 4}, "patchSize must not exceed window_len 3, got 4"),
+        ({"llm_mode": "live:not-a-url"},
+         "llm_mode must look like 'mock:<fixture>' or 'live:<url>'"),
+        ({"llm_mode": "live:"},
+         "llm_mode must look like 'mock:<fixture>' or 'live:<url>'"),
     ])
     def test_exits_2_with_one_line(self, tmp_path, capsys, config, message):
         cfg = tmp_path / "cfg.json"
@@ -387,6 +398,60 @@ class TestBadCollated:
                          "--collated", str(collated)])
         assert code == 1
         assert capsys.readouterr().err == message
+
+
+class TestBadMetadata:
+    """An ``eval --metadata`` file that is malformed, or whose spans are not
+    the dataset's labels, exits 1 with one error line and writes no report."""
+
+    @staticmethod
+    def bad_metadata(run_dir, tmp_path, case):
+        """The metadata text for ``case``, and the error it should raise."""
+        meta = json.loads((run_dir / "D" / "metadata.json").read_text())
+        first = meta["spans"][0]
+        if case == "another seed":
+            other = tmp_path / "other"
+            assert cli.main(["--seed", "5", "--out", str(other), "gen-data", "--length", "2000",
+                             "--contextual", "4", "--point", "4"]) == 0
+            ours, theirs = (data_mod.load_csv(d / "data.csv").labels
+                            for d in (run_dir / "D", other))
+            slot = int(np.flatnonzero(ours != theirs)[0])
+            return ((other / "metadata.json").read_text(),
+                    f"metadata spans and the label column disagree at slot {slot}")
+        if case == "not JSON":
+            return "not json", ("metadata: JSONDecodeError: "
+                                "Expecting value: line 1 column 1 (char 0)")
+        if case == "span without end":
+            return json.dumps({"spans": [{"start": 1}]}), "metadata: KeyError: 'end'"
+        if case == "unknown kind":
+            meta["spans"][0] = {**first, "kind": "trend"}
+            message = "metadata: ValueError: 'trend' is not a valid AnomalyKind"
+        elif case == "end before start":
+            meta["spans"][0] = {**first, "start": first["end"], "end": first["start"]}
+            message = "metadata: ValueError: a span needs integers 0 <= start < end"
+        elif case == "span moved one slot":
+            meta["spans"][0] = {**first, "start": first["start"] + 1, "end": first["end"] + 1}
+            message = f"metadata spans and the label column disagree at slot {first['start']}"
+        elif case == "span listed twice":
+            meta["spans"].append(first)
+            message = f"metadata spans and the label column disagree at slot {first['start']}"
+        return json.dumps(meta), message
+
+    @pytest.mark.parametrize("case", ["not JSON", "span without end", "unknown kind",
+                                      "end before start", "span moved one slot",
+                                      "span listed twice", "another seed"])
+    def test_exits_1_with_one_line(self, run_dir, tmp_path, capsys, case):
+        text, message = self.bad_metadata(run_dir, tmp_path, case)
+        meta = tmp_path / "metadata.json"
+        meta.write_text(text)
+        capsys.readouterr()
+        code = cli.main(["--config", str(run_dir / "cfg.json"), "--out", str(tmp_path / "e"),
+                         "eval", "--data", str(run_dir / "D" / "data.csv"),
+                         "--collated", str(run_dir / "detect" / "collated.csv"),
+                         "--metadata", str(meta)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "e" / "metrics.json").exists()
 
 
 def _modules_after(code: str) -> set[str]:
@@ -562,7 +627,9 @@ class TestLiveScoring:
         code = cli.main(["--config", str(cfg), "--out", str(tmp_path / "llm"),
                          "score-llm", "--data", str(run_dir / "D" / "data.csv")])
         assert code == 2
-        assert capsys.readouterr().err == "error: http://127.0.0.1:9/ answered HTTP 401\n"
+        assert capsys.readouterr().err == (
+            "error: window 'w0': http://127.0.0.1:9/ answered HTTP 401\n"
+        )
         assert len(requests) == 1
 
     def test_nan_score_exits_1_naming_its_window(self, run_dir, tmp_path, monkeypatch, capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from collate import alignment as align_mod
 from collate import collab as collab_mod
 from collate.alignment import MonotoneMapping
-from collate.benchmark import BenchmarkConfig, build_benchmark
+from collate.benchmark import BenchmarkConfig, build_benchmark, run_ablation
 from collate.cli import RunConfig
 from collate.collab import (
     _check_lengths,
@@ -30,6 +30,7 @@ from collate.core import (
     sigmoid,
 )
 from collate.errors import LengthMismatch, NonConvergence, WindowTooShort
+from collate.evaluate import per_kind_metrics
 from collate.optim import Adam
 from test_optim import _reference_adam_step
 
@@ -305,6 +306,16 @@ class TestTrainCollab:
         w = small_bench.windows["test"][0]
         with pytest.raises(LengthMismatch):
             detect(pipeline, w, np.array([0.5]))
+
+
+class TestRunAblation:
+    def test_single_model_rows_score_the_test_split(self, small_bench):
+        rows = run_ablation(small_bench, small_cfg(variant_epochs=1))
+        assert list(rows) == ["tsadm_only", "llm_only", *(v.value for v in LossVariant)]
+        test = small_bench.test
+        lo, hi = test.start_index, test.start_index + test.length
+        assert rows["tsadm_only"] == per_kind_metrics(small_bench.scorer.raw[lo:hi], test.spans)
+        assert rows["llm_only"] == per_kind_metrics(small_bench.llm_by_slot[lo:hi], test.spans)
 
 
 class TestCollaborativeTerm:

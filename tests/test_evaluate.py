@@ -4,19 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from collate.data import AnomalyKind, AnomalySpan
 from collate.errors import LengthMismatch, NoPositives
 from collate.evaluate import (
     SVG_HEIGHT,
     SVG_WIDTH,
     DetectionMetrics,
     best_f1_threshold,
-    point_adjust,
+    per_kind_metrics,
     prf1,
     score_overlay_svg,
 )
 
 
-def brute_force_best_f1(scores, labels, adjust=False):
+def brute_force_best_f1(scores, labels):
     """The scan as it was before the one-pass rewrite: one ``prf1`` per
     candidate threshold."""
     s = np.asarray(scores, dtype=np.float64).reshape(-1)
@@ -26,7 +27,7 @@ def brute_force_best_f1(scores, labels, adjust=False):
     candidates.extend(((uniq[:-1] + uniq[1:]) / 2.0).tolist())
     best: DetectionMetrics | None = None
     for t in candidates:
-        m = prf1(s, y, t, adjust=adjust)
+        m = prf1(s, y, t)
         if best is None or m.f1 > best.f1 or (m.f1 == best.f1 and t < best.threshold):
             best = m
     return best.threshold, best
@@ -56,12 +57,11 @@ def scored_labels(draw):
 
 
 class TestBestF1:
-    @given(scored_labels(), st.booleans())
+    @given(scored_labels())
     @settings(max_examples=300, deadline=None)
-    def test_equals_brute_force(self, data, adjust):
+    def test_equals_brute_force(self, data):
         scores, labels = data
-        assert_same(best_f1_threshold(scores, labels, adjust=adjust),
-                    brute_force_best_f1(scores, labels, adjust=adjust))
+        assert_same(best_f1_threshold(scores, labels), brute_force_best_f1(scores, labels))
 
     def test_adjacent_floats_whose_midpoint_rounds_onto_a_score(self):
         a = 0.3
@@ -69,18 +69,7 @@ class TestBestF1:
         c = np.nextafter(b, 1.0)
         scores = np.array([a, b, c, b, a, c])
         for labels in ([0, 1, 1, 0, 0, 1], [1, 0, 0, 0, 0, 1], [0, 0, 1, 1, 0, 0]):
-            for adjust in (False, True):
-                assert_same(best_f1_threshold(scores, labels, adjust=adjust),
-                            brute_force_best_f1(scores, labels, adjust=adjust))
-
-    def test_adjust_scores_segment_by_its_maximum(self):
-        scores = np.array([0.1, 0.9, 0.2, 0.1, 0.3, 0.1])
-        labels = np.array([0, 1, 1, 0, 1, 1])
-        thr, m = best_f1_threshold(scores, labels, adjust=True)
-        assert (m.tp, m.fp, m.fn) == (4, 0, 0)
-        assert thr == pytest.approx(0.15)
-        pred = point_adjust(scores > thr, labels)
-        np.testing.assert_array_equal(pred, labels == 1)
+            assert_same(best_f1_threshold(scores, labels), brute_force_best_f1(scores, labels))
 
     def test_ties_break_toward_lower_threshold(self):
         # predicting everything (P 1/2, R 1) and only the top slot (P 1, R 1/2)
@@ -96,6 +85,53 @@ class TestBestF1:
             best_f1_threshold(np.ones(3), np.ones(2))
         with pytest.raises(NoPositives):
             best_f1_threshold(np.ones(3), np.zeros(3))
+
+
+def span(start, end, kind):
+    return AnomalySpan(start, end, AnomalyKind(kind))
+
+
+class TestPerKindMetrics:
+    # slots 2-4 contextual, slot 8 point; the point slot scores below two
+    # normal slots, so the overall threshold misses it
+    SCORES = np.array([0.1, 0.2, 0.9, 0.8, 0.7, 0.6, 0.65, 0.1, 0.55, 0.0])
+    SPANS = [span(2, 5, "contextual"), span(8, 9, "point")]
+
+    def test_overall_is_the_best_f1_over_every_span(self):
+        labels = np.zeros(10, dtype=np.int64)
+        labels[[2, 3, 4, 8]] = 1
+        m = per_kind_metrics(self.SCORES, self.SPANS)
+        thr, best = best_f1_threshold(self.SCORES, labels)
+        assert m.threshold == thr == 0.675
+        assert (m.precision, m.recall, m.f1, m.tp, m.fp, m.fn) == (
+            best.precision, best.recall, best.f1, best.tp, best.fp, best.fn)
+        assert m.to_dict() == {**best.to_dict(), "per_kind": m.per_kind}
+
+    def test_each_kind_reuses_the_overall_threshold_without_the_other_kind(self):
+        per_kind = per_kind_metrics(self.SCORES, self.SPANS).per_kind
+        # contextual: slot 8 is left out, not counted a false negative or positive
+        keep = np.array([0, 1, 2, 3, 4, 5, 6, 7, 9])
+        ctx = np.array([0, 0, 1, 1, 1, 0, 0, 0, 0])
+        assert per_kind["contextual"] == prf1(self.SCORES[keep], ctx, 0.675).to_dict()
+        assert (per_kind["contextual"]["tp"], per_kind["contextual"]["fp"],
+                per_kind["contextual"]["fn"]) == (3, 0, 0)
+        # point: slots 2-4 are left out, so slot 8's miss is all that counts
+        keep = np.array([0, 1, 5, 6, 7, 8, 9])
+        point = np.array([0, 0, 0, 0, 0, 1, 0])
+        assert per_kind["point"] == prf1(self.SCORES[keep], point, 0.675).to_dict()
+        assert (per_kind["point"]["tp"], per_kind["point"]["fp"],
+                per_kind["point"]["fn"]) == (0, 0, 1)
+
+    def test_a_kind_without_spans_reads_no_positives(self):
+        m = per_kind_metrics(self.SCORES, self.SPANS[:1])
+        assert m.per_kind["point"] == "no_positives"
+        assert m.per_kind["contextual"]["recall"] == 1.0
+
+    def test_spans_that_mark_no_slot_raise(self):
+        with pytest.raises(NoPositives):
+            per_kind_metrics(self.SCORES, [])
+        with pytest.raises(NoPositives):
+            per_kind_metrics(self.SCORES, [span(12, 14, "contextual")])
 
 
 def _reference_score_overlay_svg(values, scores, labels=None, threshold=None, title=""):

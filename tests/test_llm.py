@@ -142,6 +142,25 @@ class TestLiveScoring:
         with pytest.raises(ScoreOutOfRange, match=r"^window 'w20': scores outside \[0, 1\]"):
             score_windows(ENDPOINT, ws, transport)
 
+    @pytest.mark.parametrize("reply, error", [
+        ("\n".join(["0.25"] * 19), "expected 20 scores, response carried 19"),
+        ("\n".join(["0.25"] * 19 + ["high"]), "non-numeric score line"),
+        (None, "all attempts failed: attempt 1: refused"),
+    ], ids=["one score short", "line not a number", "every attempt refused"])
+    def test_every_error_names_its_window(self, monkeypatch, reply, error):
+        """w20's reply alone is bad; its error keeps its type and names it."""
+        monkeypatch.setattr(llm, "BACKOFF_BASE", 0.0)
+
+        def transport(endpoint, prompt):
+            if "Input data:\n20: " not in prompt:
+                return "\n".join(["0.25"] * 20)
+            if reply is None:
+                raise ConnectionRefusedError("refused")
+            return reply
+
+        with pytest.raises(MalformedResponse, match=f"^window 'w20': {error}"):
+            score_windows(ENDPOINT, windows(3), transport)
+
     def test_window_over_budget_fails_before_any_request(self, monkeypatch):
         long = TimeSeriesWindow(np.full((2_000, 1), 0.123456), start_index=20)
         chars = len("\n".join(f"{20 + i}: 0.123456" for i in range(2_000)))
