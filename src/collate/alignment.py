@@ -45,16 +45,6 @@ class HalfGaussianFit:
         return np.where(x <= 0.0, 0.0, np.vectorize(math.erf)(x / (self.sigma * _SQRT2)))
 
 
-@dataclass(frozen=True)
-class AlignmentConfig:
-    lambda_hat_1: float = 1.0
-    lambda_hat_2: float = 1.0
-
-    def __post_init__(self):
-        if self.lambda_hat_1 < 0 or self.lambda_hat_2 < 0:
-            raise ValueError("penalty weights must be nonnegative")
-
-
 def fit_half_gaussian(scores) -> HalfGaussianFit:
     """Estimate the half-Gaussian scale from nonnegative scores.
 
@@ -81,13 +71,13 @@ def half_gaussian_density(fit: HalfGaussianFit, x):
 
 
 def alignment_loss_grad(
-    mapped: np.ndarray, fit: HalfGaussianFit, cfg: AlignmentConfig
+    mapped: np.ndarray, fit: HalfGaussianFit, lambda_hat: float
 ) -> tuple[float, np.ndarray]:
     """Alignment loss and its gradient with respect to the mapped scores.
 
     The loss is the negative mean log-density of the mapped scores under the
-    target, plus squared penalties steering the batch mean and (n-1)-variance
-    onto the target moments.
+    target, plus squared penalties, both weighted by ``lambda_hat``, steering
+    the batch mean and (n-1)-variance onto the target moments.
     """
     m = np.asarray(mapped, dtype=np.float64).reshape(-1)
     n = m.size
@@ -102,56 +92,43 @@ def alignment_loss_grad(
     var = float(np.add.reduce(centred * centred) / (n - 1))
     loss = (
         -float(np.add.reduce(np.log(dens)) / n)
-        + cfg.lambda_hat_1 * (mean - fit.mu_hat) ** 2
-        + cfg.lambda_hat_2 * (var - fit.sigma_hat_sq) ** 2
+        + lambda_hat * (mean - fit.mu_hat) ** 2
+        + lambda_hat * (var - fit.sigma_hat_sq) ** 2
     )
     # -log density has derivative m / sigma^2; the centered-variance term's
     # mean-dependence cancels because sum(m - mean) = 0.
     grad = m / (fit.sigma**2 * n)
-    grad += cfg.lambda_hat_1 * 2.0 * (mean - fit.mu_hat) / n
-    centred *= cfg.lambda_hat_2 * 2.0 * (var - fit.sigma_hat_sq) * 2.0
+    grad += lambda_hat * 2.0 * (mean - fit.mu_hat) / n
+    centred *= lambda_hat * 2.0 * (var - fit.sigma_hat_sq) * 2.0
     centred /= n - 1
     grad += centred
     return float(loss), grad
 
 
-def bin_mass(fit: HalfGaussianFit, lo: float, hi: float) -> float:
-    """Target probability mass on [lo, hi]."""
-    return float(fit.cdf(hi) - fit.cdf(lo))
-
-
-def discrete_alignment_objective(
-    mapped: np.ndarray, fit: HalfGaussianFit, n_bins: int, cfg: AlignmentConfig
-) -> float:
-    """Histogram form of the alignment objective over n_bins bins of [0, 1].
-
-    The cross-entropy term weights each occupied bin by its count and scores
-    it by the log of the bin-averaged target density (bin mass divided by bin
-    width); empty bins contribute nothing. With one bin this reduces to the
-    log of the total mass on [0, 1]. Serves as the discretization oracle for
-    the differentiable loss and is never used in training.
+def discrete_alignment_objective(mapped: np.ndarray, fit: HalfGaussianFit, n_bins: int) -> float:
+    """Histogram form of the alignment loss's log-density term over n_bins
+    bins of [0, 1]: a cross-entropy that weights each occupied bin by its
+    count and scores it by the log of the bin-averaged target density (the
+    fit's CDF difference over the bin, divided by the bin width); empty bins
+    add nothing. With one bin this reduces to the log of the total mass on
+    [0, 1]. Serves as the discretization oracle for the differentiable loss
+    and is never used in training.
     """
     m = np.asarray(mapped, dtype=np.float64).reshape(-1)
-    n = m.size
     if n_bins < 1:
         raise ValueError("need at least one bin")
     if (m < 0).any() or (m > 1).any():
         raise ValueError("mapped scores must lie in [0, 1] for the binned objective")
     idx = np.minimum((m * n_bins).astype(int), n_bins - 1)
     counts = np.bincount(idx, minlength=n_bins)
+    occupied = np.nonzero(counts)[0]
+    masses = fit.cdf((occupied + 1) / n_bins) - fit.cdf(occupied / n_bins)
     ce = 0.0
-    for i in np.nonzero(counts)[0]:
-        mass = bin_mass(fit, i / n_bins, (i + 1) / n_bins)
+    for i, mass in zip(occupied, masses):
         if mass <= 0.0:
             raise NonFiniteDensity(f"bin {i} has zero target mass")
-        ce -= counts[i] / n * math.log(mass * n_bins)
-    mean = float(m.mean())
-    var = float(m.var(ddof=1)) if n > 1 else 0.0
-    return (
-        ce
-        + cfg.lambda_hat_1 * (mean - fit.mu_hat) ** 2
-        + cfg.lambda_hat_2 * (var - fit.sigma_hat_sq) ** 2
-    )
+        ce -= counts[i] / m.size * math.log(mass * n_bins)
+    return ce
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:

@@ -5,14 +5,21 @@ Every command validates its JSON config (unknown keys rejected), is
 re-runnable with identical outputs for identical inputs, and writes a
 manifest (inputs with hashes, seed, version) next to its artifacts so a run
 can be replayed exactly. Exit codes: 0 success, 1 verification failure or
-bad input, 2 usage error or missing artifact.
+bad input, 2 usage error or missing artifact. ``main`` makes the ``--out``
+directory once the config has loaded; a path that cannot be made a
+directory (a file, or a path under one) exits 2.
 
 ``score-llm`` alone reads ``llm_mode``: ``mock:<fixture>`` reads LLM scores
 from a file, ``live:<url>`` asks the endpoint through ``llm.score_windows``.
-A live target that does not start with ``http://`` or ``https://`` exits 2
-before any request. ``eval --metadata`` exits 1 with one ``error:`` line when
-the file is not JSON, a span is malformed (a key missing, an unknown kind,
-not 0 <= start < end), or the spans overlap or differ from the label column.
+A live target that does not start with ``http://`` or ``https://``, or names
+no host, exits 2 before any request. ``eval --metadata`` exits 1 with one
+``error:`` line when the file is not JSON, a span is malformed (a key
+missing, an unknown kind, not 0 <= start < end), or the spans overlap or
+differ from the label column. ``eval`` also exits 1 when ``collated.csv``
+misses a slot of the dataset or lists one outside it. A checkpoint
+(``tsadm.json``, ``pipeline.json``) that is not JSON, or that its loader
+cannot read (a key missing, an unknown version or scorer kind), exits 1 with
+one ``error:`` line naming the file.
 LLM score files (the mock fixture, and ``--llm-scores`` of ``train-collab``
 and ``detect``) go through one loader, ``llm.load_fixture``, so all three
 commands treat a bad file alike: a window missing from it, a window with the
@@ -34,6 +41,7 @@ import dataclasses
 import hashlib
 import json
 import sys
+import urllib.parse
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -112,7 +120,12 @@ class RunConfig:
             raise ConfigError(f"patchSize must not exceed window_len {self.window_len}, "
                               f"got {self.patchSize}")
         mode, _, target = (self.llm_mode if isinstance(self.llm_mode, str) else "").partition(":")
-        if not (mode == "mock" or mode == "live" and target.startswith(("http://", "https://"))):
+        try:
+            host = urllib.parse.urlsplit(target).hostname
+        except ValueError:
+            host = None
+        live = target.startswith(("http://", "https://")) and host
+        if not (mode == "mock" or mode == "live" and live):
             raise ConfigError("llm_mode must look like 'mock:<fixture>' or 'live:<url>'")
 
     def tsadm_config(self) -> TsadmConfig:
@@ -191,7 +204,6 @@ def cmd_gen_data(cfg: RunConfig, out_dir: Path, length: int, n_contextual: int,
     a mock LLM fixture covering its windows."""
     from .benchmark import BenchmarkConfig, build_benchmark
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     bench = build_benchmark(BenchmarkConfig(
         length=length, seed=cfg.seed, n_contextual=n_contextual, n_point=n_point,
         window_len=cfg.window_len,
@@ -210,7 +222,6 @@ def cmd_gen_data(cfg: RunConfig, out_dir: Path, length: int, n_contextual: int,
 def cmd_train_tsadm(cfg: RunConfig, data_path: Path, out_dir: Path) -> int:
     from .tsadm import train_tsadm
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     series = data_mod.load_csv(_require(data_path, "dataset CSV"))
     train, _val, _test = data_mod.split(series)
     model = train_tsadm(train.values, cfg.tsadm_config())
@@ -233,7 +244,6 @@ def cmd_score_llm(cfg: RunConfig, data_path: Path, out_dir: Path) -> int:
     """
     from .llm import load_fixture, score_windows, write_fixture
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     series = data_mod.load_csv(_require(data_path, "dataset CSV"))
     parts = data_mod.split_windows(series, cfg.window_len)
     windows = parts["train"] + parts["val"] + parts["test"]
@@ -258,7 +268,6 @@ def cmd_train_collab(cfg: RunConfig, data_path: Path, tsadm_path: Path,
     from .llm import load_fixture
     from .tsadm import TsadmModel
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     series = data_mod.load_csv(_require(data_path, "dataset CSV"))
     windows = data_mod.split_windows(series, cfg.window_len)["train"]
     model = TsadmModel.load(_require(tsadm_path, "detector checkpoint"))
@@ -292,7 +301,6 @@ def cmd_detect(cfg: RunConfig, data_path: Path, pipeline_path: Path,
     from .collab import FusionPipeline, detect
     from .llm import load_fixture
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     pipeline = FusionPipeline.load(_require(pipeline_path, "pipeline checkpoint"))
     series = data_mod.load_csv(_require(data_path, "dataset CSV"))
     parts = data_mod.split_windows(series, cfg.window_len)
@@ -311,10 +319,11 @@ def cmd_detect(cfg: RunConfig, data_path: Path, pipeline_path: Path,
     return 0
 
 
-def _load_collated(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    """The slots and scores of ``detect``'s `t,score` file, sorted by slot;
-    a malformed row, or a slot listed again, raises ParseError with its line
-    number."""
+def _load_collated(path: Path, series: data_mod.LabeledSeries) -> np.ndarray:
+    """The scores of ``detect``'s `t,score` file in slot order. A malformed
+    row, a slot listed again, or a slot outside ``series`` raises ParseError
+    with its line number; then the first slot of ``series`` that the file
+    misses raises ParseError."""
     lines = data_mod.read_lines(_require(path, "collated scores"))
     ts, scores, _ = data_mod.parse_rows(lines, 1, labelled=False)
     order = np.argsort(ts, kind="stable")
@@ -322,29 +331,35 @@ def _load_collated(path: Path) -> tuple[np.ndarray, np.ndarray]:
     again = np.flatnonzero(ts[1:] == ts[:-1])
     if again.size:
         raise ParseError(f"slot {ts[again[0]]} is listed again", line=order[again[0] + 1] + 2)
-    return ts, scores[order, 0]
+    lo = series.start_index
+    outside = np.flatnonzero((ts < lo) | (ts >= lo + series.length))
+    if outside.size:
+        raise ParseError(f"slot {ts[outside[0]]} lies outside the dataset",
+                         line=order[outside[0]] + 2)
+    if ts.size < series.length:
+        # sorted, distinct and inside: the first row that is not lo + row
+        # sits where a slot is missing
+        gap = np.flatnonzero(ts != np.arange(lo, lo + ts.size))
+        raise ParseError(f"slot {lo + (gap[0] if gap.size else ts.size)} has no collated score")
+    return scores[order, 0]
 
 
 def cmd_eval(cfg: RunConfig, data_path: Path, collated_path: Path,
              out_dir: Path, meta_path: Path | None) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
     series = data_mod.load_csv(_require(data_path, "dataset CSV"))
     if series.labels is None:
         raise MissingArtifact("evaluation needs a labeled dataset")
     spans = [] if meta_path is None else _read_spans(meta_path, series)
-    ts, scores = _load_collated(collated_path)
-    mask = (ts >= series.start_index) & (ts < series.start_index + series.length)
-    ts, scores = ts[mask], scores[mask]
-    labels = series.labels[ts - series.start_index]
-    if spans and scores.size == series.length:
+    scores = _load_collated(collated_path, series)
+    if spans:
         metrics = per_kind_metrics(scores, spans)
     else:
-        _thr, metrics = best_f1_threshold(scores, labels)
+        _thr, metrics = best_f1_threshold(scores, series.labels)
     payload = metrics.to_dict()
     payload["config_echo"] = dataclasses.asdict(cfg)
     payload["seed"] = cfg.seed
     svg = score_overlay_svg(
-        series.values, scores, labels, metrics.threshold, title="collated scores"
+        series.values, scores, series.labels, metrics.threshold, title="collated scores"
     )
     written = emit_report(out_dir, payload, plots={"overlay": svg})
     inputs = [data_path, collated_path]
@@ -360,7 +375,6 @@ def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
     """Run the full theory suite; nonzero exit if any report fails."""
     from .theory import run_all_checks
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     reports = run_all_checks(seed=cfg.seed)
     out_path = out_dir / "theory_reports.json"
     out_path.write_text(
@@ -412,7 +426,6 @@ def cmd_ablate(cfg: RunConfig, out_dir: Path, grid: str | None) -> int:
     # what the ablation runs with; the run config's training keys do not reach it
     run = RunConfig(seed=cfg.seed, batchSize=ABLATION_BATCH_SIZE)
     points = _grid_points(grid, run) if grid else []
-    out_dir.mkdir(parents=True, exist_ok=True)
     bench = build_benchmark(BenchmarkConfig(seed=cfg.seed))
     results = run_ablation(bench, run)
     for name, m in results.items():
@@ -494,6 +507,10 @@ def main(argv: list[str] | None = None) -> int:
             cfg = RunConfig(**overrides)
             cfg.validate()
         out: Path = args.out
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make output directory {out}: {exc.strerror}") from None
         if args.command == "gen-data":
             return cmd_gen_data(cfg, out, args.length, args.contextual, args.point)
         if args.command == "train-tsadm":

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import alignment as align_mod
-from .alignment import AlignmentConfig, HalfGaussianFit, MonotoneMapping
+from .alignment import HalfGaussianFit, MonotoneMapping
 from .core import (
     LossVariant,
     TimeSeriesWindow,
@@ -26,7 +26,7 @@ from .core import (
     sigmoid,
 )
 from .errors import LengthMismatch, NonConvergence, NonFiniteInput, ShapeMismatch, WindowTooShort
-from .optim import Adam, FlatParams, load_state, state_dict
+from .optim import Adam, FlatParams, load_checkpoint, load_state, state_dict
 
 if TYPE_CHECKING:
     from .cli import RunConfig
@@ -287,7 +287,7 @@ class FusionPipeline:
 
     @classmethod
     def load(cls, path: str | Path) -> "FusionPipeline":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return load_checkpoint(path, cls.from_dict)
 
 
 def _pairwise_term(variant: LossVariant, scaled, llm, lam1, lam2):
@@ -314,9 +314,9 @@ def train_collab(
     """Joint minibatch SGD over the monotone mapping and the fusion network.
 
     ``cfg`` is the run config; this reads its ``colr``, ``batchSize``,
-    ``epochs_collab``, ``patchSize``, ``d``, ``lambda_hat`` (for both
-    alignment penalties), ``mapping_hidden``, ``cond_hidden``, ``seed`` and
-    ``loss_variant``, and the pipeline echoes all of it.
+    ``epochs_collab``, ``patchSize``, ``d``, ``lambda_hat`` (the weight of
+    both alignment penalties), ``mapping_hidden``, ``cond_hidden``, ``seed``
+    and ``loss_variant``, and the pipeline echoes all of it.
 
     ``llm_scores`` holds every window's scores at the window's length, as
     ``llm.load_fixture`` returns them. The scorer stays frozen. Batches are
@@ -327,58 +327,45 @@ def train_collab(
     alignment term. A window shorter than ``patchSize`` has no patch
     weights, so it is left out.
 
-    Everything a block's step needs that does not depend on the parameters
-    (its scaled and LLM scores, representation, patch weights and, for the
-    pairwise variants, the loss gradient) is built once before the first
-    epoch; each window is scored once. One mapping pass over all slots per
-    epoch boundary gives both that epoch's ``kl_aligned`` and the next
-    epoch's input statistics. A step writes in place only the parameters and
-    the aligned column of its block's fusion input.
+    Each kept window is scored once, into one scaled-score array and one
+    stacked (llm, aligned, rep) fusion input over all of them; a block's are
+    views of those. Its patch weights and, for the pairwise variants, its
+    loss gradient are built once before the first epoch. One mapping pass
+    over all slots per epoch boundary gives both that epoch's ``kl_aligned``
+    and the next epoch's input statistics. A step writes in place only the
+    parameters and the aligned column of its block's fusion-input rows.
     """
     windows = [w for w in windows if w.length >= cfg.patchSize]
     if not windows:
         raise WindowTooShort(f"no training window has at least patchSize={cfg.patchSize} slots")
-    scored = []
-    for w in windows:
-        raw, rep = scorer.score(w)
-        scored.append((w, raw, llm_scores[w.window_id()], rep))
-    divisor = score_range_divisor(
-        np.concatenate([raw for _, raw, _, _ in scored]), cfg.d
-    )
-
-    all_llm = np.concatenate([llm for _, _, llm, _ in scored])
-    fit = align_mod.fit_half_gaussian(all_llm)
-    acfg = AlignmentConfig(cfg.lambda_hat, cfg.lambda_hat)
+    raws, reps = zip(*(scorer.score(w) for w in windows))
+    raw, rep = np.concatenate(raws), np.concatenate(reps)
+    llm = np.concatenate([llm_scores[w.window_id()] for w in windows])
+    divisor = score_range_divisor(raw, cfg.d)
+    all_scaled = raw / divisor
+    fit = align_mod.fit_half_gaussian(llm)
 
     variant = LossVariant(cfg.loss_variant)
     use_mapping = variant is not LossVariant.NO_ALIGNMENT
     mapping = MonotoneMapping(cfg.mapping_hidden, seed=cfg.seed) if use_mapping else None
-    rep_dim = scored[0][3].shape[1]
-    cond = ConditionalNetParams(rep_dim, hidden=cfg.cond_hidden, seed=cfg.seed + 1)
+    cond = ConditionalNetParams(rep.shape[1], hidden=cfg.cond_hidden, seed=cfg.seed + 1)
+    all_stacked = cond._stack(llm, all_scaled, rep)
 
-    # per block: (scaled scores, fusion input, pairwise term). The fusion
-    # input is a view of its window's stacked (llm, aligned, rep) rows whose
-    # aligned column each step overwrites with the block's mapped scores.
+    # per block: (scaled scores, fusion input, pairwise term)
     blocks = []
-    scaled_parts = []
-    stacked_parts = []
-    for w, raw, llm, rep in scored:
-        scaled = raw / divisor
-        stacked = cond._stack(llm, scaled, rep)
+    offset = 0
+    for w in windows:
         pw = patch_weights(w, cfg.patchSize)
-        for start in range(0, len(scaled), cfg.batchSize):
-            stop = min(start + cfg.batchSize, len(scaled))
+        for start in range(0, w.length, cfg.batchSize):
+            stop = min(start + cfg.batchSize, w.length)
             if stop - start < 2:
                 continue
-            sb = scaled[start:stop]
-            term = _pairwise_term(variant, sb, llm[start:stop],
+            rows = slice(offset + start, offset + stop)
+            term = _pairwise_term(variant, all_scaled[rows], llm[rows],
                                   pw.lambda1[start:stop], pw.lambda2[start:stop])
-            blocks.append((sb, stacked[start:stop], term))
-        scaled_parts.append(scaled)
-        stacked_parts.append(stacked)
+            blocks.append((all_scaled[rows], all_stacked[rows], term))
+        offset += w.length
 
-    all_scaled = np.concatenate(scaled_parts)
-    all_stacked = np.concatenate(stacked_parts)
     curves = TrainingCurves()
     curves.kl_raw = align_mod.kl_histogram(all_scaled, fit, bins=50)
 
@@ -410,7 +397,7 @@ def train_collab(
             cgrads, _dllm, dmapped, _drep = cond.backward(ds_hat, ccache)
             grads = [cgrads]
             if use_mapping:
-                a_loss, da_mapped = align_mod.alignment_loss_grad(mapped, fit, acfg)
+                a_loss, da_mapped = align_mod.alignment_loss_grad(mapped, fit, cfg.lambda_hat)
                 grads.append(mapping.backward(dmapped + da_mapped, mcache))
             else:
                 a_loss = 0.0

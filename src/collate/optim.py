@@ -8,11 +8,17 @@ reads those tuples, and step the vector with ``Adam``. Adam is elementwise,
 so one step on the vector gives bit for bit the values that stepping each
 array separately would. ``state_dict`` and ``load_state`` write named
 attributes as JSON values and read them back; the checkpoints pass them
-``PARAMS`` and whatever else a model keeps.
+``PARAMS`` and whatever else a model keeps, and read their files through
+``load_checkpoint``.
 """
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
+
+from .errors import ParseError
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
@@ -30,6 +36,17 @@ def load_state(obj, d: dict, names):
         v = d[name]
         setattr(obj, name, np.asarray(v, dtype=np.float64) if isinstance(v, list) else float(v))
     return obj
+
+
+def load_checkpoint(path: str | Path, from_dict):
+    """``from_dict`` of the JSON in the file at ``path``. Text that is not
+    JSON, or a payload that ``from_dict`` rejects with a ValueError,
+    KeyError, TypeError or AttributeError (a key missing, a wrong version,
+    an array where an object belongs), raises ParseError naming the file."""
+    try:
+        return from_dict(json.loads(Path(path).read_text()))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ParseError(f"{path}: {type(exc).__name__}: {exc}") from None
 
 
 class FlatParams:

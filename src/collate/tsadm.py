@@ -50,7 +50,7 @@ import numpy as np
 
 from .core import TimeSeriesWindow
 from .errors import NonConvergence, ScoreOutOfRange, ShapeMismatch
-from .optim import Adam, FlatParams, load_state, state_dict
+from .optim import Adam, FlatParams, load_checkpoint, load_state, state_dict
 
 
 @runtime_checkable
@@ -343,7 +343,7 @@ class TsadmModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "TsadmModel":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return load_checkpoint(path, cls.from_dict)
 
 
 def sliding_windows(values: np.ndarray, win_len: int) -> np.ndarray:

@@ -7,7 +7,6 @@ from scipy.integrate import quad
 from scipy.stats import halfnorm
 
 from collate.alignment import (
-    AlignmentConfig,
     HalfGaussianFit,
     MonotoneMapping,
     alignment_loss_grad,
@@ -20,7 +19,7 @@ from collate.core import sigmoid
 from collate.errors import DegenerateScores, NonConvergence
 
 
-def train_mapping(scaled, fit, cfg, epochs, learning_rate=0.05, seed=0):
+def train_mapping(scaled, fit, lambda_hat, epochs, learning_rate=0.05, seed=0):
     """Reference: full-batch gradient descent of the alignment loss over a
     mapping on its own. Training runs the mapping jointly with the fusion
     net (``collab.train_collab``); this checks what the alignment loss alone
@@ -29,7 +28,7 @@ def train_mapping(scaled, fit, cfg, epochs, learning_rate=0.05, seed=0):
     mapping = MonotoneMapping(seed=seed)
     for _ in range(epochs):
         mapped, cache = mapping.forward(s)
-        loss, dmapped = alignment_loss_grad(mapped, fit, cfg)
+        loss, dmapped = alignment_loss_grad(mapped, fit, lambda_hat)
         if not np.isfinite(loss):
             raise NonConvergence("alignment loss became non-finite")
         grads = mapping.backward(dmapped, cache)
@@ -90,68 +89,77 @@ class TestDensity:
 class TestAlignmentLoss:
     def test_reduces_to_log_density_without_penalties(self):
         fit = HalfGaussianFit(0.8)
-        cfg = AlignmentConfig(lambda_hat_1=0.0, lambda_hat_2=0.0)
         mapped = np.array([0.2, 0.4, 0.6])
         expected = -np.mean(np.log(half_gaussian_density(fit, mapped)))
-        assert alignment_loss_grad(mapped, fit, cfg)[0] == pytest.approx(expected)
+        assert alignment_loss_grad(mapped, fit, 0.0)[0] == pytest.approx(expected)
+        # the gradient is then the log-density term's alone
+        np.testing.assert_allclose(
+            alignment_loss_grad(mapped, fit, 0.0)[1], mapped / (fit.sigma**2 * 3), rtol=1e-15
+        )
 
     def test_constant_batch_variance_term(self):
+        # a constant batch has zero variance: the variance penalty is
+        # lambda * sigma_hat_sq^2 and the mean penalty lambda * (0.5 - mu_hat)^2
         fit = HalfGaussianFit(1.0)
-        cfg = AlignmentConfig(lambda_hat_1=0.0, lambda_hat_2=3.0)
         mapped = np.full(6, 0.5)
-        base = alignment_loss_grad(mapped, fit, AlignmentConfig(0.0, 0.0))[0]
-        full = alignment_loss_grad(mapped, fit, cfg)[0]
-        assert full - base == pytest.approx(3.0 * fit.sigma_hat_sq**2)
+        base = alignment_loss_grad(mapped, fit, 0.0)[0]
+        full = alignment_loss_grad(mapped, fit, 3.0)[0]
+        assert full - base == pytest.approx(
+            3.0 * (fit.sigma_hat_sq**2 + (0.5 - fit.mu_hat) ** 2)
+        )
 
     def test_worked_example(self):
-        # sigma=1, mapped=[0.5, 0.5], only the mean penalty active
+        # sigma=1, mapped=[0.5, 0.5], both penalties at weight 1
         fit = HalfGaussianFit(1.0)
-        cfg = AlignmentConfig(lambda_hat_1=1.0, lambda_hat_2=0.0)
         dens = 2.0 / math.sqrt(2 * math.pi) * math.exp(-0.125)
-        expected = -math.log(dens) + (0.5 - fit.mu_hat) ** 2
-        got = alignment_loss_grad(np.array([0.5, 0.5]), fit, cfg)[0]
+        expected = -math.log(dens) + (0.5 - fit.mu_hat) ** 2 + fit.sigma_hat_sq**2
+        got = alignment_loss_grad(np.array([0.5, 0.5]), fit, 1.0)[0]
         assert got == pytest.approx(expected, abs=1e-12)
-        assert got == pytest.approx(0.4395, abs=1e-3)
+        assert got == pytest.approx(0.5720, abs=1e-3)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(0)
         fit = HalfGaussianFit(0.6)
-        cfg = AlignmentConfig(0.7, 1.3)
-        mapped = rng.uniform(0.05, 0.9, 12)
-        _, grad = alignment_loss_grad(mapped, fit, cfg)
-        h = 1e-6
-        for i in (0, 5, 11):
-            e = np.zeros_like(mapped)
-            e[i] = h
-            fd = (
-                alignment_loss_grad(mapped + e, fit, cfg)[0]
-                - alignment_loss_grad(mapped - e, fit, cfg)[0]
-            ) / (2 * h)
-            assert abs(fd - grad[i]) / abs(fd) < 1e-6
+        for lambda_hat in rng.uniform(0.0, 2.0, 4):
+            mapped = rng.uniform(0.05, 0.9, 12)
+            _, grad = alignment_loss_grad(mapped, fit, lambda_hat)
+            h = 1e-6
+            for i in (0, 5, 11):
+                e = np.zeros_like(mapped)
+                e[i] = h
+                fd = (
+                    alignment_loss_grad(mapped + e, fit, lambda_hat)[0]
+                    - alignment_loss_grad(mapped - e, fit, lambda_hat)[0]
+                ) / (2 * h)
+                assert abs(fd - grad[i]) / abs(fd) < 1e-6
 
 
 class TestDiscreteObjective:
     def test_single_bin_equals_log_total_mass(self):
         fit = HalfGaussianFit(1.0)
-        cfg = AlignmentConfig(0.0, 0.0)
-        got = discrete_alignment_objective(np.array([0.2, 0.8]), fit, 1, cfg)
+        got = discrete_alignment_objective(np.array([0.2, 0.8]), fit, 1)
         assert got == pytest.approx(-math.log(math.erf(1.0 / math.sqrt(2.0))), abs=1e-12)
         assert got == pytest.approx(0.38174, abs=1e-4)
 
     def test_empty_bins_contribute_nothing(self):
         fit = HalfGaussianFit(0.5)
-        cfg = AlignmentConfig(0.0, 0.0)
         # both points in one bin of four; moving N up leaves empties silent
-        v = discrete_alignment_objective(np.array([0.1, 0.12]), fit, 4, cfg)
+        v = discrete_alignment_objective(np.array([0.1, 0.12]), fit, 4)
         assert np.isfinite(v)
 
     def test_bin_masses_from_quadrature(self):
+        # the objective's bin masses are the fit's CDF differences
         fit = HalfGaussianFit(0.45)
-        lo, hi = 0.3, 0.4
-        mass, _ = quad(lambda x: half_gaussian_density(fit, x), lo, hi)
-        from collate.alignment import bin_mass
-
-        assert bin_mass(fit, lo, hi) == pytest.approx(mass, abs=1e-9)
+        edges = np.linspace(0.0, 1.0, 11)
+        masses = fit.cdf(edges[1:]) - fit.cdf(edges[:-1])
+        for lo, hi, got in zip(edges[:-1], edges[1:], masses):
+            mass, _ = quad(lambda x: half_gaussian_density(fit, x), lo, hi)
+            assert got == pytest.approx(mass, abs=1e-9)
+        # a sample inside one bin scores minus the log of its density there
+        mass, _ = quad(lambda x: half_gaussian_density(fit, x), 0.3, 0.4)
+        assert discrete_alignment_objective(np.array([0.31, 0.35, 0.39]), fit, 10) == (
+            pytest.approx(-math.log(mass * 10), abs=1e-9)
+        )
 
 
 class TestMonotoneMapping:
@@ -193,8 +201,7 @@ class TestTrainMapping:
         rng = np.random.default_rng(11)
         scaled = rng.uniform(0.0, 1.0, 400)
         fit = HalfGaussianFit(0.3)
-        cfg = AlignmentConfig(1000.0, 1000.0)
-        mapping = train_mapping(scaled, fit, cfg, learning_rate=0.02, epochs=3000, seed=0)
+        mapping = train_mapping(scaled, fit, 1000.0, learning_rate=0.02, epochs=3000, seed=0)
         mapped = mapping(scaled)
         assert abs(mapped.mean() - fit.mu_hat) / fit.mu_hat < 0.10
         assert abs(mapped.std(ddof=1) - math.sqrt(fit.sigma_hat_sq)) / math.sqrt(
@@ -207,8 +214,7 @@ class TestTrainMapping:
         rng = np.random.default_rng(11)
         scaled = rng.uniform(0.0, 1.0, 400)
         fit = HalfGaussianFit(0.3)
-        cfg = AlignmentConfig(1.0, 1.0)
-        mapped = train_mapping(scaled, fit, cfg, learning_rate=0.05, epochs=1500, seed=0)(scaled)
+        mapped = train_mapping(scaled, fit, 1.0, learning_rate=0.05, epochs=1500, seed=0)(scaled)
         equilibrium = fit.mu_hat * (2 * fit.sigma**2) / (1 + 2 * fit.sigma**2)
         assert mapped.mean() == pytest.approx(equilibrium, rel=0.15)
 
@@ -216,17 +222,15 @@ class TestTrainMapping:
         rng = np.random.default_rng(12)
         scaled = rng.uniform(0.0, 1.0, 50)
         fit = HalfGaussianFit(0.4)
-        cfg = AlignmentConfig(1.0, 1.0)
-        m1 = train_mapping(scaled, fit, cfg, epochs=50, seed=9)
-        m2 = train_mapping(scaled, fit, cfg, epochs=50, seed=9)
+        m1 = train_mapping(scaled, fit, 1.0, epochs=50, seed=9)
+        m2 = train_mapping(scaled, fit, 1.0, epochs=50, seed=9)
         assert m1.to_dict() == m2.to_dict()
 
     def test_kl_drops_against_target(self):
         rng = np.random.default_rng(13)
         scaled = rng.uniform(0.2, 0.9, 600)
         fit = HalfGaussianFit(0.25)
-        cfg = AlignmentConfig(1.0, 1.0)
-        mapping = train_mapping(scaled, fit, cfg, learning_rate=0.05, epochs=600, seed=0)
+        mapping = train_mapping(scaled, fit, 1.0, learning_rate=0.05, epochs=600, seed=0)
         assert kl_histogram(mapping(scaled), fit, 40) < kl_histogram(scaled, fit, 40)
 
 
@@ -262,11 +266,11 @@ class TestMatchesReference:
     def test_alignment_loss_grad(self, seed):
         rng = np.random.default_rng(seed)
         fit = HalfGaussianFit(rng.uniform(0.02, 1.5))
-        cfg = AlignmentConfig(rng.uniform(0, 2), rng.uniform(0, 2))
+        lambda_hat = rng.uniform(0, 2)
         for n in (2, 3, 100, 1001):
             mapped = np.abs(rng.normal(0.0, rng.uniform(0.001, 0.5), n))
-            loss, grad = alignment_loss_grad(mapped, fit, cfg)
-            ref_loss, ref_grad = _reference_alignment_loss_grad(mapped, fit, cfg)
+            loss, grad = alignment_loss_grad(mapped, fit, lambda_hat)
+            ref_loss, ref_grad = _reference_alignment_loss_grad(mapped, fit, lambda_hat)
             assert loss == ref_loss
             np.testing.assert_array_equal(grad, ref_grad)
 
@@ -305,7 +309,7 @@ class TestMatchesReference:
 # --- Oracles: the alignment math as it was before the in-place rewrite ---
 
 
-def _reference_alignment_loss_grad(mapped, fit, cfg):
+def _reference_alignment_loss_grad(mapped, fit, lambda_hat):
     m = np.asarray(mapped, dtype=np.float64).reshape(-1)
     n = m.size
     dens = half_gaussian_density(fit, m)
@@ -313,12 +317,12 @@ def _reference_alignment_loss_grad(mapped, fit, cfg):
     var = float(m.var(ddof=1))
     loss = (
         -float(np.mean(np.log(dens)))
-        + cfg.lambda_hat_1 * (mean - fit.mu_hat) ** 2
-        + cfg.lambda_hat_2 * (var - fit.sigma_hat_sq) ** 2
+        + lambda_hat * (mean - fit.mu_hat) ** 2
+        + lambda_hat * (var - fit.sigma_hat_sq) ** 2
     )
     grad = m / (fit.sigma**2 * n)
-    grad += cfg.lambda_hat_1 * 2.0 * (mean - fit.mu_hat) / n
-    grad += cfg.lambda_hat_2 * 2.0 * (var - fit.sigma_hat_sq) * 2.0 * (m - mean) / (n - 1)
+    grad += lambda_hat * 2.0 * (mean - fit.mu_hat) / n
+    grad += lambda_hat * 2.0 * (var - fit.sigma_hat_sq) * 2.0 * (m - mean) / (n - 1)
     return float(loss), grad
 
 

@@ -247,6 +247,10 @@ class TestBadConfig:
          "llm_mode must look like 'mock:<fixture>' or 'live:<url>'"),
         ({"llm_mode": "live:"},
          "llm_mode must look like 'mock:<fixture>' or 'live:<url>'"),
+        ({"llm_mode": "live:http://"},
+         "llm_mode must look like 'mock:<fixture>' or 'live:<url>'"),
+        ({"llm_mode": "live:https:///v1"},
+         "llm_mode must look like 'mock:<fixture>' or 'live:<url>'"),
     ])
     def test_exits_2_with_one_line(self, tmp_path, capsys, config, message):
         cfg = tmp_path / "cfg.json"
@@ -381,6 +385,19 @@ BAD_COLLATED = {
         ["t,score", "1,0.5", "0,0.5", "2,0.5", "1,0.25", "0,0.75"],
         "error: line 6: slot 0 is listed again\n",
     ),
+    # the dataset has slots 0-1999
+    "half the rows": (
+        ["t,score", *(f"{t},0.5" for t in range(1000))],
+        "error: slot 1000 has no collated score\n",
+    ),
+    "slot 7 missing": (
+        ["t,score", *(f"{t},0.5" for t in range(2000) if t != 7)],
+        "error: slot 7 has no collated score\n",
+    ),
+    "slot past the end": (
+        ["t,score", "2000,0.5", *(f"{t},0.5" for t in range(2000))],
+        "error: line 2: slot 2000 lies outside the dataset\n",
+    ),
 }
 
 
@@ -398,6 +415,60 @@ class TestBadCollated:
                          "--collated", str(collated)])
         assert code == 1
         assert capsys.readouterr().err == message
+
+
+class TestBadCheckpoint:
+    """A checkpoint that is not JSON, or that its loader cannot read, exits
+    1 with one error line naming the file."""
+
+    CASES = {
+        "pipeline version 2": ("pipeline", lambda d: {**d, "version": 2},
+                               "ValueError: unsupported checkpoint version 2"),
+        "unknown scorer kind": ("pipeline",
+                                lambda d: {**d, "scorer": {**d["scorer"], "kind": "knn"}},
+                                "ValueError: unknown scorer kind 'knn'"),
+        "pipeline without cond": ("pipeline", lambda d: {k: v for k, v in d.items()
+                                                         if k != "cond"}, "KeyError: 'cond'"),
+        "pipeline not JSON": ("pipeline", None,
+                              "JSONDecodeError: Expecting value: line 1 column 1 (char 0)"),
+        "pipeline a JSON array": ("pipeline", lambda d: [d],
+                                  "AttributeError: 'list' object has no attribute 'get'"),
+        "tsadm version 9": ("tsadm", lambda d: {**d, "version": 9},
+                            "ValueError: unsupported checkpoint version 9"),
+        "tsadm not JSON": ("tsadm", None,
+                           "JSONDecodeError: Expecting value: line 1 column 1 (char 0)"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exits_1_with_one_line(self, run_dir, tmp_path, capsys, case):
+        kind, edit, message = self.CASES[case]
+        good = run_dir / ("collab/pipeline.json" if kind == "pipeline" else "tsadm/tsadm.json")
+        bad = tmp_path / good.name
+        bad.write_text("not json" if edit is None else json.dumps(edit(json.loads(
+            good.read_text()))))
+        csv, scores = str(run_dir / "D" / "data.csv"), str(run_dir / "llm" / "llm_scores.jsonl")
+        argv = (["detect", "--data", csv, "--pipeline", str(bad), "--llm-scores", scores]
+                if kind == "pipeline" else
+                ["train-collab", "--data", csv, "--tsadm", str(bad), "--llm-scores", scores])
+        capsys.readouterr()
+        code = cli.main(["--config", str(run_dir / "cfg.json"), "--out", str(tmp_path / "out"),
+                         *argv])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+
+class TestOutNamingAFile:
+    """An ``--out`` that cannot be made a directory exits 2 with one line."""
+
+    @pytest.mark.parametrize("sub, reason", [("", "File exists"), ("sub", "Not a directory")])
+    def test_exits_2_with_one_line(self, tmp_path, capsys, sub, reason):
+        out = tmp_path / "file"
+        out.write_text("")
+        out = out / sub if sub else out
+        assert cli.main(["--out", str(out), "verify"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot make output directory {out}: {reason}\n"
+        )
 
 
 class TestBadMetadata:
@@ -701,5 +772,11 @@ class TestVerify:
         assert lemma1["details"]["grad_norm_loglog_slope"] == -0.5634741024570724
         assert lemma1["details"]["max_abs_mean_grad_diff"] == 8.66631103793089e-06
         assert lemma1["details"]["loss_trajectory_gap"] == 0.4624278067699379
+        equivalence = reports[4]
+        assert equivalence["statistic"] == 4.4065498935307116e-06
+        assert equivalence["details"]["gaps"] == [
+            0.023069395127680414, 0.0006933081589549084, 6.172004646903817e-05,
+            7.666169303255366e-07,
+        ]
         # the theory checks read the seed and no other setting
         assert json.loads((tmp_path / "manifest.json").read_text())["config"] == {"seed": 0}

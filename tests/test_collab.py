@@ -364,22 +364,27 @@ class TestTrainCollabMatchesReference:
 
     @pytest.mark.parametrize("variant", list(LossVariant))
     def test_bit_identical(self, small_bench, variant):
-        llm = small_bench.llm_scores_for(small_bench.windows["train"])
-        cfg = RunConfig(colr=0.01, batchSize=100, epochs_collab=5, seed=2,
-                        patchSize=2, d=1.0, loss_variant=variant.value)
-        new, new_curves = train_collab(
-            small_bench.windows["train"], small_bench.scorer, llm, cfg
-        )
-        ref, ref_curves = _reference_train_collab(
-            small_bench.windows["train"], small_bench.scorer, llm, cfg
-        )
-        assert json.dumps(new.to_dict(), sort_keys=True) == json.dumps(
-            ref.to_dict(), sort_keys=True
-        )
-        for f in dataclasses.fields(TrainingCurves):
-            a, b = getattr(new_curves, f.name), getattr(ref_curves, f.name)
-            assert a == b, f.name
-        assert len(new_curves.alignment_loss) == 5
+        # the benchmark's 200-slot train windows, then windows of 200, 200,
+        # 129 and 1 slots in 64-slot blocks: a ragged block, a skipped
+        # 1-slot block, and a window shorter than patchSize. They start at
+        # slot 200: slots 0-529 hold no anomaly, and there the LLM's fit is
+        # too narrow for the untrained mapping's outputs to have density.
+        values = small_bench.series.values
+        ragged = [TimeSeriesWindow(values[a:b], start_index=a)
+                  for a, b in [(200, 400), (400, 600), (600, 729), (729, 730)]]
+        for windows, batch in [(small_bench.windows["train"], 100), (ragged, 64)]:
+            llm = small_bench.llm_scores_for(windows)
+            cfg = RunConfig(colr=0.01, batchSize=batch, epochs_collab=5, seed=2,
+                            patchSize=2, d=1.0, loss_variant=variant.value)
+            new, new_curves = train_collab(windows, small_bench.scorer, llm, cfg)
+            ref, ref_curves = _reference_train_collab(windows, small_bench.scorer, llm, cfg)
+            assert json.dumps(new.to_dict(), sort_keys=True) == json.dumps(
+                ref.to_dict(), sort_keys=True
+            )
+            for f in dataclasses.fields(TrainingCurves):
+                a, b = getattr(new_curves, f.name), getattr(ref_curves, f.name)
+                assert a == b, f.name
+            assert len(new_curves.alignment_loss) == 5
 
     def test_parameters_are_views_of_one_vector(self, small_bench):
         llm = small_bench.llm_scores_for(small_bench.windows["train"])
@@ -553,8 +558,10 @@ def _reference_train_collab(
     slots inside one window, so the pairwise terms see both near and far slots;
     block order is reshuffled each epoch under the run seed. The NO_ALIGNMENT
     variant feeds scaled scores straight into the network and skips both the
-    mapping and the alignment term.
+    mapping and the alignment term. A window shorter than ``patchSize`` is
+    left out.
     """
+    windows = [w for w in windows if w.length >= cfg.patchSize]
     if not windows:
         raise ValueError("no training windows")
     raws = [scorer.score(w)[0] for w in windows]
@@ -563,7 +570,6 @@ def _reference_train_collab(
 
     all_llm = np.concatenate([st[1] for st in streams])
     fit = align_mod.fit_half_gaussian(all_llm)
-    acfg = align_mod.AlignmentConfig(cfg.lambda_hat, cfg.lambda_hat)
 
     variant = LossVariant(cfg.loss_variant)
     use_mapping = variant is not LossVariant.NO_ALIGNMENT
@@ -628,7 +634,7 @@ def _reference_train_collab(
             cgrads["b2"] = np.array([cgrads["b2"]])
             grads = cgrads
             if use_mapping:
-                a_loss, da_mapped = align_mod.alignment_loss_grad(mapped, fit, acfg)
+                a_loss, da_mapped = align_mod.alignment_loss_grad(mapped, fit, cfg.lambda_hat)
                 mgrads = mapping.backward(dmapped + da_mapped, mcache)
                 params.update(
                     {"m_a1": mapping.a1, "m_b1": mapping.b1, "m_a2": mapping.a2}
