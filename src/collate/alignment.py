@@ -65,36 +65,66 @@ def fit_half_gaussian(scores) -> HalfGaussianFit:
 def half_gaussian_density(fit: HalfGaussianFit, x):
     """Density of the half-Gaussian target; zero below the origin."""
     x = np.asarray(x, dtype=np.float64)
-    dens = (2.0 / (fit.sigma * math.sqrt(2.0 * math.pi))) * np.exp(-(x**2) / (2.0 * fit.sigma**2))
+    dens = (2.0 / (fit.sigma * math.sqrt(2.0 * math.pi))) * np.exp(
+        (x * x) / -(2.0 * fit.sigma**2)
+    )
     out = np.where(x < 0.0, 0.0, dens)
     return float(out) if out.ndim == 0 else out
 
 
-def alignment_loss_grad(
-    mapped: np.ndarray, fit: HalfGaussianFit, lambda_hat: float
-) -> tuple[float, np.ndarray]:
-    """Alignment loss and its gradient with respect to the mapped scores.
+def _moments(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean (kept as an axis), centred scores and (n-1)-variance of each row
+    of ``m``, along its last axis: the reductions m.mean() and m.var(ddof=1)
+    make, without their wrappers. A row's values do not depend on the other
+    rows."""
+    n = m.shape[-1]
+    if n < 2:
+        raise ValueError("need at least two mapped scores")
+    mean = np.add.reduce(m, axis=-1, keepdims=True) / n
+    centred = m - mean
+    var = np.add.reduce(centred * centred, axis=-1) / (n - 1)
+    return mean, centred, var
+
+
+def alignment_loss(mapped: np.ndarray, fit: HalfGaussianFit, lambda_hat: float):
+    """Alignment loss of the mapped scores: a float for one vector, and an
+    array of each row's loss for a stack of rows (last axis).
 
     The loss is the negative mean log-density of the mapped scores under the
     target, plus squared penalties, both weighted by ``lambda_hat``, steering
-    the batch mean and (n-1)-variance onto the target moments.
+    the batch mean and (n-1)-variance onto the target moments. A mapped score
+    where the target density is zero raises NonFiniteDensity, naming the
+    largest mapped score and the fit's sigma.
+
+    Phase-2 training forms it once per epoch, from the mapped scores of each
+    step's block; ``alignment_grad`` is its gradient.
     """
-    m = np.asarray(mapped, dtype=np.float64).reshape(-1)
-    n = m.size
-    if n < 2:
-        raise ValueError("need at least two mapped scores")
+    m = np.asarray(mapped, dtype=np.float64)
     dens = half_gaussian_density(fit, m)
     if (dens <= 0.0).any():
-        raise NonFiniteDensity("mapped score fell where the target density is zero")
-    # the reductions m.mean() and m.var(ddof=1) make, without their wrappers
-    mean = float(np.add.reduce(m) / n)
-    centred = m - mean
-    var = float(np.add.reduce(centred * centred) / (n - 1))
-    loss = (
-        -float(np.add.reduce(np.log(dens)) / n)
-        + lambda_hat * (mean - fit.mu_hat) ** 2
-        + lambda_hat * (var - fit.sigma_hat_sq) ** 2
-    )
+        raise NonFiniteDensity(
+            f"mapped score {float(m.max()):.4f} fell where the target density is zero "
+            f"(half-Gaussian sigma {fit.sigma:.4f})"
+        )
+    mean, _, var = _moments(m)
+    log_term = np.add.reduce(np.log(dens), axis=-1) / m.shape[-1]
+    # each row's penalties in Python floats, as for one vector: a float's ** 2 is
+    # libm's pow, which rounds unlike numpy's x * x in about one case in 1,300
+    rows = [
+        -lg + lambda_hat * (mn - fit.mu_hat) ** 2 + lambda_hat * (vr - fit.sigma_hat_sq) ** 2
+        for lg, mn, vr in zip(log_term.reshape(-1).tolist(), mean.reshape(-1).tolist(),
+                              var.reshape(-1).tolist())
+    ]
+    return rows[0] if m.ndim == 1 else np.array(rows).reshape(m.shape[:-1])
+
+
+def alignment_grad(mapped: np.ndarray, fit: HalfGaussianFit, lambda_hat: float) -> np.ndarray:
+    """Gradient of ``alignment_loss`` with respect to one vector of mapped
+    scores. It checks no density: the loss does that."""
+    m = np.asarray(mapped, dtype=np.float64)
+    n = m.size
+    mean, centred, var = _moments(m)
+    mean, var = float(mean[0]), float(var)
     # -log density has derivative m / sigma^2; the centered-variance term's
     # mean-dependence cancels because sum(m - mean) = 0.
     grad = m / (fit.sigma**2 * n)
@@ -102,7 +132,7 @@ def alignment_loss_grad(
     centred *= lambda_hat * 2.0 * (var - fit.sigma_hat_sq) * 2.0
     centred /= n - 1
     grad += centred
-    return float(loss), grad
+    return grad
 
 
 def discrete_alignment_objective(mapped: np.ndarray, fit: HalfGaussianFit, n_bins: int) -> float:
@@ -168,13 +198,18 @@ class MonotoneMapping:
         h = np.tanh(pre, out=pre)
         z = h @ w2
         z += self.b2
-        m = sigmoid(z)
-        return m, (s, w2, h, m)
+        # one sigmoid call gives the mapped scores and, for the backward
+        # pass, softplus' derivative at a1 and a2
+        sig = sigmoid(np.concatenate((z.reshape(-1), self.a1, self.a2)))
+        m = sig[: z.size].reshape(z.shape)
+        return m, (s, w2, h, m, sig[z.size :])
 
-    def backward(self, dm: np.ndarray, cache) -> dict:
+    def backward(self, dm: np.ndarray, cache, grads: dict | None = None) -> dict:
         """Gradients of a scalar objective wrt the parameters, given its
-        gradient ``dm`` wrt the mapped scores."""
-        s, w2, h, m = cache
+        gradient ``dm`` wrt the mapped scores. They are written into the
+        arrays of ``grads`` (keyed as ``PARAMS``, a 0-d array for ``b2``),
+        as ``FlatParams.grads`` holds them, or into new ones if it is None."""
+        s, w2, h, m, dsoftplus = cache
         dz = dm * m
         dz *= 1.0 - m
         # rows of (slot, hidden unit), whatever the shape of s
@@ -183,14 +218,12 @@ class MonotoneMapping:
         dw2 = dz.reshape(-1) @ h
         dpre *= 1.0 - h * h
         dw1 = np.add.reduce(dpre * s.reshape(-1, 1), axis=0)
-        # softplus' derivative, for a1 and a2 in one call
-        dsoftplus = sigmoid(np.concatenate((self.a1, self.a2)))
-        return {
-            "a1": dw1 * dsoftplus[: w2.size],
-            "b1": np.add.reduce(dpre, axis=0),
-            "a2": dw2 * dsoftplus[w2.size :],
-            "b2": float(np.add.reduce(dz, axis=None)),
-        }
+        grads = {} if grads is None else grads
+        grads["a1"] = np.multiply(dw1, dsoftplus[: w2.size], out=grads.get("a1"))
+        grads["b1"] = np.add.reduce(dpre, axis=0, out=grads.get("b1"))
+        grads["a2"] = np.multiply(dw2, dsoftplus[w2.size :], out=grads.get("a2"))
+        grads["b2"] = np.add.reduce(dz, axis=None, out=grads.get("b2"))
+        return grads
 
     def to_dict(self) -> dict:
         return {"hidden": int(self.hidden), **state_dict(self, self.PARAMS)}

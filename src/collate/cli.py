@@ -4,7 +4,9 @@ evaluation, theory verification, and ablations.
 Every command validates its JSON config (unknown keys rejected), is
 re-runnable with identical outputs for identical inputs, and writes a
 manifest (inputs with hashes, seed, version) next to its artifacts so a run
-can be replayed exactly. Exit codes: 0 success, 1 verification failure or
+can be replayed exactly. ``train-collab``'s manifest also holds its
+``counters`` (steps, epochs, blocks) and ``timings`` (``train_s``, the wall
+seconds of phase-2 training). Exit codes: 0 success, 1 verification failure or
 bad input, 2 usage error or missing artifact. ``main`` makes the ``--out``
 directory once the config has loaded; a path that cannot be made a
 directory (a file, or a path under one) exits 2.
@@ -41,6 +43,7 @@ import dataclasses
 import hashlib
 import json
 import sys
+import time
 import urllib.parse
 from dataclasses import dataclass
 from pathlib import Path
@@ -165,8 +168,10 @@ def _sha256(path: Path) -> str:
 
 
 def write_manifest(out_dir: Path, command: str, cfg: RunConfig, inputs: list[Path],
-                   outputs: list[Path], config: dict | None = None) -> None:
-    """``config`` is what the command ran with; None means the whole run config."""
+                   outputs: list[Path], config: dict | None = None,
+                   extra: dict | None = None) -> None:
+    """``config`` is what the command ran with; None means the whole run
+    config. ``extra`` holds a command's further top-level fields."""
     manifest = {
         "command": command,
         "version": __version__,
@@ -174,6 +179,7 @@ def write_manifest(out_dir: Path, command: str, cfg: RunConfig, inputs: list[Pat
         "config": dataclasses.asdict(cfg) if config is None else config,
         "inputs": {str(p): _sha256(p) for p in sorted(inputs)},
         "outputs": sorted(str(p) for p in outputs),
+        **(extra or {}),
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1))
 
@@ -272,7 +278,9 @@ def cmd_train_collab(cfg: RunConfig, data_path: Path, tsadm_path: Path,
     windows = data_mod.split_windows(series, cfg.window_len)["train"]
     model = TsadmModel.load(_require(tsadm_path, "detector checkpoint"))
     llm_scores = load_fixture(_require(scores_path, "LLM scores"), windows)
+    start = time.perf_counter()
     pipeline, curves = train_collab(windows, model, llm_scores, cfg)
+    train_s = time.perf_counter() - start
     ckpt = out_dir / "pipeline.json"
     pipeline.save(ckpt)
     curve_rows = [
@@ -290,8 +298,11 @@ def cmd_train_collab(cfg: RunConfig, data_path: Path, tsadm_path: Path,
             "kl_curve": (["iteration", "kl_aligned", "kl_raw"], kl_rows),
         },
     )
+    counters = {"steps": curves.steps, "epochs": len(curves.pairwise_loss),
+                "blocks": curves.blocks}
     write_manifest(out_dir, "train-collab", cfg,
-                   [data_path, tsadm_path, scores_path], [ckpt])
+                   [data_path, tsadm_path, scores_path], [ckpt],
+                   extra={"counters": counters, "timings": {"train_s": train_s}})
     print(f"wrote {ckpt}")
     return 0
 

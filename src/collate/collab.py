@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -25,7 +26,14 @@ from .core import (
     score_range_divisor,
     sigmoid,
 )
-from .errors import LengthMismatch, NonConvergence, NonFiniteInput, ShapeMismatch, WindowTooShort
+from .errors import (
+    LengthMismatch,
+    NonConvergence,
+    NonFiniteDensity,
+    NonFiniteInput,
+    ShapeMismatch,
+    WindowTooShort,
+)
 from .optim import Adam, FlatParams, load_checkpoint, load_state, state_dict
 
 if TYPE_CHECKING:
@@ -78,14 +86,19 @@ class ConditionalNetParams:
             )
         return np.concatenate([llm[:, None], aligned[:, None], rep], axis=1)
 
-    def forward(self, llm: np.ndarray, aligned: np.ndarray, rep: np.ndarray):
-        return self.forward_stacked(self._stack(llm, aligned, rep))
-
-    def forward_stacked(self, raw: np.ndarray):
-        """Forward pass on an already stacked (n, 2 + h) input, as built by
-        ``_stack``: columns llm, aligned, then the representation."""
+    def standardize(self, raw: np.ndarray) -> np.ndarray:
+        """A stacked input, as built by ``_stack``, standardized by the
+        stored statistics."""
         z = raw - self.in_mean
         z /= self.in_std
+        return z
+
+    def forward(self, llm: np.ndarray, aligned: np.ndarray, rep: np.ndarray):
+        return self.forward_stacked(self.standardize(self._stack(llm, aligned, rep)))
+
+    def forward_stacked(self, z: np.ndarray):
+        """Forward pass on a stacked (n, 2 + h) input already standardized
+        by ``standardize``: columns llm, aligned, then the representation."""
         pre = z @ self.w1
         pre += self.b1
         # leaky ReLU; equal to where(pre > 0, pre, slope * pre), signed zeros too
@@ -95,21 +108,26 @@ class ConditionalNetParams:
         out = sigmoid(logits)
         return out, (z, pre, h, out)
 
-    def backward(self, dout: np.ndarray, cache):
+    def backward(self, dout: np.ndarray, cache, grads: dict | None = None):
         """Gradients wrt parameters and the (llm, aligned, rep) inputs.
-        ``dout`` is only read: training passes a block's shared constant."""
+        ``dout`` is only read: training passes a block's shared constant.
+        The parameter gradients are written into the arrays of ``grads``
+        (keyed as ``PARAMS``, a 0-d array for ``b2``), as ``FlatParams.grads``
+        holds them, or into new ones if it is None."""
         z, pre, h, out = cache
+        grads = {} if grads is None else grads
         dlogits = dout * out
         dlogits *= 1.0 - out
-        dw2 = h.T @ dlogits
-        db2 = float(np.add.reduce(dlogits))
+        grads["w2"] = np.matmul(h.T, dlogits, out=grads.get("w2"))
+        grads["b2"] = np.add.reduce(dlogits, out=grads.get("b2"))
         dpre = np.multiply.outer(dlogits, self.w2)
         dpre *= np.where(pre > 0, 1.0, _LEAKY_SLOPE)
-        dw1 = z.T @ dpre
-        db1 = np.add.reduce(dpre, axis=0)
+        grads["w1"] = np.matmul(z.T, dpre, out=grads.get("w1"))
+        grads["b1"] = np.add.reduce(dpre, axis=0, out=grads.get("b1"))
+        # the whole input gradient: one column of it as a matrix-vector
+        # product would not round as this column of the product does
         draw = dpre @ self.w1.T
         draw /= self.in_std
-        grads = {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
         return grads, draw[:, 0], draw[:, 1], draw[:, 2:]
 
     def to_dict(self) -> dict:
@@ -170,9 +188,10 @@ class CollaborativeTerm:
         self.grad = self.scale * self.excess
 
     def __call__(self, s_hat: np.ndarray) -> tuple[float, np.ndarray]:
-        """Loss at the collated scores and its (constant) gradient."""
-        s_hat = np.asarray(s_hat, dtype=np.float64).reshape(-1)
-        _check_lengths(s_hat, self.excess)
+        """Loss at the collated scores, a float64 vector of the term's
+        length, and its (constant) gradient."""
+        if s_hat.shape != self.excess.shape:
+            raise LengthMismatch("score vectors must share one length")
         return self.scale * float(s_hat @ self.excess), self.grad
 
 
@@ -189,6 +208,7 @@ def collaborative_loss_grad(
     per-slot weight arrays: patch weights, or constants for the ablation and
     the theory checks.
     """
+    s_hat = np.asarray(s_hat, dtype=np.float64).reshape(-1)
     return CollaborativeTerm(s, llm, lam1, lam2)(s_hat)
 
 
@@ -208,12 +228,16 @@ def mse_variant_loss_grad(
 
 @dataclass
 class TrainingCurves:
-    """Per-epoch diagnostics emitted as CSV by the reporting layer."""
+    """Per-epoch diagnostics emitted as CSV by the reporting layer, and the
+    run's counts of blocks and steps."""
 
     alignment_loss: list[float] = field(default_factory=list)
     pairwise_loss: list[float] = field(default_factory=list)
     kl_aligned: list[float] = field(default_factory=list)
     kl_raw: float = float("nan")
+    # training blocks per epoch, and optimizer steps taken
+    blocks: int = 0
+    steps: int = 0
 
 
 class FusionPipeline:
@@ -305,6 +329,48 @@ def _pairwise_term(variant: LossVariant, scaled, llm, lam1, lam2):
     raise ValueError(f"unknown variant {variant}")
 
 
+def _column_stats(col: np.ndarray) -> tuple[float, float]:
+    """Mean and population standard deviation of one column of a stacked
+    input, bit-equal to its entries of the whole input's ``mean(axis=0)``
+    and ``std(axis=0)``: numpy sums each column of that C-ordered array row
+    by row, in order, which is the order of ``np.add.accumulate``."""
+    n = col.size
+    mean = np.add.accumulate(col)[-1] / n
+    dev = col - mean
+    dev *= dev
+    return float(mean), float(np.sqrt(np.add.accumulate(dev)[-1] / n))
+
+
+def _epoch_alignment_loss(mapped, by_length, order, window_ids, fit, lambda_hat) -> float:
+    """The sum, in step order, of the alignment loss of each block's mapped
+    scores from this epoch's step; ``mapped`` holds them by block.
+
+    The blocks of one length go through ``alignment_loss`` as one stack of
+    rows. The first block in step order whose loss is not finite raises:
+    NonFiniteDensity, naming its window, if a mapped score has zero target
+    density, else NonConvergence.
+    """
+    try:
+        losses = {}
+        for members in by_length.values():
+            rows = np.array([mapped[bi] for bi in members])
+            losses.update(zip(members, align_mod.alignment_loss(rows, fit, lambda_hat).tolist()))
+    except NonFiniteDensity:
+        # a block to name: take the blocks one at a time, in step order
+        losses = None
+    total = 0.0
+    for bi in order:
+        try:
+            loss = losses[bi] if losses is not None else align_mod.alignment_loss(
+                mapped[bi], fit, lambda_hat)
+        except NonFiniteDensity as exc:
+            raise NonFiniteDensity(f"window {window_ids[bi]!r}: {exc}") from None
+        if not math.isfinite(loss):
+            raise NonConvergence("phase-2 loss became non-finite")
+        total += loss
+    return total
+
+
 def train_collab(
     windows: list[TimeSeriesWindow],
     scorer,
@@ -332,8 +398,19 @@ def train_collab(
     views of those. Its patch weights and, for the pairwise variants, its
     loss gradient are built once before the first epoch. One mapping pass
     over all slots per epoch boundary gives both that epoch's ``kl_aligned``
-    and the next epoch's input statistics. A step writes in place only the
-    parameters and the aligned column of its block's fusion-input rows.
+    and the aligned column's input statistics for the next epoch. The other
+    columns never change, so they are standardized once, before the first
+    epoch. A step writes in place only the parameters, the optimizer's
+    gradient vector (the backward passes write into it) and the aligned
+    column of its block's standardized rows.
+
+    A step needs only the alignment loss's gradient. The loss's value is
+    formed at the end of each epoch, from the mapped scores each block had
+    at its step. A pairwise loss that is not finite raises NonConvergence
+    at its step. A mapped score with zero target density raises
+    NonFiniteDensity, naming the block's window, and an alignment loss that
+    is not finite raises NonConvergence, at the end of that epoch: before
+    its curves are appended, for the first such block in step order.
     """
     windows = [w for w in windows if w.length >= cfg.patchSize]
     if not windows:
@@ -350,9 +427,17 @@ def train_collab(
     mapping = MonotoneMapping(cfg.mapping_hidden, seed=cfg.seed) if use_mapping else None
     cond = ConditionalNetParams(rep.shape[1], hidden=cfg.cond_hidden, seed=cfg.seed + 1)
     all_stacked = cond._stack(llm, all_scaled, rep)
+    # training changes the aligned column alone, and so only its statistics:
+    # the other columns are standardized once, here
+    in_mean, in_std = all_stacked.mean(axis=0), all_stacked.std(axis=0)
+    cond.set_input_stats(in_mean, in_std)
+    all_z = cond.standardize(all_stacked)
 
-    # per block: (scaled scores, fusion input, pairwise term)
+    # per block: scaled scores, standardized fusion input, its aligned
+    # column, and the pairwise term
     blocks = []
+    window_ids = []
+    by_length: dict[int, list[int]] = {}
     offset = 0
     for w in windows:
         pw = patch_weights(w, cfg.patchSize)
@@ -363,13 +448,17 @@ def train_collab(
             rows = slice(offset + start, offset + stop)
             term = _pairwise_term(variant, all_scaled[rows], llm[rows],
                                   pw.lambda1[start:stop], pw.lambda2[start:stop])
-            blocks.append((all_scaled[rows], all_stacked[rows], term))
+            by_length.setdefault(stop - start, []).append(len(blocks))
+            blocks.append((all_scaled[rows], all_z[rows], all_z[rows, 1], term))
+            window_ids.append(w.window_id())
         offset += w.length
 
-    curves = TrainingCurves()
+    curves = TrainingCurves(blocks=len(blocks))
     curves.kl_raw = align_mod.kl_histogram(all_scaled, fit, bins=50)
 
     flat = FlatParams([cond, mapping] if use_mapping else [cond])
+    cond_grads = flat.grads[0]
+    mapping_grads = flat.grads[1] if use_mapping else None
     # Adam keeps the two loss terms trainable together: the pairwise term's
     # 1/n^2 scale is orders of magnitude below the alignment term's per-slot
     # log-density gradients, so raw SGD would starve the fusion net.
@@ -377,35 +466,39 @@ def train_collab(
 
     rng = np.random.default_rng(cfg.seed)
     all_aligned = mapping(all_scaled) if use_mapping else all_scaled
+    # each block's mapped scores from its step of the current epoch
+    mapped_of = [None] * len(blocks)
     for _epoch in range(cfg.epochs_collab):
         # the mapping reshapes its output distribution as it trains, so the
-        # standardization constants track it once per epoch
-        all_stacked[:, 1] = all_aligned
-        cond.set_input_stats(all_stacked.mean(axis=0), all_stacked.std(axis=0))
+        # aligned column's standardization constants track it once per epoch
+        in_mean[1], in_std[1] = _column_stats(all_aligned)
+        cond.set_input_stats(in_mean, in_std)
+        aligned_mean, aligned_std = float(cond.in_mean[1]), float(cond.in_std[1])
         order = rng.permutation(len(blocks))
-        ep_align = 0.0
         ep_pair = 0.0
         for bi in order:
-            sb, stacked, pairwise = blocks[bi]
+            sb, z, z_aligned, pairwise = blocks[bi]
             if use_mapping:
                 mapped, mcache = mapping.forward(sb)
-            else:
-                mapped = sb
-            stacked[:, 1] = mapped
-            s_hat, ccache = cond.forward_stacked(stacked)
+                mapped_of[bi] = mapped
+                np.subtract(mapped, aligned_mean, out=z_aligned)
+                z_aligned /= aligned_std
+            s_hat, ccache = cond.forward_stacked(z)
             pair_loss, ds_hat = pairwise(s_hat)
-            cgrads, _dllm, dmapped, _drep = cond.backward(ds_hat, ccache)
-            grads = [cgrads]
+            _, _dllm, dmapped, _drep = cond.backward(ds_hat, ccache, cond_grads)
             if use_mapping:
-                a_loss, da_mapped = align_mod.alignment_loss_grad(mapped, fit, cfg.lambda_hat)
-                grads.append(mapping.backward(dmapped + da_mapped, mcache))
-            else:
-                a_loss = 0.0
-            opt.step(flat.theta, flat.gather(grads))
-            if not (np.isfinite(pair_loss) and np.isfinite(a_loss)):
+                dm = align_mod.alignment_grad(mapped, fit, cfg.lambda_hat)
+                dm += dmapped
+                mapping.backward(dm, mcache, mapping_grads)
+            opt.step(flat.theta, flat.grad)
+            if not math.isfinite(pair_loss):
                 raise NonConvergence("phase-2 loss became non-finite")
-            ep_align += a_loss
             ep_pair += pair_loss
+            curves.steps += 1
+        ep_align = 0.0
+        if use_mapping:
+            ep_align = _epoch_alignment_loss(mapped_of, by_length, order, window_ids,
+                                             fit, cfg.lambda_hat)
         curves.alignment_loss.append(ep_align / len(blocks))
         curves.pairwise_loss.append(ep_pair / len(blocks))
         if use_mapping:

@@ -39,8 +39,9 @@ def sigmoid(x) -> np.ndarray:
     non-decreasing; the derivative is out * (1 - out).
     """
     x = np.asarray(x, dtype=np.float64)
-    e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0, e) / (1.0 + e)
+    # e = e^-|x| <= 1, so max(e, x >= 0) is the numerator: 1 where x >= 0, else e
+    e = np.exp(np.copysign(x, -1.0))
+    out = np.maximum(e, x >= 0) / (1.0 + e)
     # the same values as np.clip, without its per-call overhead
     return np.minimum(np.maximum(out, _SIGMOID_LO), _SIGMOID_HI)
 

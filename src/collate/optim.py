@@ -55,7 +55,8 @@ class FlatParams:
     The layout follows ``owners`` and, within each, its class's ``PARAMS``.
     Each attribute is rebound to its view of ``theta`` (a 0-d view for a
     scalar), so one optimizer step on ``theta`` updates them all in place.
-    ``grad`` has the same layout.
+    ``grad`` has the same layout, and ``grads`` holds, per owner, its views
+    of ``grad`` keyed by attribute name: a backward pass writes into those.
     """
 
     def __init__(self, owners: list):
@@ -66,20 +67,13 @@ class FlatParams:
         ]
         self.theta = np.concatenate([a.reshape(-1) for _, _, a in arrays])
         self.grad = np.empty_like(self.theta)
-        self._grad_views = []
+        self.grads: list[dict[str, np.ndarray]] = [{} for _ in owners]
         start = 0
         for i, name, a in arrays:
             stop = start + a.size
             setattr(owners[i], name, self.theta[start:stop].reshape(a.shape))
-            self._grad_views.append((i, name, self.grad[start:stop].reshape(a.shape)))
+            self.grads[i][name] = self.grad[start:stop].reshape(a.shape)
             start = stop
-
-    def gather(self, grads: list[dict]) -> np.ndarray:
-        """The flat gradient from one gradient dict per owner, keyed by
-        attribute name as the backward passes return them."""
-        for i, name, view in self._grad_views:
-            view[...] = grads[i][name]
-        return self.grad
 
 
 class Adam:

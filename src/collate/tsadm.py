@@ -379,7 +379,11 @@ def train_tsadm(values: np.ndarray, cfg: TsadmConfig) -> TsadmModel:
             loss, grads = model.loss_and_grads(batch, workspace)
             if not np.isfinite(loss):
                 raise NonConvergence(f"reconstruction loss became {loss}")
-            opt.step(flat.theta, flat.gather([grads, *grads["layers"]]))
+            # the detector's gradients are new arrays: copy them into place
+            for views, owner_grads in zip(flat.grads, [grads, *grads["layers"]]):
+                for name, view in views.items():
+                    view[...] = owner_grads[name]
+            opt.step(flat.theta, flat.grad)
     return model
 
 

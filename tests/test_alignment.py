@@ -9,14 +9,15 @@ from scipy.stats import halfnorm
 from collate.alignment import (
     HalfGaussianFit,
     MonotoneMapping,
-    alignment_loss_grad,
+    alignment_grad,
+    alignment_loss,
     discrete_alignment_objective,
     fit_half_gaussian,
     half_gaussian_density,
     kl_histogram,
 )
-from collate.core import sigmoid
-from collate.errors import DegenerateScores, NonConvergence
+from collate.errors import DegenerateScores, NonConvergence, NonFiniteDensity
+from test_core import _reference_sigmoid
 
 
 def train_mapping(scaled, fit, lambda_hat, epochs, learning_rate=0.05, seed=0):
@@ -28,10 +29,9 @@ def train_mapping(scaled, fit, lambda_hat, epochs, learning_rate=0.05, seed=0):
     mapping = MonotoneMapping(seed=seed)
     for _ in range(epochs):
         mapped, cache = mapping.forward(s)
-        loss, dmapped = alignment_loss_grad(mapped, fit, lambda_hat)
-        if not np.isfinite(loss):
+        if not np.isfinite(alignment_loss(mapped, fit, lambda_hat)):
             raise NonConvergence("alignment loss became non-finite")
-        grads = mapping.backward(dmapped, cache)
+        grads = mapping.backward(alignment_grad(mapped, fit, lambda_hat), cache)
         mapping.a1 -= learning_rate * grads["a1"]
         mapping.b1 -= learning_rate * grads["b1"]
         mapping.a2 -= learning_rate * grads["a2"]
@@ -91,10 +91,10 @@ class TestAlignmentLoss:
         fit = HalfGaussianFit(0.8)
         mapped = np.array([0.2, 0.4, 0.6])
         expected = -np.mean(np.log(half_gaussian_density(fit, mapped)))
-        assert alignment_loss_grad(mapped, fit, 0.0)[0] == pytest.approx(expected)
+        assert alignment_loss(mapped, fit, 0.0) == pytest.approx(expected)
         # the gradient is then the log-density term's alone
         np.testing.assert_allclose(
-            alignment_loss_grad(mapped, fit, 0.0)[1], mapped / (fit.sigma**2 * 3), rtol=1e-15
+            alignment_grad(mapped, fit, 0.0), mapped / (fit.sigma**2 * 3), rtol=1e-15
         )
 
     def test_constant_batch_variance_term(self):
@@ -102,8 +102,8 @@ class TestAlignmentLoss:
         # lambda * sigma_hat_sq^2 and the mean penalty lambda * (0.5 - mu_hat)^2
         fit = HalfGaussianFit(1.0)
         mapped = np.full(6, 0.5)
-        base = alignment_loss_grad(mapped, fit, 0.0)[0]
-        full = alignment_loss_grad(mapped, fit, 3.0)[0]
+        base = alignment_loss(mapped, fit, 0.0)
+        full = alignment_loss(mapped, fit, 3.0)
         assert full - base == pytest.approx(
             3.0 * (fit.sigma_hat_sq**2 + (0.5 - fit.mu_hat) ** 2)
         )
@@ -113,23 +113,32 @@ class TestAlignmentLoss:
         fit = HalfGaussianFit(1.0)
         dens = 2.0 / math.sqrt(2 * math.pi) * math.exp(-0.125)
         expected = -math.log(dens) + (0.5 - fit.mu_hat) ** 2 + fit.sigma_hat_sq**2
-        got = alignment_loss_grad(np.array([0.5, 0.5]), fit, 1.0)[0]
+        got = alignment_loss(np.array([0.5, 0.5]), fit, 1.0)
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(0.5720, abs=1e-3)
+
+    def test_zero_density_names_the_largest_score_and_sigma(self):
+        # past about 38.6 sigma the density underflows to zero
+        fit = HalfGaussianFit(0.005)
+        mapped = np.array([[0.01, 0.02], [0.9, 0.9123]])
+        with pytest.raises(NonFiniteDensity, match=r"mapped score 0\.9123 .* sigma 0\.0050"):
+            alignment_loss(mapped, fit, 1.0)
+        with pytest.raises(NonFiniteDensity, match=r"mapped score 0\.9000 "):
+            alignment_loss(np.array([0.9, 0.01]), fit, 1.0)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(0)
         fit = HalfGaussianFit(0.6)
         for lambda_hat in rng.uniform(0.0, 2.0, 4):
             mapped = rng.uniform(0.05, 0.9, 12)
-            _, grad = alignment_loss_grad(mapped, fit, lambda_hat)
+            grad = alignment_grad(mapped, fit, lambda_hat)
             h = 1e-6
             for i in (0, 5, 11):
                 e = np.zeros_like(mapped)
                 e[i] = h
                 fd = (
-                    alignment_loss_grad(mapped + e, fit, lambda_hat)[0]
-                    - alignment_loss_grad(mapped - e, fit, lambda_hat)[0]
+                    alignment_loss(mapped + e, fit, lambda_hat)
+                    - alignment_loss(mapped - e, fit, lambda_hat)
                 ) / (2 * h)
                 assert abs(fd - grad[i]) / abs(fd) < 1e-6
 
@@ -269,10 +278,17 @@ class TestMatchesReference:
         lambda_hat = rng.uniform(0, 2)
         for n in (2, 3, 100, 1001):
             mapped = np.abs(rng.normal(0.0, rng.uniform(0.001, 0.5), n))
-            loss, grad = alignment_loss_grad(mapped, fit, lambda_hat)
+            loss = alignment_loss(mapped, fit, lambda_hat)
+            grad = alignment_grad(mapped, fit, lambda_hat)
             ref_loss, ref_grad = _reference_alignment_loss_grad(mapped, fit, lambda_hat)
             assert loss == ref_loss
             np.testing.assert_array_equal(grad, ref_grad)
+            # a stack of rows: each row's loss, as that row alone gives it
+            rows = np.abs(rng.normal(0.0, rng.uniform(0.001, 0.5), (3, 4, n)))
+            stacked = alignment_loss(rows, fit, lambda_hat)
+            assert stacked.shape == (3, 4)
+            for i in np.ndindex(3, 4):
+                assert stacked[i] == _reference_alignment_loss_grad(rows[i], fit, lambda_hat)[0]
 
     @pytest.mark.parametrize("shape", [(), (1,), (2,), (100,), (7, 9)], ids=str)
     def test_mapping_forward_and_backward(self, shape):
@@ -289,6 +305,11 @@ class TestMatchesReference:
             grads = mapping.backward(dm, cache)
             ref = _reference_mapping_backward(mapping, dm, ref_cache)
             assert set(grads) == set(ref)
+            # into given arrays, as training's gradient views take them
+            given = {name: np.full(np.shape(grads[name]), np.nan) for name in grads}
+            assert mapping.backward(dm, cache, given) is given
+            for name, value in given.items():
+                np.testing.assert_array_equal(value, grads[name])
             for name in ("a1", "b1", "b2"):
                 np.testing.assert_array_equal(grads[name], ref[name])
             assert np.shape(grads["a2"]) == (hidden,)
@@ -312,7 +333,10 @@ class TestMatchesReference:
 def _reference_alignment_loss_grad(mapped, fit, lambda_hat):
     m = np.asarray(mapped, dtype=np.float64).reshape(-1)
     n = m.size
-    dens = half_gaussian_density(fit, m)
+    dens = (2.0 / (fit.sigma * math.sqrt(2.0 * math.pi))) * np.exp(
+        -(m**2) / (2.0 * fit.sigma**2)
+    )
+    dens = np.where(m < 0.0, 0.0, dens)
     mean = float(m.mean())
     var = float(m.var(ddof=1))
     loss = (
@@ -333,7 +357,7 @@ def _reference_mapping_forward(mapping, s):
     pre = np.multiply.outer(s, w1) + mapping.b1
     h = np.tanh(pre)
     z = h @ w2 + mapping.b2
-    m = sigmoid(z)
+    m = _reference_sigmoid(z)
     return m, (s, w1, w2, pre, h, z, m)
 
 
@@ -347,8 +371,8 @@ def _reference_mapping_backward(mapping, dm, cache):
     dw1 = (dpre * np.asarray(s)[..., None]).sum(axis=tuple(range(dpre.ndim - 1)))
     db1 = dpre.sum(axis=tuple(range(dpre.ndim - 1)))
     return {
-        "a1": dw1 * sigmoid(mapping.a1),
+        "a1": dw1 * _reference_sigmoid(mapping.a1),
         "b1": db1,
-        "a2": dw2 * sigmoid(mapping.a2),
+        "a2": dw2 * _reference_sigmoid(mapping.a2),
         "b2": float(np.sum(dz)),
     }

@@ -106,6 +106,17 @@ class TestPipeline:
         assert cli.main(["--out", str(tmp_path / "verify"), "verify"]) in (0, 1)
         checks.check_verify(tmp_path / "verify")
 
+    def test_train_collab_manifest_counts_steps_and_times_training(self, run_dir):
+        manifest = json.loads((run_dir / "collab" / "manifest.json").read_text())
+        series = data_mod.load_csv(run_dir / "D" / "data.csv")
+        train = data_mod.split_windows(series, 200)["train"]
+        # 100-slot blocks; a 1-slot tail block is skipped
+        blocks = sum(-(-w.length // 100) - (w.length % 100 == 1) for w in train)
+        counters = manifest["counters"]
+        assert counters["epochs"] == 3 and counters["blocks"] == blocks
+        assert counters["steps"] == counters["epochs"] * counters["blocks"]
+        assert 0.0 < manifest["timings"]["train_s"] < 60.0
+
     def test_rerun_is_byte_identical(self, run_dir, tmp_path):
         """train-tsadm, train-collab and detect twice on the same inputs give
         the same bytes, training curves included; BLAS threads are left as the
@@ -180,6 +191,28 @@ class TestExitCodes:
         ])
         assert code == 2
         assert "detector checkpoint not found" in capsys.readouterr().err
+
+    def test_all_noise_llm_scores_exit_1_before_any_file(self, run_dir, tmp_path, capsys):
+        # LLM scores that are all noise give a fit so narrow that the
+        # untrained map's scores have no target density
+        rng = np.random.default_rng(0)
+        lines = []
+        for line in (run_dir / "llm" / "llm_scores.jsonl").read_text().splitlines():
+            entry = json.loads(line)
+            entry["scores"] = np.abs(rng.normal(0.0, 0.005, len(entry["scores"]))).tolist()
+            lines.append(json.dumps(entry))
+        scores = tmp_path / "noise.jsonl"
+        scores.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        code = cli.main(["--config", str(run_dir / "cfg.json"), "--out", str(out),
+                         "train-collab", "--data", str(run_dir / "D" / "data.csv"),
+                         "--tsadm", str(run_dir / "tsadm" / "tsadm.json"),
+                         "--llm-scores", str(scores)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: window 'w") and err.count("\n") == 1, err
+        assert "fell where the target density is zero (half-Gaussian sigma 0.00" in err
+        assert list(out.iterdir()) == []
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"

@@ -7,11 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from collate import alignment as align_mod
 from collate import collab as collab_mod
-from collate.alignment import MonotoneMapping
+from collate.alignment import HalfGaussianFit, MonotoneMapping
 from collate.benchmark import BenchmarkConfig, build_benchmark, run_ablation
 from collate.cli import RunConfig
 from collate.collab import (
     _check_lengths,
+    _epoch_alignment_loss,
     _pairwise_weighted_excess,
     CollaborativeTerm,
     ConditionalNetParams,
@@ -27,11 +28,12 @@ from collate.core import (
     TimeSeriesWindow,
     patch_weights,
     score_range_divisor,
-    sigmoid,
 )
-from collate.errors import LengthMismatch, NonConvergence, WindowTooShort
+from collate.errors import LengthMismatch, NonConvergence, NonFiniteDensity, WindowTooShort
 from collate.evaluate import per_kind_metrics
 from collate.optim import Adam
+from test_alignment import _reference_alignment_loss_grad
+from test_core import _reference_sigmoid
 from test_optim import _reference_adam_step
 
 
@@ -359,6 +361,25 @@ class TestCollaborativeTerm:
             term(np.ones(3))
 
 
+def assert_same_checkpoint(new, ref):
+    """Two pipelines' checkpoints have the same JSON, compared field by field
+    and naming the first field that differs: pytest's diff of the two whole
+    checkpoint strings takes minutes to print."""
+    new_state, ref_state = new.to_dict(), ref.to_dict()
+    assert new_state.keys() == ref_state.keys()
+    for key, value in new_state.items():
+        want = ref_state[key]
+        if isinstance(value, dict):
+            assert value.keys() == want.keys(), key
+            pairs = [(f"{key}.{name}", got, want[name]) for name, got in value.items()]
+        else:
+            pairs = [(key, value, want)]
+        for label, got, expected in pairs:
+            if json.dumps(got) != json.dumps(expected):
+                np.testing.assert_array_equal(got, expected, err_msg=label)
+                pytest.fail(f"{label}: the values differ only in the sign of a zero")
+
+
 class TestTrainCollabMatchesReference:
     """The flat-parameter loop gives bit-identical checkpoints and curves."""
 
@@ -378,9 +399,7 @@ class TestTrainCollabMatchesReference:
                             patchSize=2, d=1.0, loss_variant=variant.value)
             new, new_curves = train_collab(windows, small_bench.scorer, llm, cfg)
             ref, ref_curves = _reference_train_collab(windows, small_bench.scorer, llm, cfg)
-            assert json.dumps(new.to_dict(), sort_keys=True) == json.dumps(
-                ref.to_dict(), sort_keys=True
-            )
+            assert_same_checkpoint(new, ref)
             for f in dataclasses.fields(TrainingCurves):
                 a, b = getattr(new_curves, f.name), getattr(ref_curves, f.name)
                 assert a == b, f.name
@@ -401,13 +420,87 @@ class TestTrainCollabMatchesReference:
         assert base.size == sum(a.size for a in arrays)
 
 
+class TestTrainCollabRaisesAtTheEpochEnd:
+    """The alignment loss is formed at the end of each epoch: a block whose
+    loss is not finite raises there, before that epoch's curves go in."""
+
+    @staticmethod
+    def recording_curves(monkeypatch):
+        made = []
+
+        class RecordingCurves(TrainingCurves):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(collab_mod, "TrainingCurves", RecordingCurves)
+        return made
+
+    def test_all_noise_windows_name_the_window_score_and_sigma(self, small_bench, monkeypatch):
+        # slots 0-529 hold no anomaly: there the LLM fit has sigma 0.0050,
+        # and the untrained map puts every slot at 0.90-0.92, where the
+        # target density underflows to zero
+        values = small_bench.series.values
+        windows = [TimeSeriesWindow(values[a:b], start_index=a)
+                   for a, b in [(0, 200), (200, 400), (400, 530)]]
+        llm = small_bench.llm_scores_for(windows)
+        made = self.recording_curves(monkeypatch)
+        with pytest.raises(NonFiniteDensity, match=r"^window 'w(0|200|400)': mapped score "
+                           r"0\.9[0-2]\d\d fell where the target density is zero "
+                           r"\(half-Gaussian sigma 0\.0050\)$"):
+            train_collab(windows, small_bench.scorer, llm, small_cfg(variant_epochs=2))
+        (curves,) = made
+        assert curves.blocks == 3 and curves.steps == 3
+        assert curves.alignment_loss == curves.pairwise_loss == curves.kl_aligned == []
+
+    def test_nan_injected_in_the_second_epoch(self, small_bench, monkeypatch):
+        windows = small_bench.windows["train"]
+        llm = small_bench.llm_scores_for(windows)
+        cfg = small_cfg(variant_epochs=3)
+        forward, block_calls = MonotoneMapping.forward, []
+
+        def nan_in_one_block(self, s):
+            mapped, cache = forward(self, s)
+            if s.size <= cfg.batchSize:
+                block_calls.append(s.size)
+                if len(block_calls) == len(windows) + 2:
+                    mapped = mapped.copy()
+                    mapped[3] = np.nan
+            return mapped, cache
+
+        monkeypatch.setattr(MonotoneMapping, "forward", nan_in_one_block)
+        made = self.recording_curves(monkeypatch)
+        with pytest.raises(NonConvergence, match="^phase-2 loss became non-finite$"):
+            train_collab(windows, small_bench.scorer, llm, cfg)
+        (curves,) = made
+        assert curves.steps == len(windows) + 1
+        assert len(curves.alignment_loss) == len(curves.pairwise_loss) == 1
+
+    def test_the_first_failing_block_in_step_order_decides(self):
+        fit = HalfGaussianFit(0.005)
+        good, dead = np.array([0.001, 0.004]), np.array([0.9, 0.9123])
+        mapped = [good, dead, np.array([np.nan, 0.001])]
+        ids = ["w0", "w200", "w400"]
+        with pytest.raises(NonFiniteDensity, match=r"^window 'w200': mapped score 0\.9123 "):
+            _epoch_alignment_loss(mapped, {2: [0, 1, 2]}, [0, 1, 2], ids, fit, 1.0)
+        with pytest.raises(NonConvergence):
+            _epoch_alignment_loss(mapped, {2: [0, 1, 2]}, [2, 1, 0], ids, fit, 1.0)
+        # the sum runs in step order, over each block's per-step loss
+        mapped = [good, good * 2, np.array([0.003, 0.001, 0.002])]
+        total = _epoch_alignment_loss(mapped, {2: [0, 1], 3: [2]}, [1, 2, 0], ids, fit, 1.0)
+        want = 0.0
+        for bi in (1, 2, 0):
+            want += _reference_alignment_loss_grad(mapped[bi], fit, 1.0)[0]
+        assert total == want
+
+
 class TestConditionalNetMatchesReference:
     """The in-place fusion net, with its leaky ReLU as ``np.maximum``, equals
     the earlier out-of-place ``np.where`` form bit for bit, signed zeros too."""
 
     @staticmethod
     def assert_matches(net, raw, dout):
-        out, cache = net.forward_stacked(raw)
+        out, cache = net.forward_stacked(net.standardize(raw))
         ref_out, ref_cache = _reference_forward_stacked(net, raw)
         np.testing.assert_array_equal(out, ref_out)
         np.testing.assert_array_equal(cache[2], ref_cache[2])
@@ -421,6 +514,11 @@ class TestConditionalNetMatchesReference:
             np.testing.assert_array_equal(value, ref_grads[name])
         for got, want in zip(draw, ref_draw, strict=True):
             np.testing.assert_array_equal(got, want)
+        # into given arrays, as training's gradient views take them
+        given = {name: np.full(np.shape(value), np.nan) for name, value in grads.items()}
+        assert net.backward(dout, cache, given)[0] is given
+        for name, value in given.items():
+            np.testing.assert_array_equal(value, ref_grads[name])
 
     @pytest.mark.parametrize("n,rep_dim,hidden", [(1, 1, 1), (2, 3, 5), (100, 4, 16)])
     def test_random_inputs(self, n, rep_dim, hidden):
@@ -585,7 +683,7 @@ def _reference_train_collab(
                 blocks.append((wi, start, stop))
 
     all_scaled = np.concatenate([st[0] for st in streams])
-    curves = TrainingCurves()
+    curves = TrainingCurves(blocks=len(blocks))
     curves.kl_raw = align_mod.kl_histogram(all_scaled, fit, bins=50)
 
     # Adam keeps the two loss terms trainable together: the pairwise term's
@@ -634,7 +732,7 @@ def _reference_train_collab(
             cgrads["b2"] = np.array([cgrads["b2"]])
             grads = cgrads
             if use_mapping:
-                a_loss, da_mapped = align_mod.alignment_loss_grad(mapped, fit, cfg.lambda_hat)
+                a_loss, da_mapped = _reference_alignment_loss_grad(mapped, fit, cfg.lambda_hat)
                 mgrads = mapping.backward(dmapped + da_mapped, mcache)
                 params.update(
                     {"m_a1": mapping.a1, "m_b1": mapping.b1, "m_a2": mapping.a2}
@@ -660,6 +758,7 @@ def _reference_train_collab(
                 raise NonConvergence("phase-2 loss became non-finite")
             ep_align += a_loss
             ep_pair += pair_loss
+            curves.steps += 1
         curves.alignment_loss.append(ep_align / len(blocks))
         curves.pairwise_loss.append(ep_pair / len(blocks))
         if use_mapping:
@@ -689,7 +788,7 @@ def _reference_forward_stacked(net, raw):
     pre = z @ net.w1 + net.b1
     h = np.where(pre > 0, pre, 0.01 * pre)
     logits = h @ net.w2 + net.b2
-    out = sigmoid(logits)
+    out = _reference_sigmoid(logits)
     return out, (z, pre, h, logits, out)
 
 

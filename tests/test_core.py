@@ -33,6 +33,32 @@ class TestSigmoid:
         x = np.linspace(-30, 30, 6001)
         np.testing.assert_allclose(sigmoid(x), 1.0 / (1.0 + np.exp(-x)), rtol=1e-15, atol=0)
 
+    def test_matches_the_two_branch_reference(self):
+        specials = [0.0, 5e-324, 36.7, 745.0, 1e308, np.inf, np.nan]
+        x = np.concatenate([
+            specials, np.negative(specials),
+            np.random.default_rng(0).normal(0.0, 30.0, 100_000),
+        ])
+        with np.errstate(invalid="ignore"):
+            got, want = sigmoid(x), _reference_sigmoid(x)
+        # NaN-aware, and -0.0 must not compare equal to 0.0's bits
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+        assert sigmoid(-0.0) == _reference_sigmoid(-0.0) == 0.5
+
+
+_SIGMOID_LO = np.nextafter(0.0, 1.0)
+_SIGMOID_HI = np.nextafter(1.0, 0.0)
+
+
+def _reference_sigmoid(x):
+    """``core.sigmoid`` as it was before its numerator became one
+    ``np.maximum``: the oracle every frozen pass in the tests calls."""
+    x = np.asarray(x, dtype=np.float64)
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return np.minimum(np.maximum(out, _SIGMOID_LO), _SIGMOID_HI)
+
 
 class TestNormalizeScores:
     """Range scaling as the pipeline applies it: raw / score_range_divisor."""
