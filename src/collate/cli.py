@@ -4,9 +4,10 @@ evaluation, theory verification, and ablations.
 Every command validates its JSON config (unknown keys rejected), is
 re-runnable with identical outputs for identical inputs, and writes a
 manifest (inputs with hashes, seed, version) next to its artifacts so a run
-can be replayed exactly. ``train-collab``'s manifest also holds its
-``counters`` (steps, epochs, blocks) and ``timings`` (``train_s``, the wall
-seconds of phase-2 training). Exit codes: 0 success, 1 verification failure or
+can be replayed exactly. The manifests of ``train-tsadm`` and
+``train-collab`` also hold their ``counters`` (steps, epochs, and batches or
+blocks per epoch) and ``timings`` (``train_s``, the wall seconds of the
+training loop). Exit codes: 0 success, 1 verification failure or
 bad input, 2 usage error or missing artifact. ``main`` makes the ``--out``
 directory once the config has loaded; a path that cannot be made a
 directory (a file, or a path under one) exits 2.
@@ -230,10 +231,14 @@ def cmd_train_tsadm(cfg: RunConfig, data_path: Path, out_dir: Path) -> int:
 
     series = data_mod.load_csv(_require(data_path, "dataset CSV"))
     train, _val, _test = data_mod.split(series)
-    model = train_tsadm(train.values, cfg.tsadm_config())
+    counters: dict = {}
+    start = time.perf_counter()
+    model = train_tsadm(train.values, cfg.tsadm_config(), counters)
+    train_s = time.perf_counter() - start
     ckpt = out_dir / "tsadm.json"
     model.save(ckpt)
-    write_manifest(out_dir, "train-tsadm", cfg, [data_path], [ckpt])
+    write_manifest(out_dir, "train-tsadm", cfg, [data_path], [ckpt],
+                   extra={"counters": counters, "timings": {"train_s": train_s}})
     print(f"wrote {ckpt}")
     return 0
 

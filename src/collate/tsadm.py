@@ -15,6 +15,23 @@ layers is ``np.matmul`` over the leading (B, D) axes: on these tiny
 per-channel matrices ``np.einsum`` without ``optimize`` never reaches BLAS
 and took half the training time.
 
+The slow reductions and contractions read contiguous operands; each gives
+the bits it gave on the strided form. Measured at the CLI's shape (100
+windows of 16 slots, e = 4, one channel) on one pinned CPU with BLAS threads
+1, numpy 2.4.6 and OpenBLAS 0.3.31:
+
+- The row max of the (B, D, T, T) logits copies them into T contiguous
+  column planes and takes ``np.maximum.reduce`` across the planes: about
+  25 + 8 µs, against 140 µs for ``max(axis=-1)``, which runs one short
+  reduction per 16-wide row. A max is exact and ``np.maximum`` propagates
+  NaN, as ``max`` does; ``np.fmax`` would drop it. Row sums keep
+  ``sum(axis=-1)``, whose pairwise order sets their bits.
+- ``q k^T`` and the backward's ``dout v^T`` multiply by a contiguous copy of
+  k^T or v^T: 13 µs plus 6 µs for the copy, against 27 µs against a
+  ``swapaxes`` view.
+- The backward branch ``dq wq^T + dk wk^T + dv wv^T`` multiplies by
+  contiguous transposes of the (D, e, e) weights: 8 µs a term against 19 µs.
+
 The layers write every array whose size grows with the batch into a
 ``_Workspace``, which keeps one buffer per name: each layer's q, k and v, its
 (B, D, T, T) logits and attention rows, the softmax and backward scratch
@@ -66,8 +83,13 @@ class _Workspace:
     ``take(name, shape)`` returns a C-ordered view of the start of the
     buffer, which is allocated again only when a larger shape is asked for.
     So a ragged last batch writes into part of the full batches' memory,
-    and its contents are whatever the last user left.
+    and its contents are whatever the last user left. Every buffer starts on
+    a 64-byte boundary, so the kernel's vector loops meet the same alignment
+    in every run; the heap alone gives 16 bytes, at offsets that moved with
+    unrelated changes to the program.
     """
+
+    ALIGN = 64
 
     def __init__(self):
         self.buffers: dict[str, np.ndarray] = {}
@@ -76,13 +98,21 @@ class _Workspace:
         size = math.prod(shape)
         buf = self.buffers.get(name)
         if buf is None or buf.size < size:
-            buf = self.buffers[name] = np.empty(size)
+            raw = np.empty(size + self.ALIGN // 8)
+            start = -raw.ctypes.data % self.ALIGN // 8
+            buf = self.buffers[name] = raw[start : start + size]
         return buf[:size].reshape(shape)
 
 
 def _softmax_rows(m: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Row softmax of m, written into out; m is left holding its shifted rows."""
-    m -= m.max(axis=-1, keepdims=True)
+    """Row softmax of m, written into out; m is left holding its shifted rows.
+
+    The row max is taken across m's columns, staged in out as contiguous
+    planes, before ``exp`` overwrites them.
+    """
+    cols = out.reshape(m.shape[-1], *m.shape[:-1])
+    np.copyto(cols, np.moveaxis(m, -1, 0))
+    m -= np.maximum.reduce(cols, axis=0)[..., None]
     np.exp(m, out=out)
     out /= out.sum(axis=-1, keepdims=True)
     return out
@@ -106,6 +136,14 @@ class _AttentionCache(NamedTuple):
     sigma: float
 
 
+def _transposed(x: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """A contiguous copy of x with its last two axes swapped, in ``ws``'s
+    "operand_t", which the next call overwrites."""
+    xt = ws.take("operand_t", (*x.shape[:-2], x.shape[-1], x.shape[-2]))
+    np.copyto(xt, x.swapaxes(-1, -2))
+    return xt
+
+
 def _attention_forward(
     q: np.ndarray, k: np.ndarray, v: np.ndarray, sigma: float, d2: np.ndarray,
     ws: _Workspace, layer: int,
@@ -121,7 +159,7 @@ def _attention_forward(
     expo = np.exp(-d2 / sigma**2)
     g = 1.0 - expo
     shape = (*q.shape[:-1], q.shape[-2])
-    a = np.matmul(q, k.swapaxes(-1, -2), out=ws.take(f"a{layer}", shape))
+    a = np.matmul(q, _transposed(k, ws), out=ws.take(f"a{layer}", shape))
     p = _softmax_rows(np.multiply(a, g, out=ws.take("scratch", shape)),
                       ws.take(f"p{layer}", shape))
     out = np.matmul(p, v, out=ws.take("out", v.shape))
@@ -133,7 +171,7 @@ def _attention_backward(dout: np.ndarray, cache: _AttentionCache, ws: _Workspace
     dq, dk and dv are ``ws``'s arrays, which the next layer overwrites."""
     q, k, v, a, p, g, expo, d2, sigma = cache
     scratch = ws.take("scratch", p.shape)
-    dm = np.matmul(dout, v.swapaxes(-1, -2), out=ws.take("dm", p.shape))  # dp
+    dm = np.matmul(dout, _transposed(v, ws), out=ws.take("dm", p.shape))  # dp
     dv = np.matmul(p.swapaxes(-1, -2), dout, out=ws.take("dv", dout.shape))
     # dm = (dp - rowsum(dp * p)) * p, in place
     dm -= np.multiply(dm, p, out=scratch).sum(axis=-1, keepdims=True)
@@ -146,12 +184,12 @@ def _attention_backward(dout: np.ndarray, cache: _AttentionCache, ws: _Workspace
     return dq, dk, dv, dsigma
 
 
-def _sum_over_bt(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _sum_over_bt(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """(D, e, f) sum over b and t of x[b, d, t, :]^T y[b, d, t, :], as one
-    (D, e, B*T) @ (D, B*T, f) matmul."""
+    (D, e, B*T) @ (D, B*T, f) matmul, written into ``out`` if given."""
     b, d, t, e = x.shape
     xs = x.transpose(1, 3, 0, 2).reshape(d, e, b * t)
-    return xs @ y.transpose(1, 0, 2, 3).reshape(d, b * t, y.shape[-1])
+    return np.matmul(xs, y.transpose(1, 0, 2, 3).reshape(d, b * t, y.shape[-1]), out=out)
 
 
 @dataclass
@@ -252,43 +290,50 @@ class TsadmModel:
         recon = rep @ self.out_w + self.out_b
         return recon, rep, (xb, xwin, layer_caches)
 
-    def loss_and_grads(self, xb: np.ndarray, workspace: _Workspace | None = None):
+    def loss_and_grads(self, xb: np.ndarray, workspace: _Workspace | None = None,
+                       grads: dict | None = None):
         """Mean squared reconstruction error and gradients for every parameter.
 
         The gradients are keyed by attribute name, and ``"layers"`` holds one
-        {wq, wk, wv, log_sigma} dict per layer. The attention arrays of both
-        passes go to ``workspace`` (a fresh one if none is given); the
-        gradients are new arrays.
+        {wq, wk, wv, log_sigma} dict per layer. They are written into the
+        arrays of ``grads``, keyed the same way (a 0-d array for
+        ``log_sigma``), as ``FlatParams.grads`` lays them out; without
+        ``grads`` they are new arrays. The attention arrays of both passes go
+        to ``workspace`` (a fresh one if none is given).
         """
         ws = _Workspace() if workspace is None else workspace
+        grads = {} if grads is None else grads
+        layer_grads = grads.setdefault("layers", [{} for _ in self.layers])
         recon, rep, (xb, xwin, layer_caches) = self.forward(xb, ws)
         resid = recon - xb
         loss = float(np.mean(resid**2))
         drecon = 2.0 * resid / resid.size
-        grads: dict[str, np.ndarray] = {
-            "out_w": np.einsum("bth,btd->hd", rep, drecon),
-            "out_b": drecon.sum(axis=(0, 1)),
-        }
+        grads["out_w"] = np.einsum("bth,btd->hd", rep, drecon, out=grads.get("out_w"))
+        grads["out_b"] = drecon.sum(axis=(0, 1), out=grads.get("out_b"))
         drep = drecon @ self.out_w.T
         b, t = xb.shape[0], xb.shape[1]
         dx = drep.reshape(b, t, self.dims, self.cfg.embed).transpose(0, 2, 1, 3)
-        layer_grads = [{} for _ in self.layers]
         for i in reversed(range(len(self.layers))):
-            layer = self.layers[i]
+            layer, lg = self.layers[i], layer_grads[i]
             x, cache = layer_caches[i]
             # residual: dx flows to both the branch and the skip
             dq, dk, dv, dsigma = _attention_backward(dx, cache, ws)
-            layer_grads[i] = {"wq": _sum_over_bt(x, dq), "wk": _sum_over_bt(x, dk),
-                              "wv": _sum_over_bt(x, dv), "log_sigma": dsigma * cache.sigma}
-            # dx + (dq wq^T + dk wk^T + dv wv^T), summed in that order
-            branch = np.matmul(dq, layer.wq.swapaxes(-1, -2), out=ws.take("branch", dx.shape))
-            branch += np.matmul(dk, layer.wk.swapaxes(-1, -2), out=ws.take("term", dx.shape))
-            branch += np.matmul(dv, layer.wv.swapaxes(-1, -2), out=ws.take("term", dx.shape))
+            lg["wq"] = _sum_over_bt(x, dq, lg.get("wq"))
+            lg["wk"] = _sum_over_bt(x, dk, lg.get("wk"))
+            lg["wv"] = _sum_over_bt(x, dv, lg.get("wv"))
+            lg["log_sigma"] = np.multiply(dsigma, cache.sigma, out=lg.get("log_sigma"))
+            # dx + (dq wq^T + dk wk^T + dv wv^T), summed in that order, each
+            # weight transposed into a contiguous copy
+            branch = np.matmul(dq, layer.wq.transpose(0, 2, 1).copy(),
+                               out=ws.take("branch", dx.shape))
+            branch += np.matmul(dk, layer.wk.transpose(0, 2, 1).copy(),
+                                out=ws.take("term", dx.shape))
+            branch += np.matmul(dv, layer.wv.transpose(0, 2, 1).copy(),
+                                out=ws.take("term", dx.shape))
             dx = np.add(dx, branch, out=ws.take("dx", dx.shape))
         du = dx.transpose(0, 2, 1, 3)  # (B,T,D,e)
-        grads["embed_w"] = np.einsum("btdj,btde->je", xwin, du)
-        grads["embed_b"] = du.sum(axis=(0, 1, 2))
-        grads["layers"] = layer_grads
+        grads["embed_w"] = np.einsum("btdj,btde->je", xwin, du, out=grads.get("embed_w"))
+        grads["embed_b"] = du.sum(axis=(0, 1, 2), out=grads.get("embed_b"))
         return loss, grads
 
     def score(self, window: TimeSeriesWindow) -> tuple[np.ndarray, np.ndarray]:
@@ -355,15 +400,18 @@ def sliding_windows(values: np.ndarray, win_len: int) -> np.ndarray:
     return values[: n_win * win_len].reshape(n_win, win_len, values.shape[1])
 
 
-def train_tsadm(values: np.ndarray, cfg: TsadmConfig) -> TsadmModel:
+def train_tsadm(values: np.ndarray, cfg: TsadmConfig,
+                counters: dict | None = None) -> TsadmModel:
     """Minibatch Adam on mean squared reconstruction error.
 
     Deterministic under cfg.seed: init, batch shuffling, and updates all flow
     from one generator. Every step writes its attention arrays into one
     workspace, so they are allocated once per run, not once per step. The
     model's and each layer's parameters are bound to one ``FlatParams``
-    vector, which each step updates in place; so while training, and in the
-    model returned, every ``log_sigma`` is a 0-d array.
+    vector, which each step updates in place, and each step writes its
+    gradients into ``FlatParams``' views; so while training, and in the
+    model returned, every ``log_sigma`` is a 0-d array. A ``counters`` dict
+    gets the run's ``epochs``, ``batches`` (per epoch) and ``steps``.
     """
     windows = sliding_windows(values, cfg.winLen)
     dims = windows.shape[2]
@@ -372,18 +420,18 @@ def train_tsadm(values: np.ndarray, cfg: TsadmConfig) -> TsadmModel:
     flat = FlatParams([model, *model.layers])
     opt = Adam(cfg.trlr, flat.theta.size)
     workspace = _Workspace()
+    grads = {**flat.grads[0], "layers": flat.grads[1:]}
     for _epoch in range(cfg.epochs):
         order = rng.permutation(windows.shape[0])
         for start in range(0, order.size, cfg.batchSize):
             batch = windows[order[start : start + cfg.batchSize]]
-            loss, grads = model.loss_and_grads(batch, workspace)
+            loss, _ = model.loss_and_grads(batch, workspace, grads)
             if not np.isfinite(loss):
                 raise NonConvergence(f"reconstruction loss became {loss}")
-            # the detector's gradients are new arrays: copy them into place
-            for views, owner_grads in zip(flat.grads, [grads, *grads["layers"]]):
-                for name, view in views.items():
-                    view[...] = owner_grads[name]
             opt.step(flat.theta, flat.grad)
+    if counters is not None:
+        counters.update(epochs=cfg.epochs, batches=-(-windows.shape[0] // cfg.batchSize),
+                        steps=opt.t)
     return model
 
 

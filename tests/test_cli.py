@@ -117,6 +117,14 @@ class TestPipeline:
         assert counters["steps"] == counters["epochs"] * counters["blocks"]
         assert 0.0 < manifest["timings"]["train_s"] < 60.0
 
+    def test_train_tsadm_manifest_counts_steps_and_times_training(self, run_dir):
+        manifest = json.loads((run_dir / "tsadm" / "manifest.json").read_text())
+        series = data_mod.load_csv(run_dir / "D" / "data.csv")
+        windows = data_mod.split(series)[0].length // cli.RunConfig().winLen
+        batches = -(-windows // cli.RunConfig().batchSize)
+        assert manifest["counters"] == {"epochs": 2, "batches": batches, "steps": 2 * batches}
+        assert 0.0 < manifest["timings"]["train_s"] < 60.0
+
     def test_rerun_is_byte_identical(self, run_dir, tmp_path):
         """train-tsadm, train-collab and detect twice on the same inputs give
         the same bytes, training curves included; BLAS threads are left as the

@@ -18,6 +18,7 @@ from collate.tsadm import (
     _AttentionCache,
     _attention_backward,
     _attention_forward,
+    _softmax_rows,
     _sq_distances,
     _sum_over_bt,
     _Workspace,
@@ -159,7 +160,7 @@ class TestMatchesEinsumReference:
 
 # B, D and T of the shapes the workspace kernel is checked on bit for bit;
 # T = 58 covers the generator's delay (18) plus its longest anomaly (40)
-KERNEL_SHAPES = list(itertools.product((1, 50, 100), (1, 2), (2, 16, 58)))
+KERNEL_SHAPES = list(itertools.product((1, 50, 100), (1, 2, 3), (2, 16, 58)))
 
 
 def arrays_of(*objs):
@@ -180,13 +181,43 @@ class TestMatchesAllocatingReference:
     @pytest.mark.parametrize("b, d, t", KERNEL_SHAPES)
     def test_attention_kernel(self, b, d, t):
         rng = np.random.default_rng(1000 * b + 100 * d + t)
+        self.assert_kernel_matches(rng, *qkv(rng, b, d, t, 4))
+
+    def test_nan_logits_land_where_they_land_in_the_reference(self):
+        rng = np.random.default_rng(5)
+        q, k, v = qkv(rng, 20, 2, 16, 4)
+        # a NaN query fills its logit row, a NaN key its logit column
+        q[3, 1, 5, 2] = np.nan
+        k[11, 0, 9, 0] = np.nan
+        cache = self.assert_kernel_matches(rng, q, k, v)
+        assert np.isnan(cache.a).sum() == 16 + 16
+        assert np.isnan(cache.p).sum() == 16 + 16 * 16
+
+    def test_softmax_keeps_nan_in_the_row_max(self):
+        m = np.random.default_rng(6).normal(size=(4, 2, 5, 5))
+        m[1, 0, 2, 3] = np.nan
+        m[2, 1, 4] = -np.inf
+        m[3, 1, 0, 0] = np.inf
+        with np.errstate(invalid="ignore"):
+            want = m - m.max(axis=-1, keepdims=True)
+            ref = _reference_softmax_rows(m)
+            got = _softmax_rows(m, np.empty_like(m))
+        np.testing.assert_array_equal(got, ref)
+        # the NaN row shifts to all NaN, as under max(axis=-1); the -inf row
+        # too, and the +inf row at its inf
+        np.testing.assert_array_equal(m, want)
+        assert np.isnan(m).sum() == 5 + 5 + 1
+
+    def assert_kernel_matches(self, rng, q, k, v):
+        """Forward and backward on a warm workspace equal the reference bit
+        for bit, NaNs in the same places; returns the forward's cache."""
+        b, d, t, e = q.shape
         ws = _Workspace()
         d2 = _sq_distances(t)
-        warm, warm_cache = _attention_forward(*qkv(rng, b + 1, d, t, 4), 1.3, d2, ws, 0)
+        warm, warm_cache = _attention_forward(*qkv(rng, b + 1, d, t, e), 1.3, d2, ws, 0)
         _attention_backward(rng.normal(size=warm.shape), warm_cache, ws)
-        q, k, v = qkv(rng, b, d, t, 4)
         sigma = float(rng.uniform(0.5, 2.0))
-        probe = rng.normal(size=(b, d, t, 4))
+        probe = rng.normal(size=(b, d, t, e))
         out, cache = _attention_forward(q, k, v, sigma, d2, ws, 0)
         ref_out, ref_cache = _reference_attention_forward(q, k, v, sigma)
         np.testing.assert_array_equal(out, ref_out)
@@ -195,6 +226,7 @@ class TestMatchesAllocatingReference:
         for got, ref in zip(_attention_backward(probe, cache, ws),
                             _reference_attention_backward(probe, ref_cache)):
             np.testing.assert_array_equal(got, ref)
+        return cache
 
     def test_training_run(self):
         # 62 windows of 8 slots in batches of 16: the last batch holds 14
@@ -202,6 +234,16 @@ class TestMatchesAllocatingReference:
                           batchSize=16, seed=4)
         values = np.random.default_rng(9).normal(size=(62 * 8 + 5, 2))
         assert train_tsadm(values, cfg).to_dict() == _reference_train_tsadm(values, cfg).to_dict()
+
+    def test_training_run_at_the_cli_shape(self):
+        # the CLI's detector; 230 windows in batches of 100: the last holds 30
+        cfg = TsadmConfig(winLen=16, moduleNum=3, kLen=2, embed=4, epochs=2,
+                          batchSize=100, seed=0)
+        values = np.random.default_rng(3).normal(size=(230 * 16 + 7, 1))
+        counters = {}
+        model = train_tsadm(values, cfg, counters)
+        assert model.to_dict() == _reference_train_tsadm(values, cfg).to_dict()
+        assert counters == {"epochs": 2, "batches": 3, "steps": 6}
 
 
 # 30 training steps at the CLI's batch of 100 windows of 16 slots, after three
@@ -242,13 +284,29 @@ class TestWorkspace:
         for name, buf in ws.buffers.items():
             assert buf is first[name] and np.shares_memory(buf, first[name])
 
+    def test_every_view_starts_on_a_64_byte_boundary(self, monkeypatch):
+        model, xb = self.model_and_batch()
+        views = []
+        take = _Workspace.take
+
+        def recording_take(self, name, shape):
+            views.append(take(self, name, shape))
+            return views[-1]
+
+        monkeypatch.setattr(_Workspace, "take", recording_take)
+        ws = _Workspace()
+        model.loss_and_grads(xb, ws)
+        model.loss_and_grads(xb[:37], ws)
+        assert len(views) > 40
+        assert all(view.ctypes.data % 64 == 0 for view in views)
+
     def test_one_training_run_uses_one_workspace(self, monkeypatch):
         seen = []
         step = TsadmModel.loss_and_grads
 
-        def recording_step(self, xb, workspace=None):
+        def recording_step(self, xb, workspace=None, grads=None):
             seen.append(workspace)
-            return step(self, xb, workspace)
+            return step(self, xb, workspace, grads)
 
         monkeypatch.setattr(TsadmModel, "loss_and_grads", recording_step)
         cfg = TsadmConfig(winLen=8, moduleNum=1, kLen=2, embed=2, epochs=3,
