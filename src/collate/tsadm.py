@@ -27,15 +27,16 @@ windows of 16 slots, e = 4, one channel) on one pinned CPU with BLAS threads
   NaN, as ``max`` does; ``np.fmax`` would drop it. Row sums keep
   ``sum(axis=-1)``, whose pairwise order sets their bits.
 - ``q k^T`` and the backward's ``dout v^T`` multiply by a contiguous copy of
-  k^T or v^T: 13 µs plus 6 µs for the copy, against 27 µs against a
-  ``swapaxes`` view.
+  k^T or v^T: 13 µs plus 6 µs for the copy, where a ``swapaxes`` view took
+  27 µs.
 - The backward branch ``dq wq^T + dk wk^T + dv wv^T`` multiplies by
   contiguous transposes of the (D, e, e) weights: 8 µs a term against 19 µs.
 
 The layers write every array whose size grows with the batch into a
 ``_Workspace``, which keeps one buffer per name: each layer's q, k and v, its
 (B, D, T, T) logits and attention rows, the softmax and backward scratch
-(dp, dm, da), the layer output, and the backward pass's dq, dk, dv and dx.
+(dp, dm, da), the contiguous k^T or v^T, the layer output, and the backward
+pass's dq, dk, dv and dx.
 ``train_tsadm`` passes one workspace to every step, so a run allocates these
 arrays once, not once per step. At the default batch of 100 windows each
 (B, D, T, T) array is 205 KB; allocating and freeing a dozen of them a step
