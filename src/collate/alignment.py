@@ -7,6 +7,7 @@ reordering the detector's anomaly ranking.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,7 +25,7 @@ KL_EPS = 1e-9
 
 @dataclass(frozen=True)
 class HalfGaussianFit:
-    """Scale of the half-Gaussian target; moments are derived, never stored."""
+    """Scale of the half-Gaussian target; moments are derived from it when first read."""
 
     sigma: float
 
@@ -32,11 +33,11 @@ class HalfGaussianFit:
         if not np.isfinite(self.sigma) or self.sigma <= 0.0:
             raise ValueError("sigma must be finite and positive")
 
-    @property
+    @functools.cached_property
     def mu_hat(self) -> float:
         return self.sigma * math.sqrt(_TWO_OVER_PI)
 
-    @property
+    @functools.cached_property
     def sigma_hat_sq(self) -> float:
         return self.sigma**2 * (1.0 - _TWO_OVER_PI)
 
@@ -217,10 +218,12 @@ class MonotoneMapping:
         dpre = np.multiply.outer(dz.reshape(-1), w2)
         dw2 = dz.reshape(-1) @ h
         dpre *= 1.0 - h * h
-        dw1 = np.add.reduce(dpre * s.reshape(-1, 1), axis=0)
         grads = {} if grads is None else grads
-        grads["a1"] = np.multiply(dw1, dsoftplus[: w2.size], out=grads.get("a1"))
         grads["b1"] = np.add.reduce(dpre, axis=0, out=grads.get("b1"))
+        # b1's gradient is taken, so dpre can become a1's summands in place
+        dpre *= s.reshape(-1, 1)
+        dw1 = np.add.reduce(dpre, axis=0)
+        grads["a1"] = np.multiply(dw1, dsoftplus[: w2.size], out=grads.get("a1"))
         grads["a2"] = np.multiply(dw2, dsoftplus[w2.size :], out=grads.get("a2"))
         grads["b2"] = np.add.reduce(dz, axis=None, out=grads.get("b2"))
         return grads

@@ -17,13 +17,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import data as data_mod
-from .collab import detect, train_collab
-from .core import LossVariant, TimeSeriesWindow
+from .core import LossVariant, PrecomputedScorer, TimeSeriesWindow
 from .data import AnomalyKind, LabeledSeries
 from .errors import ConfigError
 from .evaluate import DetectionMetrics, labels_from_spans, per_kind_metrics
 from .llm import fixture_scores, write_fixture
-from .tsadm import PrecomputedScorer
 
 if TYPE_CHECKING:
     from .cli import RunConfig
@@ -171,6 +169,8 @@ def _test_metrics(bench: Benchmark, score_window) -> DetectionMetrics:
 
 def run_variant(bench: Benchmark, cfg: RunConfig) -> DetectionMetrics:
     """Train ``cfg.loss_variant`` on the train split; metrics on the test split."""
+    from .collab import detect, train_collab  # here, so gen-data loads no training code
+
     llm_train = bench.llm_scores_for(bench.windows["train"])
     pipeline, _ = train_collab(bench.windows["train"], bench.scorer, llm_train, cfg)
     llm_test = bench.llm_scores_for(bench.windows["test"])

@@ -35,7 +35,8 @@ Each command runs in a fresh interpreter, so a command imports only what it
 runs. Importing this module loads numpy and what ``eval`` runs: ``data``,
 ``core``, ``errors`` and ``evaluate``. Every other module (``tsadm``,
 ``llm``, ``collab``, ``benchmark``, ``theory``, and live ``score-llm``'s
-HTTP client and thread pool) is imported inside the commands that run it.
+HTTP client and thread pool) is imported inside the commands that run it:
+``gen-data`` adds only ``benchmark`` and ``llm``, and no training module.
 """
 from __future__ import annotations
 

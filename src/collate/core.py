@@ -2,7 +2,8 @@
 
 Scores pass between modules as plain 1-D float64 arrays, each checked once
 where it enters: LLM scores in ``llm``, replayed detector scores by
-``tsadm.PrecomputedScorer``, collated scores by ``collab.detect``.
+``PrecomputedScorer``, collated scores by ``collab.detect``. The scorer lives
+here so that ``gen-data``'s simulated detector loads no training code.
 
 All operations here are pure functions over immutable inputs; nothing holds
 shared mutable state, so concurrent use across windows is safe.
@@ -14,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateRange, NonFiniteInput, ShapeMismatch, WindowTooShort
+from .errors import DegenerateRange, NonFiniteInput, ScoreOutOfRange, ShapeMismatch, WindowTooShort
 
 
 class LossVariant(Enum):
@@ -75,6 +76,45 @@ class TimeSeriesWindow:
 
     def window_id(self) -> str:
         return f"w{self.start_index}"
+
+
+class PrecomputedScorer:
+    """Replays per-slot scores and representations computed elsewhere.
+
+    Covers slots [base_index, base_index + T); score() slices by the window's
+    absolute start index. Raw scores that are negative or not finite raise
+    ScoreOutOfRange when the scorer is built.
+    """
+
+    def __init__(self, raw: np.ndarray, rep: np.ndarray, base_index: int = 0):
+        self.raw = np.asarray(raw, dtype=np.float64).reshape(-1)
+        self.rep = np.atleast_2d(np.asarray(rep, dtype=np.float64))
+        if self.rep.shape[0] != self.raw.size:
+            raise ShapeMismatch("raw scores and representation must cover the same slots")
+        if not ((self.raw >= 0.0) & (self.raw < np.inf)).all():
+            raise ScoreOutOfRange("precomputed raw scores must be finite and nonnegative")
+        self.base_index = int(base_index)
+
+    def score(self, window: TimeSeriesWindow) -> tuple[np.ndarray, np.ndarray]:
+        lo = window.start_index - self.base_index
+        hi = lo + window.length
+        if lo < 0 or hi > self.raw.size:
+            raise ShapeMismatch(
+                f"window [{window.start_index}, {window.start_index + window.length}) "
+                "outside precomputed score coverage"
+            )
+        return self.raw[lo:hi], self.rep[lo:hi]
+
+    def to_dict(self) -> dict:
+        return {
+            "raw": self.raw.tolist(),
+            "rep": self.rep.tolist(),
+            "base_index": self.base_index,
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "PrecomputedScorer":
+        return cls(np.asarray(d["raw"]), np.asarray(d["rep"]), d["base_index"])
 
 
 @dataclass(frozen=True)

@@ -83,19 +83,22 @@ class TheoryReport:
         return json.dumps(payload, sort_keys=True)
 
 
-def oracle_loss(s_hat: np.ndarray, y: np.ndarray) -> float:
-    """Difference-correlation objective: -sum_ij (y_i - y_j)(S^_i - S^_j).
+def oracle_loss(s_hat: np.ndarray, y: np.ndarray) -> float | np.ndarray:
+    """Difference-correlation objective: -sum_ij (y_i - y_j)(S^_i - S^_j), of
+    one score vector (a float) or of each in a stack along the last axis.
 
     Implemented as the literal double sum over outer differences; tests
     cross-check it against the closed form -2(n * sum(y S^) - sum(y) sum(S^)).
     """
-    s_hat = np.asarray(s_hat, dtype=np.float64).reshape(-1)
+    s_hat = np.asarray(s_hat, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
-    if s_hat.size != y.size:
+    if s_hat.shape[-1:] != y.shape:
         raise LengthMismatch("score vectors must share one length")
     dy = y[:, None] - y[None, :]
-    ds = s_hat[:, None] - s_hat[None, :]
-    return float(-(dy * ds).sum())
+    ds = s_hat[..., :, None] - s_hat[..., None, :]
+    # each vector's n * n terms summed as one flat run, as .sum() of one (n, n) array
+    losses = -(dy * ds).reshape(*s_hat.shape[:-1], -1).sum(axis=-1)
+    return float(losses) if s_hat.ndim == 1 else losses
 
 
 @dataclass
@@ -119,7 +122,7 @@ def brute_force_optimal(y: np.ndarray, seed: int = 0) -> BruteForceResult:
     if y.size > 8:
         raise ValueError("brute force is for small instances (n <= 8)")
     vertices = np.array(list(itertools.product((0.0, 1.0), repeat=y.size)))
-    losses = np.array([oracle_loss(v, y) for v in vertices])
+    losses = oracle_loss(vertices, y)
     minimal = losses <= losses.min() + TIE_TOL
     return BruteForceResult(
         best=vertices[minimal].mean(axis=0),
@@ -145,7 +148,8 @@ def check_theorem2(trials: int, n: int = 5, seed: int = 0) -> TheoryReport:
         y = rng.uniform(0.0, 1.0, n)
         while np.unique(y).size < n:
             y = rng.uniform(0.0, 1.0, n)
-        s_star = brute_force_optimal(y).best
+        # the comparisons on Python floats: numpy's values, without its scalar overhead
+        s_star, y = brute_force_optimal(y).best.tolist(), y.tolist()
         ok = True
         for r in range(n):
             for k in range(n):
@@ -153,7 +157,7 @@ def check_theorem2(trials: int, n: int = 5, seed: int = 0) -> TheoryReport:
                     ok = False
                     p1_failures += 1
         for _ in range(100):
-            r, k, rp, kp = rng.integers(0, n, 4)
+            r, k, rp, kp = rng.integers(0, n, 4).tolist()
             if y[r] - y[k] > y[rp] - y[kp]:
                 if not ((s_star[r] - s_star[k]) > (s_star[rp] - s_star[kp]) - TIE_TOL):
                     ok = False

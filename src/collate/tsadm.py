@@ -52,9 +52,9 @@ one, so scoring stays pure and re-entrant. The gradients, reconstructions,
 representations and scores they return are new arrays; only ``forward``'s
 layer caches point into the workspace it used.
 
-Anything implementing the Scorer protocol can stand in for the attention
-model; its scores are plain float64 arrays. PrecomputedScorer replays
-externally produced scores, which it checks once, when it is built.
+Anything with ``score(window) -> (raw, rep)`` can stand in for the
+attention model, as ``core.PrecomputedScorer`` does with scores computed
+elsewhere; the scores are plain float64 arrays.
 """
 from __future__ import annotations
 
@@ -62,20 +62,13 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import NamedTuple, Protocol, runtime_checkable
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import TimeSeriesWindow
-from .errors import NonConvergence, ScoreOutOfRange, ShapeMismatch
+from .core import PrecomputedScorer, TimeSeriesWindow
+from .errors import NonConvergence, ShapeMismatch
 from .optim import Adam, FlatParams, load_checkpoint, load_state, state_dict
-
-
-@runtime_checkable
-class Scorer(Protocol):
-    def score(self, window: TimeSeriesWindow) -> tuple[np.ndarray, np.ndarray]:
-        """Raw per-slot scores, a nonnegative float64 array, and a T x h representation."""
-        ...
 
 
 class _Workspace:
@@ -434,45 +427,6 @@ def train_tsadm(values: np.ndarray, cfg: TsadmConfig,
         counters.update(epochs=cfg.epochs, batches=-(-windows.shape[0] // cfg.batchSize),
                         steps=opt.t)
     return model
-
-
-class PrecomputedScorer:
-    """Replays per-slot scores and representations computed elsewhere.
-
-    Covers slots [base_index, base_index + T); score() slices by the window's
-    absolute start index. Raw scores that are negative or not finite raise
-    ScoreOutOfRange when the scorer is built.
-    """
-
-    def __init__(self, raw: np.ndarray, rep: np.ndarray, base_index: int = 0):
-        self.raw = np.asarray(raw, dtype=np.float64).reshape(-1)
-        self.rep = np.atleast_2d(np.asarray(rep, dtype=np.float64))
-        if self.rep.shape[0] != self.raw.size:
-            raise ShapeMismatch("raw scores and representation must cover the same slots")
-        if not ((self.raw >= 0.0) & (self.raw < np.inf)).all():
-            raise ScoreOutOfRange("precomputed raw scores must be finite and nonnegative")
-        self.base_index = int(base_index)
-
-    def score(self, window: TimeSeriesWindow) -> tuple[np.ndarray, np.ndarray]:
-        lo = window.start_index - self.base_index
-        hi = lo + window.length
-        if lo < 0 or hi > self.raw.size:
-            raise ShapeMismatch(
-                f"window [{window.start_index}, {window.start_index + window.length}) "
-                "outside precomputed score coverage"
-            )
-        return self.raw[lo:hi], self.rep[lo:hi]
-
-    def to_dict(self) -> dict:
-        return {
-            "raw": self.raw.tolist(),
-            "rep": self.rep.tolist(),
-            "base_index": self.base_index,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PrecomputedScorer":
-        return cls(np.asarray(d["raw"]), np.asarray(d["rep"]), d["base_index"])
 
 
 def scorer_to_dict(scorer) -> dict:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from collate import benchmark, cli, data as data_mod, llm
+from collate import benchmark, cli, collab, data as data_mod, llm
 from collate.core import LossVariant
 
 
@@ -599,6 +599,14 @@ class TestImports:
         assert loaded & {"collate.theory", "urllib.request"} == set()
         assert loaded & {"collate.collab", "collate.tsadm", "collate.llm"} == set()
 
+    def test_gen_data_loads_no_training_code(self, tmp_path):
+        argv = ["--out", str(tmp_path), "gen-data", "--length", "2000"]
+        loaded = _modules_after(f"from collate import cli\nassert cli.main({argv!r}) == 0")
+        assert (tmp_path / "data.csv").is_file()
+        training = {"collate.collab", "collate.tsadm", "collate.alignment", "collate.optim",
+                    "collate.theory"}
+        assert loaded & training == set()
+
     def test_loading_a_trained_pipeline_draws_no_random_numbers(self, run_dir):
         path = run_dir / "collab" / "pipeline.json"
         loaded = _modules_after(
@@ -611,13 +619,13 @@ class TestImports:
 class TestAblateGrid:
     def test_grid_point_trains_only_the_collaborative_variant(self, tmp_path, monkeypatch):
         trained = []
-        real = benchmark.train_collab
+        real = collab.train_collab
 
         def counting(windows, scorer, llm_scores, cfg):
             trained.append(cfg.loss_variant)
             return real(windows, scorer, llm_scores, cfg)
 
-        monkeypatch.setattr(benchmark, "train_collab", counting)
+        monkeypatch.setattr(collab, "train_collab", counting)
         # the grid point repeats the table's own d and patchSize
         grid = json.dumps({"d": [1.0], "patchSize": [2]})
         assert cli.main(["--out", str(tmp_path), "ablate", "--grid", grid]) == 0

@@ -38,6 +38,26 @@ class TestGenerator:
         with pytest.raises(ValueError, match="length must exceed the delay"):
             data.gen_mackey_glass(data.TAU, seed=0)
 
+    @pytest.mark.parametrize("length", [data.TAU + 1, 500, 20_000])
+    def test_matches_the_numpy_scalar_loop_bit_for_bit(self, length):
+        for seed in range(3):
+            series = data.gen_mackey_glass(length, seed)
+            assert np.array_equal(series.values[:, 0], _reference_gen_mackey_glass(length, seed))
+
+
+def _reference_gen_mackey_glass(length, seed):
+    """The generator's Euler loop on numpy scalars, frozen as the reference
+    for its bits: each step is x + STEP * drift + noise, in that order."""
+    rng = np.random.default_rng(seed)
+    x = np.empty(length)
+    x[0] = data.HISTORY_INIT
+    noise = rng.uniform(-data.NOISE_AMPLITUDE, data.NOISE_AMPLITUDE, length)
+    for t in range(length - 1):
+        xd = x[t - data.TAU] if t - data.TAU >= 0 else data.HISTORY_INIT
+        drift = data.A * xd / (1.0 + xd**data.EXPONENT) - data.B * x[t]
+        x[t + 1] = x[t] + data.STEP * drift + noise[t + 1]
+    return x
+
 
 class TestPlanting:
     @pytest.fixture(scope="class")
