@@ -3,7 +3,9 @@
 Fits a half-Gaussian to the LLM's score histogram, then trains a strictly
 monotone scalar map that pulls the detector's scaled scores onto that target
 distribution. Monotonicity matters: alignment recalibrates severity without
-reordering the detector's anomaly ranking.
+reordering the detector's anomaly ranking. The alignment loss takes the
+target's log-density in closed form, so a mapped score far out in the tail,
+where the density itself underflows to zero, still gives a finite loss.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import sigmoid
-from .errors import DegenerateScores, NonFiniteDensity
+from .errors import DegenerateScores
 from .optim import load_state, state_dict
 
 _SQRT2 = math.sqrt(2.0)
@@ -73,59 +75,42 @@ def half_gaussian_density(fit: HalfGaussianFit, x):
     return float(out) if out.ndim == 0 else out
 
 
-def _moments(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean (kept as an axis), centred scores and (n-1)-variance of each row
-    of ``m``, along its last axis: the reductions m.mean() and m.var(ddof=1)
-    make, without their wrappers. A row's values do not depend on the other
-    rows."""
-    n = m.shape[-1]
+def _moments(m: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """Mean, centred scores and (n-1)-variance of one vector: the
+    reductions m.mean() and m.var(ddof=1) make, without their wrappers."""
+    n = m.size
     if n < 2:
         raise ValueError("need at least two mapped scores")
-    mean = np.add.reduce(m, axis=-1, keepdims=True) / n
+    mean = float(np.add.reduce(m) / n)
     centred = m - mean
-    var = np.add.reduce(centred * centred, axis=-1) / (n - 1)
+    var = float(np.add.reduce(centred * centred) / (n - 1))
     return mean, centred, var
 
 
-def alignment_loss(mapped: np.ndarray, fit: HalfGaussianFit, lambda_hat: float):
-    """Alignment loss of the mapped scores: a float for one vector, and an
-    array of each row's loss for a stack of rows (last axis).
+def alignment_loss_grad(
+    mapped: np.ndarray, fit: HalfGaussianFit, lambda_hat: float
+) -> tuple[float, np.ndarray]:
+    """Alignment loss of one vector of mapped scores, and its gradient with
+    respect to them.
 
     The loss is the negative mean log-density of the mapped scores under the
     target, plus squared penalties, both weighted by ``lambda_hat``, steering
-    the batch mean and (n-1)-variance onto the target moments. A mapped score
-    where the target density is zero raises NonFiniteDensity, naming the
-    largest mapped score and the fit's sigma.
-
-    Phase-2 training forms it once per epoch, from the mapped scores of each
-    step's block; ``alignment_grad`` is its gradient.
+    the mean and (n-1)-variance onto the target moments. The log-density is
+    taken in closed form, log(2 / (sigma sqrt(2 pi))) - m^2 / (2 sigma^2), so
+    the loss stays finite where the density itself underflows to zero. Mapped
+    scores are nonnegative, as the mapping's sigmoid makes them.
     """
-    m = np.asarray(mapped, dtype=np.float64)
-    dens = half_gaussian_density(fit, m)
-    if (dens <= 0.0).any():
-        raise NonFiniteDensity(
-            f"mapped score {float(m.max()):.4f} fell where the target density is zero "
-            f"(half-Gaussian sigma {fit.sigma:.4f})"
-        )
-    mean, _, var = _moments(m)
-    log_term = np.add.reduce(np.log(dens), axis=-1) / m.shape[-1]
-    # each row's penalties in Python floats, as for one vector: a float's ** 2 is
-    # libm's pow, which rounds unlike numpy's x * x in about one case in 1,300
-    rows = [
-        -lg + lambda_hat * (mn - fit.mu_hat) ** 2 + lambda_hat * (vr - fit.sigma_hat_sq) ** 2
-        for lg, mn, vr in zip(log_term.reshape(-1).tolist(), mean.reshape(-1).tolist(),
-                              var.reshape(-1).tolist())
-    ]
-    return rows[0] if m.ndim == 1 else np.array(rows).reshape(m.shape[:-1])
-
-
-def alignment_grad(mapped: np.ndarray, fit: HalfGaussianFit, lambda_hat: float) -> np.ndarray:
-    """Gradient of ``alignment_loss`` with respect to one vector of mapped
-    scores. It checks no density: the loss does that."""
     m = np.asarray(mapped, dtype=np.float64)
     n = m.size
     mean, centred, var = _moments(m)
-    mean, var = float(mean[0]), float(var)
+    neg_log_density = float(m @ m) / (2.0 * fit.sigma**2 * n) - math.log(
+        2.0 / (fit.sigma * math.sqrt(2.0 * math.pi))
+    )
+    loss = (
+        neg_log_density
+        + lambda_hat * (mean - fit.mu_hat) ** 2
+        + lambda_hat * (var - fit.sigma_hat_sq) ** 2
+    )
     # -log density has derivative m / sigma^2; the centered-variance term's
     # mean-dependence cancels because sum(m - mean) = 0.
     grad = m / (fit.sigma**2 * n)
@@ -133,7 +118,7 @@ def alignment_grad(mapped: np.ndarray, fit: HalfGaussianFit, lambda_hat: float) 
     centred *= lambda_hat * 2.0 * (var - fit.sigma_hat_sq) * 2.0
     centred /= n - 1
     grad += centred
-    return grad
+    return loss, grad
 
 
 def discrete_alignment_objective(mapped: np.ndarray, fit: HalfGaussianFit, n_bins: int) -> float:
@@ -157,7 +142,7 @@ def discrete_alignment_objective(mapped: np.ndarray, fit: HalfGaussianFit, n_bin
     ce = 0.0
     for i, mass in zip(occupied, masses):
         if mass <= 0.0:
-            raise NonFiniteDensity(f"bin {i} has zero target mass")
+            raise ValueError(f"bin {i} has zero target mass")
         ce -= counts[i] / m.size * math.log(mass * n_bins)
     return ce
 

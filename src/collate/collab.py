@@ -4,7 +4,9 @@ The fusion network reads (LLM score, aligned detector score, detector
 representation) per slot and emits a collated score in (0, 1). Training is
 two-phase: the detector is trained first and frozen, then the monotone
 mapping and the fusion network are optimized jointly on the alignment loss
-plus a pairwise loss chosen by the ablation variant.
+plus a pairwise loss chosen by the ablation variant. The alignment loss is
+finite wherever the mapped scores are, so training also runs on windows
+whose LLM scores are all noise.
 """
 from __future__ import annotations
 
@@ -26,14 +28,7 @@ from .core import (
     score_range_divisor,
     sigmoid,
 )
-from .errors import (
-    LengthMismatch,
-    NonConvergence,
-    NonFiniteDensity,
-    NonFiniteInput,
-    ShapeMismatch,
-    WindowTooShort,
-)
+from .errors import LengthMismatch, NonConvergence, NonFiniteInput, ShapeMismatch, WindowTooShort
 from .optim import Adam, FlatParams, load_checkpoint, load_state, state_dict
 
 if TYPE_CHECKING:
@@ -342,36 +337,6 @@ def _column_stats(col: np.ndarray) -> tuple[float, float]:
     return float(mean), float(np.sqrt(np.add.accumulate(dev)[-1] / n))
 
 
-def _epoch_alignment_loss(mapped, by_length, order, window_ids, fit, lambda_hat) -> float:
-    """The sum, in step order, of the alignment loss of each block's mapped
-    scores from this epoch's step; ``mapped`` holds them by block.
-
-    The blocks of one length go through ``alignment_loss`` as one stack of
-    rows. The first block in step order whose loss is not finite raises:
-    NonFiniteDensity, naming its window, if a mapped score has zero target
-    density, else NonConvergence.
-    """
-    try:
-        losses = {}
-        for members in by_length.values():
-            rows = np.array([mapped[bi] for bi in members])
-            losses.update(zip(members, align_mod.alignment_loss(rows, fit, lambda_hat).tolist()))
-    except NonFiniteDensity:
-        # a block to name: take the blocks one at a time, in step order
-        losses = None
-    total = 0.0
-    for bi in order:
-        try:
-            loss = losses[bi] if losses is not None else align_mod.alignment_loss(
-                mapped[bi], fit, lambda_hat)
-        except NonFiniteDensity as exc:
-            raise NonFiniteDensity(f"window {window_ids[bi]!r}: {exc}") from None
-        if not math.isfinite(loss):
-            raise NonConvergence("phase-2 loss became non-finite")
-        total += loss
-    return total
-
-
 def train_collab(
     windows: list[TimeSeriesWindow],
     scorer,
@@ -405,13 +370,10 @@ def train_collab(
     gradient vector (the backward passes write into it) and the aligned
     column of its block's standardized rows.
 
-    A step needs only the alignment loss's gradient. The loss's value is
-    formed at the end of each epoch, from the mapped scores each block had
-    at its step. A pairwise loss that is not finite raises NonConvergence
-    at its step. A mapped score with zero target density raises
-    NonFiniteDensity, naming the block's window, and an alignment loss that
-    is not finite raises NonConvergence, at the end of that epoch: before
-    its curves are appended, for the first such block in step order.
+    A step takes the alignment loss with its gradient, and an epoch's curve
+    values are the means of its steps' losses. A step whose pairwise or
+    alignment loss is not finite raises NonConvergence, after its update
+    and before that epoch's curves are appended.
     """
     windows = [w for w in windows if w.length >= cfg.patchSize]
     if not windows:
@@ -437,8 +399,6 @@ def train_collab(
     # per block: scaled scores, standardized fusion input, its aligned
     # column, and the pairwise term
     blocks = []
-    window_ids = []
-    by_length: dict[int, list[int]] = {}
     offset = 0
     for w in windows:
         pw = patch_weights(w, cfg.patchSize)
@@ -449,9 +409,7 @@ def train_collab(
             rows = slice(offset + start, offset + stop)
             term = _pairwise_term(variant, all_scaled[rows], llm[rows],
                                   pw.lambda1[start:stop], pw.lambda2[start:stop])
-            by_length.setdefault(stop - start, []).append(len(blocks))
             blocks.append((all_scaled[rows], all_z[rows], all_z[rows, 1], term))
-            window_ids.append(w.window_id())
         offset += w.length
 
     curves = TrainingCurves(blocks=len(blocks))
@@ -467,39 +425,34 @@ def train_collab(
 
     rng = np.random.default_rng(cfg.seed)
     all_aligned = mapping(all_scaled) if use_mapping else all_scaled
-    # each block's mapped scores from its step of the current epoch
-    mapped_of = [None] * len(blocks)
     for _epoch in range(cfg.epochs_collab):
         # the mapping reshapes its output distribution as it trains, so the
         # aligned column's standardization constants track it once per epoch
         in_mean[1], in_std[1] = _column_stats(all_aligned)
         cond.set_input_stats(in_mean, in_std)
         aligned_mean, aligned_std = float(cond.in_mean[1]), float(cond.in_std[1])
-        order = rng.permutation(len(blocks))
+        ep_align = 0.0
         ep_pair = 0.0
-        for bi in order:
+        for bi in rng.permutation(len(blocks)):
             sb, z, z_aligned, pairwise = blocks[bi]
             if use_mapping:
                 mapped, mcache = mapping.forward(sb)
-                mapped_of[bi] = mapped
                 np.subtract(mapped, aligned_mean, out=z_aligned)
                 z_aligned /= aligned_std
             s_hat, ccache = cond.forward_stacked(z)
             pair_loss, ds_hat = pairwise(s_hat)
             _, _dllm, dmapped, _drep = cond.backward(ds_hat, ccache, cond_grads)
+            align_loss = 0.0
             if use_mapping:
-                dm = align_mod.alignment_grad(mapped, fit, cfg.lambda_hat)
+                align_loss, dm = align_mod.alignment_loss_grad(mapped, fit, cfg.lambda_hat)
                 dm += dmapped
                 mapping.backward(dm, mcache, mapping_grads)
             opt.step(flat.theta, flat.grad)
-            if not math.isfinite(pair_loss):
+            if not (math.isfinite(pair_loss) and math.isfinite(align_loss)):
                 raise NonConvergence("phase-2 loss became non-finite")
+            ep_align += align_loss
             ep_pair += pair_loss
             curves.steps += 1
-        ep_align = 0.0
-        if use_mapping:
-            ep_align = _epoch_alignment_loss(mapped_of, by_length, order, window_ids,
-                                             fit, cfg.lambda_hat)
         curves.alignment_loss.append(ep_align / len(blocks))
         curves.pairwise_loss.append(ep_pair / len(blocks))
         if use_mapping:

@@ -41,10 +41,6 @@ class DegenerateScores(CollateError):
     """All scores are zero; the half-Gaussian scale would be undefined."""
 
 
-class NonFiniteDensity(CollateError):
-    """A mapped score fell where the target density is not positive."""
-
-
 class LengthMismatch(CollateError):
     """Score vectors have different lengths."""
 

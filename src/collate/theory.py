@@ -445,7 +445,7 @@ def check_alignment_equivalence(seed: int = 1) -> TheoryReport:
     fit = HalfGaussianFit(sigma=0.45)
     assert align_mod.half_gaussian_density(fit, mapped).min() > 0.01
     # lambda_hat 0 leaves the log-density term, which the binned objective discretizes
-    continuous = align_mod.alignment_loss(mapped, fit, 0.0)
+    continuous = align_mod.alignment_loss_grad(mapped, fit, 0.0)[0]
     gaps = [
         abs(align_mod.discrete_alignment_objective(mapped, fit, nb) - continuous)
         for nb in EQUIVALENCE_BIN_COUNTS

@@ -9,14 +9,13 @@ from scipy.stats import halfnorm
 from collate.alignment import (
     HalfGaussianFit,
     MonotoneMapping,
-    alignment_grad,
-    alignment_loss,
+    alignment_loss_grad,
     discrete_alignment_objective,
     fit_half_gaussian,
     half_gaussian_density,
     kl_histogram,
 )
-from collate.errors import DegenerateScores, NonConvergence, NonFiniteDensity
+from collate.errors import DegenerateScores, NonConvergence
 from test_core import _reference_sigmoid
 
 
@@ -29,9 +28,10 @@ def train_mapping(scaled, fit, lambda_hat, epochs, learning_rate=0.05, seed=0):
     mapping = MonotoneMapping(seed=seed)
     for _ in range(epochs):
         mapped, cache = mapping.forward(s)
-        if not np.isfinite(alignment_loss(mapped, fit, lambda_hat)):
+        loss, dm = alignment_loss_grad(mapped, fit, lambda_hat)
+        if not np.isfinite(loss):
             raise NonConvergence("alignment loss became non-finite")
-        grads = mapping.backward(alignment_grad(mapped, fit, lambda_hat), cache)
+        grads = mapping.backward(dm, cache)
         mapping.a1 -= learning_rate * grads["a1"]
         mapping.b1 -= learning_rate * grads["b1"]
         mapping.a2 -= learning_rate * grads["a2"]
@@ -91,19 +91,18 @@ class TestAlignmentLoss:
         fit = HalfGaussianFit(0.8)
         mapped = np.array([0.2, 0.4, 0.6])
         expected = -np.mean(np.log(half_gaussian_density(fit, mapped)))
-        assert alignment_loss(mapped, fit, 0.0) == pytest.approx(expected)
+        loss, grad = alignment_loss_grad(mapped, fit, 0.0)
+        assert loss == pytest.approx(expected)
         # the gradient is then the log-density term's alone
-        np.testing.assert_allclose(
-            alignment_grad(mapped, fit, 0.0), mapped / (fit.sigma**2 * 3), rtol=1e-15
-        )
+        np.testing.assert_allclose(grad, mapped / (fit.sigma**2 * 3), rtol=1e-15)
 
     def test_constant_batch_variance_term(self):
         # a constant batch has zero variance: the variance penalty is
         # lambda * sigma_hat_sq^2 and the mean penalty lambda * (0.5 - mu_hat)^2
         fit = HalfGaussianFit(1.0)
         mapped = np.full(6, 0.5)
-        base = alignment_loss(mapped, fit, 0.0)
-        full = alignment_loss(mapped, fit, 3.0)
+        base = alignment_loss_grad(mapped, fit, 0.0)[0]
+        full = alignment_loss_grad(mapped, fit, 3.0)[0]
         assert full - base == pytest.approx(
             3.0 * (fit.sigma_hat_sq**2 + (0.5 - fit.mu_hat) ** 2)
         )
@@ -113,32 +112,54 @@ class TestAlignmentLoss:
         fit = HalfGaussianFit(1.0)
         dens = 2.0 / math.sqrt(2 * math.pi) * math.exp(-0.125)
         expected = -math.log(dens) + (0.5 - fit.mu_hat) ** 2 + fit.sigma_hat_sq**2
-        got = alignment_loss(np.array([0.5, 0.5]), fit, 1.0)
+        got = alignment_loss_grad(np.array([0.5, 0.5]), fit, 1.0)[0]
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(0.5720, abs=1e-3)
 
-    def test_zero_density_names_the_largest_score_and_sigma(self):
-        # past about 38.6 sigma the density underflows to zero
+    def test_closed_form_is_finite_where_the_density_underflows(self):
+        # past about 38.6 sigma the density underflows to zero, and the log
+        # of it would be -inf; the closed form stays finite
         fit = HalfGaussianFit(0.005)
-        mapped = np.array([[0.01, 0.02], [0.9, 0.9123]])
-        with pytest.raises(NonFiniteDensity, match=r"mapped score 0\.9123 .* sigma 0\.0050"):
-            alignment_loss(mapped, fit, 1.0)
-        with pytest.raises(NonFiniteDensity, match=r"mapped score 0\.9000 "):
-            alignment_loss(np.array([0.9, 0.01]), fit, 1.0)
+        mapped = np.array([0.9, 0.9123])
+        assert (half_gaussian_density(fit, mapped) == 0.0).all()
+        loss, grad = alignment_loss_grad(mapped, fit, 1.0)
+        assert math.isfinite(loss) and np.isfinite(grad).all()
+        # mean m^2 / (2 sigma^2) alone is about 16,420
+        assert loss > 16_000
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_closed_form_equals_the_mean_log_density(self, seed):
+        # where the density is positive, the closed form is the mean of the
+        # log of the quad-tested density. The loss is the difference of two
+        # terms, log of the peak and mean m^2 / (2 sigma^2), and where they
+        # nearly cancel, both forms round to within an ulp of the terms, not
+        # of their difference: the error is relative to the larger term
+        rng = np.random.default_rng(seed)
+        for _ in range(25):
+            fit = HalfGaussianFit(rng.uniform(0.02, 1.5))
+            size = rng.integers(2, 500)
+            mapped = np.abs(rng.normal(0.0, fit.sigma * rng.uniform(0.1, 8.0), size))
+            dens = half_gaussian_density(fit, mapped)
+            assert (dens > 0.0).all()
+            expected = -np.mean(np.log(dens))
+            got = alignment_loss_grad(mapped, fit, 0.0)[0]
+            log_peak = math.log(2.0 / (fit.sigma * math.sqrt(2.0 * math.pi)))
+            scale = max(abs(log_peak), float(np.mean(mapped**2)) / (2.0 * fit.sigma**2))
+            assert abs(got - expected) <= 1e-14 * scale
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(0)
         fit = HalfGaussianFit(0.6)
         for lambda_hat in rng.uniform(0.0, 2.0, 4):
             mapped = rng.uniform(0.05, 0.9, 12)
-            grad = alignment_grad(mapped, fit, lambda_hat)
+            grad = alignment_loss_grad(mapped, fit, lambda_hat)[1]
             h = 1e-6
             for i in (0, 5, 11):
                 e = np.zeros_like(mapped)
                 e[i] = h
                 fd = (
-                    alignment_loss(mapped + e, fit, lambda_hat)
-                    - alignment_loss(mapped - e, fit, lambda_hat)
+                    alignment_loss_grad(mapped + e, fit, lambda_hat)[0]
+                    - alignment_loss_grad(mapped - e, fit, lambda_hat)[0]
                 ) / (2 * h)
                 assert abs(fd - grad[i]) / abs(fd) < 1e-6
 
@@ -169,6 +190,13 @@ class TestDiscreteObjective:
         assert discrete_alignment_objective(np.array([0.31, 0.35, 0.39]), fit, 10) == (
             pytest.approx(-math.log(mass * 10), abs=1e-9)
         )
+
+
+    def test_bin_with_zero_target_mass_is_rejected(self):
+        # past about 8.3 sigma the fit's CDF rounds to 1 at both bin edges
+        fit = HalfGaussianFit(0.005)
+        with pytest.raises(ValueError, match="^bin 9 has zero target mass$"):
+            discrete_alignment_objective(np.array([0.01, 0.95]), fit, 10)
 
 
 class TestMonotoneMapping:
@@ -278,17 +306,10 @@ class TestMatchesReference:
         lambda_hat = rng.uniform(0, 2)
         for n in (2, 3, 100, 1001):
             mapped = np.abs(rng.normal(0.0, rng.uniform(0.001, 0.5), n))
-            loss = alignment_loss(mapped, fit, lambda_hat)
-            grad = alignment_grad(mapped, fit, lambda_hat)
+            loss, grad = alignment_loss_grad(mapped, fit, lambda_hat)
             ref_loss, ref_grad = _reference_alignment_loss_grad(mapped, fit, lambda_hat)
             assert loss == ref_loss
             np.testing.assert_array_equal(grad, ref_grad)
-            # a stack of rows: each row's loss, as that row alone gives it
-            rows = np.abs(rng.normal(0.0, rng.uniform(0.001, 0.5), (3, 4, n)))
-            stacked = alignment_loss(rows, fit, lambda_hat)
-            assert stacked.shape == (3, 4)
-            for i in np.ndindex(3, 4):
-                assert stacked[i] == _reference_alignment_loss_grad(rows[i], fit, lambda_hat)[0]
 
     @pytest.mark.parametrize("shape", [(), (1,), (2,), (100,), (7, 9)], ids=str)
     def test_mapping_forward_and_backward(self, shape):
@@ -331,16 +352,15 @@ class TestMatchesReference:
 
 
 def _reference_alignment_loss_grad(mapped, fit, lambda_hat):
+    """The loss with its log-density in closed form, and its gradient, out
+    of place."""
     m = np.asarray(mapped, dtype=np.float64).reshape(-1)
     n = m.size
-    dens = (2.0 / (fit.sigma * math.sqrt(2.0 * math.pi))) * np.exp(
-        -(m**2) / (2.0 * fit.sigma**2)
-    )
-    dens = np.where(m < 0.0, 0.0, dens)
     mean = float(m.mean())
     var = float(m.var(ddof=1))
+    log_peak = math.log(2.0 / (fit.sigma * math.sqrt(2.0 * math.pi)))
     loss = (
-        -float(np.mean(np.log(dens)))
+        float(np.dot(m, m)) / (2.0 * fit.sigma**2 * n) - log_peak
         + lambda_hat * (mean - fit.mu_hat) ** 2
         + lambda_hat * (var - fit.sigma_hat_sq) ** 2
     )

@@ -1,7 +1,10 @@
 """No module in the package or the tests imports a name it never uses,
 every public top-level function and class in the package has a reference,
-and every field and method of a public class in the package is read."""
+every field and method of a public class in the package is read, and every
+per-layer metric perfbench reports names a public callable of the package."""
 import ast
+import importlib
+import inspect
 from collections import Counter
 from pathlib import Path
 
@@ -13,6 +16,8 @@ MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 READERS = sorted([*MODULES, *(ROOT / "perfbench").glob("*.py")])
 # `cli.main` is the console entry point named in pyproject.toml
 ENTRY_POINTS = {"cli.main"}
+# perfbench times interpreter start-up under this name; no callable has it
+PER_LAYER_SPECIAL = {"cli.startup"}
 MAX_LINE = 99
 
 
@@ -158,3 +163,47 @@ def test_every_member_of_a_public_class_is_read():
 def test_no_line_longer_than_the_limit(path):
     long = [i for i, line in enumerate(path.read_text().splitlines(), 1) if len(line) > MAX_LINE]
     assert long == [], f"lines over {MAX_LINE} characters"
+
+
+def unresolved_metrics(metrics: list[str]) -> list[str]:
+    """Each ``<module>.<qualname>.<calls|s|bytes>`` metric whose name is not
+    a public function, method or class defined in ``collate.<module>``: the
+    callables perfbench's tracer wraps. A metric it cannot resolve reads 0."""
+    unresolved = []
+    for metric in metrics:
+        name, suffix = metric.rsplit(".", 1)
+        if name in PER_LAYER_SPECIAL:
+            continue
+        module, *qualname = name.split(".")
+        obj = importlib.import_module(f"collate.{module}")
+        for part in qualname:
+            obj = None if part.startswith("_") else getattr(obj, part, None)
+        callable_ = inspect.isfunction(obj) or inspect.ismethod(obj) or inspect.isclass(obj)
+        if (suffix not in ("calls", "s", "bytes") or not callable_
+                or obj.__module__ != f"collate.{module}"):
+            unresolved.append(metric)
+    return unresolved
+
+
+def test_scan_flags_an_unresolved_metric():
+    assert unresolved_metrics([
+        "alignment.MonotoneMapping.forward.s", "collab.FusionPipeline.load.s",
+        "core.PatchWeights.calls", "cli.startup.s", "llm.load_fixture.bytes",
+        "alignment.no_such_function.s", "collab._column_stats.s", "alignment.sigmoid.calls",
+        "alignment.KL_EPS.s", "core.sigmoid.ms",
+    ]) == [
+        "alignment.no_such_function.s", "collab._column_stats.s", "alignment.sigmoid.calls",
+        "alignment.KL_EPS.s", "core.sigmoid.ms",
+    ]
+
+
+def test_every_per_layer_metric_names_a_public_callable():
+    # read from the script's source: running it would start a benchmark
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+    (per_layer,) = [
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "PER_LAYER" for t in node.targets)
+    ]
+    assert len(per_layer) > 40
+    assert unresolved_metrics(per_layer) == []
