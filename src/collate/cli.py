@@ -7,10 +7,12 @@ manifest (inputs with hashes, seed, version) next to its artifacts so a run
 can be replayed exactly. The manifests of ``train-tsadm`` and
 ``train-collab`` also hold their ``counters`` (steps, epochs, and batches or
 blocks per epoch) and ``timings`` (``train_s``, the wall seconds of the
-training loop). Exit codes: 0 success, 1 verification failure or
-bad input, 2 usage error or missing artifact. ``main`` makes the ``--out``
-directory once the config has loaded; a path that cannot be made a
-directory (a file, or a path under one) exits 2.
+training loop). ``verify``'s manifest holds lemma1's and theorem2's
+``counters`` and each report's wall seconds as ``timings``. Exit codes: 0
+success, 1 verification failure or bad input, 2 usage error or missing
+artifact. ``main`` makes the ``--out`` directory once the config has
+loaded; a path that cannot be made a directory (a file, or a path under
+one) exits 2.
 
 ``score-llm`` alone reads ``llm_mode``: ``mock:<fixture>`` reads LLM scores
 from a file, ``live:<url>`` asks the endpoint through ``llm.score_windows``.
@@ -389,10 +391,14 @@ def cmd_eval(cfg: RunConfig, data_path: Path, collated_path: Path,
 
 
 def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
-    """Run the full theory suite; nonzero exit if any report fails."""
+    """Run the full theory suite; nonzero exit if any report fails. Each
+    printed line says whether the statistic must reach its bound or stay
+    under it."""
     from .theory import run_all_checks
 
-    reports = run_all_checks(seed=cfg.seed)
+    counters: dict = {}
+    timings: dict = {}
+    reports = run_all_checks(seed=cfg.seed, counters=counters, timings=timings)
     out_path = out_dir / "theory_reports.json"
     out_path.write_text(
         "[\n" + ",\n".join(r.to_json() for r in reports) + "\n]\n"
@@ -400,9 +406,12 @@ def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
     all_pass = True
     for r in reports:
         status = "PASS" if r.passed else "FAIL"
-        print(f"[{status}] {r.theorem}: statistic={r.statistic:.6g} bound={r.bound:.6g}")
+        direction = "must reach" if r.bound_is_floor else "must stay under"
+        print(f"[{status}] {r.theorem}: statistic={r.statistic:.6g} "
+              f"{direction} bound={r.bound:.6g}")
         all_pass &= r.passed
-    write_manifest(out_dir, "verify", cfg, [], [out_path], config={"seed": cfg.seed})
+    write_manifest(out_dir, "verify", cfg, [], [out_path], config={"seed": cfg.seed},
+                   extra={"counters": counters, "timings": timings})
     return 0 if all_pass else 1
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,8 @@ from .optim import FlatParams
 # Scores (theorem2's ordering checks) or vertex losses (its optimum) this
 # close count as tied.
 TIE_TOL = 1e-6
+# theorem2's P2 checks: random quadruples per trial.
+THEOREM2_QUADRUPLES = 100
 # lemma1's SGD: slots per batch and step size on the per-slot logits.
 LEMMA1_BATCH = 32
 LEMMA1_LR = 0.5
@@ -58,6 +61,10 @@ class NoiseModel:
 
 @dataclass
 class TheoryReport:
+    """One check's outcome. ``bound_is_floor`` says which way the bound
+    points: the check passes when the statistic reaches the bound (True) or
+    stays under it (False). It is not serialised."""
+
     theorem: str
     trials: int
     statistic: float
@@ -66,6 +73,7 @@ class TheoryReport:
     seed: int
     lipschitz: float | None = None
     details: dict = field(default_factory=dict)
+    bound_is_floor: bool = False
 
     def to_json(self) -> str:
         payload = {
@@ -131,15 +139,25 @@ def brute_force_optimal(y: np.ndarray, seed: int = 0) -> BruteForceResult:
     )
 
 
-def check_theorem2(trials: int, n: int = 5, seed: int = 0) -> TheoryReport:
+def check_theorem2(trials: int, n: int = 5, seed: int = 0,
+                   counters: dict | None = None) -> TheoryReport:
     """Ordering properties of the oracle optimum on random instances.
 
     Per trial: draw y with distinct entries, brute-force the optimum, then
     require (P1) y_r > y_k implies S*_r > S*_k - TIE_TOL for every pair, and
     (P2) y_r - y_k > y_r' - y_k' implies (S*_r - S*_k) > (S*_r' - S*_k') - TIE_TOL on
-    100 random quadruples. The statistic is the fraction of trials where both
-    hold; the target is every trial passing.
+    THEOREM2_QUADRUPLES random quadruples. The statistic is the fraction of
+    trials where both hold; the target is every trial passing.
+
+    A trial's quadruples come from one ``rng.integers`` call. numpy's
+    bounded draws read the generator's 32-bit stream and buffer nothing
+    between calls, so they equal one call per quadruple. A ``counters``
+    dict receives ``trials`` and ``quadruples``.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if not 2 <= n <= 8:
+        raise ValueError(f"n must lie in [2, 8] for the brute force, got {n}")
     rng = np.random.default_rng(seed)
     passed_trials = 0
     p1_failures = 0
@@ -148,22 +166,21 @@ def check_theorem2(trials: int, n: int = 5, seed: int = 0) -> TheoryReport:
         y = rng.uniform(0.0, 1.0, n)
         while np.unique(y).size < n:
             y = rng.uniform(0.0, 1.0, n)
-        # the comparisons on Python floats: numpy's values, without its scalar overhead
-        s_star, y = brute_force_optimal(y).best.tolist(), y.tolist()
-        ok = True
-        for r in range(n):
-            for k in range(n):
-                if y[r] > y[k] and not (s_star[r] > s_star[k] - TIE_TOL):
-                    ok = False
-                    p1_failures += 1
-        for _ in range(100):
-            r, k, rp, kp = rng.integers(0, n, 4).tolist()
-            if y[r] - y[k] > y[rp] - y[kp]:
-                if not ((s_star[r] - s_star[k]) > (s_star[rp] - s_star[kp]) - TIE_TOL):
-                    ok = False
-                    p2_failures += 1
-        if ok:
+        s_star = brute_force_optimal(y).best
+        p1 = int(np.count_nonzero(
+            (y[:, None] > y[None, :]) & ~(s_star[:, None] > s_star[None, :] - TIE_TOL)
+        ))
+        r, k, rp, kp = rng.integers(0, n, (THEOREM2_QUADRUPLES, 4)).T
+        p2 = int(np.count_nonzero(
+            (y[r] - y[k] > y[rp] - y[kp])
+            & ~((s_star[r] - s_star[k]) > (s_star[rp] - s_star[kp]) - TIE_TOL)
+        ))
+        p1_failures += p1
+        p2_failures += p2
+        if p1 == p2 == 0:
             passed_trials += 1
+    if counters is not None:
+        counters.update(trials=trials, quadruples=trials * THEOREM2_QUADRUPLES)
     frac = passed_trials / trials
     return TheoryReport(
         theorem="theorem2",
@@ -172,6 +189,7 @@ def check_theorem2(trials: int, n: int = 5, seed: int = 0) -> TheoryReport:
         bound=1.0,
         passed=frac >= 1.0,
         seed=seed,
+        bound_is_floor=True,
         details={"p1_failures": p1_failures, "p2_failures": p2_failures},
     )
 
@@ -206,6 +224,7 @@ def check_theorem1(
         bound=bound,
         passed=bool(passed),
         seed=seed,
+        bound_is_floor=True,
         details={"exact": exact, "rel_err_vs_exact": rel, "degenerate_bias": degenerate},
     )
 
@@ -218,19 +237,50 @@ class _SgdTrace:
     gradient; ``grad_norms`` the noisy gradient's norm at every step;
     ``theta_mid`` the noisy iterate at step ``steps // 2``; ``theta_last``
     the (clean, noisy) iterates at the last step. Each iterate is taken
-    before that step's update.
+    before that step's update. ``update_rounds`` counts the slot-wise
+    rounds that ran the steps.
     """
 
     tail: np.ndarray
     grad_norms: np.ndarray
     theta_mid: np.ndarray
     theta_last: np.ndarray
+    update_rounds: int
 
 
 # lemma1 draws batches and noise, computes the collaborative gradients and
 # takes gradient norms this many SGD steps at a time, and vectorises its
 # noise resamples in blocks of this many.
 _LEMMA1_CHUNK = 1000
+
+
+def _slot_rounds(theta: np.ndarray, cols: np.ndarray, dhat: np.ndarray, lr: float,
+                 g: np.ndarray) -> int:
+    """Run the SGD steps whose batches are the rows of ``cols`` on ``theta``
+    (run, slot), in slot-wise rounds: round r applies every slot's r-th
+    update at once. ``dhat`` holds each step's collaborative gradient and
+    ``g`` receives its logit gradient, both (step, run, batch). Returns the
+    number of rounds."""
+    runs, n = theta.shape
+    # each (step, slot) entry's rank among its slot's entries, in step order;
+    # on the narrowest integer type numpy's stable sort is a radix sort
+    slots = cols.ravel()
+    order = np.argsort(slots.astype(np.min_scalar_type(n - 1)), kind="stable")
+    counts = np.bincount(slots, minlength=n)
+    rank = np.empty_like(slots)
+    rank[order] = np.arange(slots.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    rank = rank.reshape(cols.shape)
+    rounds = int(counts.max())
+    upd = np.zeros((rounds, runs, n))
+    for run in range(runs):
+        upd[rank, run, cols] = dhat[:, run]
+    for r in range(rounds):
+        s_hat = sigmoid(theta)
+        np.multiply(upd[r] * s_hat, 1.0 - s_hat, out=upd[r])
+        theta -= lr * upd[r]
+    for run in range(runs):
+        g[:, run] = upd[rank, run, cols]
+    return rounds
 
 
 def _pairwise_sgd(
@@ -251,12 +301,29 @@ def _pairwise_sgd(
     scorer per step. The collaborative gradient does not read theta, so a
     chunk's gradients come from one ``CollaborativeTerm`` on its stacked
     (clean, noisy) observations, each row bit-equal to a term built on that
-    step alone; only the sigmoid's chain factor and the update run per
-    step. Only what ``_SgdTrace`` names is kept, and the chunk's buffers are
-    allocated once, so memory does not grow with ``steps``. The gradient
-    norms are taken over full n-slot rows, a chunk of rows at a time: numpy
-    groups a row's pairwise sum by slot position, so a norm over the batch's
-    slots alone could differ in the last bit.
+    step alone.
+
+    The steps then run by slot. A step changes only its batch's logits, and
+    each update, ``theta -= lr * (d * s) * (1 - s)`` with ``s = sigmoid(theta)``,
+    is elementwise, so each slot follows its own recurrence through the
+    steps that batch it. Round r applies every slot's r-th update of a
+    piece at once, on the whole (2, n) theta. A slot with fewer updates gets
+    a zero gradient, which leaves its logit unchanged bit for bit: ``s``
+    lies strictly inside (0, 1), so the padded ``(0 * s) * (1 - s)`` is +0,
+    and ``x - lr * +0`` is x for every x, -0 included. Each logit thus goes
+    through the step-wise operations in the step-wise order, and the
+    iterates and gradients are bit-equal to running the steps one by one.
+    Pieces end at chunk ends and at steps ``steps // 2`` and
+    ``steps - 1``, so ``theta_mid`` and ``theta_last`` are taken before
+    those steps.
+
+    Only what ``_SgdTrace`` names is kept, and the buffers are sized by a
+    chunk, so memory does not grow with ``steps``; the rounds' buffers live
+    only inside ``_slot_rounds``, so none is held while the next chunk's
+    gradients are formed. The gradient norms are
+    taken over full n-slot rows, a chunk of rows at a time: numpy groups a
+    row's pairwise sum by slot position, so a norm over the batch's slots
+    alone could differ in the last bit.
     """
     n = y.size
     rng_batch = np.random.default_rng(seed)
@@ -272,6 +339,7 @@ def _pairwise_sgd(
     grad_norms = np.empty(steps)
     noisy_grads = np.empty((_LEMMA1_CHUNK, n))
     theta_mid = theta_last = None
+    update_rounds = 0
     for c0 in range(0, steps, _LEMMA1_CHUNK):
         m = min(_LEMMA1_CHUNK, steps - c0)
         for k in range(m):
@@ -280,18 +348,13 @@ def _pairwise_sgd(
         obs[:m, :, 0] = y_b
         np.add(y_b, noise.sample_pair(rng_noise, (m, 2, batch)), out=obs[:m, :, 1])
         dhat = CollaborativeTerm(obs[:m, 0], obs[:m, 1], lam, lam).grad
-        for k in range(m):
-            t = c0 + k
-            if t == steps // 2:
+        cuts = sorted({0, m} | {t - c0 for t in (steps // 2, steps - 1) if c0 < t < c0 + m})
+        for a, b in zip(cuts, cuts[1:]):
+            if c0 + a == steps // 2:
                 theta_mid = theta[1].copy()
-            if t == steps - 1:
+            if c0 + a == steps - 1:
                 theta_last = theta.copy()
-            cols = idx[k]
-            theta_b = theta[:, cols]
-            s_hat = sigmoid(theta_b)
-            np.multiply(dhat[k] * s_hat, 1.0 - s_hat, out=g[k])
-            theta_b -= lr * g[k]
-            theta[:, cols] = theta_b
+            update_rounds += _slot_rounds(theta, idx[a:b], dhat[a:b], lr, g[a:b])
         # each (step, slot) is written once: a batch holds no slot twice
         noisy_grads[:m].fill(0.0)
         noisy_grads[rows[:m], idx[:m]] = g[:m, 1]
@@ -299,7 +362,7 @@ def _pairwise_sgd(
         k0 = max(tail_start - c0, 0)
         if k0 < m:
             tail[rows[k0:m] + (c0 - tail_start), idx[k0:m]] = g[k0:m, 1] - g[k0:m, 0]
-    return _SgdTrace(tail, grad_norms, theta_mid, theta_last)
+    return _SgdTrace(tail, grad_norms, theta_mid, theta_last, update_rounds)
 
 
 def check_lemma1(
@@ -309,6 +372,7 @@ def check_lemma1(
     seed: int = 0,
     window: int = 500,
     resamples: int = 10_000,
+    counters: dict | None = None,
 ) -> TheoryReport:
     """SGD on the noisy pairwise loss tracks SGD on the clean oracle loss.
 
@@ -318,6 +382,12 @@ def check_lemma1(
     point, the mean of (noisy - clean) gradients over many noise resamples is
     zero within three standard errors, coordinatewise. The loss gap between
     the two runs' last iterates is reported alongside.
+
+    Both runs advance in slot-wise rounds (``_pairwise_sgd``): round r
+    applies each slot's r-th update, which reads only that slot's logit, so
+    every iterate and gradient is bit-equal to stepping through the batches
+    one by one, and so is the report. A ``counters`` dict receives
+    ``steps`` and ``update_rounds``, the rounds that ran them.
 
     (a) reads only the last moving average of the gradient differences, so
     only their last window + 1 rows are kept. The per-column moving averages
@@ -338,6 +408,8 @@ def check_lemma1(
     if y.size < LEMMA1_BATCH:
         raise ValueError(f"need at least {LEMMA1_BATCH} slots for one batch, got {y.size}")
     trace = _pairwise_sgd(y, noise, steps, window + 1, LEMMA1_BATCH, LEMMA1_LR, seed)
+    if counters is not None:
+        counters.update(steps=steps, update_rounds=trace.update_rounds)
 
     kernel = np.ones(window) / window
     gap = np.linalg.norm(
@@ -463,14 +535,31 @@ def check_alignment_equivalence(seed: int = 1) -> TheoryReport:
     )
 
 
-def run_all_checks(seed: int = 0) -> list[TheoryReport]:
-    """The full verification suite with default desk-scale settings."""
+def run_all_checks(seed: int = 0, counters: dict | None = None,
+                   timings: dict | None = None) -> list[TheoryReport]:
+    """The full verification suite with default desk-scale settings.
+
+    ``counters`` receives lemma1's and theorem2's work counts, each under
+    its report's name; ``timings`` the wall seconds of each report, under
+    ``<name>_s``.
+    """
+    counters = {} if counters is None else counters
+    timings = {} if timings is None else timings
     rng = np.random.default_rng(seed)
     y = rng.uniform(0.0, 1.0, 128)
-    return [
-        check_theorem1(NoiseModel(), lambda1=0.6, trials=100_000, seed=seed),
-        check_theorem2(trials=100, n=5, seed=seed),
-        check_lemma1(NoiseModel(), y, steps=10_000, seed=seed),
-        lipschitz_report(rng.uniform(0.0, 1.0, 40), param_pairs=200, seed=seed),
-        check_alignment_equivalence(seed=seed + 1),
-    ]
+    checks = (
+        lambda: check_theorem1(NoiseModel(), lambda1=0.6, trials=100_000, seed=seed),
+        lambda: check_theorem2(trials=100, n=5, seed=seed,
+                               counters=counters.setdefault("theorem2", {})),
+        lambda: check_lemma1(NoiseModel(), y, steps=10_000, seed=seed,
+                             counters=counters.setdefault("lemma1", {})),
+        lambda: lipschitz_report(rng.uniform(0.0, 1.0, 40), param_pairs=200, seed=seed),
+        lambda: check_alignment_equivalence(seed=seed + 1),
+    )
+    reports = []
+    for check in checks:
+        start = time.perf_counter()
+        report = check()
+        timings[f"{report.theorem}_s"] = time.perf_counter() - start
+        reports.append(report)
+    return reports

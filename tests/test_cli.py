@@ -808,8 +808,9 @@ class TestVerify:
         assert cli.main(["--seed", "0", "--out", str(tmp_path), "verify"]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert [ln for ln in lines if ln.startswith("[FAIL]")] == [
-            "[FAIL] theorem2: statistic=0.67 bound=1"
+            "[FAIL] theorem2: statistic=0.67 must reach bound=1"
         ]
+        assert "[PASS] lemma1: statistic=5.51722e-05 must stay under bound=0.01" in lines
         assert sum(ln.startswith("[PASS]") for ln in lines) == 4
         reports = json.loads((tmp_path / "theory_reports.json").read_text())
         assert [r["theorem"] for r in reports] == [
@@ -830,4 +831,11 @@ class TestVerify:
             7.666169302700254e-07,
         ]
         # the theory checks read the seed and no other setting
-        assert json.loads((tmp_path / "manifest.json").read_text())["config"] == {"seed": 0}
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["config"] == {"seed": 0}
+        assert manifest["counters"] == {
+            "lemma1": {"steps": 10_000, "update_rounds": 2892},
+            "theorem2": {"trials": 100, "quadruples": 10_000},
+        }
+        assert sorted(manifest["timings"]) == sorted(f"{r['theorem']}_s" for r in reports)
+        assert all(s >= 0.0 for s in manifest["timings"].values())

@@ -181,6 +181,57 @@ class TestTheorem2:
         payload = json.loads(r.to_json())
         assert set(payload) >= {"theorem", "trials", "statistic", "bound", "pass", "seed"}
 
+    @pytest.mark.parametrize("kw,match", [
+        (dict(trials=0), "trials must be at least 1"),
+        (dict(trials=-1), "trials must be at least 1"),
+        (dict(n=0), "n must lie in"),
+        (dict(n=1), "n must lie in"),
+        (dict(n=9), "n must lie in"),
+    ])
+    def test_invalid_arguments_are_named(self, kw, match):
+        with pytest.raises(ValueError, match=match):
+            check_theorem2(**{"trials": 5, **kw})
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_one_draw_per_quadruple(self, seed, n):
+        assert (check_theorem2(trials=20, n=n, seed=seed).to_json()
+                == _reference_check_theorem2(trials=20, n=n, seed=seed).to_json())
+
+
+def _reference_check_theorem2(trials, n, seed):
+    """Reference: theorem2 with one ``rng.integers`` call and one Python
+    comparison per quadruple."""
+    rng = np.random.default_rng(seed)
+    passed_trials = 0
+    p1_failures = 0
+    p2_failures = 0
+    for _ in range(trials):
+        y = rng.uniform(0.0, 1.0, n)
+        while np.unique(y).size < n:
+            y = rng.uniform(0.0, 1.0, n)
+        s_star, y = brute_force_optimal(y).best.tolist(), y.tolist()
+        ok = True
+        for r in range(n):
+            for k in range(n):
+                if y[r] > y[k] and not (s_star[r] > s_star[k] - theory.TIE_TOL):
+                    ok = False
+                    p1_failures += 1
+        for _ in range(100):
+            r, k, rp, kp = rng.integers(0, n, 4).tolist()
+            if y[r] - y[k] > y[rp] - y[kp]:
+                if not ((s_star[r] - s_star[k]) > (s_star[rp] - s_star[kp]) - theory.TIE_TOL):
+                    ok = False
+                    p2_failures += 1
+        if ok:
+            passed_trials += 1
+    frac = passed_trials / trials
+    return TheoryReport(
+        theorem="theorem2", trials=trials, statistic=frac, bound=1.0,
+        passed=frac >= 1.0, seed=seed,
+        details={"p1_failures": p1_failures, "p2_failures": p2_failures},
+    )
+
 
 def _reference_pairwise_sgd(y, noise, steps, batch, lr, seed):
     """Reference: the clean (noise=None) or noisy SGD run alone, keeping
@@ -208,6 +259,53 @@ def _reference_pairwise_sgd(y, noise, steps, batch, lr, seed):
         thetas[t] = theta
         theta = theta - lr * g
     return grads, thetas
+
+
+def _reference_stepwise_sgd(y, noise, steps, tail_rows, batch, lr, seed):
+    """Reference: ``_pairwise_sgd`` stepping through the batches one by one,
+    each step updating its batch's (clean, noisy) logits."""
+    n = y.size
+    rng_batch = np.random.default_rng(seed)
+    rng_noise = np.random.default_rng(seed + 1)
+    chunk = theory._LEMMA1_CHUNK
+    theta = np.zeros((2, n))
+    lam = np.full(batch, 0.5)
+    idx = np.empty((chunk, batch), dtype=np.intp)
+    obs = np.empty((chunk, 2, 2, batch))
+    g = np.empty((chunk, 2, batch))
+    rows = np.arange(chunk)[:, None]
+    tail = np.zeros((tail_rows, n))
+    tail_start = steps - tail_rows
+    grad_norms = np.empty(steps)
+    noisy_grads = np.empty((chunk, n))
+    theta_mid = theta_last = None
+    for c0 in range(0, steps, chunk):
+        m = min(chunk, steps - c0)
+        for k in range(m):
+            idx[k] = rng_batch.choice(n, size=batch, replace=False)
+        y_b = y[idx[:m, None]]
+        obs[:m, :, 0] = y_b
+        np.add(y_b, noise.sample_pair(rng_noise, (m, 2, batch)), out=obs[:m, :, 1])
+        dhat = theory.CollaborativeTerm(obs[:m, 0], obs[:m, 1], lam, lam).grad
+        for k in range(m):
+            t = c0 + k
+            if t == steps // 2:
+                theta_mid = theta[1].copy()
+            if t == steps - 1:
+                theta_last = theta.copy()
+            cols = idx[k]
+            theta_b = theta[:, cols]
+            s_hat = sigmoid(theta_b)
+            np.multiply(dhat[k] * s_hat, 1.0 - s_hat, out=g[k])
+            theta_b -= lr * g[k]
+            theta[:, cols] = theta_b
+        noisy_grads[:m].fill(0.0)
+        noisy_grads[rows[:m], idx[:m]] = g[:m, 1]
+        grad_norms[c0 : c0 + m] = np.linalg.norm(noisy_grads[:m], axis=1)
+        k0 = max(tail_start - c0, 0)
+        if k0 < m:
+            tail[rows[k0:m] + (c0 - tail_start), idx[k0:m]] = g[k0:m, 1] - g[k0:m, 0]
+    return tail, grad_norms, theta_mid, theta_last
 
 
 def _reference_check_lemma1(noise, y, steps=10_000, seed=0, window=500, resamples=10_000):
@@ -296,6 +394,38 @@ class TestLemma1MatchesReference:
         kw = dict(steps=steps, seed=seed, window=window, resamples=resamples)
         assert (check_lemma1(NoiseModel(), y, **kw).to_json()
                 == _reference_check_lemma1(NoiseModel(), y, **kw).to_json())
+
+
+class TestSlotwiseSgdMatchesStepwise:
+    """Every field of the slot-wise trace equals the step-wise one, bit for
+    bit, signed zeros included."""
+
+    # (n, steps, tail_rows, batch, noise): steps // 2 on a chunk start,
+    # steps - 1 on a chunk start, every slot in every batch, the smallest
+    # batch the pairwise loss takes, and no noise
+    @pytest.mark.parametrize("n,steps,tail_rows,batch,noise", [
+        (64, 2000, 10, 16, NoiseModel()),
+        (64, 1001, 300, 16, NoiseModel()),
+        (32, 1200, 50, 32, NoiseModel()),
+        (40, 1200, 50, 2, NoiseModel()),
+        (48, 1500, 120, 8, NoiseModel(0.0, 0.0, 0.0, 0.0)),
+    ])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_trace_fields(self, seed, n, steps, tail_rows, batch, noise):
+        y = np.random.default_rng(seed).uniform(0, 1, n)
+        trace = _pairwise_sgd(y, noise, steps, tail_rows, batch, 0.5, seed)
+        expected = _reference_stepwise_sgd(y, noise, steps, tail_rows, batch, 0.5, seed)
+        got = (trace.tail, trace.grad_norms, trace.theta_mid, trace.theta_last)
+        for field, want in zip(got, expected):
+            np.testing.assert_array_equal(field, want)
+            np.testing.assert_array_equal(np.signbit(field), np.signbit(want))
+        if batch == n:
+            assert trace.update_rounds == steps
+
+    def test_one_slot_batches_are_rejected(self):
+        y = np.random.default_rng(0).uniform(0, 1, 8)
+        with pytest.raises(ValueError, match="at least two slots"):
+            _pairwise_sgd(y, NoiseModel(), 1000, 10, 1, 0.5, 0)
 
 
 class TestLemma1:
