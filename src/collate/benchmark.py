@@ -12,6 +12,7 @@ sustained statistical drifts, catch rule-breaking single slots).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -58,10 +59,16 @@ class Benchmark:
     cfg: BenchmarkConfig
     series: LabeledSeries
     test: LabeledSeries
-    scorer: PrecomputedScorer
+    # the simulated detector's raw scores, one per slot
+    detector_raw: np.ndarray
     llm_by_slot: np.ndarray
     # the CLI's windows of each split part, keyed 'train'/'val'/'test'
     windows: dict[str, list[TimeSeriesWindow]]
+
+    @cached_property
+    def scorer(self) -> PrecomputedScorer:
+        """The simulated detector, built on first read: gen-data never reads it."""
+        return PrecomputedScorer(self.detector_raw, _representation(self.series.values))
 
     def llm_scores_for(self, windows: list[TimeSeriesWindow]) -> dict[str, np.ndarray]:
         """The mock LLM's scores for ``windows``, checked as a score file's are."""
@@ -132,8 +139,6 @@ def build_benchmark(cfg: BenchmarkConfig) -> Benchmark:
     raw = DET_FLOOR + np.abs(rng.normal(0.0, DET_NOISE, t))
     hit = contextual & (rng.uniform(0.0, 1.0, t) < DET_HIT_RATE)
     raw = raw + hit * np.abs(DET_GAIN * (1.0 + rng.normal(0.0, 0.1, t)))
-    rep = _representation(series.values)
-    scorer = PrecomputedScorer(raw, rep, base_index=0)
 
     llm = np.abs(rng.normal(0.0, LLM_NOISE, t))
     llm = np.where(point, LLM_POINT_LEVEL + rng.normal(0.0, LLM_POINT_JITTER, t), llm)
@@ -146,7 +151,7 @@ def build_benchmark(cfg: BenchmarkConfig) -> Benchmark:
         cfg=cfg,
         series=series,
         test=test,
-        scorer=scorer,
+        detector_raw=raw,
         llm_by_slot=llm,
         windows=data_mod.split_windows(series, cfg.window_len),
     )

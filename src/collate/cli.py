@@ -1,6 +1,8 @@
 """Command-line entry point: generation, training, scoring, detection,
 evaluation, theory verification, and ablations.
 
+Each subparser names its handler (``set_defaults(run=cmd_x)``); every
+handler takes ``(cfg, out_dir, args)``, and ``main`` calls it once.
 Every command validates its JSON config (unknown keys rejected), is
 re-runnable with identical outputs for identical inputs, and writes a
 manifest (inputs with hashes, seed, version) next to its artifacts so a run
@@ -208,31 +210,30 @@ def _read_spans(path: Path, series: data_mod.LabeledSeries) -> list[data_mod.Ano
     return spans
 
 
-def cmd_gen_data(cfg: RunConfig, out_dir: Path, length: int, n_contextual: int,
-                 n_point: int) -> int:
+def cmd_gen_data(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
     """Generate the synthetic benchmark series, labels, metadata sidecar, and
     a mock LLM fixture covering its windows."""
     from .benchmark import BenchmarkConfig, build_benchmark
 
     bench = build_benchmark(BenchmarkConfig(
-        length=length, seed=cfg.seed, n_contextual=n_contextual, n_point=n_point,
-        window_len=cfg.window_len,
+        length=args.length, seed=cfg.seed, n_contextual=args.contextual,
+        n_point=args.point, window_len=cfg.window_len,
     ))
     data_path = out_dir / "data.csv"
     meta_path = out_dir / "metadata.json"
     fixture_path = out_dir / "llm_fixture.jsonl"
     data_mod.save_csv(bench.series, data_path)
-    data_mod.write_metadata(meta_path, length, bench.series.spans, cfg.seed)
+    data_mod.write_metadata(meta_path, args.length, bench.series.spans, cfg.seed)
     bench.write_llm_fixture(fixture_path)
     write_manifest(out_dir, "gen-data", cfg, [], [data_path, meta_path, fixture_path])
     print(f"wrote {data_path}, {meta_path}, {fixture_path}")
     return 0
 
 
-def cmd_train_tsadm(cfg: RunConfig, data_path: Path, out_dir: Path) -> int:
+def cmd_train_tsadm(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
     from .tsadm import train_tsadm
 
-    series = data_mod.load_csv(_require(data_path, "dataset CSV"))
+    series = data_mod.load_csv(_require(args.data, "dataset CSV"))
     train, _val, _test = data_mod.split(series)
     counters: dict = {}
     start = time.perf_counter()
@@ -240,13 +241,13 @@ def cmd_train_tsadm(cfg: RunConfig, data_path: Path, out_dir: Path) -> int:
     train_s = time.perf_counter() - start
     ckpt = out_dir / "tsadm.json"
     model.save(ckpt)
-    write_manifest(out_dir, "train-tsadm", cfg, [data_path], [ckpt],
+    write_manifest(out_dir, "train-tsadm", cfg, [args.data], [ckpt],
                    extra={"counters": counters, "timings": {"train_s": train_s}})
     print(f"wrote {ckpt}")
     return 0
 
 
-def cmd_score_llm(cfg: RunConfig, data_path: Path, out_dir: Path) -> int:
+def cmd_score_llm(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
     """Request LLM scores for every window of the dataset, one zero-shot
     prompt per window in live mode.
 
@@ -258,13 +259,13 @@ def cmd_score_llm(cfg: RunConfig, data_path: Path, out_dir: Path) -> int:
     """
     from .llm import load_fixture, score_windows, write_fixture
 
-    series = data_mod.load_csv(_require(data_path, "dataset CSV"))
+    series = data_mod.load_csv(_require(args.data, "dataset CSV"))
     parts = data_mod.split_windows(series, cfg.window_len)
     windows = parts["train"] + parts["val"] + parts["test"]
     mode, _, target = cfg.llm_mode.partition(":")
-    inputs = [data_path]
+    inputs = [args.data]
     if mode == "mock":
-        fixture = _require(data_path.parent / target, "mock fixture")
+        fixture = _require(args.data.parent / target, "mock fixture")
         inputs.append(fixture)
         scored = load_fixture(fixture, windows)
     else:
@@ -276,16 +277,15 @@ def cmd_score_llm(cfg: RunConfig, data_path: Path, out_dir: Path) -> int:
     return 0
 
 
-def cmd_train_collab(cfg: RunConfig, data_path: Path, tsadm_path: Path,
-                     scores_path: Path, out_dir: Path) -> int:
+def cmd_train_collab(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
     from .collab import train_collab
     from .llm import load_fixture
     from .tsadm import TsadmModel
 
-    series = data_mod.load_csv(_require(data_path, "dataset CSV"))
+    series = data_mod.load_csv(_require(args.data, "dataset CSV"))
     windows = data_mod.split_windows(series, cfg.window_len)["train"]
-    model = TsadmModel.load(_require(tsadm_path, "detector checkpoint"))
-    llm_scores = load_fixture(_require(scores_path, "LLM scores"), windows)
+    model = TsadmModel.load(_require(args.tsadm, "detector checkpoint"))
+    llm_scores = load_fixture(_require(args.llm_scores, "LLM scores"), windows)
     start = time.perf_counter()
     pipeline, curves = train_collab(windows, model, llm_scores, cfg)
     train_s = time.perf_counter() - start
@@ -309,22 +309,21 @@ def cmd_train_collab(cfg: RunConfig, data_path: Path, tsadm_path: Path,
     counters = {"steps": curves.steps, "epochs": len(curves.pairwise_loss),
                 "blocks": curves.blocks}
     write_manifest(out_dir, "train-collab", cfg,
-                   [data_path, tsadm_path, scores_path], [ckpt],
+                   [args.data, args.tsadm, args.llm_scores], [ckpt],
                    extra={"counters": counters, "timings": {"train_s": train_s}})
     print(f"wrote {ckpt}")
     return 0
 
 
-def cmd_detect(cfg: RunConfig, data_path: Path, pipeline_path: Path,
-               scores_path: Path, out_dir: Path) -> int:
+def cmd_detect(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
     from .collab import FusionPipeline, detect
     from .llm import load_fixture
 
-    pipeline = FusionPipeline.load(_require(pipeline_path, "pipeline checkpoint"))
-    series = data_mod.load_csv(_require(data_path, "dataset CSV"))
+    pipeline = FusionPipeline.load(_require(args.pipeline, "pipeline checkpoint"))
+    series = data_mod.load_csv(_require(args.data, "dataset CSV"))
     parts = data_mod.split_windows(series, cfg.window_len)
     windows = parts["train"] + parts["val"] + parts["test"]
-    llm_scores = load_fixture(_require(scores_path, "LLM scores"), windows)
+    llm_scores = load_fixture(_require(args.llm_scores, "LLM scores"), windows)
     lines = ["t,score"]
     for w in windows:
         scores = detect(pipeline, w, llm_scores[w.window_id()])
@@ -333,7 +332,7 @@ def cmd_detect(cfg: RunConfig, data_path: Path, pipeline_path: Path,
     out_path = out_dir / "collated.csv"
     out_path.write_text("\n".join(lines) + "\n")
     write_manifest(out_dir, "detect", cfg,
-                   [data_path, pipeline_path, scores_path], [out_path])
+                   [args.data, args.pipeline, args.llm_scores], [out_path])
     print(f"wrote {out_path}")
     return 0
 
@@ -363,13 +362,12 @@ def _load_collated(path: Path, series: data_mod.LabeledSeries) -> np.ndarray:
     return scores[order, 0]
 
 
-def cmd_eval(cfg: RunConfig, data_path: Path, collated_path: Path,
-             out_dir: Path, meta_path: Path | None) -> int:
-    series = data_mod.load_csv(_require(data_path, "dataset CSV"))
+def cmd_eval(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
+    series = data_mod.load_csv(_require(args.data, "dataset CSV"))
     if series.labels is None:
         raise MissingArtifact("evaluation needs a labeled dataset")
-    spans = [] if meta_path is None else _read_spans(meta_path, series)
-    scores = _load_collated(collated_path, series)
+    spans = [] if args.metadata is None else _read_spans(args.metadata, series)
+    scores = _load_collated(args.collated, series)
     if spans:
         metrics = per_kind_metrics(scores, spans)
     else:
@@ -381,16 +379,14 @@ def cmd_eval(cfg: RunConfig, data_path: Path, collated_path: Path,
         series.values, scores, series.labels, metrics.threshold, title="collated scores"
     )
     written = emit_report(out_dir, payload, plots={"overlay": svg})
-    inputs = [data_path, collated_path]
-    if meta_path is not None:
-        inputs.append(meta_path)
+    inputs = [p for p in (args.data, args.collated, args.metadata) if p is not None]
     write_manifest(out_dir, "eval", cfg, inputs, written)
     print(f"wrote {written[0]}")
     print(json.dumps({k: payload[k] for k in ("precision", "recall", "f1")}))
     return 0
 
 
-def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
+def cmd_verify(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
     """Run the full theory suite; nonzero exit if any report fails. Each
     printed line says whether the statistic must reach its bound or stay
     under it."""
@@ -442,7 +438,7 @@ def _grid_points(grid: str, cfg: RunConfig) -> list[RunConfig]:
     return points
 
 
-def cmd_ablate(cfg: RunConfig, out_dir: Path, grid: str | None) -> int:
+def cmd_ablate(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
     """Run the complementary-scorer benchmark over every fusion variant (plus
     single-model rows); optionally sweep a JSON grid of hyperparameters."""
     from .benchmark import (
@@ -451,7 +447,7 @@ def cmd_ablate(cfg: RunConfig, out_dir: Path, grid: str | None) -> int:
 
     # what the ablation runs with; the run config's training keys do not reach it
     run = RunConfig(seed=cfg.seed, batchSize=ABLATION_BATCH_SIZE)
-    points = _grid_points(grid, run) if grid else []
+    points = _grid_points(args.grid, run) if args.grid else []
     bench = build_benchmark(BenchmarkConfig(seed=cfg.seed))
     results = run_ablation(bench, run)
     for name, m in results.items():
@@ -489,42 +485,49 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate the synthetic benchmark")
+    p.set_defaults(run=cmd_gen_data)
     p.add_argument("--length", type=int, default=10_000)
     p.add_argument("--contextual", type=int, default=10)
     p.add_argument("--point", type=int, default=10)
 
     p = sub.add_parser("train-tsadm", help="train the attention detector")
+    p.set_defaults(run=cmd_train_tsadm)
     p.add_argument("--data", type=Path, required=True)
 
     p = sub.add_parser("score-llm", help="fetch LLM scores per window")
+    p.set_defaults(run=cmd_score_llm)
     p.add_argument("--data", type=Path, required=True)
 
     p = sub.add_parser("train-collab", help="train mapping + fusion network")
+    p.set_defaults(run=cmd_train_collab)
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--tsadm", type=Path, required=True)
     p.add_argument("--llm-scores", type=Path, required=True)
 
     p = sub.add_parser("detect", help="emit collated scores for a dataset")
+    p.set_defaults(run=cmd_detect)
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--pipeline", type=Path, required=True)
     p.add_argument("--llm-scores", type=Path, required=True)
 
     p = sub.add_parser("eval", help="score detection output against labels")
+    p.set_defaults(run=cmd_eval)
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--collated", type=Path, required=True)
     p.add_argument("--metadata", type=Path)
 
-    sub.add_parser("verify", help="numerically verify the theory suite")
+    p = sub.add_parser("verify", help="numerically verify the theory suite")
+    p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("ablate", help="run fusion-variant comparison")
+    p.set_defaults(run=cmd_ablate)
     p.add_argument("--grid", type=str, help='JSON grid, e.g. {"d": [0.5, 1.0]}')
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     overrides = {} if args.seed is None else {"seed": args.seed}
     try:
         if args.config is not None:
@@ -537,30 +540,13 @@ def main(argv: list[str] | None = None) -> int:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot make output directory {out}: {exc.strerror}") from None
-        if args.command == "gen-data":
-            return cmd_gen_data(cfg, out, args.length, args.contextual, args.point)
-        if args.command == "train-tsadm":
-            return cmd_train_tsadm(cfg, args.data, out)
-        if args.command == "score-llm":
-            return cmd_score_llm(cfg, args.data, out)
-        if args.command == "train-collab":
-            return cmd_train_collab(cfg, args.data, args.tsadm, args.llm_scores, out)
-        if args.command == "detect":
-            return cmd_detect(cfg, args.data, args.pipeline, args.llm_scores, out)
-        if args.command == "eval":
-            return cmd_eval(cfg, args.data, args.collated, out, args.metadata)
-        if args.command == "verify":
-            return cmd_verify(cfg, out)
-        if args.command == "ablate":
-            return cmd_ablate(cfg, out, args.grid)
-        parser.error(f"unknown command {args.command}")
+        return args.run(cfg, out, args)
     except (ConfigError, MissingArtifact) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CollateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

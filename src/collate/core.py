@@ -4,6 +4,7 @@ Scores pass between modules as plain 1-D float64 arrays, each checked once
 where it enters: LLM scores in ``llm``, replayed detector scores by
 ``PrecomputedScorer``, collated scores by ``collab.detect``. The scorer lives
 here so that ``gen-data``'s simulated detector loads no training code.
+``PatchWeights`` stores lambda1 alone and derives lambda2 as ``1 - lambda1``.
 
 All operations here are pure functions over immutable inputs; nothing holds
 shared mutable state, so concurrent use across windows is safe.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -119,23 +121,15 @@ class PrecomputedScorer:
 
 @dataclass(frozen=True)
 class PatchWeights:
-    """Per-slot adaptive weights induced by intra/inter patch distances.
-
-    Invariant: lambda1 + lambda2 == 1 exactly for every slot (lambda2 is
-    computed as the complement, never independently).
-    """
+    """Per-slot adaptive weights of the collaborative loss, induced by
+    intra/inter patch distances. Only ``lambda1`` is stored; ``lambda2`` is
+    its complement ``1 - lambda1``, so the two sum to 1 by construction."""
 
     lambda1: np.ndarray
-    lambda2: np.ndarray
 
-    def __post_init__(self):
-        for name in ("lambda1", "lambda2"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64).reshape(-1)
-            object.__setattr__(self, name, arr)
-        if self.lambda1.size != self.lambda2.size:
-            raise ShapeMismatch("patch weight fields must share one length")
-        if np.abs(self.lambda1 + self.lambda2 - 1.0).max() > 1e-12:
-            raise ValueError("lambda1 + lambda2 must equal 1")
+    @cached_property
+    def lambda2(self) -> np.ndarray:
+        return 1.0 - self.lambda1
 
 
 def score_range_divisor(raw: np.ndarray, d: float) -> float:
@@ -211,5 +205,4 @@ def patch_weights(window: TimeSeriesWindow, patch_size: int) -> PatchWeights:
 
     denom = d_intra + d_inter
     lambda1 = np.where(denom > 0, np.divide(d_intra, np.where(denom > 0, denom, 1.0)), 0.5)
-    lambda2 = 1.0 - lambda1
-    return PatchWeights(lambda1=lambda1, lambda2=lambda2)
+    return PatchWeights(lambda1)

@@ -4,9 +4,11 @@ The generator integrates the delayed feedback equation
 dx/dt = A x(t - TAU) / (1 + x(t - TAU)^EXPONENT) - B x(t) with Euler steps of
 STEP and uniform noise within +/- NOISE_AMPLITUDE, then plants contextual
 anomalies (a future segment copied over the present) and point anomalies
-(single slots shifted by a multiple of the series deviation). The constants
-below are the equation's one home; the metadata sidecar and the LLM prompt
-(``llm.EXPERTISE_SUPPLEMENT``) quote them. All randomness comes from explicit seeds.
+(single slots shifted by a multiple of the series deviation) through one
+loop, ``_plant``; each kind supplies only how to draw and write one
+candidate. The constants below are the equation's one home; the metadata
+sidecar and the LLM prompt (``llm.EXPERTISE_SUPPLEMENT``) quote them. All
+randomness comes from explicit seeds.
 """
 from __future__ import annotations
 
@@ -112,6 +114,34 @@ def occupied_slots(spans: list[AnomalySpan]) -> np.ndarray:
     return np.concatenate([np.arange(s.start, s.end) for s in spans])
 
 
+def _plant(series: LabeledSeries, count: int, seed: int, region: tuple[int, int] | None,
+           place, what: str) -> LabeledSeries:
+    """``series`` with ``count`` anomalies planted in a copy. Each attempt
+    calls ``place(rng, values, lo, hi, occupied)``, which draws one candidate
+    in [lo, hi) and either writes it into ``values`` and returns its span, or
+    returns None when it meets the ``occupied`` slots. 10,000 failed attempts
+    for one anomaly raise InsufficientRoom naming ``what``."""
+    if count < 1:
+        raise ValueError("count must be positive")
+    rng = np.random.default_rng(seed)
+    values = series.values.copy()
+    labels = series.labels.copy()
+    spans = list(series.spans)
+    lo, hi = region if region is not None else (0, series.length)
+    for _ in range(count):
+        occupied = occupied_slots(spans)
+        for _attempt in range(10_000):
+            span = place(rng, values, lo, hi, occupied)
+            if span is not None:
+                break
+        else:
+            raise InsufficientRoom(f"could not place {what}")
+        labels[span.start : span.end] = 1
+        spans.append(span)
+    return LabeledSeries(values=values, labels=labels, spans=spans,
+                         start_index=series.start_index)
+
+
 def insert_contextual_anomalies(
     series: LabeledSeries,
     count: int,
@@ -125,35 +155,19 @@ def insert_contextual_anomalies(
     destination, so the overwritten values are an exact copy of genuinely
     future dynamics. ``region`` restricts destination starts to [lo, hi).
     """
-    if count < 1:
-        raise ValueError("count must be positive")
-    rng = np.random.default_rng(seed)
-    values = series.values.copy()
-    labels = series.labels.copy()
-    spans = list(series.spans)
     t_total = series.length
-    lo, hi = region if region is not None else (0, t_total)
-    for _ in range(count):
-        placed = False
-        for _attempt in range(10_000):
-            span_len = int(rng.integers(SPAN_RANGE[0], SPAN_RANGE[1] + 1))
-            start = int(rng.integers(lo, max(lo + 1, hi - span_len)))
-            end = start + span_len
-            if end + span_len >= t_total:
-                continue
-            occupied = occupied_slots(spans)
-            if occupied.size and ((occupied >= start) & (occupied < end)).any():
-                continue
-            offset = int(rng.integers(span_len, t_total - end))
-            values[start:end] = values[start + offset : end + offset]
-            labels[start:end] = 1
-            spans.append(AnomalySpan(start, end, AnomalyKind.CONTEXTUAL))
-            placed = True
-            break
-        if not placed:
-            raise InsufficientRoom("could not place a contextual span without overlap")
-    return LabeledSeries(values=values, labels=labels, spans=spans,
-                         start_index=series.start_index)
+
+    def place(rng, values, lo, hi, occupied):
+        span_len = int(rng.integers(SPAN_RANGE[0], SPAN_RANGE[1] + 1))
+        start = int(rng.integers(lo, max(lo + 1, hi - span_len)))
+        end = start + span_len
+        if end + span_len >= t_total or ((occupied >= start) & (occupied < end)).any():
+            return None
+        offset = int(rng.integers(span_len, t_total - end))
+        values[start:end] = values[start + offset : end + offset]
+        return AnomalySpan(start, end, AnomalyKind.CONTEXTUAL)
+
+    return _plant(series, count, seed, region, place, "a contextual span without overlap")
 
 
 def insert_point_anomalies(
@@ -163,31 +177,17 @@ def insert_point_anomalies(
     region: tuple[int, int] | None = None,
 ) -> LabeledSeries:
     """Shift ``count`` isolated slots by +/- POINT_MAGNITUDE * series std."""
-    if count < 1:
-        raise ValueError("count must be positive")
-    rng = np.random.default_rng(seed)
-    values = series.values.copy()
-    labels = series.labels.copy()
-    spans = list(series.spans)
-    std = float(values.std())
-    lo, hi = region if region is not None else (0, series.length)
-    for _ in range(count):
-        placed = False
-        for _attempt in range(10_000):
-            slot = int(rng.integers(lo, hi))
-            occupied = occupied_slots(spans)
-            if occupied.size and (np.abs(occupied - slot) <= 1).any():
-                continue
-            sign = 1.0 if rng.uniform() < 0.5 else -1.0
-            values[slot] += sign * POINT_MAGNITUDE * std
-            labels[slot] = 1
-            spans.append(AnomalySpan(slot, slot + 1, AnomalyKind.POINT))
-            placed = True
-            break
-        if not placed:
-            raise InsufficientRoom("could not place a point anomaly")
-    return LabeledSeries(values=values, labels=labels, spans=spans,
-                         start_index=series.start_index)
+    std = float(series.values.std())
+
+    def place(rng, values, lo, hi, occupied):
+        slot = int(rng.integers(lo, hi))
+        if (np.abs(occupied - slot) <= 1).any():
+            return None
+        sign = 1.0 if rng.uniform() < 0.5 else -1.0
+        values[slot] += sign * POINT_MAGNITUDE * std
+        return AnomalySpan(slot, slot + 1, AnomalyKind.POINT)
+
+    return _plant(series, count, seed, region, place, "a point anomaly")
 
 
 def _slice_series(series: LabeledSeries, lo: int, hi: int) -> LabeledSeries:

@@ -63,7 +63,7 @@ class NoiseModel:
 class TheoryReport:
     """One check's outcome. ``bound_is_floor`` says which way the bound
     points: the check passes when the statistic reaches the bound (True) or
-    stays under it (False). It is not serialised."""
+    stays under it (False)."""
 
     theorem: str
     trials: int
@@ -81,6 +81,7 @@ class TheoryReport:
             "trials": self.trials,
             "statistic": self.statistic,
             "bound": self.bound,
+            "bound_is_floor": self.bound_is_floor,
             "pass": self.passed,
             "seed": self.seed,
         }

@@ -193,8 +193,8 @@ class TsadmConfig:
     kLen: int = 2
     embed: int = 4
     trlr: float = 0.01
-    epochs: int = 200
-    batchSize: int = 32
+    epochs: int = 60
+    batchSize: int = 100
     seed: int = 0
 
 

@@ -1,4 +1,5 @@
 """The CLI end to end at 2,000 slots, run in-process through ``cli.main``."""
+import argparse
 import dataclasses
 import hashlib
 import importlib.util
@@ -187,6 +188,30 @@ class TestGenDataArguments:
         assert cli.main(["--out", str(tmp_path), "gen-data", *args]) == code
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "data.csv").exists()
+
+    def test_builds_no_simulated_detector(self, tmp_path, monkeypatch):
+        # gen-data writes no detector scores, so it must not build the detector
+        def boom(values):
+            raise AssertionError("gen-data built the simulated detector")
+
+        monkeypatch.setattr(benchmark, "_representation", boom)
+        assert cli.main(["--out", str(tmp_path), "gen-data", "--length", "2000"]) == 0
+
+
+class TestDispatch:
+    def test_every_subcommand_names_its_handler(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert sorted(sub.choices) == ["ablate", "detect", "eval", "gen-data", "score-llm",
+                                       "train-collab", "train-tsadm", "verify"]
+        for name, parser in sub.choices.items():
+            assert callable(parser.get_default("run")), name
+
+
+def test_run_config_defaults_are_the_detector_defaults():
+    from collate.tsadm import TsadmConfig
+
+    assert cli.RunConfig().tsadm_config() == TsadmConfig()
 
 
 class TestExitCodes:
@@ -816,6 +841,7 @@ class TestVerify:
         assert [r["theorem"] for r in reports] == [
             "theorem1", "theorem2", "lemma1", "lipschitz_probe", "alignment_equivalence"
         ]
+        assert [r["bound_is_floor"] for r in reports] == [True, True, False, False, False]
         theorem2 = reports[1]
         assert theorem2["statistic"] == 0.67 and not theorem2["pass"]
         assert theorem2["details"] == {"p1_failures": 0, "p2_failures": 60}

@@ -127,7 +127,7 @@ def _reference_patch_weights(window, patch_size):
         d_inter[sl] = inter_per_patch[p]
     denom = d_intra + d_inter
     lambda1 = np.where(denom > 0, np.divide(d_intra, np.where(denom > 0, denom, 1.0)), 0.5)
-    return PatchWeights(lambda1=lambda1, lambda2=1.0 - lambda1)
+    return PatchWeights(lambda1)
 
 
 class TestPatchWeights:

@@ -316,11 +316,13 @@ class TestSplit:
 
 
 def test_gen_data_output_is_pinned(tmp_path):
-    """The default 10,000-slot dataset at seed 0, byte for byte."""
+    """The default 10,000-slot dataset and its mock LLM fixture at seed 0, byte
+    for byte; the fixture's draws follow the planting's and the detector's."""
     assert cli.main(["--out", str(tmp_path), "gen-data"]) == 0
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in ("data.csv", "metadata.json")}
+               for name in ("data.csv", "metadata.json", "llm_fixture.jsonl")}
     assert digests == {
         "data.csv": "f7f5a0736ea3321e42e4fe5c7fd2d03ceecf1c6a295464cc1e78a4c7ea325fcb",
         "metadata.json": "22aa7cb89899fc26292708813621473eed6c5e6fb5a280f4b7e40de95457ac5c",
+        "llm_fixture.jsonl": "3508d8ea40735d4ac00327e9f480b61c33b1ec7a7a21898f6e7992bccba7374c",
     }

@@ -179,7 +179,9 @@ class TestTheorem2:
 
         r = check_theorem2(trials=3, n=4, seed=1)
         payload = json.loads(r.to_json())
-        assert set(payload) >= {"theorem", "trials", "statistic", "bound", "pass", "seed"}
+        assert set(payload) >= {"theorem", "trials", "statistic", "bound", "bound_is_floor",
+                                "pass", "seed"}
+        assert payload["bound_is_floor"] is True
 
     @pytest.mark.parametrize("kw,match", [
         (dict(trials=0), "trials must be at least 1"),
@@ -229,7 +231,7 @@ def _reference_check_theorem2(trials, n, seed):
     return TheoryReport(
         theorem="theorem2", trials=trials, statistic=frac, bound=1.0,
         passed=frac >= 1.0, seed=seed,
-        details={"p1_failures": p1_failures, "p2_failures": p2_failures},
+        details={"p1_failures": p1_failures, "p2_failures": p2_failures}, bound_is_floor=True,
     )
 
 
