@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import sigmoid
 from .errors import DegenerateScores
-from .optim import load_state, state_dict
+from .optim import check_shapes, load_state, state_dict
 
 _SQRT2 = math.sqrt(2.0)
 _TWO_OVER_PI = 2.0 / math.pi
@@ -161,7 +161,7 @@ class MonotoneMapping:
 
     PARAMS = ("a1", "b1", "a2", "b2")
 
-    def __init__(self, hidden: int = 8, seed: int = 0):
+    def __init__(self, hidden: int, seed: int):
         rng = np.random.default_rng(seed)
         self.a1 = rng.normal(0.0, 1.0, hidden)
         self.b1 = rng.normal(0.0, 1.0, hidden)
@@ -218,7 +218,9 @@ class MonotoneMapping:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MonotoneMapping":
-        return load_state(cls.__new__(cls), d, cls.PARAMS)
+        mapping = load_state(cls.__new__(cls), d, cls.PARAMS)
+        h = (np.size(mapping.a1),)
+        return check_shapes(mapping, "mapping", {"a1": h, "b1": h, "a2": h, "b2": ()})
 
 
 def kl_histogram(a: np.ndarray, fit: HalfGaussianFit, bins: int) -> float:

@@ -2,19 +2,20 @@
 evaluation, theory verification, and ablations.
 
 Each subparser names its handler (``set_defaults(run=cmd_x)``); every
-handler takes ``(cfg, out_dir, args)``, and ``main`` calls it once.
-Every command validates its JSON config (unknown keys rejected), is
-re-runnable with identical outputs for identical inputs, and writes a
-manifest (inputs with hashes, seed, version) next to its artifacts so a run
-can be replayed exactly. The manifests of ``train-tsadm`` and
-``train-collab`` also hold their ``counters`` (steps, epochs, and batches or
-blocks per epoch) and ``timings`` (``train_s``, the wall seconds of the
-training loop). ``verify``'s manifest holds lemma1's and theorem2's
-``counters`` and each report's wall seconds as ``timings``. Exit codes: 0
-success, 1 verification failure or bad input, 2 usage error or missing
-artifact. ``main`` makes the ``--out`` directory once the config has
-loaded; a path that cannot be made a directory (a file, or a path under
-one) exits 2.
+handler takes ``(cfg, out_dir, args)``, and ``main`` calls it once. Every
+run config, ``ablate``'s own included, comes from ``load_config``:
+``RunConfig``'s defaults, then the ``--config`` JSON file (unknown keys
+rejected), then ``--seed``, validated once. Every command is re-runnable
+with identical outputs for identical inputs, and writes a manifest (inputs
+with hashes, seed, version) next to its artifacts so a run can be replayed
+exactly. The manifests of ``train-tsadm`` and ``train-collab`` also hold
+their ``counters`` (steps, epochs, and batches or blocks per epoch) and
+``timings`` (``train_s``, the wall seconds of the training loop).
+``verify``'s manifest holds lemma1's and theorem2's ``counters`` and each
+report's wall seconds as ``timings``. Exit codes: 0 success, 1
+verification failure or bad input, 2 usage error or missing artifact.
+``main`` makes the ``--out`` directory once the config has loaded; a path
+that cannot be made a directory (a file, or a path under one) exits 2.
 
 ``score-llm`` alone reads ``llm_mode``: ``mock:<fixture>`` reads LLM scores
 from a file, ``live:<url>`` asks the endpoint through ``llm.score_windows``.
@@ -25,8 +26,10 @@ missing, an unknown kind, not 0 <= start < end), or the spans overlap or
 differ from the label column. ``eval`` also exits 1 when ``collated.csv``
 misses a slot of the dataset or lists one outside it. A checkpoint
 (``tsadm.json``, ``pipeline.json``) that is not JSON, or that its loader
-cannot read (a key missing, an unknown version or scorer kind), exits 1 with
-one ``error:`` line naming the file.
+rejects, exits 1 with one ``error:`` line naming the file: a key missing,
+an unknown version or scorer kind, a detector setting that is not a
+positive integer, arrays whose shapes disagree, or a range divisor that is
+not finite and positive.
 LLM score files (the mock fixture, and ``--llm-scores`` of ``train-collab``
 and ``detect``) go through one loader, ``llm.load_fixture``, so all three
 commands treat a bad file alike: a window missing from it, a window with the
@@ -140,37 +143,26 @@ class RunConfig:
     def tsadm_config(self) -> TsadmConfig:
         from .tsadm import TsadmConfig
 
-        return TsadmConfig(
-            winLen=self.winLen,
-            moduleNum=self.moduleNum,
-            kLen=self.kLen,
-            embed=self.embed,
-            trlr=self.trlr,
-            epochs=self.epochs_tsadm,
-            batchSize=self.batchSize,
-            seed=self.seed,
-        )
+        return TsadmConfig(winLen=self.winLen, moduleNum=self.moduleNum, kLen=self.kLen,
+                           embed=self.embed, trlr=self.trlr, epochs=self.epochs_tsadm,
+                           batchSize=self.batchSize, seed=self.seed)
 
 
-def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
+def load_config(path: str | Path | None, overrides: dict | None = None) -> RunConfig:
+    """The validated run config: ``RunConfig``'s defaults, then the JSON
+    object in the file at ``path`` (if any), then ``overrides``."""
     try:
-        raw = json.loads(_require(Path(path), "config file").read_text())
+        raw = {} if path is None else json.loads(_require(Path(path), "config file").read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    known = {f.name for f in dataclasses.fields(RunConfig)}
-    unknown = set(raw) - known
+    unknown = set(raw) - {f.name for f in dataclasses.fields(RunConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    raw.update(overrides or {})
-    cfg = RunConfig(**raw)
+    cfg = RunConfig(**{**raw, **(overrides or {})})
     cfg.validate()
     return cfg
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def write_manifest(out_dir: Path, command: str, cfg: RunConfig, inputs: list[Path],
@@ -183,7 +175,7 @@ def write_manifest(out_dir: Path, command: str, cfg: RunConfig, inputs: list[Pat
         "version": __version__,
         "seed": cfg.seed,
         "config": dataclasses.asdict(cfg) if config is None else config,
-        "inputs": {str(p): _sha256(p) for p in sorted(inputs)},
+        "inputs": {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(inputs)},
         "outputs": sorted(str(p) for p in outputs),
         **(extra or {}),
     }
@@ -446,7 +438,7 @@ def cmd_ablate(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
     )
 
     # what the ablation runs with; the run config's training keys do not reach it
-    run = RunConfig(seed=cfg.seed, batchSize=ABLATION_BATCH_SIZE)
+    run = load_config(None, {"seed": cfg.seed, "batchSize": ABLATION_BATCH_SIZE})
     points = _grid_points(args.grid, run) if args.grid else []
     bench = build_benchmark(BenchmarkConfig(seed=cfg.seed))
     results = run_ablation(bench, run)
@@ -530,11 +522,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     overrides = {} if args.seed is None else {"seed": args.seed}
     try:
-        if args.config is not None:
-            cfg = load_config(args.config, overrides)
-        else:
-            cfg = RunConfig(**overrides)
-            cfg.validate()
+        cfg = load_config(args.config, overrides)
         out: Path = args.out
         try:
             out.mkdir(parents=True, exist_ok=True)

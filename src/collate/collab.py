@@ -29,7 +29,7 @@ from .core import (
     sigmoid,
 )
 from .errors import LengthMismatch, NonConvergence, NonFiniteInput, ShapeMismatch, WindowTooShort
-from .optim import Adam, FlatParams, load_checkpoint, load_state, state_dict
+from .optim import Adam, FlatParams, check_shapes, load_checkpoint, load_state, state_dict
 
 if TYPE_CHECKING:
     from .cli import RunConfig
@@ -51,7 +51,7 @@ class ConditionalNetParams:
     # a checkpoint also keeps the input statistics, which are not trained
     STATE = PARAMS + ("in_mean", "in_std")
 
-    def __init__(self, rep_dim: int, hidden: int = 16, seed: int = 0):
+    def __init__(self, rep_dim: int, hidden: int, seed: int):
         rng = np.random.default_rng(seed)
         d_in = 2 + rep_dim
         self.w1 = rng.normal(0.0, 1.0 / np.sqrt(d_in), (d_in, hidden))
@@ -131,7 +131,11 @@ class ConditionalNetParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ConditionalNetParams":
-        return load_state(cls.__new__(cls), d, cls.STATE)
+        net = load_state(cls.__new__(cls), d, cls.STATE)
+        # every shape must agree with in_mean's and b1's widths
+        n, h = np.size(net.in_mean), np.size(net.b1)
+        return check_shapes(net, "cond", {"w1": (n, h), "b1": (h,), "w2": (h,), "b2": (),
+                                          "in_mean": (n,), "in_std": (n,)})
 
 
 def _check_lengths(*vecs):
@@ -236,37 +240,23 @@ class TrainingCurves:
     steps: int = 0
 
 
+@dataclass
 class FusionPipeline:
-    """Frozen scorer + trained mapping + trained fusion net; the deployable detector."""
+    """Frozen scorer + trained mapping (None without alignment) + trained
+    fusion net + training range divisor, which ``detect`` reads; the
+    deployable detector. ``config_echo`` is the run config it was trained
+    with, as ``asdict``; the checkpoint also writes its ``d``, ``patchSize``
+    and ``loss_variant`` as ``d``, ``patch_size`` and ``variant``, which
+    loading does not read."""
 
     CHECKPOINT_VERSION = 1
 
-    def __init__(
-        self,
-        scorer,
-        mapping: MonotoneMapping | None,
-        cond: ConditionalNetParams,
-        d: float,
-        score_divisor: float,
-        patch_size: int,
-        variant: LossVariant,
-        fit: HalfGaussianFit,
-        config_echo: dict | None = None,
-    ):
-        self.scorer = scorer
-        self.mapping = mapping
-        self.cond = cond
-        self.d = d
-        self.score_divisor = float(score_divisor)
-        self.patch_size = int(patch_size)
-        self.variant = variant
-        self.fit = fit
-        self.config_echo = dict(config_echo or {})
-
-    def aligned_scores(self, scaled: np.ndarray) -> np.ndarray:
-        if self.mapping is None:
-            return np.asarray(scaled, dtype=np.float64)
-        return self.mapping(scaled)
+    scorer: object
+    mapping: MonotoneMapping | None
+    cond: ConditionalNetParams
+    score_divisor: float
+    fit: HalfGaussianFit
+    config_echo: dict
 
     def to_dict(self) -> dict:
         from .tsadm import scorer_to_dict
@@ -276,10 +266,10 @@ class FusionPipeline:
             "scorer": scorer_to_dict(self.scorer),
             "mapping": None if self.mapping is None else self.mapping.to_dict(),
             "cond": self.cond.to_dict(),
-            "d": self.d,
+            "d": self.config_echo["d"],
             "score_divisor": self.score_divisor,
-            "patch_size": self.patch_size,
-            "variant": self.variant.value,
+            "patch_size": self.config_echo["patchSize"],
+            "variant": self.config_echo["loss_variant"],
             "sigma": self.fit.sigma,
             "config_echo": self.config_echo,
         }
@@ -293,16 +283,16 @@ class FusionPipeline:
 
         if d.get("version") != cls.CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {d.get('version')}")
+        divisor = float(d["score_divisor"])
+        if not 0.0 < divisor < math.inf:
+            raise ValueError(f"score_divisor must be finite and positive, got {divisor!r}")
         return cls(
             scorer=scorer_from_dict(d["scorer"]),
             mapping=None if d["mapping"] is None else MonotoneMapping.from_dict(d["mapping"]),
             cond=ConditionalNetParams.from_dict(d["cond"]),
-            d=d["d"],
-            score_divisor=d["score_divisor"],
-            patch_size=d["patch_size"],
-            variant=LossVariant(d["variant"]),
+            score_divisor=divisor,
             fit=HalfGaussianFit(d["sigma"]),
-            config_echo=d.get("config_echo", {}),
+            config_echo=d["config_echo"],
         )
 
     @classmethod
@@ -459,18 +449,7 @@ def train_collab(
             all_aligned = mapping(all_scaled)
             curves.kl_aligned.append(align_mod.kl_histogram(all_aligned, fit, bins=50))
 
-    pipeline = FusionPipeline(
-        scorer=scorer,
-        mapping=mapping,
-        cond=cond,
-        d=cfg.d,
-        score_divisor=divisor,
-        patch_size=cfg.patchSize,
-        variant=variant,
-        fit=fit,
-        config_echo=asdict(cfg),
-    )
-    return pipeline, curves
+    return FusionPipeline(scorer, mapping, cond, divisor, fit, asdict(cfg)), curves
 
 
 def detect(
@@ -489,7 +468,7 @@ def detect(
         raise LengthMismatch("LLM scores must cover every slot of the window")
     raw, rep = pipeline.scorer.score(window)
     scaled = raw / pipeline.score_divisor
-    aligned = pipeline.aligned_scores(scaled)
+    aligned = scaled if pipeline.mapping is None else pipeline.mapping(scaled)
     out, _ = pipeline.cond.forward(llm_scores, aligned, rep)
     if not np.isfinite(out).all():
         raise NonFiniteInput(f"collated scores for window {window.window_id()!r} are not finite")

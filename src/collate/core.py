@@ -11,6 +11,7 @@ shared mutable state, so concurrent use across windows is safe.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -141,14 +142,23 @@ def score_range_divisor(raw: np.ndarray, d: float) -> float:
     distort the distribution that mapping must reshape.
 
     Raises DegenerateRange when all raw scores are equal (a constant scorer
-    cannot be aligned and the caller must not proceed).
+    cannot be aligned and the caller must not proceed), or when range**(1/d)
+    overflows or is not a finite positive float: a small d takes a range
+    above 1 past the largest float and one below 1 down to 0.
     """
     if not np.isfinite(d) or d <= 0.0:
         raise ValueError("d must be finite and positive")
     lo, hi = float(np.min(raw)), float(np.max(raw))
     if hi == lo:
         raise DegenerateRange(f"score range is zero (all values {lo})")
-    return (hi - lo) ** (1.0 / d)
+    try:
+        divisor = (hi - lo) ** (1.0 / d)
+    except OverflowError:
+        divisor = math.inf
+    if not 0.0 < divisor < math.inf:
+        raise DegenerateRange(f"score divisor range**(1/d) = {divisor!r} is not finite and "
+                              f"positive (range {hi - lo!r}, d={d!r})")
+    return divisor
 
 
 def _mean_intra_distances(blocks: np.ndarray) -> np.ndarray:

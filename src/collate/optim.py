@@ -8,8 +8,8 @@ reads those tuples, and step the vector with ``Adam``. Adam is elementwise,
 so one step on the vector gives bit for bit the values that stepping each
 array separately would. ``state_dict`` and ``load_state`` write named
 attributes as JSON values and read them back; the checkpoints pass them
-``PARAMS`` and whatever else a model keeps, and read their files through
-``load_checkpoint``.
+``PARAMS`` and whatever else a model keeps, check what they read with
+``check_shapes``, and read their files through ``load_checkpoint``.
 """
 from __future__ import annotations
 
@@ -35,6 +35,14 @@ def load_state(obj, d: dict, names):
     for name in names:
         v = d[name]
         setattr(obj, name, np.asarray(v, dtype=np.float64) if isinstance(v, list) else float(v))
+    return obj
+
+
+def check_shapes(obj, what: str, shapes: dict):
+    """``obj``, if each named attribute has its shape; else ValueError."""
+    for name, shape in shapes.items():
+        if (got := np.shape(getattr(obj, name))) != shape:
+            raise ValueError(f"{what}.{name} has shape {got}, expected {shape}")
     return obj
 
 

@@ -68,7 +68,7 @@ import numpy as np
 
 from .core import PrecomputedScorer, TimeSeriesWindow
 from .errors import NonConvergence, ShapeMismatch
-from .optim import Adam, FlatParams, load_checkpoint, load_state, state_dict
+from .optim import Adam, FlatParams, check_shapes, load_checkpoint, load_state, state_dict
 
 
 class _Workspace:
@@ -188,14 +188,16 @@ def _sum_over_bt(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) ->
 
 @dataclass
 class TsadmConfig:
-    winLen: int = 16
-    moduleNum: int = 3
-    kLen: int = 2
-    embed: int = 4
-    trlr: float = 0.01
-    epochs: int = 60
-    batchSize: int = 100
-    seed: int = 0
+    """The detector's settings; ``RunConfig`` holds their defaults."""
+
+    winLen: int
+    moduleNum: int
+    kLen: int
+    embed: int
+    trlr: float
+    epochs: int
+    batchSize: int
+    seed: int
 
 
 class AttentionLayerParams:
@@ -373,10 +375,20 @@ class TsadmModel:
         if d.get("version") != cls.CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {d.get('version')}")
         model = load_state(cls.__new__(cls), d, cls.PARAMS)
-        model.cfg = TsadmConfig(**d["config"])
-        model.dims = d["dims"]
-        layer_cls = AttentionLayerParams
-        model.layers = [load_state(layer_cls.__new__(layer_cls), ld, layer_cls.PARAMS)
+        cfg = model.cfg = TsadmConfig(**d["config"])
+        dims = model.dims = d["dims"]
+        sizes = {"dims": dims, **asdict(cfg)}
+        for name in ("dims", "winLen", "moduleNum", "kLen", "embed", "epochs", "batchSize"):
+            if not (type(sizes[name]) is int and sizes[name] > 0):
+                raise ValueError(f"{name} must be a positive integer, got {sizes[name]!r}")
+        if len(d["layers"]) != cfg.moduleNum:
+            raise ValueError(f"{len(d['layers'])} layers, but moduleNum is {cfg.moduleNum}")
+        e, w = cfg.embed, (dims, cfg.embed, cfg.embed)
+        check_shapes(model, "detector", {"embed_w": (cfg.kLen, e), "embed_b": (e,),
+                                         "out_w": (dims * e, dims), "out_b": (dims,)})
+        layer = AttentionLayerParams
+        model.layers = [check_shapes(load_state(layer.__new__(layer), ld, layer.PARAMS), "layer",
+                                     {"wq": w, "wk": w, "wv": w, "log_sigma": ()})
                         for ld in d["layers"]]
         return model
 

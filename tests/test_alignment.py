@@ -25,7 +25,7 @@ def train_mapping(scaled, fit, lambda_hat, epochs, learning_rate=0.05, seed=0):
     net (``collab.train_collab``); this checks what the alignment loss alone
     can reach. Deterministic under ``seed``."""
     s = np.asarray(scaled, float).reshape(-1)
-    mapping = MonotoneMapping(seed=seed)
+    mapping = MonotoneMapping(8, seed=seed)
     for _ in range(epochs):
         mapped, cache = mapping.forward(s)
         loss, dm = alignment_loss_grad(mapped, fit, lambda_hat)

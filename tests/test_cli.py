@@ -53,6 +53,28 @@ class TestPipeline:
         assert len(json.loads((run_dir / "collab" / "metrics.json").read_text())[
             "config_echo"]) > 0
 
+    PINNED = {
+        "tsadm/tsadm.json": "109bd76bc67028cc05c9503cb94e108c7d597670f4dc5fb9dc29cb19f1316d2c",
+        "llm/llm_scores.jsonl": "58aa9b53386655f95a82b1349f0054bf40c4e0aed5ea39c41ec1dac32bebf28f",
+        "collab/pipeline.json": "fedd0632c210716602ae598996d1d853c21e44229c9f0de8d2df2e06db3cd9a8",
+        "collab/loss_curves.csv":
+            "35d9091189a8c7c672672bee69a9f68ffddea659f3cff34a62ffcb2e8f49703a",
+        "collab/kl_curve.csv": "b93797020ec8d6a22acd57c2b7ee5aa8a9ff1c358b053f23835de25059f84a95",
+        "collab/metrics.json": "57e71581831c1227468cb379e90a6afb0eda5d1fcc25f7c967748c4ad12e758c",
+        "detect/collated.csv": "aa01ecd5618a715279d915f73469dbcb6f980dfdee9698d977bf2099d9a8523a",
+        "eval/metrics.json": "cf08c4b7afe6614c2dd88ecb95d216cc0686310f0f592433b986cc4580463e85",
+        "eval/overlay.svg": "ea057236d8485597b8d192051e895cb3484273e9f6d23f219d64543cebc3c143",
+    }
+
+    def test_outputs_are_pinned(self, run_dir):
+        """Every artifact of the 2,000-slot pipeline after gen-data (which
+        ``test_data.py`` pins) keeps its bytes. The digests hold for the
+        numpy and BLAS build they were taken with, as ``TestVerify``'s exact
+        floats do: another build may round a training step differently."""
+        digests = {rel: hashlib.sha256((run_dir / rel).read_bytes()).hexdigest()
+                   for rel in self.PINNED}
+        assert digests == self.PINNED
+
     def test_eval_manifest_lists_every_file_it_read(self, run_dir, tmp_path):
         data = run_dir / "D"
         read = [data / "data.csv", run_dir / "detect" / "collated.csv"]
@@ -208,10 +230,14 @@ class TestDispatch:
             assert callable(parser.get_default("run")), name
 
 
-def test_run_config_defaults_are_the_detector_defaults():
+def test_detector_config_has_no_defaults():
     from collate.tsadm import TsadmConfig
 
-    assert cli.RunConfig().tsadm_config() == TsadmConfig()
+    fields = dataclasses.asdict(cli.RunConfig().tsadm_config())
+    assert len(fields) == 8
+    for name in fields:
+        with pytest.raises(TypeError, match=f"missing 1 required positional argument: '{name}'"):
+            TsadmConfig(**{k: v for k, v in fields.items() if k != name})
 
 
 class TestExitCodes:
@@ -485,11 +511,41 @@ class TestBadCollated:
         assert capsys.readouterr().err == message
 
 
+def _replaced(d: dict, keys: list, edit) -> dict:
+    """A copy of the JSON object ``d`` whose entry at the key path ``keys``
+    is ``edit`` of the old entry."""
+    head, *rest = keys
+    return {**d, head: _replaced(d[head], rest, edit) if rest else edit(d[head])}
+
+
 class TestBadCheckpoint:
-    """A checkpoint that is not JSON, or that its loader cannot read, exits
-    1 with one error line naming the file."""
+    """A checkpoint that is not JSON, or that its loader rejects, exits 1
+    with one error line naming the file."""
 
     CASES = {
+        "pipeline without config_echo": ("pipeline", lambda d: {k: v for k, v in d.items()
+                                                                if k != "config_echo"},
+                                         "KeyError: 'config_echo'"),
+        "tsadm without a layer": ("tsadm", lambda d: _replaced(d, ["layers"], lambda v: v[1:]),
+                                  "ValueError: 2 layers, but moduleNum is 3"),
+        "tsadm embed_b cut to 2": ("tsadm", lambda d: _replaced(d, ["embed_b"], lambda v: v[:2]),
+                                   "ValueError: detector.embed_b has shape (2,), expected (4,)"),
+        "tsadm winLen 0": ("tsadm", lambda d: _replaced(d, ["config", "winLen"], lambda v: 0),
+                           "ValueError: winLen must be a positive integer, got 0"),
+        "pipeline scorer winLen 0": (
+            "pipeline", lambda d: _replaced(d, ["scorer", "state", "config", "winLen"],
+                                            lambda v: 0),
+            "ValueError: winLen must be a positive integer, got 0"),
+        "score_divisor 0": ("pipeline", lambda d: {**d, "score_divisor": 0},
+                            "ValueError: score_divisor must be finite and positive, got 0.0"),
+        "cond.b1 cut to 3": ("pipeline", lambda d: _replaced(d, ["cond", "b1"], lambda v: v[:3]),
+                             "ValueError: cond.w1 has shape (6, 16), expected (6, 3)"),
+        "cond.in_std cut to 2": ("pipeline",
+                                 lambda d: _replaced(d, ["cond", "in_std"], lambda v: v[:2]),
+                                 "ValueError: cond.in_std has shape (2,), expected (6,)"),
+        "mapping.a2 cut to 2": ("pipeline",
+                                lambda d: _replaced(d, ["mapping", "a2"], lambda v: v[:2]),
+                                "ValueError: mapping.a2 has shape (2,), expected (8,)"),
         "pipeline version 2": ("pipeline", lambda d: {**d, "version": 2},
                                "ValueError: unsupported checkpoint version 2"),
         "unknown scorer kind": ("pipeline",
@@ -698,6 +754,17 @@ class TestAblateGrid:
         assert {key for key in run if run[key] != default[key]} == {"batchSize"}
         assert run["batchSize"] == benchmark.ABLATION_BATCH_SIZE
 
+    def test_grid_d_past_the_float_range_exits_1(self, tmp_path, monkeypatch, capsys):
+        # the table's training is skipped; at d = 0.001 a score range above
+        # about 2.03 takes range ** 1000 past the largest float
+        monkeypatch.setattr(benchmark, "run_ablation", lambda bench, cfg: {})
+        assert cli.main(["--out", str(tmp_path), "ablate", "--grid", '{"d": [0.001]}']) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: score divisor range**(1/d) = inf is not finite and "
+                              "positive (range ") and err.endswith(", d=0.001)\n"), err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "metrics.json").exists()
+
     @pytest.mark.parametrize("grid, message", [
         ("[1]", "--grid must be a JSON object"),
         ('{"D": [0.5]}', "--grid keys must be among ['d', 'patchSize'], got ['D']"),
@@ -825,7 +892,11 @@ class TestNanWeight:
                          "--tsadm", str(bad),
                          "--llm-scores", str(run_dir / "llm" / "llm_scores.jsonl")])
         assert code == 1
-        assert capsys.readouterr().err == "error: phase-2 loss became non-finite\n"
+        # NaN raw scores leave no score range to divide by
+        assert capsys.readouterr().err == (
+            "error: score divisor range**(1/d) = nan is not finite and positive "
+            "(range nan, d=1.0)\n"
+        )
 
 
 class TestVerify:

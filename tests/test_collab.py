@@ -243,13 +243,21 @@ class TestTrainCollab:
         assert outs[0] == outs[1]
 
     def test_pipeline_echoes_the_run_config(self, small_bench, tmp_path):
-        cfg = small_cfg(seed=4, variant_epochs=1)
         llm = small_bench.llm_scores_for(small_bench.windows["train"])
-        pipeline, _ = train_collab(small_bench.windows["train"], small_bench.scorer, llm, cfg)
-        assert pipeline.config_echo == dataclasses.asdict(cfg)
-        path = tmp_path / "p.json"
-        pipeline.save(path)
-        assert FusionPipeline.load(path).config_echo == dataclasses.asdict(cfg)
+        for variant in LossVariant:
+            cfg = small_cfg(seed=4, variant_epochs=1, variant=variant)
+            pipeline, _ = train_collab(small_bench.windows["train"], small_bench.scorer, llm,
+                                       cfg)
+            assert pipeline.config_echo == dataclasses.asdict(cfg)
+            path = tmp_path / f"{variant.value}.json"
+            pipeline.save(path)
+            assert FusionPipeline.load(path).config_echo == dataclasses.asdict(cfg)
+            # the checkpoint's d, patch_size and variant are the echo's
+            saved = json.loads(path.read_text())
+            echo = saved["config_echo"]
+            assert (saved["d"], saved["patch_size"], saved["variant"]) == (
+                echo["d"], echo["patchSize"], echo["loss_variant"]), variant
+            assert saved["variant"] == variant.value
 
     def test_window_shorter_than_patch_is_left_out(self, small_bench):
         train = small_bench.windows["train"]
@@ -757,10 +765,7 @@ def _reference_train_collab(
         scorer=scorer,
         mapping=mapping,
         cond=cond,
-        d=cfg.d,
         score_divisor=divisor,
-        patch_size=cfg.patchSize,
-        variant=variant,
         fit=fit,
         config_echo=dataclasses.asdict(cfg),
     )

@@ -98,6 +98,13 @@ class TestNormalizeScores:
             a / score_range_divisor(a, 1.0), b / score_range_divisor(b, 1.0), atol=1e-9
         )
 
+    # 5 ** 1000 overflows a float; 0.5 ** 100000 underflows to 0
+    @pytest.mark.parametrize("hi, d, divisor", [(5.0, 0.001, "inf"), (0.5, 1e-5, "0.0")])
+    def test_divisor_outside_the_positive_floats_rejected(self, hi, d, divisor):
+        with pytest.raises(DegenerateRange, match=rf"range\*\*\(1/d\) = {divisor} is not finite "
+                                                 rf"and positive \(range {hi}, d={d}\)"):
+            score_range_divisor(np.array([0.0, hi]), d)
+
     @pytest.mark.parametrize("d", [0.0, -1.0, float("nan"), float("inf")])
     def test_root_exponent_must_be_finite_and_positive(self, d):
         with pytest.raises(ValueError, match="d must be finite and positive"):

@@ -1,12 +1,14 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from collate.alignment import MonotoneMapping
+from collate.cli import RunConfig
 from collate.collab import ConditionalNetParams
 from collate.optim import BETA1, BETA2, EPS, Adam, FlatParams
-from collate.tsadm import TsadmConfig, TsadmModel
+from collate.tsadm import TsadmModel
 
 
 def flat(arrays):
@@ -64,7 +66,8 @@ def _instances(name):
     if name == "MonotoneMapping":
         mapping = MonotoneMapping(hidden=4, seed=2)
         return mapping, mapping.to_dict(), {"hidden"}, MonotoneMapping.from_dict(mapping.to_dict())
-    model = TsadmModel(2, TsadmConfig(moduleNum=2, kLen=3, embed=3, seed=3))
+    cfg = dataclasses.replace(RunConfig().tsadm_config(), moduleNum=2, kLen=3, embed=3, seed=3)
+    model = TsadmModel(2, cfg)
     state = model.to_dict()
     loaded = TsadmModel.from_dict(json.loads(json.dumps(state)))
     if name == "TsadmModel":

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -8,12 +9,12 @@ import numpy as np
 import pytest
 
 import collate
+from collate.cli import RunConfig
 from collate.core import TimeSeriesWindow
 from collate.errors import NonConvergence, ScoreOutOfRange, ShapeMismatch
 from collate.tsadm import (
     AttentionLayerParams,
     PrecomputedScorer,
-    TsadmConfig,
     TsadmModel,
     _AttentionCache,
     _attention_backward,
@@ -28,6 +29,11 @@ from collate.tsadm import (
     train_tsadm,
 )
 from test_optim import _reference_adam_step
+
+
+def tsadm_config(**fields):
+    """The run config's detector settings, with ``fields`` changed."""
+    return dataclasses.replace(RunConfig().tsadm_config(), **fields)
 
 
 def qkv(rng, b, d, t, e):
@@ -139,7 +145,7 @@ class TestMatchesEinsumReference:
     @pytest.mark.parametrize("d, t, e", ORACLE_SHAPES)
     def test_loss_and_grads(self, d, t, e):
         rng = np.random.default_rng(100 * d + 10 * t + e)
-        model = TsadmModel(d, TsadmConfig(winLen=t, moduleNum=2, kLen=2, embed=e, seed=3))
+        model = TsadmModel(d, tsadm_config(winLen=t, moduleNum=2, kLen=2, embed=e, seed=3))
         for layer in model.layers:
             layer.log_sigma = float(rng.uniform(-0.5, 1.0))
         xb = rng.normal(size=(4, t, d))
@@ -230,15 +236,15 @@ class TestMatchesAllocatingReference:
 
     def test_training_run(self):
         # 62 windows of 8 slots in batches of 16: the last batch holds 14
-        cfg = TsadmConfig(winLen=8, moduleNum=2, kLen=2, embed=3, epochs=6,
-                          batchSize=16, seed=4)
+        cfg = tsadm_config(winLen=8, moduleNum=2, kLen=2, embed=3, epochs=6,
+                           batchSize=16, seed=4)
         values = np.random.default_rng(9).normal(size=(62 * 8 + 5, 2))
         assert train_tsadm(values, cfg).to_dict() == _reference_train_tsadm(values, cfg).to_dict()
 
     def test_training_run_at_the_cli_shape(self):
         # the CLI's detector; 230 windows in batches of 100: the last holds 30
-        cfg = TsadmConfig(winLen=16, moduleNum=3, kLen=2, embed=4, epochs=2,
-                          batchSize=100, seed=0)
+        cfg = tsadm_config(winLen=16, moduleNum=3, kLen=2, embed=4, epochs=2,
+                           batchSize=100, seed=0)
         values = np.random.default_rng(3).normal(size=(230 * 16 + 7, 1))
         counters = {}
         model = train_tsadm(values, cfg, counters)
@@ -252,7 +258,8 @@ CHURN_PROBE = """
 import resource
 import numpy as np
 from collate.tsadm import TsadmConfig, TsadmModel, _Workspace
-model = TsadmModel(1, TsadmConfig(winLen=16, moduleNum=3, kLen=2, embed=4, seed=0))
+model = TsadmModel(1, TsadmConfig(winLen=16, moduleNum=3, kLen=2, embed=4, trlr=0.01,
+                                  epochs=60, batchSize=100, seed=0))
 xb = np.random.default_rng(7).normal(size=(100, 16, 1))
 ws = _Workspace()
 for _ in range(3):
@@ -267,7 +274,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 class TestWorkspace:
     def model_and_batch(self):
         """The CLI's detector and a batch of 100 windows of 16 slots."""
-        model = TsadmModel(1, TsadmConfig(winLen=16, moduleNum=3, kLen=2, embed=4, seed=0))
+        model = TsadmModel(1, tsadm_config(winLen=16, moduleNum=3, kLen=2, embed=4, seed=0))
         return model, np.random.default_rng(7).normal(size=(100, 16, 1))
 
     def test_steps_reuse_their_memory(self):
@@ -309,8 +316,8 @@ class TestWorkspace:
             return step(self, xb, workspace, grads)
 
         monkeypatch.setattr(TsadmModel, "loss_and_grads", recording_step)
-        cfg = TsadmConfig(winLen=8, moduleNum=1, kLen=2, embed=2, epochs=3,
-                          batchSize=4, seed=0)
+        cfg = tsadm_config(winLen=8, moduleNum=1, kLen=2, embed=2, epochs=3,
+                           batchSize=4, seed=0)
         train_tsadm(np.random.default_rng(1).normal(size=(80, 1)), cfg)
         assert len(seen) == 9 and isinstance(seen[0], _Workspace)
         assert all(ws is seen[0] for ws in seen)
@@ -358,7 +365,7 @@ class TestWorkspace:
 class TestModel:
     def test_full_backprop_matches_finite_differences(self):
         rng = np.random.default_rng(2)
-        cfg = TsadmConfig(winLen=6, moduleNum=2, kLen=2, embed=3, seed=0)
+        cfg = tsadm_config(winLen=6, moduleNum=2, kLen=2, embed=3, seed=0)
         model = TsadmModel(2, cfg)
         xb = rng.normal(size=(3, 6, 2))
         loss, grads = model.loss_and_grads(xb)
@@ -383,7 +390,7 @@ class TestModel:
     @pytest.mark.parametrize("seed", range(4))
     def test_log_sigma_gradient_matches_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
-        cfg = TsadmConfig(winLen=6, moduleNum=2, kLen=2, embed=3, seed=seed)
+        cfg = tsadm_config(winLen=6, moduleNum=2, kLen=2, embed=3, seed=seed)
         model = TsadmModel(2, cfg)
         for layer in model.layers:
             layer.log_sigma = float(rng.uniform(-0.5, 1.0))
@@ -401,15 +408,15 @@ class TestModel:
             assert abs(fd - grads["layers"][i]["log_sigma"]) / max(abs(fd), 1e-9) < 1e-4
 
     def test_nan_in_series_raises_nonconvergence(self):
-        cfg = TsadmConfig(winLen=8, moduleNum=1, kLen=2, embed=2, epochs=1, seed=0)
+        cfg = tsadm_config(winLen=8, moduleNum=1, kLen=2, embed=2, epochs=1, seed=0)
         values = np.ones((64, 1))
         values[37, 0] = np.nan
         with pytest.raises(NonConvergence):
             train_tsadm(values, cfg)
 
     def test_constant_series_reconstructed(self):
-        cfg = TsadmConfig(winLen=8, moduleNum=2, kLen=2, embed=3, trlr=0.02,
-                          epochs=200, seed=0)
+        cfg = tsadm_config(winLen=8, moduleNum=2, kLen=2, embed=3, trlr=0.02,
+                           epochs=200, seed=0)
         values = np.full((400, 1), 2.3)
         model = train_tsadm(values, cfg)
         loss, _ = model.loss_and_grads(values[:80].reshape(10, 8, 1))
@@ -418,8 +425,8 @@ class TestModel:
         assert raw.max() < 1e-3
 
     def test_sine_reconstruction_regression(self):
-        cfg = TsadmConfig(winLen=16, moduleNum=2, kLen=2, embed=4, trlr=0.01,
-                          epochs=150, seed=0)
+        cfg = tsadm_config(winLen=16, moduleNum=2, kLen=2, embed=4, trlr=0.01,
+                           epochs=150, seed=0)
         t = np.arange(2000)
         values = np.sin(2 * np.pi * t / 50.0)[:, None]
         model = train_tsadm(values[:1600], cfg)
@@ -429,8 +436,8 @@ class TestModel:
         assert raw.mean() < 0.1 * held.var()
 
     def test_spike_is_argmax(self):
-        cfg = TsadmConfig(winLen=16, moduleNum=2, kLen=2, embed=4, trlr=0.01,
-                          epochs=150, seed=0)
+        cfg = tsadm_config(winLen=16, moduleNum=2, kLen=2, embed=4, trlr=0.01,
+                           epochs=150, seed=0)
         t = np.arange(2000)
         values = np.sin(2 * np.pi * t / 50.0)[:, None]
         model = train_tsadm(values[:1600], cfg)
@@ -441,7 +448,7 @@ class TestModel:
         assert int(np.argmax(raw)) == spike_slot
 
     def test_scores_nonnegative_and_rep_shape(self):
-        cfg = TsadmConfig(winLen=8, moduleNum=2, kLen=2, embed=3, epochs=5, seed=1)
+        cfg = tsadm_config(winLen=8, moduleNum=2, kLen=2, embed=3, epochs=5, seed=1)
         rng = np.random.default_rng(3)
         values = rng.normal(size=(200, 2))
         model = train_tsadm(values, cfg)
@@ -451,7 +458,7 @@ class TestModel:
         assert rep.shape == (50, model.rep_dim)
 
     def test_uneven_window_fully_scored(self):
-        cfg = TsadmConfig(winLen=8, moduleNum=1, kLen=2, embed=2, epochs=2, seed=0)
+        cfg = tsadm_config(winLen=8, moduleNum=1, kLen=2, embed=2, epochs=2, seed=0)
         rng = np.random.default_rng(4)
         values = rng.normal(size=(100, 1))
         model = train_tsadm(values, cfg)
@@ -460,7 +467,7 @@ class TestModel:
 
     @pytest.mark.parametrize("length", [24, 29])
     def test_score_equals_each_tile_scored_alone(self, length):
-        cfg = TsadmConfig(winLen=8, moduleNum=2, kLen=2, embed=3, seed=0)
+        cfg = tsadm_config(winLen=8, moduleNum=2, kLen=2, embed=3, seed=0)
         model = TsadmModel(2, cfg)
         values = np.random.default_rng(8).normal(size=(length, 2))
         raw, rep = model.score(TimeSeriesWindow(values))
@@ -478,7 +485,7 @@ class TestModel:
 
     @pytest.mark.parametrize("length", [1, 4, 7])
     def test_window_shorter_than_winlen_scored_in_one_padded_tile(self, length):
-        cfg = TsadmConfig(winLen=8, moduleNum=1, kLen=2, embed=2, epochs=2, seed=0)
+        cfg = tsadm_config(winLen=8, moduleNum=1, kLen=2, embed=2, epochs=2, seed=0)
         model = train_tsadm(np.random.default_rng(1).normal(size=(64, 2)), cfg)
         values = np.random.default_rng(2).normal(size=(length, 2))
         raw, rep = model.score(TimeSeriesWindow(values))
@@ -490,7 +497,7 @@ class TestModel:
         np.testing.assert_array_equal(rep, r[0, 8 - length :])
 
     def test_training_deterministic(self):
-        cfg = TsadmConfig(winLen=8, moduleNum=2, kLen=2, embed=3, epochs=10, seed=7)
+        cfg = tsadm_config(winLen=8, moduleNum=2, kLen=2, embed=3, epochs=10, seed=7)
         rng = np.random.default_rng(5)
         values = rng.normal(size=(240, 1))
         m1 = train_tsadm(values, cfg)
@@ -502,7 +509,7 @@ class TestModel:
                 np.testing.assert_array_equal(getattr(l1, name), getattr(l2, name))
 
     def test_checkpoint_roundtrip_bit_exact(self, tmp_path):
-        cfg = TsadmConfig(winLen=8, moduleNum=2, kLen=3, embed=3, epochs=5, seed=2)
+        cfg = tsadm_config(winLen=8, moduleNum=2, kLen=3, embed=3, epochs=5, seed=2)
         rng = np.random.default_rng(6)
         model = train_tsadm(rng.normal(size=(160, 2)), cfg)
         p1 = tmp_path / "a.json"
