@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import sigmoid
 from .errors import DegenerateScores
-from .optim import check_shapes, load_state, state_dict
+from .optim import load_state, state_dict
 
 _SQRT2 = math.sqrt(2.0)
 _TWO_OVER_PI = 2.0 / math.pi
@@ -218,9 +218,8 @@ class MonotoneMapping:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MonotoneMapping":
-        mapping = load_state(cls.__new__(cls), d, cls.PARAMS)
-        h = (np.size(mapping.a1),)
-        return check_shapes(mapping, "mapping", {"a1": h, "b1": h, "a2": h, "b2": ()})
+        h = (np.size(d["a1"]),)
+        return load_state(cls, d, "mapping", {"a1": h, "b1": h, "a2": h, "b2": ()})
 
 
 def kl_histogram(a: np.ndarray, fit: HalfGaussianFit, bins: int) -> float:

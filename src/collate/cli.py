@@ -28,8 +28,9 @@ misses a slot of the dataset or lists one outside it. A checkpoint
 (``tsadm.json``, ``pipeline.json``) that is not JSON, or that its loader
 rejects, exits 1 with one ``error:`` line naming the file: a key missing,
 an unknown version or scorer kind, a detector setting that is not a
-positive integer, arrays whose shapes disagree, or a range divisor that is
-not finite and positive.
+positive integer, arrays whose shapes disagree, a value that is not
+finite, a fusion net whose input width differs from its scorer's, or a
+range divisor that is not finite and positive.
 LLM score files (the mock fixture, and ``--llm-scores`` of ``train-collab``
 and ``detect``) go through one loader, ``llm.load_fixture``, so all three
 commands treat a bad file alike: a window missing from it, a window with the

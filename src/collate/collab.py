@@ -23,13 +23,14 @@ from . import alignment as align_mod
 from .alignment import HalfGaussianFit, MonotoneMapping
 from .core import (
     LossVariant,
+    PrecomputedScorer,
     TimeSeriesWindow,
     patch_weights,
     score_range_divisor,
     sigmoid,
 )
-from .errors import LengthMismatch, NonConvergence, NonFiniteInput, ShapeMismatch, WindowTooShort
-from .optim import Adam, FlatParams, check_shapes, load_checkpoint, load_state, state_dict
+from .errors import LengthMismatch, NonConvergence, NonFiniteInput, WindowTooShort
+from .optim import Adam, FlatParams, load_checkpoint, load_state, state_dict
 
 if TYPE_CHECKING:
     from .cli import RunConfig
@@ -74,11 +75,7 @@ class ConditionalNetParams:
         aligned = np.asarray(aligned, dtype=np.float64).reshape(-1)
         rep = np.asarray(rep, dtype=np.float64)
         if not (llm.size == aligned.size == rep.shape[0]):
-            raise ShapeMismatch("per-slot inputs must share one length")
-        if rep.shape[1] != self.rep_dim:
-            raise ShapeMismatch(
-                f"representation width {rep.shape[1]} != expected {self.rep_dim}"
-            )
+            raise LengthMismatch("per-slot inputs must share one length")
         return np.concatenate([llm[:, None], aligned[:, None], rep], axis=1)
 
     def standardize(self, raw: np.ndarray) -> np.ndarray:
@@ -131,11 +128,10 @@ class ConditionalNetParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ConditionalNetParams":
-        net = load_state(cls.__new__(cls), d, cls.STATE)
         # every shape must agree with in_mean's and b1's widths
-        n, h = np.size(net.in_mean), np.size(net.b1)
-        return check_shapes(net, "cond", {"w1": (n, h), "b1": (h,), "w2": (h,), "b2": (),
-                                          "in_mean": (n,), "in_std": (n,)})
+        n, h = np.size(d["in_mean"]), np.size(d["b1"])
+        return load_state(cls, d, "cond", {"w1": (n, h), "b1": (h,), "w2": (h,), "b2": (),
+                                           "in_mean": (n,), "in_std": (n,)})
 
 
 def _check_lengths(*vecs):
@@ -242,12 +238,15 @@ class TrainingCurves:
 
 @dataclass
 class FusionPipeline:
-    """Frozen scorer + trained mapping (None without alignment) + trained
-    fusion net + training range divisor, which ``detect`` reads; the
-    deployable detector. ``config_echo`` is the run config it was trained
-    with, as ``asdict``; the checkpoint also writes its ``d``, ``patchSize``
+    """The deployable detector, which ``detect`` reads: the frozen scorer,
+    the trained mapping (None without alignment) and fusion net, and the
+    training range divisor; ``config_echo`` is the run config it was trained
+    with, as ``asdict``. The checkpoint also writes its ``d``, ``patchSize``
     and ``loss_variant`` as ``d``, ``patch_size`` and ``variant``, which
-    loading does not read."""
+    loading does not read. A saved scorer has ``score``, ``rep_dim``, a
+    ``KIND``, ``to_dict`` and ``from_dict``, and is written as ``{"kind":
+    KIND, "state": to_dict()}``; loading checks the fusion net's input width
+    against the scorer's ``rep_dim``."""
 
     CHECKPOINT_VERSION = 1
 
@@ -259,11 +258,9 @@ class FusionPipeline:
     config_echo: dict
 
     def to_dict(self) -> dict:
-        from .tsadm import scorer_to_dict
-
         return {
             "version": self.CHECKPOINT_VERSION,
-            "scorer": scorer_to_dict(self.scorer),
+            "scorer": {"kind": self.scorer.KIND, "state": self.scorer.to_dict()},
             "mapping": None if self.mapping is None else self.mapping.to_dict(),
             "cond": self.cond.to_dict(),
             "d": self.config_echo["d"],
@@ -279,21 +276,23 @@ class FusionPipeline:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FusionPipeline":
-        from .tsadm import scorer_from_dict
+        from .tsadm import TsadmModel
 
         if d.get("version") != cls.CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {d.get('version')}")
         divisor = float(d["score_divisor"])
         if not 0.0 < divisor < math.inf:
             raise ValueError(f"score_divisor must be finite and positive, got {divisor!r}")
-        return cls(
-            scorer=scorer_from_dict(d["scorer"]),
-            mapping=None if d["mapping"] is None else MonotoneMapping.from_dict(d["mapping"]),
-            cond=ConditionalNetParams.from_dict(d["cond"]),
-            score_divisor=divisor,
-            fit=HalfGaussianFit(d["sigma"]),
-            config_echo=d["config_echo"],
-        )
+        scorers = {c.KIND: c for c in (TsadmModel, PrecomputedScorer)}
+        if (kind := d["scorer"]["kind"]) not in scorers:
+            raise ValueError(f"unknown scorer kind {kind!r}")
+        scorer = scorers[kind].from_dict(d["scorer"]["state"])
+        mapping = None if d["mapping"] is None else MonotoneMapping.from_dict(d["mapping"])
+        cond = ConditionalNetParams.from_dict(d["cond"])
+        if cond.rep_dim != scorer.rep_dim:
+            raise ValueError(f"cond reads representations {cond.rep_dim} wide, "
+                             f"but the scorer's are {scorer.rep_dim} wide")
+        return cls(scorer, mapping, cond, divisor, HalfGaussianFit(d["sigma"]), d["config_echo"])
 
     @classmethod
     def load(cls, path: str | Path) -> "FusionPipeline":
@@ -462,10 +461,8 @@ def detect(
     emits per-slot collated scores. Every score lies strictly inside (0, 1);
     slots whose fusion logit is above about 36.7 all get nextafter(1, 0),
     since float64 cannot tell such logits apart. A score that is not finite
-    (from a NaN weight) raises NonFiniteInput.
+    (a NaN weight, which loading rejects) raises NonFiniteInput.
     """
-    if len(llm_scores) != window.length:
-        raise LengthMismatch("LLM scores must cover every slot of the window")
     raw, rep = pipeline.scorer.score(window)
     scaled = raw / pipeline.score_divisor
     aligned = scaled if pipeline.mapping is None else pipeline.mapping(scaled)

@@ -86,8 +86,11 @@ class PrecomputedScorer:
 
     Covers slots [base_index, base_index + T); score() slices by the window's
     absolute start index. Raw scores that are negative or not finite raise
-    ScoreOutOfRange when the scorer is built.
+    ScoreOutOfRange when the scorer is built, and a representation entry
+    that is not finite raises NonFiniteInput.
     """
+
+    KIND = "precomputed"
 
     def __init__(self, raw: np.ndarray, rep: np.ndarray, base_index: int = 0):
         self.raw = np.asarray(raw, dtype=np.float64).reshape(-1)
@@ -96,7 +99,13 @@ class PrecomputedScorer:
             raise ShapeMismatch("raw scores and representation must cover the same slots")
         if not ((self.raw >= 0.0) & (self.raw < np.inf)).all():
             raise ScoreOutOfRange("precomputed raw scores must be finite and nonnegative")
+        if not np.isfinite(self.rep).all():
+            raise NonFiniteInput("precomputed representations must be finite")
         self.base_index = int(base_index)
+
+    @property
+    def rep_dim(self) -> int:
+        return self.rep.shape[1]
 
     def score(self, window: TimeSeriesWindow) -> tuple[np.ndarray, np.ndarray]:
         lo = window.start_index - self.base_index

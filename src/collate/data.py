@@ -343,7 +343,8 @@ def load_csv(path: str | Path) -> LabeledSeries:
     A missing label column yields ``labels=None`` (absent, not all-normal).
     Raises MissingColumn on a bad header, and ParseError with the 1-based
     line number on any malformed row, including a non-finite value such as
-    ``nan`` or ``inf``.
+    ``nan`` or ``inf``, and at the first row whose slot is not the previous
+    row's slot + 1. The first row's slot is the series' ``start_index``.
     """
     lines = read_lines(path)
     header = next(csv.reader(lines[:1]), [])
@@ -356,6 +357,9 @@ def load_csv(path: str | Path) -> LabeledSeries:
     if dim_cols != expected:
         raise MissingColumn(f"dim columns must be contiguous from dim_0, got {dim_cols}")
     t, values, labels = parse_rows(lines, len(dim_cols), header[-1] == "label")
+    if (skip := np.flatnonzero(t[1:] != t[:-1] + 1)).size:
+        i = skip[0]
+        raise ParseError(f"slot {t[i + 1]} does not follow slot {t[i]}", line=i + 3)
     return LabeledSeries(values=values, labels=labels, spans=[], start_index=int(t[0]))
 
 

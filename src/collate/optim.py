@@ -6,10 +6,11 @@ Each model class names its trainable attributes once, in a ``PARAMS``
 tuple. Both trainers lay their parameters out with ``FlatParams``, which
 reads those tuples, and step the vector with ``Adam``. Adam is elementwise,
 so one step on the vector gives bit for bit the values that stepping each
-array separately would. ``state_dict`` and ``load_state`` write named
-attributes as JSON values and read them back; the checkpoints pass them
-``PARAMS`` and whatever else a model keeps, check what they read with
-``check_shapes``, and read their files through ``load_checkpoint``.
+array separately would. ``state_dict`` writes named attributes as JSON
+values, and ``load_state`` reads them back into a new object, checking each
+value's shape and that every entry is finite. The checkpoints pass them
+``PARAMS`` and whatever else a model keeps, and read their files through
+``load_checkpoint``.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import CollateError, ParseError
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
@@ -29,31 +30,31 @@ def state_dict(obj, names) -> dict:
     return {name: np.asarray(getattr(obj, name)).tolist() for name in names}
 
 
-def load_state(obj, d: dict, names):
-    """Set each named attribute of ``obj`` from ``state_dict``'s JSON, a
-    number as a float and a list as a float64 array; returns ``obj``."""
-    for name in names:
-        v = d[name]
-        setattr(obj, name, np.asarray(v, dtype=np.float64) if isinstance(v, list) else float(v))
-    return obj
-
-
-def check_shapes(obj, what: str, shapes: dict):
-    """``obj``, if each named attribute has its shape; else ValueError."""
+def load_state(cls, d: dict, what: str, shapes: dict):
+    """A new ``cls`` whose attributes are ``d``'s values for the names in
+    ``shapes``: a float64 array, or a float where the shape is ``()``. A
+    value whose shape differs from its entry in ``shapes``, or with an entry
+    that is not finite, raises ValueError naming ``{what}.{name}``."""
+    obj = cls.__new__(cls)
     for name, shape in shapes.items():
-        if (got := np.shape(getattr(obj, name))) != shape:
-            raise ValueError(f"{what}.{name} has shape {got}, expected {shape}")
+        v = np.asarray(d[name], dtype=np.float64)
+        if v.shape != shape:
+            raise ValueError(f"{what}.{name} has shape {v.shape}, expected {shape}")
+        if not np.isfinite(v).all():
+            raise ValueError(f"{what}.{name} is not finite")
+        setattr(obj, name, float(v) if shape == () else v)
     return obj
 
 
 def load_checkpoint(path: str | Path, from_dict):
     """``from_dict`` of the JSON in the file at ``path``. Text that is not
     JSON, or a payload that ``from_dict`` rejects with a ValueError,
-    KeyError, TypeError or AttributeError (a key missing, a wrong version,
-    an array where an object belongs), raises ParseError naming the file."""
+    KeyError, TypeError, AttributeError or CollateError (a key missing, a
+    wrong version, an array where an object belongs, a replayed score out of
+    range), raises ParseError naming the file."""
     try:
         return from_dict(json.loads(Path(path).read_text()))
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, CollateError) as exc:
         raise ParseError(f"{path}: {type(exc).__name__}: {exc}") from None
 
 

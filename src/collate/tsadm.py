@@ -52,9 +52,11 @@ one, so scoring stays pure and re-entrant. The gradients, reconstructions,
 representations and scores they return are new arrays; only ``forward``'s
 layer caches point into the workspace it used.
 
-Anything with ``score(window) -> (raw, rep)`` can stand in for the
-attention model, as ``core.PrecomputedScorer`` does with scores computed
-elsewhere; the scores are plain float64 arrays.
+Anything with ``score(window) -> (raw, rep)`` and ``rep_dim`` can stand in
+for the attention model, as ``core.PrecomputedScorer`` does with scores
+computed elsewhere; the scores are plain float64 arrays. A pipeline
+checkpoint also needs the scorer's ``KIND``, ``to_dict`` and ``from_dict``,
+and ``collab.FusionPipeline`` lists the classes it reads by kind.
 """
 from __future__ import annotations
 
@@ -66,9 +68,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import PrecomputedScorer, TimeSeriesWindow
+from .core import TimeSeriesWindow
 from .errors import NonConvergence, ShapeMismatch
-from .optim import Adam, FlatParams, check_shapes, load_checkpoint, load_state, state_dict
+from .optim import Adam, FlatParams, load_checkpoint, load_state, state_dict
 
 
 class _Workspace:
@@ -236,6 +238,7 @@ class TsadmModel:
     """
 
     CHECKPOINT_VERSION = 1
+    KIND = "attention"
     PARAMS = ("embed_w", "embed_b", "out_w", "out_b")
 
     def __init__(self, dims: int, cfg: TsadmConfig):
@@ -374,9 +377,8 @@ class TsadmModel:
     def from_dict(cls, d: dict) -> "TsadmModel":
         if d.get("version") != cls.CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {d.get('version')}")
-        model = load_state(cls.__new__(cls), d, cls.PARAMS)
-        cfg = model.cfg = TsadmConfig(**d["config"])
-        dims = model.dims = d["dims"]
+        cfg = TsadmConfig(**d["config"])
+        dims = d["dims"]
         sizes = {"dims": dims, **asdict(cfg)}
         for name in ("dims", "winLen", "moduleNum", "kLen", "embed", "epochs", "batchSize"):
             if not (type(sizes[name]) is int and sizes[name] > 0):
@@ -384,11 +386,11 @@ class TsadmModel:
         if len(d["layers"]) != cfg.moduleNum:
             raise ValueError(f"{len(d['layers'])} layers, but moduleNum is {cfg.moduleNum}")
         e, w = cfg.embed, (dims, cfg.embed, cfg.embed)
-        check_shapes(model, "detector", {"embed_w": (cfg.kLen, e), "embed_b": (e,),
-                                         "out_w": (dims * e, dims), "out_b": (dims,)})
-        layer = AttentionLayerParams
-        model.layers = [check_shapes(load_state(layer.__new__(layer), ld, layer.PARAMS), "layer",
-                                     {"wq": w, "wk": w, "wv": w, "log_sigma": ()})
+        model = load_state(cls, d, "detector", {"embed_w": (cfg.kLen, e), "embed_b": (e,),
+                                                "out_w": (dims * e, dims), "out_b": (dims,)})
+        model.cfg, model.dims = cfg, dims
+        model.layers = [load_state(AttentionLayerParams, ld, "layer",
+                                   {"wq": w, "wk": w, "wv": w, "log_sigma": ()})
                         for ld in d["layers"]]
         return model
 
@@ -440,18 +442,3 @@ def train_tsadm(values: np.ndarray, cfg: TsadmConfig,
                         steps=opt.t)
     return model
 
-
-def scorer_to_dict(scorer) -> dict:
-    if isinstance(scorer, TsadmModel):
-        return {"kind": "attention", "state": scorer.to_dict()}
-    if isinstance(scorer, PrecomputedScorer):
-        return {"kind": "precomputed", "state": scorer.to_dict()}
-    raise TypeError(f"cannot serialize scorer of type {type(scorer).__name__}")
-
-
-def scorer_from_dict(d: dict):
-    if d["kind"] == "attention":
-        return TsadmModel.from_dict(d["state"])
-    if d["kind"] == "precomputed":
-        return PrecomputedScorer.from_dict(d["state"])
-    raise ValueError(f"unknown scorer kind {d['kind']!r}")

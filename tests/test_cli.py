@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -460,6 +461,22 @@ class TestBadCsv:
         assert code == 1
         assert err == "error: line 51: value is not finite\n"
 
+    @pytest.mark.parametrize("command", ["train-tsadm", "eval"])
+    def test_slot_out_of_sequence_names_its_line(self, run_dir, tmp_path, capsys, command):
+        lines = (run_dir / "D" / "data.csv").read_text().splitlines()
+        _, *fields = lines[701].split(",")
+        lines[701] = ",".join(["1500", *fields])
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join(lines) + "\n")
+        args = {"train-tsadm": [],
+                "eval": ["--collated", str(run_dir / "detect" / "collated.csv")]}[command]
+        capsys.readouterr()
+        code = cli.main(["--config", str(run_dir / "cfg.json"), "--out", str(tmp_path / "t"),
+                         command, "--data", str(data), *args])
+        assert code == 1
+        assert capsys.readouterr().err == "error: line 702: slot 1500 does not follow slot 699\n"
+        assert not (tmp_path / "t").exists() or not any((tmp_path / "t").iterdir())
+
 
 BAD_COLLATED = {
     "short row": (["t,score", "0,0.5", "1"], "error: line 3: expected 2 fields, got 1\n"),
@@ -511,11 +528,19 @@ class TestBadCollated:
         assert capsys.readouterr().err == message
 
 
-def _replaced(d: dict, keys: list, edit) -> dict:
-    """A copy of the JSON object ``d`` whose entry at the key path ``keys``
-    is ``edit`` of the old entry."""
+def _replaced(d, keys: list, edit):
+    """A copy of the JSON object or array ``d`` whose entry at the key path
+    ``keys`` (object keys and array indices) is ``edit`` of the old entry."""
     head, *rest = keys
-    return {**d, head: _replaced(d[head], rest, edit) if rest else edit(d[head])}
+    new = _replaced(d[head], rest, edit) if rest else edit(d[head])
+    return [*d[:head], new, *d[head + 1:]] if isinstance(d, list) else {**d, head: new}
+
+
+def _one_input_column_more(cond: dict) -> dict:
+    """``cond`` reading one more representation column, with a row of
+    weights and standardization statistics for it."""
+    return {**cond, "w1": [*cond["w1"], cond["w1"][-1]],
+            "in_mean": [*cond["in_mean"], 0.0], "in_std": [*cond["in_std"], 1.0]}
 
 
 class TestBadCheckpoint:
@@ -561,6 +586,26 @@ class TestBadCheckpoint:
                             "ValueError: unsupported checkpoint version 9"),
         "tsadm not JSON": ("tsadm", None,
                            "JSONDecodeError: Expecting value: line 1 column 1 (char 0)"),
+        "mapping.b2 inf": ("pipeline",
+                           lambda d: _replaced(d, ["mapping", "b2"], lambda v: math.inf),
+                           "ValueError: mapping.b2 is not finite"),
+        "cond.w1 NaN": ("pipeline",
+                        lambda d: _replaced(d, ["cond", "w1", 0, 0], lambda v: math.nan),
+                        "ValueError: cond.w1 is not finite"),
+        "tsadm layer wq NaN": ("tsadm", lambda d: _replaced(d, ["layers", 1, "wq", 0, 2, 1],
+                                                            lambda v: math.nan),
+                               "ValueError: layer.wq is not finite"),
+        "pipeline scorer embed_w NaN": (
+            "pipeline", lambda d: _replaced(d, ["scorer", "state", "embed_w", 0, 0],
+                                            lambda v: math.nan),
+            "ValueError: detector.embed_w is not finite"),
+        "precomputed scorer with a negative score": (
+            "pipeline", lambda d: {**d, "scorer": {"kind": "precomputed", "state": {
+                "raw": [-1.0] * 2000, "rep": [[0.0] * 4] * 2000, "base_index": 0}}},
+            "ScoreOutOfRange: precomputed raw scores must be finite and nonnegative"),
+        "cond one input column too many": (
+            "pipeline", lambda d: _replaced(d, ["cond"], _one_input_column_more),
+            "ValueError: cond reads representations 5 wide, but the scorer's are 4 wide"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -877,9 +922,7 @@ class TestNanWeight:
                          "--pipeline", str(bad),
                          "--llm-scores", str(run_dir / "llm" / "llm_scores.jsonl")])
         assert code == 1
-        assert capsys.readouterr().err == (
-            "error: collated scores for window 'w0' are not finite\n"
-        )
+        assert capsys.readouterr().err == f"error: {bad}: ValueError: cond.w1 is not finite\n"
 
     def test_detector_weight_at_train_collab(self, run_dir, tmp_path, capsys):
         model = json.loads((run_dir / "tsadm" / "tsadm.json").read_text())
@@ -892,10 +935,8 @@ class TestNanWeight:
                          "--tsadm", str(bad),
                          "--llm-scores", str(run_dir / "llm" / "llm_scores.jsonl")])
         assert code == 1
-        # NaN raw scores leave no score range to divide by
         assert capsys.readouterr().err == (
-            "error: score divisor range**(1/d) = nan is not finite and positive "
-            "(range nan, d=1.0)\n"
+            f"error: {bad}: ValueError: detector.embed_w is not finite\n"
         )
 
 

@@ -270,6 +270,23 @@ class TestCsv:
         assert str(new.value) == str(old.value)
         assert getattr(new.value, "line", None) == getattr(old.value, "line", None)
 
+    @pytest.mark.parametrize("slots, message", [
+        ([100, 101, 103, 104], "line 4: slot 103 does not follow slot 101"),
+        ([100, 101, 101, 102], "line 4: slot 101 does not follow slot 101"),
+        ([100, 101, 102, 100], "line 5: slot 100 does not follow slot 102"),
+    ])
+    def test_slot_out_of_sequence_names_its_line(self, tmp_path, slots, message):
+        path = tmp_path / "s.csv"
+        path.write_text("".join(["t,dim_0\n", *(f"{t},1.5\n" for t in slots)]))
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            data.load_csv(path)
+
+    def test_slots_may_start_anywhere(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("t,dim_0\n100,1.5\n101,2.5\n102,3.5\n")
+        loaded = data.load_csv(path)
+        assert loaded.start_index == 100 and loaded.values.tolist() == [[1.5], [2.5], [3.5]]
+
     @pytest.mark.parametrize("row", ["5,1_0", "99999999999999999999,1.5"])
     def test_field_only_python_reads_is_rejected_without_a_line(self, tmp_path, row):
         path = tmp_path / "s.csv"

@@ -8,7 +8,7 @@ from collate.alignment import MonotoneMapping
 from collate.cli import RunConfig
 from collate.collab import ConditionalNetParams
 from collate.optim import BETA1, BETA2, EPS, Adam, FlatParams
-from collate.tsadm import TsadmModel
+from collate.tsadm import AttentionLayerParams, TsadmModel
 
 
 def flat(arrays):
@@ -56,6 +56,12 @@ def _reference_adam_step(params, grads, m, v, t, lr):
         params[name] -= lr * mhat / (np.sqrt(vhat) + EPS)
 
 
+def _small_detector() -> TsadmModel:
+    """An untrained two-channel detector with two layers."""
+    cfg = dataclasses.replace(RunConfig().tsadm_config(), moduleNum=2, kLen=3, embed=3, seed=3)
+    return TsadmModel(2, cfg)
+
+
 def _instances(name):
     """A fresh instance of the class ``name``, its serialised state, the keys
     the checkpoint writes besides the instance's arrays and floats, and the
@@ -66,8 +72,7 @@ def _instances(name):
     if name == "MonotoneMapping":
         mapping = MonotoneMapping(hidden=4, seed=2)
         return mapping, mapping.to_dict(), {"hidden"}, MonotoneMapping.from_dict(mapping.to_dict())
-    cfg = dataclasses.replace(RunConfig().tsadm_config(), moduleNum=2, kLen=3, embed=3, seed=3)
-    model = TsadmModel(2, cfg)
+    model = _small_detector()
     state = model.to_dict()
     loaded = TsadmModel.from_dict(json.loads(json.dumps(state)))
     if name == "TsadmModel":
@@ -101,3 +106,33 @@ class TestParamsNameEveryArray:
         obj, state, _, _ = _instances(name)
         expected = np.concatenate([np.ravel(state[key]) for key in type(obj).PARAMS])
         np.testing.assert_array_equal(FlatParams([obj]).theta, expected)
+
+
+# each reader: the name its errors give, the arrays it reads, a checkpoint,
+# the key path of the reader's state in it, and the checkpoint's loader
+_READERS = {
+    "cond": (ConditionalNetParams.STATE, lambda: ConditionalNetParams(3, hidden=5, seed=1),
+             [], ConditionalNetParams.from_dict),
+    "mapping": (MonotoneMapping.PARAMS, lambda: MonotoneMapping(hidden=4, seed=2),
+                [], MonotoneMapping.from_dict),
+    "detector": (TsadmModel.PARAMS, _small_detector, [], TsadmModel.from_dict),
+    "layer": (AttentionLayerParams.PARAMS, _small_detector, ["layers", 1], TsadmModel.from_dict),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("what, array", [(what, array) for what, (arrays, *_) in _READERS.items()
+                                         for array in arrays])
+def test_a_non_finite_entry_names_its_array(what, array, bad):
+    """Every array each checkpoint reader reads is checked for finiteness:
+    one bad entry, the last, raises ValueError naming the reader and array."""
+    _, build, path, from_dict = _READERS[what]
+    checkpoint = build().to_dict()
+    state = checkpoint
+    for key in path:
+        state = state[key]
+    value = np.array(state[array], dtype=np.float64)
+    value.reshape(-1)[-1] = bad
+    state[array] = value.tolist()
+    with pytest.raises(ValueError, match=rf"^{what}\.{array} is not finite$"):
+        from_dict(json.loads(json.dumps(checkpoint)))

@@ -10,11 +10,10 @@ import pytest
 
 import collate
 from collate.cli import RunConfig
-from collate.core import TimeSeriesWindow
-from collate.errors import NonConvergence, ScoreOutOfRange, ShapeMismatch
+from collate.core import PrecomputedScorer, TimeSeriesWindow
+from collate.errors import NonConvergence, NonFiniteInput, ScoreOutOfRange, ShapeMismatch
 from collate.tsadm import (
     AttentionLayerParams,
-    PrecomputedScorer,
     TsadmModel,
     _AttentionCache,
     _attention_backward,
@@ -23,8 +22,6 @@ from collate.tsadm import (
     _sq_distances,
     _sum_over_bt,
     _Workspace,
-    scorer_from_dict,
-    scorer_to_dict,
     sliding_windows,
     train_tsadm,
 )
@@ -535,7 +532,7 @@ class TestPrecomputedScorer:
         raw[2] = bad
         state = {"raw": raw.tolist(), "rep": np.ones((5, 2)).tolist(), "base_index": 0}
         for build in (lambda: PrecomputedScorer(raw, np.ones((5, 2))),
-                      lambda: scorer_from_dict({"kind": "precomputed", "state": state})):
+                      lambda: PrecomputedScorer.from_dict(state)):
             with pytest.raises(ScoreOutOfRange, match="must be finite and nonnegative"):
                 build()
 
@@ -544,11 +541,15 @@ class TestPrecomputedScorer:
         with pytest.raises(ShapeMismatch):
             scorer.score(TimeSeriesWindow(np.zeros((3, 1)), start_index=4))
 
-    def test_serialization_dispatch(self):
-        scorer = PrecomputedScorer(np.ones(4), np.zeros((4, 2)), base_index=9)
-        clone = scorer_from_dict(scorer_to_dict(scorer))
-        assert isinstance(clone, PrecomputedScorer)
-        assert clone.base_index == 9
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rep_rejected_when_built(self, bad):
+        rep = np.ones((5, 2))
+        rep[3, 1] = bad
+        state = {"raw": np.ones(5).tolist(), "rep": rep.tolist(), "base_index": 0}
+        for build in (lambda: PrecomputedScorer(np.ones(5), rep),
+                      lambda: PrecomputedScorer.from_dict(state)):
+            with pytest.raises(NonFiniteInput, match="representations must be finite"):
+                build()
 
 
 # --- Oracle: the matmul kernel as it was before it wrote into a workspace ---
