@@ -24,7 +24,8 @@ no host, exits 2 before any request. ``eval --metadata`` exits 1 with one
 ``error:`` line when the file is not JSON, a span is malformed (a key
 missing, an unknown kind, not 0 <= start < end), or the spans overlap or
 differ from the label column. ``eval`` also exits 1 when ``collated.csv``
-misses a slot of the dataset or lists one outside it. A checkpoint
+does not list the dataset's slots in order, one row each, as ``detect``
+writes them. A checkpoint
 (``tsadm.json``, ``pipeline.json``) that is not JSON, or that its loader
 rejects, exits 1 with one ``error:`` line naming the file: a key missing,
 an unknown version or scorer kind, a detector setting that is not a
@@ -331,28 +332,21 @@ def cmd_detect(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
 
 
 def _load_collated(path: Path, series: data_mod.LabeledSeries) -> np.ndarray:
-    """The scores of ``detect``'s `t,score` file in slot order. A malformed
-    row, a slot listed again, or a slot outside ``series`` raises ParseError
-    with its line number; then the first slot of ``series`` that the file
-    misses raises ParseError."""
+    """The scores of ``detect``'s `t,score` file, one row per slot of
+    ``series`` in order. A row that ``data.parse_rows`` rejects, a first slot
+    other than the dataset's, or a row past its last slot raises ParseError
+    with the line number; a file that ends early names its first missing
+    slot."""
     lines = data_mod.read_lines(_require(path, "collated scores"))
     ts, scores, _ = data_mod.parse_rows(lines, 1, labelled=False)
-    order = np.argsort(ts, kind="stable")
-    ts = ts[order]
-    again = np.flatnonzero(ts[1:] == ts[:-1])
-    if again.size:
-        raise ParseError(f"slot {ts[again[0]]} is listed again", line=order[again[0] + 1] + 2)
-    lo = series.start_index
-    outside = np.flatnonzero((ts < lo) | (ts >= lo + series.length))
-    if outside.size:
-        raise ParseError(f"slot {ts[outside[0]]} lies outside the dataset",
-                         line=order[outside[0]] + 2)
-    if ts.size < series.length:
-        # sorted, distinct and inside: the first row that is not lo + row
-        # sits where a slot is missing
-        gap = np.flatnonzero(ts != np.arange(lo, lo + ts.size))
-        raise ParseError(f"slot {lo + (gap[0] if gap.size else ts.size)} has no collated score")
-    return scores[order, 0]
+    lo, n = series.start_index, series.length
+    if ts[0] != lo:
+        raise ParseError(f"slot {ts[0]} is not the dataset's first slot {lo}", line=2)
+    if ts.size > n:
+        raise ParseError(f"slot {ts[n]} lies outside the dataset", line=n + 2)
+    if ts.size < n:
+        raise ParseError(f"slot {lo + ts.size} has no collated score")
+    return scores[:, 0]
 
 
 def cmd_eval(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:

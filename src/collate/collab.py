@@ -130,8 +130,11 @@ class ConditionalNetParams:
     def from_dict(cls, d: dict) -> "ConditionalNetParams":
         # every shape must agree with in_mean's and b1's widths
         n, h = np.size(d["in_mean"]), np.size(d["b1"])
-        return load_state(cls, d, "cond", {"w1": (n, h), "b1": (h,), "w2": (h,), "b2": (),
+        cond = load_state(cls, d, "cond", {"w1": (n, h), "b1": (h,), "w2": (h,), "b2": (),
                                            "in_mean": (n,), "in_std": (n,)})
+        if not (cond.in_std > 0.0).all():
+            raise ValueError("cond.in_std has an entry that is not positive")
+        return cond
 
 
 def _check_lengths(*vecs):

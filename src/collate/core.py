@@ -3,7 +3,8 @@
 Scores pass between modules as plain 1-D float64 arrays, each checked once
 where it enters: LLM scores in ``llm``, replayed detector scores by
 ``PrecomputedScorer``, collated scores by ``collab.detect``. The scorer lives
-here so that ``gen-data``'s simulated detector loads no training code.
+here because ``benchmark``, which ``gen-data`` imports, must load no training
+module.
 ``PatchWeights`` stores lambda1 alone and derives lambda2 as ``1 - lambda1``.
 
 All operations here are pure functions over immutable inputs; nothing holds
@@ -170,9 +171,9 @@ def score_range_divisor(raw: np.ndarray, d: float) -> float:
     return divisor
 
 
-def _mean_intra_distances(blocks: np.ndarray) -> np.ndarray:
-    """(K, m, D) patches -> (K, m): each slot's mean Euclidean distance to the
-    other m - 1 slots of its patch."""
+def _mean_distances(blocks: np.ndarray) -> np.ndarray:
+    """(K, m, D) point sets -> (K, m): each point's mean Euclidean distance
+    to the other m - 1 points of its set."""
     diff = blocks[:, :, None, :] - blocks[:, None, :, :]
     return np.sqrt((diff**2).sum(axis=-1)).sum(axis=2) / (blocks.shape[1] - 1)
 
@@ -205,21 +206,15 @@ def patch_weights(window: TimeSeriesWindow, patch_size: int) -> PatchWeights:
     full = x[: n_full * patch_size].reshape(n_full, patch_size, window.dims)
     tail = x[n_full * patch_size :][None]
     centroids = full.mean(axis=1)
-    d_intra = _mean_intra_distances(full).reshape(-1)
+    d_intra = _mean_distances(full).reshape(-1)
     sizes = [patch_size] * n_full
     if tail.shape[1]:
         centroids = np.concatenate([centroids, tail.mean(axis=1)])
-        d_intra = np.concatenate([d_intra, _mean_intra_distances(tail)[0]])
+        d_intra = np.concatenate([d_intra, _mean_distances(tail)[0]])
         sizes.append(tail.shape[1])
 
-    n_patches = len(sizes)
-    if n_patches > 1:
-        # pairwise centroid distances, mean over the other patches per patch
-        diff = centroids[:, None, :] - centroids[None, :, :]
-        cdist = np.sqrt((diff**2).sum(axis=-1))
-        inter_per_patch = cdist.sum(axis=1) / (n_patches - 1)
-    else:
-        inter_per_patch = np.zeros(1)
+    # each patch's mean centroid distance to the other patches
+    inter_per_patch = _mean_distances(centroids[None])[0] if len(sizes) > 1 else np.zeros(1)
     d_inter = np.repeat(inter_per_patch, sizes)
 
     denom = d_intra + d_inter

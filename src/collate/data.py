@@ -119,15 +119,18 @@ def _plant(series: LabeledSeries, count: int, seed: int, region: tuple[int, int]
     """``series`` with ``count`` anomalies planted in a copy. Each attempt
     calls ``place(rng, values, lo, hi, occupied)``, which draws one candidate
     in [lo, hi) and either writes it into ``values`` and returns its span, or
-    returns None when it meets the ``occupied`` slots. 10,000 failed attempts
-    for one anomaly raise InsufficientRoom naming ``what``."""
+    returns None when it meets the ``occupied`` slots. An empty region, or
+    10,000 failed attempts for one anomaly, raise InsufficientRoom naming
+    ``what``."""
     if count < 1:
         raise ValueError("count must be positive")
+    lo, hi = region if region is not None else (0, series.length)
+    if lo >= hi:
+        raise InsufficientRoom(f"could not place {what}")
     rng = np.random.default_rng(seed)
     values = series.values.copy()
     labels = series.labels.copy()
     spans = list(series.spans)
-    lo, hi = region if region is not None else (0, series.length)
     for _ in range(count):
         occupied = occupied_slots(spans)
         for _attempt in range(10_000):
@@ -281,14 +284,15 @@ def parse_rows(
     lines: list[str], n_values: int, labelled: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The rows after the header line, each `t,v_1,...,v_n[,label]`: integer
-    slots, an (N, n) matrix of finite floats, and the 0/1 labels (None when
-    not ``labelled``).
+    slots, each the previous row's + 1, an (N, n) matrix of finite floats,
+    and the 0/1 labels (None when not ``labelled``).
 
     The rows are parsed in one ``np.loadtxt`` pass. Only when that fails, or
     a label or value is out of bounds, are the rows scanned one by one to
     name the first bad line in a ParseError: a wrong field count, a field
     that ``int`` or ``float`` rejects, or a label other than 0 or 1, else
-    the first row with a non-finite value. No rows fails at line 2. A field
+    the first row with a non-finite value. Rows that all read fail at the
+    first slot out of sequence. No rows fails at line 2. A field
     Python reads but numpy does not (``1_0``, or a slot beyond int64) raises
     ParseError with numpy's message and no line.
     """
@@ -308,7 +312,11 @@ def parse_rows(
         if (labels is None or ((labels == 0) | (labels == 1)).all()) and (
             np.isfinite(values).all()
         ):
-            return np.ascontiguousarray(rows["t"]), values, labels
+            t = np.ascontiguousarray(rows["t"])
+            if (skip := np.flatnonzero(t[1:] != t[:-1] + 1)).size:
+                i = skip[0]
+                raise ParseError(f"slot {t[i + 1]} does not follow slot {t[i]}", line=i + 3)
+            return t, values, labels
     raise _first_bad_row(lines, n_values, labelled)
 
 
@@ -342,9 +350,9 @@ def load_csv(path: str | Path) -> LabeledSeries:
 
     A missing label column yields ``labels=None`` (absent, not all-normal).
     Raises MissingColumn on a bad header, and ParseError with the 1-based
-    line number on any malformed row, including a non-finite value such as
-    ``nan`` or ``inf``, and at the first row whose slot is not the previous
-    row's slot + 1. The first row's slot is the series' ``start_index``.
+    line number at the first row ``parse_rows`` rejects: a malformed row, a
+    non-finite value such as ``nan`` or ``inf``, or a slot that is not the
+    previous row's + 1. The first row's slot is the series' ``start_index``.
     """
     lines = read_lines(path)
     header = next(csv.reader(lines[:1]), [])
@@ -357,9 +365,6 @@ def load_csv(path: str | Path) -> LabeledSeries:
     if dim_cols != expected:
         raise MissingColumn(f"dim columns must be contiguous from dim_0, got {dim_cols}")
     t, values, labels = parse_rows(lines, len(dim_cols), header[-1] == "label")
-    if (skip := np.flatnonzero(t[1:] != t[:-1] + 1)).size:
-        i = skip[0]
-        raise ParseError(f"slot {t[i + 1]} does not follow slot {t[i]}", line=i + 3)
     return LabeledSeries(values=values, labels=labels, spans=[], start_index=int(t[0]))
 
 

@@ -7,7 +7,7 @@ slots is): it inflates results, so no path here offers it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,22 +30,20 @@ class DetectionMetrics:
     per_kind: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "threshold": self.threshold,
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-        }
-        if self.per_kind:
-            out["per_kind"] = self.per_kind
+        out = asdict(self)
+        if not self.per_kind:
+            del out["per_kind"]
         return out
 
 
-def _as_scores(scores) -> np.ndarray:
-    return np.asarray(scores, dtype=np.float64).reshape(-1)
+def _scores_and_labels(scores, labels) -> tuple[np.ndarray, np.ndarray]:
+    """``scores`` as flat float64 and ``labels`` as flat int64; unequal
+    lengths raise LengthMismatch."""
+    s = np.asarray(scores, dtype=np.float64).reshape(-1)
+    y = np.asarray(labels, dtype=np.int64).reshape(-1)
+    if s.size != y.size:
+        raise LengthMismatch(f"{s.size} scores vs {y.size} labels")
+    return s, y
 
 
 def prf1(scores, labels, threshold: float) -> DetectionMetrics:
@@ -54,10 +52,7 @@ def prf1(scores, labels, threshold: float) -> DetectionMetrics:
     Zero-division conventions: precision is 0 with no predicted positives,
     F1 is 0 when precision + recall is 0.
     """
-    s = _as_scores(scores)
-    y = np.asarray(labels, dtype=np.int64).reshape(-1)
-    if s.size != y.size:
-        raise LengthMismatch(f"{s.size} scores vs {y.size} labels")
+    s, y = _scores_and_labels(scores, labels)
     pred = s > threshold
     tp = int(np.sum(pred & (y == 1)))
     fp = int(np.sum(pred & (y == 0)))
@@ -69,20 +64,18 @@ def prf1(scores, labels, threshold: float) -> DetectionMetrics:
 
 
 def best_f1_threshold(scores, labels) -> tuple[float, DetectionMetrics]:
-    """Best slot-wise F1 over the midpoints of the sorted unique scores plus
-    a predict-everything threshold below the minimum; F1 ties break toward
-    the lower threshold (higher recall).
+    """The threshold of best slot-wise F1, over the midpoints of the sorted
+    unique scores plus a predict-everything threshold below the minimum
+    (ties break toward the lower threshold, higher recall), and ``prf1``'s
+    metrics there.
 
-    One pass: each slot's rank among the unique scores, positives and
-    negatives counted per rank (bincount), and counts above every candidate
-    from a reverse cumulative sum. P, R and F1 follow from the integer counts
-    exactly as ``prf1`` computes them. A score count other than the label
-    count raises LengthMismatch, and labels with no positive NoPositives.
+    One pass finds it: each slot's rank among the unique scores, positives
+    and negatives counted per rank (bincount), and counts above every
+    candidate from a reverse cumulative sum. A score count other than the
+    label count raises LengthMismatch, and labels with no positive
+    NoPositives.
     """
-    s = _as_scores(scores)
-    y = np.asarray(labels, dtype=np.int64).reshape(-1)
-    if s.size != y.size:
-        raise LengthMismatch(f"{s.size} scores vs {y.size} labels")
+    s, y = _scores_and_labels(scores, labels)
     pos = y == 1
     if not pos.any():
         raise NoPositives("threshold selection needs at least one positive label")
@@ -101,12 +94,8 @@ def best_f1_threshold(scores, labels) -> tuple[float, DetectionMetrics]:
     pr = precision + recall
     f1 = np.divide(2 * precision * recall, pr, out=np.zeros(tp.size), where=pr > 0)
     # candidates ascend, so the first maximum is the lowest tied threshold
-    k = int(np.argmax(f1))
-    best = DetectionMetrics(
-        float(precision[k]), float(recall[k]), float(f1[k]), float(candidates[k]),
-        int(tp[k]), int(fp[k]), int(fn[k]),
-    )
-    return best.threshold, best
+    threshold = float(candidates[int(np.argmax(f1))])
+    return threshold, prf1(s, y, threshold)
 
 
 def _count_from_rank(rank: np.ndarray, u: int) -> np.ndarray:
@@ -131,7 +120,7 @@ def per_kind_metrics(scores, spans: list[AnomalySpan]) -> DetectionMetrics:
     slots are excluded entirely). A kind with no spans is reported as
     'no_positives'.
     """
-    s = _as_scores(scores)
+    s = np.asarray(scores, dtype=np.float64).reshape(-1)
     y_all = labels_from_spans(spans, s.size)
     if not y_all.any():
         raise NoPositives("spans mark no slots")

@@ -206,7 +206,10 @@ class TestGenDataArguments:
                               "splits, got 10 contextual and 0 point"),
         (["--length", "-5"], 2, "length must exceed the delay 18, got -5"),
         (["--length", "200"], 1, "could not place a contextual span without overlap"),
-    ], ids=["contextual 2", "point 0", "length -5", "length 200"])
+        # the val region's inner part, less a margin on each side, is empty
+        (["--length", "700"], 1, "could not place a contextual span without overlap"),
+        (["--length", "845"], 1, "could not place a contextual span without overlap"),
+    ], ids=["contextual 2", "point 0", "length -5", "length 200", "length 700", "length 845"])
     def test_exits_with_one_line(self, tmp_path, capsys, args, code, message):
         assert cli.main(["--out", str(tmp_path), "gen-data", *args]) == code
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -346,6 +349,9 @@ class TestBadConfig:
          "llm_mode must look like 'mock:<fixture>' or 'live:<url>'"),
         ({"llm_mode": "live:https:///v1"},
          "llm_mode must look like 'mock:<fixture>' or 'live:<url>'"),
+        # urlsplit raises on the unclosed bracket
+        ({"llm_mode": "live:http://[::1"},
+         "llm_mode must look like 'mock:<fixture>' or 'live:<url>'"),
     ])
     def test_exits_2_with_one_line(self, tmp_path, capsys, config, message):
         cfg = tmp_path / "cfg.json"
@@ -354,6 +360,18 @@ class TestBadConfig:
                          "train-tsadm", "--data", str(tmp_path / "missing.csv")])
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "config is not valid JSON: Expecting property name enclosed in double "
+                      "quotes: line 1 column 2 (char 1)"),
+        ("[1, 2]", "config must be a JSON object"),
+    ], ids=["not JSON", "a JSON array"])
+    def test_config_file_not_an_object_exits_2(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "v"), "verify"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "v").exists()
 
 
 class TestDirectoryForAFile:
@@ -477,6 +495,28 @@ class TestBadCsv:
         assert capsys.readouterr().err == "error: line 702: slot 1500 does not follow slot 699\n"
         assert not (tmp_path / "t").exists() or not any((tmp_path / "t").iterdir())
 
+    def test_eval_without_labels_exits_2(self, run_dir, tmp_path, capsys):
+        lines = (run_dir / "D" / "data.csv").read_text().splitlines()
+        data = tmp_path / "data.csv"
+        data.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines))
+        capsys.readouterr()
+        code = cli.main(["--config", str(run_dir / "cfg.json"), "--out", str(tmp_path / "e"),
+                         "eval", "--data", str(data),
+                         "--collated", str(run_dir / "detect" / "collated.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: evaluation needs a labeled dataset\n"
+
+
+def test_train_tsadm_window_longer_than_train_split_exits_1(run_dir, tmp_path, capsys):
+    # the 2,000-slot dataset's train split holds 800 slots
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"winLen": 801}))
+    capsys.readouterr()
+    code = cli.main(["--config", str(cfg), "--out", str(tmp_path / "t"),
+                     "train-tsadm", "--data", str(run_dir / "D" / "data.csv")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: series shorter than one window\n"
+
 
 BAD_COLLATED = {
     "short row": (["t,score", "0,0.5", "1"], "error: line 3: expected 2 fields, got 1\n"),
@@ -494,7 +534,7 @@ BAD_COLLATED = {
     ),
     "slot listed twice": (
         ["t,score", "1,0.5", "0,0.5", "2,0.5", "1,0.25", "0,0.75"],
-        "error: line 6: slot 0 is listed again\n",
+        "error: line 3: slot 0 does not follow slot 1\n",
     ),
     # the dataset has slots 0-1999
     "half the rows": (
@@ -503,11 +543,19 @@ BAD_COLLATED = {
     ),
     "slot 7 missing": (
         ["t,score", *(f"{t},0.5" for t in range(2000) if t != 7)],
-        "error: slot 7 has no collated score\n",
+        "error: line 9: slot 8 does not follow slot 6\n",
     ),
     "slot past the end": (
         ["t,score", "2000,0.5", *(f"{t},0.5" for t in range(2000))],
-        "error: line 2: slot 2000 lies outside the dataset\n",
+        "error: line 3: slot 0 does not follow slot 2000\n",
+    ),
+    "a row past the end": (
+        ["t,score", *(f"{t},0.5" for t in range(2001))],
+        "error: line 2002: slot 2000 lies outside the dataset\n",
+    ),
+    "first slot not the dataset's": (
+        ["t,score", *(f"{t},0.5" for t in range(1, 2001))],
+        "error: line 2: slot 1 is not the dataset's first slot 0\n",
     ),
 }
 
@@ -603,6 +651,11 @@ class TestBadCheckpoint:
             "pipeline", lambda d: {**d, "scorer": {"kind": "precomputed", "state": {
                 "raw": [-1.0] * 2000, "rep": [[0.0] * 4] * 2000, "base_index": 0}}},
             "ScoreOutOfRange: precomputed raw scores must be finite and nonnegative"),
+        "cond.in_std 0": ("pipeline", lambda d: _replaced(d, ["cond", "in_std", 0], lambda v: 0.0),
+                          "ValueError: cond.in_std has an entry that is not positive"),
+        "cond.in_std -1": ("pipeline",
+                           lambda d: _replaced(d, ["cond", "in_std", 0], lambda v: -1.0),
+                           "ValueError: cond.in_std has an entry that is not positive"),
         "cond one input column too many": (
             "pipeline", lambda d: _replaced(d, ["cond"], _one_input_column_more),
             "ValueError: cond reads representations 5 wide, but the scorer's are 4 wide"),
