@@ -11,6 +11,8 @@ with hashes, seed, version) next to its artifacts so a run can be replayed
 exactly. The manifests of ``train-tsadm`` and ``train-collab`` also hold
 their ``counters`` (steps, epochs, and batches or blocks per epoch) and
 ``timings`` (``train_s``, the wall seconds of the training loop).
+Those of ``score-llm`` and ``detect`` count the ``windows`` and ``slots``
+scored and time the scoring and the writing (``score_s``, ``write_s``).
 ``verify``'s manifest holds lemma1's and theorem2's ``counters`` and each
 report's wall seconds as ``timings``. Exit codes: 0 success, 1
 verification failure or bad input, 2 usage error or missing artifact.
@@ -204,6 +206,14 @@ def _read_spans(path: Path, series: data_mod.LabeledSeries) -> list[data_mod.Ano
     return spans
 
 
+def _scoring_record(windows: list[data_mod.TimeSeriesWindow], score_s: float,
+                    write_s: float) -> dict:
+    """The manifest fields of a command that scores every window: how many
+    windows and slots, and the wall seconds of scoring and of writing."""
+    return {"counters": {"windows": len(windows), "slots": sum(w.length for w in windows)},
+            "timings": {"score_s": score_s, "write_s": write_s}}
+
+
 def cmd_gen_data(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
     """Generate the synthetic benchmark series, labels, metadata sidecar, and
     a mock LLM fixture covering its windows."""
@@ -258,15 +268,19 @@ def cmd_score_llm(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> in
     windows = parts["train"] + parts["val"] + parts["test"]
     mode, _, target = cfg.llm_mode.partition(":")
     inputs = [args.data]
+    start = time.perf_counter()
     if mode == "mock":
         fixture = _require(args.data.parent / target, "mock fixture")
         inputs.append(fixture)
         scored = load_fixture(fixture, windows)
     else:
         scored = score_windows(target, windows)
+    scored_at = time.perf_counter()
     out_path = out_dir / "llm_scores.jsonl"
     write_fixture(out_path, scored)
-    write_manifest(out_dir, "score-llm", cfg, inputs, [out_path])
+    write_s = time.perf_counter() - scored_at
+    write_manifest(out_dir, "score-llm", cfg, inputs, [out_path],
+                   extra=_scoring_record(windows, scored_at - start, write_s))
     print(f"wrote {out_path}")
     return 0
 
@@ -318,15 +332,19 @@ def cmd_detect(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
     parts = data_mod.split_windows(series, cfg.window_len)
     windows = parts["train"] + parts["val"] + parts["test"]
     llm_scores = load_fixture(_require(args.llm_scores, "LLM scores"), windows)
+    start = time.perf_counter()
+    fused = [detect(pipeline, w, llm_scores[w.window_id()]) for w in windows]
+    scored_at = time.perf_counter()
     lines = ["t,score"]
-    for w in windows:
-        scores = detect(pipeline, w, llm_scores[w.window_id()])
+    for w, scores in zip(windows, fused):
         slots = range(w.start_index, w.start_index + scores.size)
         lines += map("{},{!r}".format, slots, scores.tolist())
     out_path = out_dir / "collated.csv"
     out_path.write_text("\n".join(lines) + "\n")
+    write_s = time.perf_counter() - scored_at
     write_manifest(out_dir, "detect", cfg,
-                   [args.data, args.pipeline, args.llm_scores], [out_path])
+                   [args.data, args.pipeline, args.llm_scores], [out_path],
+                   extra=_scoring_record(windows, scored_at - start, write_s))
     print(f"wrote {out_path}")
     return 0
 

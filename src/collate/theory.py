@@ -299,10 +299,15 @@ def _pairwise_sgd(
     Both rows see the same batch, drawn from one stream; the noisy row's
     noise comes from a second stream. Both are drawn a chunk of steps at a
     time, in the order of one batch per step and of one noise draw per
-    scorer per step. The collaborative gradient does not read theta, so a
-    chunk's gradients come from one ``CollaborativeTerm`` on its stacked
-    (clean, noisy) observations, each row bit-equal to a term built on that
-    step alone.
+    scorer per step. A step's batch is the first ``batch`` slots of a fresh
+    permutation of the n slots, and one ``Generator.permuted`` call draws a
+    chunk's permutations, bit-equal to one ``permutation(n)[:batch]`` per
+    step whatever the chunk size. So each batch is a uniform ordered subset
+    drawn without replacement, the law of ``choice(n, batch,
+    replace=False)``, though not its stream. The collaborative gradient does
+    not read theta, so a chunk's gradients come from one
+    ``CollaborativeTerm`` on its stacked (clean, noisy) observations, each
+    row bit-equal to a term built on that step alone.
 
     The steps then run by slot. A step changes only its batch's logits, and
     each update, ``theta -= lr * (d * s) * (1 - s)`` with ``s = sigmoid(theta)``,
@@ -331,6 +336,7 @@ def _pairwise_sgd(
     rng_noise = np.random.default_rng(seed + 1)
     theta = np.zeros((2, n))
     lam = np.full(batch, 0.5)
+    slots = np.broadcast_to(np.arange(n), (_LEMMA1_CHUNK, n))
     idx = np.empty((_LEMMA1_CHUNK, batch), dtype=np.intp)
     obs = np.empty((_LEMMA1_CHUNK, 2, 2, batch))  # (step, scorer, run); run 0 is clean
     g = np.empty((_LEMMA1_CHUNK, 2, batch))  # (step, run)
@@ -343,8 +349,7 @@ def _pairwise_sgd(
     update_rounds = 0
     for c0 in range(0, steps, _LEMMA1_CHUNK):
         m = min(_LEMMA1_CHUNK, steps - c0)
-        for k in range(m):
-            idx[k] = rng_batch.choice(n, size=batch, replace=False)
+        idx[:m] = rng_batch.permuted(slots[:m], axis=1)[:, :batch]
         y_b = y[idx[:m, None]]  # (step, 1, slot): both scorers see y in the clean run
         obs[:m, :, 0] = y_b
         np.add(y_b, noise.sample_pair(rng_noise, (m, 2, batch)), out=obs[:m, :, 1])
@@ -384,7 +389,11 @@ def check_lemma1(
     zero within three standard errors, coordinatewise. The loss gap between
     the two runs' last iterates is reported alongside.
 
-    Both runs advance in slot-wise rounds (``_pairwise_sgd``): round r
+    Each SGD step's batch is the first ``LEMMA1_BATCH`` slots of a fresh
+    uniform permutation of the slots, so it follows the law of
+    ``Generator.choice(n, LEMMA1_BATCH, replace=False)`` (``_pairwise_sgd``
+    draws a chunk of them in one call). Both runs advance in slot-wise
+    rounds (``_pairwise_sgd``): round r
     applies each slot's r-th update, which reads only that slot's logit, so
     every iterate and gradient is bit-equal to stepping through the batches
     one by one, and so is the report. A ``counters`` dict receives

@@ -246,7 +246,7 @@ def _reference_pairwise_sgd(y, noise, steps, batch, lr, seed):
     grads = np.empty((steps, n))
     thetas = np.empty((steps, n))
     for t in range(steps):
-        idx = rng_batch.choice(n, size=batch, replace=False)
+        idx = rng_batch.permutation(n)[:batch]
         if noise is None:
             s_obs = y[idx]
             llm_obs = y[idx]
@@ -284,7 +284,7 @@ def _reference_stepwise_sgd(y, noise, steps, tail_rows, batch, lr, seed):
     for c0 in range(0, steps, chunk):
         m = min(chunk, steps - c0)
         for k in range(m):
-            idx[k] = rng_batch.choice(n, size=batch, replace=False)
+            idx[k] = rng_batch.permutation(n)[:batch]
         y_b = y[idx[:m, None]]
         obs[:m, :, 0] = y_b
         np.add(y_b, noise.sample_pair(rng_noise, (m, 2, batch)), out=obs[:m, :, 1])
@@ -428,6 +428,49 @@ class TestSlotwiseSgdMatchesStepwise:
         y = np.random.default_rng(0).uniform(0, 1, 8)
         with pytest.raises(ValueError, match="at least two slots"):
             _pairwise_sgd(y, NoiseModel(), 1000, 10, 1, 0.5, 0)
+
+
+def _drawn_batches(n, steps, batch, seed):
+    """Every step's batch, in step order, as ``_pairwise_sgd`` hands them to
+    its slot-wise rounds, with the trace."""
+    seen = []
+    real = theory._slot_rounds
+
+    def recording(theta, cols, *rest):
+        seen.append(cols.copy())
+        return real(theta, cols, *rest)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(theory, "_slot_rounds", recording)
+        y = np.random.default_rng(seed).uniform(0, 1, n)
+        trace = _pairwise_sgd(y, NoiseModel(), steps, 10, batch, 0.5, seed)
+    return np.concatenate(seen), trace
+
+
+class TestBatchDraw:
+    def test_a_batch_holds_distinct_slots(self):
+        batches, _ = _drawn_batches(128, 2001, 32, 0)
+        assert batches.shape == (2001, 32)
+        assert batches.min() >= 0 and batches.max() < 128
+        assert (np.diff(np.sort(batches, axis=1), axis=1) > 0).all()
+
+    def test_stream_does_not_depend_on_the_chunk(self, monkeypatch):
+        monkeypatch.setattr(theory, "_LEMMA1_CHUNK", 2001)
+        one, one_trace = _drawn_batches(64, 2001, 16, 5)
+        monkeypatch.setattr(theory, "_LEMMA1_CHUNK", 1001)
+        two, two_trace = _drawn_batches(64, 2001, 16, 5)
+        np.testing.assert_array_equal(one, two)
+        np.testing.assert_array_equal(one_trace.tail, two_trace.tail)
+        np.testing.assert_array_equal(one_trace.grad_norms, two_trace.grad_norms)
+
+    def test_each_slot_is_drawn_at_the_binomial_rate(self):
+        # each slot's count is Binomial(10,000, 1/4): mean 2,500, sd 43.3;
+        # five sd on either side
+        n, batch, steps = 128, 32, 10_000
+        batches, _ = _drawn_batches(n, steps, batch, 0)
+        p = batch / n
+        counts = np.bincount(batches.ravel(), minlength=n)
+        assert np.abs(counts - steps * p).max() <= 5.0 * math.sqrt(steps * p * (1 - p))
 
 
 class TestLemma1:
