@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import sigmoid
+from .core import column_sums, sigmoid
 from .errors import DegenerateScores
 from .optim import load_state, state_dict
 
@@ -23,6 +23,7 @@ _SQRT2 = math.sqrt(2.0)
 _TWO_OVER_PI = 2.0 / math.pi
 # additive smoothing of both histograms in kl_histogram
 KL_EPS = 1e-9
+_erf = np.vectorize(math.erf, otypes=[np.float64])  # size 0 in, size 0 out
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,7 @@ class HalfGaussianFit:
 
     def cdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        return np.where(x <= 0.0, 0.0, np.vectorize(math.erf)(x / (self.sigma * _SQRT2)))
+        return np.where(x <= 0.0, 0.0, _erf(x / (self.sigma * _SQRT2)))
 
 
 def fit_half_gaussian(scores) -> HalfGaussianFit:
@@ -131,8 +132,8 @@ def discrete_alignment_objective(mapped: np.ndarray, fit: HalfGaussianFit, n_bin
     and is never used in training.
     """
     m = np.asarray(mapped, dtype=np.float64).reshape(-1)
-    if n_bins < 1:
-        raise ValueError("need at least one bin")
+    if n_bins < 1 or m.size == 0:
+        raise ValueError("need at least one bin and one mapped score")
     if (m < 0).any() or (m > 1).any():
         raise ValueError("mapped scores must lie in [0, 1] for the binned objective")
     idx = np.minimum((m * n_bins).astype(int), n_bins - 1)
@@ -179,7 +180,7 @@ class MonotoneMapping:
         s = np.asarray(s, dtype=np.float64)
         w1 = _softplus(self.a1)
         w2 = _softplus(self.a2)
-        pre = np.multiply.outer(s, w1)
+        pre = np.einsum("...,j->...j", s, w1)
         pre += self.b1
         h = np.tanh(pre, out=pre)
         z = h @ w2
@@ -194,20 +195,19 @@ class MonotoneMapping:
         """Gradients of a scalar objective wrt the parameters, given its
         gradient ``dm`` wrt the mapped scores. They are written into the
         arrays of ``grads`` (keyed as ``PARAMS``, a 0-d array for ``b2``),
-        as ``FlatParams.grads`` holds them, or into new ones if it is None."""
+        as ``FlatParams.grads`` holds them, or into new ones if it is None.
+        Sums over slots add rows in numpy's own order (``column_sums``)."""
         s, w2, h, m, dsoftplus = cache
         dz = dm * m
         dz *= 1.0 - m
         # rows of (slot, hidden unit), whatever the shape of s
         h = h.reshape(-1, w2.size)
-        dpre = np.multiply.outer(dz.reshape(-1), w2)
+        dpre = np.einsum("i,j->ij", dz.reshape(-1), w2)
         dw2 = dz.reshape(-1) @ h
         dpre *= 1.0 - h * h
         grads = {} if grads is None else grads
-        grads["b1"] = np.add.reduce(dpre, axis=0, out=grads.get("b1"))
-        # b1's gradient is taken, so dpre can become a1's summands in place
-        dpre *= s.reshape(-1, 1)
-        dw1 = np.add.reduce(dpre, axis=0)
+        grads["b1"] = column_sums(dpre, out=grads.get("b1"))
+        dw1 = column_sums(dpre, s.reshape(-1))
         grads["a1"] = np.multiply(dw1, dsoftplus[: w2.size], out=grads.get("a1"))
         grads["a2"] = np.multiply(dw2, dsoftplus[w2.size :], out=grads.get("a2"))
         grads["b2"] = np.add.reduce(dz, axis=None, out=grads.get("b2"))

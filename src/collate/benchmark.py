@@ -11,6 +11,7 @@ sustained statistical drifts, catch rule-breaking single slots).
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -172,25 +173,34 @@ def _test_metrics(bench: Benchmark, score_window) -> DetectionMetrics:
     return per_kind_metrics(scores, bench.test.spans)
 
 
-def run_variant(bench: Benchmark, cfg: RunConfig) -> DetectionMetrics:
-    """Train ``cfg.loss_variant`` on the train split; metrics on the test split."""
+def run_variant(bench: Benchmark, cfg: RunConfig, counters: dict | None = None,
+                timings: dict | None = None) -> DetectionMetrics:
+    """Train ``cfg.loss_variant`` on the train split; metrics on the test split.
+    ``counters`` and ``timings``, if given, receive the training's steps and
+    blocks under the variant's name, and its wall seconds as ``<name>_train_s``."""
     from .collab import detect, train_collab  # here, so gen-data loads no training code
 
     llm_train = bench.llm_scores_for(bench.windows["train"])
-    pipeline, _ = train_collab(bench.windows["train"], bench.scorer, llm_train, cfg)
+    start = time.perf_counter()
+    pipeline, curves = train_collab(bench.windows["train"], bench.scorer, llm_train, cfg)
+    if counters is not None:
+        timings[f"{cfg.loss_variant}_train_s"] = time.perf_counter() - start
+        counters[cfg.loss_variant] = {"steps": curves.steps, "blocks": curves.blocks}
     llm_test = bench.llm_scores_for(bench.windows["test"])
     return _test_metrics(bench, lambda w: detect(pipeline, w, llm_test[w.window_id()]))
 
 
-def run_ablation(bench: Benchmark, cfg: RunConfig) -> dict[str, DetectionMetrics]:
+def run_ablation(bench: Benchmark, cfg: RunConfig, counters: dict | None = None,
+                 timings: dict | None = None) -> dict[str, DetectionMetrics]:
     """Full variant table: the detector-only and LLM-only test metrics (the
     fusion must beat the best of these; detector-only is the no-LLM
-    ablation), then every loss variant."""
+    ablation), then every loss variant, counted and timed by ``run_variant``."""
     llm_test = bench.llm_scores_for(bench.windows["test"])
     results = {
         "tsadm_only": _test_metrics(bench, lambda w: bench.scorer.score(w)[0]),
         "llm_only": _test_metrics(bench, lambda w: llm_test[w.window_id()]),
     }
     for variant in LossVariant:
-        results[variant.value] = run_variant(bench, replace(cfg, loss_variant=variant.value))
+        results[variant.value] = run_variant(bench, replace(cfg, loss_variant=variant.value),
+                                             counters, timings)
     return results

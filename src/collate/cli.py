@@ -8,14 +8,12 @@ run config, ``ablate``'s own included, comes from ``load_config``:
 rejected), then ``--seed``, validated once. Every command is re-runnable
 with identical outputs for identical inputs, and writes a manifest (inputs
 with hashes, seed, version) next to its artifacts so a run can be replayed
-exactly. The manifests of ``train-tsadm`` and ``train-collab`` also hold
-their ``counters`` (steps, epochs, and batches or blocks per epoch) and
-``timings`` (``train_s``, the wall seconds of the training loop).
-Those of ``score-llm`` and ``detect`` count the ``windows`` and ``slots``
-scored and time the scoring and the writing (``score_s``, ``write_s``).
-``verify``'s manifest holds lemma1's and theorem2's ``counters`` and each
-report's wall seconds as ``timings``. Exit codes: 0 success, 1
-verification failure or bad input, 2 usage error or missing artifact.
+exactly. Each manifest also holds the command's ``counters`` (its slots,
+spans, windows, steps, blocks, batches or epochs) and, as ``timings``, the
+wall seconds of its phases (``<phase>_s``: build, read, train, score,
+write); ``verify`` and ``ablate`` key both by report or variant. Exit
+codes: 0 success, 1 verification failure or bad input, 2 usage error or
+missing artifact.
 ``main`` makes the ``--out`` directory once the config has loaded; a path
 that cannot be made a directory (a file, or a path under one) exits 2.
 
@@ -170,10 +168,10 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> RunCo
 
 
 def write_manifest(out_dir: Path, command: str, cfg: RunConfig, inputs: list[Path],
-                   outputs: list[Path], config: dict | None = None,
-                   extra: dict | None = None) -> None:
+                   outputs: list[Path], counters: dict, timings: dict,
+                   config: dict | None = None) -> None:
     """``config`` is what the command ran with; None means the whole run
-    config. ``extra`` holds a command's further top-level fields."""
+    config."""
     manifest = {
         "command": command,
         "version": __version__,
@@ -181,7 +179,8 @@ def write_manifest(out_dir: Path, command: str, cfg: RunConfig, inputs: list[Pat
         "config": dataclasses.asdict(cfg) if config is None else config,
         "inputs": {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(inputs)},
         "outputs": sorted(str(p) for p in outputs),
-        **(extra or {}),
+        "counters": counters,
+        "timings": timings,
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1))
 
@@ -206,12 +205,9 @@ def _read_spans(path: Path, series: data_mod.LabeledSeries) -> list[data_mod.Ano
     return spans
 
 
-def _scoring_record(windows: list[data_mod.TimeSeriesWindow], score_s: float,
-                    write_s: float) -> dict:
-    """The manifest fields of a command that scores every window: how many
-    windows and slots, and the wall seconds of scoring and of writing."""
-    return {"counters": {"windows": len(windows), "slots": sum(w.length for w in windows)},
-            "timings": {"score_s": score_s, "write_s": write_s}}
+def _window_counts(windows: list[data_mod.TimeSeriesWindow]) -> dict:
+    """The manifest counters of a command that scores every window."""
+    return {"windows": len(windows), "slots": sum(w.length for w in windows)}
 
 
 def cmd_gen_data(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
@@ -219,17 +215,21 @@ def cmd_gen_data(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int
     a mock LLM fixture covering its windows."""
     from .benchmark import BenchmarkConfig, build_benchmark
 
+    start = time.perf_counter()
     bench = build_benchmark(BenchmarkConfig(
         length=args.length, seed=cfg.seed, n_contextual=args.contextual,
         n_point=args.point, window_len=cfg.window_len,
     ))
+    built_at = time.perf_counter()
     data_path = out_dir / "data.csv"
     meta_path = out_dir / "metadata.json"
     fixture_path = out_dir / "llm_fixture.jsonl"
     data_mod.save_csv(bench.series, data_path)
     data_mod.write_metadata(meta_path, args.length, bench.series.spans, cfg.seed)
     bench.write_llm_fixture(fixture_path)
-    write_manifest(out_dir, "gen-data", cfg, [], [data_path, meta_path, fixture_path])
+    timings = {"build_s": built_at - start, "write_s": time.perf_counter() - built_at}
+    write_manifest(out_dir, "gen-data", cfg, [], [data_path, meta_path, fixture_path],
+                   {"slots": args.length, "spans": len(bench.series.spans)}, timings)
     print(f"wrote {data_path}, {meta_path}, {fixture_path}")
     return 0
 
@@ -245,8 +245,8 @@ def cmd_train_tsadm(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> 
     train_s = time.perf_counter() - start
     ckpt = out_dir / "tsadm.json"
     model.save(ckpt)
-    write_manifest(out_dir, "train-tsadm", cfg, [args.data], [ckpt],
-                   extra={"counters": counters, "timings": {"train_s": train_s}})
+    write_manifest(out_dir, "train-tsadm", cfg, [args.data], [ckpt], counters,
+                   {"train_s": train_s})
     print(f"wrote {ckpt}")
     return 0
 
@@ -278,9 +278,8 @@ def cmd_score_llm(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> in
     scored_at = time.perf_counter()
     out_path = out_dir / "llm_scores.jsonl"
     write_fixture(out_path, scored)
-    write_s = time.perf_counter() - scored_at
-    write_manifest(out_dir, "score-llm", cfg, inputs, [out_path],
-                   extra=_scoring_record(windows, scored_at - start, write_s))
+    write_manifest(out_dir, "score-llm", cfg, inputs, [out_path], _window_counts(windows),
+                   {"score_s": scored_at - start, "write_s": time.perf_counter() - scored_at})
     print(f"wrote {out_path}")
     return 0
 
@@ -316,9 +315,8 @@ def cmd_train_collab(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) ->
     )
     counters = {"steps": curves.steps, "epochs": len(curves.pairwise_loss),
                 "blocks": curves.blocks}
-    write_manifest(out_dir, "train-collab", cfg,
-                   [args.data, args.tsadm, args.llm_scores], [ckpt],
-                   extra={"counters": counters, "timings": {"train_s": train_s}})
+    write_manifest(out_dir, "train-collab", cfg, [args.data, args.tsadm, args.llm_scores],
+                   [ckpt], counters, {"train_s": train_s})
     print(f"wrote {ckpt}")
     return 0
 
@@ -341,10 +339,9 @@ def cmd_detect(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
         lines += map("{},{!r}".format, slots, scores.tolist())
     out_path = out_dir / "collated.csv"
     out_path.write_text("\n".join(lines) + "\n")
-    write_s = time.perf_counter() - scored_at
-    write_manifest(out_dir, "detect", cfg,
-                   [args.data, args.pipeline, args.llm_scores], [out_path],
-                   extra=_scoring_record(windows, scored_at - start, write_s))
+    write_manifest(out_dir, "detect", cfg, [args.data, args.pipeline, args.llm_scores],
+                   [out_path], _window_counts(windows),
+                   {"score_s": scored_at - start, "write_s": time.perf_counter() - scored_at})
     print(f"wrote {out_path}")
     return 0
 
@@ -368,15 +365,18 @@ def _load_collated(path: Path, series: data_mod.LabeledSeries) -> np.ndarray:
 
 
 def cmd_eval(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
+    start = time.perf_counter()
     series = data_mod.load_csv(_require(args.data, "dataset CSV"))
     if series.labels is None:
         raise MissingArtifact("evaluation needs a labeled dataset")
     spans = [] if args.metadata is None else _read_spans(args.metadata, series)
     scores = _load_collated(args.collated, series)
+    read_at = time.perf_counter()
     if spans:
         metrics = per_kind_metrics(scores, spans)
     else:
         _thr, metrics = best_f1_threshold(scores, series.labels)
+    scored_at = time.perf_counter()
     payload = metrics.to_dict()
     payload["config_echo"] = dataclasses.asdict(cfg)
     payload["seed"] = cfg.seed
@@ -384,8 +384,11 @@ def cmd_eval(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
         series.values, scores, series.labels, metrics.threshold, title="collated scores"
     )
     written = emit_report(out_dir, payload, plots={"overlay": svg})
+    timings = {"read_s": read_at - start, "score_s": scored_at - read_at,
+               "write_s": time.perf_counter() - scored_at}
     inputs = [p for p in (args.data, args.collated, args.metadata) if p is not None]
-    write_manifest(out_dir, "eval", cfg, inputs, written)
+    write_manifest(out_dir, "eval", cfg, inputs, written,
+                   {"slots": series.length, "spans": len(spans)}, timings)
     print(f"wrote {written[0]}")
     print(json.dumps({k: payload[k] for k in ("precision", "recall", "f1")}))
     return 0
@@ -411,8 +414,8 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
         print(f"[{status}] {r.theorem}: statistic={r.statistic:.6g} "
               f"{direction} bound={r.bound:.6g}")
         all_pass &= r.passed
-    write_manifest(out_dir, "verify", cfg, [], [out_path], config={"seed": cfg.seed},
-                   extra={"counters": counters, "timings": timings})
+    write_manifest(out_dir, "verify", cfg, [], [out_path], counters, timings,
+                   config={"seed": cfg.seed})
     return 0 if all_pass else 1
 
 
@@ -454,7 +457,8 @@ def cmd_ablate(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
     run = load_config(None, {"seed": cfg.seed, "batchSize": ABLATION_BATCH_SIZE})
     points = _grid_points(args.grid, run) if args.grid else []
     bench = build_benchmark(BenchmarkConfig(seed=cfg.seed))
-    results = run_ablation(bench, run)
+    counters, timings = {}, {}
+    results = run_ablation(bench, run, counters, timings)
     for name, m in results.items():
         print(f"{name:15s} F1={m.f1:.4f}")
     echo = {"benchmark": dataclasses.asdict(bench.cfg), "run": dataclasses.asdict(run)}
@@ -474,7 +478,7 @@ def cmd_ablate(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
         payload["grid"] = grid_rows
         curves["grid"] = (["d", "patchSize", "f1"], grid_rows)
     outputs = emit_report(out_dir, payload, curves=curves)
-    write_manifest(out_dir, "ablate", cfg, [], outputs, config=echo)
+    write_manifest(out_dir, "ablate", cfg, [], outputs, counters, timings, config=echo)
     return 0
 
 

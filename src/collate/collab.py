@@ -25,6 +25,7 @@ from .core import (
     LossVariant,
     PrecomputedScorer,
     TimeSeriesWindow,
+    column_sums,
     patch_weights,
     score_range_divisor,
     sigmoid,
@@ -101,8 +102,9 @@ class ConditionalNetParams:
         return out, (z, pre, h, out)
 
     def backward(self, dout: np.ndarray, cache, grads: dict | None = None):
-        """Gradients wrt parameters and the (llm, aligned, rep) inputs.
-        ``dout`` is only read: training passes a block's shared constant.
+        """Gradients wrt the parameters and the aligned input, the one input
+        training updates; slot sums as ``column_sums``. ``dout`` is only
+        read: training passes a block's shared constant.
         The parameter gradients are written into the arrays of ``grads``
         (keyed as ``PARAMS``, a 0-d array for ``b2``), as ``FlatParams.grads``
         holds them, or into new ones if it is None."""
@@ -112,16 +114,14 @@ class ConditionalNetParams:
         dlogits *= 1.0 - out
         grads["w2"] = np.matmul(h.T, dlogits, out=grads.get("w2"))
         grads["b2"] = np.add.reduce(dlogits, out=grads.get("b2"))
-        dpre = np.multiply.outer(dlogits, self.w2)
+        dpre = np.einsum("i,j->ij", dlogits, self.w2)
         # 1.0 where pre > 0, else the slope; NaN and -0.0 get the slope
         dpre *= np.maximum(pre > 0, _LEAKY_SLOPE)
         grads["w1"] = np.matmul(z.T, dpre, out=grads.get("w1"))
-        grads["b1"] = np.add.reduce(dpre, axis=0, out=grads.get("b1"))
-        # the whole input gradient (one column of it as a matrix-vector product
-        # would round otherwise), by a contiguous w1^T: faster, the same bits
-        draw = dpre @ np.ascontiguousarray(self.w1.T)
-        draw /= self.in_std
-        return grads, draw[:, 0], draw[:, 1], draw[:, 2:]
+        grads["b1"] = column_sums(dpre, out=grads.get("b1"))
+        # a column of the whole product: one column alone (gemv, a one-column
+        # gemm, einsum) rounds otherwise; a contiguous w1^T is faster, same bits
+        return grads, (dpre @ np.ascontiguousarray(self.w1.T))[:, 1] / self.in_std[1]
 
     def to_dict(self) -> dict:
         return state_dict(self, self.STATE)
@@ -433,7 +433,7 @@ def train_collab(
                 z_aligned /= aligned_std
             s_hat, ccache = cond.forward_stacked(z)
             pair_loss, ds_hat = pairwise(s_hat)
-            _, _dllm, dmapped, _drep = cond.backward(ds_hat, ccache, cond_grads)
+            _, dmapped = cond.backward(ds_hat, ccache, cond_grads)
             align_loss = 0.0
             if use_mapping:
                 align_loss, dm = align_mod.alignment_loss_grad(mapped, fit, cfg.lambda_hat)

@@ -54,6 +54,15 @@ class TestFit:
         with pytest.raises(DegenerateScores):
             fit_half_gaussian(np.zeros(10))
 
+    def test_cdf_maps_empty_to_empty_and_keeps_bits(self):
+        fit = HalfGaussianFit(0.37)
+        out = fit.cdf(np.array([]))
+        assert out.shape == (0,) and out.dtype == np.float64
+        x = np.array([-1.0, 0.0, 1e-300, 0.2, 0.37, 5.0])
+        expected = [0.0 if v <= 0 else math.erf(v / (0.37 * math.sqrt(2.0))) for v in x]
+        np.testing.assert_array_equal(fit.cdf(x), expected)
+        assert fit.cdf(0.2) == expected[3]
+
     def test_derived_moments_consistent(self):
         fit = HalfGaussianFit(0.37)
         assert fit.mu_hat == pytest.approx(0.37 * math.sqrt(2 / math.pi), abs=1e-12)
@@ -191,6 +200,10 @@ class TestDiscreteObjective:
             pytest.approx(-math.log(mass * 10), abs=1e-9)
         )
 
+
+    def test_no_scores_are_rejected(self):
+        with pytest.raises(ValueError, match="^need at least one bin and one mapped score$"):
+            discrete_alignment_objective(np.array([]), HalfGaussianFit(0.5), 10)
 
     def test_bin_with_zero_target_mass_is_rejected(self):
         # past about 8.3 sigma the fit's CDF rounds to 1 at both bin edges

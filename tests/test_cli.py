@@ -149,6 +149,15 @@ class TestPipeline:
         assert manifest["counters"] == {"epochs": 2, "batches": batches, "steps": 2 * batches}
         assert 0.0 < manifest["timings"]["train_s"] < 60.0
 
+    def test_gen_data_and_eval_manifests_count_and_time_each_phase(self, run_dir):
+        for stage, phases in (("D", ["build_s", "write_s"]),
+                              ("eval", ["read_s", "score_s", "write_s"])):
+            manifest = json.loads((run_dir / stage / "manifest.json").read_text())
+            # 4 contextual and 4 point anomalies, one span each
+            assert manifest["counters"] == {"slots": 2000, "spans": 8}, stage
+            assert sorted(manifest["timings"]) == phases, stage
+            assert all(0.0 <= s < 60.0 for s in manifest["timings"].values()), stage
+
     @pytest.mark.parametrize("stage", ["llm", "detect"])
     def test_scoring_manifest_counts_windows_and_times_each_phase(self, run_dir, stage):
         manifest = json.loads((run_dir / stage / "manifest.json").read_text())
@@ -835,16 +844,26 @@ class TestAblateGrid:
         }
         assert metrics["grid"] == [[1.0, 2, float(collaborative[3])]]
         assert metrics["variants"]["collaborative"]["f1"] == float(collaborative[3])
+        # the thresholds carry the fused scores' bits, so this pins phase 2
+        # on whole-window (500-slot) blocks, as PINNED does on 100-slot ones
+        digest = hashlib.sha256((tmp_path / "metrics.json").read_bytes()).hexdigest()
+        assert digest == "45dc145e034cc62e96262d3bed1c066d4e665de4d90a1fa673a863bc8848ef4a"
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["config"] == metrics["config_echo"]
         assert manifest["outputs"] == [str(tmp_path / name)
                                        for name in ("ablation.csv", "grid.csv", "metrics.json")]
+        # 150 epochs of 8 window-long blocks per table variant; the grid
+        # point is neither counted nor timed
+        variants = sorted(v.value for v in LossVariant)
+        assert manifest["counters"] == {v: {"steps": 1200, "blocks": 8} for v in variants}
+        assert sorted(manifest["timings"]) == [f"{v}_train_s" for v in variants]
+        assert all(0.0 < s < 60.0 for s in manifest["timings"].values())
 
     def test_config_echo_is_what_the_ablation_trains_with(self, run_dir, tmp_path,
                                                          monkeypatch):
         trained_with = []
 
-        def recording(bench, cfg):
+        def recording(bench, cfg, counters, timings):
             trained_with.append(cfg)
             return {}
 
@@ -864,7 +883,7 @@ class TestAblateGrid:
     def test_grid_d_past_the_float_range_exits_1(self, tmp_path, monkeypatch, capsys):
         # the table's training is skipped; at d = 0.001 a score range above
         # about 2.03 takes range ** 1000 past the largest float
-        monkeypatch.setattr(benchmark, "run_ablation", lambda bench, cfg: {})
+        monkeypatch.setattr(benchmark, "run_ablation", lambda bench, cfg, *records: {})
         assert cli.main(["--out", str(tmp_path), "ablate", "--grid", '{"d": [0.001]}']) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: score divisor range**(1/d) = inf is not finite and "

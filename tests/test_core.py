@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from collate.core import (
     PatchWeights,
     TimeSeriesWindow,
+    column_sums,
     patch_weights,
     score_range_divisor,
     sigmoid,
@@ -58,6 +59,52 @@ def _reference_sigmoid(x):
     e = np.exp(-np.abs(x))
     out = np.where(x >= 0, 1.0, e) / (1.0 + e)
     return np.minimum(np.maximum(out, _SIGMOID_LO), _SIGMOID_HI)
+
+
+def _spread(rng, shape):
+    """Signed values whose magnitudes span e^-12 to e^12."""
+    return np.exp(rng.uniform(-12.0, 12.0, shape)) * rng.choice([-1.0, 1.0], shape)
+
+
+class TestColumnSums:
+    """The einsum forms phase 2 sums and multiplies with give numpy's own
+    bits. They fail on a numpy build whose einsum fuses its multiply-add or
+    reorders its sum; the recorded figures come from numpy 2.4.6."""
+
+    @pytest.mark.parametrize("n,k", [(2, 2), (3, 1024), (7, 3), (100, 8), (500, 16),
+                                     (1000, 1024), (8000, 17), (100_000, 2), (100_000, 16)])
+    def test_einsum_adds_rows_in_numpys_order(self, n, k):
+        rng = np.random.default_rng(n * k)
+        x, s = _spread(rng, (n, k)), _spread(rng, n)
+        plain, scaled = np.add.reduce(x, axis=0), np.add.reduce(x * s[:, None], axis=0)
+        np.testing.assert_array_equal(np.einsum("ij->j", x), plain)
+        np.testing.assert_array_equal(np.einsum("ij,i->j", x, s), scaled)
+        np.testing.assert_array_equal(column_sums(x), plain)
+        np.testing.assert_array_equal(column_sums(x, s), scaled)
+        # into a given array, as training's gradient views take them
+        out = np.full(k + 2, np.nan)
+        assert column_sums(x, out=out[1:-1]).base is out
+        np.testing.assert_array_equal(out[1:-1], plain)
+
+    @pytest.mark.parametrize("n", [100, 500, 100_000])
+    def test_one_column_takes_the_reduce(self, n):
+        rng = np.random.default_rng(n)
+        x, s = _spread(rng, (n, 1)), _spread(rng, n)
+        plain, scaled = np.add.reduce(x, axis=0), np.add.reduce(x * s[:, None], axis=0)
+        # numpy sums a lone column pairwise and einsum in order, so here they differ
+        assert not np.array_equal(np.einsum("ij->j", x), plain)
+        assert not np.array_equal(np.einsum("ij,i->j", x, s), scaled)
+        np.testing.assert_array_equal(column_sums(x), plain)
+        np.testing.assert_array_equal(column_sums(x, s), scaled)
+
+    @pytest.mark.parametrize("n,k", [(1, 1), (2, 8), (500, 16), (100_000, 16)])
+    def test_einsum_outer_product_is_numpys(self, n, k):
+        rng = np.random.default_rng(n + k)
+        a, b = _spread(rng, n), _spread(rng, k)
+        np.testing.assert_array_equal(np.einsum("i,j->ij", a, b), np.multiply.outer(a, b))
+        stack = a.reshape(1, -1, 1)
+        np.testing.assert_array_equal(np.einsum("...,j->...j", stack, b),
+                                      np.multiply.outer(stack, b))
 
 
 class TestNormalizeScores:
