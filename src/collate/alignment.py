@@ -89,10 +89,10 @@ def _moments(m: np.ndarray) -> tuple[float, np.ndarray, float]:
 
 
 def alignment_loss_grad(
-    mapped: np.ndarray, fit: HalfGaussianFit, lambda_hat: float
+    mapped: np.ndarray, fit: HalfGaussianFit, lambda_hat: float, out: np.ndarray | None = None
 ) -> tuple[float, np.ndarray]:
     """Alignment loss of one vector of mapped scores, and its gradient with
-    respect to them.
+    respect to them, written into ``out`` if given.
 
     The loss is the negative mean log-density of the mapped scores under the
     target, plus squared penalties, both weighted by ``lambda_hat``, steering
@@ -114,7 +114,7 @@ def alignment_loss_grad(
     )
     # -log density has derivative m / sigma^2; the centered-variance term's
     # mean-dependence cancels because sum(m - mean) = 0.
-    grad = m / (fit.sigma**2 * n)
+    grad = np.divide(m, fit.sigma**2 * n, out=out)
     grad += lambda_hat * 2.0 * (mean - fit.mu_hat) / n
     centred *= lambda_hat * 2.0 * (var - fit.sigma_hat_sq) * 2.0
     centred /= n - 1
@@ -158,6 +158,11 @@ class MonotoneMapping:
     M(s) = sigmoid(sum_k softplus(a2_k) * tanh(softplus(a1_k) * s + b1_k) + b2).
     Every factor in dM/ds is positive, so monotonicity holds for all reachable
     parameters, not just trained ones.
+
+    The parameters may carry a leading run axis, as ``FlatParams`` lays out
+    a stack of runs: ``a1``, ``b1`` and ``a2`` of shape (runs, hidden) and
+    ``b2`` of shape (runs,). The input is then shared by every run, and each
+    run's outputs and gradients have the bits it gets alone.
     """
 
     PARAMS = ("a1", "b1", "a2", "b2")
@@ -177,40 +182,50 @@ class MonotoneMapping:
         return self.forward(np.asarray(s, dtype=np.float64))[0]
 
     def forward(self, s: np.ndarray):
+        """Mapped scores of the shape of ``s``, and the cache ``backward``
+        reads; with a run axis, ``s`` is one vector of n scores shared by
+        every run, and the mapped scores have shape (runs, n)."""
         s = np.asarray(s, dtype=np.float64)
+        runs = self.a1.shape[:-1]
         w1 = _softplus(self.a1)
         w2 = _softplus(self.a2)
-        pre = np.einsum("...,j->...j", s, w1)
-        pre += self.b1
+        # rows of (slot, hidden unit) per run, whatever the shape of s
+        pre = np.einsum("...j,i->...ij", w1, s.ravel())
+        pre += self.b1[..., None, :]
         h = np.tanh(pre, out=pre)
-        z = h @ w2
-        z += self.b2
+        # one matrix-vector product per run and per leading axis of s, as
+        # h @ w2 makes them: gemv rounds the last rows of a call otherwise
+        z = h.reshape(runs + (s.shape or (1,)) + w2.shape[-1:]) @ w2[..., None]
+        z += np.asarray(self.b2)[..., None, None]
         # one sigmoid call gives the mapped scores and, for the backward
         # pass, softplus' derivative at a1 and a2
-        sig = sigmoid(np.concatenate((z.reshape(-1), self.a1, self.a2)))
-        m = sig[: z.size].reshape(z.shape)
+        sig = sigmoid(np.concatenate((z.ravel(), self.a1.ravel(), self.a2.ravel())))
+        m = sig[: z.size].reshape(runs + s.shape)
         return m, (s, w2, h, m, sig[z.size :])
 
     def backward(self, dm: np.ndarray, cache, grads: dict | None = None) -> dict:
         """Gradients of a scalar objective wrt the parameters, given its
         gradient ``dm`` wrt the mapped scores. They are written into the
-        arrays of ``grads`` (keyed as ``PARAMS``, a 0-d array for ``b2``),
-        as ``FlatParams.grads`` holds them, or into new ones if it is None.
-        Sums over slots add rows in numpy's own order (``column_sums``)."""
+        arrays of ``grads`` (keyed as ``PARAMS``, a 0-d array for ``b2``
+        without a run axis), as ``FlatParams.grads`` holds them, or into new
+        ones if it is None. Sums over slots add rows in numpy's own order
+        (``column_sums``)."""
         s, w2, h, m, dsoftplus = cache
+        dsoftplus = dsoftplus.reshape((2, *w2.shape))
+        # rows of slots per run, as h holds them
         dz = dm * m
         dz *= 1.0 - m
-        # rows of (slot, hidden unit), whatever the shape of s
-        h = h.reshape(-1, w2.size)
-        dpre = np.einsum("i,j->ij", dz.reshape(-1), w2)
-        dw2 = dz.reshape(-1) @ h
+        dz = dz.reshape(h.shape[:-1])
+        dpre = np.einsum("...i,...j->...ij", dz, w2)
+        if grads is None:
+            grads = {name: np.empty(np.shape(getattr(self, name))) for name in self.PARAMS}
+        np.matmul(dz[..., None, :], h, out=grads["a2"][..., None, :])
+        grads["a2"] *= dsoftplus[1]
         dpre *= 1.0 - h * h
-        grads = {} if grads is None else grads
-        grads["b1"] = column_sums(dpre, out=grads.get("b1"))
-        dw1 = column_sums(dpre, s.reshape(-1))
-        grads["a1"] = np.multiply(dw1, dsoftplus[: w2.size], out=grads.get("a1"))
-        grads["a2"] = np.multiply(dw2, dsoftplus[w2.size :], out=grads.get("a2"))
-        grads["b2"] = np.add.reduce(dz, axis=None, out=grads.get("b2"))
+        column_sums(dpre, out=grads["b1"])
+        column_sums(dpre, s.ravel(), out=grads["a1"])
+        grads["a1"] *= dsoftplus[0]
+        np.add.reduce(dz, axis=-1, out=grads["b2"])
         return grads
 
     def to_dict(self) -> dict:
@@ -219,7 +234,12 @@ class MonotoneMapping:
     @classmethod
     def from_dict(cls, d: dict) -> "MonotoneMapping":
         h = (np.size(d["a1"]),)
-        return load_state(cls, d, "mapping", {"a1": h, "b1": h, "a2": h, "b2": ()})
+        mapping = load_state(cls, d, "mapping", {"a1": h, "b1": h, "a2": h, "b2": ()})
+        hidden = d.get("hidden")
+        if isinstance(hidden, bool) or not isinstance(hidden, int) or hidden != h[0]:
+            raise ValueError(f"mapping.hidden must be mapping.a1's length {h[0]}, "
+                             f"got {hidden!r}")
+        return mapping
 
 
 def kl_histogram(a: np.ndarray, fit: HalfGaussianFit, bins: int) -> float:

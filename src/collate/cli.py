@@ -11,7 +11,10 @@ with hashes, seed, version) next to its artifacts so a run can be replayed
 exactly. Each manifest also holds the command's ``counters`` (its slots,
 spans, windows, steps, blocks, batches or epochs) and, as ``timings``, the
 wall seconds of its phases (``<phase>_s``: build, read, train, score,
-write); ``verify`` and ``ablate`` key both by report or variant. Exit
+write); ``verify`` keys both by report. ``ablate`` keys its counters by
+variant and its timings by stack: the three variants that train the
+mapping share one lockstep ``train_collab`` call, timed as
+``mapping_variants_train_s``, and ``no_alignment`` trains in its own. Exit
 codes: 0 success, 1 verification failure or bad input, 2 usage error or
 missing artifact.
 ``main`` makes the ``--out`` directory once the config has loaded; a path
@@ -29,9 +32,11 @@ writes them. A checkpoint
 (``tsadm.json``, ``pipeline.json``) that is not JSON, or that its loader
 rejects, exits 1 with one ``error:`` line naming the file: a key missing,
 an unknown version or scorer kind, a detector setting that is not a
-positive integer, arrays whose shapes disagree, a value that is not
-finite, a fusion net whose input width differs from its scorer's, or a
-range divisor that is not finite and positive.
+positive integer, arrays whose shapes disagree, a mapping whose ``hidden``
+is not its arrays' length, a value that is not finite, a fusion net whose
+input width differs from its scorer's, or a range divisor that is not
+finite and positive. ``train-collab`` trains a stack of one run through
+``collab.train_collab``, the loop ``ablate`` trains its stacks with.
 LLM score files (the mock fixture, and ``--llm-scores`` of ``train-collab``
 and ``detect``) go through one loader, ``llm.load_fixture``, so all three
 commands treat a bad file alike: a window missing from it, a window with the
@@ -294,7 +299,7 @@ def cmd_train_collab(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) ->
     model = TsadmModel.load(_require(args.tsadm, "detector checkpoint"))
     llm_scores = load_fixture(_require(args.llm_scores, "LLM scores"), windows)
     start = time.perf_counter()
-    pipeline, curves = train_collab(windows, model, llm_scores, cfg)
+    ((pipeline, curves),) = train_collab(windows, model, llm_scores, [cfg])
     train_s = time.perf_counter() - start
     ckpt = out_dir / "pipeline.json"
     pipeline.save(ckpt)
@@ -450,7 +455,7 @@ def cmd_ablate(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
     """Run the complementary-scorer benchmark over every fusion variant (plus
     single-model rows); optionally sweep a JSON grid of hyperparameters."""
     from .benchmark import (
-        ABLATION_BATCH_SIZE, BenchmarkConfig, build_benchmark, run_ablation, run_variant,
+        ABLATION_BATCH_SIZE, BenchmarkConfig, build_benchmark, run_ablation, run_variants,
     )
 
     # what the ablation runs with; the run config's training keys do not reach it
@@ -472,7 +477,7 @@ def cmd_ablate(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
     if points:
         grid_rows = []
         for point in points:
-            f1 = run_variant(bench, point).f1
+            f1 = run_variants(bench, [point])[0][0].f1
             grid_rows.append([point.d, point.patchSize, f1])
             print(f"grid d={point.d} patchSize={point.patchSize}: F1={f1:.4f}")
         payload["grid"] = grid_rows

@@ -31,7 +31,7 @@ from .core import (
     sigmoid,
 )
 from .errors import LengthMismatch, NonConvergence, NonFiniteInput, WindowTooShort
-from .optim import Adam, FlatParams, load_checkpoint, load_state, state_dict
+from .optim import Adam, FlatParams, load_checkpoint, load_state, run_state, state_dict
 
 if TYPE_CHECKING:
     from .cli import RunConfig
@@ -47,6 +47,10 @@ class ConditionalNetParams:
     standardized by stored per-channel statistics before the first layer; this
     is an affine reparameterization of (w1, b1) that keeps the network
     trainable when the alignment stage compresses its input's scale.
+
+    Every parameter and statistic may carry a leading run axis, as
+    ``FlatParams`` lays out a stack of runs; inputs and outputs then carry
+    it too, and each run's values have the bits it gets alone.
     """
 
     PARAMS = ("w1", "b1", "w2", "b2")
@@ -65,11 +69,12 @@ class ConditionalNetParams:
 
     @property
     def rep_dim(self) -> int:
-        return self.w1.shape[0] - 2
+        return self.w1.shape[-2] - 2
 
     def set_input_stats(self, mean: np.ndarray, std: np.ndarray) -> None:
-        self.in_mean = np.asarray(mean, dtype=np.float64).reshape(-1)
-        self.in_std = np.maximum(np.asarray(std, dtype=np.float64).reshape(-1), 1e-12)
+        """Per-column statistics, (2 + h,) or with a leading run axis."""
+        self.in_mean = np.asarray(mean, dtype=np.float64)
+        self.in_std = np.maximum(np.asarray(std, dtype=np.float64), 1e-12)
 
     def _stack(self, llm: np.ndarray, aligned: np.ndarray, rep: np.ndarray) -> np.ndarray:
         llm = np.asarray(llm, dtype=np.float64).reshape(-1)
@@ -81,23 +86,25 @@ class ConditionalNetParams:
 
     def standardize(self, raw: np.ndarray) -> np.ndarray:
         """A stacked input, as built by ``_stack``, standardized by the
-        stored statistics."""
-        z = raw - self.in_mean
-        z /= self.in_std
+        stored statistics: one (n, 2 + h) array per run."""
+        z = raw - self.in_mean[..., None, :]
+        z /= self.in_std[..., None, :]
         return z
 
     def forward(self, llm: np.ndarray, aligned: np.ndarray, rep: np.ndarray):
         return self.forward_stacked(self.standardize(self._stack(llm, aligned, rep)))
 
     def forward_stacked(self, z: np.ndarray):
-        """Forward pass on a stacked (n, 2 + h) input already standardized
-        by ``standardize``: columns llm, aligned, then the representation."""
+        """Forward pass on a stacked (..., n, 2 + h) input already
+        standardized by ``standardize``: columns llm, aligned, then the
+        representation."""
         pre = z @ self.w1
-        pre += self.b1
+        pre += self.b1[..., None, :]
         # leaky ReLU; equal to where(pre > 0, pre, slope * pre), signed zeros too
-        h = np.maximum(pre, _LEAKY_SLOPE * pre)
-        logits = h @ self.w2
-        logits += self.b2
+        h = np.multiply(pre, _LEAKY_SLOPE)
+        np.maximum(pre, h, out=h)
+        logits = (h @ self.w2[..., None])[..., 0]
+        logits += np.asarray(self.b2)[..., None]
         out = sigmoid(logits)
         return out, (z, pre, h, out)
 
@@ -106,22 +113,23 @@ class ConditionalNetParams:
         training updates; slot sums as ``column_sums``. ``dout`` is only
         read: training passes a block's shared constant.
         The parameter gradients are written into the arrays of ``grads``
-        (keyed as ``PARAMS``, a 0-d array for ``b2``), as ``FlatParams.grads``
-        holds them, or into new ones if it is None."""
+        (keyed as ``PARAMS``, a 0-d array for ``b2`` without a run axis), as
+        ``FlatParams.grads`` holds them, or into new ones if it is None."""
         z, pre, h, out = cache
-        grads = {} if grads is None else grads
+        if grads is None:
+            grads = {name: np.empty(np.shape(getattr(self, name))) for name in self.PARAMS}
         dlogits = dout * out
         dlogits *= 1.0 - out
-        grads["w2"] = np.matmul(h.T, dlogits, out=grads.get("w2"))
-        grads["b2"] = np.add.reduce(dlogits, out=grads.get("b2"))
-        dpre = np.einsum("i,j->ij", dlogits, self.w2)
+        np.matmul(h.mT, dlogits[..., None], out=grads["w2"][..., None])
+        np.add.reduce(dlogits, axis=-1, out=grads["b2"])
+        dpre = np.einsum("...i,...j->...ij", dlogits, self.w2)
         # 1.0 where pre > 0, else the slope; NaN and -0.0 get the slope
         dpre *= np.maximum(pre > 0, _LEAKY_SLOPE)
-        grads["w1"] = np.matmul(z.T, dpre, out=grads.get("w1"))
-        grads["b1"] = column_sums(dpre, out=grads.get("b1"))
+        np.matmul(z.mT, dpre, out=grads["w1"])
+        column_sums(dpre, out=grads["b1"])
         # a column of the whole product: one column alone (gemv, a one-column
         # gemm, einsum) rounds otherwise; a contiguous w1^T is faster, same bits
-        return grads, (dpre @ np.ascontiguousarray(self.w1.T))[:, 1] / self.in_std[1]
+        return grads, (dpre @ np.ascontiguousarray(self.w1.mT))[..., 1] / self.in_std[..., 1, None]
 
     def to_dict(self) -> dict:
         return state_dict(self, self.STATE)
@@ -171,9 +179,11 @@ class CollaborativeTerm:
     ``s`` and ``llm`` may also be stacks of rows of any leading shape
     (..., n): ``grad`` then holds each row's gradient, bit-equal to a term
     built on that row alone, and only ``grad`` is defined for such a term.
+    ``grad`` is written into ``out`` if it is given.
     """
 
-    def __init__(self, s: np.ndarray, llm: np.ndarray, lam1: np.ndarray, lam2: np.ndarray):
+    def __init__(self, s: np.ndarray, llm: np.ndarray, lam1: np.ndarray, lam2: np.ndarray,
+                 out: np.ndarray | None = None):
         s = np.atleast_1d(np.asarray(s, dtype=np.float64))
         llm = np.atleast_1d(np.asarray(llm, dtype=np.float64))
         n = _check_lengths(s, llm, lam1, lam2)
@@ -184,7 +194,7 @@ class CollaborativeTerm:
             _pairwise_weighted_excess(lam1, s, n) + _pairwise_weighted_excess(lam2, llm, n)
         )
         self.scale = -(2.0 / n**2)
-        self.grad = self.scale * self.excess
+        self.grad = np.multiply(self.scale, self.excess, out=out)
 
     def __call__(self, s_hat: np.ndarray) -> tuple[float, np.ndarray]:
         """Loss at the collated scores, a float64 vector of the term's
@@ -212,16 +222,17 @@ def collaborative_loss_grad(
 
 
 def mse_variant_loss_grad(
-    s_hat: np.ndarray, s: np.ndarray, llm: np.ndarray, lam1: np.ndarray, lam2: np.ndarray
+    s_hat: np.ndarray, s: np.ndarray, llm: np.ndarray, lam1: np.ndarray, lam2: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Per-slot weighted squared error against both scorers (ablation), and
-    its gradient wrt the collated scores."""
+    its gradient wrt the collated scores, written into ``out`` if given."""
     s_hat = np.asarray(s_hat, dtype=np.float64).reshape(-1)
     s = np.asarray(s, dtype=np.float64).reshape(-1)
     llm = np.asarray(llm, dtype=np.float64).reshape(-1)
     n = _check_lengths(s_hat, s, llm, lam1, lam2)
     loss = float(np.mean(lam1 * (s - s_hat) ** 2 + lam2 * (llm - s_hat) ** 2))
-    grad = (2.0 / n) * (lam1 * (s_hat - s) + lam2 * (s_hat - llm))
+    grad = np.multiply(2.0 / n, lam1 * (s_hat - s) + lam2 * (s_hat - llm), out=out)
     return loss, grad
 
 
@@ -302,45 +313,69 @@ class FusionPipeline:
         return load_checkpoint(path, cls.from_dict)
 
 
-def _pairwise_term(variant: LossVariant, scaled, llm, lam1, lam2):
+def _pairwise_term(variant: LossVariant, scaled, llm, lam1, lam2, out: np.ndarray):
     """The variant's pairwise loss on one block, as a function of the
-    collated scores returning (loss, gradient)."""
+    collated scores returning (loss, gradient); the gradient is ``out``."""
     if variant in (LossVariant.COLLABORATIVE, LossVariant.NO_ALIGNMENT):
-        return CollaborativeTerm(scaled, llm, lam1, lam2)
+        return CollaborativeTerm(scaled, llm, lam1, lam2, out)
     if variant is LossVariant.FIXED_WEIGHTS:
         ones = np.ones(len(scaled))
-        return CollaborativeTerm(scaled, llm, ones, ones)
+        return CollaborativeTerm(scaled, llm, ones, ones, out)
     if variant is LossVariant.MSE_VARIANT:
         return functools.partial(
-            mse_variant_loss_grad, s=scaled, llm=llm, lam1=lam1, lam2=lam2
+            mse_variant_loss_grad, s=scaled, llm=llm, lam1=lam1, lam2=lam2, out=out
         )
     raise ValueError(f"unknown variant {variant}")
 
 
-def _column_stats(col: np.ndarray) -> tuple[float, float]:
-    """Mean and population standard deviation of one column of a stacked
-    input, bit-equal to its entries of the whole input's ``mean(axis=0)``
-    and ``std(axis=0)``: numpy sums each column of that C-ordered array row
-    by row, in order, which is the order of ``np.add.accumulate``."""
-    n = col.size
-    mean = np.add.accumulate(col)[-1] / n
-    dev = col - mean
+def _column_stats(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and population standard deviation of each row of ``cols``, one
+    column of a stacked input per run, bit-equal to its entries of that
+    input's ``mean(axis=0)`` and ``std(axis=0)``: numpy sums each column of
+    that C-ordered array row by row, in order, which is the order of
+    ``np.add.accumulate``."""
+    n = cols.shape[-1]
+    mean = np.add.accumulate(cols, axis=-1)[..., -1] / n
+    dev = cols - mean[..., None]
     dev *= dev
-    return float(mean), float(np.sqrt(np.add.accumulate(dev)[-1] / n))
+    return mean, np.sqrt(np.add.accumulate(dev, axis=-1)[..., -1] / n)
+
+
+def _uses_mapping(cfgs: list[RunConfig]) -> bool:
+    """Whether a stack of runs trains the mapping; ValueError, naming the
+    field, for a stack that cannot share one loop."""
+    if not cfgs:
+        raise ValueError("a stack of runs needs at least one run config")
+    first = asdict(cfgs[0])
+    for cfg in cfgs[1:]:
+        for name, value in asdict(cfg).items():
+            if name != "loss_variant" and value != first[name]:
+                raise ValueError(f"the runs of a stack must share {name}, "
+                                 f"got {first[name]!r} and {value!r}")
+    mapped = {LossVariant(cfg.loss_variant) is not LossVariant.NO_ALIGNMENT for cfg in cfgs}
+    if len(mapped) > 1:
+        raise ValueError("the runs of a stack cannot mix loss_variant no_alignment "
+                         "with a mapping variant")
+    return mapped.pop()
 
 
 def train_collab(
     windows: list[TimeSeriesWindow],
     scorer,
     llm_scores: dict[str, np.ndarray],
-    cfg: RunConfig,
-) -> tuple[FusionPipeline, TrainingCurves]:
-    """Joint minibatch SGD over the monotone mapping and the fusion network.
+    cfgs: list[RunConfig],
+) -> list[tuple[FusionPipeline, TrainingCurves]]:
+    """Joint minibatch SGD over the monotone mapping and the fusion network,
+    for a stack of runs trained in lockstep: one (pipeline, curves) per run
+    config in ``cfgs``, each with the bits that run gets in a stack alone.
 
-    ``cfg`` is the run config; this reads its ``colr``, ``batchSize``,
+    Each config is a run config; this reads its ``colr``, ``batchSize``,
     ``epochs_collab``, ``patchSize``, ``d``, ``lambda_hat`` (the weight of
     both alignment penalties), ``mapping_hidden``, ``cond_hidden``, ``seed``
-    and ``loss_variant``, and the pipeline echoes all of it.
+    and ``loss_variant``, and each pipeline echoes all of its run's. The
+    configs must agree on every field but ``loss_variant``, and either all
+    or none of them may be NO_ALIGNMENT; an empty stack, or one that breaks
+    either rule, raises ValueError naming the field before any training.
 
     ``llm_scores`` holds every window's scores at the window's length, as
     ``llm.load_fixture`` returns them. The scorer stays frozen. Batches are
@@ -351,6 +386,17 @@ def train_collab(
     alignment term. A window shorter than ``patchSize`` has no patch
     weights, so it is left out.
 
+    The runs share the seed, and so the initial weights, the scoring, range
+    divisor, fit, patch weights, blocks and every epoch's block order; all
+    of that is built once. Per run there are only the standardized fusion
+    input, each block's pairwise term, the curves, the aligned column's
+    statistics and ``kl_aligned``. The parameters of every run are one
+    (runs, P) ``FlatParams`` array, stepped by one Adam, and every pass
+    carries the leading run axis: stacked matmuls, einsums and reductions
+    give each run the bits of its own call. The pairwise and alignment
+    losses' dot products stay one BLAS dot per run, since a stacked einsum
+    rounds them otherwise.
+
     Each kept window is scored once, into one scaled-score array and one
     stacked (llm, aligned, rep) fusion input over all of them; a block's are
     views of those. Its patch weights and, for the pairwise variants, its
@@ -359,14 +405,16 @@ def train_collab(
     and the aligned column's input statistics for the next epoch. The other
     columns never change, so they are standardized once, before the first
     epoch. A step writes in place only the parameters, the optimizer's
-    gradient vector (the backward passes write into it) and the aligned
-    column of its block's standardized rows.
+    gradient array (the backward passes write into it), its block's
+    gradient rows and the aligned column of its block's standardized rows.
 
     A step takes the alignment loss with its gradient, and an epoch's curve
     values are the means of its steps' losses. A step whose pairwise or
-    alignment loss is not finite raises NonConvergence, after its update
-    and before that epoch's curves are appended.
+    alignment loss is not finite in any run raises NonConvergence, after its
+    update and before that epoch's curves are appended.
     """
+    use_mapping = _uses_mapping(cfgs)
+    cfg, runs = cfgs[0], len(cfgs)
     windows = [w for w in windows if w.length >= cfg.patchSize]
     if not windows:
         raise WindowTooShort(f"no training window has at least patchSize={cfg.patchSize} slots")
@@ -377,19 +425,20 @@ def train_collab(
     all_scaled = raw / divisor
     fit = align_mod.fit_half_gaussian(llm)
 
-    variant = LossVariant(cfg.loss_variant)
-    use_mapping = variant is not LossVariant.NO_ALIGNMENT
     mapping = MonotoneMapping(cfg.mapping_hidden, seed=cfg.seed) if use_mapping else None
     cond = ConditionalNetParams(rep.shape[1], hidden=cfg.cond_hidden, seed=cfg.seed + 1)
     all_stacked = cond._stack(llm, all_scaled, rep)
     # training changes the aligned column alone, and so only its statistics:
-    # the other columns are standardized once, here
-    in_mean, in_std = all_stacked.mean(axis=0), all_stacked.std(axis=0)
+    # the other columns are standardized once, here, one copy per run
+    in_mean = np.tile(all_stacked.mean(axis=0), (runs, 1))
+    in_std = np.tile(all_stacked.std(axis=0), (runs, 1))
     cond.set_input_stats(in_mean, in_std)
     all_z = cond.standardize(all_stacked)
 
-    # per block: scaled scores, standardized fusion input, its aligned
-    # column, and the pairwise term
+    # per block: scaled scores, each run's standardized fusion input and its
+    # aligned column, each run's pairwise term, and each run's pairwise and
+    # alignment gradients, which the terms and the alignment loss write
+    variants = [LossVariant(c.loss_variant) for c in cfgs]
     blocks = []
     offset = 0
     for w in windows:
@@ -399,59 +448,76 @@ def train_collab(
             if stop - start < 2:
                 continue
             rows = slice(offset + start, offset + stop)
-            term = _pairwise_term(variant, all_scaled[rows], llm[rows],
-                                  pw.lambda1[start:stop], pw.lambda2[start:stop])
-            blocks.append((all_scaled[rows], all_z[rows], all_z[rows, 1], term))
+            ds_hat, dm = np.empty((2, runs, stop - start))
+            terms = [_pairwise_term(v, all_scaled[rows], llm[rows], pw.lambda1[start:stop],
+                                    pw.lambda2[start:stop], out)
+                     for v, out in zip(variants, ds_hat)]
+            blocks.append((all_scaled[rows], all_z[:, rows], all_z[:, rows, 1], terms, ds_hat, dm))
         offset += w.length
 
-    curves = TrainingCurves(blocks=len(blocks))
-    curves.kl_raw = align_mod.kl_histogram(all_scaled, fit, bins=50)
+    curves = [TrainingCurves(blocks=len(blocks)) for _ in cfgs]
+    kl_raw = align_mod.kl_histogram(all_scaled, fit, bins=50)
+    for c in curves:
+        c.kl_raw = kl_raw
 
-    flat = FlatParams([cond, mapping] if use_mapping else [cond])
+    flat = FlatParams([cond, mapping] if use_mapping else [cond], runs)
     cond_grads = flat.grads[0]
     mapping_grads = flat.grads[1] if use_mapping else None
     # Adam keeps the two loss terms trainable together: the pairwise term's
     # 1/n^2 scale is orders of magnitude below the alignment term's per-slot
     # log-density gradients, so raw SGD would starve the fusion net.
-    opt = Adam(cfg.colr, flat.theta.size)
+    opt = Adam(cfg.colr, flat.theta.shape)
 
     rng = np.random.default_rng(cfg.seed)
     all_aligned = mapping(all_scaled) if use_mapping else all_scaled
     for _epoch in range(cfg.epochs_collab):
         # the mapping reshapes its output distribution as it trains, so the
         # aligned column's standardization constants track it once per epoch
-        in_mean[1], in_std[1] = _column_stats(all_aligned)
+        in_mean[:, 1], in_std[:, 1] = _column_stats(all_aligned)
         cond.set_input_stats(in_mean, in_std)
-        aligned_mean, aligned_std = float(cond.in_mean[1]), float(cond.in_std[1])
-        ep_align = 0.0
-        ep_pair = 0.0
+        aligned_mean, aligned_std = cond.in_mean[:, 1, None], cond.in_std[:, 1, None]
+        ep_align, ep_pair = [0.0] * runs, [0.0] * runs
         for bi in rng.permutation(len(blocks)):
-            sb, z, z_aligned, pairwise = blocks[bi]
+            sb, z, z_aligned, terms, ds_hat, dm = blocks[bi]
             if use_mapping:
                 mapped, mcache = mapping.forward(sb)
                 np.subtract(mapped, aligned_mean, out=z_aligned)
                 z_aligned /= aligned_std
             s_hat, ccache = cond.forward_stacked(z)
-            pair_loss, ds_hat = pairwise(s_hat)
+            # the losses, with their dot products, one run at a time
+            finite = True
+            for r, term in enumerate(terms):
+                pair_loss = term(s_hat[r])[0]
+                align_loss = 0.0
+                if use_mapping:
+                    align_loss = align_mod.alignment_loss_grad(mapped[r], fit, cfg.lambda_hat,
+                                                               dm[r])[0]
+                finite = finite and math.isfinite(pair_loss) and math.isfinite(align_loss)
+                ep_align[r] += align_loss
+                ep_pair[r] += pair_loss
             _, dmapped = cond.backward(ds_hat, ccache, cond_grads)
-            align_loss = 0.0
             if use_mapping:
-                align_loss, dm = align_mod.alignment_loss_grad(mapped, fit, cfg.lambda_hat)
                 dm += dmapped
                 mapping.backward(dm, mcache, mapping_grads)
             opt.step(flat.theta, flat.grad)
-            if not (math.isfinite(pair_loss) and math.isfinite(align_loss)):
+            if not finite:
                 raise NonConvergence("phase-2 loss became non-finite")
-            ep_align += align_loss
-            ep_pair += pair_loss
-            curves.steps += 1
-        curves.alignment_loss.append(ep_align / len(blocks))
-        curves.pairwise_loss.append(ep_pair / len(blocks))
+            for c in curves:
+                c.steps += 1
+        for c, a, p in zip(curves, ep_align, ep_pair):
+            c.alignment_loss.append(a / len(blocks))
+            c.pairwise_loss.append(p / len(blocks))
         if use_mapping:
             all_aligned = mapping(all_scaled)
-            curves.kl_aligned.append(align_mod.kl_histogram(all_aligned, fit, bins=50))
+            for c, aligned in zip(curves, all_aligned):
+                c.kl_aligned.append(align_mod.kl_histogram(aligned, fit, bins=50))
 
-    return FusionPipeline(scorer, mapping, cond, divisor, fit, asdict(cfg)), curves
+    return [
+        (FusionPipeline(scorer,
+                        run_state(mapping, mapping.PARAMS, r) if use_mapping else None,
+                        run_state(cond, cond.STATE, r), divisor, fit, asdict(c)), curve)
+        for r, (c, curve) in enumerate(zip(cfgs, curves))
+    ]
 
 
 def detect(

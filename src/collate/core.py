@@ -52,16 +52,18 @@ def sigmoid(x) -> np.ndarray:
 
 
 def column_sums(x: np.ndarray, weights: np.ndarray | None = None, out=None) -> np.ndarray:
-    """Column sums of an (n, k) array, each row first scaled by ``weights`` if
-    given, bit for bit as ``np.add.reduce(x * weights[:, None], axis=0)``. For
-    k >= 2 einsum adds the rows in that order, 2-4x faster; numpy sums a lone
-    column pairwise, so it keeps the reduce. ``optimize`` stays off: it may
-    hand the sum to BLAS, which adds in another order."""
-    if x.shape[1] == 1:
-        return np.add.reduce(x if weights is None else x * weights[:, None], axis=0, out=out)
+    """Column sums of an (..., n, k) array, each row first scaled by the
+    (n,) ``weights`` if given, bit for bit as ``np.add.reduce(x *
+    weights[:, None], axis=-2)``: over any leading run axes, each (n, k)
+    slab gets the sums it gets alone. For k >= 2 einsum adds the rows in
+    that order, 2-4x faster; numpy sums a lone column pairwise, so it keeps
+    the reduce. ``optimize`` stays off: it may hand the sum to BLAS, which
+    adds in another order."""
+    if x.shape[-1] == 1:
+        return np.add.reduce(x if weights is None else x * weights[:, None], axis=-2, out=out)
     if weights is None:
-        return np.einsum("ij->j", x, out=out)
-    return np.einsum("ij,i->j", x, weights, out=out)
+        return np.einsum("...ij->...j", x, out=out)
+    return np.einsum("...ij,i->...j", x, weights, out=out)
 
 
 @dataclass(frozen=True)

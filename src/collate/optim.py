@@ -59,43 +59,63 @@ def load_checkpoint(path: str | Path, from_dict):
 
 
 class FlatParams:
-    """Every trainable array of some models, held in one float64 vector.
+    """Every trainable array of some models, held in one float64 vector, or
+    in one (runs, P) array for a stack of runs trained in lockstep.
 
     The layout follows ``owners`` and, within each, its class's ``PARAMS``.
     Each attribute is rebound to its view of ``theta`` (a 0-d view for a
-    scalar), so one optimizer step on ``theta`` updates them all in place.
-    ``grad`` has the same layout, and ``grads`` holds, per owner, its views
-    of ``grad`` keyed by attribute name: a backward pass writes into those.
+    scalar); with ``runs``, every view gains a leading run axis and each run
+    starts from the owners' values. One optimizer step on ``theta`` then
+    updates them all in place. ``grad`` has the same layout, and ``grads``
+    holds, per owner, its views of ``grad`` keyed by attribute name: a
+    backward pass writes into those. ``run_state`` cuts one run's views out
+    of a stack.
     """
 
-    def __init__(self, owners: list):
+    def __init__(self, owners: list, runs: int | None = None):
+        lead = () if runs is None else (runs,)
         arrays = [
             (i, name, np.asarray(getattr(obj, name), dtype=np.float64))
             for i, obj in enumerate(owners)
             for name in type(obj).PARAMS
         ]
-        self.theta = np.concatenate([a.reshape(-1) for _, _, a in arrays])
+        # a C-ordered row per run: each run's views are then laid out as a
+        # lone run's arrays are, and BLAS gives them the same bits; a
+        # column-major stack rounds its products otherwise
+        self.theta = np.tile(np.concatenate([a.reshape(-1) for _, _, a in arrays]), lead + (1,))
         self.grad = np.empty_like(self.theta)
         self.grads: list[dict[str, np.ndarray]] = [{} for _ in owners]
         start = 0
         for i, name, a in arrays:
             stop = start + a.size
-            setattr(owners[i], name, self.theta[start:stop].reshape(a.shape))
-            self.grads[i][name] = self.grad[start:stop].reshape(a.shape)
+            shape = lead + a.shape
+            setattr(owners[i], name, self.theta[..., start:stop].reshape(shape, copy=False))
+            self.grads[i][name] = self.grad[..., start:stop].reshape(shape, copy=False)
             start = stop
 
 
-class Adam:
-    """Standard Adam on one float64 vector of ``size`` parameters."""
+def run_state(obj, names, run: int):
+    """A new object of ``obj``'s class whose attributes ``names`` are views
+    of ``obj``'s at index ``run`` of their leading run axis."""
+    one = type(obj).__new__(type(obj))
+    for name in names:
+        setattr(one, name, getattr(obj, name)[run, ...])
+    return one
 
-    def __init__(self, lr: float, size: int):
+
+class Adam:
+    """Standard Adam on one float64 array of ``shape``."""
+
+    def __init__(self, lr: float, shape):
         self.lr = lr
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
+        self.m = np.zeros(shape)
+        self.v = np.zeros(shape)
         self.t = 0
 
     def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
-        """One update of ``theta`` in place; ``grad`` is only read."""
+        """One update of ``theta`` in place; ``grad`` is only read. Every
+        operation is elementwise, so each entry, and each run of a stack,
+        gets the bits it gets alone."""
         self.t += 1
         # in place, in the operation order of m = BETA1 * m + (1 - BETA1) * g
         # and theta -= lr * mhat / (sqrt(vhat) + EPS)

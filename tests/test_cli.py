@@ -652,6 +652,13 @@ class TestBadCheckpoint:
                             "ValueError: unsupported checkpoint version 9"),
         "tsadm not JSON": ("tsadm", None,
                            "JSONDecodeError: Expecting value: line 1 column 1 (char 0)"),
+        "mapping.hidden 3": ("pipeline",
+                             lambda d: _replaced(d, ["mapping", "hidden"], lambda v: 3),
+                             "ValueError: mapping.hidden must be mapping.a1's length 8, got 3"),
+        "mapping without hidden": (
+            "pipeline", lambda d: _replaced(d, ["mapping"], lambda m: {
+                k: v for k, v in m.items() if k != "hidden"}),
+            "ValueError: mapping.hidden must be mapping.a1's length 8, got None"),
         "mapping.b2 inf": ("pipeline",
                            lambda d: _replaced(d, ["mapping", "b2"], lambda v: math.inf),
                            "ValueError: mapping.b2 is not finite"),
@@ -817,20 +824,23 @@ class TestImports:
 
 class TestAblateGrid:
     def test_grid_point_trains_only_the_collaborative_variant(self, tmp_path, monkeypatch):
-        trained = []
+        stacks = []
         real = collab.train_collab
 
-        def counting(windows, scorer, llm_scores, cfg):
-            trained.append(cfg.loss_variant)
-            return real(windows, scorer, llm_scores, cfg)
+        def counting(windows, scorer, llm_scores, cfgs):
+            stacks.append([cfg.loss_variant for cfg in cfgs])
+            return real(windows, scorer, llm_scores, cfgs)
 
         monkeypatch.setattr(collab, "train_collab", counting)
         # the grid point repeats the table's own d and patchSize
         grid = json.dumps({"d": [1.0], "patchSize": [2]})
         assert cli.main(["--out", str(tmp_path), "ablate", "--grid", grid]) == 0
-        # four table variants, then one run for the grid point
+        # four table variants, the three mapping variants in one stack, then
+        # one run for the grid point
+        trained = [variant for stack in stacks for variant in stack]
         assert len(trained) == 5
-        assert trained[-1] == "collaborative"
+        assert stacks == [["collaborative", "mse", "fixed_weights"], ["no_alignment"],
+                          ["collaborative"]]
         rows = [ln.split(",") for ln in (tmp_path / "ablation.csv").read_text().splitlines()]
         collaborative = next(r for r in rows if r[0] == "collaborative")
         grid_rows = (tmp_path / "grid.csv").read_text().splitlines()
@@ -852,11 +862,12 @@ class TestAblateGrid:
         assert manifest["config"] == metrics["config_echo"]
         assert manifest["outputs"] == [str(tmp_path / name)
                                        for name in ("ablation.csv", "grid.csv", "metrics.json")]
-        # 150 epochs of 8 window-long blocks per table variant; the grid
-        # point is neither counted nor timed
+        # 150 epochs of 8 window-long blocks per table variant; the three
+        # mapping variants train as one stack, timed once; the grid point is
+        # neither counted nor timed
         variants = sorted(v.value for v in LossVariant)
         assert manifest["counters"] == {v: {"steps": 1200, "blocks": 8} for v in variants}
-        assert sorted(manifest["timings"]) == [f"{v}_train_s" for v in variants]
+        assert sorted(manifest["timings"]) == ["mapping_variants_train_s", "no_alignment_train_s"]
         assert all(0.0 < s < 60.0 for s in manifest["timings"].values())
 
     def test_config_echo_is_what_the_ablation_trains_with(self, run_dir, tmp_path,

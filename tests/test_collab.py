@@ -229,12 +229,21 @@ def small_cfg(seed=0, variant_epochs=25, variant=LossVariant.COLLABORATIVE):
                      patchSize=2, d=1.0, loss_variant=variant.value)
 
 
+MAPPING_VARIANTS = [v for v in LossVariant if v is not LossVariant.NO_ALIGNMENT]
+
+
+def train_alone(windows, scorer, llm_scores, cfg):
+    """``train_collab`` on a stack of one run: its pipeline and curves."""
+    ((pipeline, curves),) = train_collab(windows, scorer, llm_scores, [cfg])
+    return pipeline, curves
+
+
 class TestTrainCollab:
     def test_deterministic_checkpoints(self, small_bench, tmp_path):
         llm = small_bench.llm_scores_for(small_bench.windows["train"])
         outs = []
         for run in range(2):
-            pipeline, _ = train_collab(
+            pipeline, _ = train_alone(
                 small_bench.windows["train"], small_bench.scorer, llm, small_cfg(seed=5),
             )
             path = tmp_path / f"p{run}.json"
@@ -246,8 +255,8 @@ class TestTrainCollab:
         llm = small_bench.llm_scores_for(small_bench.windows["train"])
         for variant in LossVariant:
             cfg = small_cfg(seed=4, variant_epochs=1, variant=variant)
-            pipeline, _ = train_collab(small_bench.windows["train"], small_bench.scorer, llm,
-                                       cfg)
+            pipeline, _ = train_alone(small_bench.windows["train"], small_bench.scorer, llm,
+                                      cfg)
             assert pipeline.config_echo == dataclasses.asdict(cfg)
             path = tmp_path / f"{variant.value}.json"
             pipeline.save(path)
@@ -266,16 +275,16 @@ class TestTrainCollab:
         short = TimeSeriesWindow(small_bench.series.values[start : start + 1], start_index=start)
         llm = small_bench.llm_scores_for([*train, short])
         cfg = small_cfg(variant_epochs=2)
-        without, without_curves = train_collab(train, small_bench.scorer, llm, cfg)
-        pipeline, curves = train_collab([*train, short], small_bench.scorer, llm, cfg)
+        without, without_curves = train_alone(train, small_bench.scorer, llm, cfg)
+        pipeline, curves = train_alone([*train, short], small_bench.scorer, llm, cfg)
         assert pipeline.to_dict() == without.to_dict()
         assert curves == without_curves
         with pytest.raises(WindowTooShort, match="patchSize=2"):
-            train_collab([short], small_bench.scorer, llm, cfg)
+            train_alone([short], small_bench.scorer, llm, cfg)
 
     def test_no_alignment_variant_skips_mapping(self, small_bench):
         llm = small_bench.llm_scores_for(small_bench.windows["train"])
-        pipeline, curves = train_collab(
+        pipeline, curves = train_alone(
             small_bench.windows["train"], small_bench.scorer, llm,
             small_cfg(variant=LossVariant.NO_ALIGNMENT),
         )
@@ -287,7 +296,7 @@ class TestTrainCollab:
 
     def test_pipeline_roundtrip_bit_exact(self, small_bench, tmp_path):
         llm = small_bench.llm_scores_for(small_bench.windows["train"])
-        pipeline, _ = train_collab(
+        pipeline, _ = train_alone(
             small_bench.windows["train"], small_bench.scorer, llm, small_cfg(),
         )
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -297,7 +306,7 @@ class TestTrainCollab:
 
     def test_detect_pure_and_bounded(self, small_bench):
         llm = small_bench.llm_scores_for(small_bench.windows["train"])
-        pipeline, _ = train_collab(
+        pipeline, _ = train_alone(
             small_bench.windows["train"], small_bench.scorer, llm, small_cfg(),
         )
         w = small_bench.windows["test"][0]
@@ -309,7 +318,7 @@ class TestTrainCollab:
 
     def test_detect_requires_llm_length(self, small_bench):
         llm = small_bench.llm_scores_for(small_bench.windows["train"])
-        pipeline, _ = train_collab(
+        pipeline, _ = train_alone(
             small_bench.windows["train"], small_bench.scorer, llm, small_cfg(),
         )
         w = small_bench.windows["test"][0]
@@ -407,7 +416,7 @@ class TestTrainCollabMatchesReference:
             llm = small_bench.llm_scores_for(windows)
             cfg = RunConfig(colr=0.01, batchSize=batch, epochs_collab=5, seed=2,
                             patchSize=2, d=1.0, loss_variant=variant.value)
-            new, new_curves = train_collab(windows, small_bench.scorer, llm, cfg)
+            new, new_curves = train_alone(windows, small_bench.scorer, llm, cfg)
             ref, ref_curves = _reference_train_collab(windows, small_bench.scorer, llm, cfg)
             assert_same_checkpoint(new, ref)
             for f in dataclasses.fields(TrainingCurves):
@@ -415,19 +424,88 @@ class TestTrainCollabMatchesReference:
                 assert a == b, f.name
             assert len(new_curves.alignment_loss) == 5
 
-    def test_parameters_are_views_of_one_vector(self, small_bench):
+    def test_parameters_are_views_of_one_array(self, small_bench):
+        # one (runs, P) array holds every run's parameters, a row per run
         llm = small_bench.llm_scores_for(small_bench.windows["train"])
-        pipeline, _ = train_collab(
+        trained = train_collab(
             small_bench.windows["train"], small_bench.scorer, llm,
-            small_cfg(variant_epochs=1),
+            [small_cfg(variant=v, variant_epochs=1) for v in MAPPING_VARIANTS],
         )
-        arrays = [pipeline.cond.w1, pipeline.cond.b1, pipeline.cond.w2,
-                  pipeline.cond.b2, pipeline.mapping.a1, pipeline.mapping.b1,
-                  pipeline.mapping.a2, pipeline.mapping.b2]
-        base = arrays[0].base
-        assert base is not None and base.ndim == 1
-        assert all(a.base is base for a in arrays)
-        assert base.size == sum(a.size for a in arrays)
+        for run, (pipeline, _) in enumerate(trained):
+            arrays = [pipeline.cond.w1, pipeline.cond.b1, pipeline.cond.w2,
+                      pipeline.cond.b2, pipeline.mapping.a1, pipeline.mapping.b1,
+                      pipeline.mapping.a2, pipeline.mapping.b2]
+            base = arrays[0].base
+            assert base is not None and base.shape == (3, sum(a.size for a in arrays))
+            assert base.flags.c_contiguous
+            assert all(a.base is base for a in arrays)
+            for other in range(3):
+                assert all(np.shares_memory(a, base[other]) == (other == run) for a in arrays)
+
+
+class TestTrainCollabStack:
+    """Runs trained in lockstep get, bit for bit, the checkpoint and curves
+    each gets in a stack of its own; a stack whose runs cannot share one
+    loop is rejected before any window is scored."""
+
+    @pytest.mark.parametrize("hidden", [1, None], ids=["hidden-1", "default-widths"])
+    def test_lockstep_equals_separate_runs(self, small_bench, hidden):
+        # the benchmark's train windows in 100-slot blocks; and windows of
+        # 200, 200, 129 and 1 slots in 64-slot blocks: a ragged block, a
+        # skipped 1-slot block, and a window shorter than patchSize.
+        # Hidden width 1 takes column_sums' one-column reduce.
+        values = small_bench.series.values
+        ragged = [TimeSeriesWindow(values[a:b], start_index=a)
+                  for a, b in [(200, 400), (400, 600), (600, 729), (729, 730)]]
+        widths = {} if hidden is None else {"mapping_hidden": hidden, "cond_hidden": hidden}
+        for windows, batch in [(small_bench.windows["train"], 100), (ragged, 64)]:
+            llm = small_bench.llm_scores_for(windows)
+            cfgs = [RunConfig(colr=0.01, batchSize=batch, epochs_collab=5, seed=2, patchSize=2,
+                              d=1.0, loss_variant=v.value, **widths) for v in MAPPING_VARIANTS]
+            stacked = train_collab(windows, small_bench.scorer, llm, cfgs)
+            assert len(stacked) == 3
+            for cfg, (pipeline, curves) in zip(cfgs, stacked):
+                alone, alone_curves = train_alone(windows, small_bench.scorer, llm, cfg)
+                assert pipeline.config_echo == dataclasses.asdict(cfg)
+                same = (json.dumps(pipeline.to_dict(), sort_keys=True)
+                        == json.dumps(alone.to_dict(), sort_keys=True))
+                assert same, cfg.loss_variant
+                for f in dataclasses.fields(TrainingCurves):
+                    assert getattr(curves, f.name) == getattr(alone_curves, f.name), (
+                        cfg.loss_variant, f.name)
+
+    class NoScorer:
+        def score(self, window):
+            raise AssertionError("a window was scored")
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 1), ("batchSize", 64), ("epochs_collab", 2), ("colr", 0.02),
+        ("lambda_hat", 2.0), ("mapping_hidden", 4), ("cond_hidden", 4), ("d", 2.0),
+        ("patchSize", 3),
+    ])
+    def test_runs_that_differ_beyond_the_variant_are_rejected(self, small_bench, field, value):
+        base = small_cfg(variant_epochs=1)
+        other = dataclasses.replace(base, loss_variant="mse", **{field: value})
+        with pytest.raises(ValueError, match=f"^the runs of a stack must share {field}, got "):
+            train_collab(small_bench.windows["train"], self.NoScorer(), {}, [base, other])
+
+    def test_no_alignment_beside_a_mapping_variant_is_rejected(self, small_bench):
+        cfgs = [small_cfg(variant=v) for v in (LossVariant.COLLABORATIVE,
+                                              LossVariant.NO_ALIGNMENT)]
+        with pytest.raises(ValueError, match="^the runs of a stack cannot mix loss_variant "
+                                             "no_alignment with a mapping variant$"):
+            train_collab(small_bench.windows["train"], self.NoScorer(), {}, cfgs)
+
+    def test_an_empty_stack_is_rejected(self, small_bench):
+        with pytest.raises(ValueError, match="^a stack of runs needs at least one run config$"):
+            train_collab(small_bench.windows["train"], self.NoScorer(), {}, [])
+
+    def test_a_stack_of_one_variant_twice_trains_it_twice(self, small_bench):
+        llm = small_bench.llm_scores_for(small_bench.windows["train"])
+        cfg = small_cfg(variant_epochs=2)
+        (a, a_curves), (b, b_curves) = train_collab(small_bench.windows["train"],
+                                                    small_bench.scorer, llm, [cfg, cfg])
+        assert a.to_dict() == b.to_dict() and a_curves == b_curves
 
 
 class TestTrainCollabChecksEachStep:
@@ -455,7 +533,7 @@ class TestTrainCollabChecksEachStep:
                    for a, b in [(0, 200), (200, 400), (400, 530)]]
         llm = small_bench.llm_scores_for(windows)
         cfg = small_cfg(variant_epochs=25)
-        pipeline, curves = train_collab(windows, small_bench.scorer, llm, cfg)
+        pipeline, curves = train_alone(windows, small_bench.scorer, llm, cfg)
         assert pipeline.fit.sigma < 0.0051
         assert curves.blocks == 3 and curves.steps == 75
         for name in ("alignment_loss", "pairwise_loss", "kl_aligned"):
@@ -477,13 +555,13 @@ class TestTrainCollabChecksEachStep:
                 block_calls.append(s.size)
                 if len(block_calls) == len(windows) + 2:
                     mapped = mapped.copy()
-                    mapped[3] = np.nan
+                    mapped[..., 3] = np.nan
             return mapped, cache
 
         monkeypatch.setattr(MonotoneMapping, "forward", nan_in_one_block)
         made = self.recording_curves(monkeypatch)
         with pytest.raises(NonConvergence, match="^phase-2 loss became non-finite$"):
-            train_collab(windows, small_bench.scorer, llm, cfg)
+            train_alone(windows, small_bench.scorer, llm, cfg)
         (curves,) = made
         assert curves.steps == len(windows) + 1
         assert len(curves.alignment_loss) == len(curves.pairwise_loss) == 1
@@ -577,7 +655,7 @@ class TestTrainCollabWritesNoSharedInput:
         monkeypatch.setattr(Adam, "step", recording_step)
         llm = small_bench.llm_scores_for(small_bench.windows["train"])
         train_collab(small_bench.windows["train"], small_bench.scorer, llm,
-                     small_cfg(variant_epochs=1))
+                     [small_cfg(variant=v, variant_epochs=1) for v in MAPPING_VARIANTS])
         assert terms and stacks and steps
         for term, grad, excess in terms:
             np.testing.assert_array_equal(term.grad, grad)
