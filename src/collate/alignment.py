@@ -89,10 +89,10 @@ def _moments(m: np.ndarray) -> tuple[float, np.ndarray, float]:
 
 
 def alignment_loss_grad(
-    mapped: np.ndarray, fit: HalfGaussianFit, lambda_hat: float, out: np.ndarray | None = None
+    mapped: np.ndarray, fit: HalfGaussianFit, lambda_hat: float
 ) -> tuple[float, np.ndarray]:
     """Alignment loss of one vector of mapped scores, and its gradient with
-    respect to them, written into ``out`` if given.
+    respect to them.
 
     The loss is the negative mean log-density of the mapped scores under the
     target, plus squared penalties, both weighted by ``lambda_hat``, steering
@@ -114,7 +114,7 @@ def alignment_loss_grad(
     )
     # -log density has derivative m / sigma^2; the centered-variance term's
     # mean-dependence cancels because sum(m - mean) = 0.
-    grad = np.divide(m, fit.sigma**2 * n, out=out)
+    grad = m / (fit.sigma**2 * n)
     grad += lambda_hat * 2.0 * (mean - fit.mu_hat) / n
     centred *= lambda_hat * 2.0 * (var - fit.sigma_hat_sq) * 2.0
     centred /= n - 1
@@ -196,7 +196,9 @@ class MonotoneMapping:
         # one matrix-vector product per run and per leading axis of s, as
         # h @ w2 makes them: gemv rounds the last rows of a call otherwise
         z = h.reshape(runs + (s.shape or (1,)) + w2.shape[-1:]) @ w2[..., None]
-        z += np.asarray(self.b2)[..., None, None]
+        # transposed, the run axis comes last, where b2 broadcasts along it
+        z_t = z.T
+        z_t += self.b2
         # one sigmoid call gives the mapped scores and, for the backward
         # pass, softplus' derivative at a1 and a2
         sig = sigmoid(np.concatenate((z.ravel(), self.a1.ravel(), self.a2.ravel())))

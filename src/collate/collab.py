@@ -104,7 +104,9 @@ class ConditionalNetParams:
         h = np.multiply(pre, _LEAKY_SLOPE)
         np.maximum(pre, h, out=h)
         logits = (h @ self.w2[..., None])[..., 0]
-        logits += np.asarray(self.b2)[..., None]
+        # transposed, the run axis comes last, where b2 broadcasts along it
+        logits_t = logits.T
+        logits_t += self.b2
         out = sigmoid(logits)
         return out, (z, pre, h, out)
 
@@ -120,16 +122,17 @@ class ConditionalNetParams:
             grads = {name: np.empty(np.shape(getattr(self, name))) for name in self.PARAMS}
         dlogits = dout * out
         dlogits *= 1.0 - out
-        np.matmul(h.mT, dlogits[..., None], out=grads["w2"][..., None])
+        np.matmul(h.swapaxes(-1, -2), dlogits[..., None], out=grads["w2"][..., None])
         np.add.reduce(dlogits, axis=-1, out=grads["b2"])
         dpre = np.einsum("...i,...j->...ij", dlogits, self.w2)
         # 1.0 where pre > 0, else the slope; NaN and -0.0 get the slope
         dpre *= np.maximum(pre > 0, _LEAKY_SLOPE)
-        np.matmul(z.mT, dpre, out=grads["w1"])
+        np.matmul(z.swapaxes(-1, -2), dpre, out=grads["w1"])
         column_sums(dpre, out=grads["b1"])
         # a column of the whole product: one column alone (gemv, a one-column
         # gemm, einsum) rounds otherwise; a contiguous w1^T is faster, same bits
-        return grads, (dpre @ np.ascontiguousarray(self.w1.mT))[..., 1] / self.in_std[..., 1, None]
+        w1_t = np.ascontiguousarray(self.w1.swapaxes(-1, -2))
+        return grads, (dpre @ w1_t)[..., 1] / self.in_std[..., 1, None]
 
     def to_dict(self) -> dict:
         return state_dict(self, self.STATE)
@@ -179,11 +182,9 @@ class CollaborativeTerm:
     ``s`` and ``llm`` may also be stacks of rows of any leading shape
     (..., n): ``grad`` then holds each row's gradient, bit-equal to a term
     built on that row alone, and only ``grad`` is defined for such a term.
-    ``grad`` is written into ``out`` if it is given.
     """
 
-    def __init__(self, s: np.ndarray, llm: np.ndarray, lam1: np.ndarray, lam2: np.ndarray,
-                 out: np.ndarray | None = None):
+    def __init__(self, s: np.ndarray, llm: np.ndarray, lam1: np.ndarray, lam2: np.ndarray):
         s = np.atleast_1d(np.asarray(s, dtype=np.float64))
         llm = np.atleast_1d(np.asarray(llm, dtype=np.float64))
         n = _check_lengths(s, llm, lam1, lam2)
@@ -194,7 +195,7 @@ class CollaborativeTerm:
             _pairwise_weighted_excess(lam1, s, n) + _pairwise_weighted_excess(lam2, llm, n)
         )
         self.scale = -(2.0 / n**2)
-        self.grad = np.multiply(self.scale, self.excess, out=out)
+        self.grad = self.scale * self.excess
 
     def __call__(self, s_hat: np.ndarray) -> tuple[float, np.ndarray]:
         """Loss at the collated scores, a float64 vector of the term's
@@ -222,17 +223,16 @@ def collaborative_loss_grad(
 
 
 def mse_variant_loss_grad(
-    s_hat: np.ndarray, s: np.ndarray, llm: np.ndarray, lam1: np.ndarray, lam2: np.ndarray,
-    out: np.ndarray | None = None,
+    s_hat: np.ndarray, s: np.ndarray, llm: np.ndarray, lam1: np.ndarray, lam2: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Per-slot weighted squared error against both scorers (ablation), and
-    its gradient wrt the collated scores, written into ``out`` if given."""
+    its gradient wrt the collated scores."""
     s_hat = np.asarray(s_hat, dtype=np.float64).reshape(-1)
     s = np.asarray(s, dtype=np.float64).reshape(-1)
     llm = np.asarray(llm, dtype=np.float64).reshape(-1)
     n = _check_lengths(s_hat, s, llm, lam1, lam2)
     loss = float(np.mean(lam1 * (s - s_hat) ** 2 + lam2 * (llm - s_hat) ** 2))
-    grad = np.multiply(2.0 / n, lam1 * (s_hat - s) + lam2 * (s_hat - llm), out=out)
+    grad = (2.0 / n) * (lam1 * (s_hat - s) + lam2 * (s_hat - llm))
     return loss, grad
 
 
@@ -313,17 +313,17 @@ class FusionPipeline:
         return load_checkpoint(path, cls.from_dict)
 
 
-def _pairwise_term(variant: LossVariant, scaled, llm, lam1, lam2, out: np.ndarray):
+def _pairwise_term(variant: LossVariant, scaled, llm, lam1, lam2):
     """The variant's pairwise loss on one block, as a function of the
-    collated scores returning (loss, gradient); the gradient is ``out``."""
+    collated scores returning (loss, gradient)."""
     if variant in (LossVariant.COLLABORATIVE, LossVariant.NO_ALIGNMENT):
-        return CollaborativeTerm(scaled, llm, lam1, lam2, out)
+        return CollaborativeTerm(scaled, llm, lam1, lam2)
     if variant is LossVariant.FIXED_WEIGHTS:
         ones = np.ones(len(scaled))
-        return CollaborativeTerm(scaled, llm, ones, ones, out)
+        return CollaborativeTerm(scaled, llm, ones, ones)
     if variant is LossVariant.MSE_VARIANT:
         return functools.partial(
-            mse_variant_loss_grad, s=scaled, llm=llm, lam1=lam1, lam2=lam2, out=out
+            mse_variant_loss_grad, s=scaled, llm=llm, lam1=lam1, lam2=lam2
         )
     raise ValueError(f"unknown variant {variant}")
 
@@ -393,9 +393,11 @@ def train_collab(
     statistics and ``kl_aligned``. The parameters of every run are one
     (runs, P) ``FlatParams`` array, stepped by one Adam, and every pass
     carries the leading run axis: stacked matmuls, einsums and reductions
-    give each run the bits of its own call. The pairwise and alignment
-    losses' dot products stay one BLAS dot per run, since a stacked einsum
-    rounds them otherwise.
+    give each run the bits of its own call. A stack of one has no run axis,
+    so the CLI's lone run makes a lone run's numpy calls. The pairwise and
+    alignment losses' dot products stay one BLAS dot per run, since a
+    stacked einsum rounds them otherwise; each run's gradients are copied
+    into its row of the block's gathered gradients.
 
     Each kept window is scored once, into one scaled-score array and one
     stacked (llm, aligned, rep) fusion input over all of them; a block's are
@@ -415,6 +417,9 @@ def train_collab(
     """
     use_mapping = _uses_mapping(cfgs)
     cfg, runs = cfgs[0], len(cfgs)
+    # a stack of one carries no run axis: its arrays, and so its calls, are
+    # those of a run trained alone
+    lead = (runs,) if runs > 1 else ()
     windows = [w for w in windows if w.length >= cfg.patchSize]
     if not windows:
         raise WindowTooShort(f"no training window has at least patchSize={cfg.patchSize} slots")
@@ -430,14 +435,15 @@ def train_collab(
     all_stacked = cond._stack(llm, all_scaled, rep)
     # training changes the aligned column alone, and so only its statistics:
     # the other columns are standardized once, here, one copy per run
-    in_mean = np.tile(all_stacked.mean(axis=0), (runs, 1))
-    in_std = np.tile(all_stacked.std(axis=0), (runs, 1))
+    in_mean = np.tile(all_stacked.mean(axis=0), lead + (1,))
+    in_std = np.tile(all_stacked.std(axis=0), lead + (1,))
     cond.set_input_stats(in_mean, in_std)
     all_z = cond.standardize(all_stacked)
 
-    # per block: scaled scores, each run's standardized fusion input and its
-    # aligned column, each run's pairwise term, and each run's pairwise and
-    # alignment gradients, which the terms and the alignment loss write
+    # per block: scaled scores, the runs' standardized fusion input and its
+    # aligned column, slot-major so that each run's statistic broadcasts
+    # along it, each run's pairwise term, and the arrays that gather the
+    # runs' pairwise and alignment gradients, with a view of each run's row
     variants = [LossVariant(c.loss_variant) for c in cfgs]
     blocks = []
     offset = 0
@@ -448,11 +454,14 @@ def train_collab(
             if stop - start < 2:
                 continue
             rows = slice(offset + start, offset + stop)
-            ds_hat, dm = np.empty((2, runs, stop - start))
-            terms = [_pairwise_term(v, all_scaled[rows], llm[rows], pw.lambda1[start:stop],
-                                    pw.lambda2[start:stop], out)
-                     for v, out in zip(variants, ds_hat)]
-            blocks.append((all_scaled[rows], all_z[:, rows], all_z[:, rows, 1], terms, ds_hat, dm))
+            ds_hat = np.empty(lead + (stop - start,))
+            dm = np.empty_like(ds_hat) if use_mapping else None
+            dm_rows = [None] * runs if dm is None else dm.reshape(runs, -1)
+            per_run = [(_pairwise_term(v, all_scaled[rows], llm[rows], pw.lambda1[start:stop],
+                                       pw.lambda2[start:stop]), ds_r, dm_r)
+                       for v, ds_r, dm_r in zip(variants, ds_hat.reshape(runs, -1), dm_rows)]
+            blocks.append((all_scaled[rows], all_z[..., rows, :], all_z[..., rows, 1].T,
+                           ds_hat, dm, per_run))
         offset += w.length
 
     curves = [TrainingCurves(blocks=len(blocks)) for _ in cfgs]
@@ -460,7 +469,7 @@ def train_collab(
     for c in curves:
         c.kl_raw = kl_raw
 
-    flat = FlatParams([cond, mapping] if use_mapping else [cond], runs)
+    flat = FlatParams([cond, mapping] if use_mapping else [cond], lead)
     cond_grads = flat.grads[0]
     mapping_grads = flat.grads[1] if use_mapping else None
     # Adam keeps the two loss terms trainable together: the pairwise term's
@@ -468,30 +477,32 @@ def train_collab(
     # log-density gradients, so raw SGD would starve the fusion net.
     opt = Adam(cfg.colr, flat.theta.shape)
 
+    alignment_loss_grad, lambda_hat = align_mod.alignment_loss_grad, cfg.lambda_hat
     rng = np.random.default_rng(cfg.seed)
     all_aligned = mapping(all_scaled) if use_mapping else all_scaled
     for _epoch in range(cfg.epochs_collab):
         # the mapping reshapes its output distribution as it trains, so the
         # aligned column's standardization constants track it once per epoch
-        in_mean[:, 1], in_std[:, 1] = _column_stats(all_aligned)
+        in_mean[..., 1], in_std[..., 1] = _column_stats(all_aligned)
         cond.set_input_stats(in_mean, in_std)
-        aligned_mean, aligned_std = cond.in_mean[:, 1, None], cond.in_std[:, 1, None]
+        aligned_mean, aligned_std = cond.in_mean[..., 1], cond.in_std[..., 1]
         ep_align, ep_pair = [0.0] * runs, [0.0] * runs
         for bi in rng.permutation(len(blocks)):
-            sb, z, z_aligned, terms, ds_hat, dm = blocks[bi]
+            sb, z, z_aligned, ds_hat, dm, per_run = blocks[bi]
             if use_mapping:
                 mapped, mcache = mapping.forward(sb)
-                np.subtract(mapped, aligned_mean, out=z_aligned)
+                np.subtract(mapped.T, aligned_mean, out=z_aligned)
                 z_aligned /= aligned_std
+                mapped_rows = mapped.reshape(runs, -1)
             s_hat, ccache = cond.forward_stacked(z)
+            s_rows = s_hat.reshape(runs, -1)
             # the losses, with their dot products, one run at a time
             finite = True
-            for r, term in enumerate(terms):
-                pair_loss = term(s_hat[r])[0]
+            for r, (term, ds_r, dm_r) in enumerate(per_run):
+                pair_loss, ds_r[...] = term(s_rows[r])
                 align_loss = 0.0
                 if use_mapping:
-                    align_loss = align_mod.alignment_loss_grad(mapped[r], fit, cfg.lambda_hat,
-                                                               dm[r])[0]
+                    align_loss, dm_r[...] = alignment_loss_grad(mapped_rows[r], fit, lambda_hat)
                 finite = finite and math.isfinite(pair_loss) and math.isfinite(align_loss)
                 ep_align[r] += align_loss
                 ep_pair[r] += pair_loss
@@ -509,14 +520,16 @@ def train_collab(
             c.pairwise_loss.append(p / len(blocks))
         if use_mapping:
             all_aligned = mapping(all_scaled)
-            for c, aligned in zip(curves, all_aligned):
+            for c, aligned in zip(curves, all_aligned.reshape(runs, -1)):
                 c.kl_aligned.append(align_mod.kl_histogram(aligned, fit, bins=50))
 
+    # each run's pipeline holds views of its own parameters and statistics
+    picks = [(r, ...) for r in range(runs)] if lead else [...]
     return [
         (FusionPipeline(scorer,
-                        run_state(mapping, mapping.PARAMS, r) if use_mapping else None,
-                        run_state(cond, cond.STATE, r), divisor, fit, asdict(c)), curve)
-        for r, (c, curve) in enumerate(zip(cfgs, curves))
+                        run_state(mapping, mapping.PARAMS, at) if use_mapping else None,
+                        run_state(cond, cond.STATE, at), divisor, fit, asdict(c)), curve)
+        for at, c, curve in zip(picks, cfgs, curves)
     ]
 
 

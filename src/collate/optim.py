@@ -64,16 +64,15 @@ class FlatParams:
 
     The layout follows ``owners`` and, within each, its class's ``PARAMS``.
     Each attribute is rebound to its view of ``theta`` (a 0-d view for a
-    scalar); with ``runs``, every view gains a leading run axis and each run
-    starts from the owners' values. One optimizer step on ``theta`` then
-    updates them all in place. ``grad`` has the same layout, and ``grads``
-    holds, per owner, its views of ``grad`` keyed by attribute name: a
-    backward pass writes into those. ``run_state`` cuts one run's views out
-    of a stack.
+    scalar); with ``lead`` = (runs,), every view gains that leading run axis
+    and each run starts from the owners' values. One optimizer step on
+    ``theta`` then updates them all in place. ``grad`` has the same layout,
+    and ``grads`` holds, per owner, its views of ``grad`` keyed by attribute
+    name: a backward pass writes into those. ``run_state`` cuts one run's
+    views out of a stack.
     """
 
-    def __init__(self, owners: list, runs: int | None = None):
-        lead = () if runs is None else (runs,)
+    def __init__(self, owners: list, lead: tuple = ()):
         arrays = [
             (i, name, np.asarray(getattr(obj, name), dtype=np.float64))
             for i, obj in enumerate(owners)
@@ -89,17 +88,17 @@ class FlatParams:
         for i, name, a in arrays:
             stop = start + a.size
             shape = lead + a.shape
-            setattr(owners[i], name, self.theta[..., start:stop].reshape(shape, copy=False))
-            self.grads[i][name] = self.grad[..., start:stop].reshape(shape, copy=False)
+            setattr(owners[i], name, self.theta[..., start:stop].reshape(shape))
+            self.grads[i][name] = self.grad[..., start:stop].reshape(shape)
             start = stop
 
 
-def run_state(obj, names, run: int):
-    """A new object of ``obj``'s class whose attributes ``names`` are views
-    of ``obj``'s at index ``run`` of their leading run axis."""
+def run_state(obj, names, at):
+    """A new object of ``obj``'s class whose attributes ``names`` are the
+    views ``getattr(obj, name)[at]``: one run's, for ``at`` = (run, ...)."""
     one = type(obj).__new__(type(obj))
     for name in names:
-        setattr(one, name, getattr(obj, name)[run, ...])
+        setattr(one, name, getattr(obj, name)[at])
     return one
 
 

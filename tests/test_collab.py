@@ -442,6 +442,30 @@ class TestTrainCollabMatchesReference:
             for other in range(3):
                 assert all(np.shares_memory(a, base[other]) == (other == run) for a in arrays)
 
+    def test_a_stack_of_one_has_no_run_axis(self, small_bench, monkeypatch):
+        # a lone run trains on arrays of its own shapes, views of one vector,
+        # so its passes make a lone run's calls
+        seen = []
+        forward_stacked = ConditionalNetParams.forward_stacked
+
+        def recording(net, z):
+            out, cache = forward_stacked(net, z)
+            seen.append((net.w1.shape, net.b2.shape, net.in_mean.shape, z.ndim, out.ndim))
+            return out, cache
+
+        monkeypatch.setattr(ConditionalNetParams, "forward_stacked", recording)
+        llm = small_bench.llm_scores_for(small_bench.windows["train"])
+        pipeline, _ = train_alone(small_bench.windows["train"], small_bench.scorer, llm,
+                                  small_cfg(variant_epochs=1))
+        k = 2 + pipeline.cond.rep_dim
+        assert seen and set(seen) == {((k, 16), (), (k,), 2, 1)}
+        arrays = [pipeline.cond.w1, pipeline.cond.b1, pipeline.cond.w2, pipeline.cond.b2,
+                  pipeline.mapping.a1, pipeline.mapping.b1, pipeline.mapping.a2,
+                  pipeline.mapping.b2]
+        base = arrays[0].base
+        assert base is not None and base.shape == (sum(a.size for a in arrays),)
+        assert all(a.base is base for a in arrays)
+
 
 class TestTrainCollabStack:
     """Runs trained in lockstep get, bit for bit, the checkpoint and curves
