@@ -182,27 +182,25 @@ class MonotoneMapping:
         return self.forward(np.asarray(s, dtype=np.float64))[0]
 
     def forward(self, s: np.ndarray):
-        """Mapped scores of the shape of ``s``, and the cache ``backward``
-        reads; with a run axis, ``s`` is one vector of n scores shared by
-        every run, and the mapped scores have shape (runs, n)."""
-        s = np.asarray(s, dtype=np.float64)
-        runs = self.a1.shape[:-1]
+        """Mapped scores of the float64 score vector ``s``, of shape (n,),
+        and the cache ``backward`` reads; with a run axis, every run maps
+        the same ``s``, and the mapped scores have shape (runs, n)."""
         w1 = _softplus(self.a1)
         w2 = _softplus(self.a2)
-        # rows of (slot, hidden unit) per run, whatever the shape of s
-        pre = np.einsum("...j,i->...ij", w1, s.ravel())
+        # rows of (slot, hidden unit) per run
+        pre = np.einsum("...j,i->...ij", w1, s)
         pre += self.b1[..., None, :]
         h = np.tanh(pre, out=pre)
-        # one matrix-vector product per run and per leading axis of s, as
-        # h @ w2 makes them: gemv rounds the last rows of a call otherwise
-        z = h.reshape(runs + (s.shape or (1,)) + w2.shape[-1:]) @ w2[..., None]
+        # one matrix-vector product per run, as h @ w2 makes them: gemv
+        # rounds the last rows of a call otherwise
+        z = h @ w2[..., None]
         # transposed, the run axis comes last, where b2 broadcasts along it
         z_t = z.T
         z_t += self.b2
         # one sigmoid call gives the mapped scores and, for the backward
         # pass, softplus' derivative at a1 and a2
         sig = sigmoid(np.concatenate((z.ravel(), self.a1.ravel(), self.a2.ravel())))
-        m = sig[: z.size].reshape(runs + s.shape)
+        m = sig[: z.size].reshape(z.shape[:-1])
         return m, (s, w2, h, m, sig[z.size :])
 
     def backward(self, dm: np.ndarray, cache, grads: dict | None = None) -> dict:
@@ -214,10 +212,8 @@ class MonotoneMapping:
         (``column_sums``)."""
         s, w2, h, m, dsoftplus = cache
         dsoftplus = dsoftplus.reshape((2, *w2.shape))
-        # rows of slots per run, as h holds them
         dz = dm * m
         dz *= 1.0 - m
-        dz = dz.reshape(h.shape[:-1])
         dpre = np.einsum("...i,...j->...ij", dz, w2)
         if grads is None:
             grads = {name: np.empty(np.shape(getattr(self, name))) for name in self.PARAMS}
@@ -225,7 +221,7 @@ class MonotoneMapping:
         grads["a2"] *= dsoftplus[1]
         dpre *= 1.0 - h * h
         column_sums(dpre, out=grads["b1"])
-        column_sums(dpre, s.ravel(), out=grads["a1"])
+        column_sums(dpre, s, out=grads["a1"])
         grads["a1"] *= dsoftplus[0]
         np.add.reduce(dz, axis=-1, out=grads["b2"])
         return grads

@@ -12,7 +12,7 @@ sustained statistical drifts, catch rule-breaking single slots).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -173,23 +173,23 @@ def _test_metrics(bench: Benchmark, score_window) -> DetectionMetrics:
     return per_kind_metrics(scores, bench.test.spans)
 
 
-def run_variants(bench: Benchmark, cfgs: list[RunConfig],
+def run_variants(bench: Benchmark, cfg: RunConfig, variants: list[LossVariant],
                  counters: dict | None = None) -> tuple[list[DetectionMetrics], float]:
-    """Train the stack of runs ``cfgs`` on the train split in one
-    ``train_collab`` call; each run's metrics on the test split, and the
-    training's wall seconds. ``counters``, if given, receives each run's
-    steps and blocks under its variant's name."""
+    """Train ``variants`` from ``cfg`` on the train split in one lockstep
+    ``train_collab`` call; each variant's metrics on the test split, and
+    the training's wall seconds. ``counters``, if given, receives each
+    variant's steps and blocks under its name."""
     from .collab import detect, train_collab  # here, so gen-data loads no training code
 
     llm_train = bench.llm_scores_for(bench.windows["train"])
     start = time.perf_counter()
-    trained = train_collab(bench.windows["train"], bench.scorer, llm_train, cfgs)
+    trained = train_collab(bench.windows["train"], bench.scorer, llm_train, cfg, variants)
     seconds = time.perf_counter() - start
     llm_test = bench.llm_scores_for(bench.windows["test"])
     metrics = []
-    for cfg, (pipeline, curves) in zip(cfgs, trained):
+    for v, (pipeline, curves) in zip(variants, trained):
         if counters is not None:
-            counters[cfg.loss_variant] = {"steps": curves.steps, "blocks": curves.blocks}
+            counters[v.value] = {"steps": curves.steps, "blocks": curves.blocks}
         metrics.append(_test_metrics(
             bench, lambda w, p=pipeline: detect(p, w, llm_test[w.window_id()])))
     return metrics, seconds
@@ -199,11 +199,13 @@ def run_ablation(bench: Benchmark, cfg: RunConfig, counters: dict | None = None,
                  timings: dict | None = None) -> dict[str, DetectionMetrics]:
     """Full variant table: the detector-only and LLM-only test metrics (the
     fusion must beat the best of these; detector-only is the no-LLM
-    ablation), then every loss variant. The variants that train the mapping
-    share one stack, ``mapping_variants``; NO_ALIGNMENT, which has none,
-    trains in its own. Each stack is one ``run_variants`` call, which counts
-    each variant's steps and blocks into ``counters``; ``timings``, if
-    given, receives each stack's training seconds as ``<stack>_train_s``."""
+    ablation), then every loss variant, each trained from ``cfg``, whose
+    ``loss_variant`` is ignored. The variants that train the mapping share
+    one stack, ``mapping_variants``; NO_ALIGNMENT, which has none, trains in
+    its own. Each stack is one ``run_variants(bench, cfg, variants)`` call,
+    which counts each variant's steps and blocks into ``counters``;
+    ``timings``, if given, receives each stack's training seconds as
+    ``<stack>_train_s``."""
     llm_test = bench.llm_scores_for(bench.windows["test"])
     results = {
         "tsadm_only": _test_metrics(bench, lambda w: bench.scorer.score(w)[0]),
@@ -212,8 +214,7 @@ def run_ablation(bench: Benchmark, cfg: RunConfig, counters: dict | None = None,
     mapping_variants = [v for v in LossVariant if v is not LossVariant.NO_ALIGNMENT]
     stacks = {"mapping_variants": mapping_variants, "no_alignment": [LossVariant.NO_ALIGNMENT]}
     for stack, variants in stacks.items():
-        metrics, seconds = run_variants(
-            bench, [replace(cfg, loss_variant=v.value) for v in variants], counters)
+        metrics, seconds = run_variants(bench, cfg, variants, counters)
         if timings is not None:
             timings[f"{stack}_train_s"] = seconds
         results.update(zip((v.value for v in variants), metrics))

@@ -22,8 +22,9 @@ that cannot be made a directory (a file, or a path under one) exits 2.
 
 ``score-llm`` alone reads ``llm_mode``: ``mock:<fixture>`` reads LLM scores
 from a file, ``live:<url>`` asks the endpoint through ``llm.score_windows``.
-A live target that does not start with ``http://`` or ``https://``, or names
-no host, exits 2 before any request. ``eval --metadata`` exits 1 with one
+A live target that does not start with ``http://`` or ``https://``, names
+no host, or names a port that is not an integer in [0, 65535], exits 2
+before any request. ``eval --metadata`` exits 1 with one
 ``error:`` line when the file is not JSON, a span is malformed (a key
 missing, an unknown kind, not 0 <= start < end), or the spans overlap or
 differ from the label column. ``eval`` also exits 1 when ``collated.csv``
@@ -35,8 +36,10 @@ an unknown version or scorer kind, a detector setting that is not a
 positive integer, arrays whose shapes disagree, a mapping whose ``hidden``
 is not its arrays' length, a value that is not finite, a fusion net whose
 input width differs from its scorer's, or a range divisor that is not
-finite and positive. ``train-collab`` trains a stack of one run through
-``collab.train_collab``, the loop ``ablate`` trains its stacks with.
+finite and positive. ``collab.train_collab`` takes one run config and
+the loss variants to train from it in lockstep: ``ablate`` passes a stack
+of variants, and ``train-collab`` and each ``ablate --grid`` point pass
+the config's own ``loss_variant`` alone.
 LLM score files (the mock fixture, and ``--llm-scores`` of ``train-collab``
 and ``detect``) go through one loader, ``llm.load_fixture``, so all three
 commands treat a bad file alike: a window missing from it, a window with the
@@ -140,7 +143,9 @@ class RunConfig:
                               f"got {self.patchSize}")
         mode, _, target = (self.llm_mode if isinstance(self.llm_mode, str) else "").partition(":")
         try:
-            host = urllib.parse.urlsplit(target).hostname
+            url = urllib.parse.urlsplit(target)
+            # reading the port raises on one that is not an integer in [0, 65535]
+            _, host = url.port, url.hostname
         except ValueError:
             host = None
         live = target.startswith(("http://", "https://")) and host
@@ -299,7 +304,8 @@ def cmd_train_collab(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) ->
     model = TsadmModel.load(_require(args.tsadm, "detector checkpoint"))
     llm_scores = load_fixture(_require(args.llm_scores, "LLM scores"), windows)
     start = time.perf_counter()
-    ((pipeline, curves),) = train_collab(windows, model, llm_scores, [cfg])
+    ((pipeline, curves),) = train_collab(windows, model, llm_scores, cfg,
+                                         [LossVariant(cfg.loss_variant)])
     train_s = time.perf_counter() - start
     ckpt = out_dir / "pipeline.json"
     pipeline.save(ckpt)
@@ -477,7 +483,7 @@ def cmd_ablate(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
     if points:
         grid_rows = []
         for point in points:
-            f1 = run_variants(bench, [point])[0][0].f1
+            f1 = run_variants(bench, point, [LossVariant(point.loss_variant)])[0][0].f1
             grid_rows.append([point.d, point.patchSize, f1])
             print(f"grid d={point.d} patchSize={point.patchSize}: F1={f1:.4f}")
         payload["grid"] = grid_rows

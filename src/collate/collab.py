@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -341,18 +341,12 @@ def _column_stats(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.sqrt(np.add.accumulate(dev, axis=-1)[..., -1] / n)
 
 
-def _uses_mapping(cfgs: list[RunConfig]) -> bool:
-    """Whether a stack of runs trains the mapping; ValueError, naming the
-    field, for a stack that cannot share one loop."""
-    if not cfgs:
-        raise ValueError("a stack of runs needs at least one run config")
-    first = asdict(cfgs[0])
-    for cfg in cfgs[1:]:
-        for name, value in asdict(cfg).items():
-            if name != "loss_variant" and value != first[name]:
-                raise ValueError(f"the runs of a stack must share {name}, "
-                                 f"got {first[name]!r} and {value!r}")
-    mapped = {LossVariant(cfg.loss_variant) is not LossVariant.NO_ALIGNMENT for cfg in cfgs}
+def _uses_mapping(variants: list[LossVariant]) -> bool:
+    """Whether a stack of loss variants trains the mapping; ValueError for
+    a stack that cannot share one loop."""
+    if not variants:
+        raise ValueError("a stack of runs needs at least one loss variant")
+    mapped = {v is not LossVariant.NO_ALIGNMENT for v in variants}
     if len(mapped) > 1:
         raise ValueError("the runs of a stack cannot mix loss_variant no_alignment "
                          "with a mapping variant")
@@ -363,19 +357,20 @@ def train_collab(
     windows: list[TimeSeriesWindow],
     scorer,
     llm_scores: dict[str, np.ndarray],
-    cfgs: list[RunConfig],
+    cfg: RunConfig,
+    variants: list[LossVariant],
 ) -> list[tuple[FusionPipeline, TrainingCurves]]:
     """Joint minibatch SGD over the monotone mapping and the fusion network,
-    for a stack of runs trained in lockstep: one (pipeline, curves) per run
-    config in ``cfgs``, each with the bits that run gets in a stack alone.
+    for a stack of runs trained in lockstep: one (pipeline, curves) per loss
+    variant in ``variants``, each with the bits that run gets in a stack alone.
 
-    Each config is a run config; this reads its ``colr``, ``batchSize``,
-    ``epochs_collab``, ``patchSize``, ``d``, ``lambda_hat`` (the weight of
-    both alignment penalties), ``mapping_hidden``, ``cond_hidden``, ``seed``
-    and ``loss_variant``, and each pipeline echoes all of its run's. The
-    configs must agree on every field but ``loss_variant``, and either all
-    or none of them may be NO_ALIGNMENT; an empty stack, or one that breaks
-    either rule, raises ValueError naming the field before any training.
+    Every run trains with the run config ``cfg``, whose ``loss_variant`` is
+    ignored; this reads its ``colr``, ``batchSize``, ``epochs_collab``,
+    ``patchSize``, ``d``, ``lambda_hat`` (the weight of both alignment
+    penalties), ``mapping_hidden``, ``cond_hidden`` and ``seed``, and each
+    pipeline echoes ``cfg`` with its run's variant. Either all or none of
+    the variants may be NO_ALIGNMENT; an empty stack, or one that mixes
+    them, raises ValueError before any training.
 
     ``llm_scores`` holds every window's scores at the window's length, as
     ``llm.load_fixture`` returns them. The scorer stays frozen. Batches are
@@ -394,10 +389,11 @@ def train_collab(
     (runs, P) ``FlatParams`` array, stepped by one Adam, and every pass
     carries the leading run axis: stacked matmuls, einsums and reductions
     give each run the bits of its own call. A stack of one has no run axis,
-    so the CLI's lone run makes a lone run's numpy calls. The pairwise and
-    alignment losses' dot products stay one BLAS dot per run, since a
-    stacked einsum rounds them otherwise; each run's gradients are copied
-    into its row of the block's gathered gradients.
+    so the CLI's lone run makes a lone run's numpy calls. The losses stay
+    one call per run, each run's gradients copied into its row of the
+    block's gathered gradients: the pairwise terms differ by variant, and a
+    stacked alignment loss, though a batched matmul dot keeps each run's
+    bits, slows a lone run by moving its arithmetic onto numpy scalars.
 
     Each kept window is scored once, into one scaled-score array and one
     stacked (llm, aligned, rep) fusion input over all of them; a block's are
@@ -415,8 +411,8 @@ def train_collab(
     alignment loss is not finite in any run raises NonConvergence, after its
     update and before that epoch's curves are appended.
     """
-    use_mapping = _uses_mapping(cfgs)
-    cfg, runs = cfgs[0], len(cfgs)
+    use_mapping = _uses_mapping(variants)
+    runs = len(variants)
     # a stack of one carries no run axis: its arrays, and so its calls, are
     # those of a run trained alone
     lead = (runs,) if runs > 1 else ()
@@ -444,7 +440,6 @@ def train_collab(
     # aligned column, slot-major so that each run's statistic broadcasts
     # along it, each run's pairwise term, and the arrays that gather the
     # runs' pairwise and alignment gradients, with a view of each run's row
-    variants = [LossVariant(c.loss_variant) for c in cfgs]
     blocks = []
     offset = 0
     for w in windows:
@@ -464,10 +459,8 @@ def train_collab(
                            ds_hat, dm, per_run))
         offset += w.length
 
-    curves = [TrainingCurves(blocks=len(blocks)) for _ in cfgs]
     kl_raw = align_mod.kl_histogram(all_scaled, fit, bins=50)
-    for c in curves:
-        c.kl_raw = kl_raw
+    curves = [TrainingCurves(kl_raw=kl_raw, blocks=len(blocks)) for _ in variants]
 
     flat = FlatParams([cond, mapping] if use_mapping else [cond], lead)
     cond_grads = flat.grads[0]
@@ -528,8 +521,9 @@ def train_collab(
     return [
         (FusionPipeline(scorer,
                         run_state(mapping, mapping.PARAMS, at) if use_mapping else None,
-                        run_state(cond, cond.STATE, at), divisor, fit, asdict(c)), curve)
-        for at, c, curve in zip(picks, cfgs, curves)
+                        run_state(cond, cond.STATE, at), divisor, fit,
+                        asdict(replace(cfg, loss_variant=v.value))), curve)
+        for at, v, curve in zip(picks, variants, curves)
     ]
 
 

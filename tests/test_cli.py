@@ -370,6 +370,11 @@ class TestBadConfig:
         # urlsplit raises on the unclosed bracket
         ({"llm_mode": "live:http://[::1"},
          "llm_mode must look like 'mock:<fixture>' or 'live:<url>'"),
+        # ports that urlsplit parses but its .port rejects
+        ({"llm_mode": "live:http://127.0.0.1:abc/x"},
+         "llm_mode must look like 'mock:<fixture>' or 'live:<url>'"),
+        ({"llm_mode": "live:http://127.0.0.1:99999/x"},
+         "llm_mode must look like 'mock:<fixture>' or 'live:<url>'"),
     ])
     def test_exits_2_with_one_line(self, tmp_path, capsys, config, message):
         cfg = tmp_path / "cfg.json"
@@ -512,6 +517,22 @@ class TestBadCsv:
         assert code == 1
         assert capsys.readouterr().err == "error: line 702: slot 1500 does not follow slot 699\n"
         assert not (tmp_path / "t").exists() or not any((tmp_path / "t").iterdir())
+
+    @pytest.mark.parametrize("command", ["train-collab", "detect"])
+    def test_two_columns_for_a_one_column_detector_exit_1(self, run_dir, tmp_path, capsys,
+                                                         command):
+        series = data_mod.load_csv(run_dir / "D" / "data.csv")
+        wide = dataclasses.replace(series, values=np.repeat(series.values, 2, axis=1))
+        data = tmp_path / "data.csv"
+        data_mod.save_csv(wide, data)
+        args = {"train-collab": ["--tsadm", str(run_dir / "tsadm" / "tsadm.json")],
+                "detect": ["--pipeline", str(run_dir / "collab" / "pipeline.json")]}[command]
+        capsys.readouterr()
+        code = cli.main(["--config", str(run_dir / "cfg.json"), "--out", str(tmp_path / "t"),
+                         command, "--data", str(data), *args,
+                         "--llm-scores", str(run_dir / "llm" / "llm_scores.jsonl")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: window has 2 dims, model expects 1\n"
 
     def test_eval_without_labels_exits_2(self, run_dir, tmp_path, capsys):
         lines = (run_dir / "D" / "data.csv").read_text().splitlines()
@@ -827,9 +848,9 @@ class TestAblateGrid:
         stacks = []
         real = collab.train_collab
 
-        def counting(windows, scorer, llm_scores, cfgs):
-            stacks.append([cfg.loss_variant for cfg in cfgs])
-            return real(windows, scorer, llm_scores, cfgs)
+        def counting(windows, scorer, llm_scores, cfg, variants):
+            stacks.append([v.value for v in variants])
+            return real(windows, scorer, llm_scores, cfg, variants)
 
         monkeypatch.setattr(collab, "train_collab", counting)
         # the grid point repeats the table's own d and patchSize

@@ -180,35 +180,45 @@ class TestLiveScoring:
         assert calls == []
 
     def test_first_failed_window_stops_the_run(self, monkeypatch):
-        """Two requests in flight: w0's reply is not a number, and w1's
+        """Two requests in flight: w0's reply is not a number, or its
+        transport raises an error that is not a CollateError, and w1's
         request is held until w0 has failed. None of the other 38 queued
-        windows may then be sent."""
+        windows may then be sent. The other error propagates unchanged."""
         monkeypatch.setattr(llm, "MAX_IN_FLIGHT", 2)
-        w1_sent, w0_failed = threading.Event(), threading.Event()
         real_fetch = llm._fetch
+        for w0_reply, error, message in [
+            ("not a number", MalformedResponse, "non-numeric score line"),
+            (RuntimeError("transport broke"), RuntimeError, "^transport broke$"),
+        ]:
+            # the closures below run inside this iteration's score_windows
+            w1_sent, w0_failed = threading.Event(), threading.Event()
 
-        def fetch(*args):
-            try:
-                return real_fetch(*args)
-            except MalformedResponse:
-                w0_failed.set()
-                raise
+            def fetch(*args):
+                try:
+                    return real_fetch(*args)
+                except error:
+                    w0_failed.set()
+                    raise
 
-        monkeypatch.setattr(llm, "_fetch", fetch)
-        calls = []
+            monkeypatch.setattr(llm, "_fetch", fetch)
+            calls = []
 
-        def transport(endpoint, prompt):
-            calls.append(prompt)
-            if "Input data:\n0: " in prompt:
-                assert w1_sent.wait(timeout=10)
-                return "not a number"
-            w1_sent.set()
-            assert w0_failed.wait(timeout=10)
-            return "\n".join(["0.25"] * 20)
+            def transport(endpoint, prompt):
+                calls.append(prompt)
+                if "Input data:\n0: " in prompt:
+                    assert w1_sent.wait(timeout=10)
+                    if isinstance(w0_reply, Exception):
+                        raise w0_reply
+                    return w0_reply
+                w1_sent.set()
+                assert w0_failed.wait(timeout=10)
+                return "\n".join(["0.25"] * 20)
 
-        with pytest.raises(MalformedResponse, match="non-numeric score line"):
-            score_windows(ENDPOINT, windows(40), transport)
-        assert len(calls) == 2
+            with pytest.raises(error, match=message) as raised:
+                score_windows(ENDPOINT, windows(40), transport)
+            assert len(calls) == 2
+            if isinstance(w0_reply, Exception):
+                assert raised.value is w0_reply
 
 
 class FakeResponse:
