@@ -49,13 +49,12 @@ class HalfGaussianFit:
         return np.where(x <= 0.0, 0.0, _erf(x / (self.sigma * _SQRT2)))
 
 
-def fit_half_gaussian(scores) -> HalfGaussianFit:
-    """Estimate the half-Gaussian scale from nonnegative scores.
+def fit_half_gaussian(s: np.ndarray) -> HalfGaussianFit:
+    """Estimate the half-Gaussian scale from a vector of nonnegative scores.
 
     The scores are mirrored across zero and merged with the originals; the
     population standard deviation of that symmetric set is sqrt(mean(s^2)).
     """
-    s = np.asarray(scores, float).reshape(-1)
     if s.size == 0:
         raise ValueError("scores must be nonempty")
     if (s < 0).any():
@@ -89,10 +88,10 @@ def _moments(m: np.ndarray) -> tuple[float, np.ndarray, float]:
 
 
 def alignment_loss_grad(
-    mapped: np.ndarray, fit: HalfGaussianFit, lambda_hat: float
+    m: np.ndarray, fit: HalfGaussianFit, lambda_hat: float
 ) -> tuple[float, np.ndarray]:
-    """Alignment loss of one vector of mapped scores, and its gradient with
-    respect to them.
+    """Alignment loss of one vector ``m`` of mapped scores, and its gradient
+    with respect to them.
 
     The loss is the negative mean log-density of the mapped scores under the
     target, plus squared penalties, both weighted by ``lambda_hat``, steering
@@ -101,7 +100,6 @@ def alignment_loss_grad(
     the loss stays finite where the density itself underflows to zero. Mapped
     scores are nonnegative, as the mapping's sigmoid makes them.
     """
-    m = np.asarray(mapped, dtype=np.float64)
     n = m.size
     mean, centred, var = _moments(m)
     neg_log_density = float(m @ m) / (2.0 * fit.sigma**2 * n) - math.log(
@@ -131,12 +129,11 @@ def discrete_alignment_objective(mapped: np.ndarray, fit: HalfGaussianFit, n_bin
     [0, 1]. Serves as the discretization oracle for the differentiable loss
     and is never used in training.
     """
-    m = np.asarray(mapped, dtype=np.float64).reshape(-1)
-    if n_bins < 1 or m.size == 0:
+    if n_bins < 1 or mapped.size == 0:
         raise ValueError("need at least one bin and one mapped score")
-    if (m < 0).any() or (m > 1).any():
+    if (mapped < 0).any() or (mapped > 1).any():
         raise ValueError("mapped scores must lie in [0, 1] for the binned objective")
-    idx = np.minimum((m * n_bins).astype(int), n_bins - 1)
+    idx = np.minimum((mapped * n_bins).astype(int), n_bins - 1)
     counts = np.bincount(idx, minlength=n_bins)
     occupied = np.nonzero(counts)[0]
     masses = fit.cdf((occupied + 1) / n_bins) - fit.cdf(occupied / n_bins)
@@ -144,7 +141,7 @@ def discrete_alignment_objective(mapped: np.ndarray, fit: HalfGaussianFit, n_bin
     for i, mass in zip(occupied, masses):
         if mass <= 0.0:
             raise ValueError(f"bin {i} has zero target mass")
-        ce -= counts[i] / m.size * math.log(mass * n_bins)
+        ce -= counts[i] / mapped.size * math.log(mass * n_bins)
     return ce
 
 
@@ -178,8 +175,8 @@ class MonotoneMapping:
     def hidden(self) -> int:
         return self.a1.size
 
-    def __call__(self, s) -> np.ndarray:
-        return self.forward(np.asarray(s, dtype=np.float64))[0]
+    def __call__(self, s: np.ndarray) -> np.ndarray:
+        return self.forward(s)[0]
 
     def forward(self, s: np.ndarray):
         """Mapped scores of the float64 score vector ``s``, of shape (n,),
@@ -203,20 +200,17 @@ class MonotoneMapping:
         m = sig[: z.size].reshape(z.shape[:-1])
         return m, (s, w2, h, m, sig[z.size :])
 
-    def backward(self, dm: np.ndarray, cache, grads: dict | None = None) -> dict:
+    def backward(self, dm: np.ndarray, cache, grads: dict) -> dict:
         """Gradients of a scalar objective wrt the parameters, given its
         gradient ``dm`` wrt the mapped scores. They are written into the
         arrays of ``grads`` (keyed as ``PARAMS``, a 0-d array for ``b2``
-        without a run axis), as ``FlatParams.grads`` holds them, or into new
-        ones if it is None. Sums over slots add rows in numpy's own order
-        (``column_sums``)."""
+        without a run axis), as ``FlatParams.grads`` holds them. Sums over
+        slots add rows in numpy's own order (``column_sums``)."""
         s, w2, h, m, dsoftplus = cache
         dsoftplus = dsoftplus.reshape((2, *w2.shape))
         dz = dm * m
         dz *= 1.0 - m
         dpre = np.einsum("...i,...j->...ij", dz, w2)
-        if grads is None:
-            grads = {name: np.empty(np.shape(getattr(self, name))) for name in self.PARAMS}
         np.matmul(dz[..., None, :], h, out=grads["a2"][..., None, :])
         grads["a2"] *= dsoftplus[1]
         dpre *= 1.0 - h * h
@@ -248,7 +242,6 @@ def kl_histogram(a: np.ndarray, fit: HalfGaussianFit, bins: int) -> float:
     and are renormalized, so the result is finite and nonnegative even with
     empty bins.
     """
-    a = np.asarray(a, dtype=np.float64).reshape(-1)
     if bins < 2:
         raise ValueError("need at least two bins")
     if a.size == 0:

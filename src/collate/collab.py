@@ -26,6 +26,7 @@ from .core import (
     PrecomputedScorer,
     TimeSeriesWindow,
     column_sums,
+    common_length,
     patch_weights,
     score_range_divisor,
     sigmoid,
@@ -77,9 +78,8 @@ class ConditionalNetParams:
         self.in_std = np.maximum(np.asarray(std, dtype=np.float64), 1e-12)
 
     def _stack(self, llm: np.ndarray, aligned: np.ndarray, rep: np.ndarray) -> np.ndarray:
-        llm = np.asarray(llm, dtype=np.float64).reshape(-1)
-        aligned = np.asarray(aligned, dtype=np.float64).reshape(-1)
-        rep = np.asarray(rep, dtype=np.float64)
+        """The (n, 2 + h) fusion input of two (n,) score vectors and an
+        (n, h) representation."""
         if not (llm.size == aligned.size == rep.shape[0]):
             raise LengthMismatch("per-slot inputs must share one length")
         return np.concatenate([llm[:, None], aligned[:, None], rep], axis=1)
@@ -110,16 +110,14 @@ class ConditionalNetParams:
         out = sigmoid(logits)
         return out, (z, pre, h, out)
 
-    def backward(self, dout: np.ndarray, cache, grads: dict | None = None):
+    def backward(self, dout: np.ndarray, cache, grads: dict):
         """Gradients wrt the parameters and the aligned input, the one input
         training updates; slot sums as ``column_sums``. ``dout`` is only
         read: training passes a block's shared constant.
         The parameter gradients are written into the arrays of ``grads``
         (keyed as ``PARAMS``, a 0-d array for ``b2`` without a run axis), as
-        ``FlatParams.grads`` holds them, or into new ones if it is None."""
+        ``FlatParams.grads`` holds them."""
         z, pre, h, out = cache
-        if grads is None:
-            grads = {name: np.empty(np.shape(getattr(self, name))) for name in self.PARAMS}
         dlogits = dout * out
         dlogits *= 1.0 - out
         np.matmul(h.swapaxes(-1, -2), dlogits[..., None], out=grads["w2"][..., None])
@@ -146,15 +144,6 @@ class ConditionalNetParams:
         if not (cond.in_std > 0.0).all():
             raise ValueError("cond.in_std has an entry that is not positive")
         return cond
-
-
-def _check_lengths(*vecs):
-    """The common slot count: the last axis of every vector, or of every
-    stack of rows."""
-    n = vecs[0].shape[-1]
-    if any(v.shape[-1] != n for v in vecs[1:]):
-        raise LengthMismatch("score vectors must share one length")
-    return n
 
 
 def _pairwise_weighted_excess(
@@ -185,9 +174,7 @@ class CollaborativeTerm:
     """
 
     def __init__(self, s: np.ndarray, llm: np.ndarray, lam1: np.ndarray, lam2: np.ndarray):
-        s = np.atleast_1d(np.asarray(s, dtype=np.float64))
-        llm = np.atleast_1d(np.asarray(llm, dtype=np.float64))
-        n = _check_lengths(s, llm, lam1, lam2)
+        n = common_length(s, llm, lam1, lam2)
         if n < 2:
             raise ValueError("need at least two slots")
         # sum_ij lam(i,j)(a_i - a_j)(b_i - b_j) = 2 * sum_t b_t * excess_t(a)
@@ -218,7 +205,6 @@ def collaborative_loss_grad(
     per-slot weight arrays: patch weights, or constants for the ablation and
     the theory checks.
     """
-    s_hat = np.asarray(s_hat, dtype=np.float64).reshape(-1)
     return CollaborativeTerm(s, llm, lam1, lam2)(s_hat)
 
 
@@ -227,10 +213,7 @@ def mse_variant_loss_grad(
 ) -> tuple[float, np.ndarray]:
     """Per-slot weighted squared error against both scorers (ablation), and
     its gradient wrt the collated scores."""
-    s_hat = np.asarray(s_hat, dtype=np.float64).reshape(-1)
-    s = np.asarray(s, dtype=np.float64).reshape(-1)
-    llm = np.asarray(llm, dtype=np.float64).reshape(-1)
-    n = _check_lengths(s_hat, s, llm, lam1, lam2)
+    n = common_length(s_hat, s, llm, lam1, lam2)
     loss = float(np.mean(lam1 * (s - s_hat) ** 2 + lam2 * (llm - s_hat) ** 2))
     grad = (2.0 / n) * (lam1 * (s_hat - s) + lam2 * (s_hat - llm))
     return loss, grad

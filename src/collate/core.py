@@ -1,10 +1,16 @@
 """Shared numeric types, score scaling, patching, and adaptive loss weights.
 
-Scores pass between modules as plain 1-D float64 arrays, each checked once
-where it enters: LLM scores in ``llm``, replayed detector scores by
-``PrecomputedScorer``, collated scores by ``collab.detect``. The scorer lives
-here because ``benchmark``, which ``gen-data`` imports, must load no training
-module.
+Arrays are converted and checked once, where they enter the program, and
+nowhere after: series values by ``data.load_csv`` and ``LabeledSeries``,
+window values by ``TimeSeriesWindow``, LLM scores by ``llm.load_fixture`` and
+``llm.fixture_scores``, replayed detector scores by ``PrecomputedScorer``,
+collated scores by ``cli._load_collated``. Past those, scores pass between
+modules as plain 1-D float64 arrays and series values as (T, D) float64
+matrices, and each function takes the shape its callers pass. Wherever
+series values enter, ``as_matrix`` reads a 1-D array as T slots of one
+channel; ``common_length`` states once that score vectors share one length.
+The scorer lives here because ``benchmark``, which ``gen-data`` imports,
+must load no training module.
 ``PatchWeights`` stores lambda1 alone and derives lambda2 as ``1 - lambda1``.
 
 All operations here are pure functions over immutable inputs; nothing holds
@@ -19,7 +25,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateRange, NonFiniteInput, ScoreOutOfRange, ShapeMismatch, WindowTooShort
+from .errors import (DegenerateRange, LengthMismatch, NonFiniteInput, ScoreOutOfRange,
+                     ShapeMismatch, WindowTooShort)
 
 
 class LossVariant(Enum):
@@ -33,7 +40,7 @@ _SIGMOID_LO = np.nextafter(0.0, 1.0)
 _SIGMOID_HI = np.nextafter(1.0, 0.0)
 
 
-def sigmoid(x) -> np.ndarray:
+def sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function, elementwise, strictly inside (0, 1) for any finite x.
 
     The two-branch form 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) for x < 0 only
@@ -43,7 +50,6 @@ def sigmoid(x) -> np.ndarray:
     saturated logit still yields a value inside the open interval. Monotone
     non-decreasing; the derivative is out * (1 - out).
     """
-    x = np.asarray(x, dtype=np.float64)
     # e = e^-|x| <= 1, so max(e, x >= 0) is the numerator: 1 where x >= 0, else e
     e = np.exp(np.copysign(x, -1.0))
     out = np.maximum(e, x >= 0) / (1.0 + e)
@@ -66,6 +72,29 @@ def column_sums(x: np.ndarray, weights: np.ndarray | None = None, out=None) -> n
     return np.einsum("...ij,i->...j", x, weights, out=out)
 
 
+def as_matrix(values) -> np.ndarray:
+    """``values`` as a float64 (T, D) matrix of T slots and D channels: a
+    (T,) vector is T slots of one channel, and any other shape that is not
+    2-D raises ShapeMismatch."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim == 1:
+        return values[:, None]
+    if values.ndim != 2:
+        raise ShapeMismatch(f"values must be a (T,) vector or a T x D matrix, "
+                            f"got shape {values.shape}")
+    return values
+
+
+def common_length(*vecs: np.ndarray) -> int:
+    """The slot count that score vectors share: the last axis of every
+    vector, or of every stack of rows; unequal ones raise LengthMismatch."""
+    n = vecs[0].shape[-1]
+    if any(v.shape[-1] != n for v in vecs[1:]):
+        raise LengthMismatch(f"score vectors must share one length, got "
+                             f"{[v.shape[-1] for v in vecs]}")
+    return n
+
+
 @dataclass(frozen=True)
 class TimeSeriesWindow:
     """A T x D slice of a multivariate series, the unit every scorer consumes.
@@ -78,8 +107,8 @@ class TimeSeriesWindow:
     start_index: int = 0
 
     def __post_init__(self):
-        values = np.atleast_2d(np.asarray(self.values, dtype=np.float64))
-        if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
+        values = as_matrix(self.values)
+        if values.shape[0] < 1 or values.shape[1] < 1:
             raise ShapeMismatch("window values must be a T x D matrix with T, D >= 1")
         if not np.isfinite(values).all():
             raise NonFiniteInput("window values must be finite")
@@ -110,7 +139,7 @@ class PrecomputedScorer:
 
     def __init__(self, raw: np.ndarray, rep: np.ndarray, base_index: int = 0):
         self.raw = np.asarray(raw, dtype=np.float64).reshape(-1)
-        self.rep = np.atleast_2d(np.asarray(rep, dtype=np.float64))
+        self.rep = as_matrix(rep)
         if self.rep.shape[0] != self.raw.size:
             raise ShapeMismatch("raw scores and representation must cover the same slots")
         if not ((self.raw >= 0.0) & (self.raw < np.inf)).all():

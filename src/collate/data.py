@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import TimeSeriesWindow
+from .core import TimeSeriesWindow, as_matrix
 from .errors import InsufficientRoom, MissingColumn, ParseError, TooShort
 
 # the delayed feedback equation
@@ -67,10 +67,7 @@ class LabeledSeries:
     start_index: int = 0
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim == 1:
-            values = values[:, None]
-        self.values = values
+        self.values = as_matrix(self.values)
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64).reshape(-1)
             if self.labels.size != self.values.shape[0]:
@@ -114,7 +111,7 @@ def occupied_slots(spans: list[AnomalySpan]) -> np.ndarray:
     return np.concatenate([np.arange(s.start, s.end) for s in spans])
 
 
-def _plant(series: LabeledSeries, count: int, seed: int, region: tuple[int, int] | None,
+def _plant(series: LabeledSeries, count: int, seed: int, region: tuple[int, int],
            place, what: str) -> LabeledSeries:
     """``series`` with ``count`` anomalies planted in a copy. Each attempt
     calls ``place(rng, values, lo, hi, occupied)``, which draws one candidate
@@ -124,7 +121,7 @@ def _plant(series: LabeledSeries, count: int, seed: int, region: tuple[int, int]
     ``what``."""
     if count < 1:
         raise ValueError("count must be positive")
-    lo, hi = region if region is not None else (0, series.length)
+    lo, hi = region
     if lo >= hi:
         raise InsufficientRoom(f"could not place {what}")
     rng = np.random.default_rng(seed)
@@ -148,8 +145,8 @@ def _plant(series: LabeledSeries, count: int, seed: int, region: tuple[int, int]
 def insert_contextual_anomalies(
     series: LabeledSeries,
     count: int,
-    seed: int = 0,
-    region: tuple[int, int] | None = None,
+    seed: int,
+    region: tuple[int, int],
 ) -> LabeledSeries:
     """Copy future segments onto the present at ``count`` non-overlapping
     spans, each SPAN_RANGE slots long.
@@ -176,10 +173,11 @@ def insert_contextual_anomalies(
 def insert_point_anomalies(
     series: LabeledSeries,
     count: int,
-    seed: int = 0,
-    region: tuple[int, int] | None = None,
+    seed: int,
+    region: tuple[int, int],
 ) -> LabeledSeries:
-    """Shift ``count`` isolated slots by +/- POINT_MAGNITUDE * series std."""
+    """Shift ``count`` isolated slots of ``region`` [lo, hi) by +/-
+    POINT_MAGNITUDE * series std."""
     std = float(series.values.std())
 
     def place(rng, values, lo, hi, occupied):

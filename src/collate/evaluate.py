@@ -12,8 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import common_length
 from .data import AnomalyKind, AnomalySpan
-from .errors import LengthMismatch, NoPositives
+from .errors import NoPositives
 
 SVG_WIDTH, SVG_HEIGHT = 900, 260  # pixel size of score_overlay_svg's drawing
 
@@ -36,23 +37,15 @@ class DetectionMetrics:
         return out
 
 
-def _scores_and_labels(scores, labels) -> tuple[np.ndarray, np.ndarray]:
-    """``scores`` as flat float64 and ``labels`` as flat int64; unequal
-    lengths raise LengthMismatch."""
-    s = np.asarray(scores, dtype=np.float64).reshape(-1)
-    y = np.asarray(labels, dtype=np.int64).reshape(-1)
-    if s.size != y.size:
-        raise LengthMismatch(f"{s.size} scores vs {y.size} labels")
-    return s, y
-
-
-def prf1(scores, labels, threshold: float) -> DetectionMetrics:
-    """Slot-wise thresholding: score > threshold predicts anomalous.
+def prf1(s: np.ndarray, y: np.ndarray, threshold: float) -> DetectionMetrics:
+    """Slot-wise thresholding of the scores ``s`` against the 0/1 labels
+    ``y``: score > threshold predicts anomalous. Unequal lengths raise
+    LengthMismatch.
 
     Zero-division conventions: precision is 0 with no predicted positives,
     F1 is 0 when precision + recall is 0.
     """
-    s, y = _scores_and_labels(scores, labels)
+    common_length(s, y)
     pred = s > threshold
     tp = int(np.sum(pred & (y == 1)))
     fp = int(np.sum(pred & (y == 0)))
@@ -63,7 +56,7 @@ def prf1(scores, labels, threshold: float) -> DetectionMetrics:
     return DetectionMetrics(precision, recall, f1, float(threshold), tp, fp, fn)
 
 
-def best_f1_threshold(scores, labels) -> tuple[float, DetectionMetrics]:
+def best_f1_threshold(s: np.ndarray, y: np.ndarray) -> tuple[float, DetectionMetrics]:
     """The threshold of best slot-wise F1, over the midpoints of the sorted
     unique scores plus a predict-everything threshold below the minimum
     (ties break toward the lower threshold, higher recall), and ``prf1``'s
@@ -75,7 +68,7 @@ def best_f1_threshold(scores, labels) -> tuple[float, DetectionMetrics]:
     label count raises LengthMismatch, and labels with no positive
     NoPositives.
     """
-    s, y = _scores_and_labels(scores, labels)
+    common_length(s, y)
     pos = y == 1
     if not pos.any():
         raise NoPositives("threshold selection needs at least one positive label")
@@ -112,15 +105,15 @@ def labels_from_spans(spans: list[AnomalySpan], length: int, kind=None) -> np.nd
     return y
 
 
-def per_kind_metrics(scores, spans: list[AnomalySpan]) -> DetectionMetrics:
-    """Overall best-F1 metrics plus contextual-only and point-only breakdowns.
+def per_kind_metrics(s: np.ndarray, spans: list[AnomalySpan]) -> DetectionMetrics:
+    """Overall best-F1 metrics of the scores ``s`` plus contextual-only and
+    point-only breakdowns.
 
     The breakdowns reuse the overall operating threshold; each considers only
     its kind's positive slots together with the shared negatives (other-kind
     slots are excluded entirely). A kind with no spans is reported as
     'no_positives'.
     """
-    s = np.asarray(scores, dtype=np.float64).reshape(-1)
     y_all = labels_from_spans(spans, s.size)
     if not y_all.any():
         raise NoPositives("spans mark no slots")
@@ -137,22 +130,17 @@ def per_kind_metrics(scores, spans: list[AnomalySpan]) -> DetectionMetrics:
 
 
 def score_overlay_svg(
-    values: np.ndarray,
-    scores: np.ndarray,
-    labels: np.ndarray | None = None,
-    threshold: float | None = None,
-    title: str = "",
+    values: np.ndarray, scores: np.ndarray, labels: np.ndarray, threshold: float, title: str
 ) -> str:
-    """Hand-rolled SVG of SVG_WIDTH x SVG_HEIGHT pixels: series polyline,
-    score polyline, label shading.
+    """Hand-rolled SVG of SVG_WIDTH x SVG_HEIGHT pixels: the first channel of
+    the (T, D) series ``values`` and the scores as polylines, the slots
+    labelled 1 shaded, a dashed line at ``threshold`` when it lies within the
+    scores' range, and ``title``.
 
     Deterministic output (no timestamps, no font dependencies), so report
     artifacts are byte-stable across identical runs.
     """
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim > 1:
-        values = values[:, 0]
-    scores = np.asarray(scores, dtype=np.float64).reshape(-1)
+    values = values[:, 0]
     n = values.size
     width, height = SVG_WIDTH, SVG_HEIGHT
 
@@ -177,16 +165,15 @@ def score_overlay_svg(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
-    if labels is not None:
-        # one rectangle per run of consecutive slots labelled 1
-        edges = np.diff(np.concatenate([[0], np.asarray(labels).reshape(-1)[:n] == 1, [0]]))
-        x0 = xs[np.flatnonzero(edges == 1)]
-        x1 = xs[np.minimum(np.flatnonzero(edges == -1), n - 1)]
-        rect = f'<rect x="{{:.2f}}" y="0" width="{{:.2f}}" height="{height}" fill="#fdd" />'
-        parts += map(rect.format, x0.tolist(), np.maximum(x1 - x0, 1.0).tolist())
+    # one rectangle per run of consecutive slots labelled 1
+    edges = np.diff(np.concatenate([[0], labels == 1, [0]]))
+    x0 = xs[np.flatnonzero(edges == 1)]
+    x1 = xs[np.minimum(np.flatnonzero(edges == -1), n - 1)]
+    rect = f'<rect x="{{:.2f}}" y="0" width="{{:.2f}}" height="{height}" fill="#fdd" />'
+    parts += map(rect.format, x0.tolist(), np.maximum(x1 - x0, 1.0).tolist())
     parts.append(polyline(y_vals, "#1f77b4"))
     parts.append(polyline(y_scores, "#d62728"))
-    if threshold is not None and scores.max() > scores.min():
+    if scores.max() > scores.min():
         frac = (threshold - scores.min()) / (scores.max() - scores.min())
         if 0.0 <= frac <= 1.0:
             ty = (height - 10) - frac * ((height - 10) - (half + 10))
@@ -194,11 +181,9 @@ def score_overlay_svg(
                 f'<line x1="5" y1="{ty:.2f}" x2="{width - 5}" y2="{ty:.2f}" '
                 'stroke="#888" stroke-dasharray="4,3" stroke-width="1"/>'
             )
-    if title:
-        parts.append(
-            f'<text x="8" y="12" font-size="11" font-family="monospace">'
-            f"{_escape(title)}</text>"
-        )
+    parts.append(
+        f'<text x="8" y="12" font-size="11" font-family="monospace">{_escape(title)}</text>'
+    )
     parts.append("</svg>")
     return "\n".join(parts)
 

@@ -16,8 +16,7 @@ import numpy as np
 from . import alignment as align_mod
 from .alignment import HalfGaussianFit
 from .collab import CollaborativeTerm, ConditionalNetParams, collaborative_loss_grad
-from .core import sigmoid
-from .errors import LengthMismatch
+from .core import common_length, sigmoid
 from .optim import FlatParams
 
 # Scores (theorem2's ordering checks) or vertex losses (its optimum) this
@@ -99,10 +98,7 @@ def oracle_loss(s_hat: np.ndarray, y: np.ndarray) -> float | np.ndarray:
     Implemented as the literal double sum over outer differences; tests
     cross-check it against the closed form -2(n * sum(y S^) - sum(y) sum(S^)).
     """
-    s_hat = np.asarray(s_hat, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    if s_hat.shape[-1:] != y.shape:
-        raise LengthMismatch("score vectors must share one length")
+    common_length(s_hat, y)
     dy = y[:, None] - y[None, :]
     ds = s_hat[..., :, None] - s_hat[..., None, :]
     # each vector's n * n terms summed as one flat run, as .sum() of one (n, n) array
@@ -127,7 +123,6 @@ def brute_force_optimal(y: np.ndarray, seed: int = 0) -> BruteForceResult:
     0.5, and ``degenerate`` flags more than one such vertex. ``seed`` has no
     effect; the enumeration draws nothing at random.
     """
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
     if y.size > 8:
         raise ValueError("brute force is for small instances (n <= 8)")
     vertices = np.array(list(itertools.product((0.0, 1.0), repeat=y.size)))
@@ -407,7 +402,6 @@ def check_lemma1(
     batch's slots: the gradient is zero elsewhere, and a zero column passes
     its test whatever its mean.
     """
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
     if steps < 1000:
         raise ValueError("need at least 1e3 steps")
     # (b) fits a slope through steps - window + 1 moving averages: it needs two
@@ -480,7 +474,6 @@ def lipschitz_report(y: np.ndarray, param_pairs: int = 200, seed: int = 0) -> Th
     vector, the layout phase-2 training steps."""
     if param_pairs < 100:
         raise ValueError("need at least 100 parameter pairs")
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
     n = y.size
     rng = np.random.default_rng(seed)
     llm = np.clip(y + rng.normal(0, 0.05, n), 0, 1)

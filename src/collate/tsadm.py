@@ -68,7 +68,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import TimeSeriesWindow
+from .core import TimeSeriesWindow, as_matrix
 from .errors import NonConvergence, ShapeMismatch
 from .optim import Adam, FlatParams, load_checkpoint, load_state, state_dict
 
@@ -270,7 +270,6 @@ class TsadmModel:
         The caches' q, k, v, logits and attention rows live in
         ``workspace``, a fresh one unless the caller passes one to reuse.
         """
-        xb = np.asarray(xb, dtype=np.float64)
         if xb.ndim != 3 or xb.shape[2] != self.dims:
             raise ShapeMismatch(f"expected (B, T, {self.dims}) input")
         ws = _Workspace() if workspace is None else workspace
@@ -400,8 +399,9 @@ class TsadmModel:
 
 
 def sliding_windows(values: np.ndarray, win_len: int) -> np.ndarray:
-    """Non-overlapping training windows (B, winLen, D); the tail is dropped."""
-    values = np.atleast_2d(np.asarray(values, dtype=np.float64))
+    """Non-overlapping training windows (B, winLen, D) of the series
+    ``values``, read by ``core.as_matrix``; the tail is dropped."""
+    values = as_matrix(values)
     if values.shape[0] < win_len:
         raise ShapeMismatch("series shorter than one window")
     n_win = values.shape[0] // win_len

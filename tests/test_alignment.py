@@ -19,6 +19,12 @@ from collate.errors import DegenerateScores, NonConvergence
 from test_core import _reference_sigmoid
 
 
+def empty_grads(net) -> dict:
+    """Uninitialised gradient arrays for ``net``'s backward pass, keyed as
+    its ``PARAMS`` and shaped as its parameters."""
+    return {name: np.empty(np.shape(getattr(net, name))) for name in net.PARAMS}
+
+
 def train_mapping(scaled, fit, lambda_hat, epochs, learning_rate=0.05, seed=0):
     """Reference: full-batch gradient descent of the alignment loss over a
     mapping on its own. Training runs the mapping jointly with the fusion
@@ -31,7 +37,7 @@ def train_mapping(scaled, fit, lambda_hat, epochs, learning_rate=0.05, seed=0):
         loss, dm = alignment_loss_grad(mapped, fit, lambda_hat)
         if not np.isfinite(loss):
             raise NonConvergence("alignment loss became non-finite")
-        grads = mapping.backward(dm, cache)
+        grads = mapping.backward(dm, cache, empty_grads(mapping))
         mapping.a1 -= learning_rate * grads["a1"]
         mapping.b1 -= learning_rate * grads["b1"]
         mapping.a2 -= learning_rate * grads["a2"]
@@ -336,7 +342,7 @@ class TestMatchesReference:
             ref_m, ref_cache = _reference_mapping_forward(mapping, s)
             assert np.shape(m) == shape
             np.testing.assert_array_equal(m, ref_m)
-            grads = mapping.backward(dm, cache)
+            grads = mapping.backward(dm, cache, empty_grads(mapping))
             ref = _reference_mapping_backward(mapping, dm, ref_cache)
             assert set(grads) == set(ref)
             # into given arrays, as training's gradient views take them

@@ -12,7 +12,6 @@ from collate.alignment import MonotoneMapping
 from collate.benchmark import BenchmarkConfig, build_benchmark, run_ablation
 from collate.cli import RunConfig
 from collate.collab import (
-    _check_lengths,
     _pairwise_weighted_excess,
     CollaborativeTerm,
     ConditionalNetParams,
@@ -25,14 +24,17 @@ from collate.collab import (
     train_collab,
 )
 from collate.core import (
+    PrecomputedScorer,
     TimeSeriesWindow,
+    common_length,
     patch_weights,
     score_range_divisor,
 )
 from collate.errors import LengthMismatch, NonConvergence, NonFiniteInput, WindowTooShort
 from collate.evaluate import per_kind_metrics
+from collate.llm import load_fixture
 from collate.optim import Adam
-from test_alignment import _reference_alignment_loss_grad
+from test_alignment import _reference_alignment_loss_grad, empty_grads
 from test_core import _reference_sigmoid
 from test_optim import _reference_adam_step
 
@@ -48,7 +50,7 @@ def collaborative_loss_naive(s_hat, s, llm, lam1, lam2):
     s_hat = np.asarray(s_hat, float).reshape(-1)
     s = np.asarray(s, float).reshape(-1)
     llm = np.asarray(llm, float).reshape(-1)
-    n = _check_lengths(s_hat, s, llm)
+    n = common_length(s_hat, s, llm)
     total = 0.0
     for i in range(n):
         for j in range(n):
@@ -87,7 +89,7 @@ class TestConditionalNet:
         rep = rng.normal(size=(7, 3))
         probe = rng.normal(size=7)
         out, cache = net.forward(llm, aligned, rep)
-        grads, dal = net.backward(probe, cache)
+        grads, dal = net.backward(probe, cache, empty_grads(net))
         h = 1e-6
 
         def value():
@@ -338,6 +340,37 @@ class TestTrainCollab:
             f"^collated scores for window {re.escape(repr(w.window_id()))} are not finite$"
         )):
             detect(pipeline, w, small_bench.llm_scores_for([w])[w.window_id()])
+
+
+class TestEntryPointsConvert:
+    """Downstream code converts nothing, so integer inputs must become
+    float64 where they enter: LLM scores in ``llm.load_fixture``, replayed
+    detector scores in ``PrecomputedScorer``."""
+
+    def test_integer_scores_train_and_detect_as_their_floats(self, tmp_path):
+        windows = [TimeSeriesWindow(np.full((3, 1), float(i)), start_index=3 * i)
+                   for i in range(4)]
+        llm = {}
+        for kind, scores in (("int", [0, 1, 0]), ("float", [0.0, 1.0, 0.0])):
+            path = tmp_path / f"{kind}.jsonl"
+            path.write_text("".join(
+                json.dumps({"window_id": w.window_id(), "scores": scores}) + "\n"
+                for w in windows))
+            llm[kind] = load_fixture(path, windows)
+        assert {v.dtype for v in llm["int"].values()} == {np.dtype(np.float64)}
+        raw, rep = list(range(1, 13)), [[k % 3, k] for k in range(12)]
+        scorers = {"int": PrecomputedScorer(raw, rep),
+                   "float": PrecomputedScorer(np.array(raw, float), np.array(rep, float))}
+        assert scorers["int"].raw.dtype == scorers["int"].rep.dtype == np.float64
+        cfg = RunConfig(batchSize=3, epochs_collab=2, patchSize=2, seed=1)
+        pipelines = {kind: train_alone(windows, scorers[kind], llm[kind], cfg)[0]
+                     for kind in llm}
+        assert_same_checkpoint(pipelines["int"], pipelines["float"])
+        for w in windows:
+            out = detect(pipelines["int"], w, llm["int"][w.window_id()])
+            assert out.dtype == np.float64
+            np.testing.assert_array_equal(
+                out, detect(pipelines["float"], w, llm["float"][w.window_id()]))
 
 
 class TestRunAblation:
@@ -606,7 +639,7 @@ class TestConditionalNetMatchesReference:
         np.testing.assert_array_equal(cache[2], ref_cache[2])
         np.testing.assert_array_equal(np.signbit(cache[2]), np.signbit(ref_cache[2]))
         dout_before = dout.copy()
-        grads, daligned = net.backward(dout, cache)
+        grads, daligned = net.backward(dout, cache, empty_grads(net))
         ref_grads, ref_daligned = _reference_backward(net, dout, ref_cache)
         np.testing.assert_array_equal(dout, dout_before)
         assert set(grads) == set(ref_grads)
@@ -648,7 +681,7 @@ class TestConditionalNetMatchesReference:
         h = np.where(pre > 0, pre, 0.01 * pre)
         z, out = rng.normal(size=(3, 6)), rng.uniform(0.01, 0.99, 3)
         dout = rng.normal(size=3)
-        grads, daligned = net.backward(dout, (z, pre, h, out))
+        grads, daligned = net.backward(dout, (z, pre, h, out), empty_grads(net))
         ref_grads, ref_daligned = _reference_backward(net, dout, (z, pre, h, None, out))
         for name, value in grads.items():
             np.testing.assert_array_equal(value, ref_grads[name])
@@ -720,7 +753,7 @@ def _reference_collaborative_loss_grad(s_hat, s, llm, lam1, lam2):
     s_hat = np.asarray(s_hat, dtype=np.float64).reshape(-1)
     s = np.asarray(s, dtype=np.float64).reshape(-1)
     llm = np.asarray(llm, dtype=np.float64).reshape(-1)
-    n = _check_lengths(s_hat, s, llm, lam1, lam2)
+    n = common_length(s_hat, s, llm, lam1, lam2)
     if n < 2:
         raise ValueError("need at least two slots")
     # sum_ij lam(i,j)(a_i - a_j)(b_i - b_j) = 2 * sum_t b_t * excess_t(a)
@@ -823,7 +856,7 @@ def _reference_train_collab(
             pair_loss, ds_hat = _reference_pairwise_grad(
                 variant, s_hat, sb, lb, pw.lambda1[start:stop], pw.lambda2[start:stop]
             )
-            cgrads, dmapped = cond.backward(ds_hat, ccache)
+            cgrads, dmapped = cond.backward(ds_hat, ccache, empty_grads(cond))
             params = dict(cond_params)
             b2_box[0] = cond.b2
             params["b2"] = b2_box
@@ -831,7 +864,7 @@ def _reference_train_collab(
             grads = cgrads
             if use_mapping:
                 a_loss, da_mapped = _reference_alignment_loss_grad(mapped, fit, cfg.lambda_hat)
-                mgrads = mapping.backward(dmapped + da_mapped, mcache)
+                mgrads = mapping.backward(dmapped + da_mapped, mcache, empty_grads(mapping))
                 params.update(
                     {"m_a1": mapping.a1, "m_b1": mapping.b1, "m_a2": mapping.a2}
                 )

@@ -6,13 +6,16 @@ from hypothesis import example, given, settings, strategies as st
 
 from collate.core import (
     PatchWeights,
+    PrecomputedScorer,
     TimeSeriesWindow,
     column_sums,
     patch_weights,
     score_range_divisor,
     sigmoid,
 )
-from collate.errors import DegenerateRange, NonFiniteInput, WindowTooShort
+from collate.data import LabeledSeries
+from collate.errors import DegenerateRange, NonFiniteInput, ShapeMismatch, WindowTooShort
+from collate.tsadm import sliding_windows
 
 
 class TestSigmoid:
@@ -263,3 +266,15 @@ class TestTypes:
     def test_window_rejects_nan(self):
         with pytest.raises(NonFiniteInput):
             TimeSeriesWindow(np.array([[np.nan]]))
+
+    def test_a_vector_is_slots_of_one_channel_wherever_values_enter(self):
+        x = np.arange(40.0)
+        window, series = TimeSeriesWindow(x), LabeledSeries(values=x)
+        assert (window.length, window.dims) == (series.length, series.dims) == (40, 1)
+        np.testing.assert_array_equal(sliding_windows(x, 8), x.reshape(5, 8, 1))
+        assert PrecomputedScorer(np.ones(40), x).rep_dim == 1
+        for bad in (np.float64(1.0), np.zeros((4, 2, 1))):
+            for read in (TimeSeriesWindow, LabeledSeries, lambda v: sliding_windows(v, 1),
+                         lambda v: PrecomputedScorer(np.ones(4), v)):
+                with pytest.raises(ShapeMismatch):
+                    read(bad)

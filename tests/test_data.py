@@ -65,8 +65,8 @@ class TestPlanting:
         return data.gen_mackey_glass(3000, seed=5)
 
     def test_spans_do_not_overlap_and_labels_are_their_union(self, base):
-        series = data.insert_contextual_anomalies(base, 6, seed=1)
-        series = data.insert_point_anomalies(series, 6, seed=2)
+        series = data.insert_contextual_anomalies(base, 6, seed=1, region=(0, base.length))
+        series = data.insert_point_anomalies(series, 6, seed=2, region=(0, series.length))
         spans = sorted(series.spans, key=lambda s: s.start)
         assert len(spans) == 12
         assert all(s1.end <= s2.start for s1, s2 in zip(spans[:-1], spans[1:]))
@@ -82,7 +82,7 @@ class TestPlanting:
                 assert not others[max(s.start - 1, 0) : s.start + 2].any()
 
     def test_contextual_span_copies_a_later_segment(self, base):
-        series = data.insert_contextual_anomalies(base, 1, seed=3)
+        series = data.insert_contextual_anomalies(base, 1, seed=3, region=(0, base.length))
         (span,) = series.spans
         length = span.end - span.start
         x, x0 = series.values[:, 0], base.values[:, 0]
@@ -97,7 +97,7 @@ class TestPlanting:
         assert offsets
 
     def test_point_is_shifted_by_the_magnitude_times_std(self, base):
-        series = data.insert_point_anomalies(base, 1, seed=4)
+        series = data.insert_point_anomalies(base, 1, seed=4, region=(0, base.length))
         (span,) = series.spans
         diff = series.values[:, 0] - base.values[:, 0]
         assert np.flatnonzero(diff).tolist() == [span.start]
