@@ -44,8 +44,7 @@ class HalfGaussianFit:
     def sigma_hat_sq(self) -> float:
         return self.sigma**2 * (1.0 - _TWO_OVER_PI)
 
-    def cdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+    def cdf(self, x: np.ndarray) -> np.ndarray:
         return np.where(x <= 0.0, 0.0, _erf(x / (self.sigma * _SQRT2)))
 
 
@@ -65,14 +64,12 @@ def fit_half_gaussian(s: np.ndarray) -> HalfGaussianFit:
     return HalfGaussianFit(sigma=math.sqrt(second_moment))
 
 
-def half_gaussian_density(fit: HalfGaussianFit, x):
+def half_gaussian_density(fit: HalfGaussianFit, x: np.ndarray) -> np.ndarray:
     """Density of the half-Gaussian target; zero below the origin."""
-    x = np.asarray(x, dtype=np.float64)
     dens = (2.0 / (fit.sigma * math.sqrt(2.0 * math.pi))) * np.exp(
         (x * x) / -(2.0 * fit.sigma**2)
     )
-    out = np.where(x < 0.0, 0.0, dens)
-    return float(out) if out.ndim == 0 else out
+    return np.where(x < 0.0, 0.0, dens)
 
 
 def _moments(m: np.ndarray) -> tuple[float, np.ndarray, float]:

@@ -160,7 +160,7 @@ class RunConfig:
                            batchSize=self.batchSize, seed=self.seed)
 
 
-def load_config(path: str | Path | None, overrides: dict | None = None) -> RunConfig:
+def load_config(path: str | Path | None, overrides: dict) -> RunConfig:
     """The validated run config: ``RunConfig``'s defaults, then the JSON
     object in the file at ``path`` (if any), then ``overrides``."""
     try:
@@ -172,7 +172,7 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> RunCo
     unknown = set(raw) - {f.name for f in dataclasses.fields(RunConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    cfg = RunConfig(**{**raw, **(overrides or {})})
+    cfg = RunConfig(**{**raw, **overrides})
     cfg.validate()
     return cfg
 

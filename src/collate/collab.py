@@ -74,8 +74,8 @@ class ConditionalNetParams:
 
     def set_input_stats(self, mean: np.ndarray, std: np.ndarray) -> None:
         """Per-column statistics, (2 + h,) or with a leading run axis."""
-        self.in_mean = np.asarray(mean, dtype=np.float64)
-        self.in_std = np.maximum(np.asarray(std, dtype=np.float64), 1e-12)
+        self.in_mean = mean
+        self.in_std = np.maximum(std, 1e-12)
 
     def _stack(self, llm: np.ndarray, aligned: np.ndarray, rep: np.ndarray) -> np.ndarray:
         """The (n, 2 + h) fusion input of two (n,) score vectors and an

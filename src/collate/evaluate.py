@@ -156,8 +156,8 @@ def score_overlay_svg(
     y_scores = scale(scores, half + 10, height - 10)
 
     def polyline(ys: np.ndarray, color: str) -> str:
-        # x, y pairs up to the shorter series, interleaved and printed in one pass
-        coords = np.column_stack([xs[: ys.size], ys[:n]]).ravel().tolist()
+        # x, y pairs, interleaved and printed in one pass
+        coords = np.column_stack([xs, ys]).ravel().tolist()
         pts = " ".join(["%.2f,%.2f"] * (len(coords) // 2)) % tuple(coords)
         return f'<polyline fill="none" stroke="{color}" stroke-width="1" points="{pts}"/>'
 

@@ -128,7 +128,7 @@ def fixture_scores(
 
 def write_fixture(path: str | Path, scores_by_window: dict[str, np.ndarray]) -> None:
     lines = [
-        json.dumps({"window_id": wid, "scores": np.asarray(scores, dtype=np.float64).tolist()})
+        json.dumps({"window_id": wid, "scores": scores.tolist()})
         for wid, scores in sorted(scores_by_window.items())
     ]
     Path(path).write_text("\n".join(lines) + "\n")

@@ -46,11 +46,12 @@ into the start of the full batches' buffers: arrays of its own landed on the
 heap where each full step then grew and trimmed the heap top again.
 
 A step overwrites what the previous step left, so a layer cache is valid
-only until the next call given the same workspace. ``forward``,
-``loss_and_grads`` and ``score`` called without a workspace make a fresh
-one, so scoring stays pure and re-entrant. The gradients, reconstructions,
-representations and scores they return are new arrays; only ``forward``'s
-layer caches point into the workspace it used.
+only until the next call given the same workspace. Only ``forward`` and
+``score`` make their own workspace: ``score`` always, and ``forward`` when
+given none, so scoring stays pure and re-entrant. ``loss_and_grads`` writes
+into the workspace and gradient arrays its caller passes. The
+reconstructions, representations and scores returned are new arrays; only
+``forward``'s layer caches point into the workspace it used.
 
 Anything with ``score(window) -> (raw, rep)`` and ``rep_dim`` can stand in
 for the attention model, as ``core.PrecomputedScorer`` does with scores
@@ -180,9 +181,9 @@ def _attention_backward(dout: np.ndarray, cache: _AttentionCache, ws: _Workspace
     return dq, dk, dv, dsigma
 
 
-def _sum_over_bt(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _sum_over_bt(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
     """(D, e, f) sum over b and t of x[b, d, t, :]^T y[b, d, t, :], as one
-    (D, e, B*T) @ (D, B*T, f) matmul, written into ``out`` if given."""
+    (D, e, B*T) @ (D, B*T, f) matmul, written into ``out``."""
     b, d, t, e = x.shape
     xs = x.transpose(1, 3, 0, 2).reshape(d, e, b * t)
     return np.matmul(xs, y.transpose(1, 0, 2, 3).reshape(d, b * t, y.shape[-1]), out=out)
@@ -232,9 +233,9 @@ class TsadmModel:
     the checkpoint stores them under those names.
 
     The model holds no scratch memory. ``train_tsadm`` keeps one
-    ``_Workspace`` for its run and passes it to every ``loss_and_grads``
-    step; ``score`` and a ``forward`` or ``loss_and_grads`` called without
-    one allocate their own.
+    ``_Workspace`` for its run and passes it, with its gradient arrays, to
+    every ``loss_and_grads`` step; only ``score`` and a ``forward`` called
+    without one allocate their own.
     """
 
     CHECKPOINT_VERSION = 1
@@ -288,50 +289,45 @@ class TsadmModel:
         recon = rep @ self.out_w + self.out_b
         return recon, rep, (xb, xwin, layer_caches)
 
-    def loss_and_grads(self, xb: np.ndarray, workspace: _Workspace | None = None,
-                       grads: dict | None = None):
-        """Mean squared reconstruction error and gradients for every parameter.
+    def loss_and_grads(self, xb: np.ndarray, workspace: _Workspace, grads: dict):
+        """Mean squared reconstruction error, and its gradient for every
+        parameter written into the arrays of ``grads``.
 
-        The gradients are keyed by attribute name, and ``"layers"`` holds one
-        {wq, wk, wv, log_sigma} dict per layer. They are written into the
-        arrays of ``grads``, keyed the same way (a 0-d array for
-        ``log_sigma``), as ``FlatParams.grads`` lays them out; without
-        ``grads`` they are new arrays. The attention arrays of both passes go
-        to ``workspace`` (a fresh one if none is given).
+        ``grads`` is keyed by attribute name, and its ``"layers"`` holds one
+        {wq, wk, wv, log_sigma} dict per layer (a 0-d array for
+        ``log_sigma``), as ``FlatParams.grads`` lays them out. The attention
+        arrays of both passes go to ``workspace``.
         """
-        ws = _Workspace() if workspace is None else workspace
-        grads = {} if grads is None else grads
-        layer_grads = grads.setdefault("layers", [{} for _ in self.layers])
-        recon, rep, (xb, xwin, layer_caches) = self.forward(xb, ws)
+        recon, rep, (xb, xwin, layer_caches) = self.forward(xb, workspace)
         resid = recon - xb
         loss = float(np.mean(resid**2))
         drecon = 2.0 * resid / resid.size
-        grads["out_w"] = np.einsum("bth,btd->hd", rep, drecon, out=grads.get("out_w"))
-        grads["out_b"] = drecon.sum(axis=(0, 1), out=grads.get("out_b"))
+        np.einsum("bth,btd->hd", rep, drecon, out=grads["out_w"])
+        drecon.sum(axis=(0, 1), out=grads["out_b"])
         drep = drecon @ self.out_w.T
         b, t = xb.shape[0], xb.shape[1]
         dx = drep.reshape(b, t, self.dims, self.cfg.embed).transpose(0, 2, 1, 3)
         for i in reversed(range(len(self.layers))):
-            layer, lg = self.layers[i], layer_grads[i]
+            layer, lg = self.layers[i], grads["layers"][i]
             x, cache = layer_caches[i]
             # residual: dx flows to both the branch and the skip
-            dq, dk, dv, dsigma = _attention_backward(dx, cache, ws)
-            lg["wq"] = _sum_over_bt(x, dq, lg.get("wq"))
-            lg["wk"] = _sum_over_bt(x, dk, lg.get("wk"))
-            lg["wv"] = _sum_over_bt(x, dv, lg.get("wv"))
-            lg["log_sigma"] = np.multiply(dsigma, cache.sigma, out=lg.get("log_sigma"))
+            dq, dk, dv, dsigma = _attention_backward(dx, cache, workspace)
+            _sum_over_bt(x, dq, lg["wq"])
+            _sum_over_bt(x, dk, lg["wk"])
+            _sum_over_bt(x, dv, lg["wv"])
+            np.multiply(dsigma, cache.sigma, out=lg["log_sigma"])
             # dx + (dq wq^T + dk wk^T + dv wv^T), summed in that order, each
             # weight transposed into a contiguous copy
             branch = np.matmul(dq, layer.wq.transpose(0, 2, 1).copy(),
-                               out=ws.take("branch", dx.shape))
+                               out=workspace.take("branch", dx.shape))
             branch += np.matmul(dk, layer.wk.transpose(0, 2, 1).copy(),
-                                out=ws.take("term", dx.shape))
+                                out=workspace.take("term", dx.shape))
             branch += np.matmul(dv, layer.wv.transpose(0, 2, 1).copy(),
-                                out=ws.take("term", dx.shape))
-            dx = np.add(dx, branch, out=ws.take("dx", dx.shape))
+                                out=workspace.take("term", dx.shape))
+            dx = np.add(dx, branch, out=workspace.take("dx", dx.shape))
         du = dx.transpose(0, 2, 1, 3)  # (B,T,D,e)
-        grads["embed_w"] = np.einsum("btdj,btde->je", xwin, du, out=grads.get("embed_w"))
-        grads["embed_b"] = du.sum(axis=(0, 1, 2), out=grads.get("embed_b"))
+        np.einsum("btdj,btde->je", xwin, du, out=grads["embed_w"])
+        du.sum(axis=(0, 1, 2), out=grads["embed_b"])
         return loss, grads
 
     def score(self, window: TimeSeriesWindow) -> tuple[np.ndarray, np.ndarray]:

@@ -215,6 +215,43 @@ class TestPipeline:
         rows = (tmp_path / "detect" / "collated.csv").read_text().splitlines()[1:]
         assert [int(r.split(",")[0]) for r in rows] == list(range(length))
 
+    def test_two_channel_series_runs_every_command(self, tmp_path):
+        """A series of two channels, with an LLM fixture of its own, through
+        train-tsadm to eval; the fusion net's input widens with the
+        detector's representation, which holds embed features a channel."""
+        rng = np.random.default_rng(0)
+        length = 3000
+        labels = np.zeros(length, dtype=np.int64)
+        labels[rng.choice(length, 30, replace=False)] = 1
+        values = np.column_stack([np.sin(np.arange(length) / 10.0), rng.normal(size=length)])
+        series = data_mod.LabeledSeries(values + 3.0 * labels[:, None], labels)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"epochs_tsadm": 2, "epochs_collab": 2}))
+        cfg = cli.load_config(cfg_path, {})
+        (tmp_path / "D").mkdir()
+        csv = str(tmp_path / "D" / "data.csv")
+        data_mod.save_csv(series, csv)
+        parts = data_mod.split_windows(series, cfg.window_len)
+        llm.write_fixture(tmp_path / "D" / "llm_fixture.jsonl",
+                          {w.window_id(): rng.uniform(0.0, 1.0, w.length)
+                           for w in parts["train"] + parts["val"] + parts["test"]})
+        scores = str(tmp_path / "llm" / "llm_scores.jsonl")
+        steps = [
+            ("tsadm", "train-tsadm", "--data", csv),
+            ("llm", "score-llm", "--data", csv),
+            ("collab", "train-collab", "--data", csv,
+             "--tsadm", str(tmp_path / "tsadm" / "tsadm.json"), "--llm-scores", scores),
+            ("detect", "detect", "--data", csv,
+             "--pipeline", str(tmp_path / "collab" / "pipeline.json"), "--llm-scores", scores),
+            ("eval", "eval", "--data", csv,
+             "--collated", str(tmp_path / "detect" / "collated.csv")),
+        ]
+        for out, *args in steps:
+            code = cli.main(["--config", str(cfg_path), "--out", str(tmp_path / out), *args])
+            assert code == 0, args[0]
+        pipeline = json.loads((tmp_path / "collab" / "pipeline.json").read_text())
+        assert np.shape(pipeline["cond"]["w1"]) == (2 + 2 * cfg.embed, cfg.cond_hidden) == (10, 16)
+
 
 class TestGenDataArguments:
     @pytest.mark.parametrize("args, code, message", [

@@ -25,12 +25,25 @@ from collate.tsadm import (
     sliding_windows,
     train_tsadm,
 )
+from test_alignment import empty_grads
 from test_optim import _reference_adam_step
 
 
 def tsadm_config(**fields):
     """The run config's detector settings, with ``fields`` changed."""
     return dataclasses.replace(RunConfig().tsadm_config(), **fields)
+
+
+def detector_grads(model) -> dict:
+    """Uninitialised gradient arrays for ``model.loss_and_grads``: keyed and
+    shaped as the model's parameters, with one dict per layer under
+    ``"layers"``."""
+    return {**empty_grads(model), "layers": [empty_grads(layer) for layer in model.layers]}
+
+
+def step(model, xb):
+    """Loss and gradients of one step on a fresh workspace."""
+    return model.loss_and_grads(xb, _Workspace(), detector_grads(model))
 
 
 def qkv(rng, b, d, t, e):
@@ -146,7 +159,7 @@ class TestMatchesEinsumReference:
         for layer in model.layers:
             layer.log_sigma = float(rng.uniform(-0.5, 1.0))
         xb = rng.normal(size=(4, t, d))
-        loss, grads = model.loss_and_grads(xb)
+        loss, grads = step(model, xb)
         ref_loss, ref_grads = _einsum_loss_and_grads(model, xb)
         assert loss == pytest.approx(ref_loss, rel=1e-12)
         assert grads.keys() == ref_grads.keys()
@@ -254,16 +267,19 @@ class TestMatchesAllocatingReference:
 CHURN_PROBE = """
 import resource
 import numpy as np
+from collate.optim import FlatParams
 from collate.tsadm import TsadmConfig, TsadmModel, _Workspace
 model = TsadmModel(1, TsadmConfig(winLen=16, moduleNum=3, kLen=2, embed=4, trlr=0.01,
                                   epochs=60, batchSize=100, seed=0))
+flat = FlatParams([model, *model.layers])
+grads = {**flat.grads[0], "layers": flat.grads[1:]}
 xb = np.random.default_rng(7).normal(size=(100, 16, 1))
 ws = _Workspace()
 for _ in range(3):
-    model.loss_and_grads(xb, ws)
+    model.loss_and_grads(xb, ws, grads)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(30):
-    model.loss_and_grads(xb, ws)
+    model.loss_and_grads(xb, ws, grads)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
@@ -276,14 +292,14 @@ class TestWorkspace:
 
     def test_steps_reuse_their_memory(self):
         model, xb = self.model_and_batch()
-        ws = _Workspace()
-        model.loss_and_grads(xb, ws)
+        ws, grads = _Workspace(), detector_grads(model)
+        model.loss_and_grads(xb, ws, grads)
         first = dict(ws.buffers)
         square = {name for name, buf in first.items() if buf.size == 100 * 16 * 16}
         assert square == {"a0", "a1", "a2", "p0", "p1", "p2", "dm", "scratch"}
-        model.loss_and_grads(xb, ws)
+        model.loss_and_grads(xb, ws, grads)
         # and a ragged batch writes into the full batch's memory
-        model.loss_and_grads(xb[:37], ws)
+        model.loss_and_grads(xb[:37], ws, grads)
         assert ws.buffers.keys() == first.keys()
         for name, buf in ws.buffers.items():
             assert buf is first[name] and np.shares_memory(buf, first[name])
@@ -298,9 +314,9 @@ class TestWorkspace:
             return views[-1]
 
         monkeypatch.setattr(_Workspace, "take", recording_take)
-        ws = _Workspace()
-        model.loss_and_grads(xb, ws)
-        model.loss_and_grads(xb[:37], ws)
+        ws, grads = _Workspace(), detector_grads(model)
+        model.loss_and_grads(xb, ws, grads)
+        model.loss_and_grads(xb[:37], ws, grads)
         assert len(views) > 40
         assert all(view.ctypes.data % 64 == 0 for view in views)
 
@@ -308,7 +324,7 @@ class TestWorkspace:
         seen = []
         step = TsadmModel.loss_and_grads
 
-        def recording_step(self, xb, workspace=None, grads=None):
+        def recording_step(self, xb, workspace, grads):
             seen.append(workspace)
             return step(self, xb, workspace, grads)
 
@@ -322,7 +338,7 @@ class TestWorkspace:
     def test_nothing_returned_aliases_the_workspace(self):
         model, xb = self.model_and_batch()
         ws = _Workspace()
-        _, grads = model.loss_and_grads(xb, ws)
+        _, grads = model.loss_and_grads(xb, ws, detector_grads(model))
         raw, rep = model.score(TimeSeriesWindow(xb.reshape(-1, 1)))
         returned = [*arrays_of(grads, model.forward(xb)), raw, rep]
         assert len(returned) > 30
@@ -333,11 +349,11 @@ class TestWorkspace:
     def test_scores_survive_a_training_step(self):
         model, xb = self.model_and_batch()
         window = TimeSeriesWindow(xb[:10].reshape(-1, 1))
-        ws = _Workspace()
-        model.loss_and_grads(xb, ws)
+        ws, grads = _Workspace(), detector_grads(model)
+        model.loss_and_grads(xb, ws, grads)
         raw, rep = model.score(window)
         kept = raw.copy(), rep.copy()
-        model.loss_and_grads(xb[::-1], ws)
+        model.loss_and_grads(xb[::-1], ws, grads)
         np.testing.assert_array_equal(raw, kept[0])
         np.testing.assert_array_equal(rep, kept[1])
         again, rep_again = model.score(window)
@@ -365,7 +381,7 @@ class TestModel:
         cfg = tsadm_config(winLen=6, moduleNum=2, kLen=2, embed=3, seed=0)
         model = TsadmModel(2, cfg)
         xb = rng.normal(size=(3, 6, 2))
-        loss, grads = model.loss_and_grads(xb)
+        loss, grads = step(model, xb)
         h = 1e-6
         layer0, layer1 = model.layers
         for owner, owner_grads, name in [
@@ -377,9 +393,9 @@ class TestModel:
             idx = tuple(rng.integers(0, s) for s in arr.shape)
             orig = arr[idx]
             arr[idx] = orig + h
-            lp = model.loss_and_grads(xb)[0]
+            lp = step(model, xb)[0]
             arr[idx] = orig - h
-            lm = model.loss_and_grads(xb)[0]
+            lm = step(model, xb)[0]
             arr[idx] = orig
             fd = (lp - lm) / (2 * h)
             assert abs(fd - owner_grads[name][idx]) / max(abs(fd), 1e-9) < 1e-4
@@ -392,14 +408,14 @@ class TestModel:
         for layer in model.layers:
             layer.log_sigma = float(rng.uniform(-0.5, 1.0))
         xb = rng.normal(size=(3, 6, 2))
-        _, grads = model.loss_and_grads(xb)
+        _, grads = step(model, xb)
         h = 1e-6
         for i, layer in enumerate(model.layers):
             orig = layer.log_sigma
             layer.log_sigma = orig + h
-            lp = model.loss_and_grads(xb)[0]
+            lp = step(model, xb)[0]
             layer.log_sigma = orig - h
-            lm = model.loss_and_grads(xb)[0]
+            lm = step(model, xb)[0]
             layer.log_sigma = orig
             fd = (lp - lm) / (2 * h)
             assert abs(fd - grads["layers"][i]["log_sigma"]) / max(abs(fd), 1e-9) < 1e-4
@@ -416,7 +432,7 @@ class TestModel:
                            epochs=200, seed=0)
         values = np.full((400, 1), 2.3)
         model = train_tsadm(values, cfg)
-        loss, _ = model.loss_and_grads(values[:80].reshape(10, 8, 1))
+        loss, _ = step(model, values[:80].reshape(10, 8, 1))
         assert loss < 1e-4
         raw, _rep = model.score(TimeSeriesWindow(values[:80]))
         assert raw.max() < 1e-3
@@ -611,9 +627,9 @@ def _reference_loss_and_grads(model, xb):
         x, cache = layer_caches[i]
         dq, dk, dv, dsigma = _reference_attention_backward(dx, cache)
         grads["layers"][i] = {
-            "wq": _sum_over_bt(x, dq),
-            "wk": _sum_over_bt(x, dk),
-            "wv": _sum_over_bt(x, dv),
+            "wq": _sum_over_bt(x, dq, np.empty(layer.wq.shape)),
+            "wk": _sum_over_bt(x, dk, np.empty(layer.wk.shape)),
+            "wv": _sum_over_bt(x, dv, np.empty(layer.wv.shape)),
             "log_sigma": dsigma * cache.sigma,
         }
         dx = dx + (
