@@ -40,19 +40,17 @@ LLM_POINT_JITTER = 0.04
 LLM_CTX_HIT = 0.4
 LLM_CTX_LEVEL = 0.35
 LLM_CTX_JITTER = 0.08
-# Phase-2 batch size tuned for this benchmark: one whole window per batch so
-# the pairwise terms compare anomalous spans against plenty of background,
-# not mostly against themselves.
-ABLATION_BATCH_SIZE = 500
 
 
 @dataclass(frozen=True)
 class BenchmarkConfig:
+    """The series to build; ``seed`` and ``window_len`` are the run config's."""
+
+    seed: int
+    window_len: int
     length: int = 10_000
-    seed: int = 7
     n_contextual: int = 10
     n_point: int = 10
-    window_len: int = 500
 
 
 @dataclass
@@ -195,8 +193,8 @@ def run_variants(bench: Benchmark, cfg: RunConfig, variants: list[LossVariant],
     return metrics, seconds
 
 
-def run_ablation(bench: Benchmark, cfg: RunConfig, counters: dict | None = None,
-                 timings: dict | None = None) -> dict[str, DetectionMetrics]:
+def run_ablation(bench: Benchmark, cfg: RunConfig, counters: dict,
+                 timings: dict) -> dict[str, DetectionMetrics]:
     """Full variant table: the detector-only and LLM-only test metrics (the
     fusion must beat the best of these; detector-only is the no-LLM
     ablation), then every loss variant, each trained from ``cfg``, whose
@@ -204,8 +202,7 @@ def run_ablation(bench: Benchmark, cfg: RunConfig, counters: dict | None = None,
     one stack, ``mapping_variants``; NO_ALIGNMENT, which has none, trains in
     its own. Each stack is one ``run_variants(bench, cfg, variants)`` call,
     which counts each variant's steps and blocks into ``counters``;
-    ``timings``, if given, receives each stack's training seconds as
-    ``<stack>_train_s``."""
+    ``timings`` receives each stack's training seconds as ``<stack>_train_s``."""
     llm_test = bench.llm_scores_for(bench.windows["test"])
     results = {
         "tsadm_only": _test_metrics(bench, lambda w: bench.scorer.score(w)[0]),
@@ -215,7 +212,6 @@ def run_ablation(bench: Benchmark, cfg: RunConfig, counters: dict | None = None,
     stacks = {"mapping_variants": mapping_variants, "no_alignment": [LossVariant.NO_ALIGNMENT]}
     for stack, variants in stacks.items():
         metrics, seconds = run_variants(bench, cfg, variants, counters)
-        if timings is not None:
-            timings[f"{stack}_train_s"] = seconds
+        timings[f"{stack}_train_s"] = seconds
         results.update(zip((v.value for v in variants), metrics))
     return results

@@ -460,14 +460,14 @@ def _grid_points(grid: str, cfg: RunConfig) -> list[RunConfig]:
 def cmd_ablate(cfg: RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
     """Run the complementary-scorer benchmark over every fusion variant (plus
     single-model rows); optionally sweep a JSON grid of hyperparameters."""
-    from .benchmark import (
-        ABLATION_BATCH_SIZE, BenchmarkConfig, build_benchmark, run_ablation, run_variants,
-    )
+    from .benchmark import BenchmarkConfig, build_benchmark, run_ablation, run_variants
 
-    # what the ablation runs with; the run config's training keys do not reach it
-    run = load_config(None, {"seed": cfg.seed, "batchSize": ABLATION_BATCH_SIZE})
-    points = _grid_points(args.grid, run) if args.grid else []
-    bench = build_benchmark(BenchmarkConfig(seed=cfg.seed))
+    # what the ablation runs with; the run config's training keys do not reach
+    # it. One whole window per batch, so the pairwise terms compare anomalous
+    # spans against plenty of background, not mostly against themselves.
+    run = load_config(None, {"seed": cfg.seed, "batchSize": RunConfig.window_len})
+    points = [] if args.grid is None else _grid_points(args.grid, run)
+    bench = build_benchmark(BenchmarkConfig(seed=cfg.seed, window_len=run.window_len))
     counters, timings = {}, {}
     results = run_ablation(bench, run, counters, timings)
     for name, m in results.items():

@@ -228,9 +228,13 @@ class TrainingCurves:
     pairwise_loss: list[float] = field(default_factory=list)
     kl_aligned: list[float] = field(default_factory=list)
     kl_raw: float = float("nan")
-    # training blocks per epoch, and optimizer steps taken
+    # training blocks per epoch
     blocks: int = 0
-    steps: int = 0
+
+    @property
+    def steps(self) -> int:
+        """Optimizer steps taken: one per block of each finished epoch."""
+        return self.blocks * len(self.pairwise_loss)
 
 
 @dataclass
@@ -489,8 +493,6 @@ def train_collab(
             opt.step(flat.theta, flat.grad)
             if not finite:
                 raise NonConvergence("phase-2 loss became non-finite")
-            for c in curves:
-                c.steps += 1
         for c, a, p in zip(curves, ep_align, ep_pair):
             c.alignment_loss.append(a / len(blocks))
             c.pairwise_loss.append(p / len(blocks))

@@ -404,8 +404,7 @@ def sliding_windows(values: np.ndarray, win_len: int) -> np.ndarray:
     return values[: n_win * win_len].reshape(n_win, win_len, values.shape[1])
 
 
-def train_tsadm(values: np.ndarray, cfg: TsadmConfig,
-                counters: dict | None = None) -> TsadmModel:
+def train_tsadm(values: np.ndarray, cfg: TsadmConfig, counters: dict) -> TsadmModel:
     """Minibatch Adam on mean squared reconstruction error.
 
     Deterministic under cfg.seed: init, batch shuffling, and updates all flow
@@ -414,8 +413,8 @@ def train_tsadm(values: np.ndarray, cfg: TsadmConfig,
     model's and each layer's parameters are bound to one ``FlatParams``
     vector, which each step updates in place, and each step writes its
     gradients into ``FlatParams``' views; so while training, and in the
-    model returned, every ``log_sigma`` is a 0-d array. A ``counters`` dict
-    gets the run's ``epochs``, ``batches`` (per epoch) and ``steps``.
+    model returned, every ``log_sigma`` is a 0-d array. ``counters`` gets
+    the run's ``epochs``, ``batches`` (per epoch) and ``steps``.
     """
     windows = sliding_windows(values, cfg.winLen)
     dims = windows.shape[2]
@@ -433,8 +432,7 @@ def train_tsadm(values: np.ndarray, cfg: TsadmConfig,
             if not np.isfinite(loss):
                 raise NonConvergence(f"reconstruction loss became {loss}")
             opt.step(flat.theta, flat.grad)
-    if counters is not None:
-        counters.update(epochs=cfg.epochs, batches=-(-windows.shape[0] // cfg.batchSize),
-                        steps=opt.t)
+    counters.update(epochs=cfg.epochs, batches=-(-windows.shape[0] // cfg.batchSize),
+                    steps=opt.t)
     return model
 

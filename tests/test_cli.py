@@ -851,6 +851,10 @@ class TestImports:
         assert "collate.cli" in loaded
         assert loaded & self.NEVER_AT_IMPORT == set()
 
+    def test_the_theory_loads_no_statistics(self):
+        # lemma1's z bound is a constant, checked against statistics in test_theory.py
+        assert "statistics" not in _modules_after("import collate.theory")
+
     def test_eval_loads_neither_the_theory_nor_http(self, run_dir, tmp_path):
         argv = ["--config", str(run_dir / "cfg.json"), "--out", str(tmp_path),
                 "eval", "--data", str(run_dir / "D" / "data.csv"),
@@ -905,11 +909,17 @@ class TestAblateGrid:
         assert grid_rows == ["d,patchSize,f1", f"1.0,2,{collaborative[3]}"]
         metrics = json.loads((tmp_path / "metrics.json").read_text())
         assert sorted(metrics) == ["config_echo", "grid", "seed", "variants"]
-        # the settings the table was trained with, not the run config's
-        assert metrics["config_echo"] == {
-            "benchmark": dataclasses.asdict(benchmark.BenchmarkConfig(seed=0)),
-            "run": dataclasses.asdict(cli.RunConfig(batchSize=benchmark.ABLATION_BATCH_SIZE)),
+        # the settings the table was trained with, not the run config's: one
+        # whole window per batch
+        window_len = cli.RunConfig.window_len
+        echo = metrics["config_echo"]
+        assert echo == {
+            "benchmark": dataclasses.asdict(benchmark.BenchmarkConfig(seed=0,
+                                                                      window_len=window_len)),
+            "run": dataclasses.asdict(cli.RunConfig(batchSize=window_len)),
         }
+        assert (echo["benchmark"]["window_len"] == echo["run"]["window_len"]
+                == echo["run"]["batchSize"])
         assert metrics["grid"] == [[1.0, 2, float(collaborative[3])]]
         assert metrics["variants"]["collaborative"]["f1"] == float(collaborative[3])
         # the thresholds carry the fused scores' bits, so this pins phase 2
@@ -947,7 +957,7 @@ class TestAblateGrid:
         assert sorted(run) == sorted(pipeline["config_echo"])
         default = dataclasses.asdict(cli.RunConfig(seed=3))
         assert {key for key in run if run[key] != default[key]} == {"batchSize"}
-        assert run["batchSize"] == benchmark.ABLATION_BATCH_SIZE
+        assert run["batchSize"] == cli.RunConfig.window_len
 
     def test_grid_d_past_the_float_range_exits_1(self, tmp_path, monkeypatch, capsys):
         # the table's training is skipped; at d = 0.001 a score range above
@@ -970,6 +980,7 @@ class TestAblateGrid:
         ('{"d": [true]}', "--grid: d must be a positive real, got True"),
         ('{"patchSize": [600]}', "--grid: patchSize must not exceed window_len 500, got 600"),
         ("{d: 1}", "--grid must be JSON"),
+        ("", "--grid must be JSON: Expecting value"),
     ])
     def test_bad_grid_exits_2_before_the_ablation(self, tmp_path, monkeypatch, capsys,
                                                  grid, message):

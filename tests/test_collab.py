@@ -375,7 +375,7 @@ class TestEntryPointsConvert:
 
 class TestRunAblation:
     def test_single_model_rows_score_the_test_split(self, small_bench):
-        rows = run_ablation(small_bench, small_cfg(variant_epochs=1))
+        rows = run_ablation(small_bench, small_cfg(variant_epochs=1), {}, {})
         assert list(rows) == ["tsadm_only", "llm_only", *(v.value for v in LossVariant)]
         test = small_bench.test
         lo, hi = test.start_index, test.start_index + test.length
@@ -622,8 +622,9 @@ class TestTrainCollabChecksEachStep:
         made = self.recording_curves(monkeypatch)
         with pytest.raises(NonConvergence, match="^phase-2 loss became non-finite$"):
             train_alone(windows, small_bench.scorer, llm, cfg)
+        # the step of the second epoch's second block raised: no block came after it
         (curves,) = made
-        assert curves.steps == len(windows) + 1
+        assert len(block_calls) == len(windows) + 2
         assert len(curves.alignment_loss) == len(curves.pairwise_loss) == 1
 
 
@@ -889,7 +890,6 @@ def _reference_train_collab(
                 raise NonConvergence("phase-2 loss became non-finite")
             ep_align += a_loss
             ep_pair += pair_loss
-            curves.steps += 1
         curves.alignment_loss.append(ep_align / len(blocks))
         curves.pairwise_loss.append(ep_pair / len(blocks))
         if use_mapping:

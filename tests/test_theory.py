@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from collate.core import sigmoid
 from collate.theory import (
     LEMMA1_BATCH,
     LEMMA1_LR,
+    LEMMA1_UNBIASED_Z,
     NoiseModel,
     TheoryReport,
     brute_force_optimal,
@@ -169,7 +171,7 @@ class TestTheorem2:
         # At the box optimum the first ordering property holds up to ties;
         # the second fails on straddling-versus-same-side quadruples, which
         # the report exposes rather than hiding.
-        r = check_theorem2(trials=20, n=5, seed=0)
+        r = check_theorem2(20, {}, n=5, seed=0)
         assert r.details["p1_failures"] == 0
         assert 0.0 <= r.statistic <= 1.0
         assert r.passed == (r.statistic >= 1.0)
@@ -177,7 +179,7 @@ class TestTheorem2:
     def test_json_serialization_keys(self):
         import json
 
-        r = check_theorem2(trials=3, n=4, seed=1)
+        r = check_theorem2(3, {}, n=4, seed=1)
         payload = json.loads(r.to_json())
         assert set(payload) >= {"theorem", "trials", "statistic", "bound", "bound_is_floor",
                                 "pass", "seed"}
@@ -192,12 +194,12 @@ class TestTheorem2:
     ])
     def test_invalid_arguments_are_named(self, kw, match):
         with pytest.raises(ValueError, match=match):
-            check_theorem2(**{"trials": 5, **kw})
+            check_theorem2(**{"trials": 5, "counters": {}, **kw})
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_one_draw_per_quadruple(self, seed, n):
-        assert (check_theorem2(trials=20, n=n, seed=seed).to_json()
+        assert (check_theorem2(20, {}, n=n, seed=seed).to_json()
                 == _reference_check_theorem2(trials=20, n=n, seed=seed).to_json())
 
 
@@ -356,7 +358,8 @@ def _reference_check_lemma1(noise, y, steps=10_000, seed=0, window=500, resample
         diffs[r] = row
     mean_diff = diffs.mean(axis=0)
     se = diffs.std(axis=0, ddof=1) / np.sqrt(resamples)
-    unbiased = bool((np.abs(mean_diff) <= 3.0 * np.maximum(se, 1e-15)).all())
+    z = float((np.abs(mean_diff) / np.maximum(se, 1e-15)).max())
+    unbiased = z <= LEMMA1_UNBIASED_Z
 
     passed = final_gap < 1e-2 and slope <= -0.15 and unbiased
     return TheoryReport(
@@ -370,8 +373,9 @@ def _reference_check_lemma1(noise, y, steps=10_000, seed=0, window=500, resample
             "grad_norm_loglog_slope": slope,
             "slope_bound": -0.15,
             "loss_trajectory_gap": float(loss_gap),
-            "unbiased_within_3se": unbiased,
+            "unbiased_within_bonferroni_z": unbiased,
             "max_abs_mean_grad_diff": float(np.abs(mean_diff).max()),
+            "max_abs_mean_grad_diff_in_se": z,
         },
     )
 
@@ -381,7 +385,7 @@ class TestLemma1MatchesReference:
 
     def test_default_sizes(self):
         y = np.random.default_rng(0).uniform(0, 1, 128)
-        assert (check_lemma1(NoiseModel(), y).to_json()
+        assert (check_lemma1(NoiseModel(), y, {}).to_json()
                 == _reference_check_lemma1(NoiseModel(), y).to_json())
 
     # (steps, window, resamples, slots): an odd step count that crosses a
@@ -394,8 +398,24 @@ class TestLemma1MatchesReference:
     def test_small_sizes(self, seed, steps, window, resamples, n):
         y = np.random.default_rng(seed).uniform(0, 1, n)
         kw = dict(steps=steps, seed=seed, window=window, resamples=resamples)
-        assert (check_lemma1(NoiseModel(), y, **kw).to_json()
+        assert (check_lemma1(NoiseModel(), y, {}, **kw).to_json()
                 == _reference_check_lemma1(NoiseModel(), y, **kw).to_json())
+
+
+class TestLemma1UnbiasedBound:
+    """Check (c) tests the batch's coordinates as one family."""
+
+    def test_bound_is_bonferronis_z_at_the_3se_level(self):
+        level = 0.0027  # two-sided, for three standard errors on one coordinate
+        z = NormalDist().inv_cdf(1 - level / (2 * LEMMA1_BATCH))
+        assert LEMMA1_UNBIASED_Z == pytest.approx(z, abs=1e-12)
+
+    def test_seed_4_passes_where_a_3se_test_per_coordinate_fails(self):
+        # verify --seed 4's draw; its largest |mean| / se is 3.011
+        y = np.random.default_rng(4).uniform(0, 1, 128)
+        r = check_lemma1(NoiseModel(), y, {}, seed=4)
+        assert 3.0 < r.details["max_abs_mean_grad_diff_in_se"] < LEMMA1_UNBIASED_Z
+        assert r.passed and r.details["unbiased_within_bonferroni_z"]
 
 
 class TestSlotwiseSgdMatchesStepwise:
@@ -509,7 +529,7 @@ class TestLemma1:
         y = np.random.default_rng(0).uniform(0, 1, 128)
         tracemalloc.start()
         try:
-            check_lemma1(NoiseModel(), y)
+            check_lemma1(NoiseModel(), y, {})
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -518,13 +538,13 @@ class TestLemma1:
     def test_desk_scale_run_passes(self):
         rng = np.random.default_rng(1)
         y = rng.uniform(0, 1, 96)
-        r = check_lemma1(NoiseModel(0.1, 0.05, 0.2, 0.05), y, steps=3000, seed=0,
+        r = check_lemma1(NoiseModel(0.1, 0.05, 0.2, 0.05), y, {}, steps=3000, seed=0,
                          window=200, resamples=2000)
         assert r.passed, r.details
 
     def test_requires_enough_steps(self):
         with pytest.raises(ValueError):
-            check_lemma1(NoiseModel(), np.linspace(0, 1, 8), steps=10)
+            check_lemma1(NoiseModel(), np.linspace(0, 1, 8), {}, steps=10)
 
     @pytest.mark.parametrize("kw,n,match", [
         (dict(window=0), 64, "window must lie in"),
@@ -536,7 +556,7 @@ class TestLemma1:
     ])
     def test_invalid_arguments_are_named(self, kw, n, match):
         with pytest.raises(ValueError, match=match):
-            check_lemma1(NoiseModel(), np.linspace(0, 1, n), steps=1000, **kw)
+            check_lemma1(NoiseModel(), np.linspace(0, 1, n), {}, steps=1000, **kw)
 
 
 class TestLipschitz:

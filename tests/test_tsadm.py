@@ -249,7 +249,8 @@ class TestMatchesAllocatingReference:
         cfg = tsadm_config(winLen=8, moduleNum=2, kLen=2, embed=3, epochs=6,
                            batchSize=16, seed=4)
         values = np.random.default_rng(9).normal(size=(62 * 8 + 5, 2))
-        assert train_tsadm(values, cfg).to_dict() == _reference_train_tsadm(values, cfg).to_dict()
+        model = train_tsadm(values, cfg, {})
+        assert model.to_dict() == _reference_train_tsadm(values, cfg).to_dict()
 
     def test_training_run_at_the_cli_shape(self):
         # the CLI's detector; 230 windows in batches of 100: the last holds 30
@@ -331,7 +332,7 @@ class TestWorkspace:
         monkeypatch.setattr(TsadmModel, "loss_and_grads", recording_step)
         cfg = tsadm_config(winLen=8, moduleNum=1, kLen=2, embed=2, epochs=3,
                            batchSize=4, seed=0)
-        train_tsadm(np.random.default_rng(1).normal(size=(80, 1)), cfg)
+        train_tsadm(np.random.default_rng(1).normal(size=(80, 1)), cfg, {})
         assert len(seen) == 9 and isinstance(seen[0], _Workspace)
         assert all(ws is seen[0] for ws in seen)
 
@@ -425,13 +426,13 @@ class TestModel:
         values = np.ones((64, 1))
         values[37, 0] = np.nan
         with pytest.raises(NonConvergence):
-            train_tsadm(values, cfg)
+            train_tsadm(values, cfg, {})
 
     def test_constant_series_reconstructed(self):
         cfg = tsadm_config(winLen=8, moduleNum=2, kLen=2, embed=3, trlr=0.02,
                            epochs=200, seed=0)
         values = np.full((400, 1), 2.3)
-        model = train_tsadm(values, cfg)
+        model = train_tsadm(values, cfg, {})
         loss, _ = step(model, values[:80].reshape(10, 8, 1))
         assert loss < 1e-4
         raw, _rep = model.score(TimeSeriesWindow(values[:80]))
@@ -442,7 +443,7 @@ class TestModel:
                            epochs=150, seed=0)
         t = np.arange(2000)
         values = np.sin(2 * np.pi * t / 50.0)[:, None]
-        model = train_tsadm(values[:1600], cfg)
+        model = train_tsadm(values[:1600], cfg, {})
         held = values[1600:]
         raw, _rep = model.score(TimeSeriesWindow(held))
         # per-slot scores are squared errors summed over the one dimension
@@ -453,7 +454,7 @@ class TestModel:
                            epochs=150, seed=0)
         t = np.arange(2000)
         values = np.sin(2 * np.pi * t / 50.0)[:, None]
-        model = train_tsadm(values[:1600], cfg)
+        model = train_tsadm(values[:1600], cfg, {})
         test = values[1600:].copy()
         spike_slot = 123
         test[spike_slot, 0] += 10.0 * values.std()
@@ -464,7 +465,7 @@ class TestModel:
         cfg = tsadm_config(winLen=8, moduleNum=2, kLen=2, embed=3, epochs=5, seed=1)
         rng = np.random.default_rng(3)
         values = rng.normal(size=(200, 2))
-        model = train_tsadm(values, cfg)
+        model = train_tsadm(values, cfg, {})
         window = TimeSeriesWindow(values[:50])
         raw, rep = model.score(window)
         assert raw.min() >= 0.0
@@ -474,7 +475,7 @@ class TestModel:
         cfg = tsadm_config(winLen=8, moduleNum=1, kLen=2, embed=2, epochs=2, seed=0)
         rng = np.random.default_rng(4)
         values = rng.normal(size=(100, 1))
-        model = train_tsadm(values, cfg)
+        model = train_tsadm(values, cfg, {})
         raw, rep = model.score(TimeSeriesWindow(values[:21]))
         assert len(raw) == 21 and rep.shape[0] == 21
 
@@ -499,7 +500,7 @@ class TestModel:
     @pytest.mark.parametrize("length", [1, 4, 7])
     def test_window_shorter_than_winlen_scored_in_one_padded_tile(self, length):
         cfg = tsadm_config(winLen=8, moduleNum=1, kLen=2, embed=2, epochs=2, seed=0)
-        model = train_tsadm(np.random.default_rng(1).normal(size=(64, 2)), cfg)
+        model = train_tsadm(np.random.default_rng(1).normal(size=(64, 2)), cfg, {})
         values = np.random.default_rng(2).normal(size=(length, 2))
         raw, rep = model.score(TimeSeriesWindow(values))
         # the tile is the window behind copies of its first row
@@ -513,8 +514,8 @@ class TestModel:
         cfg = tsadm_config(winLen=8, moduleNum=2, kLen=2, embed=3, epochs=10, seed=7)
         rng = np.random.default_rng(5)
         values = rng.normal(size=(240, 1))
-        m1 = train_tsadm(values, cfg)
-        m2 = train_tsadm(values, cfg)
+        m1 = train_tsadm(values, cfg, {})
+        m2 = train_tsadm(values, cfg, {})
         for name in TsadmModel.PARAMS:
             np.testing.assert_array_equal(getattr(m1, name), getattr(m2, name))
         for l1, l2 in zip(m1.layers, m2.layers, strict=True):
@@ -524,7 +525,7 @@ class TestModel:
     def test_checkpoint_roundtrip_bit_exact(self, tmp_path):
         cfg = tsadm_config(winLen=8, moduleNum=2, kLen=3, embed=3, epochs=5, seed=2)
         rng = np.random.default_rng(6)
-        model = train_tsadm(rng.normal(size=(160, 2)), cfg)
+        model = train_tsadm(rng.normal(size=(160, 2)), cfg, {})
         p1 = tmp_path / "a.json"
         p2 = tmp_path / "b.json"
         model.save(p1)
